@@ -48,20 +48,26 @@ def mel_filterbank(sample_rate: float, cfg: MfccConfig) -> np.ndarray:
     return fb
 
 
-def mfcc(frame: np.ndarray, sample_rate: float, cfg: MfccConfig | None = None) -> np.ndarray:
+def mfcc(frames: np.ndarray, sample_rate: float, cfg: MfccConfig | None = None) -> np.ndarray:
     """c1..c12 of a frame: power spectrum, mel filterbank, log, DCT-II.
 
-    c0 is dropped, which makes the kept coefficients invariant to audio gain.
+    `frames` is one frame or an (n_frames, frame_len) stack, which gives an
+    (n_frames, n_coeffs) matrix from one rfft, one filterbank, one stacked
+    filterbank product and one DCT. c0 is dropped, which makes the kept
+    coefficients invariant to audio gain.
     """
     cfg = cfg or MfccConfig()
-    frame = np.asarray(frame, dtype=np.float64)
-    if not np.any(frame):
+    frames = np.asarray(frames, dtype=np.float64)
+    if not np.all(np.any(frames, axis=-1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
-    spectrum = np.abs(np.fft.rfft(frame, cfg.nfft)) ** 2
-    energies = mel_filterbank(sample_rate, cfg) @ spectrum
+    filterbank = mel_filterbank(sample_rate, cfg)
+    spectrum = np.abs(np.fft.rfft(frames, cfg.nfft, axis=-1)) ** 2
+    # one filterbank-times-spectrum product per frame, the same BLAS call a
+    # single frame makes, so a stacked row equals the single-frame result exactly
+    energies = (filterbank @ spectrum[..., None])[..., 0]
     log_e = np.log(np.maximum(energies, 1e-300))
-    coeffs = dct(log_e, type=2, norm="ortho")
-    return coeffs[1 : cfg.n_coeffs + 1]
+    coeffs = dct(log_e, type=2, norm="ortho", axis=-1)
+    return coeffs[..., 1 : cfg.n_coeffs + 1]
 
 
 def segment_mfcc_matrix(
@@ -72,16 +78,17 @@ def segment_mfcc_matrix(
     preemphasis: float = 0.97,
     window_kind: str = "hamming",
 ) -> np.ndarray:
-    """Frame-level MFCC matrix under the standard analysis conditions."""
+    """Frame-level MFCC matrix under the standard analysis conditions.
+
+    All-zero frames are skipped; the rest go through `mfcc` as one stack.
+    """
     cfg = cfg or MfccConfig()
     emphasized = preemphasize(audio, preemphasis)
     frames = frame_signal(emphasized, frame_ms, overlap_fraction)
-    rows = []
-    for fr in frames:
-        if not np.any(fr):
-            continue
-        rows.append(mfcc(window(fr, window_kind), audio.sample_rate, cfg))
-    return np.asarray(rows) if rows else np.empty((0, cfg.n_coeffs))
+    frames = frames[np.any(frames, axis=1)]
+    if len(frames) == 0:
+        return np.empty((0, cfg.n_coeffs))
+    return mfcc(window(frames, window_kind), audio.sample_rate, cfg)
 
 
 @dataclass

@@ -4,12 +4,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoDecisionError, UnstableModelError
+from .envelope import valley_minima
+from .errors import NoDecisionError
 from .scales import hz_to_bark
-from .sigproc import frame_signal, preemphasize, window
+from .sigproc import (
+    autocorrelation,
+    formant_candidates,
+    frame_length,
+    frame_signal,
+    levinson_failure,
+    levinson_rows,
+    lpc_levels,
+    polynomial_roots,
+    preemphasize,
+    window,
+)
 from .types import FormantSpec, SignalBuffer, power_mean_db
 
 SPACING_RULES = ("f3f2_3bark", "f2f1_bark", "v1_only", "v2_only")
+# the threshold each decision rule applies when none is given: dB for the
+# valley rules, bark for the spacing rules
+DEFAULT_THRESHOLDS = {
+    "valley": 5.0,
+    "f3f2_3bark": 3.0,
+    "f2f1_bark": 3.0,
+    "v1_only": 0.0,
+    "v2_only": 0.0,
+}
 
 
 @dataclass
@@ -34,9 +55,18 @@ class PipelineConfig:
     sample_rate: float | None = None  # assert the segment rate when set
 
     def order_for(self, sample_rate: float) -> int:
+        """The LP order at `sample_rate`; it must be at least 1 and below the frame length."""
         if self.lp_order is not None:
-            return self.lp_order
-        return int(round(sample_rate / 1000.0)) + 2
+            order = self.lp_order
+        else:
+            order = int(round(sample_rate / 1000.0)) + 2
+        frame_len = frame_length(self.frame_ms, sample_rate)
+        if not 1 <= order < frame_len:
+            raise ValueError(
+                f"LP order {order} must be at least 1 and below the frame length "
+                f"({frame_len} samples at {sample_rate:g} Hz)"
+            )
+        return order
 
 
 @dataclass
@@ -84,6 +114,7 @@ def _audio_of(seg) -> SignalBuffer:
 def frame_pipeline(seg, cfg: PipelineConfig | None = None):
     """Pre-emphasize, window, fit LP, and measure V_I/V_II per frame.
 
+    The frames of the segment go through each stage as one stacked array.
     Frames that do not yield three in-range formant candidates (or whose
     valley brackets collapse) come back invalid with a reason; nothing is
     interpolated across frames.
@@ -96,90 +127,55 @@ def frame_pipeline(seg, cfg: PipelineConfig | None = None):
     order = cfg.order_for(fs)
     emphasized = preemphasize(audio, cfg.preemphasis)
     frames = frame_signal(emphasized, cfg.frame_ms, cfg.overlap_fraction)
-    out = []
     if frames.shape[0] == 0:
-        return out
-    frames = window(frames, cfg.window_kind)
-    n = frames.shape[1]
-    # batched autocorrelation r[k] = sum_t x[t] x[t+k], one lag at a time
-    lags = np.empty((frames.shape[0], order + 1))
-    for k in range(order + 1):
-        lags[:, k] = np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:])
-    nfft = 2 * (cfg.n_points - 1)
-    grid = np.linspace(0.0, fs / 2.0, cfg.n_points)
-    for r in lags:
-        if r[0] <= 0:
-            out.append(FrameFeatures(None, None, [], False, "silent frame"))
-            continue
-        try:
-            a, err = _levinson_raw(r, order)
-        except UnstableModelError as exc:
-            out.append(FrameFeatures(None, None, [], False, f"unstable LP fit: {exc}"))
-            continue
-        formants = _formant_candidates(
-            a, fs, cfg.min_formant_hz, cfg.max_formant_bandwidth_hz, cfg.nyquist_margin_hz
+        return []
+    lags = autocorrelation(window(frames, cfg.window_kind), order)
+    out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
+           for r0 in lags[:, 0].tolist()]
+
+    # live[i] is the frame index of row i of the stack still being analysed
+    live = np.flatnonzero(lags[:, 0] > 0)
+    fit = levinson_rows(lags[live], order)
+    for i in np.flatnonzero(fit.stage):
+        out[live[i]] = FrameFeatures(
+            None, None, [], False, f"unstable LP fit: {levinson_failure(fit, i)}"
         )
-        if len(formants) < cfg.min_formants:
-            out.append(
-                FrameFeatures(None, None, formants, False, "fewer than three formants")
+    fitted = fit.stage == 0
+    live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
+
+    freqs, bws, counts = formant_candidates(
+        polynomial_roots(a), fs, cfg.min_formant_hz, cfg.max_formant_bandwidth_hz,
+        cfg.nyquist_margin_hz,
+    )
+
+    def formants(i, limit=None):
+        n = counts[i] if limit is None else min(counts[i], limit)
+        return [FormantSpec(f, b) for f, b in zip(freqs[i, :n].tolist(), bws[i, :n].tolist())]
+
+    enough = counts >= cfg.min_formants
+    for i in np.flatnonzero(~enough):
+        out[live[i]] = FrameFeatures(None, None, formants(i), False, "fewer than three formants")
+    rows = np.flatnonzero(enough)
+    if rows.size == 0:
+        return out
+
+    env_db, singular = lpc_levels(
+        a[rows], np.sqrt(np.maximum(err[rows], 1e-300)), cfg.n_points
+    )
+    mean_db = power_mean_db(env_db)
+    grid = np.linspace(0.0, fs / 2.0, cfg.n_points)
+    _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
+    _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])
+    v1, v2 = (v1 - mean_db).tolist(), (v2 - mean_db).tolist()
+    for j, i in enumerate(rows.tolist()):
+        if singular[j]:
+            out[live[i]] = FrameFeatures(None, None, formants(i), False, "singular envelope")
+        elif narrow1[j] or narrow2[j]:
+            out[live[i]] = FrameFeatures(
+                None, None, formants(i), False, "valley bracket too narrow"
             )
-            continue
-        spec = np.abs(np.fft.rfft(a, nfft))
-        if np.any(spec == 0.0):
-            out.append(FrameFeatures(None, None, formants, False, "singular envelope"))
-            continue
-        env_db = 20.0 * np.log10(np.sqrt(max(err, 1e-300)) / spec)
-        mean_db = power_mean_db(env_db)
-        vals = []
-        reason = None
-        for f_lo, f_hi in ((formants[0], formants[1]), (formants[1], formants[2])):
-            lo = int(np.searchsorted(grid, f_lo.frequency, side="right"))
-            hi = int(np.searchsorted(grid, f_hi.frequency, side="left"))
-            if hi - lo < 2:
-                reason = "valley bracket too narrow"
-                break
-            vals.append(float(env_db[lo:hi].min() - mean_db))
-        if reason:
-            out.append(FrameFeatures(None, None, formants, False, reason))
         else:
-            out.append(FrameFeatures(vals[0], vals[1], formants[:3], True))
-    return out
-
-
-def _levinson_raw(r, order):
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    e = r[0]
-    for m in range(1, order + 1):
-        if e <= 0:
-            raise UnstableModelError(f"prediction error vanished at stage {m}", stage=m)
-        k = -np.dot(a[:m], r[m:0:-1]) / e
-        if abs(k) > 1.0 + 1e-12:
-            raise UnstableModelError(f"|k|={abs(k):.3g} > 1 at stage {m}", stage=m)
-        a[: m + 1] += k * a[m::-1]
-        e *= 1.0 - k * k
-    return a, e
-
-
-def _formant_candidates(a, fs, min_hz, max_bw, nyq_margin):
-    n = len(a) - 1
-    companion = np.zeros((n, n))
-    companion[0, :] = -a[1:] / a[0]
-    if n > 1:
-        companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    out = []
-    nyq = fs / 2.0
-    for root in roots:
-        theta = np.angle(root)
-        radius = abs(root)
-        if theta <= 0 or radius <= 0 or radius >= 1:
-            continue
-        freq = theta * fs / (2 * np.pi)
-        bw = -fs * np.log(radius) / np.pi
-        if min_hz <= freq <= nyq - nyq_margin and 0 < bw < max_bw:
-            out.append(FormantSpec(freq, bw))
-    out.sort(key=lambda f: f.frequency)
+            out[live[i]] = FrameFeatures(v1[j], v2[j], formants(i, 3), True)
     return out
 
 
@@ -224,8 +220,8 @@ def decide_by_formant_spacing(features, rule: str = "f3f2_3bark",
     valid = _valid_frames(features)
     mean_v1 = float(np.mean([f.v1_db for f in valid]))
     mean_v2 = float(np.mean([f.v2_db for f in valid]))
+    thr = DEFAULT_THRESHOLDS[rule] if threshold is None else threshold
     if rule in ("f3f2_3bark", "f2f1_bark"):
-        thr = 3.0 if threshold is None else threshold
         lo, hi = (1, 2) if rule == "f3f2_3bark" else (0, 1)
         spacing = float(
             np.mean(
@@ -237,10 +233,8 @@ def decide_by_formant_spacing(features, rule: str = "f3f2_3bark",
         )
         predicted = "front" if spacing < thr else "back"
     elif rule == "v1_only":
-        thr = 0.0 if threshold is None else threshold
         predicted = "back" if mean_v1 > thr else "front"
     else:
-        thr = 0.0 if threshold is None else threshold
         predicted = "back" if mean_v2 < thr else "front"
     return SegmentDecision(
         mean_v1=mean_v1,

@@ -2,7 +2,6 @@
 
 import argparse
 import datetime
-import os
 import sys
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments
 from .errors import AnalysisError, NoDecisionError
+from .scales import hz_to_bark
 from .types import FormantSpec
 
 CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
@@ -18,6 +18,7 @@ CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
 }
 
 FEATURE_RULES = {
+    "valley": "valley",
     "f3f2": "f3f2_3bark",
     "f2f1": "f2f1_bark",
     "v1": "v1_only",
@@ -79,14 +80,6 @@ def _out_for(args, params):
     params = dict(params)
     params["seed"] = args.seed
     return Output(args.out, args.command, params, timestamp=not args.no_timestamp)
-
-
-def max_threads() -> int:
-    """Parallelism cap from VALLEY_THREADS; execution is serial regardless."""
-    try:
-        return max(1, int(os.environ.get("VALLEY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------- experiments
@@ -250,6 +243,30 @@ def _pipeline_config(args):
     )
 
 
+def _corpus_inputs(args):
+    """The analysis settings and the corpus segments of a corpus command.
+
+    The LP order is checked against the frame length at every sample rate in
+    the corpus before any frame is analysed.
+    """
+    inventory = _inventory_for(args)
+    cfg = _pipeline_config(args)
+    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
+    for rate in sorted({seg.audio.sample_rate for seg in segments}):
+        try:
+            cfg.order_for(rate)
+        except ValueError as exc:
+            raise UsageError(f"invalid --lp-order or --frame-ms: {exc}") from exc
+    return cfg, segments
+
+
+def _threshold(args):
+    """The threshold the feature's rule applies: --threshold, else the rule default."""
+    if args.threshold is not None:
+        return args.threshold
+    return classify.DEFAULT_THRESHOLDS[FEATURE_RULES[args.feature]]
+
+
 def _scored_segments(segments, include_central):
     for seg in segments:
         if seg.fb_class == "central":
@@ -265,8 +282,7 @@ def _decide(features, feature_name, threshold):
         if feature_name == "valley":
             return classify.decide_segment(features, threshold_db=threshold)
         return classify.decide_by_formant_spacing(
-            features, FEATURE_RULES[feature_name],
-            threshold=None if threshold == 5.0 else threshold,
+            features, FEATURE_RULES[feature_name], threshold=threshold
         )
     except NoDecisionError:
         return None
@@ -289,21 +305,22 @@ def _add_corpus_args(p, with_feature=True):
     if with_feature:
         p.add_argument("--feature", default="valley",
                        choices=["valley", "f3f2", "f2f1", "v1", "v2"])
-        p.add_argument("--threshold", type=float, default=5.0)
+        p.add_argument("--threshold", type=float, default=None,
+                       help="decision threshold (default: 5 dB for valley, "
+                            "3 bark for f3f2/f2f1, 0 dB for v1/v2)")
 
 
 def _cmd_classify(args):
-    inventory = _inventory_for(args)
-    cfg = _pipeline_config(args)
-    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
+    cfg, segments = _corpus_inputs(args)
+    threshold = _threshold(args)
     out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
-                              threshold=args.threshold, labels_ext=args.labels_ext,
+                              threshold=threshold, labels_ext=args.labels_ext,
                               inventory=args.inventory))
     out.row("segment_id", "label", "class", "mean_v1", "mean_v2", "mean_diff", "predicted")
     decisions, truths = [], []
     for seg, truth in _scored_segments(segments, args.include_central):
         features = classify.frame_pipeline(seg, cfg)
-        dec = _decide(features, args.feature, args.threshold)
+        dec = _decide(features, args.feature, threshold)
         decisions.append(dec)
         truths.append(truth)
         seg_id = f"{seg.utterance_id}:{seg.start_sample}"
@@ -316,7 +333,7 @@ def _cmd_classify(args):
         out.note("no segments found")
         out.flush()
         return 1
-    report = classify.score(decisions, truths, feature=args.feature, threshold=args.threshold)
+    report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
     out.note("feature,threshold,front_acc,back_acc,overall,front_n,back_n")
     out.note(f"{report.feature},{report.threshold},{report.front_accuracy:.2f},"
              f"{report.back_accuracy:.2f},{report.overall_accuracy:.2f},"
@@ -334,14 +351,13 @@ def _cmd_classify(args):
 
 
 def _cmd_noise_eval(args):
-    inventory = _inventory_for(args)
-    cfg = _pipeline_config(args)
-    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
+    cfg, segments = _corpus_inputs(args)
+    threshold = _threshold(args)
     kinds = [k.strip() for k in args.noise.split(",") if k.strip()]
     snrs = _floats(args.snrs)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
     out = _out_for(args, dict(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
-                              feature=args.feature, threshold=args.threshold))
+                              feature=args.feature, threshold=threshold))
     out.note("noise is added per segment, scaled to the requested SNR over that segment")
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
     for kind in kinds:
@@ -354,10 +370,10 @@ def _cmd_noise_eval(args):
                 )
                 noisy = corpus.mix_noise(seg.audio, spec, babble=babble_buf)
                 features = classify.frame_pipeline(noisy, cfg)
-                decisions.append(_decide(features, args.feature, args.threshold))
+                decisions.append(_decide(features, args.feature, threshold))
                 truths.append(truth)
             report = classify.score(decisions, truths, feature=args.feature,
-                                    threshold=args.threshold)
+                                    threshold=threshold)
             out.row(kind, _fmt(snr, 1), _fmt(report.front_accuracy, 2),
                     _fmt(report.back_accuracy, 2), _fmt(report.overall_accuracy, 2),
                     report.n_undecided)
@@ -384,10 +400,8 @@ def _segment_baseline_features(seg, feature, cfg, mfcc_cfg):
 
 
 def _cmd_baseline(args):
-    inventory = _inventory_for(args)
-    cfg = _pipeline_config(args)
+    cfg, segments = _corpus_inputs(args)
     mfcc_cfg = baseline.MfccConfig()
-    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
     rows = []
     skipped = 0
     for seg, truth in _scored_segments(segments, args.include_central):
@@ -433,12 +447,20 @@ def _cmd_baseline(args):
 
 
 def _cmd_hist(args):
-    inventory = _inventory_for(args)
-    cfg = _pipeline_config(args)
-    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
-    lo, hi = (float(v) for v in args.range.split(":"))
+    try:
+        lo, hi = (float(v) for v in args.range.split(":"))
+    except ValueError:
+        raise UsageError(f"--range must be lo:hi, got {args.range!r}") from None
+    cfg, segments = _corpus_inputs(args)
+    scored = list(_scored_segments(segments, args.include_central))
+    out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
+                              bin_width=args.bin_width, range=args.range))
+    if not scored:
+        out.note("no segments found")
+        out.flush()
+        return 1
     values = {"front": [], "back": []}
-    for seg, truth in _scored_segments(segments, args.include_central):
+    for seg, truth in scored:
         features = classify.frame_pipeline(seg, cfg)
         try:
             dec = classify.decide_segment(features)
@@ -451,15 +473,11 @@ def _cmd_hist(args):
         elif args.feature == "v2":
             values[truth].append(dec.mean_v2)
         else:  # f3f2 spacing in bark
-            from .scales import hz_to_bark
-
             valid = [f for f in features if f.valid]
             values[truth].append(float(np.mean([
                 hz_to_bark(f.formants[2].frequency) - hz_to_bark(f.formants[1].frequency)
                 for f in valid
             ])))
-    out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
-                              bin_width=args.bin_width, range=args.range))
     out.row("class", "bin_center", "frequency")
     for cls in ("front", "back"):
         if not values[cls]:
@@ -586,7 +604,9 @@ def build_parser() -> _Parser:
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="diff", choices=["diff", "v1", "v2", "f3f2"])
     p.add_argument("--bin-width", type=float, default=1.0)
-    p.add_argument("--range", default="-20:30")
+    p.add_argument("--range", default="-20:30",
+                   help="histogram range lo:hi; a negative lo needs the = form, "
+                        "as in --range=-20:30")
     _add_common(p)
     p.set_defaults(func=_cmd_hist)
 

@@ -73,17 +73,40 @@ def locate_peak(env: SpectralEnvelope, nominal_f: float, window_hz: float = 200.
     return float(peak_freq), float(peak_level)
 
 
+def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):
+    """Lowest level strictly between f_lo and f_hi on each row of a level stack.
+
+    `levels_db` is (n, len(freqs)) on the grid `freqs`; `f_lo` and `f_hi` are
+    (n,) bracket edges. The bracket holds the bins above f_lo and below f_hi.
+    Returns (index, level, too_narrow): the grid index and level of each
+    row's first minimum, and a mask of the rows whose bracket holds fewer
+    than two bins (their index and level mean nothing).
+    """
+    lo = np.searchsorted(freqs, f_lo, side="right")
+    hi = np.searchsorted(freqs, f_hi, side="left")
+    too_narrow = hi - lo < 2
+    n = len(lo)
+    if too_narrow.all():
+        return np.zeros(n, dtype=int), np.full(n, np.nan), too_narrow
+    # only the columns some bracket covers take part in the masked minimum
+    start, stop = int(lo.min()), int(hi.max())
+    cols = np.arange(start, stop)
+    inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+    masked = np.where(inside, levels_db[:, start:stop], np.inf)
+    k = np.argmin(masked, axis=1)
+    return start + k, masked[np.arange(n), k], too_narrow
+
+
 def _valley_between(env: SpectralEnvelope, f_lo: float, f_hi: float):
     """Minimum level strictly between two frequencies; returns (freq, level)."""
-    lo = int(np.searchsorted(env.freqs, f_lo, side="right"))
-    hi = int(np.searchsorted(env.freqs, f_hi, side="left"))
-    if hi - lo < 2:
+    idx, level, too_narrow = valley_minima(
+        env.freqs, env.levels_db[None, :], np.array([f_lo]), np.array([f_hi])
+    )
+    if too_narrow[0]:
         raise ValleyUndefinedError(
             f"fewer than two grid bins between {f_lo:.1f} and {f_hi:.1f} Hz"
         )
-    seg = env.levels_db[lo:hi]
-    k = int(np.argmin(seg))
-    return float(env.freqs[lo + k]), float(seg[k])
+    return float(env.freqs[idx[0]]), float(level[0])
 
 
 def rlsv(

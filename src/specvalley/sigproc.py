@@ -1,6 +1,7 @@
 """Core signal processing: framing, linear prediction, roots, and spectra."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,16 @@ def preemphasize(x: SignalBuffer, alpha: float) -> SignalBuffer:
     return SignalBuffer(y, x.sample_rate)
 
 
+def frame_length(frame_ms: float, sample_rate: float) -> int:
+    """Samples in one frame of `frame_ms` milliseconds, rounded to the nearest."""
+    if frame_ms <= 0:
+        raise ValueError("frame_ms must be positive")
+    frame_len = int(round(frame_ms / 1000.0 * sample_rate))
+    if frame_len < 1:
+        raise ValueError("frame shorter than one sample")
+    return frame_len
+
+
 def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> np.ndarray:
     """Slice into fixed frames; returns an (n_frames, frame_len) array.
 
@@ -49,13 +60,9 @@ def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> n
     a trailing partial frame is discarded. A signal shorter than one frame
     yields zero frames (shape (0, frame_len)), not an error.
     """
-    if frame_ms <= 0:
-        raise ValueError("frame_ms must be positive")
+    frame_len = frame_length(frame_ms, x.sample_rate)
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
-    frame_len = int(round(frame_ms / 1000.0 * x.sample_rate))
-    if frame_len < 1:
-        raise ValueError("frame shorter than one sample")
     hop = max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
     n = len(x.samples)
     if n < frame_len:
@@ -82,22 +89,88 @@ def window(frame: np.ndarray, kind: str = "hamming") -> np.ndarray:
     return frame * w
 
 
-def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """r[k] = sum_n x[n]*x[n+k] for k = 0..max_lag."""
-    frame = np.asarray(frame, dtype=np.float64)
-    n = len(frame)
+def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """r[..., k] = sum_n x[..., n]*x[..., n+k] for k = 0..max_lag.
+
+    `frames` is one frame or an (n_frames, frame_len) stack, which gives one
+    (max_lag+1,) row per frame. Each lag is one row-wise dot product, so the
+    cost is O(frame_len * max_lag).
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be < frame length {n}")
-    full = np.correlate(frame, frame, mode="full")
-    return full[n - 1 : n + max_lag]
+    rows = np.atleast_2d(x)
+    r = np.empty((rows.shape[0], max_lag + 1))
+    for k in range(max_lag + 1):
+        r[:, k] = np.einsum("ij,ij->i", rows[:, : n - k], rows[:, k:])
+    return r if x.ndim > 1 else r[0]
+
+
+class LevinsonRows(NamedTuple):
+    """Row-wise Levinson-Durbin results for a stack of autocorrelation rows."""
+
+    a: np.ndarray  # (n, order+1) error-filter taps [1, -a_1, ..., -a_p]
+    error: np.ndarray  # (n,) prediction error after the last completed stage
+    reflection: np.ndarray  # (n, order) reflection coefficients
+    stage: np.ndarray  # (n,) 0 for a full fit, else the stage that failed
+
+
+def levinson_rows(r: np.ndarray, order: int) -> LevinsonRows:
+    """Solve the autocorrelation normal equations of every row at once.
+
+    `r` is (n, >= order+1). A row fails at stage m when its prediction error
+    is no longer positive or its reflection coefficient leaves [-1, 1]
+    (tolerance 1e-12); so a row with r[0] <= 0 fails at stage 1. A failed
+    row keeps the taps and error of stage m-1, its `stage` entry records m,
+    and its reflection coefficients from m on are 0, except the rejected
+    one, which is kept at m.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if r.ndim != 2 or r.shape[1] < order + 1:
+        raise ValueError(f"need an (n, {order + 1}) stack of autocorrelation lags")
+    n = r.shape[0]
+    # flipped[:, order - k] = r[:, k], so r[m], ..., r[1] is a contiguous slice
+    flipped = np.ascontiguousarray(r[:, order::-1])
+    a = np.zeros((n, order + 1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    reflection = np.zeros((n, order))
+    stage = np.zeros(n, dtype=int)
+    live = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, order + 1):
+            # one BLAS dot per row, as np.dot(a[:m], r[m:0:-1]) does for one row
+            dot = (a[:, None, :m] @ flipped[:, order - m : order, None])[:, 0, 0]
+            k = np.where(live & (err > 0), -dot / err, 0.0)
+            reflection[:, m - 1] = k
+            failed = live & ((err <= 0) | (np.abs(k) > 1.0 + 1e-12))
+            if failed.any():
+                stage[failed] = m
+                live &= ~failed
+                k[failed] = 0.0
+            a[:, : m + 1] += k[:, None] * a[:, m::-1]
+            err *= 1.0 - k * k
+    return LevinsonRows(a, err, reflection, stage)
+
+
+def levinson_failure(fit: LevinsonRows, row: int) -> str:
+    """Why row `row` of a stacked fit stopped at its `stage`."""
+    m = int(fit.stage[row])
+    if fit.error[row] <= 0:
+        return f"prediction error vanished at stage {m}"
+    return f"reflection coefficient {fit.reflection[row, m - 1]:.6g} outside [-1, 1] at stage {m}"
 
 
 def levinson(r: np.ndarray, order: int, sample_rate: float) -> LpcModel:
     """Solve the autocorrelation normal equations by Levinson-Durbin.
 
-    Returns the predictor model; gain^2 = r[0]*prod(1 - k_i^2). Raises
-    DegenerateInputError for r[0] <= 0 and UnstableModelError (with the
-    offending stage) when a reflection coefficient leaves [-1, 1].
+    The one-row case of `levinson_rows`. Returns the predictor model;
+    gain^2 = r[0]*prod(1 - k_i^2). Raises DegenerateInputError for
+    r[0] <= 0 and UnstableModelError (with the offending stage) when a
+    reflection coefficient leaves [-1, 1].
     """
     r = np.asarray(r, dtype=np.float64)
     if order < 1:
@@ -106,67 +179,109 @@ def levinson(r: np.ndarray, order: int, sample_rate: float) -> LpcModel:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {len(r)}")
     if r[0] <= 0:
         raise DegenerateInputError(f"zero-lag autocorrelation must be positive, got {r[0]}")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    e = r[0]
-    for m in range(1, order + 1):
-        if e <= 0:
-            raise UnstableModelError(f"prediction error vanished at stage {m}", stage=m)
-        k = -np.dot(a[:m], r[m:0:-1]) / e
-        if abs(k) > 1.0 + 1e-12:
-            raise UnstableModelError(
-                f"reflection coefficient {k:.6g} outside [-1, 1] at stage {m}", stage=m
-            )
-        a[: m + 1] += k * a[m::-1]
-        e *= 1.0 - k * k
+    fit = levinson_rows(r[None, :], order)
+    if fit.stage[0]:
+        raise UnstableModelError(levinson_failure(fit, 0), stage=int(fit.stage[0]))
     return LpcModel(
         order=order,
-        coefficients=-a[1:],
-        gain=float(np.sqrt(max(e, 0.0))),
+        coefficients=-fit.a[0, 1:],
+        gain=float(np.sqrt(max(fit.error[0], 0.0))),
         sample_rate=sample_rate,
     )
 
 
-def lpc_envelope(m: LpcModel, n_points: int = 1024) -> SpectralEnvelope:
-    """dB magnitude of gain/A(e^jw) on n_points uniform frequencies to Nyquist."""
+def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024):
+    """dB envelopes 20*log10(gain/|A(e^jw)|) of a stack of error filters.
+
+    `a` is (n, order+1) taps and `gain` (n,); the levels are (n, n_points)
+    on uniform frequencies from 0 to Nyquist, from one rfft over the stack.
+    Returns (levels, singular): `singular` marks rows whose A vanishes on
+    the grid or whose levels are not finite; their levels mean nothing.
+    """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
+    mag = np.abs(np.fft.rfft(a, 2 * (n_points - 1), axis=-1))
+    singular = np.any(mag == 0.0, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        levels = 20.0 * np.log10(np.asarray(gain)[:, None] / mag)
+    singular |= ~np.all(np.isfinite(levels), axis=-1)
+    return levels, singular
+
+
+def lpc_envelope(m: LpcModel, n_points: int = 1024) -> SpectralEnvelope:
+    """dB magnitude of gain/A(e^jw) on n_points uniform frequencies to Nyquist.
+
+    The one-row case of `lpc_levels`.
+    """
     if m.gain <= 0:
         raise SingularEnvelopeError("model gain must be positive for a dB envelope")
-    nfft = 2 * (n_points - 1)
-    a = m.a_polynomial
-    spec = np.fft.rfft(a, nfft)
-    mag = np.abs(spec)
-    if np.any(mag == 0.0):
-        raise SingularEnvelopeError("predictor has a root on the evaluation grid")
-    levels = 20.0 * np.log10(m.gain / mag)
-    if not np.all(np.isfinite(levels)):
-        raise SingularEnvelopeError("non-finite dB level in envelope")
+    levels, singular = lpc_levels(m.a_polynomial[None, :], np.array([m.gain]), n_points)
+    if singular[0]:
+        raise SingularEnvelopeError(
+            "predictor has a root on the evaluation grid or a non-finite dB level"
+        )
     freqs = np.linspace(0.0, m.sample_rate / 2.0, n_points)
-    return SpectralEnvelope(freqs, levels)
+    return SpectralEnvelope(freqs, levels[0])
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """All complex roots via companion-matrix eigenvalues.
 
-    `coeffs` are ordered highest degree first; the leading coefficient must be
-    nonzero and the degree at least 1.
+    `coeffs` is one polynomial or an (n, degree+1) stack of them, highest
+    degree first; every leading coefficient must be nonzero and the degree
+    at least 1. A stack is solved by one stacked eigenvalue call and gives
+    an (n, degree) array. Real coefficients give real companion matrices.
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1 or len(c) < 2:
+    c = np.asarray(coeffs)
+    c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+    if c.ndim not in (1, 2) or c.shape[-1] < 2:
         raise ValueError("polynomial degree must be >= 1")
-    if c[0] == 0:
+    lead = c[..., :1]
+    if np.any(lead == 0):
         raise ValueError("leading coefficient must be nonzero")
-    c = c / c[0]
-    n = len(c) - 1
-    companion = np.zeros((n, n), dtype=np.complex128)
-    companion[0, :] = -c[1:]
-    if n > 1:
-        companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
+    n = c.shape[-1] - 1
+    companion = np.zeros(c.shape[:-1] + (n, n), dtype=c.dtype)
+    companion[..., 0, :] = -c[..., 1:] / lead
+    companion[..., np.arange(1, n), np.arange(0, n - 1)] = 1.0
     try:
-        return np.linalg.eigvals(companion)
+        roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericFailureError(f"eigenvalue iteration failed: {exc}") from exc
+    return roots.astype(np.complex128, copy=False)
+
+
+def formant_candidates(
+    roots: np.ndarray,
+    sample_rate: float,
+    min_frequency: float = 150.0,
+    max_bandwidth: float = 500.0,
+    nyquist_margin: float = 100.0,
+):
+    """Gate an (n, p) stack of roots to formant candidates, row by row.
+
+    Each root r*e^(j*theta) with theta > 0 and 0 < r < 1 maps to
+    F = theta*fs/(2*pi) and B = -fs*ln(r)/pi, and is kept when F lies in
+    [min_frequency, fs/2 - nyquist_margin] and 0 < B < max_bandwidth.
+    Returns (freqs, bandwidths, counts): (n, p) arrays with each row's
+    candidates first, ascending in frequency, and NaN after them, and the
+    number of candidates per row.
+    """
+    roots = np.asarray(roots, dtype=np.complex128)
+    theta = np.angle(roots)
+    radius = np.hypot(roots.real, roots.imag)  # equals abs() of each root, bit for bit
+    with np.errstate(divide="ignore"):
+        freq = theta * sample_rate / (2 * np.pi)
+        bw = -sample_rate * np.log(radius) / np.pi
+    keep = (
+        (theta > 0) & (radius > 0) & (radius < 1)
+        & (freq >= min_frequency) & (freq <= sample_rate / 2.0 - nyquist_margin)
+        & (bw > 0) & (bw < max_bandwidth)
+    )
+    order = np.argsort(np.where(keep, freq, np.inf), axis=-1, kind="stable")
+    keep = np.take_along_axis(keep, order, axis=-1)
+    freqs = np.where(keep, np.take_along_axis(freq, order, axis=-1), np.nan)
+    bandwidths = np.where(keep, np.take_along_axis(bw, order, axis=-1), np.nan)
+    return freqs, bandwidths, keep.sum(axis=-1)
 
 
 def roots_to_formants(
@@ -176,28 +291,16 @@ def roots_to_formants(
     max_bandwidth: float = 500.0,
     nyquist_margin: float = 100.0,
 ) -> list[FormantSpec]:
-    """Map upper-half-plane roots to formant candidates, sorted by frequency.
+    """Formant candidates of one root set, sorted by frequency.
 
-    Each root r*e^(j*theta) with theta > 0 maps to F = theta*fs/(2*pi) and
-    B = -fs*ln(r)/pi. Candidates are gated to F in [min_frequency,
-    fs/2 - nyquist_margin] and 0 < B < max_bandwidth; real-axis and heavily
-    damped poles fall out. May return fewer than three entries.
+    The one-row case of `formant_candidates`; real-axis and heavily damped
+    poles fall out. May return fewer than three entries.
     """
-    out = []
-    nyq = sample_rate / 2.0
-    for root in np.asarray(roots, dtype=np.complex128):
-        theta = np.angle(root)
-        if theta <= 0:
-            continue
-        radius = abs(root)
-        if radius <= 0 or radius >= 1:
-            continue
-        freq = theta * sample_rate / (2 * np.pi)
-        bw = -sample_rate * np.log(radius) / np.pi
-        if min_frequency <= freq <= nyq - nyquist_margin and 0 < bw < max_bandwidth:
-            out.append(FormantSpec(freq, bw))
-    out.sort(key=lambda f: f.frequency)
-    return out
+    freqs, bws, counts = formant_candidates(
+        np.asarray(roots)[None, :], sample_rate, min_frequency, max_bandwidth, nyquist_margin
+    )
+    n = int(counts[0])
+    return [FormantSpec(f, b) for f, b in zip(freqs[0, :n].tolist(), bws[0, :n].tolist())]
 
 
 def analytic_cascade_spectrum(

@@ -43,15 +43,17 @@ class SignalBuffer:
         return len(self.samples) / self.sample_rate
 
 
-def power_mean_db(levels_db: np.ndarray) -> float:
+def power_mean_db(levels_db: np.ndarray):
     """Level of the average spectral power, in dB.
 
     The average is taken in the linear power domain. Averaging the dB values
     themselves would sit far below every peak for resonant spectra and could
     never equal a valley level, which is the crossing this analysis is built on.
+    A 1-D input gives a float; an (n, m) stack gives one level per row.
     """
     levels_db = np.asarray(levels_db, dtype=np.float64)
-    return float(10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0))))
+    mean_db = 10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0), axis=-1))
+    return float(mean_db) if levels_db.ndim == 1 else mean_db
 
 
 @dataclass

@@ -58,6 +58,14 @@ class TestFramePipeline:
         assert PipelineConfig().order_for(10000.0) == 12
         assert PipelineConfig().order_for(8000.0) == 10
 
+    def test_lp_order_must_be_below_frame_length(self):
+        silence = SignalBuffer(np.zeros(3200), FS)
+        with pytest.raises(ValueError, match="frame length"):
+            frame_pipeline(silence, PipelineConfig(lp_order=320))
+        with pytest.raises(ValueError, match="at least 1"):
+            frame_pipeline(silence, PipelineConfig(lp_order=0))
+        assert len(frame_pipeline(silence, PipelineConfig(lp_order=319))) == 19
+
     def test_rate_mismatch_rejected(self):
         cfg = PipelineConfig(sample_rate=8000.0)
         with pytest.raises(ValueError):

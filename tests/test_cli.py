@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from specvalley.cli import run
 
 
@@ -104,3 +106,66 @@ class TestCorpusCommands:
         assert code == 0
         rows = [l for l in out.read_text().splitlines() if l.startswith(("white,", "babble,"))]
         assert len(rows) == 2
+
+
+def data_rows(path):
+    return [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+
+
+class TestCorpusOptionChecks:
+    def test_lp_order_at_frame_length_is_a_usage_error(self, small_corpus_dir, capsys):
+        code = run(["classify", "--corpus", str(small_corpus_dir), "--lp-order", "400",
+                    "--no-timestamp"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--lp-order" in err and "frame length" in err
+
+    def test_threshold_five_is_applied_as_given(self, small_corpus_dir, tmp_path):
+        # 5 must not be read as "the rule default" (3 bark for f3f2)
+        rows = {}
+        for thr in ("5", "5.0001", "3"):
+            out = tmp_path / f"f3f2_{thr}.csv"
+            assert run(["classify", "--corpus", str(small_corpus_dir), "--feature", "f3f2",
+                        "--threshold", thr, "--out", str(out), "--no-timestamp"]) == 0
+            rows[thr] = data_rows(out)
+            assert read_summary(out, "f3f2").startswith(f"{float(thr)},")
+        assert rows["5"] == rows["5.0001"]
+        assert rows["5"] != rows["3"]
+
+    def test_default_threshold_is_the_rule_default(self, small_corpus_dir, tmp_path):
+        out = tmp_path / "f3f2.csv"
+        assert run(["classify", "--corpus", str(small_corpus_dir), "--feature", "f3f2",
+                    "--out", str(out), "--no-timestamp"]) == 0
+        assert read_summary(out, "f3f2").startswith("3.0,")
+        assert "threshold=3.0" in out.read_text()
+
+    def test_hist_on_missing_corpus_exits_1(self, tmp_path):
+        out = tmp_path / "hist.csv"
+        code = run(["hist", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+                    "--no-timestamp"])
+        assert code == 1
+        assert "# no segments found" in out.read_text().splitlines()
+
+    def test_readme_hist_example_parses(self, small_corpus_dir, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (line,) = [l for l in readme.splitlines() if l.startswith("specvalley hist ")]
+        argv = line.split()[1:]
+        argv[argv.index("CORPUS_DIR")] = str(small_corpus_dir)
+        out = tmp_path / "hist.csv"
+        assert run(argv + ["--out", str(out), "--no-timestamp"]) == 0
+        assert "range=-20:30" in out.read_text()
+
+    def test_hist_range_needs_the_equals_form(self, small_corpus_dir, capsys):
+        code = run(["hist", "--corpus", str(small_corpus_dir), "--range", "-20:30"])
+        assert code == 2
+        assert "--range=-20:30" in run_help("hist")
+
+
+def run_help(command):
+    import contextlib
+    import io
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        run([command, "--help"])
+    return buf.getvalue()
