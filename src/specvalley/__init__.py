@@ -32,7 +32,6 @@ from .sigproc import (
 )
 from .synth import (
     Excitation,
-    FormantLevels,
     apply_source_tilt,
     calibrate_bandwidths,
     measure_formant_levels,
@@ -43,7 +42,6 @@ from .types import FormantSpec, SignalBuffer, SpectralEnvelope
 
 __all__ = [
     "Excitation",
-    "FormantLevels",
     "FormantSpec",
     "LpcModel",
     "OcdResult",

@@ -98,8 +98,8 @@ class ClassificationReport:
 
     feature: str
     threshold: float
-    front_accuracy: float
-    back_accuracy: float
+    front_accuracy: float | None  # None when the class has no segments
+    back_accuracy: float | None
     overall_accuracy: float
     confusion: dict = field(default_factory=dict)
     n_front: int = 0
@@ -268,7 +268,7 @@ def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) ->
         if pred == truth:
             correct[truth] += 1
     def acc(cls):
-        return 100.0 * correct[cls] / counts[cls] if counts[cls] else float("nan")
+        return 100.0 * correct[cls] / counts[cls] if counts[cls] else None
     total = counts["front"] + counts["back"]
     return ClassificationReport(
         feature=feature,

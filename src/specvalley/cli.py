@@ -335,8 +335,8 @@ def _cmd_classify(args):
         return 1
     report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
     out.note("feature,threshold,front_acc,back_acc,overall,front_n,back_n")
-    out.note(f"{report.feature},{report.threshold},{report.front_accuracy:.2f},"
-             f"{report.back_accuracy:.2f},{report.overall_accuracy:.2f},"
+    out.note(f"{report.feature},{report.threshold},{_fmt(report.front_accuracy, 2)},"
+             f"{_fmt(report.back_accuracy, 2)},{report.overall_accuracy:.2f},"
              f"{report.n_front},{report.n_back}")
     out.flush()
     if args.expect_overall is not None:
@@ -351,9 +351,11 @@ def _cmd_classify(args):
 
 
 def _cmd_noise_eval(args):
+    kinds = [k.strip() for k in args.noise.split(",") if k.strip()]
+    if "babble" in kinds and not args.babble_source:
+        raise UsageError("--babble-source is required when --noise includes babble")
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
-    kinds = [k.strip() for k in args.noise.split(",") if k.strip()]
     snrs = _floats(args.snrs)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
     out = _out_for(args, dict(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
@@ -437,7 +439,7 @@ def _cmd_baseline(args):
     report = classify.score(decisions, truths, feature=args.feature, threshold=0.5)
     out.note("feature,dimension,hidden,train_n,test_n,front_acc,back_acc,overall,skipped")
     out.note(f"{args.feature},{len(rows[0][3])},{args.hidden},{len(train)},{len(test)},"
-             f"{report.front_accuracy:.2f},{report.back_accuracy:.2f},"
+             f"{_fmt(report.front_accuracy, 2)},{_fmt(report.back_accuracy, 2)},"
              f"{report.overall_accuracy:.2f},{skipped}")
     if args.save_model:
         baseline.save_model(model, args.save_model)

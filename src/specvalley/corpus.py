@@ -278,24 +278,39 @@ def dravidian_inventory() -> VowelInventory:
     )
 
 
+def _label_sidecar(wav_path: Path, labels_ext: str):
+    """The label file beside a WAV, its extension matched in either case."""
+    for ext in dict.fromkeys((labels_ext, labels_ext.lower(), labels_ext.upper())):
+        path = wav_path.with_suffix(ext)
+        if path.is_file():
+            return path
+    return None
+
+
 def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory,
                      min_duration_s: float = MIN_SEGMENT_DURATION_S):
-    """Load every WAV in a directory and select its vowel segments.
+    """Load every WAV under a corpus directory and select its vowel segments.
 
-    Files are visited in sorted order so the result is deterministic. WAVs
-    without a label sidecar are skipped.
+    The tree is walked recursively, and the WAV and label extensions match
+    in either case, so a TIMIT-style `DR1/FAKS0/SA1.WAV` with `SA1.PHN`
+    loads. Files are visited in sorted order of their path below the root,
+    so the result is deterministic. Each segment's utterance id is that
+    path without its suffix (`DR1/FAKS0/SA1`; the file stem in a flat
+    corpus). WAVs without a label sidecar are skipped.
     """
-    corpus_dir = Path(corpus_dir)
+    root = Path(corpus_dir)
+    wavs = [p for p in root.rglob("*") if p.suffix.lower() == ".wav" and p.is_file()]
     segments = []
-    for wav_path in sorted(corpus_dir.glob("*.wav")):
-        label_path = wav_path.with_suffix(labels_ext)
-        if not label_path.exists():
+    for wav_path in sorted(wavs, key=lambda p: p.relative_to(root).parts):
+        label_path = _label_sidecar(wav_path, labels_ext)
+        if label_path is None:
             continue
         audio = load_wav(wav_path)
         labels = load_phone_labels(label_path)
         segments.extend(
             select_vowel_segments(
-                labels, audio, inventory, utterance_id=wav_path.stem,
+                labels, audio, inventory,
+                utterance_id=wav_path.relative_to(root).with_suffix("").as_posix(),
                 min_duration_s=min_duration_s,
             )
         )

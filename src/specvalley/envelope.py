@@ -40,37 +40,79 @@ def mean_spectral_level(env: SpectralEnvelope) -> float:
 def locate_peak(env: SpectralEnvelope, nominal_f: float, window_hz: float = 200.0):
     """Highest local maximum within +/-window_hz of nominal_f.
 
-    Returns (peak_freq, peak_level) with parabolic refinement between bins.
-    Raises PeakNotFoundError when no interior local maximum exists in the
-    window, which is how merged formants surface.
+    The one-row case of `peak_levels`. Returns (peak_freq, peak_level) with
+    parabolic refinement between bins. Raises PeakNotFoundError when no
+    interior local maximum exists in the window, which is how merged
+    formants surface.
     """
-    freqs, db = env.freqs, env.levels_db
-    if not freqs[0] <= nominal_f <= freqs[-1]:
-        raise ValueError(f"nominal frequency {nominal_f} outside envelope grid")
-    if window_hz <= env.grid_spacing_hz:
-        raise ValueError("search window must exceed the grid spacing")
-    lo = max(int(np.searchsorted(freqs, nominal_f - window_hz)), 1)
-    hi = min(int(np.searchsorted(freqs, nominal_f + window_hz, side="right")), len(freqs) - 1)
-    best = -1
-    for i in range(lo, hi):
-        if db[i] >= db[i - 1] and db[i] >= db[i + 1]:
-            if best < 0 or db[i] > db[best]:
-                best = i
-    if best < 0:
+    freq, level, missing = peak_levels(
+        env.freqs, env.levels_db[None, :], np.array([nominal_f]), window_hz
+    )
+    if missing[0]:
         raise PeakNotFoundError(
             f"no spectral peak within {window_hz} Hz of {nominal_f} Hz"
         )
-    # parabola through the three bins around the maximum
-    ym, y0, yp = db[best - 1], db[best], db[best + 1]
+    return float(freq[0]), float(level[0])
+
+
+def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
+    """Candidate bins [lo, hi) of the peak search around each nominal frequency.
+
+    The bins lie within +/-window_hz of nominal_f and leave one neighbour on
+    each side inside the grid, so a search reads bins lo-1 .. hi.
+    """
+    lo = np.maximum(np.searchsorted(freqs, np.subtract(nominal_f, window_hz)), 1)
+    hi = np.searchsorted(freqs, np.add(nominal_f, window_hz), side="right")
+    return lo, np.minimum(hi, len(freqs) - 1)
+
+
+def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f, window_hz: float = 200.0):
+    """Highest local maximum within +/-window_hz of nominal_f on each row of a level stack.
+
+    `levels_db` is (n, len(freqs)) finite levels on the uniform grid
+    `freqs`; `nominal_f` is (n,), or (n, k) for k peaks per row. A bin is a
+    local maximum when it is at least as high as both neighbours; the first
+    of equal maxima wins, and the peak is refined by a parabola through its
+    three bins. Only the window bins and their neighbours are read. Returns
+    (peak_freq, peak_level, missing), each shaped like `nominal_f`;
+    `missing` marks the windows with no interior local maximum (their
+    frequency and level mean nothing).
+    """
+    nominal_f = np.asarray(nominal_f, dtype=np.float64)
+    outside = ~((freqs[0] <= nominal_f) & (nominal_f <= freqs[-1]))
+    if outside.any():
+        raise ValueError(
+            f"nominal frequency {float(nominal_f[outside][0])} outside envelope grid"
+        )
+    spacing = float(freqs[1] - freqs[0])
+    if window_hz <= spacing:
+        raise ValueError("search window must exceed the grid spacing")
+    n = len(levels_db)
+    lo, hi = peak_windows(freqs, nominal_f.reshape(n, -1), window_hz)
+    width = int((hi - lo).max())
+    if width <= 0:
+        nothing = np.full(nominal_f.shape, np.nan)
+        return nothing, nothing.copy(), np.ones(nominal_f.shape, dtype=bool)
+    # each window's bins lo-1 .. lo+width; bins past a short window's end
+    # are clipped to the grid and masked out
+    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
+    db = np.take_along_axis(levels_db, idx.reshape(n, -1), axis=1).reshape(idx.shape)
+    center = db[..., 1:-1]
+    is_max = (
+        (center >= db[..., :-2]) & (center >= db[..., 2:])
+        & (np.arange(width) < (hi - lo)[..., None])
+    )
+    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
+    ym, y0, yp = (np.take_along_axis(db, k + d, axis=-1)[..., 0] for d in (0, 1, 2))
     denom = ym - 2.0 * y0 + yp
-    if denom < 0:
-        shift = 0.5 * (ym - yp) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    peak_freq = freqs[best] + shift * env.grid_spacing_hz
+    shift = np.zeros(denom.shape)
+    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
+    shift = np.clip(shift, -0.5, 0.5)
+    peak_freq = freqs[lo + k[..., 0]] + shift * spacing
     peak_level = y0 - 0.25 * (ym - yp) * shift
-    return float(peak_freq), float(peak_level)
+    missing = ~is_max.any(axis=-1)
+    shape = nominal_f.shape
+    return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
 
 
 def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):

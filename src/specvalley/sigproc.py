@@ -303,14 +303,46 @@ def roots_to_formants(
     return [FormantSpec(f, b) for f, b in zip(freqs[0, :n].tolist(), bws[0, :n].tolist())]
 
 
+def resonator_taps(frequency, bandwidth, sample_rate: float):
+    """Feedback taps (a1, a2) of two-pole resonators at F Hz with bandwidth B Hz.
+
+    The poles sit at radius exp(-pi*B/fs) and angles +/-2*pi*F/fs. Scalars
+    give scalars; arrays give arrays of their broadcast shape.
+    """
+    radius = np.exp(-np.pi * np.asarray(bandwidth, dtype=np.float64) / sample_rate)
+    theta = 2 * np.pi * np.asarray(frequency, dtype=np.float64) / sample_rate
+    return -2.0 * radius * np.cos(theta), radius * radius
+
+
+def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> np.ndarray:
+    """dB response of unity-DC-gain two-pole resonators at the points `zinv`.
+
+    `frequency` and `bandwidth` are equal-shaped arrays of resonators and
+    `zinv` holds e^(-jw) for each evaluation frequency w: one (K,) grid
+    for all resonators, giving frequency.shape + (K,) levels, or one grid
+    per resonator, shaped frequency.shape + (K,). Raises ValueError for a
+    resonator at or above Nyquist.
+    """
+    frequency = np.asarray(frequency, dtype=np.float64)
+    above = frequency >= sample_rate / 2.0
+    if above.any():
+        raise ValueError(
+            f"formant at {float(frequency[above].flat[0])} Hz is at or above Nyquist "
+            f"({sample_rate / 2.0} Hz)"
+        )
+    a1, a2 = resonator_taps(frequency[..., None], np.asarray(bandwidth)[..., None], sample_rate)
+    den = 1.0 + a1 * zinv + a2 * zinv * zinv
+    return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
+
+
 def analytic_cascade_spectrum(
     formants, sample_rate: float, n_points: int = 1024
 ) -> SpectralEnvelope:
     """Exact dB response of cascaded two-pole resonators on a uniform grid.
 
-    Each resonator has poles at radius exp(-pi*B/fs), angles +/-2*pi*F/fs,
-    and is scaled for unity gain at 0 Hz. An empty formant list gives a flat
-    0 dB envelope.
+    Each resonator (see `resonator_db`) is scaled for unity gain at 0 Hz;
+    the levels are the sum of the resonators' dB terms in the given order.
+    An empty formant list gives a flat 0 dB envelope.
     """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
@@ -318,14 +350,5 @@ def analytic_cascade_spectrum(
     levels = np.zeros(n_points)
     zinv = np.exp(-2j * np.pi * freqs / sample_rate)
     for f in formants:
-        if f.frequency >= sample_rate / 2.0:
-            raise ValueError(
-                f"formant at {f.frequency} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)"
-            )
-        radius = np.exp(-np.pi * f.bandwidth / sample_rate)
-        theta = 2 * np.pi * f.frequency / sample_rate
-        a1 = -2.0 * radius * np.cos(theta)
-        a2 = radius * radius
-        den = 1.0 + a1 * zinv + a2 * zinv * zinv
-        levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
+        levels += resonator_db(f.frequency, f.bandwidth, zinv, sample_rate)
     return SpectralEnvelope(freqs, levels)

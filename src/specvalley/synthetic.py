@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import default_pb_table_path, load_pb_table, save_wav
-from .synth import Excitation, FormantLevels, calibrate_bandwidths, synthesize
+from .errors import CalibrationError
+from .synth import Excitation, calibrate_bandwidth_rows, synthesize
 from .types import FormantSpec, SignalBuffer
 
 CLASSIFIED_VOWELS = {
@@ -40,40 +41,59 @@ SOURCE_TILT_DB_PER_OCTAVE = -6.0
 
 @dataclass
 class VowelRecipe:
-    """Calibrated synthesis parameters for one vowel and gender."""
+    """Calibrated synthesis parameters for one vowel and gender.
+
+    `calibration_rounds` and `calibration_residuals_db` record how the
+    bandwidth calibration converged: the rounds it ran and the final
+    measured-minus-target levels of L1..L3 relative to L1, in dB.
+    """
 
     vowel: str
     gender: str
     fb_class: str
     formants_hz: tuple
     bandwidths_hz: tuple
+    calibration_rounds: int = 0
+    calibration_residuals_db: tuple = ()
 
 
 def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
-    """Calibrate bandwidths to the published levels for every vowel/gender."""
+    """Calibrate bandwidths to the published levels for every vowel/gender.
+
+    All vowels are calibrated in one stacked bisection. Raises
+    CalibrationError naming the first vowel and gender whose targets were
+    not reached.
+    """
     entries = load_pb_table(pb_table_path or default_pb_table_path())
+    entries = [e for e in entries if e.vowel in CLASSIFIED_VOWELS]
+    if not entries:
+        return []
     exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE)
+    fit = calibrate_bandwidth_rows(
+        [(e.f1, e.f2, e.f3) for e in entries],
+        [(e.l1, e.l2, e.l3) for e in entries],
+        exc,
+        sample_rate,
+        extra_formants=[[FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]] for e in entries],
+    )
     recipes = []
-    for e in entries:
-        fb = CLASSIFIED_VOWELS.get(e.vowel)
-        if fb is None:
-            continue
+    for e, bws, rounds, residuals, converged in zip(entries, *fit):
+        if not converged:
+            raise CalibrationError(
+                f"bandwidth calibration for {e.vowel} ({e.gender}) did not reach "
+                "the level targets",
+                residuals_db=residuals.tolist(),
+            )
         upper = UPPER_FORMANTS[e.gender]
-        extra = [FormantSpec(f, b) for f, b in upper]
-        bws = calibrate_bandwidths(
-            (e.f1, e.f2, e.f3),
-            FormantLevels([e.l1, e.l2, e.l3]),
-            exc,
-            sample_rate,
-            extra_formants=extra,
-        )
         recipes.append(
             VowelRecipe(
                 vowel=e.vowel,
                 gender=e.gender,
-                fb_class=fb,
+                fb_class=CLASSIFIED_VOWELS[e.vowel],
                 formants_hz=(e.f1, e.f2, e.f3) + tuple(f for f, _ in upper),
                 bandwidths_hz=tuple(bws) + tuple(b for _, b in upper),
+                calibration_rounds=int(rounds),
+                calibration_residuals_db=tuple(residuals.tolist()),
             )
         )
     return recipes

@@ -1,0 +1,268 @@
+"""The stacked bandwidth calibration and peak pick agree with the scalar loops.
+
+`calibrate_bandwidth_rows` calibrates many formant sets in one bisection and
+`peak_levels` reads the peaks of a level stack; `calibrate_bandwidths` and
+`locate_peak` are their one-row cases. The reference below is the scalar
+calibration they replaced: the whole cascade re-evaluated at every bisection
+step, peaks found by a Python loop over the window. The stacked forms must
+give the same floats.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specvalley.corpus import default_pb_table_path, load_pb_table
+from specvalley.envelope import locate_peak, peak_levels
+from specvalley.errors import CalibrationError, PeakNotFoundError
+from specvalley.synth import (
+    Excitation,
+    calibrate_bandwidth_rows,
+    calibrate_bandwidths,
+    source_tilt_db,
+)
+from specvalley.synthetic import (
+    CLASSIFIED_VOWELS,
+    SOURCE_TILT_DB_PER_OCTAVE,
+    UPPER_FORMANTS,
+    build_recipes,
+)
+from specvalley.types import FormantSpec, SpectralEnvelope
+
+RECIPE_EXCITATION = Excitation(
+    "tilted-train", f0=100.0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE
+)
+
+
+def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
+    """The scalar peak search: (freq, level), or None when the window has no peak."""
+    lo = max(int(np.searchsorted(freqs, nominal_f - window_hz)), 1)
+    hi = min(int(np.searchsorted(freqs, nominal_f + window_hz, side="right")), len(freqs) - 1)
+    best = -1
+    for i in range(lo, hi):
+        if db[i] >= db[i - 1] and db[i] >= db[i + 1]:
+            if best < 0 or db[i] > db[best]:
+                best = i
+    if best < 0:
+        return None
+    ym, y0, yp = db[best - 1], db[best], db[best + 1]
+    denom = ym - 2.0 * y0 + yp
+    if denom < 0:
+        shift = float(np.clip(0.5 * (ym - yp) / denom, -0.5, 0.5))
+    else:
+        shift = 0.0
+    return float(freqs[best] + shift * (freqs[1] - freqs[0])), float(y0 - 0.25 * (ym - yp) * shift)
+
+
+def _reference_levels(formants, exc, fs, n_points=2048):
+    """Cascade levels summed resonator by resonator in frequency order, plus tilt."""
+    freqs = np.linspace(0.0, fs / 2.0, n_points)
+    levels = np.zeros(n_points)
+    zinv = np.exp(-2j * np.pi * freqs / fs)
+    for f in sorted(formants, key=lambda f: f.frequency):
+        radius = np.exp(-np.pi * f.bandwidth / fs)
+        theta = 2 * np.pi * f.frequency / fs
+        a1 = -2.0 * radius * np.cos(theta)
+        a2 = radius * radius
+        den = 1.0 + a1 * zinv + a2 * zinv * zinv
+        levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
+    if exc.kind == "tilted-train" and exc.tilt_db_per_octave != 0.0:
+        levels = levels + source_tilt_db(freqs, fs, exc.tilt_db_per_octave)
+    return freqs, levels
+
+
+def _reference_calibration(freqs3, target_levels, exc, fs, extra=(),
+                           search_range=(30.0, 600.0), tolerance_db=0.5, max_rounds=50):
+    """The scalar calibration loop: (bandwidths, rounds, residuals, converged)."""
+    freqs3 = [float(f) for f in freqs3]
+    targets = [target_levels[i] - target_levels[0] for i in range(3)]
+    bws = [100.0, 100.0, 100.0]
+
+    def measured_rel():
+        formants = [FormantSpec(f, b) for f, b in zip(freqs3, bws)] + list(extra)
+        freqs, levels = _reference_levels(formants, exc, fs)
+        peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
+        if None in peaks:
+            return None
+        return [level - peaks[0][1] for _, level in peaks]
+
+    residuals = [np.inf] * 3
+    for round_no in range(1, max_rounds + 1):
+        for i in (1, 2):
+            lo, hi = search_range
+            for _ in range(36):
+                mid = 0.5 * (lo + hi)
+                bws[i] = mid
+                rel = measured_rel()
+                if rel is not None and rel[i] > targets[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            bws[i] = 0.5 * (lo + hi)
+        rel = measured_rel()
+        if rel is None:
+            continue
+        residuals = [r - t for r, t in zip(rel, targets)]
+        if all(abs(r) <= tolerance_db for r in residuals):
+            return bws, round_no, residuals, True
+    return bws, max_rounds, residuals, False
+
+
+def _recipe_entries():
+    return [e for e in load_pb_table(default_pb_table_path()) if e.vowel in CLASSIFIED_VOWELS]
+
+
+def _upper(e):
+    return [FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]]
+
+
+def test_recipes_equal_the_scalar_calibration():
+    recipes = build_recipes(16000.0)
+    entries = _recipe_entries()
+    assert len(recipes) == len(entries) == 18
+    for recipe, e in zip(recipes, entries):
+        bws, rounds, residuals, converged = _reference_calibration(
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_EXCITATION, 16000.0, _upper(e)
+        )
+        assert converged
+        assert np.array_equal(recipe.bandwidths_hz[:3], bws), (e.vowel, e.gender)
+        assert recipe.calibration_rounds == rounds
+        assert np.array_equal(recipe.calibration_residuals_db, residuals)
+        assert all(abs(r) <= 0.5 for r in recipe.calibration_residuals_db)
+
+
+def test_recipe_rows_equal_the_scalar_calibration_at_10khz():
+    # at 10 kHz the upper formants sit close to Nyquist and the front vowels
+    # miss their L3 targets in every round, so compare three rounds of all rows
+    entries = _recipe_entries()
+    fit = calibrate_bandwidth_rows(
+        [(e.f1, e.f2, e.f3) for e in entries], [(e.l1, e.l2, e.l3) for e in entries],
+        RECIPE_EXCITATION, 10000.0, extra_formants=[_upper(e) for e in entries], max_rounds=3,
+    )
+    assert 0 < fit.converged.sum() < 18
+    for r, e in enumerate(entries):
+        bws, rounds, residuals, converged = _reference_calibration(
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_EXCITATION, 10000.0, _upper(e),
+            max_rounds=3,
+        )
+        assert np.array_equal(fit.bandwidths[r], bws), (e.vowel, e.gender)
+        assert (fit.rounds[r], fit.converged[r]) == (rounds, converged)
+        assert np.array_equal(fit.residuals_db[r], residuals)
+
+
+FREQS = (600.0, 1200.0, 2400.0)
+UNREACHABLE = (0.0, 40.0, -10.0)
+
+
+def test_unreachable_row_fails_alone():
+    exc = Excitation("unit-impulse")
+    rows = [(0.0, -12.0, -22.0), UNREACHABLE, (-3.0, -10.0, -30.0)]
+    fit = calibrate_bandwidth_rows([FREQS] * 3, rows, exc, 10000.0, max_rounds=5)
+    assert fit.converged.tolist() == [True, False, True]
+    assert fit.rounds[1] == 5
+    _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, exc, 10000.0,
+                                                        max_rounds=5)
+    assert not converged
+    assert np.array_equal(fit.residuals_db[1], residuals)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bandwidths(FREQS, UNREACHABLE, exc, 10000.0, max_rounds=5)
+    assert err.value.residuals_db == residuals
+    for r in (0, 2):
+        scalar = calibrate_bandwidths(FREQS, rows[r], exc, 10000.0, max_rounds=5)
+        bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], exc, 10000.0, max_rounds=5)
+        assert np.array_equal(fit.bandwidths[r], scalar)
+        assert np.array_equal(fit.bandwidths[r], bws)
+        assert fit.rounds[r] == rounds
+
+
+def test_build_recipes_names_the_vowel_that_failed(tmp_path):
+    table = tmp_path / "pb.csv"
+    table.write_text(
+        "vowel,gender,F0,F1,F2,F3,L1,L2,L3\n"
+        "iy,male,136,270,2290,3010,-4,-24,-28\n"
+        "uw,female,235,370,950,2670,-3,37,-35\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CalibrationError) as err:
+        build_recipes(16000.0, pb_table_path=table)
+    assert "uw (female)" in str(err.value)
+    assert len(err.value.residuals_db) == 3
+    assert abs(err.value.residuals_db[1]) > 0.5
+
+
+def test_rows_with_different_extra_formants():
+    # at 10 kHz the first row's peaks merge in every round: its residuals
+    # stay unmeasured (inf)
+    exc = RECIPE_EXCITATION
+    extras = [[FormantSpec(3500.0, 150.0), FormantSpec(4500.0, 200.0)],
+              [FormantSpec(3300.0, 150.0), FormantSpec(4100.0, 250.0)]]
+    targets = [(-2.0, -17.0, -24.0), (-3.0, -15.0, -25.0)]
+    freqs = [(530.0, 1840.0, 2480.0), FREQS]
+    fit = calibrate_bandwidth_rows(freqs, targets, exc, 10000.0, extra_formants=extras,
+                                   max_rounds=5)
+    assert not fit.converged[0]
+    assert np.isinf(fit.residuals_db[0]).all()
+    for r in range(2):
+        bws, rounds, residuals, converged = _reference_calibration(
+            freqs[r], targets[r], exc, 10000.0, extras[r], max_rounds=5
+        )
+        assert np.array_equal(fit.bandwidths[r], bws)
+        assert (fit.rounds[r], fit.converged[r]) == (rounds, converged)
+        assert np.array_equal(fit.residuals_db[r], residuals)
+
+
+def _level_rows(rng, kind, n_bins):
+    if kind == "integers":  # coarse levels: many ties and plateaus
+        return rng.integers(-3, 4, n_bins).astype(float)
+    if kind == "rising":  # no interior maximum anywhere
+        return np.cumsum(rng.uniform(0.1, 1.0, n_bins))
+    if kind == "flat":
+        return np.zeros(n_bins)
+    return rng.normal(0.0, 10.0, n_bins)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.integers(64, 300),
+    window_bins=st.floats(1.2, 40.0),
+    kinds=st.lists(st.sampled_from(["integers", "rising", "flat", "normal"]),
+                   min_size=1, max_size=10),
+    peaks_per_row=st.integers(1, 3),
+)
+def test_stacked_peak_levels_match_the_scalar_loop(seed, n_bins, window_bins, kinds,
+                                                  peaks_per_row):
+    rng = np.random.default_rng(seed)
+    freqs = np.linspace(0.0, 4000.0, n_bins)
+    window_hz = window_bins * (freqs[1] - freqs[0])
+    levels = np.array([_level_rows(rng, kind, n_bins) for kind in kinds])
+    nominal = rng.uniform(0.0, 4000.0, (len(kinds), peaks_per_row))
+    nominal[rng.random(nominal.shape) < 0.2] = 4000.0  # windows against the grid edges
+    nominal[rng.random(nominal.shape) < 0.2] = 0.0
+    freq, level, missing = peak_levels(freqs, levels, nominal, window_hz)
+    assert freq.shape == level.shape == missing.shape == nominal.shape
+    if peaks_per_row == 1:
+        one = peak_levels(freqs, levels, nominal[:, 0], window_hz)
+        for got, stacked in zip(one, (freq, level, missing)):
+            assert np.array_equal(got, stacked[:, 0], equal_nan=True)
+    for (r, k), f in np.ndenumerate(nominal):
+        want = _reference_peak(freqs, levels[r], f, window_hz)
+        env = SpectralEnvelope(freqs, levels[r])
+        if want is None:
+            assert missing[r, k]
+            with pytest.raises(PeakNotFoundError):
+                locate_peak(env, f, window_hz)
+        else:
+            assert not missing[r, k]
+            assert (freq[r, k], level[r, k]) == want
+            assert locate_peak(env, f, window_hz) == want
+
+
+def test_peak_levels_keeps_the_input_checks():
+    freqs = np.linspace(0.0, 4000.0, 128)
+    levels = np.zeros((1, 128))
+    with pytest.raises(ValueError, match="outside envelope grid"):
+        peak_levels(freqs, levels, np.array([4100.0]))
+    with pytest.raises(ValueError, match="grid spacing"):
+        peak_levels(freqs, levels, np.array([1000.0]), window_hz=10.0)

@@ -198,6 +198,12 @@ class TestScore:
         assert sum(r.confusion.values()) == 4
         assert r.n_undecided == 1
 
+    def test_absent_class_has_no_accuracy(self):
+        r = score(["front", "back", None], ["front", "front", "front"])
+        assert r.front_accuracy == 100.0 / 3
+        assert r.back_accuracy is None
+        assert (r.n_front, r.n_back) == (3, 0)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             score([], [])

@@ -139,6 +139,33 @@ class TestCorpusOptionChecks:
         assert read_summary(out, "f3f2").startswith("3.0,")
         assert "threshold=3.0" in out.read_text()
 
+    def test_babble_without_source_is_a_usage_error(self, small_corpus_dir, monkeypatch,
+                                                    capsys):
+        from specvalley import corpus
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the corpus was read before the option check")
+
+        monkeypatch.setattr(corpus, "collect_segments", no_reading)
+        code = run(["noise-eval", "--corpus", str(small_corpus_dir), "--snrs", "30",
+                    "--no-timestamp"])
+        assert code == 2
+        assert "--babble-source" in capsys.readouterr().err
+
+    def test_absent_class_accuracy_is_an_empty_cell(self, small_corpus_dir, tmp_path):
+        front_only = tmp_path / "front_only"
+        front_only.mkdir()
+        for path in small_corpus_dir.iterdir():
+            if path.stem.split("_")[1] in ("iy", "ih"):
+                (front_only / path.name).write_bytes(path.read_bytes())
+        out = tmp_path / "cls.csv"
+        assert run(["classify", "--corpus", str(front_only), "--out", str(out),
+                    "--no-timestamp"]) == 0
+        summary = read_summary(out, "valley").split(",")
+        assert summary[2] == ""  # back_acc
+        assert summary[1] != "" and float(summary[1]) >= 0.0
+        assert "nan" not in out.read_text()
+
     def test_hist_on_missing_corpus_exits_1(self, tmp_path):
         out = tmp_path / "hist.csv"
         code = run(["hist", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),

@@ -5,6 +5,7 @@ import pytest
 
 from specvalley.corpus import (
     NoiseSpec,
+    collect_segments,
     default_pb_table_path,
     load_inventory,
     load_pb_table,
@@ -94,6 +95,40 @@ class TestPhoneLabels:
         p = tmp_path / "a.phn"
         p.write_text("\n0 100 h#\n\n100 900 aa\n\n")
         assert len(load_phone_labels(p)) == 2
+
+
+class TestCollectSegments:
+    LABELS = "0 1600 h#\n1600 4800 iy\n4800 6400 h#\n"
+
+    def _utterance(self, wav_path, label_ext, seed):
+        wav_path.parent.mkdir(parents=True, exist_ok=True)
+        rng = np.random.default_rng(seed)
+        write_pcm(wav_path, rng.integers(-2000, 2000, 6400))
+        wav_path.with_suffix(label_ext).write_text(self.LABELS)
+
+    def test_nested_upper_case_tree(self, tmp_path):
+        # two speakers share the utterance name SA1
+        self._utterance(tmp_path / "DR1" / "FCJF0" / "SA1.WAV", ".PHN", 1)
+        self._utterance(tmp_path / "DR1" / "FAKS0" / "SA1.WAV", ".PHN", 2)
+        self._utterance(tmp_path / "DR2" / "MABC0" / "SX9.wav", ".phn", 3)
+        self._utterance(tmp_path / "top.wav", ".phn", 4)
+        (tmp_path / "DR2" / "MABC0" / "NOLABEL.WAV").write_bytes(
+            (tmp_path / "top.wav").read_bytes()
+        )
+        segs = collect_segments(tmp_path, ".phn", timit_inventory())
+        assert [s.utterance_id for s in segs] == [
+            "DR1/FAKS0/SA1", "DR1/FCJF0/SA1", "DR2/MABC0/SX9", "top",
+        ]
+        assert [(s.phone_label, s.start_sample) for s in segs] == [("iy", 1600)] * 4
+        assert not np.array_equal(segs[0].audio.samples, segs[1].audio.samples)
+        again = collect_segments(tmp_path, ".PHN", timit_inventory())
+        assert [s.utterance_id for s in again] == [s.utterance_id for s in segs]
+
+    def test_flat_corpus_ids_are_stems(self, tmp_path):
+        for i, name in enumerate(("b", "a")):
+            self._utterance(tmp_path / f"{name}.wav", ".phn", i)
+        segs = collect_segments(tmp_path, ".phn", timit_inventory())
+        assert [s.utterance_id for s in segs] == ["a", "b"]
 
 
 class TestSelectVowelSegments:

@@ -6,7 +6,6 @@ from specvalley.errors import CalibrationError, PeakNotFoundError
 from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.synth import (
     Excitation,
-    FormantLevels,
     apply_source_tilt,
     calibrate_bandwidths,
     measure_formant_levels,
@@ -157,7 +156,7 @@ class TestCalibrateBandwidths:
     def test_fixed_point(self):
         exc = Excitation("unit-impulse")
         rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
-        targets = FormantLevels([0.0, rel[1], rel[2]])
+        targets = [0.0, rel[1], rel[2]]
         bws = calibrate_bandwidths(self.FREQS, targets, exc, 10000.0)
         assert np.allclose(bws, 100.0, atol=8.0)
 
@@ -165,16 +164,16 @@ class TestCalibrateBandwidths:
         exc = Excitation("unit-impulse")
         rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
         base = calibrate_bandwidths(
-            self.FREQS, FormantLevels([0.0, rel[1], rel[2]]), exc, 10000.0
+            self.FREQS, [0.0, rel[1], rel[2]], exc, 10000.0
         )
         wider = calibrate_bandwidths(
-            self.FREQS, FormantLevels([0.0, rel[1] - 6.0, rel[2]]), exc, 10000.0
+            self.FREQS, [0.0, rel[1] - 6.0, rel[2]], exc, 10000.0
         )
         assert wider[1] > base[1]
 
     def test_convergence_self_check(self):
         exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=-6.0)
-        targets = FormantLevels([-3.0, -15.0, -25.0])
+        targets = [-3.0, -15.0, -25.0]
         bws = calibrate_bandwidths(self.FREQS, targets, exc, 10000.0)
         rel = self._measured_relative_levels(bws, exc)
         for got, want in zip(rel[1:], [-12.0, -22.0]):
@@ -184,7 +183,7 @@ class TestCalibrateBandwidths:
         exc = Excitation("unit-impulse")
         with pytest.raises(CalibrationError) as err:
             calibrate_bandwidths(
-                self.FREQS, FormantLevels([0.0, +40.0, -10.0]), exc, 10000.0,
+                self.FREQS, [0.0, +40.0, -10.0], exc, 10000.0,
                 max_rounds=5,
             )
         assert len(err.value.residuals_db) == 3
