@@ -30,14 +30,6 @@ from .sigproc import (
     roots_to_formants,
     window,
 )
-from .synth import (
-    Excitation,
-    apply_source_tilt,
-    calibrate_bandwidths,
-    measure_formant_levels,
-    resonator_coefficients,
-    synthesize,
-)
 from .types import FormantSpec, SignalBuffer, SpectralEnvelope
 
 __all__ = [
@@ -75,3 +67,26 @@ __all__ = [
     "two_formant_curve",
     "window",
 ]
+
+# synth imports scipy.signal, which costs more than the rest of the package;
+# its names are resolved on first use so the analysis commands never load it
+_SYNTH_NAMES = frozenset({
+    "Excitation",
+    "apply_source_tilt",
+    "calibrate_bandwidths",
+    "measure_formant_levels",
+    "resonator_coefficients",
+    "synthesize",
+})
+
+
+def __getattr__(name):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SYNTH_NAMES)

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import DegenerateInputError
 from .sigproc import frame_signal, preemphasize, window
@@ -56,6 +55,8 @@ def mfcc(frames: np.ndarray, sample_rate: float, cfg: MfccConfig | None = None) 
     filterbank product and one DCT. c0 is dropped, which makes the kept
     coefficients invariant to audio gain.
     """
+    from scipy.fft import dct  # kept off the import path of commands without MFCCs
+
     cfg = cfg or MfccConfig()
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.any(frames, axis=-1)):

@@ -86,6 +86,11 @@ def _out_for(args, params):
 
 
 def _cmd_sweep2(args):
+    if not args.f1_step > 0:
+        raise UsageError(f"--f1-step must be positive, got {args.f1_step}")
+    if args.f1_stop < args.f1_start:
+        raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
+                         f"--f1-start ({args.f1_start})")
     out = _out_for(args, dict(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
                               band=args.band, points=args.points))
     f1_values = np.arange(args.f1_start, args.f1_stop + 0.5 * args.f1_step, args.f1_step)
@@ -135,6 +140,11 @@ def _cmd_ocd4(args):
         bws = bws * len(freqs)
     if len(bws) != len(freqs):
         raise UsageError("--bw must give one value or one per formant")
+    if len(freqs) < 2:
+        raise UsageError("--formants must give at least two formants for a --pair")
+    if not 1 <= args.pair <= len(freqs) - 1:
+        raise UsageError(f"--pair must be between 1 and {len(freqs) - 1} "
+                         f"for {len(freqs)} formants, got {args.pair}")
     out = _out_for(args, dict(formants=args.formants, bw=args.bw, fs=args.fs,
                               step=args.step, pair=args.pair))
     i = args.pair - 1
@@ -153,6 +163,8 @@ def _cmd_ocd4(args):
 
 
 def _case_formants(args, b3, b4):
+    if args.case is None and (args.f1 is None or args.f2 is None):
+        raise UsageError("give --case a|b, or both --f1 and --f2")
     f1, f2 = CASE_GEOMETRIES[args.case] if args.case else (args.f1, args.f2)
     return [
         FormantSpec(f1, 100.0),
@@ -198,6 +210,10 @@ def _cmd_pb_ocd(args):
     table_path = args.table or corpus.default_pb_table_path()
     entries = corpus.load_pb_table(table_path)
     genders = [g.strip() for g in args.gender.split(",") if g.strip()]
+    known = sorted({e.gender for e in entries})
+    if not genders or not set(genders) <= set(known):
+        raise UsageError(f"--gender must name genders the table has "
+                         f"({', '.join(known)}), got {args.gender!r}")
     out = _out_for(args, dict(table=str(table_path), gender=args.gender,
                               bw=args.bw, step=args.step))
     out.row("gender", "vowel", "basis", "ocd_bark", "status")

@@ -8,7 +8,6 @@ from .envelope import locate_peak, rlsv
 from .errors import NoCrossingError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
 from .sigproc import analytic_cascade_spectrum, autocorrelation, levinson, lpc_envelope
-from .synth import Excitation, synthesize
 from .types import FormantSpec, SpectralEnvelope, power_mean_db
 
 # Critical-distance band reported by perceptual matching studies, in bark.
@@ -312,6 +311,8 @@ def f0_influence_experiment(
     all-pole model exactly and the difference collapses toward zero as the
     harmonics densify.
     """
+    from .synth import Excitation, synthesize  # scipy.signal: only this study synthesizes
+
     fm = sorted(case_formants, key=lambda f: f.frequency)
     env_ref = analytic_cascade_spectrum(fm, sample_rate, n_points)
     f1p, _ = locate_peak(env_ref, fm[0].frequency)

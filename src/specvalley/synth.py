@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import lfilter  # at import, so the first synthesis pays no import
 
 from .envelope import locate_peak, peak_levels, peak_windows
 from .errors import CalibrationError, PeakNotFoundError

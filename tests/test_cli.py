@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from specvalley.cli import run
 
 
@@ -186,6 +188,67 @@ class TestCorpusOptionChecks:
         code = run(["hist", "--corpus", str(small_corpus_dir), "--range", "-20:30"])
         assert code == 2
         assert "--range=-20:30" in run_help("hist")
+
+
+class TestExperimentOptionChecks:
+    @pytest.mark.parametrize("command", ["levels", "f0"])
+    @pytest.mark.parametrize("geometry", [[], ["--f1", "500"], ["--f2", "1300"]],
+                             ids=["none", "f1_only", "f2_only"])
+    def test_missing_geometry_is_a_usage_error(self, command, geometry, monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the experiment ran before the option check")
+
+        monkeypatch.setattr(experiments, "level_influence_experiment", no_computing)
+        monkeypatch.setattr(experiments, "f0_influence_experiment", no_computing)
+        assert run([command, *geometry, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert "--case" in err and "--f1" in err and "--f2" in err
+
+    def test_custom_geometry_still_runs(self, tmp_path):
+        out = tmp_path / "levels.csv"
+        assert run(["levels", "--f1", "400", "--f2", "700", "--b1-values", "100",
+                    "--b2-values", "80", "--out", str(out), "--no-timestamp"]) == 0
+        assert "case=custom" in out.read_text()
+        assert len(data_rows(out)) == 1 + 1
+
+    @pytest.mark.parametrize("pair", ["0", "4", "-1"])
+    def test_ocd4_pair_out_of_range_is_a_usage_error(self, pair, capsys):
+        assert run(["ocd4", "--pair", pair, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert "--pair" in err and "between 1 and 3" in err
+
+    def test_ocd4_single_formant_is_a_usage_error(self, capsys):
+        assert run(["ocd4", "--formants", "500", "--no-timestamp"]) == 2
+        assert "--formants" in capsys.readouterr().err
+
+    def test_ocd4_last_pair_runs(self, tmp_path):
+        out = tmp_path / "ocd4.csv"
+        assert run(["ocd4", "--pair", "3", "--out", str(out), "--no-timestamp"]) == 0
+        assert read_summary(out, "ocd_bark")
+
+    @pytest.mark.parametrize("step", ["0", "-50"])
+    def test_sweep2_non_positive_step_is_a_usage_error(self, step, capsys):
+        assert run(["sweep2", f"--f1-step={step}", "--no-timestamp"]) == 2
+        assert "--f1-step" in capsys.readouterr().err
+
+    def test_sweep2_stop_below_start_is_a_usage_error(self, capsys):
+        assert run(["sweep2", "--f1-start", "650", "--f1-stop", "600",
+                    "--no-timestamp"]) == 2
+        assert "--f1-stop" in capsys.readouterr().err
+
+    def test_sweep2_stop_at_start_gives_one_row(self, tmp_path):
+        out = tmp_path / "sweep2.csv"
+        assert run(["sweep2", "--f1-start", "650", "--f1-stop", "650", "--out", str(out),
+                    "--no-timestamp"]) == 0
+        assert len(data_rows(out)) == 1 + 1
+
+    @pytest.mark.parametrize("gender", ["x", "male,x", ","])
+    def test_pb_ocd_unknown_gender_is_a_usage_error(self, gender, capsys):
+        assert run(["pb-ocd", f"--gender={gender}", "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert "--gender" in err and "female, male" in err
 
 
 def run_help(command):
