@@ -1,5 +1,6 @@
 """Benchmark classifier: MFCC features and a small two-layer network."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from .types import SignalBuffer
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfccConfig:
     n_filters: int = 26
     n_coeffs: int = 12
@@ -28,8 +29,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(sample_rate: float, cfg: MfccConfig) -> np.ndarray:
-    """Triangular mel filters as an (n_filters, nfft//2 + 1) weight matrix."""
+    """Triangular mel filters as an (n_filters, nfft//2 + 1) weight matrix.
+
+    Built once per sample rate and config; the cached matrix is read-only.
+    """
     fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sample_rate / 2.0
     mels = np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(fmax), cfg.n_filters + 2)
     hz = _mel_to_hz(mels)
@@ -44,6 +49,7 @@ def mel_filterbank(sample_rate: float, cfg: MfccConfig) -> np.ndarray:
             right = center + 1
         fb[i, left:center] = (np.arange(left, center) - left) / (center - left)
         fb[i, center:right] = (right - np.arange(center, right)) / (right - center)
+    fb.setflags(write=False)
     return fb
 
 

@@ -1,6 +1,9 @@
 """Frame-based front/back vowel classification from valley-level features."""
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,17 +23,6 @@ from .sigproc import (
     window,
 )
 from .types import FormantSpec, SignalBuffer, power_mean_db
-
-SPACING_RULES = ("f3f2_3bark", "f2f1_bark", "v1_only", "v2_only")
-# the threshold each decision rule applies when none is given: dB for the
-# valley rules, bark for the spacing rules
-DEFAULT_THRESHOLDS = {
-    "valley": 5.0,
-    "f3f2_3bark": 3.0,
-    "f2f1_bark": 3.0,
-    "v1_only": 0.0,
-    "v2_only": 0.0,
-}
 
 
 @dataclass
@@ -90,6 +82,7 @@ class SegmentDecision:
     predicted: str
     frames_used: int
     frames_discarded: int
+    statistic: float  # the value the rule compared with its threshold
 
 
 @dataclass
@@ -179,71 +172,74 @@ def frame_pipeline(seg, cfg: PipelineConfig | None = None):
     return out
 
 
-def _valid_frames(features):
+def _bark_spacing(lo, hi):
+    def spacing(valid, mean_v1, mean_v2):
+        return float(np.mean([
+            hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
+            for f in valid
+        ]))
+    return spacing
+
+
+class DecisionRule(NamedTuple):
+    """One segment decision rule: back iff reads_back(statistic, threshold)."""
+
+    statistic: Callable  # (valid frames, mean V_I, mean V_II) -> compared value
+    reads_back: Callable  # (statistic, threshold) -> True for back
+    default_threshold: float  # dB for the valley rules, bark for the spacing rules
+
+
+# the spacing rules read front iff spacing < threshold, so a tie reads back
+DECISION_RULES = {
+    "valley": DecisionRule(lambda valid, v1, v2: v1 - v2, operator.gt, 5.0),
+    "f3f2_3bark": DecisionRule(_bark_spacing(1, 2), lambda s, t: not s < t, 3.0),
+    "f2f1_bark": DecisionRule(_bark_spacing(0, 1), lambda s, t: not s < t, 3.0),
+    "v1_only": DecisionRule(lambda valid, v1, v2: v1, operator.gt, 0.0),
+    "v2_only": DecisionRule(lambda valid, v1, v2: v2, operator.lt, 0.0),
+}
+SPACING_RULES = tuple(rule for rule in DECISION_RULES if rule != "valley")
+DEFAULT_THRESHOLDS = {rule: r.default_threshold for rule, r in DECISION_RULES.items()}
+
+
+def decide_segment(features, threshold_db: float | None = None,
+                   rule: str = "valley") -> SegmentDecision:
+    """Decide front or back from the means over a segment's valid frames.
+
+    valley:     back iff mean(V_I) - mean(V_II) > threshold (dB, default 5).
+    f3f2_3bark: front iff mean bark(F3) - bark(F2) < threshold (bark, default 3).
+    f2f1_bark:  the same rule applied to (F1, F2).
+    v1_only:    back iff mean V_I > threshold (dB, default 0).
+    v2_only:    back iff mean V_II < threshold (dB, default 0).
+
+    The threshold's unit follows the rule; None applies the rule's default.
+    """
+    if rule not in DECISION_RULES:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {tuple(DECISION_RULES)}")
+    statistic, reads_back, default = DECISION_RULES[rule]
     valid = [f for f in features if f.valid]
     if not valid:
         raise NoDecisionError("no valid frames in segment")
-    return valid
-
-
-def decide_segment(features, threshold_db: float = 5.0) -> SegmentDecision:
-    """Back when the mean valley-level difference strictly exceeds the threshold.
-
-    mean(V_I) - mean(V_II) is the difference between the two valley levels; a
-    value exactly at the threshold classifies as front.
-    """
-    valid = _valid_frames(features)
     mean_v1 = float(np.mean([f.v1_db for f in valid]))
     mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    diff = mean_v1 - mean_v2
+    value = statistic(valid, mean_v1, mean_v2)
+    thr = default if threshold_db is None else threshold_db
     return SegmentDecision(
         mean_v1=mean_v1,
         mean_v2=mean_v2,
-        mean_diff=diff,
-        predicted="back" if diff > threshold_db else "front",
+        mean_diff=mean_v1 - mean_v2,
+        predicted="back" if reads_back(value, thr) else "front",
         frames_used=len(valid),
         frames_discarded=len(features) - len(valid),
+        statistic=value,
     )
 
 
 def decide_by_formant_spacing(features, rule: str = "f3f2_3bark",
                               threshold: float | None = None) -> SegmentDecision:
-    """Alternative decisions from formant spacing in bark or a single valley.
-
-    f3f2_3bark: front iff mean bark(F3)-bark(F2) < 3 (threshold in bark).
-    f2f1_bark:  the same rule applied to (F1, F2).
-    v1_only:    back iff mean V_I > threshold (dB, default 0).
-    v2_only:    back iff mean V_II < threshold (dB, default 0).
-    """
+    """`decide_segment` restricted to the spacing and single-valley rules."""
     if rule not in SPACING_RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {SPACING_RULES}")
-    valid = _valid_frames(features)
-    mean_v1 = float(np.mean([f.v1_db for f in valid]))
-    mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    thr = DEFAULT_THRESHOLDS[rule] if threshold is None else threshold
-    if rule in ("f3f2_3bark", "f2f1_bark"):
-        lo, hi = (1, 2) if rule == "f3f2_3bark" else (0, 1)
-        spacing = float(
-            np.mean(
-                [
-                    hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
-                    for f in valid
-                ]
-            )
-        )
-        predicted = "front" if spacing < thr else "back"
-    elif rule == "v1_only":
-        predicted = "back" if mean_v1 > thr else "front"
-    else:
-        predicted = "back" if mean_v2 < thr else "front"
-    return SegmentDecision(
-        mean_v1=mean_v1,
-        mean_v2=mean_v2,
-        mean_diff=mean_v1 - mean_v2,
-        predicted=predicted,
-        frames_used=len(valid),
-        frames_discarded=len(features) - len(valid),
-    )
+    return decide_segment(features, threshold, rule)
 
 
 def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) -> ClassificationReport:

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments
 from .errors import AnalysisError, NoDecisionError
-from .scales import hz_to_bark
 from .types import FormantSpec
 
 CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
@@ -17,8 +16,9 @@ CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
     "b": (600.0, 1300.0),
 }
 
-FEATURE_RULES = {
+FEATURE_RULES = {  # --feature of classify, noise-eval and hist -> decision rule
     "valley": "valley",
+    "diff": "valley",
     "f3f2": "f3f2_3bark",
     "f2f1": "f2f1_bark",
     "v1": "v1_only",
@@ -65,8 +65,11 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}f}"
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _floats(text, flag):
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise UsageError(f"{flag} must list at least one value, got {text!r}")
+    return values
 
 
 def _add_common(p):
@@ -134,8 +137,8 @@ def _cmd_ocd2(args):
 
 
 def _cmd_ocd4(args):
-    freqs = _floats(args.formants)
-    bws = _floats(args.bw)
+    freqs = _floats(args.formants, "--formants")
+    bws = _floats(args.bw, "--bw")
     if len(bws) == 1:
         bws = bws * len(freqs)
     if len(bws) != len(freqs):
@@ -165,6 +168,8 @@ def _cmd_ocd4(args):
 def _case_formants(args, b3, b4):
     if args.case is None and (args.f1 is None or args.f2 is None):
         raise UsageError("give --case a|b, or both --f1 and --f2")
+    if args.case is not None and (args.f1 is not None or args.f2 is not None):
+        raise UsageError("give --case a|b, or --f1 and --f2, not both")
     f1, f2 = CASE_GEOMETRIES[args.case] if args.case else (args.f1, args.f2)
     return [
         FormantSpec(f1, 100.0),
@@ -180,7 +185,8 @@ def _cmd_levels(args):
                               f2=fm[1].frequency, fs=args.fs,
                               b1_values=args.b1_values, b2_values=args.b2_values))
     cells = experiments.level_influence_experiment(
-        fm, _floats(args.b1_values), _floats(args.b2_values), args.fs
+        fm, _floats(args.b1_values, "--b1-values"), _floats(args.b2_values, "--b2-values"),
+        args.fs,
     )
     out.row("b1", "b2", "l1_db", "l2_db", "l1_minus_l2_db", "v_db", "status")
     for c in cells:
@@ -196,7 +202,7 @@ def _cmd_f0(args):
     out = _out_for(args, dict(case=args.case or "custom", fs=args.fs, order=args.order,
                               lag_window=args.lag_window, f0_values=args.f0_values))
     rows = experiments.f0_influence_experiment(
-        fm, _floats(args.f0_values), args.fs, lp_order=args.order,
+        fm, _floats(args.f0_values, "--f0-values"), args.fs, lp_order=args.order,
         lag_window_half_length=args.lag_window or None,
     )
     out.row("f0", "v_ref_db", "v_f0_db", "diff_db")
@@ -293,13 +299,9 @@ def _scored_segments(segments, include_central):
             yield seg, seg.fb_class
 
 
-def _decide(features, feature_name, threshold):
+def _decide(features, feature_name, threshold=None):
     try:
-        if feature_name == "valley":
-            return classify.decide_segment(features, threshold_db=threshold)
-        return classify.decide_by_formant_spacing(
-            features, FEATURE_RULES[feature_name], threshold=threshold
-        )
+        return classify.decide_segment(features, threshold, FEATURE_RULES[feature_name])
     except NoDecisionError:
         return None
 
@@ -368,11 +370,13 @@ def _cmd_classify(args):
 
 def _cmd_noise_eval(args):
     kinds = [k.strip() for k in args.noise.split(",") if k.strip()]
+    if not kinds or not set(kinds) <= set(corpus.NOISE_KINDS):
+        raise UsageError(f"--noise must list white and/or babble, got {args.noise!r}")
     if "babble" in kinds and not args.babble_source:
         raise UsageError("--babble-source is required when --noise includes babble")
+    snrs = _floats(args.snrs, "--snrs")
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
-    snrs = _floats(args.snrs)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
     out = _out_for(args, dict(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
                               feature=args.feature, threshold=threshold))
@@ -408,13 +412,10 @@ def _segment_baseline_features(seg, feature, cfg, mfcc_cfg):
         if len(mat) == 0:
             return None
         return mat.mean(axis=0)
-    features = classify.frame_pipeline(seg, cfg)
-    valid = [f for f in features if f.valid]
-    if not valid:
+    dec = _decide(classify.frame_pipeline(seg, cfg), "valley")
+    if dec is None:
         return None
-    v1 = float(np.mean([f.v1_db for f in valid]))
-    v2 = float(np.mean([f.v2_db for f in valid]))
-    return np.array([v1, v2, v1 - v2])
+    return np.array([dec.mean_v1, dec.mean_v2, dec.mean_diff])
 
 
 def _cmd_baseline(args):
@@ -479,23 +480,9 @@ def _cmd_hist(args):
         return 1
     values = {"front": [], "back": []}
     for seg, truth in scored:
-        features = classify.frame_pipeline(seg, cfg)
-        try:
-            dec = classify.decide_segment(features)
-        except NoDecisionError:
-            continue
-        if args.feature == "diff":
-            values[truth].append(dec.mean_diff)
-        elif args.feature == "v1":
-            values[truth].append(dec.mean_v1)
-        elif args.feature == "v2":
-            values[truth].append(dec.mean_v2)
-        else:  # f3f2 spacing in bark
-            valid = [f for f in features if f.valid]
-            values[truth].append(float(np.mean([
-                hz_to_bark(f.formants[2].frequency) - hz_to_bark(f.formants[1].frequency)
-                for f in valid
-            ])))
+        dec = _decide(classify.frame_pipeline(seg, cfg), args.feature)
+        if dec is not None:
+            values[truth].append(dec.statistic)
     out.row("class", "bin_center", "frequency")
     for cls in ("front", "back"):
         if not values[cls]:
@@ -631,6 +618,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_sweep_grid(args):
+    """--step and --points of the sweep commands, checked before any computation."""
+    if hasattr(args, "step") and not args.step > 0:
+        raise UsageError(f"--step must be positive, got {args.step}")
+    if hasattr(args, "points") and args.points < 64:
+        raise UsageError(f"--points must be at least 64, got {args.points}")
+
+
 def run(argv) -> int:
     """Dispatch a command line; 0 on success, 2 on usage error, 1 on failure."""
     parser = build_parser()
@@ -644,6 +639,7 @@ def run(argv) -> int:
     if getattr(args, "band", None) is not None and args.band <= 0:
         args.band = None
     try:
+        _check_sweep_grid(args)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

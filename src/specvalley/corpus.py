@@ -18,6 +18,7 @@ from .errors import (
 from .types import SignalBuffer
 
 MIN_SEGMENT_DURATION_S = 0.045
+NOISE_KINDS = ("white", "babble")
 
 
 @dataclass
@@ -51,13 +52,13 @@ class PbEntry:
 class NoiseSpec:
     """Additive-noise recipe; `seed` makes the draw reproducible."""
 
-    kind: str  # white | babble
+    kind: str  # one of NOISE_KINDS
     snr_db: float
     seed: int = 0
     babble_source: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("white", "babble"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "babble" and not self.babble_source:
             raise ValueError("babble noise needs a babble_source file")

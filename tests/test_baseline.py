@@ -3,9 +3,11 @@ import pytest
 from scipy.fft import dct, idct
 
 from specvalley.baseline import (
+    MfccConfig,
     MlpModel,
     load_model,
     loss_and_gradients,
+    mel_filterbank,
     mfcc,
     predict,
     save_model,
@@ -48,6 +50,17 @@ class TestMfcc:
         sig = SignalBuffer(np.random.default_rng(1).standard_normal(1600) * 0.1, FS)
         mat = segment_mfcc_matrix(sig)
         assert mat.shape == (9, 12)
+
+    def test_filterbank_built_once_per_rate_and_config(self):
+        fb = mel_filterbank(FS, MfccConfig())
+        assert mel_filterbank(FS, MfccConfig()) is fb
+        assert mel_filterbank(8000.0, MfccConfig()) is not fb
+        assert mel_filterbank(FS, MfccConfig(n_filters=20)).shape == (20, 257)
+        assert np.array_equal(fb, mel_filterbank.__wrapped__(FS, MfccConfig()))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            MfccConfig().nfft = 1024
 
 
 def blobs(n=200, seed=0):

@@ -252,3 +252,146 @@ class TestOnSyntheticCorpus:
         assert lower_back < 10.0 and upper_front > 0.0
         if crossing is not None:
             assert 0.0 <= crossing <= 10.0
+
+
+# The two decision functions as they were before the rule table, kept as the
+# exact reference: `decide_segment` (valley rule) and `decide_by_formant_spacing`
+# (the other four), each averaging the valid frames itself.
+REFERENCE_DEFAULT_THRESHOLDS = {
+    "valley": 5.0,
+    "f3f2_3bark": 3.0,
+    "f2f1_bark": 3.0,
+    "v1_only": 0.0,
+    "v2_only": 0.0,
+}
+
+
+def _reference_valid_frames(features):
+    valid = [f for f in features if f.valid]
+    if not valid:
+        raise NoDecisionError("no valid frames in segment")
+    return valid
+
+
+def _reference_decide_segment(features, threshold_db=5.0):
+    valid = _reference_valid_frames(features)
+    mean_v1 = float(np.mean([f.v1_db for f in valid]))
+    mean_v2 = float(np.mean([f.v2_db for f in valid]))
+    diff = mean_v1 - mean_v2
+    return (mean_v1, mean_v2, diff, "back" if diff > threshold_db else "front",
+            len(valid), len(features) - len(valid))
+
+
+def _reference_spacing(valid, lo, hi):
+    return float(np.mean([
+        hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
+        for f in valid
+    ]))
+
+
+def _reference_decide_by_formant_spacing(features, rule="f3f2_3bark", threshold=None):
+    valid = _reference_valid_frames(features)
+    mean_v1 = float(np.mean([f.v1_db for f in valid]))
+    mean_v2 = float(np.mean([f.v2_db for f in valid]))
+    thr = REFERENCE_DEFAULT_THRESHOLDS[rule] if threshold is None else threshold
+    if rule in ("f3f2_3bark", "f2f1_bark"):
+        lo, hi = (1, 2) if rule == "f3f2_3bark" else (0, 1)
+        spacing = _reference_spacing(valid, lo, hi)
+        predicted = "front" if spacing < thr else "back"
+    elif rule == "v1_only":
+        predicted = "back" if mean_v1 > thr else "front"
+    else:
+        predicted = "back" if mean_v2 < thr else "front"
+    return (mean_v1, mean_v2, mean_v1 - mean_v2, predicted,
+            len(valid), len(features) - len(valid))
+
+
+def _reference(features, rule, threshold):
+    if rule == "valley":
+        if threshold is None:
+            return _reference_decide_segment(features)
+        return _reference_decide_segment(features, threshold)
+    return _reference_decide_by_formant_spacing(features, rule, threshold)
+
+
+def _reference_statistic(features, rule):
+    """The value the reference compares with the threshold."""
+    valid = _reference_valid_frames(features)
+    if rule in ("f3f2_3bark", "f2f1_bark"):
+        return _reference_spacing(valid, *((1, 2) if rule == "f3f2_3bark" else (0, 1)))
+    mean_v1, mean_v2, diff = _reference_decide_segment(features)[:3]
+    return {"valley": diff, "v1_only": mean_v1, "v2_only": mean_v2}[rule]
+
+
+def _fields(dec):
+    return (dec.mean_v1, dec.mean_v2, dec.mean_diff, dec.predicted,
+            dec.frames_used, dec.frames_discarded)
+
+
+RULES = tuple(REFERENCE_DEFAULT_THRESHOLDS)
+
+
+@pytest.fixture(scope="module")
+def white_0db_features(clean_segment_features):
+    """Frames of every corpus segment under white noise at 0 dB SNR."""
+    from specvalley.corpus import NoiseSpec, mix_noise
+
+    cfg = PipelineConfig()
+    return [frame_pipeline(mix_noise(seg.audio, NoiseSpec("white", 0.0, seed=k)), cfg)
+            for k, (_, _, seg) in enumerate(clean_segment_features)]
+
+
+class TestDecisionRuleTable:
+    """Every rule of the table decides as the code it replaced, ties included."""
+
+    def _check(self, segments):
+        tied = dict.fromkeys(RULES, 0)
+        for features in segments:
+            for rule in RULES:
+                calls = [lambda thr: decide_segment(features, thr, rule)]
+                if rule != "valley":
+                    calls.append(lambda thr: decide_by_formant_spacing(features, rule, thr))
+                try:
+                    statistic = _reference_statistic(features, rule)
+                except NoDecisionError:
+                    for call in calls:
+                        for thr in (None, 0.0):
+                            with pytest.raises(NoDecisionError):
+                                call(thr)
+                    continue
+                # at the rule default, and exactly at the segment's own statistic
+                for thr in (None, statistic):
+                    expected = _reference(features, rule, thr)
+                    for call in calls:
+                        dec = call(thr)
+                        assert _fields(dec) == expected, (rule, thr)
+                        assert dec.statistic == statistic
+                tied[rule] += 1
+        return tied
+
+    def test_clean_corpus(self, clean_segment_features):
+        tied = self._check([feats for _, feats, _ in clean_segment_features])
+        assert all(n == len(clean_segment_features) for n in tied.values())
+
+    def test_white_noise_0db(self, white_0db_features):
+        frames = [f for feats in white_0db_features for f in feats]
+        invalid = sum(not f.valid for f in frames) / len(frames)
+        assert 0.25 < invalid < 0.5  # the decisions average over partly invalid segments
+        self._check(white_0db_features)
+
+    def test_no_valid_frames(self):
+        tied = self._check([[], fake_features(0, n_invalid=4)])
+        assert not any(tied.values())
+
+    def test_both_sides_of_every_threshold(self, clean_segment_features):
+        # the default thresholds split the corpus, so an inverted comparison shows
+        for rule in RULES:
+            predicted = {decide_segment(feats, None, rule).predicted
+                         for _, feats, _ in clean_segment_features}
+            assert predicted == {"front", "back"}, rule
+
+    def test_derived_tables(self):
+        from specvalley.classify import DEFAULT_THRESHOLDS, SPACING_RULES
+
+        assert DEFAULT_THRESHOLDS == REFERENCE_DEFAULT_THRESHOLDS
+        assert SPACING_RULES == ("f3f2_3bark", "f2f1_bark", "v1_only", "v2_only")

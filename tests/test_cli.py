@@ -154,6 +154,23 @@ class TestCorpusOptionChecks:
         assert code == 2
         assert "--babble-source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--noise", "white", "--snrs=,"], "--snrs"),
+        (["--noise=,"], "--noise"),
+        (["--noise", "pink"], "--noise"),
+        (["--noise", "white,pink", "--babble-source", "b.wav"], "--noise"),
+    ], ids=["empty_snrs", "empty_noise", "unknown_noise", "one_unknown_noise"])
+    def test_noise_eval_lists_are_checked_first(self, argv, flag, tmp_path, monkeypatch,
+                                                capsys):
+        from specvalley import corpus
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the corpus was read before the option check")
+
+        monkeypatch.setattr(corpus, "collect_segments", no_reading)
+        assert run(["noise-eval", "--corpus", str(tmp_path), *argv, "--no-timestamp"]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_absent_class_accuracy_is_an_empty_cell(self, small_corpus_dir, tmp_path):
         front_only = tmp_path / "front_only"
         front_only.mkdir()
@@ -205,6 +222,65 @@ class TestExperimentOptionChecks:
         assert run([command, *geometry, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert "--case" in err and "--f1" in err and "--f2" in err
+
+    @pytest.mark.parametrize("command", ["levels", "f0"])
+    @pytest.mark.parametrize("geometry", [["--f1", "500"], ["--f2", "1300"],
+                                          ["--f1", "500", "--f2", "1300"]],
+                             ids=["f1", "f2", "f1_f2"])
+    def test_case_with_explicit_geometry_is_a_usage_error(self, command, geometry,
+                                                          monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the experiment ran before the option check")
+
+        monkeypatch.setattr(experiments, "level_influence_experiment", no_computing)
+        monkeypatch.setattr(experiments, "f0_influence_experiment", no_computing)
+        assert run([command, "--case", "a", *geometry, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert "--case" in err and "--f1" in err and "--f2" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["levels", "--case", "a", "--b1-values=,"], "--b1-values"),
+        (["levels", "--case", "a", "--b2-values=,"], "--b2-values"),
+        (["f0", "--case", "a", "--f0-values=,"], "--f0-values"),
+        (["ocd4", "--bw=,"], "--bw"),
+        (["ocd4", "--formants=,"], "--formants"),
+    ], ids=["b1_values", "b2_values", "f0_values", "bw", "formants"])
+    def test_empty_list_is_a_usage_error(self, argv, flag, monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the experiment ran before the option check")
+
+        for name in ("level_influence_experiment", "f0_influence_experiment", "ocd_sweep"):
+            monkeypatch.setattr(experiments, name, no_computing)
+        assert run([*argv, "--no-timestamp"]) == 2
+        assert f"{flag} must list at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ocd2", "ocd4", "pb-ocd"])
+    @pytest.mark.parametrize("step", ["0", "-25", "nan"])
+    def test_non_positive_step_is_a_usage_error(self, command, step, monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the sweep ran before the option check")
+
+        monkeypatch.setattr(experiments, "ocd_sweep", no_computing)
+        monkeypatch.setattr(experiments, "pb_ocd_table", no_computing)
+        assert run([command, f"--step={step}", "--no-timestamp"]) == 2
+        assert "--step must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep2", "ocd2", "ocd4"])
+    @pytest.mark.parametrize("points", ["63", "0", "-1"])
+    def test_too_few_points_is_a_usage_error(self, command, points, capsys):
+        assert run([command, f"--points={points}", "--no-timestamp"]) == 2
+        assert "--points must be at least 64" in capsys.readouterr().err
+
+    def test_sixty_four_points_still_runs(self, tmp_path):
+        out = tmp_path / "sweep2.csv"
+        assert run(["sweep2", "--points", "64", "--out", str(out), "--no-timestamp"]) == 0
+        assert len(data_rows(out)) == 1 + 7
 
     def test_custom_geometry_still_runs(self, tmp_path):
         out = tmp_path / "levels.csv"
