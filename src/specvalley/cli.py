@@ -66,7 +66,10 @@ def _fmt(x, digits=6):
 
 
 def _floats(text, flag):
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} must list numbers, got {text!r}") from None
     if not values:
         raise UsageError(f"{flag} must list at least one value, got {text!r}")
     return values
@@ -375,6 +378,8 @@ def _cmd_noise_eval(args):
     if "babble" in kinds and not args.babble_source:
         raise UsageError("--babble-source is required when --noise includes babble")
     snrs = _floats(args.snrs, "--snrs")
+    if not np.all(np.isfinite(snrs)):
+        raise UsageError(f"--snrs must list finite values, got {args.snrs!r}")
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
@@ -470,6 +475,10 @@ def _cmd_hist(args):
         lo, hi = (float(v) for v in args.range.split(":"))
     except ValueError:
         raise UsageError(f"--range must be lo:hi, got {args.range!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise UsageError(f"--range must give finite lo < hi, got {args.range!r}")
+    if not (np.isfinite(args.bin_width) and args.bin_width > 0):
+        raise UsageError(f"--bin-width must be positive, got {args.bin_width}")
     cfg, segments = _corpus_inputs(args)
     scored = list(_scored_segments(segments, args.include_central))
     out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
@@ -620,7 +629,7 @@ def build_parser() -> _Parser:
 
 def _check_sweep_grid(args):
     """--step and --points of the sweep commands, checked before any computation."""
-    if hasattr(args, "step") and not args.step > 0:
+    if hasattr(args, "step") and not (np.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be positive, got {args.step}")
     if hasattr(args, "points") and args.points < 64:
         raise UsageError(f"--points must be at least 64, got {args.points}")

@@ -36,19 +36,16 @@ class SweepConfig:
     sample_rate: float
     pair: tuple = (0, 1)
     step_hz: float = 25.0
-    move_lower: bool = True
     move_upper: bool = True
     n_points: int = 4096
     mean_band_hz: float | None = None
 
     def __post_init__(self):
-        if self.step_hz <= 0:
+        if not (np.isfinite(self.step_hz) and self.step_hz > 0):
             raise ValueError("step_hz must be positive")
         i, j = self.pair
         if j != i + 1:
             raise ValueError("swept pair must be adjacent formants")
-        if not (self.move_lower or self.move_upper):
-            raise ValueError("at least one side of the pair must move")
 
 
 @dataclass
@@ -72,6 +69,13 @@ def _banded_mean_db(env: SpectralEnvelope, band_hz):
     return power_mean_db(env.levels_db[sel])
 
 
+def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi, label: str = "V12"):
+    """(L_lo, L_hi, RLSV measurement) of the peaks located near f_lo and f_hi."""
+    p_lo, l_lo = locate_peak(env, f_lo)
+    p_hi, l_hi = locate_peak(env, f_hi)
+    return l_lo, l_hi, rlsv(env, p_lo, p_hi, label)
+
+
 def measure_pair_rlsv(
     formants,
     pair,
@@ -83,9 +87,7 @@ def measure_pair_rlsv(
     """RLSV (mean - valley, dB) between two formants of an analytic cascade."""
     env = analytic_cascade_spectrum(formants, sample_rate, n_points)
     i, j = pair
-    f_lo, _ = locate_peak(env, formants[i].frequency)
-    f_hi, _ = locate_peak(env, formants[j].frequency)
-    m = rlsv(env, f_lo, f_hi, label)
+    _, _, m = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency, label)
     valley_level = env.mean_level_db - m.v_db
     return _banded_mean_db(env, mean_band_hz) - valley_level
 
@@ -117,57 +119,56 @@ def _step_is_legal(formants, pair, f_lo, f_hi, sample_rate, step):
 
 
 def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> OcdResult:
+    """Step the pair until the RLSV reaches or crosses zero.
+
+    The sign of the start's RLSV sets the direction: positive narrows, negative
+    widens (only with `allow_widening`). A start that cannot be measured raises
+    as it is; a later step that cannot be, or leaves the geometry, ends in
+    NoCrossingError.
+    """
     i, j = cfg.pair
     f_lo = cfg.formants[i].frequency
     f_hi = cfg.formants[j].frequency
+    trace, pairs = [], []
 
-    def v_at(lo, hi):
+    def measure(lo, hi):
         fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
-        return measure_pair_rlsv(
+        v = measure_pair_rlsv(
             fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz, label
         )
+        trace.append((hz_to_bark(hi) - hz_to_bark(lo), v))
+        pairs.append((lo, hi))
+        return v
 
-    trace = []
-    pairs = []
-    v0 = v_at(f_lo, f_hi)
-    spacing0 = hz_to_bark(f_hi) - hz_to_bark(f_lo)
-    trace.append((spacing0, v0))
-    pairs.append((f_lo, f_hi))
-    if v0 == 0.0:
-        return OcdResult(spacing0, trace, crossing_interpolated=False, basis=label,
-                         pair_trace=pairs)
+    v0 = v = measure(f_lo, f_hi)
     if v0 < 0 and not allow_widening:
         raise ValueError(
             f"initial RLSV must be positive for an inward sweep, got {v0:.3f} dB"
         )
-    narrowing = v0 > 0
-    step = cfg.step_hz if narrowing else -cfg.step_hz
-    for _ in range(100000):
-        nxt_lo = f_lo + step if cfg.move_lower else f_lo
-        nxt_hi = f_hi - step if cfg.move_upper else f_hi
-        if not _step_is_legal(cfg.formants, cfg.pair, nxt_lo, nxt_hi, cfg.sample_rate, cfg.step_hz):
+    step = cfg.step_hz if v0 > 0 else -cfg.step_hz
+    while v != 0.0 and (v > 0) == (v0 > 0):
+        if len(trace) > 100000:  # the start and 100000 steps
+            raise NoCrossingError("sweep exceeded the step budget", trace=trace)
+        f_lo += step
+        if cfg.move_upper:
+            f_hi -= step
+        if not _step_is_legal(cfg.formants, cfg.pair, f_lo, f_hi, cfg.sample_rate, cfg.step_hz):
             raise NoCrossingError(
                 "sweep hit a geometry limit before the RLSV changed sign", trace=trace
             )
         try:
-            v = v_at(nxt_lo, nxt_hi)
+            v = measure(f_lo, f_hi)
         except (PeakNotFoundError, ValleyUndefinedError) as exc:
             raise NoCrossingError(
                 f"valley became unmeasurable before crossing: {exc}", trace=trace
             ) from exc
-        spacing = hz_to_bark(nxt_hi) - hz_to_bark(nxt_lo)
-        trace.append((spacing, v))
-        pairs.append((nxt_lo, nxt_hi))
-        if v == 0.0:
-            return OcdResult(spacing, trace, crossing_interpolated=False,
-                             basis=label, widened=not narrowing, pair_trace=pairs)
-        if (v > 0) != (v0 > 0):
-            (s_prev, v_prev), (s_cur, v_cur) = trace[-2], trace[-1]
-            ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
-            return OcdResult(float(ocd), trace, crossing_interpolated=True,
-                             basis=label, widened=not narrowing, pair_trace=pairs)
-        f_lo, f_hi = nxt_lo, nxt_hi
-    raise NoCrossingError("sweep exceeded the step budget", trace=trace)
+    if v == 0.0:
+        return OcdResult(trace[-1][0], trace, crossing_interpolated=False,
+                         basis=label, widened=v0 < 0, pair_trace=pairs)
+    (s_prev, v_prev), (s_cur, v_cur) = trace[-2], trace[-1]
+    ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
+    return OcdResult(float(ocd), trace, crossing_interpolated=True,
+                     basis=label, widened=v0 < 0, pair_trace=pairs)
 
 
 def ocd_sweep(cfg: SweepConfig, label: str = "V12") -> OcdResult:
@@ -175,9 +176,9 @@ def ocd_sweep(cfg: SweepConfig, label: str = "V12") -> OcdResult:
 
     Starts from a configuration with RLSV > 0 (valley below the mean), steps
     the pair inward, and linearly interpolates the bark spacing at which the
-    RLSV crosses zero. Raises ValueError when the start is already at or
-    below the crossing and NoCrossingError (with the trace) when the sweep
-    runs out of room.
+    RLSV crosses zero; a start exactly at the crossing is its own OCD. Raises
+    ValueError when the start is below the crossing and NoCrossingError
+    (with the trace) when the sweep runs out of room.
     """
     return _sweep_to_crossing(cfg, allow_widening=False, label=label)
 
@@ -247,10 +248,8 @@ def level_influence_experiment(
             ] + list(case_formants[2:])
             try:
                 env = analytic_cascade_spectrum(fm, sample_rate, n_points)
-                f1p, l1 = locate_peak(env, fm[0].frequency)
-                f2p, l2 = locate_peak(env, fm[1].frequency)
-                v = rlsv(env, f1p, f2p).v_db
-                cells.append(LevelCell(b1, b2, l1, l2, v))
+                l1, l2, m = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)
+                cells.append(LevelCell(b1, b2, l1, l2, m.v_db))
             except (PeakNotFoundError, ValleyUndefinedError) as exc:
                 cells.append(LevelCell(b1, b2, None, None, None, error=str(exc)))
     return cells
@@ -315,9 +314,7 @@ def f0_influence_experiment(
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
     env_ref = analytic_cascade_spectrum(fm, sample_rate, n_points)
-    f1p, _ = locate_peak(env_ref, fm[0].frequency)
-    f2p, _ = locate_peak(env_ref, fm[1].frequency)
-    v_ref = rlsv(env_ref, f1p, f2p).v_db
+    v_ref = _peak_pair_rlsv(env_ref, fm[0].frequency, fm[1].frequency)[2].v_db
     rows = []
     for f0 in f0_values:
         exc = Excitation("impulse-train", f0=f0, duration_s=settle_s + analysis_s)
@@ -326,9 +323,7 @@ def f0_influence_experiment(
         env = lp_envelope_of_signal(
             seg, sample_rate, lp_order, n_points, lag_window_half_length
         )
-        p1, _ = locate_peak(env, fm[0].frequency)
-        p2, _ = locate_peak(env, fm[1].frequency)
-        v_f0 = rlsv(env, p1, p2).v_db
+        v_f0 = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)[2].v_db
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows
 
@@ -350,10 +345,7 @@ def pb_ocd_table(
     f4: float | None = None,
     bandwidth_hz: float = 100.0,
     step_hz: float = 25.0,
-    front_vowels=FRONT_VOWELS,
     include_tube: bool = True,
-    tube_sample_rate: float = 8000.0,
-    tube_f4: float = 3500.0,
 ):
     """Per-vowel OCD from mean formant data, equal bandwidths everywhere.
 
@@ -361,36 +353,27 @@ def pb_ocd_table(
     the (F1, F2) pair and report a V12-based OCD; front vowels sweep (F2, F3)
     for a V23-based OCD. Pairs starting below the crossing are widened
     instead of narrowed (symmetric steps either way). The uniform-tube
-    reference rows are computed both ways at the fixed tube configuration,
-    which is gender-independent.
+    reference rows sweep both pairs of `UNIFORM_TUBE_FORMANTS_HZ` (F4 at
+    3500 Hz) at 8 kHz, whatever the gender.
     """
     if sample_rate is None:
         sample_rate = 8000.0 if gender == "male" else 10000.0
     if f4 is None:
         f4 = 3500.0 if gender == "male" else 4200.0
-    rows = []
+    sweeps = []
     for vowel, (f1, f2, f3) in mean_formants.items():
-        freqs = [f1, f2, f3, f4]
+        pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")
+        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair, label))
+    if include_tube:
+        for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
+            sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
+    rows = []
+    for vowel, freqs, rate, pair, label in sweeps:
         fm = [FormantSpec(f, bandwidth_hz) for f in freqs]
-        if vowel in front_vowels:
-            pair, label = (1, 2), "V23"
-        else:
-            pair, label = (0, 1), "V12"
-        cfg = SweepConfig(fm, sample_rate, pair=pair, step_hz=step_hz)
+        cfg = SweepConfig(fm, rate, pair=pair, step_hz=step_hz)
         try:
             res = _sweep_to_crossing(cfg, allow_widening=True, label=label)
             rows.append(VowelOcd(vowel, label, res))
         except NoCrossingError as exc:
             rows.append(VowelOcd(vowel, label, None, error=str(exc)))
-    if include_tube:
-        tube = [FormantSpec(f, bandwidth_hz) for f in UNIFORM_TUBE_FORMANTS_HZ[:3]] + [
-            FormantSpec(tube_f4, bandwidth_hz)
-        ]
-        for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
-            cfg = SweepConfig(tube, tube_sample_rate, pair=pair, step_hz=step_hz)
-            try:
-                res = _sweep_to_crossing(cfg, allow_widening=True, label=label)
-                rows.append(VowelOcd("tube", label, res))
-            except NoCrossingError as exc:
-                rows.append(VowelOcd("tube", label, None, error=str(exc)))
     return rows

@@ -159,7 +159,11 @@ class TestCorpusOptionChecks:
         (["--noise=,"], "--noise"),
         (["--noise", "pink"], "--noise"),
         (["--noise", "white,pink", "--babble-source", "b.wav"], "--noise"),
-    ], ids=["empty_snrs", "empty_noise", "unknown_noise", "one_unknown_noise"])
+        (["--noise", "white", "--snrs", "inf"], "--snrs"),
+        (["--noise", "white", "--snrs", "30,nan"], "--snrs"),
+        (["--noise", "white", "--snrs", "30,x"], "--snrs"),
+    ], ids=["empty_snrs", "empty_noise", "unknown_noise", "one_unknown_noise",
+            "inf_snrs", "nan_snrs", "non_numeric_snrs"])
     def test_noise_eval_lists_are_checked_first(self, argv, flag, tmp_path, monkeypatch,
                                                 capsys):
         from specvalley import corpus
@@ -169,6 +173,27 @@ class TestCorpusOptionChecks:
 
         monkeypatch.setattr(corpus, "collect_segments", no_reading)
         assert run(["noise-eval", "--corpus", str(tmp_path), *argv, "--no-timestamp"]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--bin-width", "0"], "--bin-width"),
+        (["--bin-width=-1"], "--bin-width"),
+        (["--bin-width", "nan"], "--bin-width"),
+        (["--bin-width", "inf"], "--bin-width"),
+        (["--range=5:5"], "--range"),
+        (["--range=30:-20"], "--range"),
+        (["--range=0:inf"], "--range"),
+        (["--range=nan:5"], "--range"),
+    ], ids=["zero_bin_width", "negative_bin_width", "nan_bin_width", "inf_bin_width",
+            "empty_range", "reversed_range", "inf_range", "nan_range"])
+    def test_hist_flags_are_checked_first(self, argv, flag, tmp_path, monkeypatch, capsys):
+        from specvalley import corpus
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the corpus was read before the option check")
+
+        monkeypatch.setattr(corpus, "collect_segments", no_reading)
+        assert run(["hist", "--corpus", str(tmp_path), *argv, "--no-timestamp"]) == 2
         assert flag in capsys.readouterr().err
 
     def test_absent_class_accuracy_is_an_empty_cell(self, small_corpus_dir, tmp_path):
@@ -259,7 +284,7 @@ class TestExperimentOptionChecks:
         assert f"{flag} must list at least one value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ocd2", "ocd4", "pb-ocd"])
-    @pytest.mark.parametrize("step", ["0", "-25", "nan"])
+    @pytest.mark.parametrize("step", ["0", "-25", "nan", "inf"])
     def test_non_positive_step_is_a_usage_error(self, command, step, monkeypatch, capsys):
         from specvalley import experiments
 
@@ -270,6 +295,24 @@ class TestExperimentOptionChecks:
         monkeypatch.setattr(experiments, "pb_ocd_table", no_computing)
         assert run([command, f"--step={step}", "--no-timestamp"]) == 2
         assert "--step must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["levels", "--case", "a", "--b1-values", "70,x"], "--b1-values"),
+        (["levels", "--case", "a", "--b2-values", "1e3e"], "--b2-values"),
+        (["f0", "--case", "a", "--f0-values", "100,1oo"], "--f0-values"),
+        (["ocd4", "--bw", "100,a"], "--bw"),
+        (["ocd4", "--formants", "500;1500"], "--formants"),
+    ], ids=["b1_values", "b2_values", "f0_values", "bw", "formants"])
+    def test_non_numeric_list_entry_is_a_usage_error(self, argv, flag, monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the experiment ran before the option check")
+
+        for name in ("level_influence_experiment", "f0_influence_experiment", "ocd_sweep"):
+            monkeypatch.setattr(experiments, name, no_computing)
+        assert run([*argv, "--no-timestamp"]) == 2
+        assert f"{flag} must list numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep2", "ocd2", "ocd4"])
     @pytest.mark.parametrize("points", ["63", "0", "-1"])

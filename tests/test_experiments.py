@@ -1,11 +1,27 @@
+import sys
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from specvalley.errors import NoCrossingError
+from specvalley import experiments
+from specvalley.errors import (
+    AnalysisError,
+    NoCrossingError,
+    PeakNotFoundError,
+    ValleyUndefinedError,
+)
 from specvalley.experiments import (
+    BACK_VOWELS,
+    FRONT_VOWELS,
     PERCEPTUAL_CRITICAL_DISTANCE_BARK,
+    OcdResult,
     SweepConfig,
     UNIFORM_TUBE_FORMANTS_HZ,
+    VowelOcd,
+    _replace_pair,
+    _step_is_legal,
+    _sweep_to_crossing,
     f0_influence_experiment,
     level_influence_experiment,
     measure_pair_rlsv,
@@ -13,6 +29,7 @@ from specvalley.experiments import (
     pb_ocd_table,
     two_formant_curve,
 )
+from specvalley.scales import hz_to_bark
 from specvalley.types import FormantSpec
 
 TUBE = [FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]
@@ -221,3 +238,267 @@ class TestPbOcdTable:
         rank_f = np.argsort(np.argsort(female)).astype(float)
         corr = np.corrcoef(rank_m, rank_f)[0, 1]
         assert corr > 0
+
+
+# The sweep and the per-vowel table as they were before the sweep start and
+# the vowel and tube rows were folded into one loop each, kept as the exact
+# reference. SweepConfig no longer has `move_lower`, which nothing cleared,
+# so the lower formant always moves here. Names the sweep looks up are read
+# from this module, so a test can patch them here and in `experiments` alike.
+def _reference_sweep(cfg, allow_widening, label):
+    i, j = cfg.pair
+    f_lo = cfg.formants[i].frequency
+    f_hi = cfg.formants[j].frequency
+
+    def v_at(lo, hi):
+        fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
+        return measure_pair_rlsv(
+            fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz, label
+        )
+
+    trace = []
+    pairs = []
+    v0 = v_at(f_lo, f_hi)
+    spacing0 = hz_to_bark(f_hi) - hz_to_bark(f_lo)
+    trace.append((spacing0, v0))
+    pairs.append((f_lo, f_hi))
+    if v0 == 0.0:
+        return OcdResult(spacing0, trace, crossing_interpolated=False, basis=label,
+                         pair_trace=pairs)
+    if v0 < 0 and not allow_widening:
+        raise ValueError(
+            f"initial RLSV must be positive for an inward sweep, got {v0:.3f} dB"
+        )
+    narrowing = v0 > 0
+    step = cfg.step_hz if narrowing else -cfg.step_hz
+    for _ in range(100000):
+        nxt_lo = f_lo + step
+        nxt_hi = f_hi - step if cfg.move_upper else f_hi
+        if not _step_is_legal(cfg.formants, cfg.pair, nxt_lo, nxt_hi, cfg.sample_rate, cfg.step_hz):
+            raise NoCrossingError(
+                "sweep hit a geometry limit before the RLSV changed sign", trace=trace
+            )
+        try:
+            v = v_at(nxt_lo, nxt_hi)
+        except (PeakNotFoundError, ValleyUndefinedError) as exc:
+            raise NoCrossingError(
+                f"valley became unmeasurable before crossing: {exc}", trace=trace
+            ) from exc
+        spacing = hz_to_bark(nxt_hi) - hz_to_bark(nxt_lo)
+        trace.append((spacing, v))
+        pairs.append((nxt_lo, nxt_hi))
+        if v == 0.0:
+            return OcdResult(spacing, trace, crossing_interpolated=False,
+                             basis=label, widened=not narrowing, pair_trace=pairs)
+        if (v > 0) != (v0 > 0):
+            (s_prev, v_prev), (s_cur, v_cur) = trace[-2], trace[-1]
+            ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
+            return OcdResult(float(ocd), trace, crossing_interpolated=True,
+                             basis=label, widened=not narrowing, pair_trace=pairs)
+        f_lo, f_hi = nxt_lo, nxt_hi
+    raise NoCrossingError("sweep exceeded the step budget", trace=trace)
+
+
+def _reference_pb_ocd_table(
+    mean_formants,
+    gender,
+    sample_rate=None,
+    f4=None,
+    bandwidth_hz=100.0,
+    step_hz=25.0,
+    front_vowels=FRONT_VOWELS,
+    include_tube=True,
+    tube_sample_rate=8000.0,
+    tube_f4=3500.0,
+):
+    if sample_rate is None:
+        sample_rate = 8000.0 if gender == "male" else 10000.0
+    if f4 is None:
+        f4 = 3500.0 if gender == "male" else 4200.0
+    rows = []
+    for vowel, (f1, f2, f3) in mean_formants.items():
+        freqs = [f1, f2, f3, f4]
+        fm = [FormantSpec(f, bandwidth_hz) for f in freqs]
+        if vowel in front_vowels:
+            pair, label = (1, 2), "V23"
+        else:
+            pair, label = (0, 1), "V12"
+        cfg = SweepConfig(fm, sample_rate, pair=pair, step_hz=step_hz)
+        try:
+            res = _reference_sweep(cfg, allow_widening=True, label=label)
+            rows.append(VowelOcd(vowel, label, res))
+        except NoCrossingError as exc:
+            rows.append(VowelOcd(vowel, label, None, error=str(exc)))
+    if include_tube:
+        tube = [FormantSpec(f, bandwidth_hz) for f in UNIFORM_TUBE_FORMANTS_HZ[:3]] + [
+            FormantSpec(tube_f4, bandwidth_hz)
+        ]
+        for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
+            cfg = SweepConfig(tube, tube_sample_rate, pair=pair, step_hz=step_hz)
+            try:
+                res = _reference_sweep(cfg, allow_widening=True, label=label)
+                rows.append(VowelOcd("tube", label, res))
+            except NoCrossingError as exc:
+                rows.append(VowelOcd("tube", label, None, error=str(exc)))
+    return rows
+
+
+OCD_FIELDS = ("ocd_bark", "sweep", "pair_trace", "crossing_interpolated", "widened", "basis")
+
+
+def outcome(fn, *args, **kwargs):
+    """What a sweep returns, or the type, text, trace and cause of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, AnalysisError) as exc:
+        return (type(exc), str(exc), getattr(exc, "trace", None), type(exc.__cause__))
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, OcdResult):
+        assert isinstance(got, OcdResult), got
+        assert {f.name for f in fields(OcdResult)} == set(OCD_FIELDS)
+        for name in OCD_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+    else:
+        assert got == want
+
+
+SWEEP_CASES = {
+    "two_formant_25": (two_formant_cfg(25.0), "V12"),
+    "two_formant_12.5": (two_formant_cfg(12.5), "V12"),
+    "tube_25": (tube_cfg(step=25.0), "V12"),
+    "tube_12.5": (tube_cfg(step=12.5), "V12"),
+    "tube_pair_12": (SweepConfig(TUBE, 8000.0, pair=(1, 2)), "V23"),
+    "tube_pair_23": (SweepConfig(TUBE, 8000.0, pair=(2, 3)), "V34"),
+    "tube_bw_80": (tube_cfg(bw=80.0), "V12"),
+    "tube_bw_130": (tube_cfg(bw=130.0), "V12"),
+    "tube_bw_200": (tube_cfg(bw=200.0), "V12"),
+    "widening_aa": (SweepConfig(
+        [FormantSpec(f, 100.0) for f in (730.0, 1090.0, 2440.0, 3500.0)], 8000.0), "V12"),
+    "below_crossing": (SweepConfig(
+        [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:], 8000.0), "V12"),
+    "geometry_limit": (SweepConfig(
+        [FormantSpec(500.0, 20.0), FormantSpec(1500.0, 20.0)], 8000.0, step_hz=100.0), "V12"),
+    "unmeasurable_valley": (SweepConfig(
+        [FormantSpec(500.0, 400.0), FormantSpec(1500.0, 400.0)], 8000.0,
+        mean_band_hz=1600.0), "V12"),
+}
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("allow_widening", [False, True], ids=["inward", "widening"])
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_same_outcome(self, case, allow_widening):
+        cfg, label = SWEEP_CASES[case]
+        want = outcome(_reference_sweep, cfg, allow_widening, label)
+        assert_same_outcome(outcome(_sweep_to_crossing, cfg, allow_widening, label), want)
+        if not allow_widening:
+            assert_same_outcome(outcome(ocd_sweep, cfg, label=label), want)
+
+    def test_cases_reach_every_ending(self):
+        endings = set()
+        for cfg, label in SWEEP_CASES.values():
+            for allow_widening in (False, True):
+                got = outcome(_reference_sweep, cfg, allow_widening, label)
+                if isinstance(got, OcdResult):
+                    endings.add(("widened" if got.widened else "narrowed",
+                                 got.crossing_interpolated))
+                else:
+                    endings.add(got[1].split(":")[0].split(",")[0])
+        assert endings == {
+            ("narrowed", True), ("widened", True),
+            "initial RLSV must be positive for an inward sweep",
+            "sweep hit a geometry limit before the RLSV changed sign",
+            "valley became unmeasurable before crossing",
+        }
+
+    @pytest.mark.parametrize("gender", ["male", "female"])
+    def test_pb_ocd_table(self, gender, pb_entries):
+        from specvalley.corpus import pb_mean_formants
+
+        means = pb_mean_formants(pb_entries, gender)
+        means = {v: f for v, f in means.items() if v in FRONT_VOWELS + BACK_VOWELS}
+        want = _reference_pb_ocd_table(means, gender)
+        got = pb_ocd_table(means, gender)
+        assert [(r.vowel, r.basis, r.error) for r in got] == [
+            (r.vowel, r.basis, r.error) for r in want]
+        assert len(got) == len(means) + 2
+        for g, w in zip(got, want):
+            assert_same_outcome(g.result, w.result)
+
+    def test_pb_ocd_table_no_crossing_rows(self):
+        # 20 Hz bandwidths keep every valley below the mean until the pair
+        # runs out of room, so every row, the tube rows too, is an error row
+        means = {"aa": (730.0, 1090.0, 2440.0), "iy": (270.0, 2290.0, 3010.0)}
+        want = _reference_pb_ocd_table(means, "male", bandwidth_hz=20.0, step_hz=100.0)
+        got = pb_ocd_table(means, "male", bandwidth_hz=20.0, step_hz=100.0)
+        assert [(r.vowel, r.basis, r.error, r.result) for r in got] == [
+            (r.vowel, r.basis, r.error, r.result) for r in want]
+        assert all(r.error for r in got)
+
+
+def linear_rlsv(zero_at_hz, fail_below_hz=None):
+    """A stand-in RLSV of (spacing - zero_at_hz) / 100 dB.
+
+    It is exact on a 25 Hz grid, so a sweep can land on zero. Below a spacing
+    of `fail_below_hz` the peak cannot be found.
+    """
+    def measure(formants, pair, *args):
+        spacing = formants[pair[1]].frequency - formants[pair[0]].frequency
+        if fail_below_hz is not None and spacing < fail_below_hz:
+            raise PeakNotFoundError(f"spacing {spacing}")
+        return (spacing - zero_at_hz) / 100.0
+    return measure
+
+
+def patch_sweep(monkeypatch, name, fn):
+    """Replace a name the sweep uses, in `experiments` and in the reference."""
+    monkeypatch.setattr(experiments, name, fn)
+    monkeypatch.setattr(sys.modules[__name__], name, fn)
+
+
+class TestSweepEndings:
+    """Endings the analytic spectrum does not reach, on a stand-in RLSV."""
+
+    START = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 100.0)]  # 1000 Hz apart
+
+    @pytest.mark.parametrize("allow_widening", [False, True], ids=["inward", "widening"])
+    @pytest.mark.parametrize("zero_at, fail_below", [
+        (1000.0, None),   # exact zero at the start: not widened, not interpolated
+        (700.0, None),    # exact zero after narrowing six steps
+        (1200.0, None),   # exact zero after widening four steps
+        (730.0, None),    # crossing between steps while narrowing
+        (1130.0, None),   # crossing between steps while widening
+        (300.0, 500.0),   # the peak is lost before the crossing
+        (300.0, 1100.0),  # the peak is lost at the start: raised as it is
+    ])
+    def test_same_outcome(self, zero_at, fail_below, allow_widening, monkeypatch):
+        patch_sweep(monkeypatch, "measure_pair_rlsv", linear_rlsv(zero_at, fail_below))
+        cfg = SweepConfig(self.START, 8000.0)
+        want = outcome(_reference_sweep, cfg, allow_widening, "V12")
+        assert_same_outcome(outcome(_sweep_to_crossing, cfg, allow_widening, "V12"), want)
+
+    def test_exact_zero_start(self, monkeypatch):
+        patch_sweep(monkeypatch, "measure_pair_rlsv", linear_rlsv(1000.0))
+        res = ocd_sweep(SweepConfig(self.START, 8000.0))
+        assert res.sweep == [(res.ocd_bark, 0.0)]
+        assert not res.widened and not res.crossing_interpolated
+
+    def test_step_budget(self, monkeypatch):
+        # the RLSV never falls, and the steps are too small to reach a limit
+        patch_sweep(monkeypatch, "measure_pair_rlsv", lambda *args: 1.0)
+        patch_sweep(monkeypatch, "_replace_pair", lambda formants, *args: formants)
+        patch_sweep(monkeypatch, "hz_to_bark", lambda f: f)
+        cfg = SweepConfig(self.START, 8000.0, step_hz=0.001)
+        want = outcome(_reference_sweep, cfg, False, "V12")
+        assert want[1] == "sweep exceeded the step budget"
+        assert len(want[2]) == 1 + 100000
+        assert_same_outcome(outcome(ocd_sweep, cfg), want)
+
+
+class TestSweepConfigChecks:
+    @pytest.mark.parametrize("step", [0.0, -25.0, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step_hz must be positive"):
+            SweepConfig(TUBE, 8000.0, step_hz=step)
