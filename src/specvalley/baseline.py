@@ -83,7 +83,6 @@ def segment_mfcc_matrix(
     frame_ms: float = 20.0,
     overlap_fraction: float = 0.5,
     preemphasis: float = 0.97,
-    window_kind: str = "hamming",
 ) -> np.ndarray:
     """Frame-level MFCC matrix under the standard analysis conditions.
 
@@ -95,7 +94,7 @@ def segment_mfcc_matrix(
     frames = frames[np.any(frames, axis=1)]
     if len(frames) == 0:
         return np.empty((0, cfg.n_coeffs))
-    return mfcc(window(frames, window_kind), audio.sample_rate, cfg)
+    return mfcc(window(frames), audio.sample_rate, cfg)
 
 
 @dataclass

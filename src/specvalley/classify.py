@@ -25,6 +25,10 @@ from .sigproc import (
 from .types import FormantSpec, SignalBuffer, power_mean_db
 
 
+ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
+MAX_HISTOGRAM_BINS = 10_000
+
+
 @dataclass
 class PipelineConfig:
     """Frame analysis settings for the classification pipeline.
@@ -32,19 +36,15 @@ class PipelineConfig:
     `lp_order=None` scales the order with the sample rate (rate/1000 + 2,
     which is 18 at 16 kHz). Valley brackets are anchored at the root-derived
     formant frequencies, so merged envelope peaks do not invalidate a frame.
+    The rest of the analysis is fixed: a Hamming window, the formant gating
+    of `sigproc.formant_candidates`, three formants for a valid frame and an
+    ENVELOPE_POINTS-point envelope.
     """
 
     frame_ms: float = 20.0
     overlap_fraction: float = 0.5
     preemphasis: float = 0.97
-    window_kind: str = "hamming"
     lp_order: int | None = None
-    n_points: int = 512
-    min_formants: int = 3
-    min_formant_hz: float = 150.0
-    max_formant_bandwidth_hz: float = 500.0
-    nyquist_margin_hz: float = 100.0
-    sample_rate: float | None = None  # assert the segment rate when set
 
     def order_for(self, sample_rate: float) -> int:
         """The LP order at `sample_rate`; it must be at least 1 and below the frame length."""
@@ -115,14 +115,12 @@ def frame_pipeline(seg, cfg: PipelineConfig | None = None):
     cfg = cfg or PipelineConfig()
     audio = _audio_of(seg)
     fs = audio.sample_rate
-    if cfg.sample_rate is not None and fs != cfg.sample_rate:
-        raise ValueError(f"segment rate {fs} != configured rate {cfg.sample_rate}")
     order = cfg.order_for(fs)
     emphasized = preemphasize(audio, cfg.preemphasis)
     frames = frame_signal(emphasized, cfg.frame_ms, cfg.overlap_fraction)
     if frames.shape[0] == 0:
         return []
-    lags = autocorrelation(window(frames, cfg.window_kind), order)
+    lags = autocorrelation(window(frames), order)
     out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
            for r0 in lags[:, 0].tolist()]
 
@@ -136,27 +134,23 @@ def frame_pipeline(seg, cfg: PipelineConfig | None = None):
     fitted = fit.stage == 0
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
 
-    freqs, bws, counts = formant_candidates(
-        polynomial_roots(a), fs, cfg.min_formant_hz, cfg.max_formant_bandwidth_hz,
-        cfg.nyquist_margin_hz,
-    )
+    freqs, bws, counts = formant_candidates(polynomial_roots(a), fs)
 
     def formants(i, limit=None):
         n = counts[i] if limit is None else min(counts[i], limit)
         return [FormantSpec(f, b) for f, b in zip(freqs[i, :n].tolist(), bws[i, :n].tolist())]
 
-    enough = counts >= cfg.min_formants
+    enough = counts >= 3
     for i in np.flatnonzero(~enough):
         out[live[i]] = FrameFeatures(None, None, formants(i), False, "fewer than three formants")
     rows = np.flatnonzero(enough)
     if rows.size == 0:
         return out
 
-    env_db, singular = lpc_levels(
-        a[rows], np.sqrt(np.maximum(err[rows], 1e-300)), cfg.n_points
-    )
+    env_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
+                                  ENVELOPE_POINTS)
     mean_db = power_mean_db(env_db)
-    grid = np.linspace(0.0, fs / 2.0, cfg.n_points)
+    grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
     _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
     _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])
     v1, v2 = (v1 - mean_db).tolist(), (v2 - mean_db).tolist()
@@ -298,6 +292,8 @@ def normalized_histogram(values, bin_width: float, value_range) -> Histogram:
     lo, hi = value_range
     if hi <= lo:
         raise ValueError("empty value range")
+    if (hi - lo) / bin_width > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"more than {MAX_HISTOGRAM_BINS} bins of width {bin_width:g}")
     n_bins = int(np.ceil((hi - lo) / bin_width))
     edges = lo + bin_width * np.arange(n_bins + 1)
     in_range = values[(values >= lo) & (values < edges[-1])]

@@ -16,9 +16,10 @@ CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
     "b": (600.0, 1300.0),
 }
 
-FEATURE_RULES = {  # --feature of classify, noise-eval and hist -> decision rule
+FEATURE_RULES = {  # --feature of the corpus commands -> decision rule
     "valley": "valley",
     "diff": "valley",
+    "valley3": "valley",
     "f3f2": "f3f2_3bark",
     "f2f1": "f2f1_bark",
     "v1": "v1_only",
@@ -259,23 +260,21 @@ def _inventory_for(args):
     return corpus.load_inventory(args.inventory, args.exclusions)
 
 
-def _pipeline_config(args):
-    return classify.PipelineConfig(
-        frame_ms=args.frame_ms,
-        overlap_fraction=args.overlap,
-        preemphasis=args.preemph,
-        lp_order=args.lp_order,
-    )
-
-
 def _corpus_inputs(args):
     """The analysis settings and the corpus segments of a corpus command.
 
-    The LP order is checked against the frame length at every sample rate in
-    the corpus before any frame is analysed.
+    The frame flags are checked before the corpus is read, and the LP order
+    against the frame length at every sample rate in the corpus before any
+    frame is analysed.
     """
+    if not (np.isfinite(args.frame_ms) and args.frame_ms > 0):
+        raise UsageError(f"--frame-ms must be a finite positive number, got {args.frame_ms}")
+    for flag, value in (("--overlap", args.overlap), ("--preemph", args.preemph)):
+        if not 0.0 <= value < 1.0:  # false for NaN
+            raise UsageError(f"{flag} must be in [0, 1), got {value}")
     inventory = _inventory_for(args)
-    cfg = _pipeline_config(args)
+    cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
+                                  preemphasis=args.preemph, lp_order=args.lp_order)
     segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
     for rate in sorted({seg.audio.sample_rate for seg in segments}):
         try:
@@ -294,19 +293,33 @@ def _threshold(args):
 
 def _scored_segments(segments, include_central):
     for seg in segments:
-        if seg.fb_class == "central":
-            if include_central:
-                yield seg, "back"
-            continue
-        else:
+        if seg.fb_class != "central":
             yield seg, seg.fb_class
+        elif include_central:
+            yield seg, "back"
 
 
-def _decide(features, feature_name, threshold=None):
-    try:
-        return classify.decide_segment(features, threshold, FEATURE_RULES[feature_name])
-    except NoDecisionError:
-        return None
+def _segment_decisions(args, cfg, segments, audio_of=lambda idx, seg: seg.audio):
+    """(segment, truth, decision or None) per scored segment, in corpus order.
+
+    The one analysis stage of the corpus commands: `audio_of(idx, seg)` gives
+    the audio of the idx-th scored segment.
+    """
+    threshold = getattr(args, "threshold", None)
+    rule = FEATURE_RULES[args.feature]
+    for idx, (seg, truth) in enumerate(_scored_segments(segments, args.include_central)):
+        features = classify.frame_pipeline(audio_of(idx, seg), cfg)
+        try:
+            decision = classify.decide_segment(features, threshold, rule)
+        except NoDecisionError:
+            decision = None
+        yield seg, truth, decision
+
+
+def _accuracy_cells(report):
+    """Front, back and overall accuracy as three CSV cells; empty for an absent class."""
+    return ",".join(_fmt(acc, 2) for acc in (report.front_accuracy, report.back_accuracy,
+                                             report.overall_accuracy))
 
 
 def _add_corpus_args(p, with_feature=True):
@@ -339,9 +352,7 @@ def _cmd_classify(args):
                               inventory=args.inventory))
     out.row("segment_id", "label", "class", "mean_v1", "mean_v2", "mean_diff", "predicted")
     decisions, truths = [], []
-    for seg, truth in _scored_segments(segments, args.include_central):
-        features = classify.frame_pipeline(seg, cfg)
-        dec = _decide(features, args.feature, threshold)
+    for seg, truth, dec in _segment_decisions(args, cfg, segments):
         decisions.append(dec)
         truths.append(truth)
         seg_id = f"{seg.utterance_id}:{seg.start_sample}"
@@ -356,8 +367,7 @@ def _cmd_classify(args):
         return 1
     report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
     out.note("feature,threshold,front_acc,back_acc,overall,front_n,back_n")
-    out.note(f"{report.feature},{report.threshold},{_fmt(report.front_accuracy, 2)},"
-             f"{_fmt(report.back_accuracy, 2)},{report.overall_accuracy:.2f},"
+    out.note(f"{report.feature},{report.threshold},{_accuracy_cells(report)},"
              f"{report.n_front},{report.n_back}")
     out.flush()
     if args.expect_overall is not None:
@@ -389,51 +399,40 @@ def _cmd_noise_eval(args):
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
     for kind in kinds:
         for snr in snrs:
-            decisions, truths = [], []
-            for idx, (seg, truth) in enumerate(_scored_segments(segments, args.include_central)):
-                spec = corpus.NoiseSpec(
-                    kind=kind, snr_db=snr, seed=args.seed + idx,
-                    babble_source=args.babble_source,
-                )
-                noisy = corpus.mix_noise(seg.audio, spec, babble=babble_buf)
-                features = classify.frame_pipeline(noisy, cfg)
-                decisions.append(_decide(features, args.feature, threshold))
-                truths.append(truth)
-            report = classify.score(decisions, truths, feature=args.feature,
-                                    threshold=threshold)
-            out.row(kind, _fmt(snr, 1), _fmt(report.front_accuracy, 2),
-                    _fmt(report.back_accuracy, 2), _fmt(report.overall_accuracy, 2),
-                    report.n_undecided)
+            def noisy(idx, seg):
+                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + idx,
+                                        babble_source=args.babble_source)
+                return corpus.mix_noise(seg.audio, spec, babble=babble_buf)
+
+            # noisy reads kind and snr, so the stage is used up in this iteration
+            decided = list(_segment_decisions(args, cfg, segments, noisy))
+            report = classify.score([dec for *_, dec in decided],
+                                    [truth for _, truth, _ in decided],
+                                    feature=args.feature, threshold=threshold)
+            out.row(kind, _fmt(snr, 1), _accuracy_cells(report), report.n_undecided)
     out.flush()
     return 0
 
 
-def _segment_baseline_features(seg, feature, cfg, mfcc_cfg):
-    if feature == "mfcc":
-        mat = baseline.segment_mfcc_matrix(
-            seg.audio, mfcc_cfg, frame_ms=cfg.frame_ms,
-            overlap_fraction=cfg.overlap_fraction, preemphasis=cfg.preemphasis,
-        )
-        if len(mat) == 0:
-            return None
-        return mat.mean(axis=0)
-    dec = _decide(classify.frame_pipeline(seg, cfg), "valley")
-    if dec is None:
-        return None
-    return np.array([dec.mean_v1, dec.mean_v2, dec.mean_diff])
-
-
 def _cmd_baseline(args):
     cfg, segments = _corpus_inputs(args)
-    mfcc_cfg = baseline.MfccConfig()
-    rows = []
-    skipped = 0
-    for seg, truth in _scored_segments(segments, args.include_central):
-        feat = _segment_baseline_features(seg, args.feature, cfg, mfcc_cfg)
-        if feat is None:
-            skipped += 1
-            continue
-        rows.append((f"{seg.utterance_id}:{seg.start_sample}", seg.phone_label, truth, feat))
+    if args.feature == "mfcc":
+        mfcc_cfg = baseline.MfccConfig()
+
+        def mean_mfcc(seg):
+            mat = baseline.segment_mfcc_matrix(seg.audio, mfcc_cfg, cfg.frame_ms,
+                                               cfg.overlap_fraction, cfg.preemphasis)
+            return mat.mean(axis=0) if len(mat) else None
+
+        features = [(seg, truth, mean_mfcc(seg))
+                    for seg, truth in _scored_segments(segments, args.include_central)]
+    else:
+        features = [(seg, truth, None if dec is None
+                     else np.array([dec.mean_v1, dec.mean_v2, dec.mean_diff]))
+                    for seg, truth, dec in _segment_decisions(args, cfg, segments)]
+    rows = [(f"{seg.utterance_id}:{seg.start_sample}", seg.phone_label, truth, feat)
+            for seg, truth, feat in features if feat is not None]
+    skipped = len(features) - len(rows)
     out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
                               hidden=args.hidden, epochs=args.epochs,
                               test_fraction=args.test_fraction))
@@ -461,8 +460,7 @@ def _cmd_baseline(args):
     report = classify.score(decisions, truths, feature=args.feature, threshold=0.5)
     out.note("feature,dimension,hidden,train_n,test_n,front_acc,back_acc,overall,skipped")
     out.note(f"{args.feature},{len(rows[0][3])},{args.hidden},{len(train)},{len(test)},"
-             f"{_fmt(report.front_accuracy, 2)},{_fmt(report.back_accuracy, 2)},"
-             f"{report.overall_accuracy:.2f},{skipped}")
+             f"{_accuracy_cells(report)},{skipped}")
     if args.save_model:
         baseline.save_model(model, args.save_model)
         out.note(f"model saved to {args.save_model}")
@@ -479,17 +477,19 @@ def _cmd_hist(args):
         raise UsageError(f"--range must give finite lo < hi, got {args.range!r}")
     if not (np.isfinite(args.bin_width) and args.bin_width > 0):
         raise UsageError(f"--bin-width must be positive, got {args.bin_width}")
+    if (hi - lo) / args.bin_width > classify.MAX_HISTOGRAM_BINS:
+        raise UsageError(f"--bin-width {args.bin_width:g} gives more than "
+                         f"{classify.MAX_HISTOGRAM_BINS} bins over --range={args.range}")
     cfg, segments = _corpus_inputs(args)
-    scored = list(_scored_segments(segments, args.include_central))
     out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
                               bin_width=args.bin_width, range=args.range))
-    if not scored:
+    decided = list(_segment_decisions(args, cfg, segments))
+    if not decided:
         out.note("no segments found")
         out.flush()
         return 1
     values = {"front": [], "back": []}
-    for seg, truth in scored:
-        dec = _decide(classify.frame_pipeline(seg, cfg), args.feature)
+    for _, truth, dec in decided:
         if dec is not None:
             values[truth].append(dec.statistic)
     out.row("class", "bin_center", "frequency")

@@ -149,21 +149,20 @@ def select_vowel_segments(
     audio: SignalBuffer,
     inventory: VowelInventory,
     utterance_id: str = "",
-    min_duration_s: float = MIN_SEGMENT_DURATION_S,
 ):
     """Keep inventory vowels with clean neighbors and sufficient duration.
 
     A vowel is dropped when either neighbor label is in the inventory's
     exclusion set (nasals, 'r'-like, aspirated 'h') or when it is shorter
-    than `min_duration_s`. Central vowels are kept but tagged so callers can
-    exclude them from scoring.
+    than MIN_SEGMENT_DURATION_S (45 ms). Central vowels are kept but tagged
+    so callers can exclude them from scoring.
     """
     out = []
     for k, (start, end, label) in enumerate(labels):
         fb = inventory.fb_class(label)
         if fb is None:
             continue
-        if (end - start) / audio.sample_rate < min_duration_s:
+        if (end - start) / audio.sample_rate < MIN_SEGMENT_DURATION_S:
             continue
         prev_label = labels[k - 1][2] if k > 0 else None
         next_label = labels[k + 1][2] if k + 1 < len(labels) else None
@@ -288,8 +287,7 @@ def _label_sidecar(wav_path: Path, labels_ext: str):
     return None
 
 
-def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory,
-                     min_duration_s: float = MIN_SEGMENT_DURATION_S):
+def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
     """Load every WAV under a corpus directory and select its vowel segments.
 
     The tree is walked recursively, and the WAV and label extensions match
@@ -312,7 +310,6 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory,
             select_vowel_segments(
                 labels, audio, inventory,
                 utterance_id=wav_path.relative_to(root).with_suffix("").as_posix(),
-                min_duration_s=min_duration_s,
             )
         )
     return segments

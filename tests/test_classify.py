@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specvalley.classify import (
+    MAX_HISTOGRAM_BINS,
     FrameFeatures,
     PipelineConfig,
     decide_by_formant_spacing,
@@ -65,11 +66,6 @@ class TestFramePipeline:
         with pytest.raises(ValueError, match="at least 1"):
             frame_pipeline(silence, PipelineConfig(lp_order=0))
         assert len(frame_pipeline(silence, PipelineConfig(lp_order=319))) == 19
-
-    def test_rate_mismatch_rejected(self):
-        cfg = PipelineConfig(sample_rate=8000.0)
-        with pytest.raises(ValueError):
-            frame_pipeline(SignalBuffer(np.zeros(3200), FS), cfg)
 
     def test_deterministic(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
@@ -228,6 +224,12 @@ class TestNormalizedHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalized_histogram([], 1.0, (0.0, 1.0))
+
+    def test_bin_count_limit(self):
+        h = normalized_histogram([0.5], 1.0, (0.0, float(MAX_HISTOGRAM_BINS)))
+        assert len(h.bin_centers) == MAX_HISTOGRAM_BINS
+        with pytest.raises(ValueError, match="bins"):
+            normalized_histogram([0.5], 1.0, (0.0, MAX_HISTOGRAM_BINS + 1.0))
 
 
 class TestOnSyntheticCorpus:

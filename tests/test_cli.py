@@ -184,8 +184,12 @@ class TestCorpusOptionChecks:
         (["--range=30:-20"], "--range"),
         (["--range=0:inf"], "--range"),
         (["--range=nan:5"], "--range"),
+        (["--bin-width", "1e-12"], "--bin-width"),
+        (["--bin-width", "1e-320"], "--bin-width"),
+        (["--bin-width", "1", "--range=0:10001"], "--bin-width"),
     ], ids=["zero_bin_width", "negative_bin_width", "nan_bin_width", "inf_bin_width",
-            "empty_range", "reversed_range", "inf_range", "nan_range"])
+            "empty_range", "reversed_range", "inf_range", "nan_range",
+            "tiny_bin_width", "subnormal_bin_width", "one_bin_too_many"])
     def test_hist_flags_are_checked_first(self, argv, flag, tmp_path, monkeypatch, capsys):
         from specvalley import corpus
 
@@ -368,6 +372,283 @@ class TestExperimentOptionChecks:
         assert run(["pb-ocd", f"--gender={gender}", "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert "--gender" in err and "female, male" in err
+
+
+# ------------------------------------------------- corpus option checks, early
+
+
+@pytest.fixture
+def no_corpus_reading(monkeypatch):
+    from specvalley import corpus
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read before the option check")
+
+    monkeypatch.setattr(corpus, "collect_segments", no_reading)
+
+
+CORPUS_COMMANDS = {
+    "classify": ["classify"],
+    "noise-eval": ["noise-eval", "--noise", "white"],
+    "hist": ["hist"],
+    "baseline": ["baseline"],
+}
+
+
+def _rejects_before_reading(command, flag_argv, tmp_path, capsys):
+    argv = CORPUS_COMMANDS[command] + ["--corpus", str(tmp_path), *flag_argv, "--no-timestamp"]
+    assert run(argv) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("value", ["1.5", "1", "-0.1", "nan", "inf"])
+def test_overlap_outside_unit_interval_is_a_usage_error(command, value, tmp_path,
+                                                        no_corpus_reading, capsys):
+    err = _rejects_before_reading(command, [f"--overlap={value}"], tmp_path, capsys)
+    assert "--overlap must be in [0, 1)" in err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("value", ["1.0", "-0.5", "nan", "inf"])
+def test_preemph_outside_unit_interval_is_a_usage_error(command, value, tmp_path,
+                                                        no_corpus_reading, capsys):
+    err = _rejects_before_reading(command, [f"--preemph={value}"], tmp_path, capsys)
+    assert "--preemph must be in [0, 1)" in err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("value", ["0", "-20", "nan", "inf"])
+def test_frame_ms_not_finite_positive_is_a_usage_error(command, value, tmp_path,
+                                                       no_corpus_reading, capsys):
+    err = _rejects_before_reading(command, [f"--frame-ms={value}"], tmp_path, capsys)
+    assert "--frame-ms must be a finite positive number" in err
+
+
+# --------------------------------------------- the corpus stage, exact reference
+# The loop every corpus command ran before they shared one stage: frame_pipeline
+# and decide_segment once per scored segment, central vowels scored as back only
+# with --include-central. The CLI must give exactly what it gives.
+
+
+def _reference_scored(corpus_dir, include_central):
+    from specvalley.corpus import collect_segments, timit_inventory
+
+    scored = []
+    for seg in collect_segments(corpus_dir, ".phn", timit_inventory()):
+        if seg.fb_class == "central":
+            if include_central:
+                scored.append((seg, "back"))
+            continue
+        scored.append((seg, seg.fb_class))
+    return scored
+
+
+def _reference_features(audio):
+    from specvalley import classify
+
+    return classify.frame_pipeline(audio, classify.PipelineConfig())
+
+
+def _reference_decision(features, rule, threshold=None):
+    from specvalley import classify
+    from specvalley.errors import NoDecisionError
+
+    try:
+        return classify.decide_segment(features, threshold, rule)
+    except NoDecisionError:
+        return None
+
+
+def _seg_id(seg):
+    return f"{seg.utterance_id}:{seg.start_sample}"
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus_dir(small_corpus_dir, tmp_path_factory):
+    """The small corpus with every third vowel relabelled as the central 'ax',
+    and every tenth vowel flattened to a constant, which leaves no valid frame."""
+    from specvalley.corpus import load_wav, save_wav
+    from specvalley.types import SignalBuffer
+
+    root = tmp_path_factory.mktemp("mixed_corpus")
+    for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
+        labels = wav.with_suffix(".phn").read_text().splitlines()
+        start, end, _ = labels[1].split()
+        audio = load_wav(wav)
+        if k % 10 == 1:
+            audio.samples[int(start):int(end)] = 0.1
+        save_wav(root / wav.name, SignalBuffer(audio.samples, audio.sample_rate))
+        if k % 3 == 0:
+            labels[1] = f"{start} {end} ax"
+        (root / wav.name).with_suffix(".phn").write_text("\n".join(labels) + "\n")
+    return root
+
+
+@pytest.fixture(scope="module")
+def mixed_features(mixed_corpus_dir):
+    """The frame features of every segment of the mixed corpus, by segment id."""
+    return {_seg_id(seg): _reference_features(seg.audio)
+            for seg, _ in _reference_scored(mixed_corpus_dir, include_central=True)}
+
+
+FEATURE_RULES = {"valley": "valley", "f3f2": "f3f2_3bark", "f2f1": "f2f1_bark",
+                 "v1": "v1_only", "v2": "v2_only"}
+
+
+@pytest.mark.parametrize("include_central", [False, True], ids=["central_skipped",
+                                                               "central_as_back"])
+@pytest.mark.parametrize("feature, threshold", [
+    ("valley", None), ("valley", 2.0), ("f3f2", None), ("f3f2", 3.5), ("f2f1", None),
+    ("v1", None), ("v2", None), ("v2", -3.0)])
+def test_classify_rows_equal_the_per_segment_loop(feature, threshold, include_central,
+                                                  mixed_corpus_dir, mixed_features, tmp_path):
+    scored = _reference_scored(mixed_corpus_dir, include_central)
+    expected = ["segment_id,label,class,mean_v1,mean_v2,mean_diff,predicted"]
+    for seg, truth in scored:
+        dec = _reference_decision(mixed_features[_seg_id(seg)], FEATURE_RULES[feature],
+                                  threshold)
+        cells = ("", "", "", "undecided") if dec is None else (
+            f"{dec.mean_v1:.3f}", f"{dec.mean_v2:.3f}", f"{dec.mean_diff:.3f}", dec.predicted)
+        expected.append(",".join([_seg_id(seg), seg.phone_label, truth, *cells]))
+    assert any(row.endswith(",undecided") for row in expected)
+    out = tmp_path / "cls.csv"
+    argv = ["classify", "--corpus", str(mixed_corpus_dir), "--feature", feature,
+            "--out", str(out), "--no-timestamp"]
+    if threshold is not None:
+        argv.append(f"--threshold={threshold}")
+    assert run(argv + (["--include-central"] if include_central else [])) == 0
+    assert data_rows(out) == expected
+
+
+@pytest.mark.parametrize("feature, rule", [("diff", "valley"), ("v1", "v1_only"),
+                                           ("v2", "v2_only"), ("f3f2", "f3f2_3bark")])
+def test_hist_values_equal_the_per_segment_loop(feature, rule, mixed_corpus_dir, mixed_features,
+                                                tmp_path):
+    from specvalley.classify import normalized_histogram
+
+    values = {"front": [], "back": []}
+    for seg, truth in _reference_scored(mixed_corpus_dir, False):
+        dec = _reference_decision(mixed_features[_seg_id(seg)], rule)
+        if dec is not None:
+            values[truth].append(dec.statistic)
+    expected = ["class,bin_center,frequency"]
+    for cls in ("front", "back"):
+        h = normalized_histogram(values[cls], 1.0, (-20.0, 30.0))
+        expected += [f"{cls},{c:.3f},{f:.6f}" for c, f in zip(h.bin_centers, h.frequencies)]
+        expected.append(f"# {cls}_out_of_range,{h.n_out_of_range}")
+    out = tmp_path / "hist.csv"
+    assert run(["hist", "--corpus", str(mixed_corpus_dir), "--feature", feature,
+                "--out", str(out), "--no-timestamp"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[lines.index(expected[0]):] == expected
+
+
+@pytest.mark.parametrize("feature, rule, threshold", [("valley", "valley", None),
+                                                      ("v1", "v1_only", 1.5)])
+def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
+                                                    small_corpus_dir, babble_path, tmp_path):
+    from specvalley import classify
+    from specvalley.corpus import NoiseSpec, load_wav, mix_noise
+
+    seed = 3
+    babble = load_wav(babble_path)
+    scored = _reference_scored(small_corpus_dir, False)
+    expected = []
+    for kind in ("white", "babble"):
+        for snr in (25.0, 0.0):
+            decisions = []
+            for idx, (seg, _) in enumerate(scored):
+                spec = NoiseSpec(kind=kind, snr_db=snr, seed=seed + idx,
+                                 babble_source=str(babble_path))
+                noisy = mix_noise(seg.audio, spec, babble=babble)
+                decisions.append(_reference_decision(_reference_features(noisy), rule, threshold))
+            report = classify.score(decisions, [truth for _, truth in scored])
+            accs = [("" if a is None else f"{a:.2f}") for a in
+                    (report.front_accuracy, report.back_accuracy, report.overall_accuracy)]
+            expected.append(",".join([kind, f"{snr:.1f}", *accs, str(report.n_undecided)]))
+    out = tmp_path / "noise.csv"
+    argv = ["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "white,babble",
+            "--snrs", "25,0", "--babble-source", str(babble_path), "--feature", feature,
+            "--seed", str(seed), "--out", str(out), "--no-timestamp"]
+    if threshold is not None:
+        argv += ["--threshold", str(threshold)]
+    assert run(argv) == 0
+    assert data_rows(out)[1:] == expected
+
+
+def test_baseline_valley3_vectors_equal_the_per_segment_loop(mixed_corpus_dir, mixed_features,
+                                                             tmp_path, monkeypatch):
+    import numpy as np
+
+    from specvalley import baseline
+
+    seen = []
+    train_mlp, predict = baseline.train_mlp, baseline.predict
+
+    def recording_train(features, labels, **kwargs):
+        seen.extend(zip(map(tuple, features), labels))
+        return train_mlp(features, labels, **kwargs)
+
+    def recording_predict(model, feat):
+        pred = predict(model, feat)
+        seen.append((tuple(feat), None))
+        return pred
+
+    monkeypatch.setattr(baseline, "train_mlp", recording_train)
+    monkeypatch.setattr(baseline, "predict", recording_predict)
+    expected, skipped = [], 0
+    for seg, truth in _reference_scored(mixed_corpus_dir, False):
+        dec = _reference_decision(mixed_features[_seg_id(seg)], "valley")
+        if dec is None:
+            skipped += 1
+        else:
+            expected.append(tuple(np.array([dec.mean_v1, dec.mean_v2, dec.mean_diff])))
+    assert skipped > 0
+    out = tmp_path / "base.csv"
+    assert run(["baseline", "--corpus", str(mixed_corpus_dir), "--feature", "valley3",
+                "--epochs", "5", "--out", str(out), "--no-timestamp"]) == 0
+    assert sorted(vec for vec, _ in seen) == sorted(expected)
+    assert read_summary(out, "valley3").endswith(f",{skipped}")
+
+
+# the benchmark counts LP frames from the frame_pipeline calls of a pass, so the
+# stage must make exactly one call per analysed segment
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    from specvalley import classify
+
+    calls = []
+    frame_pipeline = classify.frame_pipeline
+
+    def counted(seg, cfg=None):
+        calls.append(seg)
+        return frame_pipeline(seg, cfg)
+
+    monkeypatch.setattr(classify, "frame_pipeline", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, per_segment", [
+    (["classify"], 1),
+    (["classify", "--include-central"], 1),
+    (["hist"], 1),
+    (["baseline", "--feature", "valley3", "--epochs", "5"], 1),
+    (["noise-eval", "--noise", "white,babble", "--snrs", "25,0"], 4),
+    (["baseline", "--feature", "mfcc", "--epochs", "5"], 0),
+], ids=["classify", "classify_central", "hist", "baseline_valley3", "noise_eval",
+        "baseline_mfcc"])
+def test_frame_pipeline_runs_once_per_segment_and_condition(argv, per_segment,
+                                                            mixed_corpus_dir, babble_path,
+                                                            pipeline_calls, tmp_path):
+    include_central = "--include-central" in argv
+    n_scored = len(_reference_scored(mixed_corpus_dir, include_central))
+    if argv[0] == "noise-eval":
+        argv = argv + ["--babble-source", str(babble_path)]
+    assert run(argv + ["--corpus", str(mixed_corpus_dir), "--out", str(tmp_path / "o.csv"),
+                       "--no-timestamp"]) == 0
+    assert len(pipeline_calls) == per_segment * n_scored
 
 
 def run_help(command):

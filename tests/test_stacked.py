@@ -140,10 +140,10 @@ def _per_frame_reference(seg, cfg, order):
     np.dot Levinson, one companion matrix per frame and per-root gating (the
     autocorrelation was already computed one lag at a time over the stack)."""
     frames = window(frame_signal(preemphasize(seg, cfg.preemphasis), cfg.frame_ms,
-                                 cfg.overlap_fraction), cfg.window_kind)
+                                 cfg.overlap_fraction), "hamming")
     n = frames.shape[1]
-    nfft = 2 * (cfg.n_points - 1)
-    grid = np.linspace(0.0, FS / 2.0, cfg.n_points)
+    nfft = 2 * (512 - 1)
+    grid = np.linspace(0.0, FS / 2.0, 512)
     lags = np.empty((frames.shape[0], order + 1))
     for k in range(order + 1):
         lags[:, k] = np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:])
