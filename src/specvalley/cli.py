@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baseline, classify, corpus, experiments
+from . import __version__, baseline, classify, corpus, experiments, sigproc
 from .errors import AnalysisError, NoDecisionError
 from .types import FormantSpec
 
@@ -303,17 +303,38 @@ def _segment_decisions(args, cfg, segments, audio_of=lambda idx, seg: seg.audio)
     """(segment, truth, decision or None) per scored segment, in corpus order.
 
     The one analysis stage of the corpus commands: `audio_of(idx, seg)` gives
-    the audio of the idx-th scored segment.
+    the audio of the idx-th scored segment. Whole segments are analysed in
+    blocks of at most `classify.STACK_FRAMES` frames, one `frame_pipeline`
+    call each; a longer segment is a block of its own, and a block ends where
+    the sample rate changes.
     """
     threshold = getattr(args, "threshold", None)
     rule = FEATURE_RULES[args.feature]
+
+    def decided(block):
+        features = classify.frame_pipeline([audio for _, _, audio, _ in block], cfg)
+        start = 0
+        for seg, truth, _, n in block:
+            try:
+                decision = classify.decide_segment(features[start:start + n], threshold, rule)
+            except NoDecisionError:
+                decision = None
+            start += n
+            yield seg, truth, decision
+
+    block, block_frames = [], 0
     for idx, (seg, truth) in enumerate(_scored_segments(segments, args.include_central)):
-        features = classify.frame_pipeline(audio_of(idx, seg), cfg)
-        try:
-            decision = classify.decide_segment(features, threshold, rule)
-        except NoDecisionError:
-            decision = None
-        yield seg, truth, decision
+        audio = audio_of(idx, seg)
+        n = sigproc.frame_count(len(audio.samples), cfg.frame_ms, audio.sample_rate,
+                                cfg.overlap_fraction)
+        if block and (block_frames + n > classify.STACK_FRAMES
+                      or audio.sample_rate != block[0][2].sample_rate):
+            yield from decided(block)
+            block, block_frames = [], 0
+        block.append((seg, truth, audio, n))
+        block_frames += n
+    if block:
+        yield from decided(block)
 
 
 def _accuracy_cells(report):
@@ -400,6 +421,10 @@ def _cmd_noise_eval(args):
     for kind in kinds:
         for snr in snrs:
             def noisy(idx, seg):
+                # silence has no power to set an SNR against: its frames fail
+                # as silent and the segment counts as undecided
+                if float(np.mean(seg.audio.samples**2)) <= 0:
+                    return seg.audio
                 spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + idx,
                                         babble_source=args.babble_source)
                 return corpus.mix_noise(seg.audio, spec, babble=babble_buf)

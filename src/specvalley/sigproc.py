@@ -53,21 +53,31 @@ def frame_length(frame_ms: float, sample_rate: float) -> int:
     return frame_len
 
 
+def _frame_geometry(frame_ms: float, sample_rate: float, overlap_fraction: float):
+    """(frame length, hop) in samples; the hop is rounded to the nearest sample."""
+    frame_len = frame_length(frame_ms, sample_rate)
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ValueError("overlap_fraction must be in [0, 1)")
+    return frame_len, max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
+
+
+def frame_count(n_samples: int, frame_ms: float, sample_rate: float,
+                overlap_fraction: float) -> int:
+    """Whole frames in `n_samples` samples; 0 for a signal shorter than one frame."""
+    frame_len, hop = _frame_geometry(frame_ms, sample_rate, overlap_fraction)
+    return 0 if n_samples < frame_len else 1 + (n_samples - frame_len) // hop
+
+
 def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> np.ndarray:
     """Slice into fixed frames; returns an (n_frames, frame_len) array.
 
     Hop is frame_len*(1 - overlap_fraction) rounded to the nearest sample;
     a trailing partial frame is discarded. A signal shorter than one frame
-    yields zero frames (shape (0, frame_len)), not an error.
+    yields zero frames (shape (0, frame_len)), not an error. `frame_count`
+    gives the number of rows.
     """
-    frame_len = frame_length(frame_ms, x.sample_rate)
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
-    hop = max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
-    n = len(x.samples)
-    if n < frame_len:
-        return np.empty((0, frame_len))
-    count = 1 + (n - frame_len) // hop
+    frame_len, hop = _frame_geometry(frame_ms, x.sample_rate, overlap_fraction)
+    count = frame_count(len(x.samples), frame_ms, x.sample_rate, overlap_fraction)
     idx = np.arange(frame_len)[None, :] + hop * np.arange(count)[:, None]
     return x.samples[idx]
 

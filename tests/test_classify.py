@@ -86,6 +86,22 @@ class TestFramePipeline:
             assert d1.predicted == d0.predicted
             assert abs(d1.mean_diff - d0.mean_diff) < 1e-6
 
+    def test_list_gives_every_segment_frames_in_order(self):
+        segs = [synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0]),
+                SignalBuffer(np.zeros(3200), FS),
+                SignalBuffer(np.full(300, 0.2), FS),  # shorter than one frame
+                synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0], f0=210.0)]
+        expected = [f for seg in segs for f in frame_pipeline(seg)]
+        assert frame_pipeline(segs) == expected
+        assert len(expected) == sum(len(frame_pipeline(seg)) for seg in segs)
+        assert frame_pipeline(segs[:1]) == frame_pipeline(segs[0])
+        assert frame_pipeline([segs[2]]) == [] and frame_pipeline([]) == []
+
+    def test_mixed_rate_list_is_rejected(self):
+        segs = [SignalBuffer(np.zeros(3200), FS), SignalBuffer(np.zeros(1600), 8000.0)]
+        with pytest.raises(ValueError, match="16000 Hz and 8000 Hz"):
+            frame_pipeline(segs)
+
 
 class TestDecideSegment:
     def test_above_threshold_is_back(self):

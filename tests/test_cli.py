@@ -444,10 +444,10 @@ def _reference_scored(corpus_dir, include_central):
     return scored
 
 
-def _reference_features(audio):
+def _reference_features(audio, cfg=None):
     from specvalley import classify
 
-    return classify.frame_pipeline(audio, classify.PipelineConfig())
+    return classify.frame_pipeline(audio, cfg or classify.PipelineConfig())
 
 
 def _reference_decision(features, rule, threshold=None):
@@ -496,6 +496,17 @@ FEATURE_RULES = {"valley": "valley", "f3f2": "f3f2_3bark", "f2f1": "f2f1_bark",
                  "v1": "v1_only", "v2": "v2_only"}
 
 
+def _expected_classify_rows(scored, features, feature="valley", threshold=None):
+    """The classify data rows of the per-segment loop; `features` by segment id."""
+    expected = ["segment_id,label,class,mean_v1,mean_v2,mean_diff,predicted"]
+    for seg, truth in scored:
+        dec = _reference_decision(features[_seg_id(seg)], FEATURE_RULES[feature], threshold)
+        cells = ("", "", "", "undecided") if dec is None else (
+            f"{dec.mean_v1:.3f}", f"{dec.mean_v2:.3f}", f"{dec.mean_diff:.3f}", dec.predicted)
+        expected.append(",".join([_seg_id(seg), seg.phone_label, truth, *cells]))
+    return expected
+
+
 @pytest.mark.parametrize("include_central", [False, True], ids=["central_skipped",
                                                                "central_as_back"])
 @pytest.mark.parametrize("feature, threshold", [
@@ -504,13 +515,7 @@ FEATURE_RULES = {"valley": "valley", "f3f2": "f3f2_3bark", "f2f1": "f2f1_bark",
 def test_classify_rows_equal_the_per_segment_loop(feature, threshold, include_central,
                                                   mixed_corpus_dir, mixed_features, tmp_path):
     scored = _reference_scored(mixed_corpus_dir, include_central)
-    expected = ["segment_id,label,class,mean_v1,mean_v2,mean_diff,predicted"]
-    for seg, truth in scored:
-        dec = _reference_decision(mixed_features[_seg_id(seg)], FEATURE_RULES[feature],
-                                  threshold)
-        cells = ("", "", "", "undecided") if dec is None else (
-            f"{dec.mean_v1:.3f}", f"{dec.mean_v2:.3f}", f"{dec.mean_diff:.3f}", dec.predicted)
-        expected.append(",".join([_seg_id(seg), seg.phone_label, truth, *cells]))
+    expected = _expected_classify_rows(scored, mixed_features, feature, threshold)
     assert any(row.endswith(",undecided") for row in expected)
     out = tmp_path / "cls.csv"
     argv = ["classify", "--corpus", str(mixed_corpus_dir), "--feature", feature,
@@ -612,25 +617,28 @@ def test_baseline_valley3_vectors_equal_the_per_segment_loop(mixed_corpus_dir, m
     assert read_summary(out, "valley3").endswith(f",{skipped}")
 
 
-# the benchmark counts LP frames from the frame_pipeline calls of a pass, so the
-# stage must make exactly one call per analysed segment
+# The benchmark counts LP frames as the lengths of the frame_pipeline results of
+# a pass, so every frame of every scored segment must pass through exactly one
+# call, once per noise condition; the stage feeds it blocks of whole segments.
 
 @pytest.fixture
 def pipeline_calls(monkeypatch):
+    """(segments, frames returned) per classify.frame_pipeline call."""
     from specvalley import classify
 
     calls = []
     frame_pipeline = classify.frame_pipeline
 
-    def counted(seg, cfg=None):
-        calls.append(seg)
-        return frame_pipeline(seg, cfg)
+    def counted(segments, cfg=None):
+        features = frame_pipeline(segments, cfg)
+        calls.append((segments, len(features)))
+        return features
 
     monkeypatch.setattr(classify, "frame_pipeline", counted)
     return calls
 
 
-@pytest.mark.parametrize("argv, per_segment", [
+@pytest.mark.parametrize("argv, conditions", [
     (["classify"], 1),
     (["classify", "--include-central"], 1),
     (["hist"], 1),
@@ -639,16 +647,166 @@ def pipeline_calls(monkeypatch):
     (["baseline", "--feature", "mfcc", "--epochs", "5"], 0),
 ], ids=["classify", "classify_central", "hist", "baseline_valley3", "noise_eval",
         "baseline_mfcc"])
-def test_frame_pipeline_runs_once_per_segment_and_condition(argv, per_segment,
-                                                            mixed_corpus_dir, babble_path,
-                                                            pipeline_calls, tmp_path):
-    include_central = "--include-central" in argv
-    n_scored = len(_reference_scored(mixed_corpus_dir, include_central))
+def test_frame_pipeline_runs_once_per_segment_and_condition(argv, conditions,
+                                                            mixed_corpus_dir, mixed_features,
+                                                            babble_path, pipeline_calls,
+                                                            tmp_path):
+    from specvalley.classify import STACK_FRAMES
+
+    scored = _reference_scored(mixed_corpus_dir, "--include-central" in argv)
+    n_frames = sum(len(mixed_features[_seg_id(seg)]) for seg, _ in scored)
     if argv[0] == "noise-eval":
         argv = argv + ["--babble-source", str(babble_path)]
     assert run(argv + ["--corpus", str(mixed_corpus_dir), "--out", str(tmp_path / "o.csv"),
                        "--no-timestamp"]) == 0
-    assert len(pipeline_calls) == per_segment * n_scored
+    assert sum(n for _, n in pipeline_calls) == conditions * n_frames
+    assert all(n <= STACK_FRAMES or len(segments) == 1 for segments, n in pipeline_calls)
+    assert sum(len(segments) for segments, _ in pipeline_calls) == conditions * len(scored)
+    if argv[0] == "classify":
+        assert 0 < len(pipeline_calls) < len(scored)
+
+
+# ---------------------------------------------------------------- block edges
+
+def _rewrite(wav, root, audio, start, end, label):
+    from specvalley.corpus import save_wav
+
+    save_wav(root / wav.name, audio)
+    (root / wav.name).with_suffix(".phn").write_text(
+        f"0 {start} h#\n{start} {end} {label}\n{end} {len(audio.samples)} h#\n")
+
+
+def _vowel(wav):
+    from specvalley.corpus import load_wav
+
+    start, end, label = wav.with_suffix(".phn").read_text().splitlines()[1].split()
+    return load_wav(wav), int(start), int(end), label
+
+
+@pytest.fixture(scope="module")
+def block_corpus_dir(small_corpus_dir, tmp_path_factory):
+    """The small corpus with the sixth vowel cut to 46 ms (no frame at 50 ms
+    frames) and the 31st repeated 25 times (more than STACK_FRAMES frames)."""
+    import numpy as np
+
+    from specvalley.types import SignalBuffer
+
+    root = tmp_path_factory.mktemp("block_corpus")
+    for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
+        audio, start, end, label = _vowel(wav)
+        if k == 5:
+            end = start + int(0.046 * audio.sample_rate)
+        elif k == 30:
+            pad = audio.samples[:start]
+            vowel = np.tile(audio.samples[start:end], 25)
+            audio = SignalBuffer(np.concatenate([pad, vowel, pad]), audio.sample_rate)
+            end = start + len(vowel)
+        _rewrite(wav, root, audio, start, end, label)
+    return root
+
+
+@pytest.fixture(scope="module")
+def mixed_rate_corpus_dir(small_corpus_dir, tmp_path_factory):
+    """The small corpus with two files in every four decimated to 8 kHz."""
+    from specvalley.types import SignalBuffer
+
+    root = tmp_path_factory.mktemp("mixed_rate_corpus")
+    for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
+        audio, start, end, label = _vowel(wav)
+        if k % 4 in (1, 2):
+            audio = SignalBuffer(audio.samples[::2], audio.sample_rate / 2)
+            start, end = start // 2, end // 2
+        _rewrite(wav, root, audio, start, end, label)
+    return root
+
+
+def _classify_equals_the_per_segment_loop(corpus_dir, pipeline_calls, tmp_path, cfg=None,
+                                          flags=()):
+    """Run classify and compare it with the loop; returns the reference features.
+
+    `pipeline_calls` keeps the calls of the classify run alone.
+    """
+    scored = _reference_scored(corpus_dir, False)
+    features = {_seg_id(seg): _reference_features(seg.audio, cfg) for seg, _ in scored}
+    pipeline_calls.clear()
+    out = tmp_path / "cls.csv"
+    assert run(["classify", "--corpus", str(corpus_dir), *flags, "--out", str(out),
+                "--no-timestamp"]) == 0
+    assert data_rows(out) == _expected_classify_rows(scored, features)
+    return [features[_seg_id(seg)] for seg, _ in scored]
+
+
+def test_a_segment_without_frames_inside_a_block(block_corpus_dir, pipeline_calls, tmp_path):
+    from specvalley.classify import PipelineConfig
+    from specvalley.sigproc import frame_count
+
+    features = _classify_equals_the_per_segment_loop(
+        block_corpus_dir, pipeline_calls, tmp_path, PipelineConfig(frame_ms=50.0),
+        ["--frame-ms", "50"])
+    assert [len(f) for f in features].count(0) == 1
+    [counts] = [counts for counts in (
+        [frame_count(len(a.samples), 50.0, a.sample_rate, 0.5) for a in segments]
+        for segments, _ in pipeline_calls) if 0 in counts]
+    assert 0 < counts.index(0) < len(counts) - 1
+
+
+def test_a_segment_longer_than_a_block_is_a_block_of_its_own(block_corpus_dir, pipeline_calls,
+                                                             tmp_path):
+    from specvalley.classify import STACK_FRAMES
+
+    features = _classify_equals_the_per_segment_loop(block_corpus_dir, pipeline_calls, tmp_path)
+    [long] = [len(f) for f in features if len(f) > STACK_FRAMES]
+    assert [(len(segments), n) for segments, n in pipeline_calls if n > STACK_FRAMES] == [
+        (1, long)]
+    index = [n for _, n in pipeline_calls].index(long)
+    assert 0 < index < len(pipeline_calls) - 1
+
+
+def test_mixed_rate_corpus_equals_the_per_segment_loop(mixed_rate_corpus_dir, pipeline_calls,
+                                                       tmp_path):
+    _classify_equals_the_per_segment_loop(mixed_rate_corpus_dir, pipeline_calls, tmp_path)
+    rates = [{a.sample_rate for a in segments} for segments, _ in pipeline_calls]
+    assert all(len(r) == 1 for r in rates)
+    assert set().union(*rates) == {8000, 16000}
+
+
+# ------------------------------------------------------ noise-eval and silence
+
+@pytest.fixture(scope="module")
+def silent_vowel_corpus_dirs(recipes, tmp_path_factory):
+    """A 12-segment corpus, and a copy of it whose fifth vowel is zeroed."""
+    from specvalley import synthetic
+
+    clean = tmp_path_factory.mktemp("twelve")
+    synthetic.build_synthetic_corpus(clean, n_segments=12, seed=5, recipes=recipes)
+    silent = tmp_path_factory.mktemp("twelve_silent")
+    for k, wav in enumerate(sorted(clean.glob("*.wav"))):
+        audio, start, end, label = _vowel(wav)
+        if k == 4:
+            audio.samples[start:end] = 0.0
+            silent_id = f"{wav.stem}:{start}"
+        _rewrite(wav, silent, audio, start, end, label)
+    return clean, silent, silent_id
+
+
+def test_noise_eval_counts_a_silent_segment_as_undecided(silent_vowel_corpus_dirs, babble_path,
+                                                         tmp_path):
+    clean, silent, silent_id = silent_vowel_corpus_dirs
+    rows = {}
+    for name, corpus_dir in (("clean", clean), ("silent", silent)):
+        out = tmp_path / f"{name}.csv"
+        assert run(["noise-eval", "--corpus", str(corpus_dir), "--noise", "white,babble",
+                    "--snrs", "25,0", "--babble-source", str(babble_path), "--out", str(out),
+                    "--no-timestamp"]) == 0
+        rows[name] = [row.split(",") for row in data_rows(out)[1:]]
+    assert len(rows["silent"]) == 4
+    for clean_row, silent_row in zip(rows["clean"], rows["silent"]):
+        assert silent_row[:2] == clean_row[:2]
+        assert int(silent_row[-1]) == int(clean_row[-1]) + 1
+    out = tmp_path / "cls.csv"
+    assert run(["classify", "--corpus", str(silent), "--out", str(out), "--no-timestamp"]) == 0
+    assert [row for row in data_rows(out) if row.startswith(silent_id + ",")][0].endswith(
+        ",undecided")
 
 
 def run_help(command):

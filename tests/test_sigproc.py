@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
@@ -12,6 +14,7 @@ from specvalley.sigproc import (
     LpcModel,
     analytic_cascade_spectrum,
     autocorrelation,
+    frame_count,
     frame_signal,
     levinson,
     lpc_envelope,
@@ -71,6 +74,17 @@ class TestFrameSignal:
             frame_signal(buf(np.zeros(100)), 0.0, 0.5)
         with pytest.raises(ValueError):
             frame_signal(buf(np.zeros(100)), 20.0, 1.0)
+        with pytest.raises(ValueError):
+            frame_count(100, 20.0, 16000.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 4000), frame_ms=st.floats(0.5, 60.0),
+           rate=st.sampled_from([8000.0, 10000.0, 16000.0, 22050.0, 44100.0]),
+           overlap=st.floats(0.0, 0.99))
+    def test_frame_count_is_the_row_count(self, n, frame_ms, rate, overlap):
+        # signals shorter than one frame included: n runs from 0
+        rows = frame_signal(buf(np.zeros(n), rate), frame_ms, overlap).shape[0]
+        assert frame_count(n, frame_ms, rate, overlap) == rows
 
 
 class TestWindow:
