@@ -118,19 +118,20 @@ def _forward(w1, b1, w2, b2, x):
     return h, 1.0 / (1.0 + np.exp(-z))
 
 
+def _loss(p, y, eps=1e-12):
+    return -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
+
+
+def _gradients(w2, x, y, h, p):
+    dz = (p - y) / len(y)  # (n,)
+    dh = np.outer(dz, w2) * (1.0 - h * h)
+    return dh.T @ x, dh.sum(axis=0), h.T @ dz, float(np.sum(dz))
+
+
 def loss_and_gradients(w1, b1, w2, b2, x, y):
     """Mean cross-entropy and its analytic gradients (for checking too)."""
     h, p = _forward(w1, b1, w2, b2, x)
-    eps = 1e-12
-    loss = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
-    n = len(y)
-    dz = (p - y) / n  # (n,)
-    gw2 = h.T @ dz
-    gb2 = float(np.sum(dz))
-    dh = np.outer(dz, w2) * (1.0 - h * h)
-    gw1 = dh.T @ x
-    gb1 = dh.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2)
+    return _loss(p, y), _gradients(w2, x, y, h, p)
 
 
 def train_mlp(
@@ -181,14 +182,16 @@ def train_mlp(
         order = rng.permutation(len(tr))
         for start in range(0, len(order), batch_size):
             idx = tr[order[start : start + batch_size]]
-            _, grads = loss_and_gradients(w1, b1, w2, b2, xn[idx], y[idx])
+            xb = xn[idx]
+            h, p = _forward(w1, b1, w2, b2, xb)
+            grads = _gradients(w2, xb, y[idx], h, p)
             for slot, g in enumerate(grads):
                 vel[slot] = momentum * vel[slot] - learning_rate * g
             w1 += vel[0]
             b1 += vel[1]
             w2 += vel[2]
             b2 += vel[3]
-        val_loss, _ = loss_and_gradients(w1, b1, w2, b2, xn[hold], y[hold])
+        val_loss = _loss(_forward(w1, b1, w2, b2, xn[hold])[1], y[hold])
         if val_loss < best[0] - 1e-9:
             best = (val_loss, w1.copy(), b1.copy(), w2.copy(), b2)
             stale = 0
@@ -197,17 +200,8 @@ def train_mlp(
             if stale >= patience:
                 break
     _, w1, b1, w2, b2 = best
-    return MlpModel(
-        input_dim=d,
-        hidden_units=hidden_units,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-        feature_mean=mean,
-        feature_scale=scale,
-        seed=seed,
-    )
+    return MlpModel(input_dim=d, hidden_units=hidden_units, w1=w1, b1=b1, w2=w2, b2=b2,
+                    feature_mean=mean, feature_scale=scale, seed=seed)
 
 
 def predict(model: MlpModel, feature):
@@ -247,14 +241,5 @@ def load_model(path) -> MlpModel:
         d, h, seed = (int(v) for v in fh.readline().split())
         rows = [np.array([float(v) for v in fh.readline().split()]) for _ in range(6)]
     mean, scale, w1, b1, w2, b2 = rows
-    return MlpModel(
-        input_dim=d,
-        hidden_units=h,
-        w1=w1.reshape(h, d),
-        b1=b1,
-        w2=w2,
-        b2=float(b2[0]),
-        feature_mean=mean,
-        feature_scale=scale,
-        seed=seed,
-    )
+    return MlpModel(input_dim=d, hidden_units=h, w1=w1.reshape(h, d), b1=b1, w2=w2,
+                    b2=float(b2[0]), feature_mean=mean, feature_scale=scale, seed=seed)

@@ -2,7 +2,7 @@
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec, SignalBuffer, power_mean_db
+from .types import FormantSpec, power_mean_db
 
 
 ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
@@ -76,6 +76,57 @@ class FrameFeatures:
     fail_reason: str | None = None
 
 
+REASONS = ("silent frame", "unstable LP fit", "fewer than three formants",
+           "singular envelope", "valley bracket too narrow")
+VALID = -1
+SILENT, UNSTABLE, FEW_FORMANTS, SINGULAR, NARROW = range(len(REASONS))
+
+
+@dataclass(eq=False)
+class FrameTable:
+    """The frames of a `frame_pipeline` call as columns, one row per frame.
+
+    `table[i]`, iteration and `features()` give the rows as `FrameFeatures`
+    (iteration goes through `table[i]`); `table[a:b]` is the table of frames
+    a to b, with views of the columns.
+    """
+
+    v1: np.ndarray  # (n,) V_I in dB relative to the mean level; NaN where invalid
+    v2: np.ndarray  # (n,) V_II likewise
+    freqs: np.ndarray  # (n, p) formant candidates ascending, NaN after `counts`
+    bandwidths: np.ndarray  # (n, p) their bandwidths
+    counts: np.ndarray  # (n,) formant candidates per frame
+    reason: np.ndarray  # (n,) int8: VALID or an index into REASONS
+    stage: np.ndarray  # (n,) the Levinson stage that failed, else 0
+    reflection: np.ndarray  # (n, order) Levinson reflection coefficients
+
+    @classmethod
+    def empty(cls, n: int, order: int) -> "FrameTable":
+        """n silent frames: NaN levels, no formants, no Levinson fit."""
+        nan, zeros = np.full((n, order), np.nan), np.zeros(n, dtype=int)
+        return cls(np.full(n, np.nan), np.full(n, np.nan), nan, nan.copy(), zeros,
+                   np.full(n, SILENT, dtype=np.int8), zeros.copy(), np.zeros((n, order)))
+
+    def __len__(self):
+        return len(self.reason)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return FrameTable(*(getattr(self, f.name)[key] for f in fields(self)))
+        i = range(len(self))[key]
+        code = int(self.reason[i])
+        n = int(self.counts[i]) if code != VALID else min(int(self.counts[i]), 3)
+        formants = [FormantSpec(f, b) for f, b in zip(self.freqs[i, :n].tolist(),
+                                                      self.bandwidths[i, :n].tolist())]
+        if code == VALID:
+            return FrameFeatures(float(self.v1[i]), float(self.v2[i]), formants, True)
+        why = REASONS[code] + (f": {levinson_failure(self, i)}" if code == UNSTABLE else "")
+        return FrameFeatures(None, None, formants, False, why)
+
+    def features(self) -> list:
+        return list(self)
+
+
 @dataclass
 class SegmentDecision:
     """Segment-level decision from frame means."""
@@ -104,15 +155,11 @@ class ClassificationReport:
     n_undecided: int = 0
 
 
-def _audio_of(seg) -> SignalBuffer:
-    return seg.audio if hasattr(seg, "audio") else seg
-
-
-def frame_pipeline(segments, cfg: PipelineConfig | None = None):
+def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
     """Pre-emphasize, window, fit LP, and measure V_I/V_II per frame.
 
     `segments` is one segment or `SignalBuffer`, or a list of them at one
-    sample rate; the result lists the frames of every segment in input order.
+    sample rate; the table holds the frames of every segment in input order.
     Each segment is pre-emphasized and framed on its own, and then all their
     frames go through each stage as one stacked array. Frames that do not
     yield three in-range formant candidates (or whose valley brackets
@@ -122,9 +169,9 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None):
     cfg = cfg or PipelineConfig()
     if not isinstance(segments, list):
         segments = [segments]
-    audios = [_audio_of(seg) for seg in segments]
+    audios = [getattr(seg, "audio", seg) for seg in segments]
     if not audios:
-        return []
+        return FrameTable.empty(0, 0)
     fs = audios[0].sample_rate
     for audio in audios:
         if audio.sample_rate != fs:
@@ -133,87 +180,70 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None):
     order = cfg.order_for(fs)
     frames = np.concatenate([frame_signal(preemphasize(audio, cfg.preemphasis), cfg.frame_ms,
                                           cfg.overlap_fraction) for audio in audios])
+    table = FrameTable.empty(frames.shape[0], order)
     if frames.shape[0] == 0:
-        return []
+        return table
     lags = autocorrelation(window(frames), order)
-    out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
-           for r0 in lags[:, 0].tolist()]
 
     # live[i] is the frame index of row i of the stack still being analysed
     live = np.flatnonzero(lags[:, 0] > 0)
     fit = levinson_rows(lags[live], order)
-    for i in np.flatnonzero(fit.stage):
-        out[live[i]] = FrameFeatures(
-            None, None, [], False, f"unstable LP fit: {levinson_failure(fit, i)}"
-        )
+    table.stage[live], table.reflection[live] = fit.stage, fit.reflection
     fitted = fit.stage == 0
+    table.reason[live[~fitted]] = UNSTABLE
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
 
     freqs, bws, counts = formant_candidates(polynomial_roots(a), fs)
-
-    def formants(i, limit=None):
-        n = counts[i] if limit is None else min(counts[i], limit)
-        return [FormantSpec(f, b) for f, b in zip(freqs[i, :n].tolist(), bws[i, :n].tolist())]
-
+    table.freqs[live], table.bandwidths[live], table.counts[live] = freqs, bws, counts
     enough = counts >= 3
-    for i in np.flatnonzero(~enough):
-        out[live[i]] = FrameFeatures(None, None, formants(i), False, "fewer than three formants")
-    rows = np.flatnonzero(enough)
-    if rows.size == 0:
-        return out
-
-    env_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
-                                  ENVELOPE_POINTS)
+    table.reason[live[~enough]] = FEW_FORMANTS
+    live, a, err, freqs = live[enough], a[enough], err[enough], freqs[enough]
+    if live.size == 0:  # no frame can be valid; below LP order 3 freqs has < 3 columns
+        return table
+    env_db, singular = lpc_levels(a, np.sqrt(np.maximum(err, 1e-300)), ENVELOPE_POINTS)
     mean_db = power_mean_db(env_db)
     grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
-    _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
-    _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])
-    v1, v2 = (v1 - mean_db).tolist(), (v2 - mean_db).tolist()
-    for j, i in enumerate(rows.tolist()):
-        if singular[j]:
-            out[live[i]] = FrameFeatures(None, None, formants(i), False, "singular envelope")
-        elif narrow1[j] or narrow2[j]:
-            out[live[i]] = FrameFeatures(
-                None, None, formants(i), False, "valley bracket too narrow"
-            )
-        else:
-            out[live[i]] = FrameFeatures(v1[j], v2[j], formants(i, 3), True)
-    return out
+    _, v1, narrow1 = valley_minima(grid, env_db, freqs[:, 0], freqs[:, 1])
+    _, v2, narrow2 = valley_minima(grid, env_db, freqs[:, 1], freqs[:, 2])
+    table.reason[live] = np.where(singular, SINGULAR,
+                                  np.where(narrow1 | narrow2, NARROW, VALID))
+    ok = table.reason[live] == VALID
+    table.v1[live[ok]] = (v1 - mean_db)[ok]
+    table.v2[live[ok]] = (v2 - mean_db)[ok]
+    return table
 
 
 def _bark_spacing(lo, hi):
-    def spacing(valid, mean_v1, mean_v2):
-        return float(np.mean([
-            hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
-            for f in valid
-        ]))
+    def spacing(freqs, mean_v1, mean_v2):
+        pairs = zip(freqs[:, lo].tolist(), freqs[:, hi].tolist())
+        return float(np.mean([hz_to_bark(f_hi) - hz_to_bark(f_lo) for f_lo, f_hi in pairs]))
     return spacing
 
 
 class DecisionRule(NamedTuple):
     """One segment decision rule: back iff reads_back(statistic, threshold)."""
 
-    statistic: Callable  # (valid frames, mean V_I, mean V_II) -> compared value
+    statistic: Callable  # (formants of the valid frames, mean V_I, mean V_II) -> compared value
     reads_back: Callable  # (statistic, threshold) -> True for back
     default_threshold: float  # dB for the valley rules, bark for the spacing rules
 
 
 # the spacing rules read front iff spacing < threshold, so a tie reads back
 DECISION_RULES = {
-    "valley": DecisionRule(lambda valid, v1, v2: v1 - v2, operator.gt, 5.0),
+    "valley": DecisionRule(lambda freqs, v1, v2: v1 - v2, operator.gt, 5.0),
     "f3f2_3bark": DecisionRule(_bark_spacing(1, 2), lambda s, t: not s < t, 3.0),
     "f2f1_bark": DecisionRule(_bark_spacing(0, 1), lambda s, t: not s < t, 3.0),
-    "v1_only": DecisionRule(lambda valid, v1, v2: v1, operator.gt, 0.0),
-    "v2_only": DecisionRule(lambda valid, v1, v2: v2, operator.lt, 0.0),
+    "v1_only": DecisionRule(lambda freqs, v1, v2: v1, operator.gt, 0.0),
+    "v2_only": DecisionRule(lambda freqs, v1, v2: v2, operator.lt, 0.0),
 }
-SPACING_RULES = tuple(rule for rule in DECISION_RULES if rule != "valley")
 DEFAULT_THRESHOLDS = {rule: r.default_threshold for rule, r in DECISION_RULES.items()}
 
 
-def decide_segment(features, threshold_db: float | None = None,
+def decide_segment(table: FrameTable, threshold_db: float | None = None,
                    rule: str = "valley") -> SegmentDecision:
     """Decide front or back from the means over a segment's valid frames.
 
+    `table` holds the frames of one segment, as a slice of a `frame_pipeline` table.
     valley:     back iff mean(V_I) - mean(V_II) > threshold (dB, default 5).
     f3f2_3bark: front iff mean bark(F3) - bark(F2) < threshold (bark, default 3).
     f2f1_bark:  the same rule applied to (F1, F2).
@@ -225,30 +255,19 @@ def decide_segment(features, threshold_db: float | None = None,
     if rule not in DECISION_RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {tuple(DECISION_RULES)}")
     statistic, reads_back, default = DECISION_RULES[rule]
-    valid = [f for f in features if f.valid]
-    if not valid:
+    valid = table.reason == VALID
+    n_valid = int(np.count_nonzero(valid))
+    if not n_valid:
         raise NoDecisionError("no valid frames in segment")
-    mean_v1 = float(np.mean([f.v1_db for f in valid]))
-    mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    value = statistic(valid, mean_v1, mean_v2)
+    # the mean of the contiguous copy equals the mean of the same values as a list
+    mean_v1 = float(np.mean(table.v1[valid]))
+    mean_v2 = float(np.mean(table.v2[valid]))
+    value = statistic(table.freqs[valid], mean_v1, mean_v2)
     thr = default if threshold_db is None else threshold_db
-    return SegmentDecision(
-        mean_v1=mean_v1,
-        mean_v2=mean_v2,
-        mean_diff=mean_v1 - mean_v2,
-        predicted="back" if reads_back(value, thr) else "front",
-        frames_used=len(valid),
-        frames_discarded=len(features) - len(valid),
-        statistic=value,
-    )
-
-
-def decide_by_formant_spacing(features, rule: str = "f3f2_3bark",
-                              threshold: float | None = None) -> SegmentDecision:
-    """`decide_segment` restricted to the spacing and single-valley rules."""
-    if rule not in SPACING_RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {SPACING_RULES}")
-    return decide_segment(features, threshold, rule)
+    return SegmentDecision(mean_v1=mean_v1, mean_v2=mean_v2, mean_diff=mean_v1 - mean_v2,
+                           predicted="back" if reads_back(value, thr) else "front",
+                           frames_used=n_valid, frames_discarded=len(table) - n_valid,
+                           statistic=value)
 
 
 def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) -> ClassificationReport:

@@ -217,14 +217,13 @@ def _cmd_f0(args):
 
 
 def _cmd_pb_ocd(args):
-    table_path = args.table or corpus.default_pb_table_path()
-    entries = corpus.load_pb_table(table_path)
+    entries = corpus.load_pb_table(args.table or corpus.default_pb_table_path())
     genders = [g.strip() for g in args.gender.split(",") if g.strip()]
     known = sorted({e.gender for e in entries})
     if not genders or not set(genders) <= set(known):
         raise UsageError(f"--gender must name genders the table has "
                          f"({', '.join(known)}), got {args.gender!r}")
-    out = _out_for(args, dict(table=str(table_path), gender=args.gender,
+    out = _out_for(args, dict(table=args.table or "bundled", gender=args.gender,
                               bw=args.bw, step=args.step))
     out.row("gender", "vowel", "basis", "ocd_bark", "status")
     for gender in genders:
@@ -312,11 +311,11 @@ def _segment_decisions(args, cfg, segments, audio_of=lambda idx, seg: seg.audio)
     rule = FEATURE_RULES[args.feature]
 
     def decided(block):
-        features = classify.frame_pipeline([audio for _, _, audio, _ in block], cfg)
+        table = classify.frame_pipeline([audio for _, _, audio, _ in block], cfg)
         start = 0
         for seg, truth, _, n in block:
             try:
-                decision = classify.decide_segment(features[start:start + n], threshold, rule)
+                decision = classify.decide_segment(table[start:start + n], threshold, rule)
             except NoDecisionError:
                 decision = None
             start += n

@@ -92,11 +92,6 @@ def measure_pair_rlsv(
     return _banded_mean_db(env, mean_band_hz) - valley_level
 
 
-def _pair_spacing_bark(formants, pair):
-    i, j = pair
-    return hz_to_bark(formants[j].frequency) - hz_to_bark(formants[i].frequency)
-
-
 def _replace_pair(formants, pair, f_lo, f_hi):
     i, j = pair
     out = list(formants)

@@ -166,12 +166,14 @@ def levinson_rows(r: np.ndarray, order: int) -> LevinsonRows:
     return LevinsonRows(a, err, reflection, stage)
 
 
-def levinson_failure(fit: LevinsonRows, row: int) -> str:
-    """Why row `row` of a stacked fit stopped at its `stage`."""
+def levinson_failure(fit, row: int) -> str:
+    """Why row `row` of a stacked fit stopped at its `stage`, read from `fit.stage`
+    and `fit.reflection` alone (a vanished error leaves that stage's k at 0)."""
     m = int(fit.stage[row])
-    if fit.error[row] <= 0:
+    k = fit.reflection[row, m - 1]
+    if k == 0:
         return f"prediction error vanished at stage {m}"
-    return f"reflection coefficient {fit.reflection[row, m - 1]:.6g} outside [-1, 1] at stage {m}"
+    return f"reflection coefficient {k:.6g} outside [-1, 1] at stage {m}"
 
 
 def levinson(r: np.ndarray, order: int, sample_rate: float) -> LpcModel:

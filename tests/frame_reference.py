@@ -1,0 +1,133 @@
+"""The corpus stage as it was before the frame table, kept as the exact reference.
+
+`frame_pipeline` builds one `FrameFeatures` per frame, with validated
+`FormantSpec`s, from the same stacked LP core the table is built from;
+`decide_segment` averages the valid frames as Python lists. The table and the
+decisions taken from its slices must equal these bit for bit.
+"""
+
+import operator
+
+import numpy as np
+
+from specvalley.classify import ENVELOPE_POINTS, FrameFeatures, PipelineConfig, SegmentDecision
+from specvalley.envelope import valley_minima
+from specvalley.errors import NoDecisionError
+from specvalley.scales import hz_to_bark
+from specvalley.sigproc import (
+    autocorrelation,
+    formant_candidates,
+    frame_signal,
+    levinson_rows,
+    lpc_levels,
+    polynomial_roots,
+    preemphasize,
+    window,
+)
+from specvalley.types import FormantSpec, power_mean_db
+
+
+def _levinson_failure(fit, row):
+    m = int(fit.stage[row])
+    if fit.error[row] <= 0:
+        return f"prediction error vanished at stage {m}"
+    return f"reflection coefficient {fit.reflection[row, m - 1]:.6g} outside [-1, 1] at stage {m}"
+
+
+def frame_pipeline(segments, cfg=None):
+    """list[FrameFeatures] of every frame of `segments`, in input order."""
+    cfg = cfg or PipelineConfig()
+    if not isinstance(segments, list):
+        segments = [segments]
+    audios = [seg.audio if hasattr(seg, "audio") else seg for seg in segments]
+    if not audios:
+        return []
+    fs = audios[0].sample_rate
+    order = cfg.order_for(fs)
+    frames = np.concatenate([frame_signal(preemphasize(audio, cfg.preemphasis), cfg.frame_ms,
+                                          cfg.overlap_fraction) for audio in audios])
+    if frames.shape[0] == 0:
+        return []
+    lags = autocorrelation(window(frames), order)
+    out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
+           for r0 in lags[:, 0].tolist()]
+
+    live = np.flatnonzero(lags[:, 0] > 0)
+    fit = levinson_rows(lags[live], order)
+    for i in np.flatnonzero(fit.stage):
+        out[live[i]] = FrameFeatures(
+            None, None, [], False, f"unstable LP fit: {_levinson_failure(fit, i)}"
+        )
+    fitted = fit.stage == 0
+    live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
+
+    freqs, bws, counts = formant_candidates(polynomial_roots(a), fs)
+
+    def formants(i, limit=None):
+        n = counts[i] if limit is None else min(counts[i], limit)
+        return [FormantSpec(f, b) for f, b in zip(freqs[i, :n].tolist(), bws[i, :n].tolist())]
+
+    enough = counts >= 3
+    for i in np.flatnonzero(~enough):
+        out[live[i]] = FrameFeatures(None, None, formants(i), False, "fewer than three formants")
+    rows = np.flatnonzero(enough)
+    if rows.size == 0:
+        return out
+
+    env_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
+                                  ENVELOPE_POINTS)
+    mean_db = power_mean_db(env_db)
+    grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
+    _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
+    _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])
+    v1, v2 = (v1 - mean_db).tolist(), (v2 - mean_db).tolist()
+    for j, i in enumerate(rows.tolist()):
+        if singular[j]:
+            out[live[i]] = FrameFeatures(None, None, formants(i), False, "singular envelope")
+        elif narrow1[j] or narrow2[j]:
+            out[live[i]] = FrameFeatures(
+                None, None, formants(i), False, "valley bracket too narrow"
+            )
+        else:
+            out[live[i]] = FrameFeatures(v1[j], v2[j], formants(i, 3), True)
+    return out
+
+
+def _bark_spacing(lo, hi):
+    def spacing(valid, mean_v1, mean_v2):
+        return float(np.mean([
+            hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
+            for f in valid
+        ]))
+    return spacing
+
+
+# rule -> (statistic, reads_back, default threshold)
+DECISION_RULES = {
+    "valley": (lambda valid, v1, v2: v1 - v2, operator.gt, 5.0),
+    "f3f2_3bark": (_bark_spacing(1, 2), lambda s, t: not s < t, 3.0),
+    "f2f1_bark": (_bark_spacing(0, 1), lambda s, t: not s < t, 3.0),
+    "v1_only": (lambda valid, v1, v2: v1, operator.gt, 0.0),
+    "v2_only": (lambda valid, v1, v2: v2, operator.lt, 0.0),
+}
+
+
+def decide_segment(features, threshold_db=None, rule="valley"):
+    """The segment decision from a list of `FrameFeatures`."""
+    statistic, reads_back, default = DECISION_RULES[rule]
+    valid = [f for f in features if f.valid]
+    if not valid:
+        raise NoDecisionError("no valid frames in segment")
+    mean_v1 = float(np.mean([f.v1_db for f in valid]))
+    mean_v2 = float(np.mean([f.v2_db for f in valid]))
+    value = statistic(valid, mean_v1, mean_v2)
+    thr = default if threshold_db is None else threshold_db
+    return SegmentDecision(
+        mean_v1=mean_v1,
+        mean_v2=mean_v2,
+        mean_diff=mean_v1 - mean_v2,
+        predicted="back" if reads_back(value, thr) else "front",
+        frames_used=len(valid),
+        frames_discarded=len(features) - len(valid),
+        statistic=value,
+    )

@@ -6,13 +6,14 @@ be run on its own.
 """
 
 import filecmp
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from specvalley import baseline, classify
-from specvalley.cli import run
+from specvalley.cli import _segment_decisions, run
 from specvalley.corpus import (
     NoiseSpec,
     collect_segments,
@@ -163,10 +164,7 @@ def _corpus_reports(clean_segment_features):
         decisions, truths = [], []
         for truth, feats, _ in clean_segment_features:
             try:
-                if rule == "valley":
-                    d = classify.decide_segment(feats)
-                else:
-                    d = classify.decide_by_formant_spacing(feats, rule)
+                d = classify.decide_segment(feats, None, rule)
             except NoDecisionError:
                 d = None
             decisions.append(d)
@@ -197,22 +195,20 @@ def test_criterion_7_synthetic_corpus_accuracies(clean_segment_features, corpus_
 
 def test_criterion_8_noise_harness(corpus_dir, babble_path):
     segments = collect_segments(corpus_dir, ".phn", timit_inventory())
-    segments = [s for s in segments if s.fb_class != "central"]
     babble = load_wav(babble_path)
     cfg = classify.PipelineConfig()
+    # the corpus commands' analysis stage: blocks of whole segments, central
+    # vowels skipped, the valley rule at its default threshold
+    stage = SimpleNamespace(feature="valley", threshold=None, include_central=False)
 
     def accuracy(kind, snr):
-        decisions, truths = [], []
-        for i, seg in enumerate(segments):
+        def noisy(i, seg):
             spec = NoiseSpec(kind, snr, seed=i, babble_source=str(babble_path))
-            noisy = mix_noise(seg.audio, spec, babble=babble)
-            try:
-                d = classify.decide_segment(classify.frame_pipeline(noisy, cfg))
-            except NoDecisionError:
-                d = None
-            decisions.append(d)
-            truths.append(seg.fb_class)
-        return classify.score(decisions, truths).overall_accuracy
+            return mix_noise(seg.audio, spec, babble=babble)
+
+        decided = list(_segment_decisions(stage, cfg, segments, noisy))
+        return classify.score([d for *_, d in decided],
+                              [truth for _, truth, _ in decided]).overall_accuracy
 
     details = []
     ok = True

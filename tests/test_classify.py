@@ -3,9 +3,10 @@ import pytest
 
 from specvalley.classify import (
     MAX_HISTOGRAM_BINS,
-    FrameFeatures,
+    REASONS,
+    VALID,
+    FrameTable,
     PipelineConfig,
-    decide_by_formant_spacing,
     decide_segment,
     frame_pipeline,
     normalized_histogram,
@@ -28,11 +29,14 @@ def synth_segment(freqs, bws=None, f0=120.0, dur=0.15, tilt=-6.0):
 
 
 def fake_features(n_valid, v1=0.0, v2=0.0, formants=(500.0, 1500.0, 2500.0), n_invalid=0):
-    fm = [FormantSpec(f, 100.0) for f in formants]
-    out = [FrameFeatures(v1, v2, fm, True) for _ in range(n_valid)]
-    out += [FrameFeatures(None, None, [], False, "fewer than three formants")
-            for _ in range(n_invalid)]
-    return out
+    """A table of n_valid valid frames, then n_invalid with too few formants."""
+    table = FrameTable.empty(n_valid + n_invalid, len(formants))
+    table.reason[:] = REASONS.index("fewer than three formants")
+    table.reason[:n_valid] = VALID
+    table.v1[:n_valid], table.v2[:n_valid] = v1, v2
+    table.freqs[:n_valid], table.bandwidths[:n_valid] = formants, 100.0
+    table.counts[:n_valid] = len(formants)
+    return table
 
 
 class TestFramePipeline:
@@ -67,6 +71,13 @@ class TestFramePipeline:
             frame_pipeline(silence, PipelineConfig(lp_order=0))
         assert len(frame_pipeline(silence, PipelineConfig(lp_order=319))) == 19
 
+    def test_orders_below_three_give_frames_without_three_formants(self):
+        seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
+        for order in (1, 2):
+            frames = frame_pipeline(seg, PipelineConfig(lp_order=order)).features()
+            assert len(frames) == len(frame_pipeline(seg))
+            assert {f.fail_reason for f in frames} == {"fewer than three formants"}
+
     def test_deterministic(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
         a = frame_pipeline(seg)
@@ -92,10 +103,10 @@ class TestFramePipeline:
                 SignalBuffer(np.full(300, 0.2), FS),  # shorter than one frame
                 synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0], f0=210.0)]
         expected = [f for seg in segs for f in frame_pipeline(seg)]
-        assert frame_pipeline(segs) == expected
+        assert frame_pipeline(segs).features() == expected
         assert len(expected) == sum(len(frame_pipeline(seg)) for seg in segs)
-        assert frame_pipeline(segs[:1]) == frame_pipeline(segs[0])
-        assert frame_pipeline([segs[2]]) == [] and frame_pipeline([]) == []
+        assert frame_pipeline(segs[:1]).features() == frame_pipeline(segs[0]).features()
+        assert frame_pipeline([segs[2]]).features() == [] and frame_pipeline([]).features() == []
 
     def test_mixed_rate_list_is_rejected(self):
         segs = [SignalBuffer(np.zeros(3200), FS), SignalBuffer(np.zeros(1600), 8000.0)]
@@ -144,30 +155,30 @@ class TestSpacingRules:
         return fake_features(3, v1=1.0, v2=-1.0, formants=(500.0, f2, f3))
 
     def test_two_bark_is_front(self):
-        d = decide_by_formant_spacing(self._features_with_spacing(2.0), "f3f2_3bark")
+        d = decide_segment(self._features_with_spacing(2.0), None, "f3f2_3bark")
         assert d.predicted == "front"
 
     def test_four_bark_is_back(self):
-        d = decide_by_formant_spacing(self._features_with_spacing(4.0), "f3f2_3bark")
+        d = decide_segment(self._features_with_spacing(4.0), None, "f3f2_3bark")
         assert d.predicted == "back"
 
     def test_f2f1_rule_reads_lower_pair(self):
         f1 = 500.0
         f2 = bark_to_hz(hz_to_bark(f1) + 2.0)
         feats = fake_features(2, formants=(f1, f2, 3000.0))
-        assert decide_by_formant_spacing(feats, "f2f1_bark").predicted == "front"
+        assert decide_segment(feats, None, "f2f1_bark").predicted == "front"
 
     def test_single_valley_rules(self):
         feats = fake_features(2, v1=4.0, v2=-6.0)
-        assert decide_by_formant_spacing(feats, "v1_only").predicted == "back"
-        assert decide_by_formant_spacing(feats, "v2_only").predicted == "back"
+        assert decide_segment(feats, None, "v1_only").predicted == "back"
+        assert decide_segment(feats, None, "v2_only").predicted == "back"
         feats = fake_features(2, v1=-4.0, v2=6.0)
-        assert decide_by_formant_spacing(feats, "v1_only").predicted == "front"
-        assert decide_by_formant_spacing(feats, "v2_only").predicted == "front"
+        assert decide_segment(feats, None, "v1_only").predicted == "front"
+        assert decide_segment(feats, None, "v2_only").predicted == "front"
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            decide_by_formant_spacing(fake_features(1), "f5f4")
+            decide_segment(fake_features(1), None, "f5f4")
 
 
 class TestThreeBarkRuleOnMeanRows:
@@ -182,7 +193,7 @@ class TestThreeBarkRuleOnMeanRows:
             if cls is None:
                 continue
             feats = fake_features(1, formants=(e.f1, e.f2, e.f3))
-            decisions.append(decide_by_formant_spacing(feats, "f3f2_3bark"))
+            decisions.append(decide_segment(feats, None, "f3f2_3bark"))
             truths.append(cls)
         r = score(decisions, truths, feature="f3f2_3bark")
         assert abs(r.overall_accuracy - 99.2) <= 1.5
@@ -364,26 +375,21 @@ class TestDecisionRuleTable:
 
     def _check(self, segments):
         tied = dict.fromkeys(RULES, 0)
-        for features in segments:
+        for table in segments:
+            frames = table.features()  # the reference reads the rows as FrameFeatures
             for rule in RULES:
-                calls = [lambda thr: decide_segment(features, thr, rule)]
-                if rule != "valley":
-                    calls.append(lambda thr: decide_by_formant_spacing(features, rule, thr))
                 try:
-                    statistic = _reference_statistic(features, rule)
+                    statistic = _reference_statistic(frames, rule)
                 except NoDecisionError:
-                    for call in calls:
-                        for thr in (None, 0.0):
-                            with pytest.raises(NoDecisionError):
-                                call(thr)
+                    for thr in (None, 0.0):
+                        with pytest.raises(NoDecisionError):
+                            decide_segment(table, thr, rule)
                     continue
                 # at the rule default, and exactly at the segment's own statistic
                 for thr in (None, statistic):
-                    expected = _reference(features, rule, thr)
-                    for call in calls:
-                        dec = call(thr)
-                        assert _fields(dec) == expected, (rule, thr)
-                        assert dec.statistic == statistic
+                    dec = decide_segment(table, thr, rule)
+                    assert _fields(dec) == _reference(frames, rule, thr), (rule, thr)
+                    assert dec.statistic == statistic
                 tied[rule] += 1
         return tied
 
@@ -398,7 +404,7 @@ class TestDecisionRuleTable:
         self._check(white_0db_features)
 
     def test_no_valid_frames(self):
-        tied = self._check([[], fake_features(0, n_invalid=4)])
+        tied = self._check([fake_features(0), fake_features(0, n_invalid=4)])
         assert not any(tied.values())
 
     def test_both_sides_of_every_threshold(self, clean_segment_features):
@@ -409,7 +415,6 @@ class TestDecisionRuleTable:
             assert predicted == {"front", "back"}, rule
 
     def test_derived_tables(self):
-        from specvalley.classify import DEFAULT_THRESHOLDS, SPACING_RULES
+        from specvalley.classify import DEFAULT_THRESHOLDS
 
         assert DEFAULT_THRESHOLDS == REFERENCE_DEFAULT_THRESHOLDS
-        assert SPACING_RULES == ("f3f2_3bark", "f2f1_bark", "v1_only", "v2_only")

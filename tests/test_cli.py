@@ -67,6 +67,19 @@ class TestExperimentCommands:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) == 1 + 22  # header + 11 per gender
 
+    def test_pb_ocd_params_name_the_bundled_table_without_a_path(self, tmp_path):
+        from specvalley.corpus import default_pb_table_path
+
+        out = tmp_path / "pb.csv"
+        assert run(["pb-ocd", "--gender", "male", "--out", str(out), "--no-timestamp"]) == 0
+        params = out.read_text().splitlines()[1]
+        assert params == "# params: bw=100.0 gender=male seed=0 step=25.0 table=bundled"
+        table = tmp_path / "means.csv"
+        table.write_text(default_pb_table_path().read_text())
+        assert run(["pb-ocd", "--gender", "male", "--table", str(table), "--out", str(out),
+                    "--no-timestamp"]) == 0
+        assert out.read_text().splitlines()[1].endswith(f" table={table}")
+
 
 class TestCorpusCommands:
     def test_classify_report(self, small_corpus_dir, tmp_path):
@@ -428,7 +441,8 @@ def test_frame_ms_not_finite_positive_is_a_usage_error(command, value, tmp_path,
 # --------------------------------------------- the corpus stage, exact reference
 # The loop every corpus command ran before they shared one stage: frame_pipeline
 # and decide_segment once per scored segment, central vowels scored as back only
-# with --include-central. The CLI must give exactly what it gives.
+# with --include-central, with the per-frame objects of `frame_reference`. The
+# CLI must give exactly what it gives.
 
 
 def _reference_scored(corpus_dir, include_central):
@@ -445,17 +459,17 @@ def _reference_scored(corpus_dir, include_central):
 
 
 def _reference_features(audio, cfg=None):
-    from specvalley import classify
+    import frame_reference
 
-    return classify.frame_pipeline(audio, cfg or classify.PipelineConfig())
+    return frame_reference.frame_pipeline(audio, cfg)
 
 
 def _reference_decision(features, rule, threshold=None):
-    from specvalley import classify
+    import frame_reference
     from specvalley.errors import NoDecisionError
 
     try:
-        return classify.decide_segment(features, threshold, rule)
+        return frame_reference.decide_segment(features, threshold, rule)
     except NoDecisionError:
         return None
 
