@@ -22,7 +22,7 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec, power_mean_db
+from .types import FormantSpec
 
 
 ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
@@ -200,8 +200,7 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
     live, a, err, freqs = live[enough], a[enough], err[enough], freqs[enough]
     if live.size == 0:  # no frame can be valid; below LP order 3 freqs has < 3 columns
         return table
-    env_db, singular = lpc_levels(a, np.sqrt(np.maximum(err, 1e-300)), ENVELOPE_POINTS)
-    mean_db = power_mean_db(env_db)
+    env_db, mean_db, singular = lpc_levels(a, np.sqrt(np.maximum(err, 1e-300)), ENVELOPE_POINTS)
     grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
     _, v1, narrow1 = valley_minima(grid, env_db, freqs[:, 0], freqs[:, 1])
     _, v2, narrow2 = valley_minima(grid, env_db, freqs[:, 1], freqs[:, 2])

@@ -1,5 +1,6 @@
 """Core signal processing: framing, linear prediction, roots, and spectra."""
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -202,38 +203,80 @@ def levinson(r: np.ndarray, order: int, sample_rate: float) -> LpcModel:
     )
 
 
-def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024):
+@functools.lru_cache(maxsize=8)
+def _unit_circle_table(taps: int, n_points: int) -> np.ndarray:
+    """(taps, 2*n_points) read-only table of cos(m*w_k) | sin(m*w_k).
+
+    w_k = pi*k/(n_points-1) for k = 0..n_points-1 and m = 0..taps-1. Each
+    m*k is reduced modulo 2*(n_points-1) before it is scaled to an angle,
+    and the DC and Nyquist columns hold exactly 0 and +/-1, as the twiddles
+    of an rfft there do.
+    """
+    half = n_points - 1
+    mk = np.outer(np.arange(taps), np.arange(n_points)) % (2 * half)
+    angle = mk * (np.pi / half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos[mk == 0] = 1.0
+    cos[mk == half] = -1.0
+    sin[mk % half == 0] = 0.0
+    table = np.concatenate((cos, sin), axis=1)
+    table.flags.writeable = False
+    return table
+
+
+class EnvelopeLevels(NamedTuple):
+    """dB envelopes of a stack of error filters, with their mean levels."""
+
+    levels: np.ndarray  # (n, n_points) dB levels from 0 Hz to Nyquist
+    mean_db: np.ndarray  # (n,) level of each row's mean power, in dB
+    singular: np.ndarray  # (n,) rows whose levels mean nothing
+
+
+def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024) -> EnvelopeLevels:
     """dB envelopes 20*log10(gain/|A(e^jw)|) of a stack of error filters.
 
     `a` is (n, order+1) taps and `gain` (n,); the levels are (n, n_points)
-    on uniform frequencies from 0 to Nyquist, from one rfft over the stack.
-    Returns (levels, singular): `singular` marks rows whose A vanishes on
-    the grid or whose levels are not finite; their levels mean nothing.
+    on uniform frequencies from 0 to Nyquist. Each row's taps times a cached
+    cos|sin table give Re and Im of A(e^jw) on the grid, and the power
+    gain^2/(Re^2 + Im^2) gives both the levels and the row's mean level,
+    10*log10(mean power). `singular` marks rows whose A vanishes on the grid
+    or whose levels are not finite; their levels and mean level mean nothing.
     """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
-    mag = np.abs(np.fft.rfft(a, 2 * (n_points - 1), axis=-1))
-    singular = np.any(mag == 0.0, axis=-1)
+    a = np.asarray(a, dtype=np.float64)
+    # one taps-times-table product per row, the BLAS call a single row makes
+    # (one matrix product would round a lone row differently from the rows of
+    # a taller stack), so a row's levels never depend on the rows beside it
+    re_im = (a[:, None, :] @ _unit_circle_table(a.shape[-1], n_points))[:, 0]
+    re_im *= re_im
+    power = re_im[:, :n_points] + re_im[:, n_points:]
+    singular = np.any(power == 0.0, axis=-1)
+    gain = np.asarray(gain, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        levels = 20.0 * np.log10(np.asarray(gain)[:, None] / mag)
+        np.divide((gain * gain)[:, None], power, out=power)
+        mean_db = 10.0 * np.log10(np.mean(power, axis=-1))
+        levels = np.log10(power, out=power)
+        levels *= 10.0
     singular |= ~np.all(np.isfinite(levels), axis=-1)
-    return levels, singular
+    return EnvelopeLevels(levels, mean_db, singular)
 
 
 def lpc_envelope(m: LpcModel, n_points: int = 1024) -> SpectralEnvelope:
     """dB magnitude of gain/A(e^jw) on n_points uniform frequencies to Nyquist.
 
-    The one-row case of `lpc_levels`.
+    The one-row case of `lpc_levels`; the envelope's mean level is the one
+    `lpc_levels` takes from the power.
     """
     if m.gain <= 0:
         raise SingularEnvelopeError("model gain must be positive for a dB envelope")
-    levels, singular = lpc_levels(m.a_polynomial[None, :], np.array([m.gain]), n_points)
-    if singular[0]:
+    env = lpc_levels(m.a_polynomial[None, :], np.array([m.gain]), n_points)
+    if env.singular[0]:
         raise SingularEnvelopeError(
             "predictor has a root on the evaluation grid or a non-finite dB level"
         )
     freqs = np.linspace(0.0, m.sample_rate / 2.0, n_points)
-    return SpectralEnvelope(freqs, levels[0])
+    return SpectralEnvelope(freqs, env.levels[0], float(env.mean_db[0]))
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -60,8 +60,10 @@ def power_mean_db(levels_db: np.ndarray):
 class SpectralEnvelope:
     """Log-magnitude spectrum sampled on a uniform frequency grid.
 
-    `mean_level_db` is the level of the mean spectral power over the grid
-    (see `power_mean_db`), computed at construction.
+    `mean_level_db` is the level of the mean spectral power over the grid.
+    Left out, it is computed from the levels at construction (see
+    `power_mean_db`); `sigproc.lpc_envelope` passes the one it took from
+    the power.
     """
 
     freqs: np.ndarray

@@ -24,7 +24,7 @@ from specvalley.sigproc import (
     preemphasize,
     window,
 )
-from specvalley.types import FormantSpec, power_mean_db
+from specvalley.types import FormantSpec
 
 
 def _levinson_failure(fit, row):
@@ -74,9 +74,8 @@ def frame_pipeline(segments, cfg=None):
     if rows.size == 0:
         return out
 
-    env_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
-                                  ENVELOPE_POINTS)
-    mean_db = power_mean_db(env_db)
+    env_db, mean_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
+                                           ENVELOPE_POINTS)
     grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
     _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
     _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])

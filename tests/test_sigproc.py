@@ -18,6 +18,7 @@ from specvalley.sigproc import (
     frame_signal,
     levinson,
     lpc_envelope,
+    lpc_levels,
     polynomial_roots,
     preemphasize,
     roots_to_formants,
@@ -215,6 +216,22 @@ class TestLpcEnvelope:
         m = LpcModel(order=1, coefficients=np.array([1.0]), gain=1.0, sample_rate=8000.0)
         with pytest.raises(SingularEnvelopeError):
             lpc_envelope(m, 128)  # A(z) = 1 - z^-1 vanishes at DC
+
+    def test_root_at_nyquist_raises(self):
+        m = LpcModel(order=1, coefficients=np.array([-1.0]), gain=1.0, sample_rate=8000.0)
+        with pytest.raises(SingularEnvelopeError):
+            lpc_envelope(m, 128)  # A(z) = 1 + z^-1 vanishes at Nyquist
+
+    @pytest.mark.parametrize("n_points", [64, 128, 512, 1024, 4096])
+    def test_singular_rows_are_the_rows_the_rfft_finds_a_zero_in(self, n_points):
+        # roots at DC, at Nyquist, each times another factor, and no root on the grid
+        a = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                      [1.0, -0.5, -0.5, 0.0], [1.0, 0.5, -0.25, 0.25],
+                      [1.0, 0.5, 0.0, 0.0]])
+        mag = np.abs(np.fft.rfft(a, 2 * (n_points - 1), axis=-1))
+        singular = lpc_levels(a, np.ones(len(a)), n_points).singular
+        assert np.array_equal(singular, np.any(mag == 0.0, axis=-1))
+        assert singular.tolist() == [True, True, True, True, False]
 
     def test_min_points(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from specvalley.sigproc import (
     preemphasize,
     roots_to_formants,
     window,
+    _unit_circle_table,
 )
 from specvalley.types import SignalBuffer, power_mean_db
 
@@ -99,14 +100,14 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
     roots = polynomial_roots(fit.a[rows])
     freqs, bws, counts = formant_candidates(roots, FS)
     gains = np.sqrt(np.maximum(fit.error[rows], 0.0))
-    levels, singular = lpc_levels(fit.a[rows], gains, N_POINTS)
+    levels, mean_db, singular = lpc_levels(fit.a[rows], gains, N_POINTS)
     grid = np.linspace(0.0, FS / 2.0, N_POINTS)
     three = np.flatnonzero(counts >= 3)
     if three.size:
         f = freqs[three]
         v1 = valley_minima(grid, levels[three], f[:, 0], f[:, 1])
         v2 = valley_minima(grid, levels[three], f[:, 1], f[:, 2])
-        mean_db = power_mean_db(levels[three])
+        mean_db = mean_db[three]
 
     j = 0
     for row, (i, model) in enumerate(fitted):
@@ -135,14 +136,45 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
         j += 1
 
 
+@pytest.fixture(scope="module")
+def corpus_lags(clean_segment_features):
+    """Order-18 autocorrelation rows of every frame of the acceptance corpus."""
+    cfg = PipelineConfig()
+    frames = np.concatenate([frame_signal(preemphasize(seg.audio, cfg.preemphasis), cfg.frame_ms,
+                                          cfg.overlap_fraction)
+                             for _, _, seg in clean_segment_features])
+    return autocorrelation(window(frames), 18)
+
+
+@pytest.mark.parametrize("order, n_points, stride", [(18, 512, 1), (8, 4096, 8), (10, 1024, 2)])
+def test_lpc_levels_match_the_fft_oracle(corpus_lags, order, n_points, stride):
+    # every stride-th frame (every frame at the corpus settings), against
+    # 20*log10(gain/|rfft of the taps|) and the power mean of those levels;
+    # in row chunks to keep the rfft small
+    assert len(corpus_lags) == 6167
+    fit = levinson_rows(corpus_lags[::stride, : order + 1], order)
+    assert not fit.stage.any()
+    a, gain = fit.a, np.sqrt(np.maximum(fit.error, 1e-300))
+    for rows in np.array_split(np.arange(len(a)), max(1, len(a) * n_points // 2**20)):
+        levels, mean_db, singular = lpc_levels(a[rows], gain[rows], n_points)
+        mag = np.abs(np.fft.rfft(a[rows], 2 * (n_points - 1), axis=-1))
+        oracle = 20.0 * np.log10(gain[rows, None] / mag)
+        assert np.array_equal(singular, np.any(mag == 0.0, axis=-1))
+        assert not singular.any()
+        assert np.max(np.abs(levels - oracle)) <= 1e-9
+        assert np.max(np.abs(mean_db - power_mean_db(oracle))) <= 1e-9
+
+
 def _per_frame_reference(seg, cfg, order):
     """The frame-at-a-time loop `frame_pipeline` replaced, kept as a reference:
     np.dot Levinson, one companion matrix per frame and per-root gating (the
-    autocorrelation was already computed one lag at a time over the stack)."""
+    autocorrelation was already computed one lag at a time over the stack).
+    Each frame's envelope is its taps times the cos|sin table, as in
+    `lpc_levels`; `test_lpc_levels_match_the_fft_oracle` anchors that to the rfft."""
     frames = window(frame_signal(preemphasize(seg, cfg.preemphasis), cfg.frame_ms,
                                  cfg.overlap_fraction), "hamming")
     n = frames.shape[1]
-    nfft = 2 * (512 - 1)
+    table = _unit_circle_table(order + 1, 512)
     grid = np.linspace(0.0, FS / 2.0, 512)
     lags = np.empty((frames.shape[0], order + 1))
     for k in range(order + 1):
@@ -174,8 +206,11 @@ def _per_frame_reference(seg, cfg, order):
         if len(formants) < 3:
             out.append((None, None, formants, "fewer than three formants"))
             continue
-        env_db = 20.0 * np.log10(np.sqrt(max(e, 1e-300)) / np.abs(np.fft.rfft(a, nfft)))
-        mean_db = power_mean_db(env_db)
+        gain = np.sqrt(max(e, 1e-300))
+        re_im = a @ table
+        power = gain * gain / (re_im[:512] ** 2 + re_im[512:] ** 2)
+        env_db = 10.0 * np.log10(power)
+        mean_db = 10.0 * np.log10(np.mean(power))
         vals = []
         for (f_lo, _), (f_hi, _) in ((formants[0], formants[1]), (formants[1], formants[2])):
             lo = int(np.searchsorted(grid, f_lo, side="right"))
