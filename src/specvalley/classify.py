@@ -12,13 +12,12 @@ from .errors import NoDecisionError
 from .scales import hz_to_bark
 from .sigproc import (
     autocorrelation,
-    formant_candidates,
+    formant_anchors,
     frame_length,
     frame_signal,
     levinson_failure,
     levinson_rows,
     lpc_levels,
-    polynomial_roots,
     preemphasize,
     window,
 )
@@ -193,7 +192,7 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
     table.reason[live[~fitted]] = UNSTABLE
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
 
-    freqs, bws, counts = formant_candidates(polynomial_roots(a), fs)
+    freqs, bws, counts = formant_anchors(a, fit.reflection[fitted], fs)
     table.freqs[live], table.bandwidths[live], table.counts[live] = freqs, bws, counts
     enough = counts >= 3
     table.reason[live[~enough]] = FEW_FORMANTS
@@ -214,8 +213,8 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
 
 def _bark_spacing(lo, hi):
     def spacing(freqs, mean_v1, mean_v2):
-        pairs = zip(freqs[:, lo].tolist(), freqs[:, hi].tolist())
-        return float(np.mean([hz_to_bark(f_hi) - hz_to_bark(f_lo) for f_lo, f_hi in pairs]))
+        bark = hz_to_bark(freqs[:, [lo, hi]])
+        return float(np.mean(bark[:, 1] - bark[:, 0]))
     return spacing
 
 

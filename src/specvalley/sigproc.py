@@ -15,6 +15,15 @@ from .errors import (
 from .types import FormantSpec, SignalBuffer, SpectralEnvelope
 
 WINDOW_KINDS = ("hamming", "hann", "rectangular")
+MAX_BANDWIDTH = 500.0  # Hz; broader roots are no formant candidates
+# Newton seeds for the formant anchors are the envelope peaks on this circle:
+# inside the unit circle, peaks of neighbouring poles that merge there stand
+# apart (McCandless 1974)
+SEED_RADIUS = 0.97
+SEED_POINTS = 512
+NEWTON_STEPS = 8  # most seeds settle in 4-6 steps; rows that need more are left to eigvals
+CIRCLE_MARGIN = 1e-9  # a reflection coefficient this close to +/-1 leaves a root count in doubt
+DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
 
 
 @dataclass
@@ -224,6 +233,16 @@ def _unit_circle_table(taps: int, n_points: int) -> np.ndarray:
     return table
 
 
+def _grid_power(a: np.ndarray, n_points: int) -> np.ndarray:
+    """|A(e^jw)|^2 of an (n, taps) stack on n_points frequencies from 0 to Nyquist."""
+    # one taps-times-table product per row, the BLAS call a single row makes
+    # (one matrix product would round a lone row differently from the rows of
+    # a taller stack), so a row's values never depend on the rows beside it
+    re_im = (a[:, None, :] @ _unit_circle_table(a.shape[-1], n_points))[:, 0]
+    re_im *= re_im
+    return re_im[:, :n_points] + re_im[:, n_points:]
+
+
 class EnvelopeLevels(NamedTuple):
     """dB envelopes of a stack of error filters, with their mean levels."""
 
@@ -244,13 +263,7 @@ def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024) -> Envelop
     """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
-    a = np.asarray(a, dtype=np.float64)
-    # one taps-times-table product per row, the BLAS call a single row makes
-    # (one matrix product would round a lone row differently from the rows of
-    # a taller stack), so a row's levels never depend on the rows beside it
-    re_im = (a[:, None, :] @ _unit_circle_table(a.shape[-1], n_points))[:, 0]
-    re_im *= re_im
-    power = re_im[:, :n_points] + re_im[:, n_points:]
+    power = _grid_power(np.asarray(a, dtype=np.float64), n_points)
     singular = np.any(power == 0.0, axis=-1)
     gain = np.asarray(gain, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -309,7 +322,7 @@ def formant_candidates(
     roots: np.ndarray,
     sample_rate: float,
     min_frequency: float = 150.0,
-    max_bandwidth: float = 500.0,
+    max_bandwidth: float = MAX_BANDWIDTH,
     nyquist_margin: float = 100.0,
 ):
     """Gate an (n, p) stack of roots to formant candidates, row by row.
@@ -343,7 +356,7 @@ def roots_to_formants(
     roots: np.ndarray,
     sample_rate: float,
     min_frequency: float = 150.0,
-    max_bandwidth: float = 500.0,
+    max_bandwidth: float = MAX_BANDWIDTH,
     nyquist_margin: float = 100.0,
 ) -> list[FormantSpec]:
     """Formant candidates of one root set, sorted by frequency.
@@ -356,6 +369,127 @@ def roots_to_formants(
     )
     n = int(counts[0])
     return [FormantSpec(f, b) for f, b in zip(freqs[0, :n].tolist(), bws[0, :n].tolist())]
+
+
+def _roots_outside_unit_circle(c: np.ndarray):
+    """(count, doubtful) per row of an (n, degree+1) stack, highest degree first.
+
+    `count` is the number of roots with |z| > 1, from the Schur-Cohn
+    step-down: k_m = c_m/c_0, then c_i -= k_m*c_(m-i) for m = degree..1. A
+    step with |k_m| > 1 swaps the roots inside and outside the circle of the
+    degree-m polynomial, so N_m = N_(m-1) if |k_m| < 1, else m - N_(m-1).
+    `doubtful` marks rows with a |k| within CIRCLE_MARGIN of 1, or not
+    finite, whose count rounding may have flipped.
+    """
+    c = np.array(c, dtype=np.float64)
+    n, degree = c.shape[0], c.shape[1] - 1
+    k = np.empty((n, degree))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(degree, 0, -1):
+            k[:, m - 1] = c[:, m] / c[:, 0]
+            c[:, :m] -= k[:, m - 1, None] * c[:, m:0:-1]
+    k = np.abs(k)
+    count = np.zeros(n, dtype=int)
+    for m in range(1, degree + 1):
+        count = np.where(k[:, m - 1] < 1.0, count, m - count)
+    return count, ~np.all(np.abs(k - 1.0) > CIRCLE_MARGIN, axis=1)
+
+
+def _peak_seeds(a: np.ndarray):
+    """(row, z): one seed per local maximum of 1/|A|^2 on the SEED_RADIUS circle.
+
+    The maxima are taken on SEED_POINTS angles from 0 to pi, DC and Nyquist
+    included (each compared with its one neighbour); a seed sits at
+    SEED_RADIUS times the peak's grid point, so the two ends give real seeds.
+    """
+    table = _unit_circle_table(2, SEED_POINTS)
+    # A(SEED_RADIUS*e^jw) has the taps a_m * SEED_RADIUS^-m
+    power = _grid_power(a * SEED_RADIUS ** -np.arange(a.shape[1]), SEED_POINTS)
+    dip = np.empty(power.shape, dtype=bool)
+    dip[:, 1:-1] = (power[:, 1:-1] < power[:, :-2]) & (power[:, 1:-1] <= power[:, 2:])
+    dip[:, 0] = power[:, 0] < power[:, 1]
+    dip[:, -1] = power[:, -1] < power[:, -2]
+    rows, bins = np.nonzero(dip)
+    return rows, SEED_RADIUS * (table[1, bins] + 1j * table[1, SEED_POINTS + bins])
+
+
+def _newton_roots(a: np.ndarray, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Polish seed z[i] towards a root of a[rows[i]] by Newton's method.
+
+    All seeds step together, and a seed leaves once its step is at most
+    1e-13*|z|; a seed that has not settled after NEWTON_STEPS steps gives NaN.
+    """
+    roots = np.full(z.shape, np.nan, dtype=np.complex128)
+    seed = np.arange(z.size)
+    taps = np.ascontiguousarray(a[rows].T)
+    for _ in range(NEWTON_STEPS):
+        if not seed.size:
+            break
+        # P and P' by Horner's rule. Out of place: NumPy multiplies a complex
+        # array of one element in place with other rounding than a longer one
+        p, dp = taps[0] + 0j, np.zeros(seed.size, dtype=np.complex128)
+        for tap in taps[1:]:
+            dp = dp * z + p
+            p = p * z + tap
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = p / dp
+            z = z - step
+            settled = np.abs(step) <= 1e-13 * np.abs(z)
+        roots[seed[settled]] = z[settled]
+        going = ~settled & np.isfinite(z)
+        seed, z, taps = seed[going], z[going], taps[:, going]
+    return roots
+
+
+def formant_anchors(a: np.ndarray, reflection: np.ndarray, sample_rate: float):
+    """`formant_candidates(polynomial_roots(a), sample_rate)` without the full root set.
+
+    `a` is an (n, p+1) stack of error-filter taps and `reflection` its
+    (n, p) Levinson reflection coefficients. The gate keeps roots with
+    B < MAX_BANDWIDTH, which is the annulus rho < |z| < 1 with
+    rho = exp(-pi*MAX_BANDWIDTH/fs). Per row:
+    1. count the roots there: the Schur-Cohn count of roots with |z| > rho
+       (taps scaled by rho^-m); the reflection coefficients show none lies on
+       or outside |z| = 1;
+    2. seed Newton's method at the peaks of 1/|A|^2 on the SEED_RADIUS circle
+       and polish every seed at once (Snell & Milinazzo 1993);
+    3. fold the settled roots into the upper half-plane, keep those inside the
+       annulus and drop duplicates; a root counts twice, once if real.
+    A row whose roots add up to its count is gated from them. The rest, and
+    the rows in doubt (a reflection coefficient of the fit or of the count
+    within CIRCLE_MARGIN of +/-1), are gated from `polynomial_roots`. Every
+    row gives what it gives alone, whatever stack it is in.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n, p = a.shape[0], a.shape[1] - 1
+    rho = np.exp(-np.pi * MAX_BANDWIDTH / sample_rate)
+    in_annulus, doubtful = _roots_outside_unit_circle(a * rho ** -np.arange(p + 1))
+    doubtful |= np.any(np.abs(reflection) >= 1.0 - CIRCLE_MARGIN, axis=1)
+
+    rows, z = _peak_seeds(a)
+    z = _newton_roots(a, rows, z)
+    z = np.where(z.imag < 0, z.conj(), z)
+    radius = np.abs(z)
+    inside = (radius > rho) & (radius < 1.0)
+    rows, z, radius = rows[inside], z[inside], radius[inside]
+    order = np.lexsort((radius, np.angle(z), rows))
+    rows, z = rows[order], z[order]
+    new = np.ones(z.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (np.abs(z[1:] - z[:-1]) >= DUPLICATE_DISTANCE)
+    rows, z = rows[new], z[new]
+    found = np.bincount(rows, weights=np.where(z.imag == 0, 1, 2), minlength=n)
+    fallback = doubtful | (found != in_annulus)
+
+    solved = ~fallback[rows]
+    rows, z = rows[solved], z[solved]
+    roots = np.zeros((n, p), dtype=np.complex128)  # a zero root never passes the gate
+    roots[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = z
+    freqs, bandwidths, counts = formant_candidates(roots, sample_rate)
+    rest = np.flatnonzero(fallback)
+    if rest.size:
+        freqs[rest], bandwidths[rest], counts[rest] = formant_candidates(
+            polynomial_roots(a[rest]), sample_rate)
+    return freqs, bandwidths, counts
 
 
 def resonator_taps(frequency, bandwidth, sample_rate: float):

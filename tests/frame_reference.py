@@ -16,11 +16,10 @@ from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
     autocorrelation,
-    formant_candidates,
+    formant_anchors,
     frame_signal,
     levinson_rows,
     lpc_levels,
-    polynomial_roots,
     preemphasize,
     window,
 )
@@ -61,7 +60,7 @@ def frame_pipeline(segments, cfg=None):
     fitted = fit.stage == 0
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
 
-    freqs, bws, counts = formant_candidates(polynomial_roots(a), fs)
+    freqs, bws, counts = formant_anchors(a, fit.reflection[fitted], fs)
 
     def formants(i, limit=None):
         n = counts[i] if limit is None else min(counts[i], limit)

@@ -1,0 +1,284 @@
+"""`sigproc.formant_anchors` against the companion-matrix roots it stands in for.
+
+The oracle is `formant_candidates(polynomial_roots(a), fs)`: every row must
+give its candidate count and NaN pattern exactly, and its frequencies and
+bandwidths within 1e-8 Hz; the rows the primitive leaves to
+`polynomial_roots` must give the oracle bit for bit; and a row must give the
+same anchors alone as inside any stack. On the acceptance corpus, clean and
+under white and babble noise, the share of rows left to `polynomial_roots`
+is bounded: a wrong Schur-Cohn count or a duplicate root that is not dropped
+sends far more rows there. The frame pipeline, anchored either way, must
+read every frame the same.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specvalley import classify, sigproc
+from specvalley.corpus import NoiseSpec, load_wav, mix_noise
+from specvalley.sigproc import (
+    autocorrelation,
+    formant_anchors,
+    formant_candidates,
+    frame_signal,
+    levinson_rows,
+    polynomial_roots,
+    preemphasize,
+    window,
+)
+from test_frame_table import _close_resonances
+
+FS = 16000.0
+RHO = np.exp(-np.pi * sigproc.MAX_BANDWIDTH / FS)
+TOL_HZ = 1e-8
+BLOCK_SEGMENTS = 20  # segments per frame_pipeline call, about STACK_FRAMES frames
+# criterion 8's conditions (40, 25 and 20 dB), and 0 dB, where babble leaves
+# the most rows to polynomial_roots; with the share of rows each may leave
+# there (measured: 2.0 % clean, white 1.4-3.8 % and 0.03 % at 0 dB, babble
+# 2.1-2.9 % and 6.6 % at 0 dB)
+FALLBACK_SHARE = {"clean": 0.03, "white 40": 0.05, "white 25": 0.05, "white 20": 0.05,
+                  "white 0": 0.01, "babble 40": 0.05, "babble 25": 0.05, "babble 20": 0.05,
+                  "babble 0": 0.09}
+
+
+def _eigvals_anchors(a, reflection, sample_rate):
+    return formant_candidates(polynomial_roots(a), sample_rate)
+
+
+def _assert_matches_the_oracle(got, expected):
+    freqs, bws, counts = got
+    assert np.array_equal(counts, expected[2])
+    assert np.array_equal(np.isnan(freqs), np.isnan(expected[0]))
+    assert np.array_equal(np.isnan(bws), np.isnan(expected[1]))
+    assert np.nanmax(np.abs(freqs - expected[0]), initial=0.0) <= TOL_HZ
+    assert np.nanmax(np.abs(bws - expected[1]), initial=0.0) <= TOL_HZ
+
+
+def _same(x, y):
+    return all(np.array_equal(u, v, equal_nan=True) for u, v in zip(x, y))
+
+
+def _record_eigvals_calls(mp):
+    """The list of stacks sigproc sends to `polynomial_roots` from now on."""
+    sent = []
+    mp.setattr(sigproc, "polynomial_roots", lambda c: sent.append(c) or polynomial_roots(c))
+    return sent
+
+
+def _rows_sent(a, sent):
+    """Indices into `a` of the rows in the recorded stacks."""
+    row_of = {row.tobytes(): i for i, row in enumerate(a)}
+    return np.array([row_of[row.tobytes()] for c in sent for row in c], dtype=int)
+
+
+def _pipeline_columns(blocks, cfg):
+    tables = [classify.frame_pipeline(block, cfg) for block in blocks]
+    return {name: np.concatenate([getattr(t, name) for t in tables])
+            for name in ("reason", "counts", "v1", "v2", "freqs", "bandwidths")}
+
+
+@pytest.fixture(scope="module", params=list(FALLBACK_SHARE))
+def both_ways(request, clean_segment_features, babble_path):
+    """The corpus under one condition through the pipeline anchored both ways,
+    with every anchor call's input and output and the rows sent to eigvals."""
+    audio = [seg.audio for _, _, seg in clean_segment_features]
+    if request.param != "clean":
+        kind, snr = request.param.split()
+        babble = load_wav(babble_path)
+        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i,
+                                        babble_source=str(babble_path)), babble=babble)
+                 for i, x in enumerate(audio)]
+    blocks = [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
+    cfg = classify.PipelineConfig()
+    calls = {"anchors": [], "eigvals": []}
+
+    def recorded(name, anchors):
+        def call(a, reflection, sample_rate):
+            out = anchors(a, reflection, sample_rate)
+            calls[name].append((a, reflection, out))
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "formant_anchors", recorded("anchors", formant_anchors))
+        sent = _record_eigvals_calls(mp)
+        anchored = _pipeline_columns(blocks, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "formant_anchors", recorded("eigvals", _eigvals_anchors))
+        reference = _pipeline_columns(blocks, cfg)
+    return request.param, anchored, reference, calls, sent
+
+
+def test_anchors_equal_the_eigvals_gating_on_the_corpus(both_ways):
+    condition, _, _, calls, sent = both_ways
+    a = np.concatenate([call[0] for call in calls["anchors"]])
+    assert len(a) > 6000
+    # the pipeline fed both anchor steps the same fitted rows
+    assert all(np.array_equal(x[0], y[0]) for x, y in zip(calls["anchors"], calls["eigvals"]))
+    got, expected = ([np.concatenate(col) for col in zip(*[call[2] for call in calls[name]])]
+                     for name in ("anchors", "eigvals"))
+    _assert_matches_the_oracle(got, expected)
+
+    left = _rows_sent(a, sent)
+    assert _same([x[left] for x in got], [x[left] for x in expected])
+    assert left.size <= FALLBACK_SHARE[condition] * len(a), (condition, left.size)
+
+
+def test_pipeline_reads_each_frame_as_when_anchored_at_eigvals(both_ways):
+    _, anchored, reference, _, _ = both_ways
+    for name in ("reason", "counts", "v1", "v2"):
+        assert np.array_equal(anchored[name], reference[name], equal_nan=True), name
+    _assert_matches_the_oracle(
+        (anchored["freqs"], anchored["bandwidths"], anchored["counts"]),
+        (reference["freqs"], reference["bandwidths"], reference["counts"]))
+    assert np.count_nonzero(anchored["reason"] == classify.VALID) > 0.6 * len(anchored["reason"])
+
+
+def test_a_corpus_row_gives_the_same_anchors_alone(clean_segment_features):
+    cfg = classify.PipelineConfig()
+    frames = np.concatenate([frame_signal(preemphasize(seg.audio, cfg.preemphasis), cfg.frame_ms,
+                                          cfg.overlap_fraction)
+                             for _, _, seg in clean_segment_features])
+    fit = levinson_rows(autocorrelation(window(frames), 18), 18)
+    assert not fit.stage.any()
+    for first in range(0, len(fit.a), classify.STACK_FRAMES):
+        block = slice(first, first + classify.STACK_FRAMES)
+        stacked = formant_anchors(fit.a[block], fit.reflection[block], FS)
+        for i in range(0, len(stacked[2]), 8):
+            row = slice(first + i, first + i + 1)
+            alone = formant_anchors(fit.a[row], fit.reflection[row], FS)
+            assert _same([x[i] for x in stacked], [x[0] for x in alone])
+
+
+def _reflection(a):
+    """Reflection coefficients of stable error filters, by the step-down."""
+    c = np.array(a, dtype=np.float64)
+    p = c.shape[1] - 1
+    k = np.empty((len(c), p))
+    for m in range(p, 0, -1):
+        k[:, m - 1] = c[:, m]
+        c[:, :m] = (c[:, :m] - k[:, m - 1, None] * c[:, m:0:-1]) / (1.0 - k[:, m - 1, None] ** 2)
+    return k
+
+
+def _row(rng, order, kind):
+    """The roots of one crafted error filter of even order.
+
+    Its conjugate pairs sit one to a sector of (0, pi), so no two roots crowd
+    and the companion roots stay accurate to far below 1e-8 Hz. The named
+    kind shapes the first pairs: "unit" puts a pair just inside |z| = 1,
+    "rho" one just inside or outside the gate's circle |z| = rho, "close" two
+    pairs 20 Hz apart, "real" two real roots near +1 and -1.
+    """
+    pairs = order // 2
+    theta = (np.arange(pairs) + rng.uniform(0.2, 0.8, pairs)) * np.pi / pairs
+    radius = rng.uniform(0.5, 0.98, pairs)
+    if kind == "unit":
+        radius[0] = 1.0 - 10.0 ** rng.uniform(-7, -3)
+    elif kind == "rho":
+        radius[0] = RHO * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7, -3))
+    elif kind == "close":
+        radius[:2] = rng.uniform(0.9, 0.995)
+        theta[1] = theta[0] + 2 * np.pi * 20.0 / FS
+    poles = radius * np.exp(1j * theta)
+    roots = np.concatenate((poles, poles.conj()))
+    if kind == "real":
+        near = 1.0 - 10.0 ** rng.uniform(-6, -2, 2)
+        roots[0], roots[pairs] = near[0], -near[1]
+    return roots
+
+
+def _stack(seed, order, kinds):
+    """One crafted error filter of the given order per kind."""
+    rng = np.random.default_rng(seed)
+    return np.array([np.real(np.poly(_row(rng, order, kind))) for kind in kinds])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([10, 18, 24]),
+       kinds=st.lists(st.sampled_from(["free", "unit", "close", "real", "rho"]),
+                      min_size=1, max_size=12))
+def test_anchors_equal_the_eigvals_gating_on_crafted_stacks(seed, order, kinds):
+    a = _stack(seed, order, kinds)
+    reflection = _reflection(a)
+    got = formant_anchors(a, reflection, FS)
+    _assert_matches_the_oracle(got, _eigvals_anchors(a, reflection, FS))
+    for i in range(len(a)):
+        alone = formant_anchors(a[i:i + 1], reflection[i:i + 1], FS)
+        assert _same([x[i] for x in got], [x[0] for x in alone])
+
+
+def test_rows_left_to_eigvals_equal_it_bit_for_bit(monkeypatch):
+    # close resonances 20 Hz apart at radius 0.99: some frames' seeds miss a root
+    cfg = classify.PipelineConfig(lp_order=18)
+    frames = np.concatenate([frame_signal(preemphasize(_close_resonances(seed), cfg.preemphasis),
+                                          cfg.frame_ms, cfg.overlap_fraction)
+                             for seed in range(1, 6)])
+    fit = levinson_rows(autocorrelation(window(frames), 18), 18)
+    assert not fit.stage.any()
+    sent = _record_eigvals_calls(monkeypatch)
+    got = formant_anchors(fit.a, fit.reflection, FS)
+    expected = _eigvals_anchors(fit.a, fit.reflection, FS)
+    _assert_matches_the_oracle(got, expected)
+    left = _rows_sent(fit.a, sent)
+    assert 0 < left.size < len(fit.a)
+    assert _same([x[left] for x in got], [x[left] for x in expected])
+
+
+def test_seeds_that_reach_one_root_count_it_once(monkeypatch):
+    # every seed twice, once mirrored below the real axis: Newton takes the
+    # mirrored seed to the mirrored root, which folds onto the other one
+    a = _stack(5, 18, ["free", "close", "unit", "real", "rho", "free"])
+    reflection = _reflection(a)
+
+    def anchors():
+        with monkeypatch.context() as mp:
+            sent = _record_eigvals_calls(mp)
+            return formant_anchors(a, reflection, FS), sum(len(c) for c in sent)
+
+    once, left_once = anchors()
+    seeds = sigproc._peak_seeds
+
+    def seeds_twice(a):
+        rows, z = seeds(a)
+        return np.concatenate((rows, rows)), np.concatenate((z, z.conj()))
+
+    monkeypatch.setattr(sigproc, "_peak_seeds", seeds_twice)
+    twice, left_twice = anchors()
+    assert left_once < len(a) and left_twice == left_once
+    assert _same(twice, once)
+
+
+def test_a_row_in_doubt_is_left_to_eigvals(monkeypatch):
+    a = _stack(3, 18, ["free", "free", "free"])
+    reflection = _reflection(a)
+    reflection[1, 4] = 1.0 - 1e-10  # the Levinson fit says a root may sit on |z| = 1
+    sent = _record_eigvals_calls(monkeypatch)
+    got = formant_anchors(a, reflection, FS)
+    assert len(sent) == 1 and np.array_equal(sent[0], a[1:2])
+    _assert_matches_the_oracle(got, _eigvals_anchors(a, reflection, FS))
+
+
+def test_schur_cohn_counts_the_roots_outside_the_unit_circle():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for degree in (1, 2, 5, 10, 18, 24):
+        for _ in range(50):
+            roots = rng.uniform(0.2, 1.8, degree) * np.exp(1j * rng.uniform(-np.pi, np.pi, degree))
+            half = degree // 2
+            roots[half:2 * half] = np.conj(roots[:half])  # real coefficients
+            if degree % 2:
+                roots[-1] = roots[-1].real
+            c = np.real(np.poly(roots)) * rng.uniform(0.5, 2.0)
+            count, doubtful = sigproc._roots_outside_unit_circle(c[None, :])
+            if not doubtful[0]:
+                assert count[0] == np.count_nonzero(np.abs(np.roots(c)) > 1.0)
+                checked += 1
+    assert checked > 0.95 * 6 * 50
+
+
+def test_no_rows():
+    freqs, bws, counts = formant_anchors(np.zeros((0, 19)), np.zeros((0, 18)), FS)
+    assert freqs.shape == bws.shape == (0, 18) and counts.shape == (0,)

@@ -61,3 +61,14 @@ def test_rejects_bad_arguments():
         bark_to_hz(-0.5)
     with pytest.raises(ValueError):
         bark_to_hz(hz_to_bark(24000.0) + 1.0)
+
+
+def test_an_array_gives_its_elements_scalar_values():
+    # the spacing rules convert the formants of a segment's frames as one array;
+    # the first values are ones where squaring in NumPy and in the C library's
+    # pow round apart
+    f = np.concatenate(([7390.59923948731, 7080.774030260706, 5468.971377349506,
+                         3446.309756512851, 3742.951602231506, 7076.616149824317],
+                        np.random.default_rng(3).uniform(0.0, 24000.0, 30000)))
+    assert np.array_equal(hz_to_bark(f), [hz_to_bark(x) for x in f.tolist()])
+    assert np.array_equal(hz_to_bark(f.reshape(-1, 2)), hz_to_bark(f).reshape(-1, 2))

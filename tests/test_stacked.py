@@ -20,6 +20,7 @@ from specvalley.errors import DegenerateInputError, UnstableModelError, ValleyUn
 from specvalley.sigproc import (
     LpcModel,
     autocorrelation,
+    formant_anchors,
     formant_candidates,
     frame_signal,
     levinson,
@@ -167,8 +168,9 @@ def test_lpc_levels_match_the_fft_oracle(corpus_lags, order, n_points, stride):
 
 def _per_frame_reference(seg, cfg, order):
     """The frame-at-a-time loop `frame_pipeline` replaced, kept as a reference:
-    np.dot Levinson, one companion matrix per frame and per-root gating (the
+    np.dot Levinson and one `formant_anchors` call per frame (the
     autocorrelation was already computed one lag at a time over the stack).
+    `test_formant_anchors` anchors the roots to companion-matrix eigenvalues.
     Each frame's envelope is its taps times the cos|sin table, as in
     `lpc_levels`; `test_lpc_levels_match_the_fft_oracle` anchors that to the rfft."""
     frames = window(frame_signal(preemphasize(seg, cfg.preemphasis), cfg.frame_ms,
@@ -187,22 +189,13 @@ def _per_frame_reference(seg, cfg, order):
         a = np.zeros(order + 1)
         a[0] = 1.0
         e = r[0]
+        ks = np.empty(order)
         for m in range(1, order + 1):
-            k = -np.dot(a[:m], r[m:0:-1]) / e
+            k = ks[m - 1] = -np.dot(a[:m], r[m:0:-1]) / e
             a[: m + 1] += k * a[m::-1]
             e *= 1.0 - k * k
-        companion = np.zeros((order, order))
-        companion[0, :] = -a[1:] / a[0]
-        companion[np.arange(1, order), np.arange(0, order - 1)] = 1.0
-        formants = []
-        for root in np.linalg.eigvals(companion):
-            theta, radius = np.angle(root), abs(root)
-            if theta <= 0 or radius <= 0 or radius >= 1:
-                continue
-            freq, bw = theta * FS / (2 * np.pi), -FS * np.log(radius) / np.pi
-            if 150.0 <= freq <= FS / 2.0 - 100.0 and 0 < bw < 500.0:
-                formants.append((freq, bw))
-        formants.sort()
+        freqs, bws, count = formant_anchors(a[None, :], ks[None, :], FS)
+        formants = list(zip(freqs[0, : count[0]].tolist(), bws[0, : count[0]].tolist()))
         if len(formants) < 3:
             out.append((None, None, formants, "fewer than three formants"))
             continue
