@@ -11,14 +11,19 @@ from .types import SignalBuffer
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
+# MFCCs: N_FILTERS mel filters from 0 Hz to Nyquist on an NFFT-point spectrum,
+# and c1..c_N_COEFFS kept
+N_FILTERS = 26
+N_COEFFS = 12
+NFFT = 512
 
-@dataclass(frozen=True)
-class MfccConfig:
-    n_filters: int = 26
-    n_coeffs: int = 12
-    nfft: int = 512
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # None -> Nyquist
+# training: mini-batch gradient descent with momentum, stopped early on a
+# held-out share of the data
+LEARNING_RATE = 0.1
+MOMENTUM = 0.9
+BATCH_SIZE = 32
+HOLDOUT_FRACTION = 0.1
+PATIENCE = 30  # epochs without a better held-out loss before training stops
 
 
 def _hz_to_mel(f):
@@ -30,18 +35,17 @@ def _mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=8)
-def mel_filterbank(sample_rate: float, cfg: MfccConfig) -> np.ndarray:
-    """Triangular mel filters as an (n_filters, nfft//2 + 1) weight matrix.
+def mel_filterbank(sample_rate: float) -> np.ndarray:
+    """Triangular mel filters as an (N_FILTERS, NFFT//2 + 1) weight matrix.
 
-    Built once per sample rate and config; the cached matrix is read-only.
+    Built once per sample rate; the cached matrix is read-only.
     """
-    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sample_rate / 2.0
-    mels = np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(fmax), cfg.n_filters + 2)
+    mels = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), N_FILTERS + 2)
     hz = _mel_to_hz(mels)
-    bins = np.floor((cfg.nfft + 1) * hz / sample_rate).astype(int)
-    bins = np.clip(bins, 0, cfg.nfft // 2)
-    fb = np.zeros((cfg.n_filters, cfg.nfft // 2 + 1))
-    for i in range(cfg.n_filters):
+    bins = np.floor((NFFT + 1) * hz / sample_rate).astype(int)
+    bins = np.clip(bins, 0, NFFT // 2)
+    fb = np.zeros((N_FILTERS, NFFT // 2 + 1))
+    for i in range(N_FILTERS):
         left, center, right = bins[i], bins[i + 1], bins[i + 2]
         if center == left:
             center = left + 1
@@ -53,33 +57,31 @@ def mel_filterbank(sample_rate: float, cfg: MfccConfig) -> np.ndarray:
     return fb
 
 
-def mfcc(frames: np.ndarray, sample_rate: float, cfg: MfccConfig | None = None) -> np.ndarray:
+def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     """c1..c12 of a frame: power spectrum, mel filterbank, log, DCT-II.
 
     `frames` is one frame or an (n_frames, frame_len) stack, which gives an
-    (n_frames, n_coeffs) matrix from one rfft, one filterbank, one stacked
+    (n_frames, N_COEFFS) matrix from one rfft, one filterbank, one stacked
     filterbank product and one DCT. c0 is dropped, which makes the kept
     coefficients invariant to audio gain.
     """
     from scipy.fft import dct  # kept off the import path of commands without MFCCs
 
-    cfg = cfg or MfccConfig()
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.any(frames, axis=-1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
-    filterbank = mel_filterbank(sample_rate, cfg)
-    spectrum = np.abs(np.fft.rfft(frames, cfg.nfft, axis=-1)) ** 2
+    filterbank = mel_filterbank(sample_rate)
+    spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=-1)) ** 2
     # one filterbank-times-spectrum product per frame, the same BLAS call a
     # single frame makes, so a stacked row equals the single-frame result exactly
     energies = (filterbank @ spectrum[..., None])[..., 0]
     log_e = np.log(np.maximum(energies, 1e-300))
     coeffs = dct(log_e, type=2, norm="ortho", axis=-1)
-    return coeffs[..., 1 : cfg.n_coeffs + 1]
+    return coeffs[..., 1 : N_COEFFS + 1]
 
 
 def segment_mfcc_matrix(
     audio: SignalBuffer,
-    cfg: MfccConfig | None = None,
     frame_ms: float = 20.0,
     overlap_fraction: float = 0.5,
     preemphasis: float = 0.97,
@@ -88,13 +90,12 @@ def segment_mfcc_matrix(
 
     All-zero frames are skipped; the rest go through `mfcc` as one stack.
     """
-    cfg = cfg or MfccConfig()
     emphasized = preemphasize(audio, preemphasis)
     frames = frame_signal(emphasized, frame_ms, overlap_fraction)
     frames = frames[np.any(frames, axis=1)]
     if len(frames) == 0:
-        return np.empty((0, cfg.n_coeffs))
-    return mfcc(window(frames), audio.sample_rate, cfg)
+        return np.empty((0, N_COEFFS))
+    return mfcc(window(frames), audio.sample_rate)
 
 
 @dataclass
@@ -140,17 +141,12 @@ def train_mlp(
     hidden_units: int = 10,
     seed: int = 0,
     epochs: int = 300,
-    learning_rate: float = 0.1,
-    momentum: float = 0.9,
-    batch_size: int = 32,
-    holdout_fraction: float = 0.1,
-    patience: int = 30,
 ) -> MlpModel:
     """Seeded mini-batch gradient descent with momentum and early stopping.
 
-    Ten percent of the data (seeded shuffle) is held out; training stops when
-    its loss has not improved for `patience` epochs and the best weights are
-    restored. Identical inputs and seed give identical weights.
+    HOLDOUT_FRACTION of the data (seeded shuffle) is held out; training stops
+    when its loss has not improved for PATIENCE epochs and the best weights
+    are restored. Identical inputs and seed give identical weights.
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray([CLASS_TO_TARGET[l] if isinstance(l, str) else float(l) for l in labels])
@@ -165,7 +161,7 @@ def train_mlp(
     scale = x.std(axis=0)
     scale[scale == 0] = 1.0
     xn = (x - mean) / scale
-    n_hold = max(1, int(round(holdout_fraction * len(xn))))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * len(xn))))
     perm = rng.permutation(len(xn))
     hold, tr = perm[:n_hold], perm[n_hold:]
     if len(tr) == 0:
@@ -180,13 +176,13 @@ def train_mlp(
     stale = 0
     for _ in range(epochs):
         order = rng.permutation(len(tr))
-        for start in range(0, len(order), batch_size):
-            idx = tr[order[start : start + batch_size]]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = tr[order[start : start + BATCH_SIZE]]
             xb = xn[idx]
             h, p = _forward(w1, b1, w2, b2, xb)
             grads = _gradients(w2, xb, y[idx], h, p)
             for slot, g in enumerate(grads):
-                vel[slot] = momentum * vel[slot] - learning_rate * g
+                vel[slot] = MOMENTUM * vel[slot] - LEARNING_RATE * g
             w1 += vel[0]
             b1 += vel[1]
             w2 += vel[2]
@@ -197,7 +193,7 @@ def train_mlp(
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
     _, w1, b1, w2, b2 = best
     return MlpModel(input_dim=d, hidden_units=hidden_units, w1=w1, b1=b1, w2=w2, b2=b2,

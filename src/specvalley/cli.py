@@ -93,7 +93,10 @@ def _out_for(args, params):
 
 
 def _cmd_sweep2(args):
-    if not args.f1_step > 0:
+    for flag, value in (("--f1-start", args.f1_start), ("--f1-stop", args.f1_stop)):
+        if not np.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
+    if not (np.isfinite(args.f1_step) and args.f1_step > 0):
         raise UsageError(f"--f1-step must be positive, got {args.f1_step}")
     if args.f1_stop < args.f1_start:
         raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
@@ -441,11 +444,9 @@ def _cmd_noise_eval(args):
 def _cmd_baseline(args):
     cfg, segments = _corpus_inputs(args)
     if args.feature == "mfcc":
-        mfcc_cfg = baseline.MfccConfig()
-
         def mean_mfcc(seg):
-            mat = baseline.segment_mfcc_matrix(seg.audio, mfcc_cfg, cfg.frame_ms,
-                                               cfg.overlap_fraction, cfg.preemphasis)
+            mat = baseline.segment_mfcc_matrix(seg.audio, cfg.frame_ms, cfg.overlap_fraction,
+                                               cfg.preemphasis)
             return mat.mean(axis=0) if len(mat) else None
 
         features = [(seg, truth, mean_mfcc(seg))
@@ -651,8 +652,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_sweep_grid(args):
-    """--step and --points of the sweep commands, checked before any computation."""
+def _check_experiment_options(args):
+    """--fs, --step and --points of the experiment commands, checked before any computation."""
+    fs = getattr(args, "fs", None)  # pb-ocd's default None picks a rate per gender
+    if fs is not None and not (np.isfinite(fs) and fs > 0):
+        raise UsageError(f"--fs must be a finite positive number, got {fs}")
     if hasattr(args, "step") and not (np.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be positive, got {args.step}")
     if hasattr(args, "points") and args.points < 64:
@@ -672,7 +676,7 @@ def run(argv) -> int:
     if getattr(args, "band", None) is not None and args.band <= 0:
         args.band = None
     try:
-        _check_sweep_grid(args)
+        _check_experiment_options(args)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -32,10 +32,6 @@ class UnstableModelError(AnalysisError):
 class NumericFailureError(AnalysisError):
     """An iterative numerical routine failed to converge."""
 
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class NoCrossingError(AnalysisError):
     """A sweep ended without the tracked quantity changing sign."""

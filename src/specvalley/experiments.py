@@ -20,6 +20,14 @@ BACK_VOWELS = ("aa", "ao", "uh", "uw", "ah")
 # neutral-tract reference: equally spaced resonances of a uniform tube
 UNIFORM_TUBE_FORMANTS_HZ = (500.0, 1500.0, 2500.0, 3500.0)
 
+# frequencies from 0 Hz to Nyquist on which the studies evaluate envelopes
+GRID_POINTS = 4096
+
+# the F0 study drops the first F0_SETTLE_S of each pulse-train response and
+# analyses the F0_ANALYSIS_S after it
+F0_SETTLE_S = 0.1
+F0_ANALYSIS_S = 0.4
+
 
 @dataclass
 class SweepConfig:
@@ -37,7 +45,7 @@ class SweepConfig:
     pair: tuple = (0, 1)
     step_hz: float = 25.0
     move_upper: bool = True
-    n_points: int = 4096
+    n_points: int = GRID_POINTS
     mean_band_hz: float | None = None
 
     def __post_init__(self):
@@ -69,25 +77,19 @@ def _banded_mean_db(env: SpectralEnvelope, band_hz):
     return power_mean_db(env.levels_db[sel])
 
 
-def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi, label: str = "V12"):
+def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
     """(L_lo, L_hi, RLSV measurement) of the peaks located near f_lo and f_hi."""
     p_lo, l_lo = locate_peak(env, f_lo)
     p_hi, l_hi = locate_peak(env, f_hi)
-    return l_lo, l_hi, rlsv(env, p_lo, p_hi, label)
+    return l_lo, l_hi, rlsv(env, p_lo, p_hi)
 
 
-def measure_pair_rlsv(
-    formants,
-    pair,
-    sample_rate,
-    n_points: int = 4096,
-    mean_band_hz=None,
-    label: str = "V12",
-):
+def measure_pair_rlsv(formants, pair, sample_rate, n_points: int = GRID_POINTS,
+                      mean_band_hz=None):
     """RLSV (mean - valley, dB) between two formants of an analytic cascade."""
     env = analytic_cascade_spectrum(formants, sample_rate, n_points)
     i, j = pair
-    _, _, m = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency, label)
+    _, _, m = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency)
     valley_level = env.mean_level_db - m.v_db
     return _banded_mean_db(env, mean_band_hz) - valley_level
 
@@ -128,9 +130,7 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
 
     def measure(lo, hi):
         fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
-        v = measure_pair_rlsv(
-            fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz, label
-        )
+        v = measure_pair_rlsv(fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz)
         trace.append((hz_to_bark(hi) - hz_to_bark(lo), v))
         pairs.append((lo, hi))
         return v
@@ -184,7 +184,7 @@ def two_formant_curve(
     b1: float,
     b2: float,
     sample_rate: float = 10000.0,
-    n_points: int = 4096,
+    n_points: int = GRID_POINTS,
     mean_band_hz: float | None = 2500.0,
 ):
     """RLSV of the F1-F2 valley for each F1, with F2 fixed.
@@ -226,7 +226,6 @@ def level_influence_experiment(
     b1_values=(70.0, 100.0, 140.0),
     b2_values=(50.0, 80.0, 120.0, 180.0),
     sample_rate: float = 8000.0,
-    n_points: int = 4096,
 ):
     """Sweep (B1, B2) and record peak levels L1, L2 and the F1-F2 RLSV.
 
@@ -242,7 +241,7 @@ def level_influence_experiment(
                 FormantSpec(case_formants[1].frequency, b2),
             ] + list(case_formants[2:])
             try:
-                env = analytic_cascade_spectrum(fm, sample_rate, n_points)
+                env = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
                 l1, l2, m = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)
                 cells.append(LevelCell(b1, b2, l1, l2, m.v_db))
             except (PeakNotFoundError, ValleyUndefinedError) as exc:
@@ -267,7 +266,6 @@ def lp_envelope_of_signal(
     samples: np.ndarray,
     sample_rate: float,
     order: int,
-    n_points: int = 4096,
     lag_window_half_length: int | None = None,
 ) -> SpectralEnvelope:
     """Autocorrelation-method LP envelope, optionally with a lag window.
@@ -283,7 +281,7 @@ def lp_envelope_of_signal(
             raise ValueError("lag window half-length must cover the model order")
         r = r * np.hamming(2 * L + 1)[L : L + order + 1]
     model = levinson(r, order, sample_rate)
-    return lpc_envelope(model, n_points)
+    return lpc_envelope(model, GRID_POINTS)
 
 
 def f0_influence_experiment(
@@ -292,9 +290,6 @@ def f0_influence_experiment(
     sample_rate: float = 8000.0,
     lp_order: int = 8,
     lag_window_half_length: int | None = 24,
-    settle_s: float = 0.1,
-    analysis_s: float = 0.4,
-    n_points: int = 4096,
 ):
     """Compare impulse-response RLSV against the LP envelope of a pulse train.
 
@@ -308,16 +303,14 @@ def f0_influence_experiment(
     from .synth import Excitation, synthesize  # scipy.signal: only this study synthesizes
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
-    env_ref = analytic_cascade_spectrum(fm, sample_rate, n_points)
+    env_ref = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
     v_ref = _peak_pair_rlsv(env_ref, fm[0].frequency, fm[1].frequency)[2].v_db
     rows = []
     for f0 in f0_values:
-        exc = Excitation("impulse-train", f0=f0, duration_s=settle_s + analysis_s)
+        exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
         sig = synthesize(fm, exc, sample_rate)
-        seg = sig.samples[int(settle_s * sample_rate):]
-        env = lp_envelope_of_signal(
-            seg, sample_rate, lp_order, n_points, lag_window_half_length
-        )
+        seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
+        env = lp_envelope_of_signal(seg, sample_rate, lp_order, lag_window_half_length)
         v_f0 = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)[2].v_db
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+BARK_TO_HZ_MAX = 24000.0  # Hz; the top of the bracket `bark_to_hz` searches
+
 
 def hz_to_bark(f):
     """Critical-band rate z in bark for frequency f in Hz.
@@ -21,22 +23,22 @@ def hz_to_bark(f):
     return float(z) if np.isscalar(f) or arr.ndim == 0 else z
 
 
-def bark_to_hz(z, max_hz: float = 24000.0):
+def bark_to_hz(z):
     """Inverse of `hz_to_bark` by bisection, to 1e-6 bark.
 
-    `max_hz` bounds the search bracket; z must lie in [0, hz_to_bark(max_hz)].
+    z must lie in [0, hz_to_bark(BARK_TO_HZ_MAX)].
     """
     arr = np.asarray(z, dtype=np.float64)
     scalar = np.isscalar(z) or arr.ndim == 0
     out = np.empty(arr.shape if not scalar else (1,))
-    zmax = hz_to_bark(max_hz)
+    zmax = hz_to_bark(BARK_TO_HZ_MAX)
     for i, zz in enumerate(np.atleast_1d(arr)):
         if not np.isfinite(zz) or zz < 0 or zz > zmax:
             raise ValueError(f"bark value {zz} outside invertible range [0, {zmax:.3f}]")
         if zz == 0.0:
             out.flat[i] = 0.0
             continue
-        lo, hi = 0.0, float(max_hz)
+        lo, hi = 0.0, BARK_TO_HZ_MAX
         # ~60 halvings of the Hz bracket drive the bark error below 1e-6
         for _ in range(80):
             mid = 0.5 * (lo + hi)

@@ -14,8 +14,11 @@ from .errors import (
 )
 from .types import FormantSpec, SignalBuffer, SpectralEnvelope
 
-WINDOW_KINDS = ("hamming", "hann", "rectangular")
-MAX_BANDWIDTH = 500.0  # Hz; broader roots are no formant candidates
+# the formant gate: a root is a candidate from MIN_FREQUENCY to
+# fs/2 - NYQUIST_MARGIN, with a bandwidth below MAX_BANDWIDTH (all in Hz)
+MIN_FREQUENCY = 150.0
+NYQUIST_MARGIN = 100.0
+MAX_BANDWIDTH = 500.0
 # Newton seeds for the formant anchors are the envelope peaks on this circle:
 # inside the unit circle, peaks of neighbouring poles that merge there stand
 # apart (McCandless 1974)
@@ -92,20 +95,13 @@ def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> n
     return x.samples[idx]
 
 
-def window(frame: np.ndarray, kind: str = "hamming") -> np.ndarray:
-    """Apply a named window; 'rectangular' is the identity."""
+def window(frame: np.ndarray) -> np.ndarray:
+    """Apply the Hamming window along the last axis."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.size == 0:
         raise ValueError("frame must be non-empty")
     n = frame.shape[-1]
-    if kind == "rectangular":
-        return frame.copy()
-    if kind == "hamming":
-        w = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
-    elif kind == "hann":
-        w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
-    else:
-        raise ValueError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
+    w = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
     return frame * w
 
 
@@ -318,18 +314,12 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots.astype(np.complex128, copy=False)
 
 
-def formant_candidates(
-    roots: np.ndarray,
-    sample_rate: float,
-    min_frequency: float = 150.0,
-    max_bandwidth: float = MAX_BANDWIDTH,
-    nyquist_margin: float = 100.0,
-):
+def formant_candidates(roots: np.ndarray, sample_rate: float):
     """Gate an (n, p) stack of roots to formant candidates, row by row.
 
     Each root r*e^(j*theta) with theta > 0 and 0 < r < 1 maps to
     F = theta*fs/(2*pi) and B = -fs*ln(r)/pi, and is kept when F lies in
-    [min_frequency, fs/2 - nyquist_margin] and 0 < B < max_bandwidth.
+    [MIN_FREQUENCY, fs/2 - NYQUIST_MARGIN] and 0 < B < MAX_BANDWIDTH.
     Returns (freqs, bandwidths, counts): (n, p) arrays with each row's
     candidates first, ascending in frequency, and NaN after them, and the
     number of candidates per row.
@@ -342,8 +332,8 @@ def formant_candidates(
         bw = -sample_rate * np.log(radius) / np.pi
     keep = (
         (theta > 0) & (radius > 0) & (radius < 1)
-        & (freq >= min_frequency) & (freq <= sample_rate / 2.0 - nyquist_margin)
-        & (bw > 0) & (bw < max_bandwidth)
+        & (freq >= MIN_FREQUENCY) & (freq <= sample_rate / 2.0 - NYQUIST_MARGIN)
+        & (bw > 0) & (bw < MAX_BANDWIDTH)
     )
     order = np.argsort(np.where(keep, freq, np.inf), axis=-1, kind="stable")
     keep = np.take_along_axis(keep, order, axis=-1)
@@ -352,21 +342,13 @@ def formant_candidates(
     return freqs, bandwidths, keep.sum(axis=-1)
 
 
-def roots_to_formants(
-    roots: np.ndarray,
-    sample_rate: float,
-    min_frequency: float = 150.0,
-    max_bandwidth: float = MAX_BANDWIDTH,
-    nyquist_margin: float = 100.0,
-) -> list[FormantSpec]:
+def roots_to_formants(roots: np.ndarray, sample_rate: float) -> list[FormantSpec]:
     """Formant candidates of one root set, sorted by frequency.
 
     The one-row case of `formant_candidates`; real-axis and heavily damped
     poles fall out. May return fewer than three entries.
     """
-    freqs, bws, counts = formant_candidates(
-        np.asarray(roots)[None, :], sample_rate, min_frequency, max_bandwidth, nyquist_margin
-    )
+    freqs, bws, counts = formant_candidates(np.asarray(roots)[None, :], sample_rate)
     n = int(counts[0])
     return [FormantSpec(f, b) for f, b in zip(freqs[0, :n].tolist(), bws[0, :n].tolist())]
 
@@ -455,10 +437,11 @@ def formant_anchors(a: np.ndarray, reflection: np.ndarray, sample_rate: float):
        and polish every seed at once (Snell & Milinazzo 1993);
     3. fold the settled roots into the upper half-plane, keep those inside the
        annulus and drop duplicates; a root counts twice, once if real.
-    A row whose roots add up to its count is gated from them. The rest, and
-    the rows in doubt (a reflection coefficient of the fit or of the count
-    within CIRCLE_MARGIN of +/-1), are gated from `polynomial_roots`. Every
-    row gives what it gives alone, whatever stack it is in.
+    A row whose roots add up to its count keeps them. The rest, and the rows
+    in doubt (a reflection coefficient of the fit or of the count within
+    CIRCLE_MARGIN of +/-1), take theirs from `polynomial_roots`; then every
+    row passes one `formant_candidates` gate. Every row gives what it gives
+    alone, whatever stack it is in.
     """
     a = np.asarray(a, dtype=np.float64)
     n, p = a.shape[0], a.shape[1] - 1
@@ -484,12 +467,10 @@ def formant_anchors(a: np.ndarray, reflection: np.ndarray, sample_rate: float):
     rows, z = rows[solved], z[solved]
     roots = np.zeros((n, p), dtype=np.complex128)  # a zero root never passes the gate
     roots[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = z
-    freqs, bandwidths, counts = formant_candidates(roots, sample_rate)
     rest = np.flatnonzero(fallback)
     if rest.size:
-        freqs[rest], bandwidths[rest], counts[rest] = formant_candidates(
-            polynomial_roots(a[rest]), sample_rate)
-    return freqs, bandwidths, counts
+        roots[rest] = polynomial_roots(a[rest])
+    return formant_candidates(roots, sample_rate)
 
 
 def resonator_taps(frequency, bandwidth, sample_rate: float):

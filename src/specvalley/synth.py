@@ -16,9 +16,11 @@ EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 # default corner of the single-pole source-tilt lowpass
 TILT_CORNER_HZ = 50.0
 
-# bandwidth calibration: halvings of the search range per bandwidth and
-# round, and peaks read within +/-PEAK_WINDOW_HZ of each formant on a
-# CALIBRATION_POINTS grid from 0 Hz to Nyquist
+# bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
+# there), halvings of the search range per bandwidth and round, and peaks read
+# within +/-PEAK_WINDOW_HZ of each formant on a CALIBRATION_POINTS grid from
+# 0 Hz to Nyquist
+INITIAL_BANDWIDTH = 100.0
 BISECTION_STEPS = 36
 PEAK_WINDOW_HZ = 200.0
 CALIBRATION_POINTS = 2048
@@ -158,7 +160,6 @@ def calibrate_bandwidth_rows(
     target_levels,
     exc: Excitation,
     sample_rate: float,
-    initial_b1: float = 100.0,
     extra_formants=None,
     search_range=(30.0, 600.0),
     tolerance_db: float = 0.5,
@@ -186,8 +187,8 @@ def calibrate_bandwidth_rows(
     if len(extras) != n or len({len(e) for e in extras}) > 1:
         raise ValueError("extra_formants needs one sequence per row, all of one length")
     for f in freqs3.flat:  # the checks a FormantSpec makes
-        FormantSpec(float(f), float(initial_b1))
-    bws = np.tile([float(initial_b1), 100.0, 100.0], (n, 1))
+        FormantSpec(float(f), INITIAL_BANDWIDTH)
+    bws = np.full((n, 3), INITIAL_BANDWIDTH)
     lo_b, hi_b = search_range
 
     # each row's resonator terms are summed in ascending formant frequency,
@@ -274,7 +275,6 @@ def calibrate_bandwidths(
     target_levels,
     exc: Excitation,
     sample_rate: float,
-    initial_b1: float = 100.0,
     extra_formants=(),
     search_range=(30.0, 600.0),
     tolerance_db: float = 0.5,
@@ -283,7 +283,7 @@ def calibrate_bandwidths(
     """Find bandwidths whose measured relative peak levels match the targets.
 
     Targets (any sequence of at least three levels) are interpreted relative
-    to L1, which leaves B1 unconstrained; B1 anchors at `initial_b1` while B2
+    to L1, which leaves B1 unconstrained; B1 anchors at INITIAL_BANDWIDTH while B2
     and B3 are bisected over `search_range` against the analytic cascade
     spectrum (plus the excitation's source tilt), iterating until the
     relative levels land within `tolerance_db`. The one-row case of
@@ -294,7 +294,7 @@ def calibrate_bandwidths(
     if len(freqs3) != 3:
         raise ValueError("three formant frequencies are required")
     fit = calibrate_bandwidth_rows(
-        [freqs3], [[target_levels[i] for i in range(3)]], exc, sample_rate, initial_b1,
+        [freqs3], [[target_levels[i] for i in range(3)]], exc, sample_rate,
         [extra_formants], search_range, tolerance_db, max_rounds,
     )
     if not fit.converged[0]:

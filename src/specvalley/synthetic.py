@@ -38,6 +38,15 @@ UPPER_FORMANTS = {
 
 SOURCE_TILT_DB_PER_OCTAVE = -6.0
 
+# per token: F1..F3 scaled by 1 + N(0, FORMANT_JITTER), F0 and duration uniform
+# in their ranges; each segment pads its token with SILENCE_S of silence
+FORMANT_JITTER = 0.05
+F0_RANGE_HZ = (100.0, 250.0)
+DURATION_RANGE_S = (0.08, 0.20)
+SILENCE_S = 0.08
+
+BABBLE_VOICES = 8
+
 
 @dataclass
 class VowelRecipe:
@@ -103,15 +112,12 @@ def synthesize_vowel_token(
     recipe: VowelRecipe,
     rng: np.random.Generator,
     sample_rate: float = 16000.0,
-    freq_jitter: float = 0.05,
-    f0_range=(100.0, 250.0),
-    duration_range=(0.08, 0.20),
 ) -> SignalBuffer:
     """One jittered token of a vowel recipe, normalized to 0.3 peak."""
     freqs = list(recipe.formants_hz)
     bws = list(recipe.bandwidths_hz)
     for i in range(3):
-        freqs[i] = freqs[i] * (1.0 + rng.normal(0.0, freq_jitter))
+        freqs[i] = freqs[i] * (1.0 + rng.normal(0.0, FORMANT_JITTER))
         bws[i] = bws[i] * rng.uniform(0.8, 1.25)
     formants = []
     prev = 0.0
@@ -119,8 +125,8 @@ def synthesize_vowel_token(
         f = max(f, prev + 50.0)  # keep the cascade ordered under jitter
         formants.append(FormantSpec(f, b))
         prev = f
-    f0 = rng.uniform(*f0_range)
-    dur = rng.uniform(*duration_range)
+    f0 = rng.uniform(*F0_RANGE_HZ)
+    dur = rng.uniform(*DURATION_RANGE_S)
     exc = Excitation(
         "tilted-train", f0=f0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE, duration_s=dur
     )
@@ -135,7 +141,6 @@ def build_synthetic_corpus(
     seed: int = 0,
     sample_rate: float = 16000.0,
     labels_ext: str = ".phn",
-    silence_s: float = 0.08,
     recipes=None,
 ):
     """Write a WAV + label-file corpus; returns (wav_path, vowel, class) rows.
@@ -152,7 +157,7 @@ def build_synthetic_corpus(
     vowels = sorted(CLASSIFIED_VOWELS)
     rng = np.random.default_rng(seed)
     rows = []
-    pad = np.zeros(int(silence_s * sample_rate))
+    pad = np.zeros(int(SILENCE_S * sample_rate))
     for i in range(n_segments):
         vowel = vowels[i % len(vowels)]
         gender = "male" if (i // len(vowels)) % 2 == 0 else "female"
@@ -177,16 +182,15 @@ def build_babble(
     duration_s: float = 4.0,
     seed: int = 0,
     sample_rate: float = 16000.0,
-    n_voices: int = 8,
     recipes=None,
 ) -> Path:
-    """Write a babble-noise WAV as a sum of continuous synthetic vowels."""
+    """Write a babble-noise WAV as a sum of BABBLE_VOICES continuous synthetic vowels."""
     if recipes is None:
         recipes = build_recipes(sample_rate)
     rng = np.random.default_rng(seed)
     n = int(duration_s * sample_rate)
     mix = np.zeros(n)
-    for _ in range(n_voices):
+    for _ in range(BABBLE_VOICES):
         r = recipes[int(rng.integers(len(recipes)))]
         exc = Excitation(
             "tilted-train",

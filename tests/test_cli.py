@@ -331,6 +331,39 @@ class TestExperimentOptionChecks:
         assert run([*argv, "--no-timestamp"]) == 2
         assert f"{flag} must list numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep2", "ocd2", "ocd4", "levels", "f0", "pb-ocd"])
+    @pytest.mark.parametrize("fs", ["0", "-8000", "nan", "inf"])
+    def test_fs_not_finite_positive_is_a_usage_error(self, command, fs, monkeypatch, capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the experiment ran before the option check")
+
+        for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
+                     "f0_influence_experiment", "pb_ocd_table"):
+            monkeypatch.setattr(experiments, name, no_computing)
+        case = ["--case", "a"] if command in ("levels", "f0") else []
+        assert run([command, *case, f"--fs={fs}", "--no-timestamp"]) == 2
+        assert "--fs must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--f1-start=nan"], "--f1-start"),
+        (["--f1-start=-inf"], "--f1-start"),
+        (["--f1-stop=inf"], "--f1-stop"),
+        (["--f1-stop=nan"], "--f1-stop"),
+        (["--f1-step=inf"], "--f1-step"),
+    ], ids=["start_nan", "start_minus_inf", "stop_inf", "stop_nan", "step_inf"])
+    def test_sweep2_f1_range_not_finite_is_a_usage_error(self, argv, flag, monkeypatch,
+                                                         capsys):
+        from specvalley import experiments
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("the curve ran before the option check")
+
+        monkeypatch.setattr(experiments, "two_formant_curve", no_computing)
+        assert run(["sweep2", *argv, "--no-timestamp"]) == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["sweep2", "ocd2", "ocd4"])
     @pytest.mark.parametrize("points", ["63", "0", "-1"])
     def test_too_few_points_is_a_usage_error(self, command, points, capsys):

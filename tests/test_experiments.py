@@ -253,7 +253,7 @@ def _reference_sweep(cfg, allow_widening, label):
     def v_at(lo, hi):
         fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
         return measure_pair_rlsv(
-            fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz, label
+            fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz
         )
 
     trace = []

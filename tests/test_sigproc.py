@@ -11,9 +11,14 @@ from specvalley.errors import (
     UnstableModelError,
 )
 from specvalley.sigproc import (
+    MAX_BANDWIDTH,
+    MIN_FREQUENCY,
+    NYQUIST_MARGIN,
     LpcModel,
     analytic_cascade_spectrum,
     autocorrelation,
+    formant_anchors,
+    formant_candidates,
     frame_count,
     frame_signal,
     levinson,
@@ -26,6 +31,7 @@ from specvalley.sigproc import (
 )
 from specvalley.synth import Excitation, resonator_coefficients, synthesize
 from specvalley.types import FormantSpec, SignalBuffer
+from test_formant_anchors import _reflection
 
 
 def buf(samples, rate=16000.0):
@@ -89,23 +95,15 @@ class TestFrameSignal:
 
 
 class TestWindow:
-    def test_rectangular_is_identity(self):
-        fr = np.arange(5.0)
-        assert np.array_equal(window(fr, "rectangular"), fr)
-
     def test_hamming_endpoints(self):
-        w = window(np.ones(64), "hamming")
+        w = window(np.ones(64))
         assert abs(w[0] - 0.08) < 1e-12
         assert abs(w[-1] - 0.08) < 1e-12
 
     def test_all_ones_returns_the_window(self):
         n = 32
         expected = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
-        assert np.allclose(window(np.ones(n), "hamming"), expected)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            window(np.ones(8), "blackman-harris-7")
+        assert np.allclose(window(np.ones(n)), expected)
 
 
 class TestAutocorrelation:
@@ -281,6 +279,77 @@ class TestRootsToFormants:
         assert len(cands) >= 3
         for got, want in zip(cands[:3], truth[:3]):
             assert abs(got.frequency - want.frequency) < 30.0
+
+
+def _root(frequency, bandwidth, fs):
+    return np.exp(-np.pi * bandwidth / fs) * np.exp(2j * np.pi * frequency / fs)
+
+
+def _gate_bandwidth(root, fs):
+    """The bandwidth `formant_candidates` computes for a root."""
+    return -fs * np.log(np.hypot(root.real, root.imag)) / np.pi
+
+
+def _roots_at_the_bandwidth_limit(frequency, fs):
+    """(inside, at): neighbouring roots whose gate bandwidths straddle MAX_BANDWIDTH.
+
+    No float64 radius near exp(-pi*MAX_BANDWIDTH/fs) gives a bandwidth of
+    exactly MAX_BANDWIDTH, so `at` is the largest radius whose bandwidth
+    reaches it and `inside` the next radius up.
+    """
+    r0 = np.exp(-np.pi * MAX_BANDWIDTH / fs)
+    radii = r0 + np.arange(-200, 201) * np.spacing(r0)
+    roots = radii * np.exp(2j * np.pi * frequency / fs)
+    reach = np.flatnonzero(_gate_bandwidth(roots, fs) >= MAX_BANDWIDTH)
+    at = reach[-1]
+    assert 0 < at < len(radii) - 1 and _gate_bandwidth(roots[at + 1], fs) < MAX_BANDWIDTH
+    return roots[at + 1], roots[at]
+
+
+class TestFormantGateEdges:
+    """The gate keeps F in [MIN_FREQUENCY, fs/2 - NYQUIST_MARGIN] and B < MAX_BANDWIDTH."""
+
+    FS = 16000.0
+    # well-separated resonances that always pass, around the root under test
+    OTHERS = ((2000.0, 100.0), (3000.0, 120.0), (4500.0, 150.0), (6000.0, 200.0))
+
+    def _edge_roots(self):
+        """(root, kept) pairs at each edge of the gate."""
+        top = self.FS / 2.0 - NYQUIST_MARGIN
+        cases = [
+            (_root(MIN_FREQUENCY - 0.01, 100.0, self.FS), False),
+            (_root(MIN_FREQUENCY + 0.01, 100.0, self.FS), True),
+            (_root(top - 0.01, 100.0, self.FS), True),
+            (_root(top + 0.01, 100.0, self.FS), False),
+            (_root(1000.0, MAX_BANDWIDTH - 0.01, self.FS), True),
+            (_root(1000.0, MAX_BANDWIDTH + 0.01, self.FS), False),
+        ]
+        inside, at = _roots_at_the_bandwidth_limit(1000.0, self.FS)
+        return cases + [(inside, True), (at, False)]
+
+    def test_candidates_keep_or_drop_each_edge_root(self):
+        for root, kept in self._edge_roots():
+            freqs, bws, counts = formant_candidates(np.array([[root, np.conj(root)]]), self.FS)
+            assert counts[0] == kept, (root, _gate_bandwidth(root, self.FS))
+            if kept:
+                assert freqs[0, 0] == np.angle(root) * self.FS / (2 * np.pi)
+                assert bws[0, 0] == _gate_bandwidth(root, self.FS)
+
+    def test_anchors_gate_the_same_on_polynomials_of_the_edge_roots(self):
+        # the roots at the bandwidth limit stand one ulp apart, closer than a
+        # polynomial keeps them, so only the edges 0.01 Hz away are rebuilt
+        others = [_root(f, b, self.FS) for f, b in self.OTHERS]
+        for root, kept in self._edge_roots()[:6]:
+            pairs = np.array([root] + others)
+            a = np.real(np.poly(np.concatenate((pairs, pairs.conj()))))[None, :]
+            freqs, bws, counts = formant_anchors(a, _reflection(a), self.FS)
+            assert counts[0] == len(others) + kept
+            edge = np.angle(root) * self.FS / (2 * np.pi)
+            assert np.any(np.abs(freqs[0] - edge) < 1e-6) == kept
+            oracle = formant_candidates(polynomial_roots(a), self.FS)
+            assert np.array_equal(counts, oracle[2])
+            assert np.nanmax(np.abs(freqs - oracle[0])) < 1e-8
+            assert np.nanmax(np.abs(bws - oracle[1])) < 1e-8
 
 
 class TestAnalyticCascadeSpectrum:

@@ -51,7 +51,7 @@ def _ar_frame(rng, order, frame_len=320):
     if order % 2:
         poles.append(rng.uniform(-0.9, 0.9))
     a_true = np.real(np.poly(poles))
-    return window(lfilter([1.0], a_true, rng.standard_normal(frame_len)), "hamming")
+    return window(lfilter([1.0], a_true, rng.standard_normal(frame_len)))
 
 
 def _lag_stack(rng, order, kinds):
@@ -174,7 +174,7 @@ def _per_frame_reference(seg, cfg, order):
     Each frame's envelope is its taps times the cos|sin table, as in
     `lpc_levels`; `test_lpc_levels_match_the_fft_oracle` anchors that to the rfft."""
     frames = window(frame_signal(preemphasize(seg, cfg.preemphasis), cfg.frame_ms,
-                                 cfg.overlap_fraction), "hamming")
+                                 cfg.overlap_fraction))
     n = frames.shape[1]
     table = _unit_circle_table(order + 1, 512)
     grid = np.linspace(0.0, FS / 2.0, 512)
@@ -270,7 +270,7 @@ def test_stacked_mfcc_rows_match_single_frames():
     audio = SignalBuffer(samples * 0.1, FS)
     mat = segment_mfcc_matrix(audio)
     frames = frame_signal(preemphasize(audio, 0.97), 20.0, 0.5)
-    singles = [mfcc(window(f, "hamming"), FS) for f in frames if np.any(f)]
+    singles = [mfcc(window(f), FS) for f in frames if np.any(f)]
     assert len(singles) < len(frames)  # the silent frames were skipped
     assert mat.shape == (len(singles), 12)
     assert np.max(np.abs(mat - np.array(singles))) <= 1e-12
