@@ -2,6 +2,7 @@
 
 import argparse
 import datetime
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,15 @@ FEATURE_RULES = {  # --feature of the corpus commands -> decision rule
     "v1": "v1_only",
     "v2": "v2_only",
 }
+
+# What a numeric flag accepts: a test of its value, and the words of the
+# usage error when the test fails (each test is false for NaN)
+POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be a finite positive number")
+FINITE = (math.isfinite, "must be finite")
+UNIT_INTERVAL = (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")
+NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not negative")
+AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
+AT_LEAST_64 = (lambda n: n >= 64, "must be at least 64")
 
 
 class UsageError(Exception):
@@ -66,9 +76,29 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}f}"
 
 
-def _floats(text, flag):
+def _typed(flag, accepts, convert=float):
+    """An argparse type: `convert` the text, then a UsageError unless `accepts` holds."""
+    test, words = accepts
+
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise UsageError(f"{flag} {words}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: 'x'"
+    return parse
+
+
+def _number(p, flag, default, accepts, convert=float, **kwargs):
+    p.add_argument(flag, type=_typed(flag, accepts, convert), default=default, **kwargs)
+
+
+def _floats(text, flag, accepts):
+    """The entries of a comma-separated list flag, each checked against `accepts`."""
+    entry = _typed(flag, accepts)
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [entry(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"{flag} must list numbers, got {text!r}") from None
     if not values:
@@ -76,9 +106,18 @@ def _floats(text, flag):
     return values
 
 
+def _band(text):
+    """--band in Hz: finite, and 0 or below disables the band (None)."""
+    value = _typed("--band", FINITE)(text)
+    return value if value > 0 else None
+
+
+_band.__name__ = "float"  # argparse names the type of a value that is not a number
+
+
 def _add_common(p):
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+    _number(p, "--seed", 0, NON_NEGATIVE, int, help="seed for any randomness")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generation-time header line")
 
@@ -93,11 +132,6 @@ def _out_for(args, params):
 
 
 def _cmd_sweep2(args):
-    for flag, value in (("--f1-start", args.f1_start), ("--f1-stop", args.f1_stop)):
-        if not np.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
-    if not (np.isfinite(args.f1_step) and args.f1_step > 0):
-        raise UsageError(f"--f1-step must be positive, got {args.f1_step}")
     if args.f1_stop < args.f1_start:
         raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
                          f"--f1-start ({args.f1_start})")
@@ -144,10 +178,9 @@ def _cmd_ocd2(args):
 
 
 def _cmd_ocd4(args):
-    freqs = _floats(args.formants, "--formants")
-    bws = _floats(args.bw, "--bw")
-    if len(bws) == 1:
-        bws = bws * len(freqs)
+    freqs = _floats(args.formants, "--formants", POSITIVE)
+    bws = _floats(args.bw, "--bw", POSITIVE)
+    bws = bws * len(freqs) if len(bws) == 1 else bws
     if len(bws) != len(freqs):
         raise UsageError("--bw must give one value or one per formant")
     if len(freqs) < 2:
@@ -192,8 +225,8 @@ def _cmd_levels(args):
                               f2=fm[1].frequency, fs=args.fs,
                               b1_values=args.b1_values, b2_values=args.b2_values))
     cells = experiments.level_influence_experiment(
-        fm, _floats(args.b1_values, "--b1-values"), _floats(args.b2_values, "--b2-values"),
-        args.fs,
+        fm, _floats(args.b1_values, "--b1-values", POSITIVE),
+        _floats(args.b2_values, "--b2-values", POSITIVE), args.fs,
     )
     out.row("b1", "b2", "l1_db", "l2_db", "l1_minus_l2_db", "v_db", "status")
     for c in cells:
@@ -206,10 +239,13 @@ def _cmd_levels(args):
 
 def _cmd_f0(args):
     fm = _case_formants(args, 100.0, 100.0)
+    if 0 < args.lag_window < args.order:
+        raise UsageError(f"--lag-window ({args.lag_window}) must not be below --order "
+                         f"({args.order}); 0 disables the lag window")
     out = _out_for(args, dict(case=args.case or "custom", fs=args.fs, order=args.order,
                               lag_window=args.lag_window, f0_values=args.f0_values))
     rows = experiments.f0_influence_experiment(
-        fm, _floats(args.f0_values, "--f0-values"), args.fs, lp_order=args.order,
+        fm, _floats(args.f0_values, "--f0-values", POSITIVE), args.fs, lp_order=args.order,
         lag_window_half_length=args.lag_window or None,
     )
     out.row("f0", "v_ref_db", "v_f0_db", "diff_db")
@@ -263,17 +299,8 @@ def _inventory_for(args):
 
 
 def _corpus_inputs(args):
-    """The analysis settings and the corpus segments of a corpus command.
-
-    The frame flags are checked before the corpus is read, and the LP order
-    against the frame length at every sample rate in the corpus before any
-    frame is analysed.
-    """
-    if not (np.isfinite(args.frame_ms) and args.frame_ms > 0):
-        raise UsageError(f"--frame-ms must be a finite positive number, got {args.frame_ms}")
-    for flag, value in (("--overlap", args.overlap), ("--preemph", args.preemph)):
-        if not 0.0 <= value < 1.0:  # false for NaN
-            raise UsageError(f"{flag} must be in [0, 1), got {value}")
+    """The analysis settings and the corpus segments of a corpus command; the LP
+    order is checked against the frame length at every rate in the corpus."""
     inventory = _inventory_for(args)
     cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
                                   preemphasis=args.preemph, lp_order=args.lp_order)
@@ -352,9 +379,9 @@ def _add_corpus_args(p, with_feature=True):
                    help="'timit', 'dravidian', or a label-class file")
     p.add_argument("--exclusions", default=None,
                    help="neighbor exclusion file (with a custom inventory)")
-    p.add_argument("--frame-ms", type=float, default=20.0)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--preemph", type=float, default=0.97)
+    _number(p, "--frame-ms", 20.0, POSITIVE)
+    _number(p, "--overlap", 0.5, UNIT_INTERVAL)
+    _number(p, "--preemph", 0.97, UNIT_INTERVAL)
     p.add_argument("--lp-order", type=int, default=None,
                    help="LP order (default: rate/1000 + 2)")
     p.add_argument("--include-central", action="store_true",
@@ -362,9 +389,9 @@ def _add_corpus_args(p, with_feature=True):
     if with_feature:
         p.add_argument("--feature", default="valley",
                        choices=["valley", "f3f2", "f2f1", "v1", "v2"])
-        p.add_argument("--threshold", type=float, default=None,
-                       help="decision threshold (default: 5 dB for valley, "
-                            "3 bark for f3f2/f2f1, 0 dB for v1/v2)")
+        _number(p, "--threshold", None, FINITE,
+                help="decision threshold (default: 5 dB for valley, "
+                     "3 bark for f3f2/f2f1, 0 dB for v1/v2)")
 
 
 def _cmd_classify(args):
@@ -393,14 +420,11 @@ def _cmd_classify(args):
     out.note(f"{report.feature},{report.threshold},{_accuracy_cells(report)},"
              f"{report.n_front},{report.n_back}")
     out.flush()
-    if args.expect_overall is not None:
-        if abs(report.overall_accuracy - args.expect_overall) > args.expect_tol:
-            print(
-                f"overall accuracy {report.overall_accuracy:.2f} outside "
-                f"{args.expect_overall}+/-{args.expect_tol}",
-                file=sys.stderr,
-            )
-            return 1
+    if (args.expect_overall is not None
+            and abs(report.overall_accuracy - args.expect_overall) > args.expect_tol):
+        print(f"overall accuracy {report.overall_accuracy:.2f} outside "
+              f"{args.expect_overall}+/-{args.expect_tol}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -410,9 +434,7 @@ def _cmd_noise_eval(args):
         raise UsageError(f"--noise must list white and/or babble, got {args.noise!r}")
     if "babble" in kinds and not args.babble_source:
         raise UsageError("--babble-source is required when --noise includes babble")
-    snrs = _floats(args.snrs, "--snrs")
-    if not np.all(np.isfinite(snrs)):
-        raise UsageError(f"--snrs must list finite values, got {args.snrs!r}")
+    snrs = _floats(args.snrs, "--snrs", FINITE)
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
@@ -500,8 +522,6 @@ def _cmd_hist(args):
         raise UsageError(f"--range must be lo:hi, got {args.range!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise UsageError(f"--range must give finite lo < hi, got {args.range!r}")
-    if not (np.isfinite(args.bin_width) and args.bin_width > 0):
-        raise UsageError(f"--bin-width must be positive, got {args.bin_width}")
     if (hi - lo) / args.bin_width > classify.MAX_HISTOGRAM_BINS:
         raise UsageError(f"--bin-width {args.bin_width:g} gives more than "
                          f"{classify.MAX_HISTOGRAM_BINS} bins over --range={args.range}")
@@ -533,91 +553,88 @@ def _cmd_hist(args):
 # ------------------------------------------------------------------- parsing
 
 
+def _add_two_formant_args(p):
+    """The flags sweep2 and ocd2 share: the formant pair, the rate and the grid."""
+    _number(p, "--f1-start", 650.0, POSITIVE)
+    _number(p, "--f2", 1400.0, POSITIVE)
+    _number(p, "--b1", 100.0, POSITIVE)
+    _number(p, "--b2", 200.0, POSITIVE)
+    _number(p, "--fs", 10000.0, POSITIVE)
+    p.add_argument("--band", type=_band, default=2500.0,
+                   help="mean-level band in Hz (0 or below disables)")
+    _number(p, "--points", 4096, AT_LEAST_64, int)
+
+
+def _add_case_args(p):
+    """The flags levels and f0 share: --case or an F1/F2 geometry, F3, F4 and the rate."""
+    p.add_argument("--case", choices=["a", "b"], default=None)
+    for flag, default in (("--f1", None), ("--f2", None), ("--f3", 2500.0), ("--f4", 3500.0)):
+        _number(p, flag, default, POSITIVE)
+    _number(p, "--fs", 8000.0, POSITIVE)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="specvalley",
                      description="Spectral-valley experiments and vowel classification")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("sweep2", help="two-formant valley curve vs spacing")
-    p.add_argument("--f1-start", type=float, default=650.0)
-    p.add_argument("--f1-stop", type=float, default=950.0)
-    p.add_argument("--f1-step", type=float, default=50.0)
-    p.add_argument("--f2", type=float, default=1400.0)
-    p.add_argument("--b1", type=float, default=100.0)
-    p.add_argument("--b2", type=float, default=200.0)
-    p.add_argument("--fs", type=float, default=10000.0)
-    p.add_argument("--band", type=float, default=2500.0,
-                   help="mean-level band in Hz (0 disables)")
-    p.add_argument("--points", type=int, default=4096)
+    _add_two_formant_args(p)
+    _number(p, "--f1-stop", 950.0, POSITIVE)
+    _number(p, "--f1-step", 50.0, POSITIVE)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep2)
 
     p = sub.add_parser("ocd2", help="two-formant critical distance (F1 swept up)")
-    p.add_argument("--f1-start", type=float, default=650.0)
-    p.add_argument("--f2", type=float, default=1400.0)
-    p.add_argument("--b1", type=float, default=100.0)
-    p.add_argument("--b2", type=float, default=200.0)
-    p.add_argument("--fs", type=float, default=10000.0)
-    p.add_argument("--band", type=float, default=2500.0)
-    p.add_argument("--step", type=float, default=25.0)
-    p.add_argument("--points", type=int, default=4096)
+    _add_two_formant_args(p)
+    _number(p, "--step", 25.0, POSITIVE)
     _add_common(p)
     p.set_defaults(func=_cmd_ocd2)
 
     p = sub.add_parser("ocd4", help="multi-formant critical distance (pair swept inward)")
     p.add_argument("--formants", default="500,1500,2500,3500")
     p.add_argument("--bw", default="100")
-    p.add_argument("--fs", type=float, default=8000.0)
-    p.add_argument("--step", type=float, default=25.0)
+    _number(p, "--fs", 8000.0, POSITIVE)
+    _number(p, "--step", 25.0, POSITIVE)
     p.add_argument("--pair", type=int, default=1,
                    help="1-based index of the lower formant of the swept pair")
-    p.add_argument("--points", type=int, default=4096)
+    _number(p, "--points", 4096, AT_LEAST_64, int)
     _add_common(p)
     p.set_defaults(func=_cmd_ocd4)
 
     p = sub.add_parser("levels", help="bandwidth grid: formant levels vs valley level")
-    p.add_argument("--case", choices=["a", "b"], default=None)
-    p.add_argument("--f1", type=float, default=None)
-    p.add_argument("--f2", type=float, default=None)
-    p.add_argument("--f3", type=float, default=2500.0)
-    p.add_argument("--f4", type=float, default=3500.0)
-    p.add_argument("--b3", type=float, default=100.0)
-    p.add_argument("--b4", type=float, default=100.0)
+    _add_case_args(p)
+    _number(p, "--b3", 100.0, POSITIVE)
+    _number(p, "--b4", 100.0, POSITIVE)
     p.add_argument("--b1-values", default="70,100,140")
     p.add_argument("--b2-values", default="50,80,120,180")
-    p.add_argument("--fs", type=float, default=8000.0)
     _add_common(p)
     p.set_defaults(func=_cmd_levels)
 
     p = sub.add_parser("f0", help="pulse-train LP envelope vs impulse reference")
-    p.add_argument("--case", choices=["a", "b"], default=None)
-    p.add_argument("--f1", type=float, default=None)
-    p.add_argument("--f2", type=float, default=None)
-    p.add_argument("--f3", type=float, default=2500.0)
-    p.add_argument("--f4", type=float, default=3500.0)
+    _add_case_args(p)
     p.add_argument("--f0-values", default="100,125,150,175,200,225,250")
-    p.add_argument("--fs", type=float, default=8000.0)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--lag-window", type=int, default=24,
-                   help="autocorrelation lag-window half-length (0 disables)")
+    _number(p, "--order", 8, AT_LEAST_ONE, int)
+    _number(p, "--lag-window", 24, NON_NEGATIVE, int,
+            help="autocorrelation lag-window half-length (0 disables)")
     _add_common(p)
     p.set_defaults(func=_cmd_f0)
 
     p = sub.add_parser("pb-ocd", help="per-vowel critical distances from mean formants")
     p.add_argument("--table", default=None, help="mean-formant CSV (default: bundled)")
     p.add_argument("--gender", default="male,female")
-    p.add_argument("--fs", type=float, default=None)
-    p.add_argument("--f4", type=float, default=None)
-    p.add_argument("--bw", type=float, default=100.0)
-    p.add_argument("--step", type=float, default=25.0)
+    _number(p, "--fs", None, POSITIVE)
+    _number(p, "--f4", None, POSITIVE)
+    _number(p, "--bw", 100.0, POSITIVE)
+    _number(p, "--step", 25.0, POSITIVE)
     _add_common(p)
     p.set_defaults(func=_cmd_pb_ocd)
 
     p = sub.add_parser("classify", help="front/back classification over a corpus")
     _add_corpus_args(p)
-    p.add_argument("--expect-overall", type=float, default=None,
-                   help="fail (exit 1) unless overall accuracy is within tolerance")
-    p.add_argument("--expect-tol", type=float, default=2.0)
+    _number(p, "--expect-overall", None, FINITE,
+            help="fail (exit 1) unless overall accuracy is within tolerance")
+    _number(p, "--expect-tol", 2.0, NON_NEGATIVE)
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -632,9 +649,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline", help="train and test the benchmark network")
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="mfcc", choices=["mfcc", "valley3"])
-    p.add_argument("--hidden", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--test-fraction", type=float, default=0.3)
+    _number(p, "--hidden", 10, AT_LEAST_ONE, int)
+    _number(p, "--epochs", 300, AT_LEAST_ONE, int)
+    _number(p, "--test-fraction", 0.3, UNIT_INTERVAL)
     p.add_argument("--save-model", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_baseline)
@@ -642,7 +659,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hist", help="normalized feature histograms by class")
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="diff", choices=["diff", "v1", "v2", "f3f2"])
-    p.add_argument("--bin-width", type=float, default=1.0)
+    _number(p, "--bin-width", 1.0, POSITIVE)
     p.add_argument("--range", default="-20:30",
                    help="histogram range lo:hi; a negative lo needs the = form, "
                         "as in --range=-20:30")
@@ -652,35 +669,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_experiment_options(args):
-    """--fs, --step and --points of the experiment commands, checked before any computation."""
-    fs = getattr(args, "fs", None)  # pb-ocd's default None picks a rate per gender
-    if fs is not None and not (np.isfinite(fs) and fs > 0):
-        raise UsageError(f"--fs must be a finite positive number, got {fs}")
-    if hasattr(args, "step") and not (np.isfinite(args.step) and args.step > 0):
-        raise UsageError(f"--step must be positive, got {args.step}")
-    if hasattr(args, "points") and args.points < 64:
-        raise UsageError(f"--points must be at least 64, got {args.points}")
-
-
 def run(argv) -> int:
     """Dispatch a command line; 0 on success, 2 on usage error, 1 on failure."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    if getattr(args, "band", None) is not None and args.band <= 0:
-        args.band = None
-    try:
-        _check_experiment_options(args)
-        return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (AnalysisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

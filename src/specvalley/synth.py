@@ -17,10 +17,13 @@ EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 TILT_CORNER_HZ = 50.0
 
 # bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
-# there), halvings of the search range per bandwidth and round, and peaks read
-# within +/-PEAK_WINDOW_HZ of each formant on a CALIBRATION_POINTS grid from
-# 0 Hz to Nyquist
+# there), B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS
+# halvings per round until every relative level is within TOLERANCE_DB of its
+# target, and peaks are read within +/-PEAK_WINDOW_HZ of each formant on a
+# CALIBRATION_POINTS grid from 0 Hz to Nyquist
 INITIAL_BANDWIDTH = 100.0
+SEARCH_RANGE_HZ = (30.0, 600.0)
+TOLERANCE_DB = 0.5
 BISECTION_STEPS = 36
 PEAK_WINDOW_HZ = 200.0
 CALIBRATION_POINTS = 2048
@@ -161,8 +164,6 @@ def calibrate_bandwidth_rows(
     exc: Excitation,
     sample_rate: float,
     extra_formants=None,
-    search_range=(30.0, 600.0),
-    tolerance_db: float = 0.5,
     max_rounds: int = 50,
 ) -> BandwidthCalibration:
     """Calibrate a stack of formant sets, one row per set, in one bisection.
@@ -189,7 +190,7 @@ def calibrate_bandwidth_rows(
     for f in freqs3.flat:  # the checks a FormantSpec makes
         FormantSpec(float(f), INITIAL_BANDWIDTH)
     bws = np.full((n, 3), INITIAL_BANDWIDTH)
-    lo_b, hi_b = search_range
+    lo_b, hi_b = SEARCH_RANGE_HZ
 
     # each row's resonator terms are summed in ascending formant frequency,
     # the order a sorted analytic cascade adds them in, so the levels match
@@ -259,7 +260,7 @@ def calibrate_bandwidth_rows(
         residuals[stack[found]] = res[found]
         rounds[stack] = round_no
         bws[stack] = bw
-        done = found & np.all(np.abs(res) <= tolerance_db, axis=1)
+        done = found & np.all(np.abs(res) <= TOLERANCE_DB, axis=1)
         converged[stack[done]] = True
         keep = ~done
         stack, bw, f3, tg, slot, terms, bins, zinv = (
@@ -276,17 +277,15 @@ def calibrate_bandwidths(
     exc: Excitation,
     sample_rate: float,
     extra_formants=(),
-    search_range=(30.0, 600.0),
-    tolerance_db: float = 0.5,
     max_rounds: int = 50,
 ) -> np.ndarray:
     """Find bandwidths whose measured relative peak levels match the targets.
 
     Targets (any sequence of at least three levels) are interpreted relative
     to L1, which leaves B1 unconstrained; B1 anchors at INITIAL_BANDWIDTH while B2
-    and B3 are bisected over `search_range` against the analytic cascade
+    and B3 are bisected over SEARCH_RANGE_HZ against the analytic cascade
     spectrum (plus the excitation's source tilt), iterating until the
-    relative levels land within `tolerance_db`. The one-row case of
+    relative levels land within TOLERANCE_DB. The one-row case of
     `calibrate_bandwidth_rows`. Raises CalibrationError listing the best
     residuals when a target is unreachable.
     """
@@ -295,7 +294,7 @@ def calibrate_bandwidths(
         raise ValueError("three formant frequencies are required")
     fit = calibrate_bandwidth_rows(
         [freqs3], [[target_levels[i] for i in range(3)]], exc, sample_rate,
-        [extra_formants], search_range, tolerance_db, max_rounds,
+        [extra_formants], max_rounds,
     )
     if not fit.converged[0]:
         raise CalibrationError(

@@ -140,10 +140,9 @@ def build_synthetic_corpus(
     n_segments: int = 500,
     seed: int = 0,
     sample_rate: float = 16000.0,
-    labels_ext: str = ".phn",
     recipes=None,
 ):
-    """Write a WAV + label-file corpus; returns (wav_path, vowel, class) rows.
+    """Write a WAV + .phn label-file corpus; returns (wav_path, vowel, class) rows.
 
     Vowels cycle through the classified inventory and genders alternate, so
     class balance follows the 4 front / 5 back inventory split. Fully
@@ -169,7 +168,7 @@ def build_synthetic_corpus(
         save_wav(wav_path, SignalBuffer(samples, sample_rate))
         start = len(pad)
         end = start + len(token.samples)
-        with open(out_dir / f"{stem}{labels_ext}", "w", encoding="utf-8") as fh:
+        with open(out_dir / f"{stem}.phn", "w", encoding="utf-8") as fh:
             fh.write(f"0 {start} h#\n")
             fh.write(f"{start} {end} {vowel}\n")
             fh.write(f"{end} {len(samples)} h#\n")

@@ -227,6 +227,22 @@ class TestCorpusOptionChecks:
         assert summary[1] != "" and float(summary[1]) >= 0.0
         assert "nan" not in out.read_text()
 
+    def test_test_fraction_zero_still_runs(self, small_corpus_dir, tmp_path):
+        out = tmp_path / "base.csv"
+        assert run(["baseline", "--corpus", str(small_corpus_dir), "--feature", "valley3",
+                    "--epochs", "5", "--test-fraction", "0", "--out", str(out),
+                    "--no-timestamp"]) == 0
+        assert read_summary(out, "valley3").split(",")[3] == "1"  # test_n
+
+    def test_seed_zero_is_the_default_seed(self, small_corpus_dir, tmp_path):
+        texts = []
+        for seed in ([], ["--seed", "0"]):
+            out = tmp_path / "noise.csv"
+            assert run(["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "white",
+                        "--snrs", "25", *seed, "--out", str(out), "--no-timestamp"]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_hist_on_missing_corpus_exits_1(self, tmp_path):
         out = tmp_path / "hist.csv"
         code = run(["hist", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
@@ -311,7 +327,7 @@ class TestExperimentOptionChecks:
         monkeypatch.setattr(experiments, "ocd_sweep", no_computing)
         monkeypatch.setattr(experiments, "pb_ocd_table", no_computing)
         assert run([command, f"--step={step}", "--no-timestamp"]) == 2
-        assert "--step must be positive" in capsys.readouterr().err
+        assert "--step must be a finite positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["levels", "--case", "a", "--b1-values", "70,x"], "--b1-values"),
@@ -469,6 +485,110 @@ def test_frame_ms_not_finite_positive_is_a_usage_error(command, value, tmp_path,
                                                        no_corpus_reading, capsys):
     err = _rejects_before_reading(command, [f"--frame-ms={value}"], tmp_path, capsys)
     assert "--frame-ms must be a finite positive number" in err
+
+
+# One row per (command, flag) whose range the parser checks and that the
+# tables above do not cover; the corpus commands get an unread --corpus.
+OUT_OF_RANGE = [
+    (["sweep2", "--f1-start=0"], "--f1-start"),
+    (["sweep2", "--f1-stop=-950"], "--f1-stop"),
+    (["sweep2", "--f2=nan"], "--f2"),
+    (["sweep2", "--b1=0"], "--b1"),
+    (["sweep2", "--b2=inf"], "--b2"),
+    (["sweep2", "--band=nan"], "--band"),
+    (["sweep2", "--band=-inf"], "--band"),
+    (["sweep2", "--band=x"], "argument --band: invalid float value: 'x'"),
+    (["sweep2", "--seed=-1"], "--seed"),
+    (["ocd2", "--f1-start=nan"], "--f1-start"),
+    (["ocd2", "--f2=nan"], "--f2"),
+    (["ocd2", "--b1=-100"], "--b1"),
+    (["ocd2", "--b2=nan"], "--b2"),
+    (["ocd2", "--band=inf"], "--band"),
+    (["ocd2", "--fs=x"], "argument --fs: invalid float value: 'x'"),
+    (["ocd4", "--formants=500,nan,2500"], "--formants"),
+    (["ocd4", "--formants=500,-1500"], "--formants"),
+    (["ocd4", "--bw=100,inf,100,100"], "--bw"),
+    (["levels", "--f1=nan", "--f2=700"], "--f1"),
+    (["levels", "--f1=400", "--f2=0"], "--f2"),
+    (["levels", "--case=a", "--f3=nan"], "--f3"),
+    (["levels", "--case=a", "--f4=-1"], "--f4"),
+    (["levels", "--case=a", "--b3=0"], "--b3"),
+    (["levels", "--case=a", "--b4=nan"], "--b4"),
+    (["levels", "--case=a", "--b1-values=70,nan"], "--b1-values"),
+    (["levels", "--case=a", "--b2-values=0"], "--b2-values"),
+    (["f0", "--f1=nan", "--f2=700"], "--f1"),
+    (["f0", "--f1=400", "--f2=inf"], "--f2"),
+    (["f0", "--case=a", "--f3=inf"], "--f3"),
+    (["f0", "--case=a", "--f4=nan"], "--f4"),
+    (["f0", "--case=a", "--f0-values=nan"], "--f0-values"),
+    (["f0", "--case=a", "--f0-values=100,-1"], "--f0-values"),
+    (["f0", "--case=a", "--order=0"], "--order"),
+    (["f0", "--case=a", "--lag-window=-1"], "--lag-window"),
+    (["f0", "--case=a", "--lag-window=4"], "--lag-window (4) must not be below --order (8)"),
+    (["pb-ocd", "--f4=nan"], "--f4"),
+    (["pb-ocd", "--bw=0"], "--bw"),
+    (["classify", "--threshold=nan"], "--threshold"),
+    (["classify", "--threshold=inf"], "--threshold"),
+    (["classify", "--expect-overall=nan"], "--expect-overall"),
+    (["classify", "--expect-tol=-1"], "--expect-tol"),
+    (["classify", "--expect-tol=nan"], "--expect-tol"),
+    (["classify", "--seed=-1"], "--seed"),
+    (["noise-eval", "--noise=white", "--threshold=-inf"], "--threshold"),
+    (["noise-eval", "--noise=white", "--seed=-1"], "--seed"),
+    (["hist", "--seed=-1"], "--seed"),
+    (["baseline", "--hidden=0"], "--hidden"),
+    (["baseline", "--epochs=0"], "--epochs"),
+    (["baseline", "--test-fraction=nan"], "--test-fraction"),
+    (["baseline", "--test-fraction=1"], "--test-fraction"),
+    (["baseline", "--test-fraction=-0.1"], "--test-fraction"),
+    (["baseline", "--seed=-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUT_OF_RANGE,
+                         ids=["_".join(argv).replace("--", "") for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_flag_is_a_usage_error(argv, flag, tmp_path, no_corpus_reading,
+                                            monkeypatch, capsys):
+    from specvalley import experiments
+
+    def no_computing(*args, **kwargs):
+        raise AssertionError("the experiment ran before the option check")
+
+    for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
+                 "f0_influence_experiment", "pb_ocd_table"):
+        monkeypatch.setattr(experiments, name, no_computing)
+    corpus = ["--corpus", str(tmp_path)] if argv[0] in CORPUS_COMMANDS else []
+    assert run([*argv, *corpus, "--no-timestamp"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("band", ["0", "-1"])
+def test_band_at_or_below_zero_disables_the_band(band, tmp_path):
+    import numpy as np
+
+    from specvalley import experiments
+
+    out = tmp_path / "sweep2.csv"
+    assert run(["sweep2", f"--band={band}", "--out", str(out), "--no-timestamp"]) == 0
+    assert " band=None " in out.read_text().splitlines()[1]
+    curve = experiments.two_formant_curve(np.arange(650.0, 975.0, 50.0), 1400.0, 100.0,
+                                          200.0, 10000.0, n_points=4096, mean_band_hz=None)
+    assert [row.rsplit(",", 1)[1] for row in data_rows(out)[1:]] == [
+        f"{v:.4f}" for _, v in curve]
+
+
+def test_lag_window_zero_disables_the_lag_window(monkeypatch):
+    from specvalley import experiments
+
+    seen = {}
+
+    def recording(*args, **kwargs):
+        seen.update(kwargs)
+        return []
+
+    monkeypatch.setattr(experiments, "f0_influence_experiment", recording)
+    assert run(["f0", "--case", "a", "--lag-window", "0", "--no-timestamp"]) == 0
+    assert seen["lag_window_half_length"] is None
 
 
 # --------------------------------------------- the corpus stage, exact reference
