@@ -7,7 +7,7 @@ and front/back vowel classification built on valley-level differences.
 
 __version__ = "0.1.0"
 
-from .envelope import ValleyMeasurement, locate_peak, mean_spectral_level, measure_v1_v2, rlsv
+from .envelope import ValleyMeasurement, locate_peak, rlsv
 from .experiments import (
     OcdResult,
     SweepConfig,
@@ -27,7 +27,6 @@ from .sigproc import (
     lpc_envelope,
     polynomial_roots,
     preemphasize,
-    roots_to_formants,
     window,
 )
 from .types import FormantSpec, SignalBuffer, SpectralEnvelope
@@ -42,10 +41,8 @@ __all__ = [
     "SweepConfig",
     "ValleyMeasurement",
     "analytic_cascade_spectrum",
-    "apply_source_tilt",
     "autocorrelation",
     "bark_to_hz",
-    "calibrate_bandwidths",
     "f0_influence_experiment",
     "frame_signal",
     "hz_to_bark",
@@ -53,16 +50,12 @@ __all__ = [
     "levinson",
     "locate_peak",
     "lpc_envelope",
-    "mean_spectral_level",
-    "measure_formant_levels",
-    "measure_v1_v2",
     "ocd_sweep",
     "pb_ocd_table",
     "polynomial_roots",
     "preemphasize",
     "resonator_coefficients",
     "rlsv",
-    "roots_to_formants",
     "synthesize",
     "two_formant_curve",
     "window",
@@ -70,14 +63,7 @@ __all__ = [
 
 # synth imports scipy.signal, which costs more than the rest of the package;
 # its names are resolved on first use so the analysis commands never load it
-_SYNTH_NAMES = frozenset({
-    "Excitation",
-    "apply_source_tilt",
-    "calibrate_bandwidths",
-    "measure_formant_levels",
-    "resonator_coefficients",
-    "synthesize",
-})
+_SYNTH_NAMES = frozenset({"Excitation", "resonator_coefficients", "synthesize"})
 
 
 def __getattr__(name):

@@ -85,9 +85,9 @@ SILENT, UNSTABLE, FEW_FORMANTS, SINGULAR, NARROW = range(len(REASONS))
 class FrameTable:
     """The frames of a `frame_pipeline` call as columns, one row per frame.
 
-    `table[i]`, iteration and `features()` give the rows as `FrameFeatures`
-    (iteration goes through `table[i]`); `table[a:b]` is the table of frames
-    a to b, with views of the columns.
+    `table[i]` and iteration give the rows as `FrameFeatures` (iteration goes
+    through `table[i]`); `table[a:b]` is the table of frames a to b, with
+    views of the columns.
     """
 
     v1: np.ndarray  # (n,) V_I in dB relative to the mean level; NaN where invalid
@@ -121,9 +121,6 @@ class FrameTable:
             return FrameFeatures(float(self.v1[i]), float(self.v2[i]), formants, True)
         why = REASONS[code] + (f": {levinson_failure(self, i)}" if code == UNSTABLE else "")
         return FrameFeatures(None, None, formants, False, why)
-
-    def features(self) -> list:
-        return list(self)
 
 
 @dataclass

@@ -122,6 +122,14 @@ def _add_common(p):
                    help="omit the generation-time header line")
 
 
+def _below_nyquist(fs, formants, rate="--fs"):
+    """A UsageError naming the first (flag, Hz) of `formants` at or above fs/2."""
+    for name, hz in formants:
+        if hz >= fs / 2.0:
+            raise UsageError(f"{name} at {hz:g} Hz is at or above Nyquist "
+                             f"({rate} {fs:g} gives {fs / 2.0:g} Hz)")
+
+
 def _out_for(args, params):
     params = dict(params)
     params["seed"] = args.seed
@@ -135,6 +143,8 @@ def _cmd_sweep2(args):
     if args.f1_stop < args.f1_start:
         raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
                          f"--f1-start ({args.f1_start})")
+    _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f1-stop", args.f1_stop),
+                             ("--f2", args.f2)])
     out = _out_for(args, dict(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
                               band=args.band, points=args.points))
     f1_values = np.arange(args.f1_start, args.f1_stop + 0.5 * args.f1_step, args.f1_step)
@@ -169,6 +179,7 @@ def _emit_sweep(out, result):
 
 
 def _cmd_ocd2(args):
+    _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f2", args.f2)])
     out = _out_for(args, dict(f1_start=args.f1_start, f2=args.f2, b1=args.b1,
                               b2=args.b2, fs=args.fs, band=args.band, step=args.step))
     result = experiments.ocd_sweep(_two_formant_config(args))
@@ -188,6 +199,7 @@ def _cmd_ocd4(args):
     if not 1 <= args.pair <= len(freqs) - 1:
         raise UsageError(f"--pair must be between 1 and {len(freqs) - 1} "
                          f"for {len(freqs)} formants, got {args.pair}")
+    _below_nyquist(args.fs, [("--formants", f) for f in freqs])
     out = _out_for(args, dict(formants=args.formants, bw=args.bw, fs=args.fs,
                               step=args.step, pair=args.pair))
     i = args.pair - 1
@@ -211,6 +223,8 @@ def _case_formants(args, b3, b4):
     if args.case is not None and (args.f1 is not None or args.f2 is not None):
         raise UsageError("give --case a|b, or --f1 and --f2, not both")
     f1, f2 = CASE_GEOMETRIES[args.case] if args.case else (args.f1, args.f2)
+    lower = (f"--case {args.case} F1", f"--case {args.case} F2") if args.case else ("--f1", "--f2")
+    _below_nyquist(args.fs, zip(lower + ("--f3", "--f4"), (f1, f2, args.f3, args.f4)))
     return [
         FormantSpec(f1, 100.0),
         FormantSpec(f2, 100.0),
@@ -262,13 +276,21 @@ def _cmd_pb_ocd(args):
     if not genders or not set(genders) <= set(known):
         raise UsageError(f"--gender must name genders the table has "
                          f"({', '.join(known)}), got {args.gender!r}")
+    tables = []
+    for gender in genders:
+        means = {v: f for v, f in corpus.pb_mean_formants(entries, gender).items()
+                 if v in experiments.FRONT_VOWELS + experiments.BACK_VOWELS}
+        fs, f4 = experiments.pb_defaults(gender)
+        _below_nyquist(args.fs or fs, [
+            *((f"table vowel {v} ({gender}) F{k + 1}", f)
+              for v, fm in means.items() for k, f in enumerate(fm)),
+            ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4),
+        ], "--fs" if args.fs else f"the {gender} default --fs")
+        tables.append((gender, means))
     out = _out_for(args, dict(table=args.table or "bundled", gender=args.gender,
                               bw=args.bw, step=args.step))
     out.row("gender", "vowel", "basis", "ocd_bark", "status")
-    for gender in genders:
-        means = corpus.pb_mean_formants(entries, gender)
-        means = {v: f for v, f in means.items()
-                 if v in experiments.FRONT_VOWELS + experiments.BACK_VOWELS}
+    for gender, means in tables:
         rows = experiments.pb_ocd_table(
             means, gender, sample_rate=args.fs, f4=args.f4,
             bandwidth_hz=args.bw, step_hz=args.step,
@@ -301,6 +323,8 @@ def _inventory_for(args):
 def _corpus_inputs(args):
     """The analysis settings and the corpus segments of a corpus command; the LP
     order is checked against the frame length at every rate in the corpus."""
+    if not Path(args.corpus).is_dir():
+        raise UsageError(f"--corpus must be a directory, got {args.corpus!r}")
     inventory = _inventory_for(args)
     cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
                                   preemphasis=args.preemph, lp_order=args.lp_order)
@@ -382,8 +406,7 @@ def _add_corpus_args(p, with_feature=True):
     _number(p, "--frame-ms", 20.0, POSITIVE)
     _number(p, "--overlap", 0.5, UNIT_INTERVAL)
     _number(p, "--preemph", 0.97, UNIT_INTERVAL)
-    p.add_argument("--lp-order", type=int, default=None,
-                   help="LP order (default: rate/1000 + 2)")
+    _number(p, "--lp-order", None, AT_LEAST_ONE, int, help="LP order (default: rate/1000 + 2)")
     p.add_argument("--include-central", action="store_true",
                    help="score central vowels as back instead of skipping them")
     if with_feature:
@@ -442,6 +465,10 @@ def _cmd_noise_eval(args):
                               feature=args.feature, threshold=threshold))
     out.note("noise is added per segment, scaled to the requested SNR over that segment")
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
+    if next(_scored_segments(segments, args.include_central), None) is None:
+        out.note("no segments found")
+        out.flush()
+        return 1
     for kind in kinds:
         for snr in snrs:
             def noisy(idx, seg):

@@ -1,14 +1,11 @@
 """Peak and valley analysis of spectral envelopes.
 
-Two valley conventions live here, mirroring how the quantities are used:
-
-- `rlsv` (labels V12/V23) reports mean level minus valley level. Positive
-  means the valley dips below the mean; the zero crossing of this quantity
-  under a formant-spacing sweep defines the objective critical distance.
-- `measure_v1_v2` (labels V_I/V_II) reports each valley's level relative to
-  the mean (valley minus mean). Back-vowel geometry puts the first valley
-  high and the second low, so V_I > V_II for back vowels and the classifier's
-  statistic mean(V_I) - mean(V_II) is simply the valley-level difference.
+`peak_levels` and `valley_minima` read the peaks and valleys of a stack of
+envelopes; the frame pipeline and the bandwidth calibration run them.
+`locate_peak` and `rlsv` measure one analytic envelope for the sweeps. `rlsv`
+reports mean level minus valley level: positive means the valley dips below
+the mean, and the zero crossing of this quantity under a formant-spacing
+sweep defines the objective critical distance.
 """
 
 from dataclasses import dataclass
@@ -16,25 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeakNotFoundError, ValleyUndefinedError
-from .types import SpectralEnvelope, power_mean_db
+from .types import SpectralEnvelope
 
 
 @dataclass
 class ValleyMeasurement:
-    """A valley between two formant peaks; see module docstring for sign."""
+    """A valley between two formant peaks: mean level minus valley level, in dB."""
 
     v_db: float
     valley_freq: float
-    lower_peak_freq: float
-    upper_peak_freq: float
-    label: str
-
-
-def mean_spectral_level(env: SpectralEnvelope) -> float:
-    """Level of the mean spectral power across the full grid, in dB."""
-    if len(env.levels_db) == 0:
-        raise ValueError("envelope is empty")
-    return power_mean_db(env.levels_db)
 
 
 def locate_peak(env: SpectralEnvelope, nominal_f: float, window_hz: float = 200.0):
@@ -139,64 +126,20 @@ def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):
     return start + k, masked[np.arange(n), k], too_narrow
 
 
-def _valley_between(env: SpectralEnvelope, f_lo: float, f_hi: float):
-    """Minimum level strictly between two frequencies; returns (freq, level)."""
-    idx, level, too_narrow = valley_minima(
-        env.freqs, env.levels_db[None, :], np.array([f_lo]), np.array([f_hi])
-    )
-    if too_narrow[0]:
-        raise ValleyUndefinedError(
-            f"fewer than two grid bins between {f_lo:.1f} and {f_hi:.1f} Hz"
-        )
-    return float(env.freqs[idx[0]]), float(level[0])
-
-
-def rlsv(
-    env: SpectralEnvelope, lower_peak_f: float, upper_peak_f: float, label: str = "V12"
-) -> ValleyMeasurement:
+def rlsv(env: SpectralEnvelope, lower_peak_f: float, upper_peak_f: float) -> ValleyMeasurement:
     """Relative level of the spectral valley between two located peaks.
 
     v_db = mean level - valley level; exactly zero when the valley touches
-    the mean. The arguments are peak frequencies (already located).
+    the mean. The arguments are peak frequencies (already located); the
+    valley is the minimum strictly between them.
     """
     if lower_peak_f >= upper_peak_f:
         raise ValueError("peaks must be ordered lower < upper")
-    valley_freq, valley_level = _valley_between(env, lower_peak_f, upper_peak_f)
-    return ValleyMeasurement(
-        v_db=env.mean_level_db - valley_level,
-        valley_freq=valley_freq,
-        lower_peak_freq=lower_peak_f,
-        upper_peak_freq=upper_peak_f,
-        label=label,
+    idx, level, too_narrow = valley_minima(
+        env.freqs, env.levels_db[None, :], np.array([lower_peak_f]), np.array([upper_peak_f])
     )
-
-
-def measure_v1_v2(env: SpectralEnvelope, formants):
-    """Relative valley levels V_I (between F1, F2) and V_II (between F2, F3).
-
-    `formants` supplies the first three formants in ascending order; their
-    frequencies anchor the valley brackets directly (root-derived anchors
-    survive merged envelope peaks). Both values are measured against the same
-    mean level, as valley minus mean.
-    """
-    freqs = [f.frequency for f in formants[:3]]
-    if len(freqs) < 3:
-        raise ValueError("three formants are required")
-    if not freqs[0] < freqs[1] < freqs[2]:
-        raise ValueError("formants must be in ascending frequency order")
-    out = []
-    for (f_lo, f_hi), label in zip(((freqs[0], freqs[1]), (freqs[1], freqs[2])), ("V_I", "V_II")):
-        try:
-            valley_freq, valley_level = _valley_between(env, f_lo, f_hi)
-        except ValleyUndefinedError as exc:
-            raise ValleyUndefinedError(f"{label}: {exc}") from exc
-        out.append(
-            ValleyMeasurement(
-                v_db=valley_level - env.mean_level_db,
-                valley_freq=valley_freq,
-                lower_peak_freq=f_lo,
-                upper_peak_freq=f_hi,
-                label=label,
-            )
+    if too_narrow[0]:
+        raise ValleyUndefinedError(
+            f"fewer than two grid bins between {lower_peak_f:.1f} and {upper_peak_f:.1f} Hz"
         )
-    return out[0], out[1]
+    return ValleyMeasurement(env.mean_level_db - float(level[0]), float(env.freqs[idx[0]]))

@@ -8,10 +8,6 @@ class AnalysisError(Exception):
 class PeakNotFoundError(AnalysisError):
     """No local maximum inside the search window (merged or absent formant)."""
 
-    def __init__(self, message, formant_index=None):
-        super().__init__(message)
-        self.formant_index = formant_index
-
 
 class ValleyUndefinedError(AnalysisError):
     """Bracket frequencies too close to hold a valley sample."""

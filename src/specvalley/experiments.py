@@ -326,6 +326,11 @@ class VowelOcd:
     error: str | None = None
 
 
+def pb_defaults(gender: str):
+    """The (sample rate, F4) in Hz that `pb_ocd_table` takes for `gender` when not given."""
+    return (8000.0, 3500.0) if gender == "male" else (10000.0, 4200.0)
+
+
 def pb_ocd_table(
     mean_formants: dict,
     gender: str,
@@ -344,10 +349,9 @@ def pb_ocd_table(
     reference rows sweep both pairs of `UNIFORM_TUBE_FORMANTS_HZ` (F4 at
     3500 Hz) at 8 kHz, whatever the gender.
     """
-    if sample_rate is None:
-        sample_rate = 8000.0 if gender == "male" else 10000.0
-    if f4 is None:
-        f4 = 3500.0 if gender == "male" else 4200.0
+    default_rate, default_f4 = pb_defaults(gender)
+    sample_rate = default_rate if sample_rate is None else sample_rate
+    f4 = default_f4 if f4 is None else f4
     sweeps = []
     for vowel, (f1, f2, f3) in mean_formants.items():
         pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")

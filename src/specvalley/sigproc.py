@@ -12,7 +12,7 @@ from .errors import (
     SingularEnvelopeError,
     UnstableModelError,
 )
-from .types import FormantSpec, SignalBuffer, SpectralEnvelope
+from .types import SignalBuffer, SpectralEnvelope
 
 # the formant gate: a root is a candidate from MIN_FREQUENCY to
 # fs/2 - NYQUIST_MARGIN, with a bandwidth below MAX_BANDWIDTH (all in Hz)
@@ -340,17 +340,6 @@ def formant_candidates(roots: np.ndarray, sample_rate: float):
     freqs = np.where(keep, np.take_along_axis(freq, order, axis=-1), np.nan)
     bandwidths = np.where(keep, np.take_along_axis(bw, order, axis=-1), np.nan)
     return freqs, bandwidths, keep.sum(axis=-1)
-
-
-def roots_to_formants(roots: np.ndarray, sample_rate: float) -> list[FormantSpec]:
-    """Formant candidates of one root set, sorted by frequency.
-
-    The one-row case of `formant_candidates`; real-axis and heavily damped
-    poles fall out. May return fewer than three entries.
-    """
-    freqs, bws, counts = formant_candidates(np.asarray(roots)[None, :], sample_rate)
-    n = int(counts[0])
-    return [FormantSpec(f, b) for f, b in zip(freqs[0, :n].tolist(), bws[0, :n].tolist())]
 
 
 def _roots_outside_unit_circle(c: np.ndarray):

@@ -6,10 +6,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import lfilter  # at import, so the first synthesis pays no import
 
-from .envelope import locate_peak, peak_levels, peak_windows
-from .errors import CalibrationError, PeakNotFoundError
+from .envelope import peak_levels, peak_windows
 from .sigproc import resonator_db, resonator_taps
-from .types import FormantSpec, SignalBuffer, SpectralEnvelope
+from .types import FormantSpec, SignalBuffer
 
 EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 
@@ -70,8 +69,11 @@ def _excitation_signal(exc: Excitation, sample_rate: float, n_samples: int) -> n
     if period < 1:
         raise ValueError(f"f0 {exc.f0} Hz too high for sample rate {sample_rate}")
     x[::period] = 1.0
-    if exc.kind == "tilted-train" and exc.tilt_db_per_octave != 0.0:
-        x = _tilt_filter(x, sample_rate, exc.tilt_db_per_octave)
+    if exc.kind == "tilted-train":
+        # one single-pole lowpass per -6 dB/octave shapes the mid-band slope
+        pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
+        for _ in range(_tilt_stages(exc.tilt_db_per_octave)):
+            x = lfilter([1.0 - pole], [1.0, -pole], x)
     return x
 
 
@@ -84,13 +86,6 @@ def _tilt_stages(db_per_octave: float) -> int:
     return stages
 
 
-def _tilt_filter(x: np.ndarray, sample_rate: float, db_per_octave: float) -> np.ndarray:
-    pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
-    for _ in range(_tilt_stages(db_per_octave)):
-        x = lfilter([1.0 - pole], [1.0, -pole], x)
-    return x
-
-
 def source_tilt_db(freqs: np.ndarray, sample_rate: float, db_per_octave: float) -> np.ndarray:
     """dB response of the source-tilt lowpass on the given frequency grid."""
     stages = _tilt_stages(db_per_octave)
@@ -100,18 +95,6 @@ def source_tilt_db(freqs: np.ndarray, sample_rate: float, db_per_octave: float) 
     zinv = np.exp(-2j * np.pi * np.asarray(freqs) / sample_rate)
     mag = np.abs((1.0 - pole) / (1.0 - pole * zinv))
     return stages * 20.0 * np.log10(mag)
-
-
-def apply_source_tilt(x: SignalBuffer, db_per_octave: float) -> SignalBuffer:
-    """Impose a falling source spectrum of db_per_octave (a multiple of -6).
-
-    Realized as one single-pole lowpass (corner ~50 Hz) per -6 dB/octave, so
-    only the mid-band slope is shaped; 0 is the identity.
-    """
-    if db_per_octave == 0.0:
-        return SignalBuffer(x.samples.copy(), x.sample_rate)
-    y = _tilt_filter(x.samples, x.sample_rate, db_per_octave)
-    return SignalBuffer(y, x.sample_rate)
 
 
 def synthesize(
@@ -127,20 +110,6 @@ def synthesize(
         b, a = resonator_coefficients(f, sample_rate)
         x = lfilter(b, a, x)
     return SignalBuffer(x, sample_rate)
-
-
-def measure_formant_levels(env: SpectralEnvelope, formants, window_hz: float = 200.0) -> list:
-    """Peak level nearest each formant frequency, within +/-window_hz."""
-    levels = []
-    for i, f in enumerate(formants):
-        try:
-            _, level = locate_peak(env, f.frequency, window_hz)
-        except PeakNotFoundError as exc:
-            raise PeakNotFoundError(
-                f"formant {i + 1} at {f.frequency:.0f} Hz: {exc}", formant_index=i
-            ) from exc
-        levels.append(level)
-    return levels
 
 
 class BandwidthCalibration(NamedTuple):
@@ -166,14 +135,18 @@ def calibrate_bandwidth_rows(
     extra_formants=None,
     max_rounds: int = 50,
 ) -> BandwidthCalibration:
-    """Calibrate a stack of formant sets, one row per set, in one bisection.
+    """Find, row by row, bandwidths whose relative peak levels match the targets.
 
     Row r calibrates the first three of `formant_freqs[r]` against the
     first three of `target_levels[r]`, above the fixed `extra_formants[r]`
-    (default: none); the method is that of `calibrate_bandwidths`. All rows
-    bisect in lockstep, and a row leaves the stack after the round in which
-    it converges. Only the formant being bisected is re-evaluated, and only
-    on the grid bins that the peak searches read.
+    (default: none). The targets count relative to L1, which leaves B1
+    unconstrained: B1 stays at INITIAL_BANDWIDTH, while B2 and B3 are
+    bisected over SEARCH_RANGE_HZ against the analytic cascade spectrum (plus
+    the excitation's source tilt), round after round, until the relative
+    levels land within TOLERANCE_DB. All rows bisect in lockstep, and a row
+    leaves the stack after the round in which it converges. Only the formant
+    being bisected is re-evaluated, and only on the grid bins that the peak
+    searches read.
     """
     freqs3 = np.asarray(formant_freqs, dtype=np.float64)
     levels = np.asarray(target_levels, dtype=np.float64)
@@ -270,35 +243,3 @@ def calibrate_bandwidth_rows(
             tilt = tilt[keep]
     return BandwidthCalibration(bws, rounds, residuals, converged)
 
-
-def calibrate_bandwidths(
-    formant_freqs,
-    target_levels,
-    exc: Excitation,
-    sample_rate: float,
-    extra_formants=(),
-    max_rounds: int = 50,
-) -> np.ndarray:
-    """Find bandwidths whose measured relative peak levels match the targets.
-
-    Targets (any sequence of at least three levels) are interpreted relative
-    to L1, which leaves B1 unconstrained; B1 anchors at INITIAL_BANDWIDTH while B2
-    and B3 are bisected over SEARCH_RANGE_HZ against the analytic cascade
-    spectrum (plus the excitation's source tilt), iterating until the
-    relative levels land within TOLERANCE_DB. The one-row case of
-    `calibrate_bandwidth_rows`. Raises CalibrationError listing the best
-    residuals when a target is unreachable.
-    """
-    freqs3 = [float(f) for f in formant_freqs[:3]]
-    if len(freqs3) != 3:
-        raise ValueError("three formant frequencies are required")
-    fit = calibrate_bandwidth_rows(
-        [freqs3], [[target_levels[i] for i in range(3)]], exc, sample_rate,
-        [extra_formants], max_rounds,
-    )
-    if not fit.converged[0]:
-        raise CalibrationError(
-            "bandwidth calibration did not reach the level targets",
-            residuals_db=fit.residuals_db[0].tolist(),
-        )
-    return fit.bandwidths[0]

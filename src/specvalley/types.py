@@ -82,10 +82,3 @@ class SpectralEnvelope:
         if self.mean_level_db is None:
             self.mean_level_db = power_mean_db(self.levels_db)
 
-    @property
-    def grid_spacing_hz(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
-
-    def shifted(self, gain_db: float) -> "SpectralEnvelope":
-        """Same envelope with a constant dB offset applied everywhere."""
-        return SpectralEnvelope(self.freqs, self.levels_db + gain_db)

@@ -1,11 +1,10 @@
 """The stacked bandwidth calibration and peak pick agree with the scalar loops.
 
 `calibrate_bandwidth_rows` calibrates many formant sets in one bisection and
-`peak_levels` reads the peaks of a level stack; `calibrate_bandwidths` and
-`locate_peak` are their one-row cases. The reference below is the scalar
-calibration they replaced: the whole cascade re-evaluated at every bisection
-step, peaks found by a Python loop over the window. The stacked forms must
-give the same floats.
+`peak_levels` reads the peaks of a level stack; `locate_peak` is the one-row
+peak pick of the sweeps. The reference below is the scalar calibration they
+replaced: the whole cascade re-evaluated at every bisection step, peaks found
+by a Python loop over the window. The stacked forms must give the same floats.
 """
 
 import numpy as np
@@ -16,12 +15,7 @@ from hypothesis import strategies as st
 from specvalley.corpus import default_pb_table_path, load_pb_table
 from specvalley.envelope import locate_peak, peak_levels
 from specvalley.errors import CalibrationError, PeakNotFoundError
-from specvalley.synth import (
-    Excitation,
-    calibrate_bandwidth_rows,
-    calibrate_bandwidths,
-    source_tilt_db,
-)
+from specvalley.synth import Excitation, calibrate_bandwidth_rows, source_tilt_db
 from specvalley.synthetic import (
     CLASSIFIED_VOWELS,
     SOURCE_TILT_DB_PER_OCTAVE,
@@ -165,13 +159,8 @@ def test_unreachable_row_fails_alone():
                                                         max_rounds=5)
     assert not converged
     assert np.array_equal(fit.residuals_db[1], residuals)
-    with pytest.raises(CalibrationError) as err:
-        calibrate_bandwidths(FREQS, UNREACHABLE, exc, 10000.0, max_rounds=5)
-    assert err.value.residuals_db == residuals
     for r in (0, 2):
-        scalar = calibrate_bandwidths(FREQS, rows[r], exc, 10000.0, max_rounds=5)
         bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], exc, 10000.0, max_rounds=5)
-        assert np.array_equal(fit.bandwidths[r], scalar)
         assert np.array_equal(fit.bandwidths[r], bws)
         assert fit.rounds[r] == rounds
 

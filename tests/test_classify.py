@@ -74,7 +74,7 @@ class TestFramePipeline:
     def test_orders_below_three_give_frames_without_three_formants(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
         for order in (1, 2):
-            frames = frame_pipeline(seg, PipelineConfig(lp_order=order)).features()
+            frames = list(frame_pipeline(seg, PipelineConfig(lp_order=order)))
             assert len(frames) == len(frame_pipeline(seg))
             assert {f.fail_reason for f in frames} == {"fewer than three formants"}
 
@@ -103,10 +103,10 @@ class TestFramePipeline:
                 SignalBuffer(np.full(300, 0.2), FS),  # shorter than one frame
                 synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0], f0=210.0)]
         expected = [f for seg in segs for f in frame_pipeline(seg)]
-        assert frame_pipeline(segs).features() == expected
+        assert list(frame_pipeline(segs)) == expected
         assert len(expected) == sum(len(frame_pipeline(seg)) for seg in segs)
-        assert frame_pipeline(segs[:1]).features() == frame_pipeline(segs[0]).features()
-        assert frame_pipeline([segs[2]]).features() == [] and frame_pipeline([]).features() == []
+        assert list(frame_pipeline(segs[:1])) == list(frame_pipeline(segs[0]))
+        assert list(frame_pipeline([segs[2]])) == [] and list(frame_pipeline([])) == []
 
     def test_mixed_rate_list_is_rejected(self):
         segs = [SignalBuffer(np.zeros(3200), FS), SignalBuffer(np.zeros(1600), 8000.0)]
@@ -376,7 +376,7 @@ class TestDecisionRuleTable:
     def _check(self, segments):
         tied = dict.fromkeys(RULES, 0)
         for table in segments:
-            frames = table.features()  # the reference reads the rows as FrameFeatures
+            frames = list(table)  # the reference reads the rows as FrameFeatures
             for rule in RULES:
                 try:
                     statistic = _reference_statistic(frames, rule)

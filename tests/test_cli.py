@@ -243,10 +243,16 @@ class TestCorpusOptionChecks:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
-    def test_hist_on_missing_corpus_exits_1(self, tmp_path):
+    def test_hist_on_empty_corpus_exits_1(self, tmp_path):
         out = tmp_path / "hist.csv"
-        code = run(["hist", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
-                    "--no-timestamp"])
+        code = run(["hist", "--corpus", str(tmp_path), "--out", str(out), "--no-timestamp"])
+        assert code == 1
+        assert "# no segments found" in out.read_text().splitlines()
+
+    def test_noise_eval_on_empty_corpus_exits_1(self, tmp_path):
+        out = tmp_path / "noise.csv"
+        code = run(["noise-eval", "--corpus", str(tmp_path), "--noise", "white",
+                    "--out", str(out), "--no-timestamp"])
         assert code == 1
         assert "# no segments found" in out.read_text().splitlines()
 
@@ -449,6 +455,18 @@ def no_corpus_reading(monkeypatch):
     monkeypatch.setattr(corpus, "collect_segments", no_reading)
 
 
+@pytest.fixture
+def no_experiment_running(monkeypatch):
+    from specvalley import experiments
+
+    def no_computing(*args, **kwargs):
+        raise AssertionError("the experiment ran before the option check")
+
+    for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
+                 "f0_influence_experiment", "pb_ocd_table"):
+        monkeypatch.setattr(experiments, name, no_computing)
+
+
 CORPUS_COMMANDS = {
     "classify": ["classify"],
     "noise-eval": ["noise-eval", "--noise", "white"],
@@ -485,6 +503,24 @@ def test_frame_ms_not_finite_positive_is_a_usage_error(command, value, tmp_path,
                                                        no_corpus_reading, capsys):
     err = _rejects_before_reading(command, [f"--frame-ms={value}"], tmp_path, capsys)
     assert "--frame-ms must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_lp_order_below_one_is_a_usage_error(command, value, tmp_path, no_corpus_reading,
+                                             capsys):
+    err = _rejects_before_reading(command, [f"--lp-order={value}"], tmp_path, capsys)
+    assert f"--lp-order must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+def test_missing_corpus_is_a_usage_error(command, tmp_path, no_corpus_reading, capsys):
+    # the check comes before the inventory is read, so a missing one is not named
+    missing = str(tmp_path / "nowhere")
+    argv = CORPUS_COMMANDS[command] + ["--corpus", missing, "--inventory", missing,
+                                       "--exclusions", missing, "--no-timestamp"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.strip() == f"--corpus must be a directory, got {missing!r}"
 
 
 # One row per (command, flag) whose range the parser checks and that the
@@ -548,18 +584,38 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("argv, flag", OUT_OF_RANGE,
                          ids=["_".join(argv).replace("--", "") for argv, _ in OUT_OF_RANGE])
 def test_out_of_range_flag_is_a_usage_error(argv, flag, tmp_path, no_corpus_reading,
-                                            monkeypatch, capsys):
-    from specvalley import experiments
-
-    def no_computing(*args, **kwargs):
-        raise AssertionError("the experiment ran before the option check")
-
-    for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
-                 "f0_influence_experiment", "pb_ocd_table"):
-        monkeypatch.setattr(experiments, name, no_computing)
+                                            no_experiment_running, capsys):
     corpus = ["--corpus", str(tmp_path)] if argv[0] in CORPUS_COMMANDS else []
     assert run([*argv, *corpus, "--no-timestamp"]) == 2
     assert flag in capsys.readouterr().err
+
+
+# one command line per command that holds formants, and its usage error;
+# pb-ocd checks its per-gender defaults where a flag is not given
+ABOVE_NYQUIST = [
+    (["ocd2", "--fs=2000"], "--f2 at 1400 Hz is at or above Nyquist (--fs 2000 gives 1000 Hz)"),
+    (["sweep2", "--fs=2000"], "--f2 at 1400 Hz is at or above Nyquist (--fs 2000 gives 1000 Hz)"),
+    (["ocd4", "--fs=6000"],
+     "--formants at 3500 Hz is at or above Nyquist (--fs 6000 gives 3000 Hz)"),
+    (["levels", "--case=a", "--fs=4000"],
+     "--f3 at 2500 Hz is at or above Nyquist (--fs 4000 gives 2000 Hz)"),
+    (["f0", "--case=b", "--fs=2000"],
+     "--case b F2 at 1300 Hz is at or above Nyquist (--fs 2000 gives 1000 Hz)"),
+    (["pb-ocd", "--fs=1000"],
+     "table vowel iy (male) F2 at 2290 Hz is at or above Nyquist (--fs 1000 gives 500 Hz)"),
+    (["pb-ocd", "--f4=4000"],
+     "--f4 at 4000 Hz is at or above Nyquist (the male default --fs 8000 gives 4000 Hz)"),
+    (["pb-ocd", "--gender=female", "--fs=8000"],
+     "the female default --f4 at 4200 Hz is at or above Nyquist (--fs 8000 gives 4000 Hz)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ABOVE_NYQUIST,
+                         ids=["_".join(argv).replace("--", "") for argv, _ in ABOVE_NYQUIST])
+def test_formant_at_or_above_nyquist_is_a_usage_error(argv, message, no_experiment_running,
+                                                      capsys):
+    assert run([*argv, "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 @pytest.mark.parametrize("band", ["0", "-1"])

@@ -55,7 +55,7 @@ def _decision(decide, features, rule):
 
 def _assert_table_is(table, expected):
     # v1, v2, formants, validity and reason text of every frame
-    assert table.features() == expected
+    assert list(table) == expected
     invalid = np.array([not f.valid for f in expected])
     assert np.array_equal(np.isnan(table.v1), invalid)
     assert np.array_equal(np.isnan(table.v2), invalid)
@@ -111,7 +111,7 @@ def test_rows_slices_and_iteration():
     table.bandwidths[1:3] = [80.0, 90.0, 100.0], [60.0, 70.0, np.nan]
     table.counts[1:3] = 3, 2
     table.stage[3], table.reflection[3, 1] = 2, 1.25
-    rows = table.features()
+    rows = list(table)
     assert [f.valid for f in rows] == [False, True, False, False]
     assert [f.fail_reason for f in rows] == [
         "silent frame", None, "fewer than three formants",
@@ -123,9 +123,9 @@ def test_rows_slices_and_iteration():
     with pytest.raises(IndexError):
         table[4]
     part = table[1:3]
-    assert isinstance(part, FrameTable) and part.features() == rows[1:3]
+    assert isinstance(part, FrameTable) and list(part) == rows[1:3]
     assert np.shares_memory(part.v1, table.v1)
-    assert len(FrameTable.empty(0, 0)) == 0 and FrameTable.empty(0, 0).features() == []
+    assert len(FrameTable.empty(0, 0)) == 0 and list(FrameTable.empty(0, 0)) == []
 
 
 def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():

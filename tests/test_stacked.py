@@ -1,9 +1,10 @@
-"""The stacked (n_frames, ...) analysis agrees with the one-row library calls.
+"""The stacked (n_frames, ...) analysis agrees with one-row calls.
 
-Every stacked routine has a one-row form the rest of the library uses
-(`levinson`, `polynomial_roots` on one polynomial, `roots_to_formants`,
-`lpc_envelope`, `measure_v1_v2`, `mfcc` on one frame). These tests check the
-two agree row by row, including on silent and unstable rows, and that
+The frame pipeline runs each analysis step on a stack of frames. Each row of
+a stack must give what the step gives for that row alone: the one-row
+`levinson` and `lpc_envelope` the `f0` study calls, and `polynomial_roots`,
+`formant_candidates`, `valley_minima` and `mfcc` on a one-row input. These
+tests check that row by row, including on silent and unstable rows, and that
 `frame_pipeline` gives what the frame-at-a-time loop it replaced gave.
 """
 
@@ -15,8 +16,8 @@ from scipy.signal import lfilter
 
 from specvalley.baseline import mfcc, segment_mfcc_matrix
 from specvalley.classify import PipelineConfig, frame_pipeline
-from specvalley.envelope import measure_v1_v2, valley_minima
-from specvalley.errors import DegenerateInputError, UnstableModelError, ValleyUndefinedError
+from specvalley.envelope import valley_minima
+from specvalley.errors import DegenerateInputError, UnstableModelError
 from specvalley.sigproc import (
     LpcModel,
     autocorrelation,
@@ -30,7 +31,6 @@ from specvalley.sigproc import (
     lpc_levels,
     polynomial_roots,
     preemphasize,
-    roots_to_formants,
     window,
     _unit_circle_table,
 )
@@ -114,26 +114,25 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
     for row, (i, model) in enumerate(fitted):
         one = polynomial_roots(model.a_polynomial)
         assert np.max(np.abs(np.sort_complex(roots[row]) - np.sort_complex(one))) <= TOL
-        formants = roots_to_formants(one, FS)
-        assert counts[row] == len(formants)
-        for k, f in enumerate(formants):
-            assert abs(freqs[row, k] - f.frequency) <= TOL * f.frequency
-            assert abs(bws[row, k] - f.bandwidth) <= TOL * f.bandwidth
+        one_f, one_b, one_n = formant_candidates(one[None], FS)
+        assert counts[row] == one_n[0]
+        for k in range(one_n[0]):
+            assert abs(freqs[row, k] - one_f[0, k]) <= TOL * one_f[0, k]
+            assert abs(bws[row, k] - one_b[0, k]) <= TOL * one_b[0, k]
         assert not singular[row]
         env = lpc_envelope(model, N_POINTS)
         assert np.max(np.abs(levels[row] - env.levels_db)) <= TOL
-        if len(formants) < 3:
+        if one_n[0] < 3:
             continue
-        try:
-            one_v1, one_v2 = measure_v1_v2(env, formants)
-        except ValleyUndefinedError:
-            assert v1[2][j] or v2[2][j]
-        else:
-            assert not (v1[2][j] or v2[2][j])
-            assert abs(v1[1][j] - mean_db[j] - one_v1.v_db) <= TOL
-            assert abs(v2[1][j] - mean_db[j] - one_v2.v_db) <= TOL
-            assert grid[v1[0][j]] == one_v1.valley_freq
-            assert grid[v2[0][j]] == one_v2.valley_freq
+        one_levels = env.levels_db[None, :]
+        one_v1 = valley_minima(env.freqs, one_levels, one_f[:, 0], one_f[:, 1])
+        one_v2 = valley_minima(env.freqs, one_levels, one_f[:, 1], one_f[:, 2])
+        assert (v1[2][j], v2[2][j]) == (one_v1[2][0], one_v2[2][0])
+        if not (one_v1[2][0] or one_v2[2][0]):
+            assert abs(v1[1][j] - mean_db[j] - (one_v1[1][0] - env.mean_level_db)) <= TOL
+            assert abs(v2[1][j] - mean_db[j] - (one_v2[1][0] - env.mean_level_db)) <= TOL
+            assert grid[v1[0][j]] == env.freqs[one_v1[0][0]]
+            assert grid[v2[0][j]] == env.freqs[one_v2[0][0]]
         j += 1
 
 

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from specvalley.envelope import locate_peak
-from specvalley.errors import CalibrationError, PeakNotFoundError
+from specvalley.envelope import locate_peak, peak_levels
 from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.synth import (
     Excitation,
-    apply_source_tilt,
-    calibrate_bandwidths,
-    measure_formant_levels,
+    calibrate_bandwidth_rows,
     resonator_coefficients,
+    source_tilt_db,
     synthesize,
 )
-from specvalley.types import FormantSpec, SignalBuffer
+from specvalley.types import FormantSpec, SignalBuffer, SpectralEnvelope
 
 
 class TestResonator:
@@ -31,7 +29,7 @@ class TestResonator:
     def test_realized_peak_near_center(self):
         env = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
         f, _ = locate_peak(env, 1400.0)
-        assert abs(f - 1400.0) < 2 * env.grid_spacing_hz
+        assert abs(f - 1400.0) < 2 * (env.freqs[1] - env.freqs[0])
 
 
 class TestSynthesize:
@@ -80,32 +78,53 @@ def _spectral_slope_db_per_octave(x: SignalBuffer, f_low=500.0, f_high=2000.0):
     return (band_level(f_high) - band_level(f_low)) / octaves
 
 
+def _tilted_train(db_per_octave, fs=16000.0):
+    """400 periods of a 100 Hz pulse train through the source tilt."""
+    exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=db_per_octave)
+    return synthesize([], exc, fs, n_samples=int(400 * fs / 100.0))
+
+
 class TestSourceTilt:
     def test_zero_tilt_is_identity(self):
-        x = SignalBuffer(np.random.default_rng(0).standard_normal(512), 8000.0)
-        assert np.array_equal(apply_source_tilt(x, 0.0).samples, x.samples)
+        untilted = synthesize([], Excitation("impulse-train", f0=100.0), 8000.0, n_samples=512)
+        tilted = synthesize([], Excitation("tilted-train", f0=100.0), 8000.0, n_samples=512)
+        assert np.array_equal(tilted.samples, untilted.samples)
+        assert np.array_equal(source_tilt_db(np.linspace(0.0, 4000.0, 9), 8000.0, 0.0),
+                              np.zeros(9))
 
     def test_minus_six_db_per_octave(self):
-        rng = np.random.default_rng(1)
-        x = SignalBuffer(rng.standard_normal(1 << 16), 16000.0)
-        slope = _spectral_slope_db_per_octave(apply_source_tilt(x, -6.0))
+        slope = _spectral_slope_db_per_octave(_tilted_train(-6.0))
         assert abs(slope - (-6.0)) < 1.0
+        freqs = np.array([500.0, 2000.0])
+        response = source_tilt_db(freqs, 16000.0, -6.0)
+        assert abs((response[1] - response[0]) / 2.0 - (-6.0)) < 1.0
 
     def test_two_applications_double_the_slope(self):
-        rng = np.random.default_rng(2)
-        x = SignalBuffer(rng.standard_normal(1 << 16), 16000.0)
-        y = apply_source_tilt(apply_source_tilt(x, -6.0), -6.0)
-        assert abs(_spectral_slope_db_per_octave(y) - (-12.0)) < 1.0
+        assert abs(_spectral_slope_db_per_octave(_tilted_train(-12.0)) - (-12.0)) < 1.0
+        freqs = np.linspace(100.0, 7900.0, 64)
+        assert np.allclose(source_tilt_db(freqs, 16000.0, -12.0),
+                           2.0 * source_tilt_db(freqs, 16000.0, -6.0), rtol=0.0, atol=1e-12)
 
     def test_positive_tilt_rejected(self):
+        exc = Excitation("tilted-train", f0=1000.0, tilt_db_per_octave=3.0)
         with pytest.raises(ValueError):
-            apply_source_tilt(SignalBuffer(np.ones(8), 8000.0), 3.0)
+            synthesize([], exc, 8000.0, n_samples=8)
+        with pytest.raises(ValueError):
+            source_tilt_db(np.linspace(0.0, 4000.0, 9), 8000.0, 3.0)
+
+
+def _formant_levels(env, formants, window_hz=200.0):
+    """`peak_levels` of one envelope at each formant: (levels, missing)."""
+    nominal = np.array([[f.frequency for f in formants]])
+    _, level, missing = peak_levels(env.freqs, env.levels_db[None, :], nominal, window_hz)
+    return level[0], missing[0]
 
 
 class TestMeasureFormantLevels:
     def test_single_resonator_level_is_global_max(self):
         env = analytic_cascade_spectrum([FormantSpec(1200.0, 120.0)], 8000.0)
-        lv = measure_formant_levels(env, [FormantSpec(1200.0, 120.0)])
+        lv, missing = _formant_levels(env, [FormantSpec(1200.0, 120.0)])
+        assert not missing.any()
         assert abs(lv[0] - env.levels_db.max()) < 0.01
 
     def test_widening_b1_lowers_l1_relative_to_l2(self):
@@ -114,7 +133,8 @@ class TestMeasureFormantLevels:
         for b1 in (60.0, 120.0, 240.0):
             fm = [FormantSpec(600.0, b1), FormantSpec(1800.0, 100.0)]
             env = analytic_cascade_spectrum(fm, fs)
-            lv = measure_formant_levels(env, fm)
+            lv, missing = _formant_levels(env, fm)
+            assert not missing.any()
             rel = lv[0] - lv[1]
             if prev is not None:
                 assert rel < prev
@@ -125,15 +145,15 @@ class TestMeasureFormantLevels:
         # exactly; any higher rate breaks the symmetry into a downward tilt
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
         env = analytic_cascade_spectrum(fm, 16000.0, 4096)
-        lv = measure_formant_levels(env, fm)
+        lv, missing = _formant_levels(env, fm)
+        assert not missing.any()
         assert lv[0] > lv[3]
 
-    def test_merged_peak_error_carries_index(self):
+    def test_merged_peak_is_marked_missing(self):
         fm = [FormantSpec(500.0, 400.0), FormantSpec(620.0, 400.0)]
         env = analytic_cascade_spectrum(fm, 8000.0)
-        with pytest.raises(PeakNotFoundError) as err:
-            measure_formant_levels(env, fm, window_hz=60.0)
-        assert err.value.formant_index in (0, 1)
+        _, missing = _formant_levels(env, fm, window_hz=60.0)
+        assert missing.any()
 
 
 class TestCalibrateBandwidths:
@@ -143,47 +163,44 @@ class TestCalibrateBandwidths:
         fm = [FormantSpec(f, b) for f, b in zip(self.FREQS, bws)]
         env = analytic_cascade_spectrum(fm, fs, 2048)
         if exc.kind == "tilted-train":
-            from specvalley.synth import source_tilt_db
-            from specvalley.types import SpectralEnvelope
-
             env = SpectralEnvelope(
                 env.freqs,
                 env.levels_db + source_tilt_db(env.freqs, fs, exc.tilt_db_per_octave),
             )
-        lv = measure_formant_levels(env, fm)
+        lv, missing = _formant_levels(env, fm)
+        assert not missing.any()
         return [lv[i] - lv[0] for i in range(3)]
+
+    def _calibrated(self, targets, exc):
+        fit = calibrate_bandwidth_rows([self.FREQS], [targets], exc, 10000.0)
+        assert fit.converged[0]
+        return fit.bandwidths[0]
 
     def test_fixed_point(self):
         exc = Excitation("unit-impulse")
         rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
-        targets = [0.0, rel[1], rel[2]]
-        bws = calibrate_bandwidths(self.FREQS, targets, exc, 10000.0)
+        bws = self._calibrated([0.0, rel[1], rel[2]], exc)
         assert np.allclose(bws, 100.0, atol=8.0)
 
     def test_lower_l2_target_widens_b2(self):
         exc = Excitation("unit-impulse")
         rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
-        base = calibrate_bandwidths(
-            self.FREQS, [0.0, rel[1], rel[2]], exc, 10000.0
-        )
-        wider = calibrate_bandwidths(
-            self.FREQS, [0.0, rel[1] - 6.0, rel[2]], exc, 10000.0
-        )
+        base = self._calibrated([0.0, rel[1], rel[2]], exc)
+        wider = self._calibrated([0.0, rel[1] - 6.0, rel[2]], exc)
         assert wider[1] > base[1]
 
     def test_convergence_self_check(self):
         exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=-6.0)
-        targets = [-3.0, -15.0, -25.0]
-        bws = calibrate_bandwidths(self.FREQS, targets, exc, 10000.0)
+        bws = self._calibrated([-3.0, -15.0, -25.0], exc)
         rel = self._measured_relative_levels(bws, exc)
         for got, want in zip(rel[1:], [-12.0, -22.0]):
             assert abs(got - want) <= 0.5
 
     def test_unreachable_target_reports_residuals(self):
         exc = Excitation("unit-impulse")
-        with pytest.raises(CalibrationError) as err:
-            calibrate_bandwidths(
-                self.FREQS, [0.0, +40.0, -10.0], exc, 10000.0,
-                max_rounds=5,
-            )
-        assert len(err.value.residuals_db) == 3
+        fit = calibrate_bandwidth_rows([self.FREQS], [(0.0, +40.0, -10.0)], exc, 10000.0,
+                                       max_rounds=5)
+        assert not fit.converged[0]
+        assert fit.residuals_db.shape == (1, 3)
+        assert np.all(np.isfinite(fit.residuals_db[0]))
+        assert abs(fit.residuals_db[0, 1]) > 0.5
