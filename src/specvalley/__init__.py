@@ -7,7 +7,6 @@ and front/back vowel classification built on valley-level differences.
 
 __version__ = "0.1.0"
 
-from .envelope import ValleyMeasurement, locate_peak, rlsv
 from .experiments import (
     OcdResult,
     SweepConfig,
@@ -19,12 +18,9 @@ from .experiments import (
 )
 from .scales import bark_to_hz, hz_to_bark
 from .sigproc import (
-    LpcModel,
     analytic_cascade_spectrum,
     autocorrelation,
     frame_signal,
-    levinson,
-    lpc_envelope,
     polynomial_roots,
     preemphasize,
     window,
@@ -34,12 +30,10 @@ from .types import FormantSpec, SignalBuffer, SpectralEnvelope
 __all__ = [
     "Excitation",
     "FormantSpec",
-    "LpcModel",
     "OcdResult",
     "SignalBuffer",
     "SpectralEnvelope",
     "SweepConfig",
-    "ValleyMeasurement",
     "analytic_cascade_spectrum",
     "autocorrelation",
     "bark_to_hz",
@@ -47,15 +41,11 @@ __all__ = [
     "frame_signal",
     "hz_to_bark",
     "level_influence_experiment",
-    "levinson",
-    "locate_peak",
-    "lpc_envelope",
     "ocd_sweep",
     "pb_ocd_table",
     "polynomial_roots",
     "preemphasize",
     "resonator_coefficients",
-    "rlsv",
     "synthesize",
     "two_formant_curve",
     "window",

@@ -130,6 +130,13 @@ def _below_nyquist(fs, formants, rate="--fs"):
                              f"({rate} {fs:g} gives {fs / 2.0:g} Hz)")
 
 
+def _ascending(formants):
+    """A UsageError naming the first two (flag, Hz) of `formants` not in ascending order."""
+    for (lo_name, lo), (hi_name, hi) in zip(formants, formants[1:]):
+        if lo >= hi:
+            raise UsageError(f"{lo_name} ({lo:g} Hz) must be below {hi_name} ({hi:g} Hz)")
+
+
 def _out_for(args, params):
     params = dict(params)
     params["seed"] = args.seed
@@ -145,9 +152,10 @@ def _cmd_sweep2(args):
                          f"--f1-start ({args.f1_start})")
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f1-stop", args.f1_stop),
                              ("--f2", args.f2)])
+    f1_values = np.arange(args.f1_start, args.f1_stop + 0.5 * args.f1_step, args.f1_step)
+    _ascending([("the last F1 of --f1-start..--f1-stop", f1_values[-1]), ("--f2", args.f2)])
     out = _out_for(args, dict(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
                               band=args.band, points=args.points))
-    f1_values = np.arange(args.f1_start, args.f1_stop + 0.5 * args.f1_step, args.f1_step)
     curve = experiments.two_formant_curve(
         f1_values, args.f2, args.b1, args.b2, args.fs,
         n_points=args.points, mean_band_hz=args.band,
@@ -180,6 +188,7 @@ def _emit_sweep(out, result):
 
 def _cmd_ocd2(args):
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f2", args.f2)])
+    _ascending([("--f1-start", args.f1_start), ("--f2", args.f2)])
     out = _out_for(args, dict(f1_start=args.f1_start, f2=args.f2, b1=args.b1,
                               b2=args.b2, fs=args.fs, band=args.band, step=args.step))
     result = experiments.ocd_sweep(_two_formant_config(args))
@@ -200,6 +209,7 @@ def _cmd_ocd4(args):
         raise UsageError(f"--pair must be between 1 and {len(freqs) - 1} "
                          f"for {len(freqs)} formants, got {args.pair}")
     _below_nyquist(args.fs, [("--formants", f) for f in freqs])
+    _ascending([(f"--formants F{k + 1}", f) for k, f in enumerate(freqs)])
     out = _out_for(args, dict(formants=args.formants, bw=args.bw, fs=args.fs,
                               step=args.step, pair=args.pair))
     i = args.pair - 1
@@ -235,6 +245,7 @@ def _case_formants(args, b3, b4):
 
 def _cmd_levels(args):
     fm = _case_formants(args, args.b3, args.b4)
+    _ascending([("--f1", fm[0].frequency), ("--f2", fm[1].frequency)])
     out = _out_for(args, dict(case=args.case or "custom", f1=fm[0].frequency,
                               f2=fm[1].frequency, fs=args.fs,
                               b1_values=args.b1_values, b2_values=args.b2_values))
@@ -302,7 +313,8 @@ def _cmd_pb_ocd(args):
             if r.result is not None:
                 out.row(gender, r.vowel, r.basis, _fmt(r.result.ocd_bark, 4), "ok")
             else:
-                out.row(gender, r.vowel, r.basis, "", f"no crossing: {r.error}")
+                status = "unmeasurable" if r.unmeasurable else "no crossing"
+                out.row(gender, r.vowel, r.basis, "", f"{status}: {r.error}")
     out.flush()
     return 0
 

@@ -1,45 +1,14 @@
 """Peak and valley analysis of spectral envelopes.
 
 `peak_levels` and `valley_minima` read the peaks and valleys of a stack of
-envelopes; the frame pipeline and the bandwidth calibration run them.
-`locate_peak` and `rlsv` measure one analytic envelope for the sweeps. `rlsv`
-reports mean level minus valley level: positive means the valley dips below
-the mean, and the zero crossing of this quantity under a formant-spacing
-sweep defines the objective critical distance.
+envelopes; the frame pipeline, the bandwidth calibration and the sweeps
+(one envelope as a one-row stack) run them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PeakNotFoundError, ValleyUndefinedError
-from .types import SpectralEnvelope
-
-
-@dataclass
-class ValleyMeasurement:
-    """A valley between two formant peaks: mean level minus valley level, in dB."""
-
-    v_db: float
-    valley_freq: float
-
-
-def locate_peak(env: SpectralEnvelope, nominal_f: float, window_hz: float = 200.0):
-    """Highest local maximum within +/-window_hz of nominal_f.
-
-    The one-row case of `peak_levels`. Returns (peak_freq, peak_level) with
-    parabolic refinement between bins. Raises PeakNotFoundError when no
-    interior local maximum exists in the window, which is how merged
-    formants surface.
-    """
-    freq, level, missing = peak_levels(
-        env.freqs, env.levels_db[None, :], np.array([nominal_f]), window_hz
-    )
-    if missing[0]:
-        raise PeakNotFoundError(
-            f"no spectral peak within {window_hz} Hz of {nominal_f} Hz"
-        )
-    return float(freq[0]), float(level[0])
+# a peak is searched within +/-PEAK_WINDOW_HZ of its nominal formant frequency
+PEAK_WINDOW_HZ = 200.0
 
 
 def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
@@ -53,7 +22,8 @@ def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
     return lo, np.minimum(hi, len(freqs) - 1)
 
 
-def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f, window_hz: float = 200.0):
+def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
+                window_hz: float = PEAK_WINDOW_HZ):
     """Highest local maximum within +/-window_hz of nominal_f on each row of a level stack.
 
     `levels_db` is (n, len(freqs)) finite levels on the uniform grid
@@ -124,22 +94,3 @@ def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):
     masked = np.where(inside, levels_db[:, start:stop], np.inf)
     k = np.argmin(masked, axis=1)
     return start + k, masked[np.arange(n), k], too_narrow
-
-
-def rlsv(env: SpectralEnvelope, lower_peak_f: float, upper_peak_f: float) -> ValleyMeasurement:
-    """Relative level of the spectral valley between two located peaks.
-
-    v_db = mean level - valley level; exactly zero when the valley touches
-    the mean. The arguments are peak frequencies (already located); the
-    valley is the minimum strictly between them.
-    """
-    if lower_peak_f >= upper_peak_f:
-        raise ValueError("peaks must be ordered lower < upper")
-    idx, level, too_narrow = valley_minima(
-        env.freqs, env.levels_db[None, :], np.array([lower_peak_f]), np.array([upper_peak_f])
-    )
-    if too_narrow[0]:
-        raise ValleyUndefinedError(
-            f"fewer than two grid bins between {lower_peak_f:.1f} and {upper_peak_f:.1f} Hz"
-        )
-    return ValleyMeasurement(env.mean_level_db - float(level[0]), float(env.freqs[idx[0]]))

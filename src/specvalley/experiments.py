@@ -4,10 +4,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import locate_peak, rlsv
-from .errors import NoCrossingError, PeakNotFoundError, ValleyUndefinedError
+from .envelope import PEAK_WINDOW_HZ, peak_levels, valley_minima
+from .errors import (
+    DegenerateInputError,
+    NoCrossingError,
+    PeakNotFoundError,
+    SingularEnvelopeError,
+    UnstableModelError,
+    ValleyUndefinedError,
+)
 from .scales import hz_to_bark
-from .sigproc import analytic_cascade_spectrum, autocorrelation, levinson, lpc_envelope
+from .sigproc import (
+    analytic_cascade_spectrum,
+    autocorrelation,
+    levinson_failure,
+    levinson_rows,
+    lpc_levels,
+)
 from .types import FormantSpec, SpectralEnvelope, power_mean_db
 
 # Critical-distance band reported by perceptual matching studies, in bark.
@@ -78,10 +91,32 @@ def _banded_mean_db(env: SpectralEnvelope, band_hz):
 
 
 def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
-    """(L_lo, L_hi, RLSV measurement) of the peaks located near f_lo and f_hi."""
-    p_lo, l_lo = locate_peak(env, f_lo)
-    p_hi, l_hi = locate_peak(env, f_hi)
-    return l_lo, l_hi, rlsv(env, p_lo, p_hi)
+    """(L_lo, L_hi, valley level) in dB of the two peaks located near f_lo < f_hi.
+
+    One `peak_levels` call finds the highest peak within +/-PEAK_WINDOW_HZ of
+    each nominal frequency, and one `valley_minima` call the lowest level
+    strictly between the two peaks. Raises PeakNotFoundError when a window
+    holds no peak or both windows find the same one, and ValleyUndefinedError
+    when fewer than two grid bins lie between the peaks.
+    """
+    if f_lo >= f_hi:
+        raise ValueError(f"nominal frequencies must be ordered lower < upper, "
+                         f"got {f_lo} and {f_hi}")
+    levels = env.levels_db[None, :]
+    peak, level, missing = peak_levels(env.freqs, levels, np.array([[f_lo, f_hi]]))
+    for f, gone in zip((f_lo, f_hi), missing[0]):
+        if gone:
+            raise PeakNotFoundError(f"no spectral peak within {PEAK_WINDOW_HZ} Hz of {f} Hz")
+    p_lo, p_hi = peak[:, 0], peak[:, 1]
+    if p_lo[0] >= p_hi[0]:
+        raise PeakNotFoundError(f"no separate spectral peaks within {PEAK_WINDOW_HZ} Hz of "
+                                f"{f_lo} Hz and {f_hi} Hz: both windows find the peak at "
+                                f"{p_lo[0]:.1f} Hz")
+    _, valley, too_narrow = valley_minima(env.freqs, levels, p_lo, p_hi)
+    if too_narrow[0]:
+        raise ValleyUndefinedError(f"fewer than two grid bins between {p_lo[0]:.1f} and "
+                                   f"{p_hi[0]:.1f} Hz")
+    return float(level[0, 0]), float(level[0, 1]), float(valley[0])
 
 
 def measure_pair_rlsv(formants, pair, sample_rate, n_points: int = GRID_POINTS,
@@ -89,8 +124,7 @@ def measure_pair_rlsv(formants, pair, sample_rate, n_points: int = GRID_POINTS,
     """RLSV (mean - valley, dB) between two formants of an analytic cascade."""
     env = analytic_cascade_spectrum(formants, sample_rate, n_points)
     i, j = pair
-    _, _, m = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency)
-    valley_level = env.mean_level_db - m.v_db
+    valley_level = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency)[2]
     return _banded_mean_db(env, mean_band_hz) - valley_level
 
 
@@ -242,8 +276,8 @@ def level_influence_experiment(
             ] + list(case_formants[2:])
             try:
                 env = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-                l1, l2, m = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)
-                cells.append(LevelCell(b1, b2, l1, l2, m.v_db))
+                l1, l2, valley = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)
+                cells.append(LevelCell(b1, b2, l1, l2, env.mean_level_db - valley))
             except (PeakNotFoundError, ValleyUndefinedError) as exc:
                 cells.append(LevelCell(b1, b2, None, None, None, error=str(exc)))
     return cells
@@ -280,8 +314,17 @@ def lp_envelope_of_signal(
         if L < order:
             raise ValueError("lag window half-length must cover the model order")
         r = r * np.hamming(2 * L + 1)[L : L + order + 1]
-    model = levinson(r, order, sample_rate)
-    return lpc_envelope(model, GRID_POINTS)
+    if r[0] <= 0:
+        raise DegenerateInputError(f"zero-lag autocorrelation must be positive, got {r[0]}")
+    fit = levinson_rows(r[None, :], order)
+    if fit.stage[0]:
+        raise UnstableModelError(levinson_failure(fit, 0), stage=int(fit.stage[0]))
+    env = lpc_levels(fit.a, np.sqrt(np.maximum(fit.error, 0.0)), GRID_POINTS)
+    if env.singular[0]:
+        raise SingularEnvelopeError("predictor has a root on the evaluation grid "
+                                    "or a non-finite dB level")
+    freqs = np.linspace(0.0, sample_rate / 2.0, GRID_POINTS)
+    return SpectralEnvelope(freqs, env.levels[0], float(env.mean_db[0]))
 
 
 def f0_influence_experiment(
@@ -303,27 +346,30 @@ def f0_influence_experiment(
     from .synth import Excitation, synthesize  # scipy.signal: only this study synthesizes
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
+    f1, f2 = fm[0].frequency, fm[1].frequency
     env_ref = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-    v_ref = _peak_pair_rlsv(env_ref, fm[0].frequency, fm[1].frequency)[2].v_db
+    v_ref = env_ref.mean_level_db - _peak_pair_rlsv(env_ref, f1, f2)[2]
     rows = []
     for f0 in f0_values:
         exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
         sig = synthesize(fm, exc, sample_rate)
         seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
         env = lp_envelope_of_signal(seg, sample_rate, lp_order, lag_window_half_length)
-        v_f0 = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)[2].v_db
+        v_f0 = env.mean_level_db - _peak_pair_rlsv(env, f1, f2)[2]
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows
 
 
 @dataclass
 class VowelOcd:
-    """Per-vowel OCD outcome; `error` is set when the sweep found no crossing."""
+    """Per-vowel OCD outcome; `error` is set when the sweep found no crossing,
+    or, with `unmeasurable` set, when its start could not be measured."""
 
     vowel: str
     basis: str
     result: OcdResult | None
     error: str | None = None
+    unmeasurable: bool = False
 
 
 def pb_defaults(gender: str):
@@ -347,7 +393,8 @@ def pb_ocd_table(
     for a V23-based OCD. Pairs starting below the crossing are widened
     instead of narrowed (symmetric steps either way). The uniform-tube
     reference rows sweep both pairs of `UNIFORM_TUBE_FORMANTS_HZ` (F4 at
-    3500 Hz) at 8 kHz, whatever the gender.
+    3500 Hz) at 8 kHz, whatever the gender. A sweep that ends without a
+    crossing, or whose start cannot be measured, is its vowel's error row.
     """
     default_rate, default_f4 = pb_defaults(gender)
     sample_rate = default_rate if sample_rate is None else sample_rate
@@ -368,4 +415,6 @@ def pb_ocd_table(
             rows.append(VowelOcd(vowel, label, res))
         except NoCrossingError as exc:
             rows.append(VowelOcd(vowel, label, None, error=str(exc)))
+        except (PeakNotFoundError, ValleyUndefinedError) as exc:
+            rows.append(VowelOcd(vowel, label, None, error=str(exc), unmeasurable=True))
     return rows

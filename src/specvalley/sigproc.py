@@ -1,17 +1,11 @@
 """Core signal processing: framing, linear prediction, roots, and spectra."""
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    NumericFailureError,
-    SingularEnvelopeError,
-    UnstableModelError,
-)
+from .errors import NumericFailureError
 from .types import SignalBuffer, SpectralEnvelope
 
 # the formant gate: a root is a candidate from MIN_FREQUENCY to
@@ -27,21 +21,6 @@ SEED_POINTS = 512
 NEWTON_STEPS = 8  # most seeds settle in 4-6 steps; rows that need more are left to eigvals
 CIRCLE_MARGIN = 1e-9  # a reflection coefficient this close to +/-1 leaves a root count in doubt
 DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
-
-
-@dataclass
-class LpcModel:
-    """All-pole predictor: A(z) = 1 - sum_k coefficients[k-1] * z^-k."""
-
-    order: int
-    coefficients: np.ndarray
-    gain: float
-    sample_rate: float
-
-    @property
-    def a_polynomial(self) -> np.ndarray:
-        """Error-filter taps [1, -a_1, ..., -a_p] (powers of z^-1)."""
-        return np.concatenate(([1.0], -np.asarray(self.coefficients, dtype=np.float64)))
 
 
 def preemphasize(x: SignalBuffer, alpha: float) -> SignalBuffer:
@@ -182,32 +161,6 @@ def levinson_failure(fit, row: int) -> str:
     return f"reflection coefficient {k:.6g} outside [-1, 1] at stage {m}"
 
 
-def levinson(r: np.ndarray, order: int, sample_rate: float) -> LpcModel:
-    """Solve the autocorrelation normal equations by Levinson-Durbin.
-
-    The one-row case of `levinson_rows`. Returns the predictor model;
-    gain^2 = r[0]*prod(1 - k_i^2). Raises DegenerateInputError for
-    r[0] <= 0 and UnstableModelError (with the offending stage) when a
-    reflection coefficient leaves [-1, 1].
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if len(r) < order + 1:
-        raise ValueError(f"need {order + 1} autocorrelation lags, got {len(r)}")
-    if r[0] <= 0:
-        raise DegenerateInputError(f"zero-lag autocorrelation must be positive, got {r[0]}")
-    fit = levinson_rows(r[None, :], order)
-    if fit.stage[0]:
-        raise UnstableModelError(levinson_failure(fit, 0), stage=int(fit.stage[0]))
-    return LpcModel(
-        order=order,
-        coefficients=-fit.a[0, 1:],
-        gain=float(np.sqrt(max(fit.error[0], 0.0))),
-        sample_rate=sample_rate,
-    )
-
-
 @functools.lru_cache(maxsize=8)
 def _unit_circle_table(taps: int, n_points: int) -> np.ndarray:
     """(taps, 2*n_points) read-only table of cos(m*w_k) | sin(m*w_k).
@@ -269,23 +222,6 @@ def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024) -> Envelop
         levels *= 10.0
     singular |= ~np.all(np.isfinite(levels), axis=-1)
     return EnvelopeLevels(levels, mean_db, singular)
-
-
-def lpc_envelope(m: LpcModel, n_points: int = 1024) -> SpectralEnvelope:
-    """dB magnitude of gain/A(e^jw) on n_points uniform frequencies to Nyquist.
-
-    The one-row case of `lpc_levels`; the envelope's mean level is the one
-    `lpc_levels` takes from the power.
-    """
-    if m.gain <= 0:
-        raise SingularEnvelopeError("model gain must be positive for a dB envelope")
-    env = lpc_levels(m.a_polynomial[None, :], np.array([m.gain]), n_points)
-    if env.singular[0]:
-        raise SingularEnvelopeError(
-            "predictor has a root on the evaluation grid or a non-finite dB level"
-        )
-    freqs = np.linspace(0.0, m.sample_rate / 2.0, n_points)
-    return SpectralEnvelope(freqs, env.levels[0], float(env.mean_db[0]))
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import lfilter  # at import, so the first synthesis pays no import
 
-from .envelope import peak_levels, peak_windows
+from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows
 from .sigproc import resonator_db, resonator_taps
 from .types import FormantSpec, SignalBuffer
 
@@ -18,13 +18,12 @@ TILT_CORNER_HZ = 50.0
 # bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
 # there), B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS
 # halvings per round until every relative level is within TOLERANCE_DB of its
-# target, and peaks are read within +/-PEAK_WINDOW_HZ of each formant on a
-# CALIBRATION_POINTS grid from 0 Hz to Nyquist
+# target, and peaks are read within +/-envelope.PEAK_WINDOW_HZ of each
+# formant on a CALIBRATION_POINTS grid from 0 Hz to Nyquist
 INITIAL_BANDWIDTH = 100.0
 SEARCH_RANGE_HZ = (30.0, 600.0)
 TOLERANCE_DB = 0.5
 BISECTION_STEPS = 36
-PEAK_WINDOW_HZ = 200.0
 CALIBRATION_POINTS = 2048
 
 

@@ -62,8 +62,8 @@ class SpectralEnvelope:
 
     `mean_level_db` is the level of the mean spectral power over the grid.
     Left out, it is computed from the levels at construction (see
-    `power_mean_db`); `sigproc.lpc_envelope` passes the one it took from
-    the power.
+    `power_mean_db`); `experiments.lp_envelope_of_signal` passes the one
+    `sigproc.lpc_levels` took from the power.
     """
 
     freqs: np.ndarray

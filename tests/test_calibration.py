@@ -1,8 +1,8 @@
 """The stacked bandwidth calibration and peak pick agree with the scalar loops.
 
 `calibrate_bandwidth_rows` calibrates many formant sets in one bisection and
-`peak_levels` reads the peaks of a level stack; `locate_peak` is the one-row
-peak pick of the sweeps. The reference below is the scalar calibration they
+`peak_levels` reads the peaks of a level stack; the sweeps run it on one-row
+stacks. The reference below is the scalar calibration they
 replaced: the whole cascade re-evaluated at every bisection step, peaks found
 by a Python loop over the window. The stacked forms must give the same floats.
 """
@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specvalley.corpus import default_pb_table_path, load_pb_table
-from specvalley.envelope import locate_peak, peak_levels
-from specvalley.errors import CalibrationError, PeakNotFoundError
+from specvalley.envelope import peak_levels
+from specvalley.errors import CalibrationError
 from specvalley.synth import Excitation, calibrate_bandwidth_rows, source_tilt_db
 from specvalley.synthetic import (
     CLASSIFIED_VOWELS,
@@ -22,7 +22,7 @@ from specvalley.synthetic import (
     UPPER_FORMANTS,
     build_recipes,
 )
-from specvalley.types import FormantSpec, SpectralEnvelope
+from specvalley.types import FormantSpec
 
 RECIPE_EXCITATION = Excitation(
     "tilted-train", f0=100.0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE
@@ -237,15 +237,11 @@ def test_stacked_peak_levels_match_the_scalar_loop(seed, n_bins, window_bins, ki
             assert np.array_equal(got, stacked[:, 0], equal_nan=True)
     for (r, k), f in np.ndenumerate(nominal):
         want = _reference_peak(freqs, levels[r], f, window_hz)
-        env = SpectralEnvelope(freqs, levels[r])
-        if want is None:
-            assert missing[r, k]
-            with pytest.raises(PeakNotFoundError):
-                locate_peak(env, f, window_hz)
-        else:
-            assert not missing[r, k]
+        one = peak_levels(freqs, levels[r : r + 1], np.array([f]), window_hz)
+        assert one[2][0] == missing[r, k] == (want is None)
+        if want is not None:
             assert (freq[r, k], level[r, k]) == want
-            assert locate_peak(env, f, window_hz) == want
+            assert (one[0][0], one[1][0]) == want
 
 
 def test_peak_levels_keeps_the_input_checks():

@@ -81,6 +81,47 @@ class TestExperimentCommands:
         assert out.read_text().splitlines()[1].endswith(f" table={table}")
 
 
+MERGED_1000_1250 = ("no separate spectral peaks within 200.0 Hz of 1000.0 Hz and 1250.0 Hz: "
+                    "both windows find the peak at 1161.5 Hz")
+
+
+class TestUnmeasurablePeaks:
+    """A pair whose peak windows find no peak, or find one peak for both,
+    is an unmeasurable cell, row or start, never a crash."""
+
+    def test_levels_flags_a_missing_and_a_merged_pair(self, capsys):
+        assert run(["levels", "--f1", "1000", "--f2", "1250", "--b1-values", "70,300",
+                    "--b2-values", "300", "--no-timestamp"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "70.0,300.0,,,,,unmeasurable: no spectral peak within 200.0 Hz of 1250.0 Hz",
+            f"300.0,300.0,,,,,unmeasurable: {MERGED_1000_1250}",
+        ]
+
+    def test_ocd2_unmeasurable_start_exits_1(self, capsys):
+        assert run(["ocd2", "--f1-start", "1300", "--f2", "1400", "--no-timestamp"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no separate spectral peaks within 200.0 Hz of 1300.0 Hz and 1400.0 Hz: "
+            "both windows find the peak at 1311.6 Hz\n")
+
+    def test_ocd2_pair_merging_after_the_start_ends_the_sweep(self, capsys):
+        # with B2 below B1 the F2 peak is the higher one; from 200 Hz apart
+        # both windows find it
+        assert run(["ocd2", "--b1", "20", "--b2", "10", "--no-timestamp"]) == 1
+        assert capsys.readouterr().err == (
+            "error: valley became unmeasurable before crossing: no separate spectral peaks "
+            "within 200.0 Hz of 1200.0 Hz and 1400.0 Hz: both windows find the peak at "
+            "1399.9 Hz\n")
+
+    def test_pb_ocd_reports_an_unmeasurable_start_as_its_row(self, tmp_path):
+        out = tmp_path / "pb.csv"
+        assert run(["pb-ocd", "--bw", "300", "--gender", "male", "--out", str(out),
+                    "--no-timestamp"]) == 0
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+        assert len(rows) == 1 + 11
+        assert "male,ao,V12,,unmeasurable: no spectral peak within 200.0 Hz of 840.0 Hz" in rows
+        assert sum(row.endswith(",ok") for row in rows) == 9
+
+
 class TestCorpusCommands:
     def test_classify_report(self, small_corpus_dir, tmp_path):
         out = tmp_path / "cls.csv"
@@ -614,6 +655,30 @@ ABOVE_NYQUIST = [
                          ids=["_".join(argv).replace("--", "") for argv, _ in ABOVE_NYQUIST])
 def test_formant_at_or_above_nyquist_is_a_usage_error(argv, message, no_experiment_running,
                                                       capsys):
+    assert run([*argv, "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+# one command line per command whose measured formants must ascend (f0 sorts
+# its formants), and its usage error
+OUT_OF_ORDER = [
+    (["ocd2", "--f1-start=1500"], "--f1-start (1500 Hz) must be below --f2 (1400 Hz)"),
+    (["ocd2", "--f1-start=1400"], "--f1-start (1400 Hz) must be below --f2 (1400 Hz)"),
+    (["sweep2", "--f1-stop=1500"],
+     "the last F1 of --f1-start..--f1-stop (1500 Hz) must be below --f2 (1400 Hz)"),
+    (["sweep2", "--f1-stop=1390"],  # 650 + 15 * 50 Hz steps reach 1400 Hz
+     "the last F1 of --f1-start..--f1-stop (1400 Hz) must be below --f2 (1400 Hz)"),
+    (["ocd4", "--formants=1500,500,2500"],
+     "--formants F1 (1500 Hz) must be below --formants F2 (500 Hz)"),
+    (["ocd4", "--formants=500,1500,1500,3500", "--pair=1"],
+     "--formants F2 (1500 Hz) must be below --formants F3 (1500 Hz)"),
+    (["levels", "--f1=900", "--f2=700"], "--f1 (900 Hz) must be below --f2 (700 Hz)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_ORDER,
+                         ids=["_".join(argv).replace("--", "") for argv, _ in OUT_OF_ORDER])
+def test_formants_out_of_order_are_a_usage_error(argv, message, no_experiment_running, capsys):
     assert run([*argv, "--no-timestamp"]) == 2
     assert capsys.readouterr().err.strip() == message
 

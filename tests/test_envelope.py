@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from specvalley.envelope import locate_peak, rlsv, valley_minima
-from specvalley.errors import PeakNotFoundError, ValleyUndefinedError
+from specvalley.envelope import peak_levels, valley_minima
+from specvalley.experiments import measure_pair_rlsv
 from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.types import FormantSpec, SpectralEnvelope, power_mean_db
 
@@ -42,19 +42,22 @@ class TestMeanSpectralLevel:
 
 
 class TestLocatePeak:
+    """The peak search of one envelope: `peak_levels` on a one-row stack."""
+
     def test_single_resonator(self):
         env = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
-        f, level = locate_peak(env, 1400.0)
-        assert abs(f - 1400.0) < 2 * spacing(env)
-        assert level >= env.levels_db.max() - 0.05
+        f, level, missing = peak_levels(env.freqs, env.levels_db[None, :], [1400.0])
+        assert not missing[0]
+        assert abs(f[0] - 1400.0) < 2 * spacing(env)
+        assert level[0] >= env.levels_db.max() - 0.05
 
     def test_merged_formants_surface_as_missing_peak(self):
         # close pair with wide bandwidths: the upper peak disappears
         env = analytic_cascade_spectrum(
             [FormantSpec(500.0, 350.0), FormantSpec(640.0, 350.0)], 8000.0
         )
-        with pytest.raises(PeakNotFoundError):
-            locate_peak(env, 640.0, window_hz=60.0)
+        _, _, missing = peak_levels(env.freqs, env.levels_db[None, :], [640.0], window_hz=60.0)
+        assert missing[0]
 
     def test_parabolic_refinement_on_synthetic_parabola(self):
         n, fs = 512, 8000.0
@@ -62,62 +65,77 @@ class TestLocatePeak:
         true_peak = 1003.7  # deliberately between bins
         levels = -0.001 * (freqs - true_peak) ** 2
         env = SpectralEnvelope(freqs, levels)
-        f, _ = locate_peak(env, 1000.0)
-        assert abs(f - true_peak) < 0.1 * spacing(env)
+        f, _, missing = peak_levels(env.freqs, env.levels_db[None, :], [1000.0])
+        assert not missing[0]
+        assert abs(f[0] - true_peak) < 0.1 * spacing(env)
 
     def test_window_must_exceed_grid_spacing(self):
         env = flat_env(0.0, n=64)
         with pytest.raises(ValueError):
-            locate_peak(env, 1000.0, window_hz=10.0)
+            peak_levels(env.freqs, env.levels_db[None, :], [1000.0], window_hz=10.0)
 
 
 class TestRlsv:
+    """Mean level minus the level of the valley between two located peaks, as
+    the sweeps measure it: one `peak_levels` call for the pair of nominal
+    frequencies, then `valley_minima` between the two peaks."""
+
     def test_four_formant_near_zero_point(self):
         fm = [FormantSpec(725.0, 100.0), FormantSpec(1275.0, 100.0)] + TUBE[2:]
         env = analytic_cascade_spectrum(fm, 8000.0, 4096)
-        f1, _ = locate_peak(env, 725.0)
-        f2, _ = locate_peak(env, 1275.0)
-        assert abs(rlsv(env, f1, f2).v_db) <= 0.5
+        levels = env.levels_db[None, :]
+        f, _, missing = peak_levels(env.freqs, levels, [[725.0, 1275.0]])
+        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        assert not (missing.any() or narrow[0])
+        assert abs(env.mean_level_db - valley[0]) <= 0.5
 
     def test_four_formant_negative_below_crossing(self):
         fm = [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:]
         env = analytic_cascade_spectrum(fm, 8000.0, 4096)
-        f1, _ = locate_peak(env, 800.0)
-        f2, _ = locate_peak(env, 1200.0)
-        assert rlsv(env, f1, f2).v_db < 0
+        levels = env.levels_db[None, :]
+        f, _, missing = peak_levels(env.freqs, levels, [[800.0, 1200.0]])
+        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        assert not (missing.any() or narrow[0])
+        assert env.mean_level_db - valley[0] < 0
 
     def test_wide_spacing_positive(self):
         env = analytic_cascade_spectrum(TUBE, 8000.0, 4096)
-        f1, _ = locate_peak(env, 500.0)
-        f2, _ = locate_peak(env, 1500.0)
-        assert rlsv(env, f1, f2).v_db > 0
+        levels = env.levels_db[None, :]
+        f, _, missing = peak_levels(env.freqs, levels, [[500.0, 1500.0]])
+        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        assert not (missing.any() or narrow[0])
+        assert env.mean_level_db - valley[0] > 0
 
     def test_gain_invariance(self):
         env = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
-        f1, _ = locate_peak(env, 500.0)
-        f2, _ = locate_peak(env, 1500.0)
-        v0 = rlsv(env, f1, f2).v_db
-        v1 = rlsv(shifted(env, -23.0), f1, f2).v_db
-        assert abs(v0 - v1) < 1e-9
+        louder = shifted(env, -23.0)
+        levels = np.array([env.levels_db, louder.levels_db])
+        f, _, missing = peak_levels(env.freqs, levels[:1], [[500.0, 1500.0]])
+        assert not missing.any()
+        _, valley, narrow = valley_minima(env.freqs, levels, f[[0, 0], 0], f[[0, 0], 1])
+        assert not narrow.any()
+        v = np.array([env.mean_level_db, louder.mean_level_db]) - valley
+        assert abs(v[0] - v[1]) < 1e-9
 
     def test_valley_bracketing_invariants(self):
         env = analytic_cascade_spectrum(TUBE, 8000.0, 2048)
-        f1, l1 = locate_peak(env, 1500.0)
-        f2, l2 = locate_peak(env, 2500.0)
-        m = rlsv(env, f1, f2)
-        assert f1 < m.valley_freq < f2
-        valley_level = env.mean_level_db - m.v_db
-        assert valley_level <= l1 and valley_level <= l2
+        levels = env.levels_db[None, :]
+        f, peak, missing = peak_levels(env.freqs, levels, [[1500.0, 2500.0]])
+        idx, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        assert not (missing.any() or narrow[0])
+        assert f[0, 0] < env.freqs[idx[0]] < f[0, 1]
+        assert valley[0] <= peak[0, 0] and valley[0] <= peak[0, 1]
 
     def test_too_close_peaks(self):
         env = analytic_cascade_spectrum(TUBE, 8000.0, 256)
-        with pytest.raises(ValleyUndefinedError):
-            rlsv(env, 1500.0, 1520.0)
+        _, _, narrow = valley_minima(env.freqs, env.levels_db[None, :], [1500.0], [1520.0])
+        assert narrow[0]
 
     def test_order_checked(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 256)
-        with pytest.raises(ValueError):
-            rlsv(env, 1500.0, 500.0)
+        # a reversed nominal pair is the caller's mistake, not an unmeasurable valley
+        with pytest.raises(ValueError, match="ordered lower < upper"):
+            measure_pair_rlsv([FormantSpec(1500.0, 100.0), FormantSpec(500.0, 100.0)],
+                              (0, 1), 8000.0, 256)
 
 
 class TestMeasureV1V2:
@@ -155,6 +173,8 @@ class TestMeasureV1V2:
         # V_I is the first valley's level relative to the mean: the negation
         # of the mean-minus-valley convention used for sweep measurements
         env, v1, _ = self._v1_v2([500.0, 1500.0, 2500.0, 3500.0])
-        f1, _ = locate_peak(env, 500.0)
-        f2, _ = locate_peak(env, 1500.0)
-        assert abs(v1 + rlsv(env, f1, f2).v_db) < 0.2
+        levels = env.levels_db[None, :]
+        f, _, missing = peak_levels(env.freqs, levels, [[500.0, 1500.0]])
+        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        assert not (missing.any() or narrow[0])
+        assert abs(v1 + (env.mean_level_db - valley[0])) < 0.2

@@ -118,6 +118,26 @@ class TestOcdSweep:
         with pytest.raises(ValueError):
             SweepConfig(TUBE, 8000.0, pair=(0, 2))
 
+    def test_merged_start_raises_as_it_is(self):
+        # both peak windows find the one peak at 1311.6 Hz
+        cfg = two_formant_cfg()
+        cfg.formants[0] = FormantSpec(1300.0, 100.0)
+        with pytest.raises(PeakNotFoundError, match="of 1300.0 Hz and 1400.0 Hz: both windows"):
+            ocd_sweep(cfg)
+
+    def test_pair_merging_after_the_start_ends_without_crossing(self):
+        # B2 below B1 makes the F2 peak the higher one, so once the pair is
+        # 200 Hz apart the F1 window finds it too
+        cfg = two_formant_cfg()
+        cfg.formants[:] = [FormantSpec(650.0, 20.0), FormantSpec(1400.0, 10.0)]
+        with pytest.raises(NoCrossingError) as err:
+            ocd_sweep(cfg)
+        assert str(err.value).startswith(
+            "valley became unmeasurable before crossing: no separate spectral peaks within "
+            "200.0 Hz of 1200.0 Hz and 1400.0 Hz")
+        assert isinstance(err.value.__cause__, PeakNotFoundError)
+        assert len(err.value.trace) == 22  # 650 .. 1175 Hz in 25 Hz steps
+
 
 class TestTwoFormantCurve:
     def test_reference_points(self):
@@ -174,6 +194,16 @@ class TestLevelInfluence:
         assert cells[0].error is not None
         assert cells[0].v_db is None
 
+    def test_missing_and_merged_peaks_are_flagged(self):
+        case = [FormantSpec(1000.0, 100.0), FormantSpec(1250.0, 100.0)] + CASE_A[2:]
+        cells = level_influence_experiment(case, b1_values=(70.0, 300.0), b2_values=(300.0,))
+        assert [c.error for c in cells] == [
+            "no spectral peak within 200.0 Hz of 1250.0 Hz",
+            "no separate spectral peaks within 200.0 Hz of 1000.0 Hz and 1250.0 Hz: "
+            "both windows find the peak at 1161.5 Hz",
+        ]
+        assert all(c.l1_db is c.l2_db is c.v_db is None for c in cells)
+
 
 class TestF0Influence:
     def test_narrow_case_differences_stay_small(self):
@@ -215,6 +245,22 @@ class TestPbOcdTable:
             assert abs(row.result.ocd_bark - want) <= 0.3, (
                 f"{row.vowel}/{row.basis}: {row.result.ocd_bark:.2f} vs {want}"
             )
+
+    def test_unmeasurable_start_is_its_vowel_row(self, pb_entries):
+        from specvalley.corpus import pb_mean_formants
+
+        means = {v: f for v, f in pb_mean_formants(pb_entries, "male").items()
+                 if v in FRONT_VOWELS + BACK_VOWELS}
+        rows = pb_ocd_table(means, "male", bandwidth_hz=300.0)
+        assert len(rows) == len(means) + 2
+        bad = [r for r in rows if r.unmeasurable]
+        assert [(r.vowel, r.basis, r.error, r.result) for r in bad] == [
+            ("ao", "V12", "no spectral peak within 200.0 Hz of 840.0 Hz", None)]
+        # a sweep that starts but loses its peaks is a no-crossing row
+        iy = next(r for r in rows if r.vowel == "iy")
+        assert iy.error.startswith("valley became unmeasurable before crossing")
+        assert not iy.unmeasurable
+        assert sum(r.result is not None for r in rows) == len(rows) - 2
 
     def test_widened_flag_set_for_narrow_starts(self):
         from specvalley.corpus import pb_mean_formants

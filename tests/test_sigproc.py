@@ -5,24 +5,22 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
-from specvalley.errors import (
-    DegenerateInputError,
-    SingularEnvelopeError,
-    UnstableModelError,
-)
+from specvalley import experiments
+from specvalley.envelope import peak_levels
+from specvalley.errors import DegenerateInputError, SingularEnvelopeError
+from specvalley.experiments import lp_envelope_of_signal
 from specvalley.sigproc import (
     MAX_BANDWIDTH,
     MIN_FREQUENCY,
     NYQUIST_MARGIN,
-    LpcModel,
     analytic_cascade_spectrum,
     autocorrelation,
     formant_anchors,
     formant_candidates,
     frame_count,
     frame_signal,
-    levinson,
-    lpc_envelope,
+    levinson_failure,
+    levinson_rows,
     lpc_levels,
     polynomial_roots,
     preemphasize,
@@ -128,15 +126,18 @@ class TestAutocorrelation:
 
 
 class TestLevinson:
+    """Levinson-Durbin as `levinson_rows` runs it, on one-row stacks: the
+    predictor is -a[1:], the gain^2 the prediction error."""
+
     def test_one_step_normal_equation(self):
-        m = levinson(np.array([1.0, 0.5]), 1, 8000.0)
-        assert np.allclose(m.coefficients, [0.5])
-        assert abs(m.gain**2 - 0.75) < 1e-12
+        fit = levinson_rows(np.array([[1.0, 0.5]]), 1)
+        assert np.allclose(-fit.a[0, 1:], [0.5])
+        assert abs(fit.error[0] - 0.75) < 1e-12
 
     def test_white_input(self):
-        m = levinson(np.array([1.0, 0.0, 0.0, 0.0]), 3, 8000.0)
-        assert np.allclose(m.coefficients, 0.0)
-        assert abs(m.gain - 1.0) < 1e-12
+        fit = levinson_rows(np.array([[1.0, 0.0, 0.0, 0.0]]), 3)
+        assert np.allclose(fit.a[0, 1:], 0.0)
+        assert abs(np.sqrt(fit.error[0]) - 1.0) < 1e-12
 
     def test_recovers_ar10_coefficients(self):
         rng = np.random.default_rng(12)
@@ -149,75 +150,80 @@ class TestLevinson:
         a_true = np.real(np.poly(poles))  # [1, a1, ..., a10] error filter
         x = lfilter([1.0], a_true, rng.standard_normal(400000))
         r = autocorrelation(x, 10) / len(x)
-        m = levinson(r, 10, 8000.0)
-        assert np.allclose(m.a_polynomial, a_true, atol=1e-2)
+        assert np.allclose(levinson_rows(r[None, :], 10).a[0], a_true, atol=1e-2)
         # exactness check against the analytic autocorrelation route
         r_exact = autocorrelation(lfilter([1.0], a_true, np.eye(1, 4096, 0)[0]), 10)
-        m2 = levinson(r_exact, 10, 8000.0)
-        assert np.allclose(m2.a_polynomial, a_true, atol=1e-6)
+        assert np.allclose(levinson_rows(r_exact[None, :], 10).a[0], a_true, atol=1e-6)
 
     def test_matches_dense_toeplitz_solve(self):
         rng = np.random.default_rng(5)
         x = lfilter([1.0], [1.0, -0.6, 0.3], rng.standard_normal(8192))
         for order in (2, 8, 20):
             r = autocorrelation(x, order)
-            m = levinson(r, order, 8000.0)
+            fit = levinson_rows(r[None, :], order)
             dense = np.linalg.solve(toeplitz(r[:order]), r[1 : order + 1])
-            assert np.max(np.abs(m.coefficients - dense)) < 1e-9
+            assert np.max(np.abs(-fit.a[0, 1:] - dense)) < 1e-9
 
     def test_degenerate_and_unstable_inputs(self):
+        fit = levinson_rows(np.array([[0.0, 0.0], [1.0, 1.2]]), 1)
+        assert fit.stage.tolist() == [1, 1]
+        assert levinson_failure(fit, 0) == "prediction error vanished at stage 1"
+        assert levinson_failure(fit, 1) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
+        # the LP envelope of the f0 study raises on the silent row
         with pytest.raises(DegenerateInputError):
-            levinson(np.array([0.0, 0.0]), 1, 8000.0)
-        with pytest.raises(UnstableModelError) as err:
-            levinson(np.array([1.0, 1.2]), 1, 8000.0)
-        assert err.value.stage == 1
+            lp_envelope_of_signal(np.zeros(64), 8000.0, 1)
 
 
 class TestLpcEnvelope:
+    """dB envelopes of error filters as `lpc_levels` gives them, on one-row stacks."""
+
     def test_order_zero_model_is_flat(self):
-        m = LpcModel(order=0, coefficients=np.array([]), gain=2.0, sample_rate=8000.0)
-        env = lpc_envelope(m, 128)
-        assert np.allclose(env.levels_db, 20 * np.log10(2.0))
+        env = lpc_levels(np.ones((1, 1)), np.array([2.0]), 128)
+        assert np.allclose(env.levels[0], 20 * np.log10(2.0))
 
     def test_gain_doubling_shifts_by_6db(self):
-        m1 = LpcModel(0, np.array([]), 1.0, 8000.0)
-        m2 = LpcModel(0, np.array([]), 2.0, 8000.0)
-        d = lpc_envelope(m2, 128).levels_db - lpc_envelope(m1, 128).levels_db
-        assert np.allclose(d, 20 * np.log10(2.0), atol=1e-9)
+        one = lpc_levels(np.ones((1, 1)), np.array([1.0]), 128).levels[0]
+        two = lpc_levels(np.ones((1, 1)), np.array([2.0]), 128).levels[0]
+        assert np.allclose(two - one, 20 * np.log10(2.0), atol=1e-9)
 
     def test_tracks_single_resonator_peak(self):
         fs = 8000.0
         sig = synthesize([FormantSpec(1400.0, 150.0)], Excitation("unit-impulse"),
                          fs, n_samples=4096)
-        r = autocorrelation(sig.samples, 2)
-        env = lpc_envelope(levinson(r, 2, fs), 1024)
-        peak = env.freqs[np.argmax(env.levels_db)]
-        assert abs(peak - 1400.0) <= env.freqs[1] - env.freqs[0]
+        fit = levinson_rows(autocorrelation(sig.samples, 2)[None, :], 2)
+        levels = lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0]
+        freqs = np.linspace(0.0, fs / 2.0, 1024)
+        peak = freqs[np.argmax(levels)]
+        assert abs(peak - 1400.0) <= freqs[1] - freqs[0]
 
     def test_tracks_cascade_peaks_within_one_bin(self):
         # order 2*(#formants) + 2 fitted to a cascade impulse response
-        from specvalley.envelope import locate_peak
-
         fs = 8000.0
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
         sig = synthesize(fm, Excitation("unit-impulse"), fs, n_samples=8192)
-        m = levinson(autocorrelation(sig.samples, 10), 10, fs)
-        env_lp = lpc_envelope(m, 1024)
+        fit = levinson_rows(autocorrelation(sig.samples, 10)[None, :], 10)
         env_an = analytic_cascade_spectrum(fm, fs, 1024)
-        for f in fm:
-            f_lp, _ = locate_peak(env_lp, f.frequency)
-            f_an, _ = locate_peak(env_an, f.frequency)
-            assert abs(f_lp - f_an) <= env_lp.freqs[1] - env_lp.freqs[0]
+        levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
+                           env_an.levels_db])
+        nominal = np.tile([f.frequency for f in fm], (2, 1))
+        peaks, _, missing = peak_levels(env_an.freqs, levels, nominal)
+        assert not missing.any()
+        assert np.all(np.abs(peaks[0] - peaks[1]) <= env_an.freqs[1] - env_an.freqs[0])
 
-    def test_pole_on_grid_raises(self):
-        m = LpcModel(order=1, coefficients=np.array([1.0]), gain=1.0, sample_rate=8000.0)
+    def test_pole_on_grid_raises(self, monkeypatch):
+        # A(z) = 1 - z^-1 vanishes at DC; r = [1, 1] fits it with k = -1
+        assert lpc_levels(np.array([[1.0, -1.0]]), np.ones(1), 128).singular[0]
+        monkeypatch.setattr(experiments, "autocorrelation", lambda x, order: np.ones(2))
         with pytest.raises(SingularEnvelopeError):
-            lpc_envelope(m, 128)  # A(z) = 1 - z^-1 vanishes at DC
+            lp_envelope_of_signal(np.ones(8), 8000.0, 1)
 
-    def test_root_at_nyquist_raises(self):
-        m = LpcModel(order=1, coefficients=np.array([-1.0]), gain=1.0, sample_rate=8000.0)
+    def test_root_at_nyquist_raises(self, monkeypatch):
+        # A(z) = 1 + z^-1 vanishes at Nyquist; r = [1, -1] fits it with k = 1
+        assert lpc_levels(np.array([[1.0, 1.0]]), np.ones(1), 128).singular[0]
+        monkeypatch.setattr(experiments, "autocorrelation",
+                            lambda x, order: np.array([1.0, -1.0]))
         with pytest.raises(SingularEnvelopeError):
-            lpc_envelope(m, 128)  # A(z) = 1 + z^-1 vanishes at Nyquist
+            lp_envelope_of_signal(np.ones(8), 8000.0, 1)
 
     @pytest.mark.parametrize("n_points", [64, 128, 512, 1024, 4096])
     def test_singular_rows_are_the_rows_the_rfft_finds_a_zero_in(self, n_points):
@@ -232,7 +238,7 @@ class TestLpcEnvelope:
 
     def test_min_points(self):
         with pytest.raises(ValueError):
-            lpc_envelope(LpcModel(0, np.array([]), 1.0, 8000.0), 32)
+            lpc_levels(np.ones((1, 1)), np.ones(1), 32)
 
 
 class TestPolynomialRoots:
@@ -275,8 +281,8 @@ class TestRootsToFormants:
         truth = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
         sig = synthesize(truth, Excitation("unit-impulse"), fs, n_samples=8192)
         order = 10
-        m = levinson(autocorrelation(sig.samples, order), order, fs)
-        freqs, _, counts = formant_candidates(polynomial_roots(m.a_polynomial)[None], fs)
+        fit = levinson_rows(autocorrelation(sig.samples, order)[None, :], order)
+        freqs, _, counts = formant_candidates(polynomial_roots(fit.a), fs)
         assert counts[0] >= 3
         for got, want in zip(freqs[0, :3], truth[:3]):
             assert abs(got - want.frequency) < 30.0

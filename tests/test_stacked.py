@@ -1,9 +1,11 @@
-"""The stacked (n_frames, ...) analysis agrees with one-row calls.
+"""The stacked (n_frames, ...) analysis agrees with one-row stacks.
 
-The frame pipeline runs each analysis step on a stack of frames. Each row of
-a stack must give what the step gives for that row alone: the one-row
-`levinson` and `lpc_envelope` the `f0` study calls, and `polynomial_roots`,
-`formant_candidates`, `valley_minima` and `mfcc` on a one-row input. These
+The frame pipeline runs each analysis step on a stack of frames, and the
+sweeps and the `f0` study run the same routines on one envelope or one
+autocorrelation row as a one-row stack. Each row of a stack must give what
+the step gives for that row alone: `levinson_rows`, `lpc_levels`,
+`polynomial_roots`, `formant_candidates`, `valley_minima` and `mfcc` on a
+one-row input, and `peak_levels` with one nominal frequency per call. These
 tests check that row by row, including on silent and unstable rows, and that
 `frame_pipeline` gives what the frame-at-a-time loop it replaced gave.
 """
@@ -14,20 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from specvalley import experiments
 from specvalley.baseline import mfcc, segment_mfcc_matrix
 from specvalley.classify import PipelineConfig, frame_pipeline
-from specvalley.envelope import valley_minima
+from specvalley.cli import run
+from specvalley.envelope import peak_levels, valley_minima
 from specvalley.errors import DegenerateInputError, UnstableModelError
+from specvalley.experiments import lp_envelope_of_signal
 from specvalley.sigproc import (
-    LpcModel,
     autocorrelation,
     formant_anchors,
     formant_candidates,
     frame_signal,
-    levinson,
     levinson_failure,
     levinson_rows,
-    lpc_envelope,
     lpc_levels,
     polynomial_roots,
     preemphasize,
@@ -81,23 +83,20 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
     fit = levinson_rows(lags, order)
     fitted = []
     for i, r in enumerate(lags):
+        one = levinson_rows(r[None, :], order)
+        assert fit.stage[i] == one.stage[0]
         if r[0] <= 0:
-            with pytest.raises(DegenerateInputError):
-                levinson(r, order, FS)
             assert fit.stage[i] == 1
             continue
-        try:
-            model = levinson(r, order, FS)
-        except UnstableModelError as exc:
-            assert fit.stage[i] == exc.stage
-            assert levinson_failure(fit, i) == str(exc)
+        if one.stage[0]:
+            assert levinson_failure(fit, i) == levinson_failure(one, 0)
             continue
-        assert fit.stage[i] == 0
-        assert np.max(np.abs(fit.a[i] - model.a_polynomial)) <= TOL
-        assert abs(np.sqrt(max(fit.error[i], 0.0)) - model.gain) <= TOL * model.gain
-        fitted.append((i, model))
+        gain = np.sqrt(max(one.error[0], 0.0))
+        assert np.max(np.abs(fit.a[i] - one.a[0])) <= TOL
+        assert abs(np.sqrt(max(fit.error[i], 0.0)) - gain) <= TOL * gain
+        fitted.append((i, one.a, gain))
 
-    rows = np.array([i for i, _ in fitted], dtype=int)
+    rows = np.array([i for i, _, _ in fitted], dtype=int)
     roots = polynomial_roots(fit.a[rows])
     freqs, bws, counts = formant_candidates(roots, FS)
     gains = np.sqrt(np.maximum(fit.error[rows], 0.0))
@@ -111,28 +110,28 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
         mean_db = mean_db[three]
 
     j = 0
-    for row, (i, model) in enumerate(fitted):
-        one = polynomial_roots(model.a_polynomial)
+    for row, (i, a, gain) in enumerate(fitted):
+        one = polynomial_roots(a)
         assert np.max(np.abs(np.sort_complex(roots[row]) - np.sort_complex(one))) <= TOL
-        one_f, one_b, one_n = formant_candidates(one[None], FS)
+        one_f, one_b, one_n = formant_candidates(one, FS)
         assert counts[row] == one_n[0]
         for k in range(one_n[0]):
             assert abs(freqs[row, k] - one_f[0, k]) <= TOL * one_f[0, k]
             assert abs(bws[row, k] - one_b[0, k]) <= TOL * one_b[0, k]
         assert not singular[row]
-        env = lpc_envelope(model, N_POINTS)
-        assert np.max(np.abs(levels[row] - env.levels_db)) <= TOL
+        env = lpc_levels(a, np.array([gain]), N_POINTS)
+        assert not env.singular[0]
+        assert np.max(np.abs(levels[row] - env.levels[0])) <= TOL
         if one_n[0] < 3:
             continue
-        one_levels = env.levels_db[None, :]
-        one_v1 = valley_minima(env.freqs, one_levels, one_f[:, 0], one_f[:, 1])
-        one_v2 = valley_minima(env.freqs, one_levels, one_f[:, 1], one_f[:, 2])
+        one_v1 = valley_minima(grid, env.levels, one_f[:, 0], one_f[:, 1])
+        one_v2 = valley_minima(grid, env.levels, one_f[:, 1], one_f[:, 2])
         assert (v1[2][j], v2[2][j]) == (one_v1[2][0], one_v2[2][0])
         if not (one_v1[2][0] or one_v2[2][0]):
-            assert abs(v1[1][j] - mean_db[j] - (one_v1[1][0] - env.mean_level_db)) <= TOL
-            assert abs(v2[1][j] - mean_db[j] - (one_v2[1][0] - env.mean_level_db)) <= TOL
-            assert grid[v1[0][j]] == env.freqs[one_v1[0][0]]
-            assert grid[v2[0][j]] == env.freqs[one_v2[0][0]]
+            assert abs(v1[1][j] - mean_db[j] - (one_v1[1][0] - env.mean_db[0])) <= TOL
+            assert abs(v2[1][j] - mean_db[j] - (one_v2[1][0] - env.mean_db[0])) <= TOL
+            assert v1[0][j] == one_v1[0][0]
+            assert v2[0][j] == one_v2[0][0]
         j += 1
 
 
@@ -252,13 +251,16 @@ def test_frame_pipeline_equals_the_per_frame_loop_on_random_segments(seed, noise
     assert _features(seg, cfg) == _per_frame_reference(seg, cfg, cfg.order_for(FS))
 
 
-def test_unstable_row_reason_matches_levinson_error():
-    # the pipeline's "unstable LP fit" reason is built from this text
+def test_unstable_row_reason_matches_levinson_error(monkeypatch):
+    # the pipeline's "unstable LP fit" reason and the f0 study's error are
+    # both built from this text
     lags = np.array([[1.0, 1.2, 0.0], [1.0, 0.5, 0.1]])
     fit = levinson_rows(lags, 2)
     assert list(fit.stage) == [1, 0]
+    assert levinson_failure(fit, 0) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
+    monkeypatch.setattr(experiments, "autocorrelation", lambda samples, order: lags[0])
     with pytest.raises(UnstableModelError) as err:
-        levinson(lags[0], 2, FS)
+        lp_envelope_of_signal(np.ones(8), FS, 2)
     assert str(err.value) == levinson_failure(fit, 0)
     assert err.value.stage == 1
 
@@ -283,8 +285,44 @@ def test_stacked_mfcc_rejects_a_zero_row():
 
 
 def test_one_row_levinson_model_is_the_stacked_row():
-    r = autocorrelation(_ar_frame(np.random.default_rng(1), 10), 10)
-    fit = levinson_rows(r[None, :], 10)
-    model = levinson(r, 10, FS)
-    assert isinstance(model, LpcModel)
-    assert np.array_equal(model.a_polynomial, fit.a[0])
+    # a one-row fit, as the f0 study makes it, is its row of a taller stack bit
+    # for bit, and so is the envelope it gives
+    rng = np.random.default_rng(1)
+    lags = np.array([autocorrelation(_ar_frame(rng, 10), 10) for _ in range(3)])
+    fit = levinson_rows(lags, 10)
+    one = levinson_rows(lags[1:2], 10)
+    for got, stacked in zip(one, fit):
+        assert np.array_equal(got[0], stacked[1])
+    env = lpc_levels(one.a, np.sqrt(one.error), N_POINTS)
+    stack = lpc_levels(fit.a, np.sqrt(fit.error), N_POINTS)
+    assert np.array_equal(env.levels[0], stack.levels[1])
+    assert env.mean_db[0] == stack.mean_db[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ocd2", "--f2", "1400", "--b1", "100", "--b2", "200", "--fs", "10000"],
+    ["ocd4", "--formants", "500,1500,2500,3500", "--bw", "100", "--fs", "8000", "--step", "25"],
+    ["levels", "--case", "a"],
+    ["levels", "--case", "b"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_peak_pair_call_equals_two_one_peak_calls(argv, monkeypatch, capsys):
+    # the sweeps find both peaks of a pair in one (1, 2) `peak_levels` call;
+    # on every envelope the README runs measure, that is two (1, 1) calls
+    measured = []
+    pair_rlsv = experiments._peak_pair_rlsv
+
+    def record(env, f_lo, f_hi):
+        measured.append((env, f_lo, f_hi))
+        return pair_rlsv(env, f_lo, f_hi)
+
+    monkeypatch.setattr(experiments, "_peak_pair_rlsv", record)
+    assert run(argv + ["--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert measured
+    for env, f_lo, f_hi in measured:
+        levels = env.levels_db[None, :]
+        pair = peak_levels(env.freqs, levels, np.array([[f_lo, f_hi]]))
+        for k, f in enumerate((f_lo, f_hi)):
+            one = peak_levels(env.freqs, levels, np.array([[f]]))
+            for got, want in zip(pair, one):
+                assert np.array_equal(got[:, k], want[:, 0])

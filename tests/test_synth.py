@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specvalley.envelope import locate_peak, peak_levels
+from specvalley.envelope import peak_levels
 from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.synth import (
     Excitation,
@@ -28,8 +28,9 @@ class TestResonator:
 
     def test_realized_peak_near_center(self):
         env = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
-        f, _ = locate_peak(env, 1400.0)
-        assert abs(f - 1400.0) < 2 * (env.freqs[1] - env.freqs[0])
+        f, _, missing = peak_levels(env.freqs, env.levels_db[None, :], [1400.0])
+        assert not missing[0]
+        assert abs(f[0] - 1400.0) < 2 * (env.freqs[1] - env.freqs[0])
 
 
 class TestSynthesize:
