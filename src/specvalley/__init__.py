@@ -16,7 +16,7 @@ from .experiments import (
     pb_ocd_table,
     two_formant_curve,
 )
-from .scales import bark_to_hz, hz_to_bark
+from .scales import hz_to_bark
 from .sigproc import (
     analytic_cascade_spectrum,
     autocorrelation,
@@ -25,18 +25,16 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec, SignalBuffer, SpectralEnvelope
+from .types import FormantSpec, SignalBuffer
 
 __all__ = [
     "Excitation",
     "FormantSpec",
     "OcdResult",
     "SignalBuffer",
-    "SpectralEnvelope",
     "SweepConfig",
     "analytic_cascade_spectrum",
     "autocorrelation",
-    "bark_to_hz",
     "f0_influence_experiment",
     "frame_signal",
     "hz_to_bark",

@@ -161,8 +161,11 @@ def _cmd_sweep2(args):
         n_points=args.points, mean_band_hz=args.band,
     )
     out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
-    for k, (f1, (spacing, v)) in enumerate(zip(f1_values, curve)):
+    for k, (f1, (spacing, v, _)) in enumerate(zip(f1_values, curve)):
         out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(spacing, 4), _fmt(v, 4))
+    for k, (_, _, error) in enumerate(curve):
+        if error is not None:
+            out.note(f"step {k} unmeasurable: {error}")
     out.flush()
     return 0
 

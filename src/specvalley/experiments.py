@@ -21,7 +21,7 @@ from .sigproc import (
     levinson_rows,
     lpc_levels,
 )
-from .types import FormantSpec, SpectralEnvelope, power_mean_db
+from .types import FormantSpec, power_mean_db
 
 # Critical-distance band reported by perceptual matching studies, in bark.
 # Used only as a read-only comparison band for measured OCD values.
@@ -81,16 +81,17 @@ class OcdResult:
     pair_trace: list = field(default_factory=list)  # (f_low, f_high) per step
 
 
-def _banded_mean_db(env: SpectralEnvelope, band_hz):
+def _banded_mean_db(freqs, levels, band_hz):
+    """Mean level of the grid up to `band_hz`, or of the whole grid when it is None."""
     if band_hz is None:
-        return env.mean_level_db
-    sel = env.freqs <= band_hz
+        return power_mean_db(levels)
+    sel = freqs <= band_hz
     if not np.any(sel):
         raise ValueError("mean band excludes the whole grid")
-    return power_mean_db(env.levels_db[sel])
+    return power_mean_db(levels[sel])
 
 
-def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
+def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
     """(L_lo, L_hi, valley level) in dB of the two peaks located near f_lo < f_hi.
 
     One `peak_levels` call finds the highest peak within +/-PEAK_WINDOW_HZ of
@@ -102,8 +103,8 @@ def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
     if f_lo >= f_hi:
         raise ValueError(f"nominal frequencies must be ordered lower < upper, "
                          f"got {f_lo} and {f_hi}")
-    levels = env.levels_db[None, :]
-    peak, level, missing = peak_levels(env.freqs, levels, np.array([[f_lo, f_hi]]))
+    stack = levels[None, :]
+    peak, level, missing = peak_levels(freqs, stack, np.array([[f_lo, f_hi]]))
     for f, gone in zip((f_lo, f_hi), missing[0]):
         if gone:
             raise PeakNotFoundError(f"no spectral peak within {PEAK_WINDOW_HZ} Hz of {f} Hz")
@@ -112,7 +113,7 @@ def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
         raise PeakNotFoundError(f"no separate spectral peaks within {PEAK_WINDOW_HZ} Hz of "
                                 f"{f_lo} Hz and {f_hi} Hz: both windows find the peak at "
                                 f"{p_lo[0]:.1f} Hz")
-    _, valley, too_narrow = valley_minima(env.freqs, levels, p_lo, p_hi)
+    _, valley, too_narrow = valley_minima(freqs, stack, p_lo, p_hi)
     if too_narrow[0]:
         raise ValleyUndefinedError(f"fewer than two grid bins between {p_lo[0]:.1f} and "
                                    f"{p_hi[0]:.1f} Hz")
@@ -122,10 +123,11 @@ def _peak_pair_rlsv(env: SpectralEnvelope, f_lo, f_hi):
 def measure_pair_rlsv(formants, pair, sample_rate, n_points: int = GRID_POINTS,
                       mean_band_hz=None):
     """RLSV (mean - valley, dB) between two formants of an analytic cascade."""
-    env = analytic_cascade_spectrum(formants, sample_rate, n_points)
+    freqs, levels = analytic_cascade_spectrum(formants, sample_rate, n_points)
     i, j = pair
-    valley_level = _peak_pair_rlsv(env, formants[i].frequency, formants[j].frequency)[2]
-    return _banded_mean_db(env, mean_band_hz) - valley_level
+    valley_level = _peak_pair_rlsv(freqs, levels, formants[i].frequency,
+                                   formants[j].frequency)[2]
+    return _banded_mean_db(freqs, levels, mean_band_hz) - valley_level
 
 
 def _replace_pair(formants, pair, f_lo, f_hi):
@@ -223,17 +225,23 @@ def two_formant_curve(
 ):
     """RLSV of the F1-F2 valley for each F1, with F2 fixed.
 
-    Returns (spacing_bark, v_db) pairs tracing how the valley level falls as
-    the pair narrows. The default 2.5 kHz mean band matches the band this
-    two-formant configuration is analyzed over.
+    Returns (spacing_bark, v_db, error) triples tracing how the valley level
+    falls as the pair narrows. An F1 whose valley cannot be measured (its
+    peaks merge, or too few bins lie between them) has v_db None and the
+    reason in `error`; every other F1 has error None. The default 2.5 kHz
+    mean band matches the band this two-formant configuration is analyzed
+    over.
     """
     out = []
     for f1 in f1_values:
         if f1 >= f2:
             raise ValueError(f"F1 {f1} must stay below F2 {f2}")
         fm = [FormantSpec(f1, b1), FormantSpec(f2, b2)]
-        v = measure_pair_rlsv(fm, (0, 1), sample_rate, n_points, mean_band_hz)
-        out.append((hz_to_bark(f2) - hz_to_bark(f1), v))
+        try:
+            v, error = measure_pair_rlsv(fm, (0, 1), sample_rate, n_points, mean_band_hz), None
+        except (PeakNotFoundError, ValleyUndefinedError) as exc:
+            v, error = None, str(exc)
+        out.append((hz_to_bark(f2) - hz_to_bark(f1), v, error))
     return out
 
 
@@ -275,9 +283,9 @@ def level_influence_experiment(
                 FormantSpec(case_formants[1].frequency, b2),
             ] + list(case_formants[2:])
             try:
-                env = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-                l1, l2, valley = _peak_pair_rlsv(env, fm[0].frequency, fm[1].frequency)
-                cells.append(LevelCell(b1, b2, l1, l2, env.mean_level_db - valley))
+                freqs, levels = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
+                l1, l2, valley = _peak_pair_rlsv(freqs, levels, fm[0].frequency, fm[1].frequency)
+                cells.append(LevelCell(b1, b2, l1, l2, power_mean_db(levels) - valley))
             except (PeakNotFoundError, ValleyUndefinedError) as exc:
                 cells.append(LevelCell(b1, b2, None, None, None, error=str(exc)))
     return cells
@@ -301,13 +309,18 @@ def lp_envelope_of_signal(
     sample_rate: float,
     order: int,
     lag_window_half_length: int | None = None,
-) -> SpectralEnvelope:
-    """Autocorrelation-method LP envelope, optionally with a lag window.
+) -> tuple[np.ndarray, float]:
+    """(levels, mean_db): the autocorrelation-method LP envelope in dB.
 
-    The lag window tapers the autocorrelation with the upper half of a
-    Hamming window of half-length L lags before the Levinson solve, trading
-    a little spectral resolution for envelope smoothness.
+    The levels lie on `GRID_POINTS` frequencies from 0 Hz to half of
+    `sample_rate`; `mean_db` is their mean level, which `sigproc.lpc_levels`
+    takes from the power. The optional lag window tapers the autocorrelation
+    with the upper half of a Hamming window of half-length L lags before the
+    Levinson solve, trading a little spectral resolution for envelope
+    smoothness.
     """
+    if not (np.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     r = autocorrelation(samples, order)
     if lag_window_half_length:
         L = lag_window_half_length
@@ -323,8 +336,7 @@ def lp_envelope_of_signal(
     if env.singular[0]:
         raise SingularEnvelopeError("predictor has a root on the evaluation grid "
                                     "or a non-finite dB level")
-    freqs = np.linspace(0.0, sample_rate / 2.0, GRID_POINTS)
-    return SpectralEnvelope(freqs, env.levels[0], float(env.mean_db[0]))
+    return env.levels[0], float(env.mean_db[0])
 
 
 def f0_influence_experiment(
@@ -347,15 +359,16 @@ def f0_influence_experiment(
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
     f1, f2 = fm[0].frequency, fm[1].frequency
-    env_ref = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-    v_ref = env_ref.mean_level_db - _peak_pair_rlsv(env_ref, f1, f2)[2]
+    freqs, ref = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
+    v_ref = power_mean_db(ref) - _peak_pair_rlsv(freqs, ref, f1, f2)[2]
     rows = []
     for f0 in f0_values:
         exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
         sig = synthesize(fm, exc, sample_rate)
         seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
-        env = lp_envelope_of_signal(seg, sample_rate, lp_order, lag_window_half_length)
-        v_f0 = env.mean_level_db - _peak_pair_rlsv(env, f1, f2)[2]
+        levels, mean_db = lp_envelope_of_signal(seg, sample_rate, lp_order,
+                                                lag_window_half_length)
+        v_f0 = mean_db - _peak_pair_rlsv(freqs, levels, f1, f2)[2]
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericFailureError
-from .types import SignalBuffer, SpectralEnvelope
+from .types import SignalBuffer
 
 # the formant gate: a root is a candidate from MIN_FREQUENCY to
 # fs/2 - NYQUIST_MARGIN, with a bandwidth below MAX_BANDWIDTH (all in Hz)
@@ -430,20 +430,23 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
     return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
 
 
-def analytic_cascade_spectrum(
-    formants, sample_rate: float, n_points: int = 1024
-) -> SpectralEnvelope:
-    """Exact dB response of cascaded two-pole resonators on a uniform grid.
+def analytic_cascade_spectrum(formants, sample_rate: float, n_points: int = 1024):
+    """(freqs, levels): the exact dB response of cascaded two-pole resonators.
 
-    Each resonator (see `resonator_db`) is scaled for unity gain at 0 Hz;
-    the levels are the sum of the resonators' dB terms in the given order.
-    An empty formant list gives a flat 0 dB envelope.
+    `freqs` is the uniform grid of `n_points` frequencies from 0 Hz to
+    Nyquist. Each resonator (see `resonator_db`) is scaled for unity gain at
+    0 Hz; the levels are the sum of the resonators' dB terms in the given
+    order. An empty formant list gives a flat 0 dB envelope.
     """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
+    if not (np.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     freqs = np.linspace(0.0, sample_rate / 2.0, n_points)
     levels = np.zeros(n_points)
     zinv = np.exp(-2j * np.pi * freqs / sample_rate)
     for f in formants:
         levels += resonator_db(f.frequency, f.bandwidth, zinv, sample_rate)
-    return SpectralEnvelope(freqs, levels)
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("envelope levels must be finite")
+    return freqs, levels

@@ -1,6 +1,6 @@
-"""Shared value types: signals, formants, and sampled spectral envelopes."""
+"""Shared value types: signals and formants, and the mean level of a spectrum."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +35,6 @@ class SignalBuffer:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    def __len__(self):
-        return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def power_mean_db(levels_db: np.ndarray):
     """Level of the average spectral power, in dB.
@@ -54,31 +47,3 @@ def power_mean_db(levels_db: np.ndarray):
     levels_db = np.asarray(levels_db, dtype=np.float64)
     mean_db = 10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0), axis=-1))
     return float(mean_db) if levels_db.ndim == 1 else mean_db
-
-
-@dataclass
-class SpectralEnvelope:
-    """Log-magnitude spectrum sampled on a uniform frequency grid.
-
-    `mean_level_db` is the level of the mean spectral power over the grid.
-    Left out, it is computed from the levels at construction (see
-    `power_mean_db`); `experiments.lp_envelope_of_signal` passes the one
-    `sigproc.lpc_levels` took from the power.
-    """
-
-    freqs: np.ndarray
-    levels_db: np.ndarray
-    mean_level_db: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.freqs = np.asarray(self.freqs, dtype=np.float64)
-        self.levels_db = np.asarray(self.levels_db, dtype=np.float64)
-        if self.freqs.shape != self.levels_db.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and levels_db must be 1-D arrays of equal length")
-        if len(self.freqs) >= 2 and not np.all(np.diff(self.freqs) > 0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if not np.all(np.isfinite(self.levels_db)):
-            raise ValueError("envelope levels must be finite")
-        if self.mean_level_db is None:
-            self.mean_level_db = power_mean_db(self.levels_db)
-

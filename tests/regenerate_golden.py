@@ -34,6 +34,7 @@ COMMANDS = {
              "--step", "25"],
     "levels_a": ["levels", "--case", "a"],
     "levels_b": ["levels", "--case", "b"],
+    "f0_a": ["f0", "--case", "a"],
     "f0_b": ["f0", "--case", "b"],
     "pb_ocd": ["pb-ocd", "--gender", "male,female"],
     "classify_valley": ["classify", "--corpus", "<CORPUS>", "--feature", "valley"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from specvalley.classify import (
     MAX_HISTOGRAM_BINS,
@@ -13,7 +14,7 @@ from specvalley.classify import (
     score,
 )
 from specvalley.errors import NoDecisionError
-from specvalley.scales import bark_to_hz, hz_to_bark
+from specvalley.scales import hz_to_bark
 from specvalley.synth import Excitation, synthesize
 from specvalley.types import FormantSpec, SignalBuffer
 
@@ -148,10 +149,15 @@ class TestDecideSegment:
             previous_front = pred == "front"
 
 
+def hz_at_bark(z):
+    """The frequency in Hz whose critical-band rate is z bark."""
+    return brentq(lambda f: hz_to_bark(f) - z, 0.0, 24000.0, xtol=1e-9)
+
+
 class TestSpacingRules:
     def _features_with_spacing(self, f3_minus_f2_bark):
         f2 = 1400.0
-        f3 = bark_to_hz(hz_to_bark(f2) + f3_minus_f2_bark)
+        f3 = hz_at_bark(hz_to_bark(f2) + f3_minus_f2_bark)
         return fake_features(3, v1=1.0, v2=-1.0, formants=(500.0, f2, f3))
 
     def test_two_bark_is_front(self):
@@ -164,7 +170,7 @@ class TestSpacingRules:
 
     def test_f2f1_rule_reads_lower_pair(self):
         f1 = 500.0
-        f2 = bark_to_hz(hz_to_bark(f1) + 2.0)
+        f2 = hz_at_bark(hz_to_bark(f1) + 2.0)
         feats = fake_features(2, formants=(f1, f2, 3000.0))
         assert decide_segment(feats, None, "f2f1_bark").predicted == "front"
 

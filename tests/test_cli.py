@@ -83,6 +83,8 @@ class TestExperimentCommands:
 
 MERGED_1000_1250 = ("no separate spectral peaks within 200.0 Hz of 1000.0 Hz and 1250.0 Hz: "
                     "both windows find the peak at 1161.5 Hz")
+MERGED_1150_1400 = ("no separate spectral peaks within 200.0 Hz of 1150.0 Hz and 1400.0 Hz: "
+                    "both windows find the peak at 1224.8 Hz")
 
 
 class TestUnmeasurablePeaks:
@@ -111,6 +113,25 @@ class TestUnmeasurablePeaks:
             "error: valley became unmeasurable before crossing: no separate spectral peaks "
             "within 200.0 Hz of 1200.0 Hz and 1400.0 Hz: both windows find the peak at "
             "1399.9 Hz\n")
+
+    def test_sweep2_reports_each_unmeasurable_f1_after_the_table(self, capsys):
+        assert run(["sweep2", "--f1-stop", "950", "--b1", "300", "--b2", "300",
+                    "--no-timestamp"]) == 0
+        measurable = capsys.readouterr().out.splitlines()
+        assert run(["sweep2", "--f1-stop", "1150", "--b1", "300", "--b2", "300",
+                    "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:len(measurable)] == measurable  # the header and F1 650..950 Hz
+        assert lines[len(measurable):] == [
+            "7,1000.0,1400.0,2.2245,",
+            "8,1050.0,1400.0,1.9107,",
+            "9,1100.0,1400.0,1.6077,",
+            "10,1150.0,1400.0,1.3154,",
+            "# step 7 unmeasurable: no spectral peak within 200.0 Hz of 1400.0 Hz",
+            "# step 8 unmeasurable: no spectral peak within 200.0 Hz of 1400.0 Hz",
+            "# step 9 unmeasurable: no spectral peak within 200.0 Hz of 1400.0 Hz",
+            f"# step 10 unmeasurable: {MERGED_1150_1400}",
+        ]
 
     def test_pb_ocd_reports_an_unmeasurable_start_as_its_row(self, tmp_path):
         out = tmp_path / "pb.csv"
@@ -695,7 +716,7 @@ def test_band_at_or_below_zero_disables_the_band(band, tmp_path):
     curve = experiments.two_formant_curve(np.arange(650.0, 975.0, 50.0), 1400.0, 100.0,
                                           200.0, 10000.0, n_points=4096, mean_band_hz=None)
     assert [row.rsplit(",", 1)[1] for row in data_rows(out)[1:]] == [
-        f"{v:.4f}" for _, v in curve]
+        f"{v:.4f}" for _, v, _ in curve]
 
 
 def test_lag_window_zero_disables_the_lag_window(monkeypatch):

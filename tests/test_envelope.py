@@ -2,61 +2,64 @@ import numpy as np
 import pytest
 
 from specvalley.envelope import peak_levels, valley_minima
-from specvalley.experiments import measure_pair_rlsv
+from specvalley.experiments import _banded_mean_db, measure_pair_rlsv
 from specvalley.sigproc import analytic_cascade_spectrum
-from specvalley.types import FormantSpec, SpectralEnvelope, power_mean_db
+from specvalley.types import FormantSpec, power_mean_db
 
 TUBE = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
 
 
 def flat_env(level, n=256, fs=8000.0):
-    return SpectralEnvelope(np.linspace(0, fs / 2, n), np.full(n, float(level)))
+    return np.linspace(0, fs / 2, n), np.full(n, float(level))
 
 
-def shifted(env, gain_db):
-    return SpectralEnvelope(env.freqs, env.levels_db + gain_db)
-
-
-def spacing(env):
-    return env.freqs[1] - env.freqs[0]
+def spacing(freqs):
+    return freqs[1] - freqs[0]
 
 
 class TestMeanSpectralLevel:
     def test_flat_envelope(self):
-        assert abs(power_mean_db(flat_env(-7.25).levels_db) + 7.25) < 1e-12
+        assert abs(power_mean_db(flat_env(-7.25)[1]) + 7.25) < 1e-12
 
     def test_constant_shift(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
-        m0 = power_mean_db(env.levels_db)
-        m1 = power_mean_db(shifted(env, +11.5).levels_db)
+        _, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
+        m0 = power_mean_db(levels_db)
+        m1 = power_mean_db(levels_db + 11.5)
         assert abs(m1 - m0 - 11.5) < 1e-9
 
     def test_matches_independent_summation(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
+        freqs, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
         total = 0.0
-        for level in env.levels_db:
+        for level in levels_db:
             total += 10.0 ** (level / 10.0)
-        oracle = 10.0 * np.log10(total / len(env.levels_db))
-        assert abs(power_mean_db(env.levels_db) - oracle) < 1e-9
-        assert abs(env.mean_level_db - oracle) < 1e-9
+        oracle = 10.0 * np.log10(total / len(levels_db))
+        assert abs(power_mean_db(levels_db) - oracle) < 1e-9
+        assert abs(_banded_mean_db(freqs, levels_db, None) - oracle) < 1e-9
+
+    def test_full_grid_mean_of_the_experiments_is_power_mean_db(self):
+        # the mean the sweeps and studies take without a band is `power_mean_db`
+        # of the same levels, bit for bit
+        for fm, fs, n in ((TUBE, 8000.0, 4096), (TUBE[:2], 10000.0, 1024), ([], 8000.0, 64)):
+            freqs, levels_db = analytic_cascade_spectrum(fm, fs, n)
+            assert _banded_mean_db(freqs, levels_db, None) == power_mean_db(levels_db)
 
 
 class TestLocatePeak:
     """The peak search of one envelope: `peak_levels` on a one-row stack."""
 
     def test_single_resonator(self):
-        env = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
-        f, level, missing = peak_levels(env.freqs, env.levels_db[None, :], [1400.0])
+        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
+        f, level, missing = peak_levels(freqs, levels_db[None, :], [1400.0])
         assert not missing[0]
-        assert abs(f[0] - 1400.0) < 2 * spacing(env)
-        assert level[0] >= env.levels_db.max() - 0.05
+        assert abs(f[0] - 1400.0) < 2 * spacing(freqs)
+        assert level[0] >= levels_db.max() - 0.05
 
     def test_merged_formants_surface_as_missing_peak(self):
         # close pair with wide bandwidths: the upper peak disappears
-        env = analytic_cascade_spectrum(
+        freqs, levels_db = analytic_cascade_spectrum(
             [FormantSpec(500.0, 350.0), FormantSpec(640.0, 350.0)], 8000.0
         )
-        _, _, missing = peak_levels(env.freqs, env.levels_db[None, :], [640.0], window_hz=60.0)
+        _, _, missing = peak_levels(freqs, levels_db[None, :], [640.0], window_hz=60.0)
         assert missing[0]
 
     def test_parabolic_refinement_on_synthetic_parabola(self):
@@ -64,15 +67,14 @@ class TestLocatePeak:
         freqs = np.linspace(0, fs / 2, n)
         true_peak = 1003.7  # deliberately between bins
         levels = -0.001 * (freqs - true_peak) ** 2
-        env = SpectralEnvelope(freqs, levels)
-        f, _, missing = peak_levels(env.freqs, env.levels_db[None, :], [1000.0])
+        f, _, missing = peak_levels(freqs, levels[None, :], [1000.0])
         assert not missing[0]
-        assert abs(f[0] - true_peak) < 0.1 * spacing(env)
+        assert abs(f[0] - true_peak) < 0.1 * spacing(freqs)
 
     def test_window_must_exceed_grid_spacing(self):
-        env = flat_env(0.0, n=64)
+        freqs, levels_db = flat_env(0.0, n=64)
         with pytest.raises(ValueError):
-            peak_levels(env.freqs, env.levels_db[None, :], [1000.0], window_hz=10.0)
+            peak_levels(freqs, levels_db[None, :], [1000.0], window_hz=10.0)
 
 
 class TestRlsv:
@@ -82,53 +84,53 @@ class TestRlsv:
 
     def test_four_formant_near_zero_point(self):
         fm = [FormantSpec(725.0, 100.0), FormantSpec(1275.0, 100.0)] + TUBE[2:]
-        env = analytic_cascade_spectrum(fm, 8000.0, 4096)
-        levels = env.levels_db[None, :]
-        f, _, missing = peak_levels(env.freqs, levels, [[725.0, 1275.0]])
-        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        freqs, levels_db = analytic_cascade_spectrum(fm, 8000.0, 4096)
+        levels = levels_db[None, :]
+        f, _, missing = peak_levels(freqs, levels, [[725.0, 1275.0]])
+        _, valley, narrow = valley_minima(freqs, levels, f[:, 0], f[:, 1])
         assert not (missing.any() or narrow[0])
-        assert abs(env.mean_level_db - valley[0]) <= 0.5
+        assert abs(power_mean_db(levels_db) - valley[0]) <= 0.5
 
     def test_four_formant_negative_below_crossing(self):
         fm = [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:]
-        env = analytic_cascade_spectrum(fm, 8000.0, 4096)
-        levels = env.levels_db[None, :]
-        f, _, missing = peak_levels(env.freqs, levels, [[800.0, 1200.0]])
-        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        freqs, levels_db = analytic_cascade_spectrum(fm, 8000.0, 4096)
+        levels = levels_db[None, :]
+        f, _, missing = peak_levels(freqs, levels, [[800.0, 1200.0]])
+        _, valley, narrow = valley_minima(freqs, levels, f[:, 0], f[:, 1])
         assert not (missing.any() or narrow[0])
-        assert env.mean_level_db - valley[0] < 0
+        assert power_mean_db(levels_db) - valley[0] < 0
 
     def test_wide_spacing_positive(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 4096)
-        levels = env.levels_db[None, :]
-        f, _, missing = peak_levels(env.freqs, levels, [[500.0, 1500.0]])
-        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        freqs, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 4096)
+        levels = levels_db[None, :]
+        f, _, missing = peak_levels(freqs, levels, [[500.0, 1500.0]])
+        _, valley, narrow = valley_minima(freqs, levels, f[:, 0], f[:, 1])
         assert not (missing.any() or narrow[0])
-        assert env.mean_level_db - valley[0] > 0
+        assert power_mean_db(levels_db) - valley[0] > 0
 
     def test_gain_invariance(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
-        louder = shifted(env, -23.0)
-        levels = np.array([env.levels_db, louder.levels_db])
-        f, _, missing = peak_levels(env.freqs, levels[:1], [[500.0, 1500.0]])
+        freqs, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 1024)
+        louder = levels_db - 23.0
+        levels = np.array([levels_db, louder])
+        f, _, missing = peak_levels(freqs, levels[:1], [[500.0, 1500.0]])
         assert not missing.any()
-        _, valley, narrow = valley_minima(env.freqs, levels, f[[0, 0], 0], f[[0, 0], 1])
+        _, valley, narrow = valley_minima(freqs, levels, f[[0, 0], 0], f[[0, 0], 1])
         assert not narrow.any()
-        v = np.array([env.mean_level_db, louder.mean_level_db]) - valley
+        v = np.array([power_mean_db(levels_db), power_mean_db(louder)]) - valley
         assert abs(v[0] - v[1]) < 1e-9
 
     def test_valley_bracketing_invariants(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 2048)
-        levels = env.levels_db[None, :]
-        f, peak, missing = peak_levels(env.freqs, levels, [[1500.0, 2500.0]])
-        idx, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        freqs, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 2048)
+        levels = levels_db[None, :]
+        f, peak, missing = peak_levels(freqs, levels, [[1500.0, 2500.0]])
+        idx, valley, narrow = valley_minima(freqs, levels, f[:, 0], f[:, 1])
         assert not (missing.any() or narrow[0])
-        assert f[0, 0] < env.freqs[idx[0]] < f[0, 1]
+        assert f[0, 0] < freqs[idx[0]] < f[0, 1]
         assert valley[0] <= peak[0, 0] and valley[0] <= peak[0, 1]
 
     def test_too_close_peaks(self):
-        env = analytic_cascade_spectrum(TUBE, 8000.0, 256)
-        _, _, narrow = valley_minima(env.freqs, env.levels_db[None, :], [1500.0], [1520.0])
+        freqs, levels_db = analytic_cascade_spectrum(TUBE, 8000.0, 256)
+        _, _, narrow = valley_minima(freqs, levels_db[None, :], [1500.0], [1520.0])
         assert narrow[0]
 
     def test_order_checked(self):
@@ -144,15 +146,16 @@ class TestMeasureV1V2:
 
     FS = 10000.0
 
-    def _v1_v2(self, freqs):
-        fm = [FormantSpec(f, 100.0) for f in freqs]
-        env = analytic_cascade_spectrum(fm, self.FS, 2048)
-        levels = env.levels_db[None, :]
-        f = np.array([freqs[:3]])
-        _, v1, narrow1 = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
-        _, v2, narrow2 = valley_minima(env.freqs, levels, f[:, 1], f[:, 2])
+    def _v1_v2(self, formants):
+        fm = [FormantSpec(f, 100.0) for f in formants]
+        freqs, levels_db = analytic_cascade_spectrum(fm, self.FS, 2048)
+        levels = levels_db[None, :]
+        f = np.array([formants[:3]])
+        _, v1, narrow1 = valley_minima(freqs, levels, f[:, 0], f[:, 1])
+        _, v2, narrow2 = valley_minima(freqs, levels, f[:, 1], f[:, 2])
         assert not (narrow1[0] or narrow2[0])
-        return env, v1[0] - env.mean_level_db, v2[0] - env.mean_level_db
+        mean_db = power_mean_db(levels_db)
+        return (freqs, levels_db), v1[0] - mean_db, v2[0] - mean_db
 
     def test_back_vowel_geometry(self):
         # close F1-F2, far F2-F3: first valley high, second low
@@ -172,9 +175,9 @@ class TestMeasureV1V2:
     def test_sign_relation_to_rlsv(self):
         # V_I is the first valley's level relative to the mean: the negation
         # of the mean-minus-valley convention used for sweep measurements
-        env, v1, _ = self._v1_v2([500.0, 1500.0, 2500.0, 3500.0])
-        levels = env.levels_db[None, :]
-        f, _, missing = peak_levels(env.freqs, levels, [[500.0, 1500.0]])
-        _, valley, narrow = valley_minima(env.freqs, levels, f[:, 0], f[:, 1])
+        (freqs, levels_db), v1, _ = self._v1_v2([500.0, 1500.0, 2500.0, 3500.0])
+        levels = levels_db[None, :]
+        f, _, missing = peak_levels(freqs, levels, [[500.0, 1500.0]])
+        _, valley, narrow = valley_minima(freqs, levels, f[:, 0], f[:, 1])
         assert not (missing.any() or narrow[0])
-        assert abs(v1 + (env.mean_level_db - valley[0])) < 0.2
+        assert abs(v1 + (power_mean_db(levels_db) - valley[0])) < 0.2

@@ -144,7 +144,7 @@ class TestTwoFormantCurve:
         curve = two_formant_curve(
             np.arange(650.0, 951.0, 50.0), 1400.0, 100.0, 200.0, 10000.0
         )
-        by_f1 = {650 + 50 * k: v for k, (_, v) in enumerate(curve)}
+        by_f1 = {650 + 50 * k: v for k, (_, v, _) in enumerate(curve)}
         assert abs(by_f1[850]) <= 0.5
         assert by_f1[950] < 0
         assert by_f1[750] > 0
@@ -153,12 +153,27 @@ class TestTwoFormantCurve:
         curve = two_formant_curve(
             np.arange(650.0, 951.0, 25.0), 1400.0, 100.0, 200.0, 10000.0
         )
-        vs = [v for _, v in curve]
+        vs = [v for _, v, _ in curve]
         assert all(a > b for a, b in zip(vs, vs[1:]))
 
     def test_f1_must_stay_below_f2(self):
         with pytest.raises(ValueError):
             two_formant_curve([1500.0], 1400.0, 100.0, 200.0, 10000.0)
+
+    def test_unmeasurable_f1_is_flagged_not_raised(self):
+        # with B1 = B2 = 300 Hz the F2 peak is lost from F1 = 1000 Hz on, and at
+        # 1150 Hz both windows find one peak; the measurable F1s keep their values
+        f1_values = np.arange(650.0, 1175.0, 50.0)
+        curve = two_formant_curve(f1_values, 1400.0, 300.0, 300.0, 10000.0)
+        assert [s for s, _, _ in curve] == [hz_to_bark(1400.0) - hz_to_bark(f)
+                                            for f in f1_values]
+        assert curve[:7] == two_formant_curve(f1_values[:7], 1400.0, 300.0, 300.0, 10000.0)
+        assert all(v is not None and error is None for _, v, error in curve[:7])
+        assert [v for _, v, _ in curve[7:]] == [None] * 4
+        assert [error for _, _, error in curve[7:]] == [
+            "no spectral peak within 200.0 Hz of 1400.0 Hz"] * 3 + [
+            "no separate spectral peaks within 200.0 Hz of 1150.0 Hz and 1400.0 Hz: "
+            "both windows find the peak at 1224.8 Hz"]
 
 
 class TestMeasurePairRlsv:

@@ -173,6 +173,21 @@ class TestLevinson:
         with pytest.raises(DegenerateInputError):
             lp_envelope_of_signal(np.zeros(64), 8000.0, 1)
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -8000.0])
+    def test_lp_envelope_rate_must_be_positive(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            lp_envelope_of_signal(np.ones(64), sample_rate, 1)
+
+    def test_lp_envelope_is_the_one_row_lpc_levels(self):
+        # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
+        sig = synthesize([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                         Excitation("impulse-train", f0=120.0), 8000.0)
+        levels, mean_db = lp_envelope_of_signal(sig.samples, 8000.0, 8)
+        fit = levinson_rows(autocorrelation(sig.samples, 8)[None, :], 8)
+        env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
+        assert np.array_equal(levels, env.levels[0])
+        assert mean_db == env.mean_db[0]
+
 
 class TestLpcEnvelope:
     """dB envelopes of error filters as `lpc_levels` gives them, on one-row stacks."""
@@ -202,13 +217,13 @@ class TestLpcEnvelope:
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
         sig = synthesize(fm, Excitation("unit-impulse"), fs, n_samples=8192)
         fit = levinson_rows(autocorrelation(sig.samples, 10)[None, :], 10)
-        env_an = analytic_cascade_spectrum(fm, fs, 1024)
+        freqs, levels_an = analytic_cascade_spectrum(fm, fs, 1024)
         levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
-                           env_an.levels_db])
+                           levels_an])
         nominal = np.tile([f.frequency for f in fm], (2, 1))
-        peaks, _, missing = peak_levels(env_an.freqs, levels, nominal)
+        peaks, _, missing = peak_levels(freqs, levels, nominal)
         assert not missing.any()
-        assert np.all(np.abs(peaks[0] - peaks[1]) <= env_an.freqs[1] - env_an.freqs[0])
+        assert np.all(np.abs(peaks[0] - peaks[1]) <= freqs[1] - freqs[0])
 
     def test_pole_on_grid_raises(self, monkeypatch):
         # A(z) = 1 - z^-1 vanishes at DC; r = [1, 1] fits it with k = -1
@@ -363,12 +378,12 @@ class TestAnalyticCascadeSpectrum:
     def test_single_resonator_peak_location(self):
         # at the default grid; a digital resonator's magnitude peak sits a
         # few Hz off the pole angle, inside one bin at this resolution
-        env = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
-        assert abs(env.freqs[np.argmax(env.levels_db)] - 1400.0) <= env.freqs[1] - env.freqs[0]
+        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
+        assert abs(freqs[np.argmax(levels_db)] - 1400.0) <= freqs[1] - freqs[0]
 
     def test_empty_list_is_flat_zero(self):
-        env = analytic_cascade_spectrum([], 10000.0, 256)
-        assert np.allclose(env.levels_db, 0.0)
+        _, levels_db = analytic_cascade_spectrum([], 10000.0, 256)
+        assert np.allclose(levels_db, 0.0)
 
     def test_matches_long_impulse_response_spectrum(self):
         fs = 10000.0
@@ -376,17 +391,38 @@ class TestAnalyticCascadeSpectrum:
         n_fft = 32768
         sig = synthesize(formants, Excitation("unit-impulse"), fs, n_samples=n_fft)
         oracle_db = 20 * np.log10(np.abs(np.fft.rfft(sig.samples)))
-        env = analytic_cascade_spectrum(formants, fs, n_fft // 2 + 1)
-        assert np.max(np.abs(env.levels_db - oracle_db)) < 0.1
+        _, levels_db = analytic_cascade_spectrum(formants, fs, n_fft // 2 + 1)
+        assert np.max(np.abs(levels_db - oracle_db)) < 0.1
 
     def test_nyquist_guard(self):
         with pytest.raises(ValueError):
             analytic_cascade_spectrum([FormantSpec(5000.0, 100.0)], 10000.0)
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("formants", [[], [FormantSpec(500.0, 100.0)]],
+                             ids=["no-formants", "one-formant"])
+    def test_rate_must_be_finite_and_positive(self, formants, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            analytic_cascade_spectrum(formants, sample_rate)
+
+    def test_non_finite_level_raises(self):
+        # FormantSpec refuses a NaN bandwidth; any object with the two fields
+        # reaches the resonator sum
+        class RawFormant:
+            frequency, bandwidth = 1000.0, float("nan")
+
+        with pytest.raises(ValueError, match="envelope levels must be finite"):
+            analytic_cascade_spectrum([RawFormant()], 8000.0)
+
+    def test_grid_is_zero_to_nyquist(self):
+        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(500.0, 100.0)], 8000.0, 256)
+        assert np.array_equal(freqs, np.linspace(0.0, 4000.0, 256))
+        assert levels_db.shape == (256,)
+
     def test_deterministic(self):
         fm = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 100.0)]
-        a = analytic_cascade_spectrum(fm, 8000.0, 512).levels_db
-        b = analytic_cascade_spectrum(fm, 8000.0, 512).levels_db
+        a = analytic_cascade_spectrum(fm, 8000.0, 512)[1]
+        b = analytic_cascade_spectrum(fm, 8000.0, 512)[1]
         assert np.array_equal(a, b)
 
 

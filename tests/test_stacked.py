@@ -311,18 +311,18 @@ def test_peak_pair_call_equals_two_one_peak_calls(argv, monkeypatch, capsys):
     measured = []
     pair_rlsv = experiments._peak_pair_rlsv
 
-    def record(env, f_lo, f_hi):
-        measured.append((env, f_lo, f_hi))
-        return pair_rlsv(env, f_lo, f_hi)
+    def record(freqs, levels_db, f_lo, f_hi):
+        measured.append((freqs, levels_db, f_lo, f_hi))
+        return pair_rlsv(freqs, levels_db, f_lo, f_hi)
 
     monkeypatch.setattr(experiments, "_peak_pair_rlsv", record)
     assert run(argv + ["--no-timestamp"]) == 0
     capsys.readouterr()
     assert measured
-    for env, f_lo, f_hi in measured:
-        levels = env.levels_db[None, :]
-        pair = peak_levels(env.freqs, levels, np.array([[f_lo, f_hi]]))
+    for freqs, levels_db, f_lo, f_hi in measured:
+        levels = levels_db[None, :]
+        pair = peak_levels(freqs, levels, np.array([[f_lo, f_hi]]))
         for k, f in enumerate((f_lo, f_hi)):
-            one = peak_levels(env.freqs, levels, np.array([[f]]))
+            one = peak_levels(freqs, levels, np.array([[f]]))
             for got, want in zip(pair, one):
                 assert np.array_equal(got[:, k], want[:, 0])
