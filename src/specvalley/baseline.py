@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .sigproc import frame_signal, preemphasize, window
-from .types import SignalBuffer
+from .sigproc import window
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
@@ -80,22 +79,17 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     return coeffs[..., 1 : N_COEFFS + 1]
 
 
-def segment_mfcc_matrix(
-    audio: SignalBuffer,
-    frame_ms: float = 20.0,
-    overlap_fraction: float = 0.5,
-    preemphasis: float = 0.97,
-) -> np.ndarray:
-    """Frame-level MFCC matrix under the standard analysis conditions.
+def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Frame-level MFCC matrix of a segment's frame stack, as
+    `classify.PipelineConfig.frames` gives it.
 
-    All-zero frames are skipped; the rest go through `mfcc` as one stack.
+    All-zero frames are skipped; the rest are windowed and go through `mfcc`
+    as one stack.
     """
-    emphasized = preemphasize(audio, preemphasis)
-    frames = frame_signal(emphasized, frame_ms, overlap_fraction)
     frames = frames[np.any(frames, axis=1)]
     if len(frames) == 0:
         return np.empty((0, N_COEFFS))
-    return mfcc(window(frames), audio.sample_rate)
+    return mfcc(window(frames), sample_rate)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec
+from .types import FormantSpec, SignalBuffer
 
 
 ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
@@ -62,6 +62,12 @@ class PipelineConfig:
                 f"({frame_len} samples at {sample_rate:g} Hz)"
             )
         return order
+
+    def frames(self, audio: SignalBuffer) -> np.ndarray:
+        """The pre-emphasized (n, frame_len) frame stack of `audio` that
+        `frame_pipeline` and the MFCC baseline analyse."""
+        return frame_signal(preemphasize(audio, self.preemphasis), self.frame_ms,
+                            self.overlap_fraction)
 
 
 @dataclass
@@ -151,33 +157,25 @@ class ClassificationReport:
     n_undecided: int = 0
 
 
-def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
-    """Pre-emphasize, window, fit LP, and measure V_I/V_II per frame.
+def frame_pipeline(frames: np.ndarray, sample_rate: float,
+                   cfg: PipelineConfig | None = None) -> FrameTable:
+    """Window, fit LP, and measure V_I/V_II per frame.
 
-    `segments` is one segment or `SignalBuffer`, or a list of them at one
-    sample rate; the table holds the frames of every segment in input order.
-    Each segment is pre-emphasized and framed on its own, and then all their
-    frames go through each stage as one stacked array. Frames that do not
-    yield three in-range formant candidates (or whose valley brackets
-    collapse) come back invalid with a reason; nothing is interpolated
-    across frames.
+    `frames` is an (n, frame_len) stack of pre-emphasized frames at
+    `sample_rate`, as `cfg.frames` gives them; the stacks of several segments
+    may be concatenated. All frames go through each stage as one stacked
+    array. Frames that do not yield three in-range formant candidates (or
+    whose valley brackets collapse) come back invalid with a reason; nothing
+    is interpolated across frames.
     """
     cfg = cfg or PipelineConfig()
-    if not isinstance(segments, list):
-        segments = [segments]
-    audios = [getattr(seg, "audio", seg) for seg in segments]
-    if not audios:
-        return FrameTable.empty(0, 0)
-    fs = audios[0].sample_rate
-    for audio in audios:
-        if audio.sample_rate != fs:
-            raise ValueError(f"segments of one stack must share a sample rate, got "
-                             f"{fs:g} Hz and {audio.sample_rate:g} Hz")
-    order = cfg.order_for(fs)
-    frames = np.concatenate([frame_signal(preemphasize(audio, cfg.preemphasis), cfg.frame_ms,
-                                          cfg.overlap_fraction) for audio in audios])
-    table = FrameTable.empty(frames.shape[0], order)
-    if frames.shape[0] == 0:
+    frame_len = frame_length(cfg.frame_ms, sample_rate)
+    if np.ndim(frames) != 2 or np.shape(frames)[1] != frame_len:
+        raise ValueError(f"frames must be an (n, {frame_len}) stack of {cfg.frame_ms:g} ms "
+                         f"frames at {sample_rate:g} Hz, got shape {np.shape(frames)}")
+    order = cfg.order_for(sample_rate)
+    table = FrameTable.empty(len(frames), order)
+    if len(frames) == 0:
         return table
     lags = autocorrelation(window(frames), order)
 
@@ -189,7 +187,7 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
     table.reason[live[~fitted]] = UNSTABLE
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
 
-    freqs, bws, counts = formant_anchors(a, fit.reflection[fitted], fs)
+    freqs, bws, counts = formant_anchors(a, fit.reflection[fitted], sample_rate)
     table.freqs[live], table.bandwidths[live], table.counts[live] = freqs, bws, counts
     enough = counts >= 3
     table.reason[live[~enough]] = FEW_FORMANTS
@@ -197,7 +195,7 @@ def frame_pipeline(segments, cfg: PipelineConfig | None = None) -> FrameTable:
     if live.size == 0:  # no frame can be valid; below LP order 3 freqs has < 3 columns
         return table
     env_db, mean_db, singular = lpc_levels(a, np.sqrt(np.maximum(err, 1e-300)), ENVELOPE_POINTS)
-    grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
+    grid = np.linspace(0.0, sample_rate / 2.0, ENVELOPE_POINTS)
     _, v1, narrow1 = valley_minima(grid, env_db, freqs[:, 0], freqs[:, 1])
     _, v2, narrow2 = valley_minima(grid, env_db, freqs[:, 1], freqs[:, 2])
     table.reason[live] = np.where(singular, SINGULAR,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baseline, classify, corpus, experiments, sigproc
+from . import __version__, baseline, classify, corpus, experiments
 from .errors import AnalysisError, NoDecisionError
 from .types import FormantSpec
 
@@ -371,38 +371,40 @@ def _segment_decisions(args, cfg, segments, audio_of=lambda idx, seg: seg.audio)
     """(segment, truth, decision or None) per scored segment, in corpus order.
 
     The one analysis stage of the corpus commands: `audio_of(idx, seg)` gives
-    the audio of the idx-th scored segment. Whole segments are analysed in
-    blocks of at most `classify.STACK_FRAMES` frames, one `frame_pipeline`
-    call each; a longer segment is a block of its own, and a block ends where
-    the sample rate changes.
+    the audio of the idx-th scored segment, which `cfg.frames` frames once.
+    Whole segments are analysed in blocks of at most `classify.STACK_FRAMES`
+    frames, one `frame_pipeline` call each; a longer segment is a block of its
+    own, and a block ends where the sample rate changes.
     """
     threshold = getattr(args, "threshold", None)
     rule = FEATURE_RULES[args.feature]
 
-    def decided(block):
-        table = classify.frame_pipeline([audio for _, _, audio, _ in block], cfg)
+    def decided(block, rate):
+        table = classify.frame_pipeline(np.concatenate([frames for *_, frames in block]),
+                                        rate, cfg)
         start = 0
-        for seg, truth, _, n in block:
+        for seg, truth, frames in block:
             try:
-                decision = classify.decide_segment(table[start:start + n], threshold, rule)
+                decision = classify.decide_segment(table[start:start + len(frames)],
+                                                   threshold, rule)
             except NoDecisionError:
                 decision = None
-            start += n
+            start += len(frames)
             yield seg, truth, decision
 
-    block, block_frames = [], 0
+    block, block_frames, rate = [], 0, None
     for idx, (seg, truth) in enumerate(_scored_segments(segments, args.include_central)):
         audio = audio_of(idx, seg)
-        n = sigproc.frame_count(len(audio.samples), cfg.frame_ms, audio.sample_rate,
-                                cfg.overlap_fraction)
-        if block and (block_frames + n > classify.STACK_FRAMES
-                      or audio.sample_rate != block[0][2].sample_rate):
-            yield from decided(block)
+        frames = cfg.frames(audio)
+        if block and (block_frames + len(frames) > classify.STACK_FRAMES
+                      or audio.sample_rate != rate):
+            yield from decided(block, rate)
             block, block_frames = [], 0
-        block.append((seg, truth, audio, n))
-        block_frames += n
+        block.append((seg, truth, frames))
+        block_frames += len(frames)
+        rate = audio.sample_rate
     if block:
-        yield from decided(block)
+        yield from decided(block, rate)
 
 
 def _accuracy_cells(report):
@@ -491,8 +493,7 @@ def _cmd_noise_eval(args):
                 # as silent and the segment counts as undecided
                 if float(np.mean(seg.audio.samples**2)) <= 0:
                     return seg.audio
-                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + idx,
-                                        babble_source=args.babble_source)
+                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + idx)
                 return corpus.mix_noise(seg.audio, spec, babble=babble_buf)
 
             # noisy reads kind and snr, so the stage is used up in this iteration
@@ -509,8 +510,7 @@ def _cmd_baseline(args):
     cfg, segments = _corpus_inputs(args)
     if args.feature == "mfcc":
         def mean_mfcc(seg):
-            mat = baseline.segment_mfcc_matrix(seg.audio, cfg.frame_ms, cfg.overlap_fraction,
-                                               cfg.preemphasis)
+            mat = baseline.segment_mfcc_matrix(cfg.frames(seg.audio), seg.audio.sample_rate)
             return mat.mean(axis=0) if len(mat) else None
 
         features = [(seg, truth, mean_mfcc(seg))

@@ -55,13 +55,10 @@ class NoiseSpec:
     kind: str  # one of NOISE_KINDS
     snr_db: float
     seed: int = 0
-    babble_source: str | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "babble" and not self.babble_source:
-            raise ValueError("babble noise needs a babble_source file")
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
 
@@ -318,11 +315,12 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
 def mix_noise(x: SignalBuffer, spec: NoiseSpec, babble: SignalBuffer | None = None) -> SignalBuffer:
     """Add noise scaled so the mixed extent sits at exactly spec.snr_db.
 
-    Powers are mean squared amplitudes over the segment. For babble noise a
-    start offset into the source is drawn from the seed; pass a preloaded
-    `babble` buffer to skip re-reading the source file. Identical spec and
-    signal give bit-identical output.
+    Powers are mean squared amplitudes over the segment. Babble noise is cut
+    from the `babble` buffer at a start offset drawn from the seed. Identical
+    spec, signal and buffer give bit-identical output.
     """
+    if spec.kind == "babble" and babble is None:
+        raise ValueError("babble noise needs a `babble` buffer")
     p_signal = float(np.mean(x.samples**2))
     if p_signal <= 0:
         raise DegenerateInputError("cannot set an SNR against a zero-power signal")
@@ -330,8 +328,6 @@ def mix_noise(x: SignalBuffer, spec: NoiseSpec, babble: SignalBuffer | None = No
     if spec.kind == "white":
         noise = rng.standard_normal(len(x.samples))
     else:
-        if babble is None:
-            babble = load_wav(spec.babble_source)
         if babble.sample_rate != x.sample_rate:
             raise FormatError(
                 f"babble rate {babble.sample_rate} != signal rate {x.sample_rate}",

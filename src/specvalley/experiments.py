@@ -306,21 +306,18 @@ class F0Row:
 
 def lp_envelope_of_signal(
     samples: np.ndarray,
-    sample_rate: float,
     order: int,
     lag_window_half_length: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """(levels, mean_db): the autocorrelation-method LP envelope in dB.
 
-    The levels lie on `GRID_POINTS` frequencies from 0 Hz to half of
-    `sample_rate`; `mean_db` is their mean level, which `sigproc.lpc_levels`
-    takes from the power. The optional lag window tapers the autocorrelation
-    with the upper half of a Hamming window of half-length L lags before the
-    Levinson solve, trading a little spectral resolution for envelope
-    smoothness.
+    The levels lie on `GRID_POINTS` frequencies from 0 Hz to the Nyquist
+    frequency of `samples`; `mean_db` is their mean level, which
+    `sigproc.lpc_levels` takes from the power. The optional lag window tapers
+    the autocorrelation with the upper half of a Hamming window of half-length
+    L lags before the Levinson solve, trading a little spectral resolution for
+    envelope smoothness.
     """
-    if not (np.isfinite(sample_rate) and sample_rate > 0):
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     r = autocorrelation(samples, order)
     if lag_window_half_length:
         L = lag_window_half_length
@@ -366,8 +363,7 @@ def f0_influence_experiment(
         exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
         sig = synthesize(fm, exc, sample_rate)
         seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
-        levels, mean_db = lp_envelope_of_signal(seg, sample_rate, lp_order,
-                                                lag_window_half_length)
+        levels, mean_db = lp_envelope_of_signal(seg, lp_order, lag_window_half_length)
         v_f0 = mean_db - _peak_pair_rlsv(freqs, levels, f1, f2)[2]
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows

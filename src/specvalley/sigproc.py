@@ -39,25 +39,12 @@ def frame_length(frame_ms: float, sample_rate: float) -> int:
     """Samples in one frame of `frame_ms` milliseconds, rounded to the nearest."""
     if frame_ms <= 0:
         raise ValueError("frame_ms must be positive")
+    if not (np.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     frame_len = int(round(frame_ms / 1000.0 * sample_rate))
     if frame_len < 1:
         raise ValueError("frame shorter than one sample")
     return frame_len
-
-
-def _frame_geometry(frame_ms: float, sample_rate: float, overlap_fraction: float):
-    """(frame length, hop) in samples; the hop is rounded to the nearest sample."""
-    frame_len = frame_length(frame_ms, sample_rate)
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
-    return frame_len, max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
-
-
-def frame_count(n_samples: int, frame_ms: float, sample_rate: float,
-                overlap_fraction: float) -> int:
-    """Whole frames in `n_samples` samples; 0 for a signal shorter than one frame."""
-    frame_len, hop = _frame_geometry(frame_ms, sample_rate, overlap_fraction)
-    return 0 if n_samples < frame_len else 1 + (n_samples - frame_len) // hop
 
 
 def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> np.ndarray:
@@ -65,13 +52,17 @@ def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> n
 
     Hop is frame_len*(1 - overlap_fraction) rounded to the nearest sample;
     a trailing partial frame is discarded. A signal shorter than one frame
-    yields zero frames (shape (0, frame_len)), not an error. `frame_count`
-    gives the number of rows.
+    yields zero frames (shape (0, frame_len)), not an error. The frames are a
+    read-only view of `x.samples`; stacking them (`np.concatenate`) copies.
     """
-    frame_len, hop = _frame_geometry(frame_ms, x.sample_rate, overlap_fraction)
-    count = frame_count(len(x.samples), frame_ms, x.sample_rate, overlap_fraction)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(count)[:, None]
-    return x.samples[idx]
+    frame_len = frame_length(frame_ms, x.sample_rate)
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ValueError("overlap_fraction must be in [0, 1)")
+    hop = max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
+    count = 0 if len(x.samples) < frame_len else 1 + (len(x.samples) - frame_len) // hop
+    step = x.samples.strides[0]
+    return np.lib.stride_tricks.as_strided(x.samples, (count, frame_len), (hop * step, step),
+                                           writeable=False)
 
 
 def window(frame: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ class SignalBuffer:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")

@@ -63,9 +63,20 @@ def clean_segment_features(corpus_dir):
     for seg in segments:
         if seg.fb_class == "central":
             continue
-        rows.append((seg.fb_class, classify.frame_pipeline(seg, cfg), seg))
+        rows.append((seg.fb_class, analyse(seg.audio, cfg), seg))
     assert len(rows) == CORPUS_SIZE
     return rows
+
+
+def analyse(audio, cfg=None):
+    """`classify.frame_pipeline` on the frames of one audio buffer, or of a list
+    of buffers at one rate, concatenated in order as `cfg.frames` gives them."""
+    from specvalley import classify
+
+    cfg = cfg or classify.PipelineConfig()
+    audios = audio if isinstance(audio, list) else [audio]
+    frames = np.concatenate([cfg.frames(a) for a in audios])
+    return classify.frame_pipeline(frames, audios[0].sample_rate, cfg)
 
 
 def rng(seed=0):

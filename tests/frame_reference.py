@@ -3,7 +3,9 @@
 `frame_pipeline` builds one `FrameFeatures` per frame, with validated
 `FormantSpec`s, from the same stacked LP core the table is built from;
 `decide_segment` averages the valid frames as Python lists. The table and the
-decisions taken from its slices must equal these bit for bit.
+decisions taken from its slices must equal these bit for bit. The reference
+pre-emphasizes and frames each segment itself, so the comparison checks
+`PipelineConfig.frames` as well.
 """
 
 import operator

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
+from conftest import analyse
 from specvalley import baseline, classify
 from specvalley.cli import _segment_decisions, run
 from specvalley.corpus import (
@@ -203,8 +204,7 @@ def test_criterion_8_noise_harness(corpus_dir, babble_path):
 
     def accuracy(kind, snr):
         def noisy(i, seg):
-            spec = NoiseSpec(kind, snr, seed=i, babble_source=str(babble_path))
-            return mix_noise(seg.audio, spec, babble=babble)
+            return mix_noise(seg.audio, NoiseSpec(kind, snr, seed=i), babble=babble)
 
         decided = list(_segment_decisions(stage, cfg, segments, noisy))
         return classify.score([d for *_, d in decided],
@@ -305,7 +305,7 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
         for gain in (0.25, 4.0):
             scaled = SignalBuffer(seg.audio.samples * gain, seg.audio.sample_rate)
             try:
-                pred = classify.decide_segment(classify.frame_pipeline(scaled, cfg)).predicted
+                pred = classify.decide_segment(analyse(scaled, cfg)).predicted
             except NoDecisionError:
                 pred = None
             flips += pred != base_pred

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct, idct
 
+from conftest import analyse
 from specvalley.baseline import (
     N_FILTERS,
     NFFT,
@@ -15,6 +16,7 @@ from specvalley.baseline import (
     segment_mfcc_matrix,
     train_mlp,
 )
+from specvalley.classify import PipelineConfig
 from specvalley.errors import DegenerateInputError
 from specvalley.types import SignalBuffer
 
@@ -49,7 +51,7 @@ class TestMfcc:
 
     def test_segment_matrix_shape(self):
         sig = SignalBuffer(np.random.default_rng(1).standard_normal(1600) * 0.1, FS)
-        mat = segment_mfcc_matrix(sig)
+        mat = segment_mfcc_matrix(PipelineConfig().frames(sig), FS)
         assert mat.shape == (9, 12)
 
     def test_filterbank_built_once_per_rate_and_config(self):
@@ -212,16 +214,15 @@ class TestPredict:
 
 class TestOnSyntheticCorpus:
     def _features(self, corpus_dir):
-        from specvalley import classify
         from specvalley.corpus import collect_segments, timit_inventory
 
-        cfg = classify.PipelineConfig()
+        cfg = PipelineConfig()
         feats_mfcc, feats_v3, diffs, truths = [], [], [], []
         for seg in collect_segments(corpus_dir, ".phn", timit_inventory()):
             if seg.fb_class == "central":
                 continue
-            mat = segment_mfcc_matrix(seg.audio)
-            valid = [f for f in classify.frame_pipeline(seg, cfg) if f.valid]
+            mat = segment_mfcc_matrix(cfg.frames(seg.audio), seg.audio.sample_rate)
+            valid = [f for f in analyse(seg.audio, cfg) if f.valid]
             if len(mat) == 0 or not valid:
                 continue
             v1 = float(np.mean([f.v1_db for f in valid]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import analyse
 from specvalley.classify import (
     MAX_HISTOGRAM_BINS,
     REASONS,
@@ -43,20 +44,20 @@ def fake_features(n_valid, v1=0.0, v2=0.0, formants=(500.0, 1500.0, 2500.0), n_i
 class TestFramePipeline:
     def test_back_vowel_geometry(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
-        feats = frame_pipeline(seg)
+        feats = analyse(seg)
         valid = [f for f in feats if f.valid]
         assert len(valid) > len(feats) / 2
         assert np.mean([f.v1_db for f in valid]) > np.mean([f.v2_db for f in valid])
 
     def test_front_vowel_geometry(self):
         seg = synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0])
-        feats = frame_pipeline(seg)
+        feats = analyse(seg)
         valid = [f for f in feats if f.valid]
         assert valid
         assert np.mean([f.v1_db for f in valid]) < np.mean([f.v2_db for f in valid])
 
     def test_silence_gives_invalid_frames(self):
-        feats = frame_pipeline(SignalBuffer(np.zeros(3200), FS))
+        feats = analyse(SignalBuffer(np.zeros(3200), FS))
         assert feats and all(not f.valid for f in feats)
 
     def test_default_order_scales_with_rate(self):
@@ -67,22 +68,22 @@ class TestFramePipeline:
     def test_lp_order_must_be_below_frame_length(self):
         silence = SignalBuffer(np.zeros(3200), FS)
         with pytest.raises(ValueError, match="frame length"):
-            frame_pipeline(silence, PipelineConfig(lp_order=320))
+            analyse(silence, PipelineConfig(lp_order=320))
         with pytest.raises(ValueError, match="at least 1"):
-            frame_pipeline(silence, PipelineConfig(lp_order=0))
-        assert len(frame_pipeline(silence, PipelineConfig(lp_order=319))) == 19
+            analyse(silence, PipelineConfig(lp_order=0))
+        assert len(analyse(silence, PipelineConfig(lp_order=319))) == 19
 
     def test_orders_below_three_give_frames_without_three_formants(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
         for order in (1, 2):
-            frames = list(frame_pipeline(seg, PipelineConfig(lp_order=order)))
-            assert len(frames) == len(frame_pipeline(seg))
+            frames = list(analyse(seg, PipelineConfig(lp_order=order)))
+            assert len(frames) == len(analyse(seg))
             assert {f.fail_reason for f in frames} == {"fewer than three formants"}
 
     def test_deterministic(self):
         seg = synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0])
-        a = frame_pipeline(seg)
-        b = frame_pipeline(seg)
+        a = analyse(seg)
+        b = analyse(seg)
         assert len(a) == len(b)
         for fa, fb in zip(a, b):
             assert fa.valid == fb.valid
@@ -93,8 +94,8 @@ class TestFramePipeline:
         seg = synth_segment([570.0, 840.0, 2410.0, 3500.0, 4500.0])
         for gain in (0.125, 8.0):
             scaled = SignalBuffer(seg.samples * gain, FS)
-            d0 = decide_segment(frame_pipeline(seg))
-            d1 = decide_segment(frame_pipeline(scaled))
+            d0 = decide_segment(analyse(seg))
+            d1 = decide_segment(analyse(scaled))
             assert d1.predicted == d0.predicted
             assert abs(d1.mean_diff - d0.mean_diff) < 1e-6
 
@@ -103,16 +104,30 @@ class TestFramePipeline:
                 SignalBuffer(np.zeros(3200), FS),
                 SignalBuffer(np.full(300, 0.2), FS),  # shorter than one frame
                 synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0], f0=210.0)]
-        expected = [f for seg in segs for f in frame_pipeline(seg)]
-        assert list(frame_pipeline(segs)) == expected
-        assert len(expected) == sum(len(frame_pipeline(seg)) for seg in segs)
-        assert list(frame_pipeline(segs[:1])) == list(frame_pipeline(segs[0]))
-        assert list(frame_pipeline([segs[2]])) == [] and list(frame_pipeline([])) == []
+        expected = [f for seg in segs for f in analyse(seg)]
+        assert list(analyse(segs)) == expected
+        assert len(expected) == sum(len(analyse(seg)) for seg in segs)
+        assert list(analyse(segs[:1])) == list(analyse(segs[0]))
+        assert list(analyse([segs[2]])) == []
+        assert list(frame_pipeline(np.empty((0, 320)), FS)) == []
 
-    def test_mixed_rate_list_is_rejected(self):
-        segs = [SignalBuffer(np.zeros(3200), FS), SignalBuffer(np.zeros(1600), 8000.0)]
-        with pytest.raises(ValueError, match="16000 Hz and 8000 Hz"):
-            frame_pipeline(segs)
+    @pytest.mark.parametrize("frames", [np.zeros(320), np.zeros((1, 1, 320))],
+                             ids=["one_frame", "3d"])
+    def test_frames_must_be_a_stack(self, frames):
+        with pytest.raises(ValueError, match=r"frames must be an \(n, 320\) stack"):
+            frame_pipeline(frames, FS)
+
+    @pytest.mark.parametrize("rate", [0.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            frame_pipeline(np.zeros((2, 320)), rate)
+
+    def test_frame_width_must_match_the_rate(self):
+        frames = PipelineConfig().frames(SignalBuffer(np.ones(3200), FS))
+        with pytest.raises(ValueError, match=r"\(n, 160\) .* at 8000 Hz, got shape \(19, 320\)"):
+            frame_pipeline(frames, 8000.0)
+        with pytest.raises(ValueError, match=r"\(n, 800\) stack of 50 ms"):
+            frame_pipeline(frames, FS, PipelineConfig(frame_ms=50.0))
 
 
 class TestDecideSegment:
@@ -140,7 +155,7 @@ class TestDecideSegment:
 
     def test_threshold_monotonicity(self):
         seg = synth_segment([640.0, 1190.0, 2390.0, 3500.0, 4500.0])
-        feats = frame_pipeline(seg)
+        feats = analyse(seg)
         previous_front = False
         for thr in (-10.0, 0.0, 3.0, 5.0, 8.0, 15.0):
             pred = decide_segment(feats, threshold_db=thr).predicted
@@ -372,7 +387,7 @@ def white_0db_features(clean_segment_features):
     from specvalley.corpus import NoiseSpec, mix_noise
 
     cfg = PipelineConfig()
-    return [frame_pipeline(mix_noise(seg.audio, NoiseSpec("white", 0.0, seed=k)), cfg)
+    return [analyse(mix_noise(seg.audio, NoiseSpec("white", 0.0, seed=k)), cfg)
             for k, (_, _, seg) in enumerate(clean_segment_features)]
 
 

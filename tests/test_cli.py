@@ -873,8 +873,7 @@ def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
         for snr in (25.0, 0.0):
             decisions = []
             for idx, (seg, _) in enumerate(scored):
-                spec = NoiseSpec(kind=kind, snr_db=snr, seed=seed + idx,
-                                 babble_source=str(babble_path))
+                spec = NoiseSpec(kind=kind, snr_db=snr, seed=seed + idx)
                 noisy = mix_noise(seg.audio, spec, babble=babble)
                 decisions.append(_reference_decision(_reference_features(noisy), rule, threshold))
             report = classify.score(decisions, [truth for _, truth in scored])
@@ -932,18 +931,26 @@ def test_baseline_valley3_vectors_equal_the_per_segment_loop(mixed_corpus_dir, m
 
 @pytest.fixture
 def pipeline_calls(monkeypatch):
-    """(segments, frames returned) per classify.frame_pipeline call."""
+    """(stack length per segment, sample rate, frames returned) per
+    classify.frame_pipeline call. The stage decides each segment of a block
+    from its slice of the table before the next call, so the slice lengths
+    are the lengths of the stacks the call was given."""
     from specvalley import classify
 
     calls = []
-    frame_pipeline = classify.frame_pipeline
+    frame_pipeline, decide_segment = classify.frame_pipeline, classify.decide_segment
 
-    def counted(segments, cfg=None):
-        features = frame_pipeline(segments, cfg)
-        calls.append((segments, len(features)))
-        return features
+    def counted(frames, sample_rate, cfg=None):
+        table = frame_pipeline(frames, sample_rate, cfg)
+        calls.append(([], sample_rate, len(table)))
+        return table
+
+    def sliced(table, *args):
+        calls[-1][0].append(len(table))
+        return decide_segment(table, *args)
 
     monkeypatch.setattr(classify, "frame_pipeline", counted)
+    monkeypatch.setattr(classify, "decide_segment", sliced)
     return calls
 
 
@@ -968,9 +975,10 @@ def test_frame_pipeline_runs_once_per_segment_and_condition(argv, conditions,
         argv = argv + ["--babble-source", str(babble_path)]
     assert run(argv + ["--corpus", str(mixed_corpus_dir), "--out", str(tmp_path / "o.csv"),
                        "--no-timestamp"]) == 0
-    assert sum(n for _, n in pipeline_calls) == conditions * n_frames
-    assert all(n <= STACK_FRAMES or len(segments) == 1 for segments, n in pipeline_calls)
-    assert sum(len(segments) for segments, _ in pipeline_calls) == conditions * len(scored)
+    assert sum(n for *_, n in pipeline_calls) == conditions * n_frames
+    assert all(sum(segments) == n for segments, _, n in pipeline_calls)
+    assert all(n <= STACK_FRAMES or len(segments) == 1 for segments, _, n in pipeline_calls)
+    assert sum(len(segments) for segments, *_ in pipeline_calls) == conditions * len(scored)
     if argv[0] == "classify":
         assert 0 < len(pipeline_calls) < len(scored)
 
@@ -1047,15 +1055,12 @@ def _classify_equals_the_per_segment_loop(corpus_dir, pipeline_calls, tmp_path, 
 
 def test_a_segment_without_frames_inside_a_block(block_corpus_dir, pipeline_calls, tmp_path):
     from specvalley.classify import PipelineConfig
-    from specvalley.sigproc import frame_count
 
     features = _classify_equals_the_per_segment_loop(
         block_corpus_dir, pipeline_calls, tmp_path, PipelineConfig(frame_ms=50.0),
         ["--frame-ms", "50"])
     assert [len(f) for f in features].count(0) == 1
-    [counts] = [counts for counts in (
-        [frame_count(len(a.samples), 50.0, a.sample_rate, 0.5) for a in segments]
-        for segments, _ in pipeline_calls) if 0 in counts]
+    [counts] = [counts for counts, *_ in pipeline_calls if 0 in counts]
     assert 0 < counts.index(0) < len(counts) - 1
 
 
@@ -1065,18 +1070,20 @@ def test_a_segment_longer_than_a_block_is_a_block_of_its_own(block_corpus_dir, p
 
     features = _classify_equals_the_per_segment_loop(block_corpus_dir, pipeline_calls, tmp_path)
     [long] = [len(f) for f in features if len(f) > STACK_FRAMES]
-    assert [(len(segments), n) for segments, n in pipeline_calls if n > STACK_FRAMES] == [
+    assert [(len(segments), n) for segments, _, n in pipeline_calls if n > STACK_FRAMES] == [
         (1, long)]
-    index = [n for _, n in pipeline_calls].index(long)
+    index = [n for *_, n in pipeline_calls].index(long)
     assert 0 < index < len(pipeline_calls) - 1
 
 
 def test_mixed_rate_corpus_equals_the_per_segment_loop(mixed_rate_corpus_dir, pipeline_calls,
                                                        tmp_path):
     _classify_equals_the_per_segment_loop(mixed_rate_corpus_dir, pipeline_calls, tmp_path)
-    rates = [{a.sample_rate for a in segments} for segments, _ in pipeline_calls]
-    assert all(len(r) == 1 for r in rates)
-    assert set().union(*rates) == {8000, 16000}
+    # every segment of a block is at the rate of its call
+    rates = [rate for segments, rate, _ in pipeline_calls for _ in segments]
+    assert rates == [seg.audio.sample_rate for seg, _ in
+                     _reference_scored(mixed_rate_corpus_dir, False)]
+    assert set(rates) == {8000, 16000}
 
 
 # ------------------------------------------------------ noise-eval and silence

@@ -16,16 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import analyse
 from specvalley import classify, sigproc
 from specvalley.corpus import NoiseSpec, load_wav, mix_noise
 from specvalley.sigproc import (
     autocorrelation,
     formant_anchors,
     formant_candidates,
-    frame_signal,
     levinson_rows,
     polynomial_roots,
-    preemphasize,
     window,
 )
 from test_frame_table import _close_resonances
@@ -74,7 +73,7 @@ def _rows_sent(a, sent):
 
 
 def _pipeline_columns(blocks, cfg):
-    tables = [classify.frame_pipeline(block, cfg) for block in blocks]
+    tables = [analyse(block, cfg) for block in blocks]
     return {name: np.concatenate([getattr(t, name) for t in tables])
             for name in ("reason", "counts", "v1", "v2", "freqs", "bandwidths")}
 
@@ -87,8 +86,7 @@ def both_ways(request, clean_segment_features, babble_path):
     if request.param != "clean":
         kind, snr = request.param.split()
         babble = load_wav(babble_path)
-        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i,
-                                        babble_source=str(babble_path)), babble=babble)
+        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i), babble=babble)
                  for i, x in enumerate(audio)]
     blocks = [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
     cfg = classify.PipelineConfig()
@@ -138,9 +136,7 @@ def test_pipeline_reads_each_frame_as_when_anchored_at_eigvals(both_ways):
 
 def test_a_corpus_row_gives_the_same_anchors_alone(clean_segment_features):
     cfg = classify.PipelineConfig()
-    frames = np.concatenate([frame_signal(preemphasize(seg.audio, cfg.preemphasis), cfg.frame_ms,
-                                          cfg.overlap_fraction)
-                             for _, _, seg in clean_segment_features])
+    frames = np.concatenate([cfg.frames(seg.audio) for _, _, seg in clean_segment_features])
     fit = levinson_rows(autocorrelation(window(frames), 18), 18)
     assert not fit.stage.any()
     for first in range(0, len(fit.a), classify.STACK_FRAMES):
@@ -213,9 +209,7 @@ def test_anchors_equal_the_eigvals_gating_on_crafted_stacks(seed, order, kinds):
 def test_rows_left_to_eigvals_equal_it_bit_for_bit(monkeypatch):
     # close resonances 20 Hz apart at radius 0.99: some frames' seeds miss a root
     cfg = classify.PipelineConfig(lp_order=18)
-    frames = np.concatenate([frame_signal(preemphasize(_close_resonances(seed), cfg.preemphasis),
-                                          cfg.frame_ms, cfg.overlap_fraction)
-                             for seed in range(1, 6)])
+    frames = np.concatenate([cfg.frames(_close_resonances(seed)) for seed in range(1, 6)])
     fit = levinson_rows(autocorrelation(window(frames), 18), 18)
     assert not fit.stage.any()
     sent = _record_eigvals_calls(monkeypatch)

@@ -13,11 +13,12 @@ import pytest
 from scipy.signal import lfilter
 
 import frame_reference
+from conftest import analyse
 from specvalley import classify
 from specvalley.classify import REASONS, UNSTABLE, VALID, FrameTable, decide_segment
 from specvalley.corpus import NoiseSpec, load_wav, mix_noise
 from specvalley.errors import NoDecisionError
-from specvalley.sigproc import frame_count, levinson_failure, levinson_rows
+from specvalley.sigproc import levinson_failure, levinson_rows
 from specvalley.types import SignalBuffer
 
 FS = 16000.0
@@ -36,8 +37,7 @@ def condition_audio(request, clean_segment_features, babble_path):
     kind, snr = request.param.split()[0], 20.0
     babble = load_wav(babble_path)
     return RULES["noisy"], [
-        mix_noise(seg.audio, NoiseSpec(kind, snr, seed=i, babble_source=str(babble_path)),
-                  babble=babble)
+        mix_noise(seg.audio, NoiseSpec(kind, snr, seed=i), babble=babble)
         for i, (_, _, seg) in enumerate(clean_segment_features)]
 
 
@@ -67,13 +67,12 @@ def test_table_and_decisions_equal_the_per_frame_reference(condition_audio):
     decided = 0
     for first in range(0, len(condition_audio), BLOCK_SEGMENTS):
         block = condition_audio[first:first + BLOCK_SEGMENTS]
-        table = classify.frame_pipeline(block, cfg)
+        table = analyse(block, cfg)
         expected = frame_reference.frame_pipeline(block, cfg)
         _assert_table_is(table, expected)
         start = 0
         for audio in block:
-            n = frame_count(len(audio.samples), cfg.frame_ms, audio.sample_rate,
-                            cfg.overlap_fraction)
+            n = len(cfg.frames(audio))
             part, reference = table[start:start + n], expected[start:start + n]
             start += n
             for rule in rules:
@@ -100,7 +99,7 @@ def test_every_discard_reason_of_the_pipeline_equals_the_reference():
     expected = frame_reference.frame_pipeline(segments, cfg)
     assert {f.fail_reason for f in expected} == {
         None, "silent frame", "fewer than three formants", "valley bracket too narrow"}
-    _assert_table_is(classify.frame_pipeline(segments, cfg), expected)
+    _assert_table_is(analyse(segments, cfg), expected)
 
 
 def test_rows_slices_and_iteration():

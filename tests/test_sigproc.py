@@ -6,6 +6,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from specvalley import experiments
+from specvalley import synth as synth_module
 from specvalley.envelope import peak_levels
 from specvalley.errors import DegenerateInputError, SingularEnvelopeError
 from specvalley.experiments import lp_envelope_of_signal
@@ -17,7 +18,6 @@ from specvalley.sigproc import (
     autocorrelation,
     formant_anchors,
     formant_candidates,
-    frame_count,
     frame_signal,
     levinson_failure,
     levinson_rows,
@@ -56,6 +56,12 @@ class TestPreemphasize:
             preemphasize(buf([1.0]), -0.1)
 
 
+@pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan"), float("inf")])
+def test_signal_buffer_rate_must_be_finite_and_positive(sample_rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        SignalBuffer(np.zeros(4), sample_rate)
+
+
 class TestFrameSignal:
     def test_hundred_ms_gives_nine_frames(self):
         x = buf(np.zeros(1600))
@@ -78,17 +84,21 @@ class TestFrameSignal:
             frame_signal(buf(np.zeros(100)), 0.0, 0.5)
         with pytest.raises(ValueError):
             frame_signal(buf(np.zeros(100)), 20.0, 1.0)
-        with pytest.raises(ValueError):
-            frame_count(100, 20.0, 16000.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 4000), frame_ms=st.floats(0.5, 60.0),
            rate=st.sampled_from([8000.0, 10000.0, 16000.0, 22050.0, 44100.0]),
-           overlap=st.floats(0.0, 0.99))
-    def test_frame_count_is_the_row_count(self, n, frame_ms, rate, overlap):
-        # signals shorter than one frame included: n runs from 0
-        rows = frame_signal(buf(np.zeros(n), rate), frame_ms, overlap).shape[0]
-        assert frame_count(n, frame_ms, rate, overlap) == rows
+           overlap=st.floats(0.0, 0.99), stride=st.sampled_from([1, 2]))
+    def test_frames_are_the_hop_spaced_slices(self, n, frame_ms, rate, overlap, stride):
+        # signals shorter than one frame included, and samples that are a strided view
+        samples = np.arange(float(n * stride))[::stride]
+        frames = frame_signal(buf(samples, rate), frame_ms, overlap)
+        frame_len = int(round(frame_ms / 1000.0 * rate))
+        hop = max(int(round(frame_len * (1.0 - overlap))), 1)
+        starts = range(0, n - frame_len + 1, hop)
+        assert frames.shape == (len(starts), frame_len)
+        assert all(np.array_equal(row, samples[i:i + frame_len]) for row, i in zip(frames, starts))
+        assert not frames.flags.writeable
 
 
 class TestWindow:
@@ -171,18 +181,24 @@ class TestLevinson:
         assert levinson_failure(fit, 1) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
         # the LP envelope of the f0 study raises on the silent row
         with pytest.raises(DegenerateInputError):
-            lp_envelope_of_signal(np.zeros(64), 8000.0, 1)
+            lp_envelope_of_signal(np.zeros(64), 1)
 
-    @pytest.mark.parametrize("sample_rate", [0.0, -8000.0])
-    def test_lp_envelope_rate_must_be_positive(self, sample_rate):
+    @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan")])
+    def test_lp_envelope_rate_must_be_positive(self, sample_rate, monkeypatch):
+        # the f0 study rejects the rate of its LP envelopes before it synthesizes
+        def unreachable(*args, **kwargs):
+            raise AssertionError("synthesized at a bad rate")
+
+        monkeypatch.setattr(synth_module, "synthesize", unreachable)
         with pytest.raises(ValueError, match="sample_rate must be positive"):
-            lp_envelope_of_signal(np.ones(64), sample_rate, 1)
+            experiments.f0_influence_experiment(
+                [FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)], sample_rate=sample_rate)
 
     def test_lp_envelope_is_the_one_row_lpc_levels(self):
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
         sig = synthesize([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
                          Excitation("impulse-train", f0=120.0), 8000.0)
-        levels, mean_db = lp_envelope_of_signal(sig.samples, 8000.0, 8)
+        levels, mean_db = lp_envelope_of_signal(sig.samples, 8)
         fit = levinson_rows(autocorrelation(sig.samples, 8)[None, :], 8)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
         assert np.array_equal(levels, env.levels[0])
@@ -230,7 +246,7 @@ class TestLpcEnvelope:
         assert lpc_levels(np.array([[1.0, -1.0]]), np.ones(1), 128).singular[0]
         monkeypatch.setattr(experiments, "autocorrelation", lambda x, order: np.ones(2))
         with pytest.raises(SingularEnvelopeError):
-            lp_envelope_of_signal(np.ones(8), 8000.0, 1)
+            lp_envelope_of_signal(np.ones(8), 1)
 
     def test_root_at_nyquist_raises(self, monkeypatch):
         # A(z) = 1 + z^-1 vanishes at Nyquist; r = [1, -1] fits it with k = 1
@@ -238,7 +254,7 @@ class TestLpcEnvelope:
         monkeypatch.setattr(experiments, "autocorrelation",
                             lambda x, order: np.array([1.0, -1.0]))
         with pytest.raises(SingularEnvelopeError):
-            lp_envelope_of_signal(np.ones(8), 8000.0, 1)
+            lp_envelope_of_signal(np.ones(8), 1)
 
     @pytest.mark.parametrize("n_points", [64, 128, 512, 1024, 4096])
     def test_singular_rows_are_the_rows_the_rfft_finds_a_zero_in(self, n_points):

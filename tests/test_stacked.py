@@ -139,9 +139,7 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
 def corpus_lags(clean_segment_features):
     """Order-18 autocorrelation rows of every frame of the acceptance corpus."""
     cfg = PipelineConfig()
-    frames = np.concatenate([frame_signal(preemphasize(seg.audio, cfg.preemphasis), cfg.frame_ms,
-                                          cfg.overlap_fraction)
-                             for _, _, seg in clean_segment_features])
+    frames = np.concatenate([cfg.frames(seg.audio) for _, _, seg in clean_segment_features])
     return autocorrelation(window(frames), 18)
 
 
@@ -227,7 +225,7 @@ def _test_segment(seed, noise):
 
 def _features(seg, cfg):
     return [(f.v1_db, f.v2_db, [(x.frequency, x.bandwidth) for x in f.formants], f.fail_reason)
-            for f in frame_pipeline(seg, cfg)]
+            for f in frame_pipeline(cfg.frames(seg), seg.sample_rate, cfg)]
 
 
 # the stacked pipeline does the same arithmetic as the loop, so it must give
@@ -260,7 +258,7 @@ def test_unstable_row_reason_matches_levinson_error(monkeypatch):
     assert levinson_failure(fit, 0) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
     monkeypatch.setattr(experiments, "autocorrelation", lambda samples, order: lags[0])
     with pytest.raises(UnstableModelError) as err:
-        lp_envelope_of_signal(np.ones(8), FS, 2)
+        lp_envelope_of_signal(np.ones(8), 2)
     assert str(err.value) == levinson_failure(fit, 0)
     assert err.value.stage == 1
 
@@ -269,12 +267,25 @@ def test_stacked_mfcc_rows_match_single_frames():
     rng = np.random.default_rng(9)
     samples = np.concatenate([rng.standard_normal(1600), np.zeros(640), rng.standard_normal(800)])
     audio = SignalBuffer(samples * 0.1, FS)
-    mat = segment_mfcc_matrix(audio)
+    mat = segment_mfcc_matrix(PipelineConfig().frames(audio), FS)
     frames = frame_signal(preemphasize(audio, 0.97), 20.0, 0.5)
     singles = [mfcc(window(f), FS) for f in frames if np.any(f)]
     assert len(singles) < len(frames)  # the silent frames were skipped
     assert mat.shape == (len(singles), 12)
     assert np.max(np.abs(mat - np.array(singles))) <= 1e-12
+
+
+@pytest.mark.parametrize("rate", [16000.0, 8000.0])
+def test_mfcc_matrix_of_the_config_frames_is_the_default_framing(rate):
+    # what segment_mfcc_matrix computed when it framed the audio itself with
+    # its defaults: 20 ms frames, overlap 0.5, pre-emphasis 0.97
+    rng = np.random.default_rng(5)
+    samples = np.concatenate([rng.standard_normal(2000), np.zeros(800), rng.standard_normal(900)])
+    audio = SignalBuffer(samples * 0.1, rate)
+    frames = frame_signal(preemphasize(audio, 0.97), 20.0, 0.5)
+    frames = frames[np.any(frames, axis=1)]
+    expected = mfcc(window(frames), rate)
+    assert np.array_equal(segment_mfcc_matrix(PipelineConfig().frames(audio), rate), expected)
 
 
 def test_stacked_mfcc_rejects_a_zero_row():
