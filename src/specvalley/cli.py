@@ -223,8 +223,7 @@ def _cmd_ocd4(args):
         step_hz=args.step,
         n_points=args.points,
     )
-    label = "V12" if i == 0 else f"V{i + 1}{i + 2}"
-    result = experiments.ocd_sweep(cfg, label=label)
+    result = experiments.ocd_sweep(cfg, label=f"V{i + 1}{i + 2}")
     _emit_sweep(out, result)
     out.flush()
     return 0

@@ -284,6 +284,15 @@ def _label_sidecar(wav_path: Path, labels_ext: str):
     return None
 
 
+def _read(load, path: Path, root: Path):
+    """`load(path)`, with a format or label error naming the path below `root`."""
+    try:
+        return load(path)
+    except (FormatError, LabelParseError) as exc:
+        exc.args = (f"{path.relative_to(root).as_posix()}: {exc}",)
+        raise
+
+
 def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
     """Load every WAV under a corpus directory and select its vowel segments.
 
@@ -292,7 +301,9 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
     loads. Files are visited in sorted order of their path below the root,
     so the result is deterministic. Each segment's utterance id is that
     path without its suffix (`DR1/FAKS0/SA1`; the file stem in a flat
-    corpus). WAVs without a label sidecar are skipped.
+    corpus). WAVs without a label sidecar are skipped. A file that cannot
+    be read as a WAV or as labels raises its FormatError or LabelParseError
+    with that path in front of the message.
     """
     root = Path(corpus_dir)
     wavs = [p for p in root.rglob("*") if p.suffix.lower() == ".wav" and p.is_file()]
@@ -301,8 +312,8 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
         label_path = _label_sidecar(wav_path, labels_ext)
         if label_path is None:
             continue
-        audio = load_wav(wav_path)
-        labels = load_phone_labels(label_path)
+        audio = _read(load_wav, wav_path, root)
+        labels = _read(load_phone_labels, label_path, root)
         segments.extend(
             select_vowel_segments(
                 labels, audio, inventory,

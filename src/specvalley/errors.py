@@ -62,10 +62,10 @@ class FormatError(ValueError):
 
 
 class LabelParseError(ValueError):
-    """Malformed phone-label line; `line_number` is 1-based."""
+    """Malformed phone-label line; `line_number` is 1-based and starts the message."""
 
     def __init__(self, message, line_number=None):
-        super().__init__(message)
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -393,7 +393,6 @@ def pb_ocd_table(
     f4: float | None = None,
     bandwidth_hz: float = 100.0,
     step_hz: float = 25.0,
-    include_tube: bool = True,
 ):
     """Per-vowel OCD from mean formant data, equal bandwidths everywhere.
 
@@ -412,9 +411,8 @@ def pb_ocd_table(
     for vowel, (f1, f2, f3) in mean_formants.items():
         pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")
         sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair, label))
-    if include_tube:
-        for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
-            sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
+    for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
+        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
     rows = []
     for vowel, freqs, rate, pair, label in sweeps:
         fm = [FormantSpec(f, bandwidth_hz) for f in freqs]

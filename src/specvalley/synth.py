@@ -12,7 +12,7 @@ from .types import FormantSpec, SignalBuffer
 
 EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 
-# default corner of the single-pole source-tilt lowpass
+# corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
 
 # bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
@@ -29,11 +29,10 @@ CALIBRATION_POINTS = 2048
 
 @dataclass
 class Excitation:
-    """Synthesizer source: a single impulse or a (possibly tilted) pulse train."""
+    """Synthesizer source: a single impulse, a pulse train or a tilted pulse train."""
 
     kind: str = "unit-impulse"
     f0: float = 0.0
-    tilt_db_per_octave: float = 0.0
     duration_s: float = 0.5
 
     def __post_init__(self):
@@ -69,31 +68,18 @@ def _excitation_signal(exc: Excitation, sample_rate: float, n_samples: int) -> n
         raise ValueError(f"f0 {exc.f0} Hz too high for sample rate {sample_rate}")
     x[::period] = 1.0
     if exc.kind == "tilted-train":
-        # one single-pole lowpass per -6 dB/octave shapes the mid-band slope
+        # a single-pole lowpass shapes the mid-band slope to -6 dB/octave
         pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
-        for _ in range(_tilt_stages(exc.tilt_db_per_octave)):
-            x = lfilter([1.0 - pole], [1.0, -pole], x)
+        x = lfilter([1.0 - pole], [1.0, -pole], x)
     return x
 
 
-def _tilt_stages(db_per_octave: float) -> int:
-    if db_per_octave > 0:
-        raise ValueError("spectral tilt must be <= 0 dB/octave")
-    stages = int(round(-db_per_octave / 6.0))
-    if abs(-db_per_octave - 6.0 * stages) > 1e-9:
-        raise ValueError("tilt is realized in -6 dB/octave stages; use a multiple of 6")
-    return stages
-
-
-def source_tilt_db(freqs: np.ndarray, sample_rate: float, db_per_octave: float) -> np.ndarray:
+def source_tilt_db(freqs: np.ndarray, sample_rate: float) -> np.ndarray:
     """dB response of the source-tilt lowpass on the given frequency grid."""
-    stages = _tilt_stages(db_per_octave)
-    if stages == 0:
-        return np.zeros(len(freqs))
     pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
     zinv = np.exp(-2j * np.pi * np.asarray(freqs) / sample_rate)
     mag = np.abs((1.0 - pole) / (1.0 - pole * zinv))
-    return stages * 20.0 * np.log10(mag)
+    return 20.0 * np.log10(mag)
 
 
 def synthesize(
@@ -182,9 +168,7 @@ def calibrate_bandwidth_rows(
     width = max(len(r) for r in row_bins)
     bins = np.array([np.pad(r, (0, width - len(r)), mode="edge") for r in row_bins])
     zinv = np.exp(-2j * np.pi * grid / sample_rate)[bins]
-    tilt = None
-    if exc.kind == "tilted-train" and exc.tilt_db_per_octave != 0.0:
-        tilt = source_tilt_db(grid, sample_rate, exc.tilt_db_per_octave)[bins]
+    tilt = source_tilt_db(grid, sample_rate)[bins] if exc.kind == "tilted-train" else None
     terms = np.stack(
         [resonator_db(slots[:, s, 0], slots[:, s, 1], zinv, sample_rate)
          for s in range(slots.shape[1])],

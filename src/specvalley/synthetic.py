@@ -15,28 +15,18 @@ import numpy as np
 
 from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
+from .experiments import BACK_VOWELS, FRONT_VOWELS
 from .synth import Excitation, calibrate_bandwidth_rows, synthesize
 from .types import FormantSpec, SignalBuffer
 
-CLASSIFIED_VOWELS = {
-    "iy": "front",
-    "ih": "front",
-    "eh": "front",
-    "ae": "front",
-    "ah": "back",
-    "aa": "back",
-    "ao": "back",
-    "uh": "back",
-    "uw": "back",
-}
+CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
+                     **dict.fromkeys(BACK_VOWELS, "back")}
 
 # upper formants appended above the three calibrated ones
 UPPER_FORMANTS = {
     "male": ((3500.0, 150.0), (4500.0, 200.0)),
     "female": ((4200.0, 150.0), (4900.0, 200.0)),
 }
-
-SOURCE_TILT_DB_PER_OCTAVE = -6.0
 
 # per token: F1..F3 scaled by 1 + N(0, FORMANT_JITTER), F0 and duration uniform
 # in their ranges; each segment pads its token with SILENCE_S of silence
@@ -77,7 +67,7 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
     entries = [e for e in entries if e.vowel in CLASSIFIED_VOWELS]
     if not entries:
         return []
-    exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE)
+    exc = Excitation("tilted-train", f0=100.0)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries],
         [(e.l1, e.l2, e.l3) for e in entries],
@@ -127,9 +117,7 @@ def synthesize_vowel_token(
         prev = f
     f0 = rng.uniform(*F0_RANGE_HZ)
     dur = rng.uniform(*DURATION_RANGE_S)
-    exc = Excitation(
-        "tilted-train", f0=f0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE, duration_s=dur
-    )
+    exc = Excitation("tilted-train", f0=f0, duration_s=dur)
     sig = synthesize(formants, exc, sample_rate)
     peak = np.max(np.abs(sig.samples))
     return SignalBuffer(sig.samples * (0.3 / peak), sample_rate)
@@ -192,10 +180,7 @@ def build_babble(
     for _ in range(BABBLE_VOICES):
         r = recipes[int(rng.integers(len(recipes)))]
         exc = Excitation(
-            "tilted-train",
-            f0=float(rng.uniform(90.0, 260.0)),
-            tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE,
-            duration_s=duration_s + 0.05,
+            "tilted-train", f0=float(rng.uniform(90.0, 260.0)), duration_s=duration_s + 0.05
         )
         voice = synthesize(
             [FormantSpec(f, b) for f, b in zip(r.formants_hz, r.bandwidths_hz)],

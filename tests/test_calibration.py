@@ -16,17 +16,10 @@ from specvalley.corpus import default_pb_table_path, load_pb_table
 from specvalley.envelope import peak_levels
 from specvalley.errors import CalibrationError
 from specvalley.synth import Excitation, calibrate_bandwidth_rows, source_tilt_db
-from specvalley.synthetic import (
-    CLASSIFIED_VOWELS,
-    SOURCE_TILT_DB_PER_OCTAVE,
-    UPPER_FORMANTS,
-    build_recipes,
-)
+from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
 from specvalley.types import FormantSpec
 
-RECIPE_EXCITATION = Excitation(
-    "tilted-train", f0=100.0, tilt_db_per_octave=SOURCE_TILT_DB_PER_OCTAVE
-)
+RECIPE_EXCITATION = Excitation("tilted-train", f0=100.0)
 
 
 def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
@@ -61,8 +54,8 @@ def _reference_levels(formants, exc, fs, n_points=2048):
         a2 = radius * radius
         den = 1.0 + a1 * zinv + a2 * zinv * zinv
         levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
-    if exc.kind == "tilted-train" and exc.tilt_db_per_octave != 0.0:
-        levels = levels + source_tilt_db(freqs, fs, exc.tilt_db_per_octave)
+    if exc.kind == "tilted-train":
+        levels = levels + source_tilt_db(freqs, fs)
     return freqs, levels
 
 

@@ -22,10 +22,10 @@ from specvalley.types import FormantSpec, SignalBuffer
 FS = 16000.0
 
 
-def synth_segment(freqs, bws=None, f0=120.0, dur=0.15, tilt=-6.0):
+def synth_segment(freqs, bws=None, f0=120.0, dur=0.15):
     bws = bws or [100.0] * len(freqs)
     fm = [FormantSpec(f, b) for f, b in zip(freqs, bws)]
-    exc = Excitation("tilted-train", f0=f0, tilt_db_per_octave=tilt, duration_s=dur)
+    exc = Excitation("tilted-train", f0=f0, duration_s=dur)
     sig = synthesize(fm, exc, FS)
     return SignalBuffer(sig.samples / np.max(np.abs(sig.samples)) * 0.3, FS)
 

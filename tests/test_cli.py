@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specvalley.cli import run
@@ -183,6 +184,30 @@ class TestCorpusCommands:
         assert code == 0
         rows = [l for l in out.read_text().splitlines() if l.startswith(("white,", "babble,"))]
         assert len(rows) == 2
+
+
+NIST_HEADER = b"NIST_1A\n   1024\nsample_count -i 6400\nend_head\n".ljust(1024, b" ")
+
+
+@pytest.mark.parametrize("wav_bytes, phn, message", [
+    (NIST_HEADER, "0 1600 h#\n",
+     "DR1/FAKS0/SA1.WAV: not a readable WAV file: file does not start with RIFF id"),
+    (None, "0 100 h#\n100 oops iy\n",
+     "DR1/FAKS0/SA1.PHN: line 2: non-integer sample bounds in '100 oops iy'"),
+], ids=["nist-wav", "bad-label-line"])
+def test_corpus_read_error_names_the_file(wav_bytes, phn, message, tmp_path, capsys):
+    from specvalley.corpus import save_wav
+    from specvalley.types import SignalBuffer
+
+    wav = tmp_path / "DR1" / "FAKS0" / "SA1.WAV"
+    wav.parent.mkdir(parents=True)
+    if wav_bytes is None:
+        save_wav(wav, SignalBuffer(np.zeros(6400), 16000.0))
+    else:
+        wav.write_bytes(wav_bytes)
+    wav.with_suffix(".PHN").write_text(phn)
+    assert run(["classify", "--corpus", str(tmp_path), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def data_rows(path):

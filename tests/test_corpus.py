@@ -130,6 +130,21 @@ class TestCollectSegments:
         segs = collect_segments(tmp_path, ".phn", timit_inventory())
         assert [s.utterance_id for s in segs] == ["a", "b"]
 
+    def test_read_errors_keep_their_type_and_name_the_file(self, tmp_path):
+        self._utterance(tmp_path / "DR1" / "SA1.WAV", ".PHN", 1)
+        self._utterance(tmp_path / "DR1" / "SA2.WAV", ".PHN", 2)
+        (tmp_path / "DR1" / "SA2.PHN").write_text("0 1600 h#\n1000 2000 iy\n")
+        with pytest.raises(LabelOrderingError) as err:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        assert err.value.line_number == 2
+        assert str(err.value) == ("DR1/SA2.PHN: line 2: "
+                                  "label 'iy' starts before the previous one ends")
+        (tmp_path / "DR1" / "SA1.WAV").write_bytes(b"NIST_1A\n   1024\n".ljust(1024, b" "))
+        with pytest.raises(FormatError) as err:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        assert err.value.field == "container"
+        assert str(err.value).startswith("DR1/SA1.WAV: not a readable WAV file: ")
+
 
 class TestSelectVowelSegments:
     def _audio(self, n=20000, rate=16000.0):

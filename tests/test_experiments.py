@@ -280,8 +280,8 @@ class TestPbOcdTable:
     def test_widened_flag_set_for_narrow_starts(self):
         from specvalley.corpus import pb_mean_formants
 
-        rows = pb_ocd_table({"aa": (730.0, 1090.0, 2440.0)}, "male", include_tube=False)
-        assert rows[0].result.widened
+        rows = pb_ocd_table({"aa": (730.0, 1090.0, 2440.0)}, "male")
+        assert next(r for r in rows if r.vowel == "aa").result.widened
 
     def test_gender_rank_agreement(self, pb_entries):
         from specvalley.corpus import pb_mean_formants
@@ -290,8 +290,8 @@ class TestPbOcdTable:
         for gender in ("male", "female"):
             means = pb_mean_formants(pb_entries, gender)
             means = {v: f for v, f in means.items() if v != "er"}
-            rows = pb_ocd_table(means, gender, include_tube=False)
-            tables[gender] = {r.vowel: r.result.ocd_bark for r in rows}
+            rows = pb_ocd_table(means, gender)
+            tables[gender] = {r.vowel: r.result.ocd_bark for r in rows if r.vowel != "tube"}
         vowels = sorted(tables["male"])
         male = np.array([tables["male"][v] for v in vowels])
         female = np.array([tables["female"][v] for v in vowels])

@@ -79,39 +79,19 @@ def _spectral_slope_db_per_octave(x: SignalBuffer, f_low=500.0, f_high=2000.0):
     return (band_level(f_high) - band_level(f_low)) / octaves
 
 
-def _tilted_train(db_per_octave, fs=16000.0):
+def _tilted_train(fs=16000.0):
     """400 periods of a 100 Hz pulse train through the source tilt."""
-    exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=db_per_octave)
+    exc = Excitation("tilted-train", f0=100.0)
     return synthesize([], exc, fs, n_samples=int(400 * fs / 100.0))
 
 
 class TestSourceTilt:
-    def test_zero_tilt_is_identity(self):
-        untilted = synthesize([], Excitation("impulse-train", f0=100.0), 8000.0, n_samples=512)
-        tilted = synthesize([], Excitation("tilted-train", f0=100.0), 8000.0, n_samples=512)
-        assert np.array_equal(tilted.samples, untilted.samples)
-        assert np.array_equal(source_tilt_db(np.linspace(0.0, 4000.0, 9), 8000.0, 0.0),
-                              np.zeros(9))
-
     def test_minus_six_db_per_octave(self):
-        slope = _spectral_slope_db_per_octave(_tilted_train(-6.0))
+        slope = _spectral_slope_db_per_octave(_tilted_train())
         assert abs(slope - (-6.0)) < 1.0
         freqs = np.array([500.0, 2000.0])
-        response = source_tilt_db(freqs, 16000.0, -6.0)
+        response = source_tilt_db(freqs, 16000.0)
         assert abs((response[1] - response[0]) / 2.0 - (-6.0)) < 1.0
-
-    def test_two_applications_double_the_slope(self):
-        assert abs(_spectral_slope_db_per_octave(_tilted_train(-12.0)) - (-12.0)) < 1.0
-        freqs = np.linspace(100.0, 7900.0, 64)
-        assert np.allclose(source_tilt_db(freqs, 16000.0, -12.0),
-                           2.0 * source_tilt_db(freqs, 16000.0, -6.0), rtol=0.0, atol=1e-12)
-
-    def test_positive_tilt_rejected(self):
-        exc = Excitation("tilted-train", f0=1000.0, tilt_db_per_octave=3.0)
-        with pytest.raises(ValueError):
-            synthesize([], exc, 8000.0, n_samples=8)
-        with pytest.raises(ValueError):
-            source_tilt_db(np.linspace(0.0, 4000.0, 9), 8000.0, 3.0)
 
 
 def _formant_levels(env, formants, window_hz=200.0):
@@ -165,7 +145,7 @@ class TestCalibrateBandwidths:
         fm = [FormantSpec(f, b) for f, b in zip(self.FREQS, bws)]
         freqs, levels_db = analytic_cascade_spectrum(fm, fs, 2048)
         if exc.kind == "tilted-train":
-            levels_db = levels_db + source_tilt_db(freqs, fs, exc.tilt_db_per_octave)
+            levels_db = levels_db + source_tilt_db(freqs, fs)
         lv, missing = _formant_levels((freqs, levels_db), fm)
         assert not missing.any()
         return [lv[i] - lv[0] for i in range(3)]
@@ -189,7 +169,7 @@ class TestCalibrateBandwidths:
         assert wider[1] > base[1]
 
     def test_convergence_self_check(self):
-        exc = Excitation("tilted-train", f0=100.0, tilt_db_per_octave=-6.0)
+        exc = Excitation("tilted-train", f0=100.0)
         bws = self._calibrated([-3.0, -15.0, -25.0], exc)
         rel = self._measured_relative_levels(bws, exc)
         for got, want in zip(rel[1:], [-12.0, -22.0]):
