@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments
-from .errors import AnalysisError, NoDecisionError
+from .errors import AnalysisError, NoDecisionError, PeakNotFoundError, ValleyUndefinedError
+from .scales import hz_to_bark
 from .types import FormantSpec
 
 CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
@@ -156,16 +157,21 @@ def _cmd_sweep2(args):
     _ascending([("the last F1 of --f1-start..--f1-stop", f1_values[-1]), ("--f2", args.f2)])
     out = _out_for(args, dict(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
                               band=args.band, points=args.points))
-    curve = experiments.two_formant_curve(
-        f1_values, args.f2, args.b1, args.b2, args.fs,
-        n_points=args.points, mean_band_hz=args.band,
-    )
+    meter = experiments.PairMeter([FormantSpec(f1_values[0], args.b1),
+                                   FormantSpec(args.f2, args.b2)], (0, 1), args.fs,
+                                  args.points, args.band)
     out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
-    for k, (f1, (spacing, v, _)) in enumerate(zip(f1_values, curve)):
-        out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(spacing, 4), _fmt(v, 4))
-    for k, (_, _, error) in enumerate(curve):
-        if error is not None:
-            out.note(f"step {k} unmeasurable: {error}")
+    errors = []
+    for k, f1 in enumerate(f1_values):
+        try:
+            v = meter.measure((f1, args.b1), (args.f2, args.b2))[2]
+        except (PeakNotFoundError, ValleyUndefinedError) as exc:
+            v = None
+            errors.append(f"step {k} unmeasurable: {exc}")
+        out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(hz_to_bark(args.f2) - hz_to_bark(f1), 4),
+                _fmt(v, 4))
+    for error in errors:
+        out.note(error)
     out.flush()
     return 0
 

@@ -187,7 +187,15 @@ PB_COLUMNS = ("vowel", "gender", "F0", "F1", "F2", "F3", "L1", "L2", "L3")
 
 
 def load_pb_table(path):
-    """Read a mean-formant CSV with header vowel,gender,F0,F1,F2,F3,L1,L2,L3."""
+    """Read a mean-formant CSV with header vowel,gender,F0,F1,F2,F3,L1,L2,L3.
+
+    A bad header or row raises its FormatError or ValidationError with the
+    path in front of the message.
+    """
+    return _read(_pb_entries, path)
+
+
+def _pb_entries(path):
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -240,7 +248,22 @@ def default_pb_table_path() -> Path:
 
 
 def load_inventory(inventory_path, exclusions_path) -> VowelInventory:
-    """Load 'label class' lines plus a one-label-per-line exclusion list."""
+    """Load 'label class' lines plus a one-label-per-line exclusion list.
+
+    A bad inventory line raises LabelParseError with the path in front of the
+    message.
+    """
+    classes = _read(_inventory_classes, inventory_path)
+    excluded = set()
+    with open(exclusions_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                excluded.add(line)
+    return VowelInventory(classes=classes, excluded_neighbors=frozenset(excluded))
+
+
+def _inventory_classes(inventory_path):
     classes = {}
     with open(inventory_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -254,13 +277,7 @@ def load_inventory(inventory_path, exclusions_path) -> VowelInventory:
                     line_number=lineno,
                 )
             classes[parts[0]] = parts[1]
-    excluded = set()
-    with open(exclusions_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                excluded.add(line)
-    return VowelInventory(classes=classes, excluded_neighbors=frozenset(excluded))
+    return classes
 
 
 def timit_inventory() -> VowelInventory:
@@ -284,12 +301,12 @@ def _label_sidecar(wav_path: Path, labels_ext: str):
     return None
 
 
-def _read(load, path: Path, root: Path):
-    """`load(path)`, with a format or label error naming the path below `root`."""
+def _read(load, path, root: Path | None = None):
+    """`load(path)`, with a format, label or row error naming the path (below `root`)."""
     try:
         return load(path)
-    except (FormatError, LabelParseError) as exc:
-        exc.args = (f"{path.relative_to(root).as_posix()}: {exc}",)
+    except (FormatError, LabelParseError, ValidationError) as exc:
+        exc.args = (f"{path.relative_to(root).as_posix() if root else path}: {exc}",)
         raise
 
 

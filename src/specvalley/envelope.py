@@ -46,14 +46,28 @@ def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
         raise ValueError("search window must exceed the grid spacing")
     n = len(levels_db)
     lo, hi = peak_windows(freqs, nominal_f.reshape(n, -1), window_hz)
+    _, peak_freq, peak_level, missing = window_peaks(freqs, levels_db, lo, hi)
+    shape = nominal_f.shape
+    return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
+
+
+def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Highest local maximum among the bins [lo, hi) of each window of a level stack.
+
+    `lo` and `hi` are (n, k) bin bounds of k windows on each of the n rows of
+    `levels_db`, as `peak_windows` gives them (1 <= lo, hi <= len(freqs) - 1).
+    The search and refinement are those of `peak_levels`. Returns (bin,
+    peak_freq, peak_level, missing), each (n, k): the grid index of each
+    maximum before refinement, and the frequency and level after it.
+    """
     width = int((hi - lo).max())
     if width <= 0:
-        nothing = np.full(nominal_f.shape, np.nan)
-        return nothing, nothing.copy(), np.ones(nominal_f.shape, dtype=bool)
+        nothing = np.full(lo.shape, np.nan)
+        return np.zeros(lo.shape, dtype=int), nothing, nothing.copy(), np.ones(lo.shape, dtype=bool)
     # each window's bins lo-1 .. lo+width; bins past a short window's end
     # are clipped to the grid and masked out
     idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
-    db = np.take_along_axis(levels_db, idx.reshape(n, -1), axis=1).reshape(idx.shape)
+    db = np.take_along_axis(levels_db, idx.reshape(len(lo), -1), axis=1).reshape(idx.shape)
     center = db[..., 1:-1]
     is_max = (
         (center >= db[..., :-2]) & (center >= db[..., 2:])
@@ -65,11 +79,10 @@ def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
     shift = np.zeros(denom.shape)
     np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
     shift = np.clip(shift, -0.5, 0.5)
-    peak_freq = freqs[lo + k[..., 0]] + shift * spacing
+    peak_bin = lo + k[..., 0]
+    peak_freq = freqs[peak_bin] + shift * float(freqs[1] - freqs[0])
     peak_level = y0 - 0.25 * (ym - yp) * shift
-    missing = ~is_max.any(axis=-1)
-    shape = nominal_f.shape
-    return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
+    return peak_bin, peak_freq, peak_level, ~is_max.any(axis=-1)
 
 
 def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):

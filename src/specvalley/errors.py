@@ -74,8 +74,8 @@ class LabelOrderingError(LabelParseError):
 
 
 class ValidationError(ValueError):
-    """A parsed record violates a field invariant; `row` is 1-based."""
+    """A parsed record violates a field invariant; `row` is 1-based and starts the message."""
 
     def __init__(self, message, row=None):
-        super().__init__(message)
+        super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row

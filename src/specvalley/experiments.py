@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import PEAK_WINDOW_HZ, peak_levels, valley_minima
+from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows, valley_minima, window_peaks
 from .errors import (
     DegenerateInputError,
     NoCrossingError,
@@ -15,11 +15,13 @@ from .errors import (
 )
 from .scales import hz_to_bark
 from .sigproc import (
-    analytic_cascade_spectrum,
     autocorrelation,
+    cascade_grid,
+    cascade_levels,
     levinson_failure,
     levinson_rows,
     lpc_levels,
+    resonator_db,
 )
 from .types import FormantSpec, power_mean_db
 
@@ -96,23 +98,35 @@ def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
 
     One `peak_levels` call finds the highest peak within +/-PEAK_WINDOW_HZ of
     each nominal frequency, and one `valley_minima` call the lowest level
-    strictly between the two peaks. Raises PeakNotFoundError when a window
-    holds no peak or both windows find the same one, and ValleyUndefinedError
-    when fewer than two grid bins lie between the peaks.
+    strictly between the two peaks. When both windows find the same maximum,
+    the window whose nominal frequency is nearer keeps it, and the other takes
+    its highest local maximum on its own side, at least two bins away (peak
+    picking on LP spectra, McCandless 1974). Raises PeakNotFoundError when a
+    window holds no peak, or the other window none on its side, and
+    ValleyUndefinedError when fewer than two grid bins lie between the peaks.
     """
     if f_lo >= f_hi:
         raise ValueError(f"nominal frequencies must be ordered lower < upper, "
                          f"got {f_lo} and {f_hi}")
-    stack = levels[None, :]
-    peak, level, missing = peak_levels(freqs, stack, np.array([[f_lo, f_hi]]))
+    stack, nominal = levels[None, :], np.array([[f_lo, f_hi]])
+    peak, level, missing = peak_levels(freqs, stack, nominal)
     for f, gone in zip((f_lo, f_hi), missing[0]):
         if gone:
             raise PeakNotFoundError(f"no spectral peak within {PEAK_WINDOW_HZ} Hz of {f} Hz")
+    if peak[0, 0] >= peak[0, 1]:
+        shared = float(peak[0, 0])
+        lo, hi = peak_windows(freqs, nominal, PEAK_WINDOW_HZ)
+        k = int(window_peaks(freqs, stack, lo, hi)[0][0, 0])
+        if shared - f_lo <= f_hi - shared:
+            lo[0, 1] = min(k + 2, hi[0, 1])
+        else:
+            hi[0, 0] = max(k - 1, lo[0, 0])
+        _, peak, level, missing = window_peaks(freqs, stack, lo, hi)
+        if missing.any():
+            raise PeakNotFoundError(f"no separate spectral peaks within {PEAK_WINDOW_HZ} Hz of "
+                                    f"{f_lo} Hz and {f_hi} Hz: both windows find the peak at "
+                                    f"{shared:.1f} Hz")
     p_lo, p_hi = peak[:, 0], peak[:, 1]
-    if p_lo[0] >= p_hi[0]:
-        raise PeakNotFoundError(f"no separate spectral peaks within {PEAK_WINDOW_HZ} Hz of "
-                                f"{f_lo} Hz and {f_hi} Hz: both windows find the peak at "
-                                f"{p_lo[0]:.1f} Hz")
     _, valley, too_narrow = valley_minima(freqs, stack, p_lo, p_hi)
     if too_narrow[0]:
         raise ValleyUndefinedError(f"fewer than two grid bins between {p_lo[0]:.1f} and "
@@ -120,22 +134,38 @@ def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
     return float(level[0, 0]), float(level[0, 1]), float(valley[0])
 
 
-def measure_pair_rlsv(formants, pair, sample_rate, n_points: int = GRID_POINTS,
-                      mean_band_hz=None):
-    """RLSV (mean - valley, dB) between two formants of an analytic cascade."""
-    freqs, levels = analytic_cascade_spectrum(formants, sample_rate, n_points)
-    i, j = pair
-    valley_level = _peak_pair_rlsv(freqs, levels, formants[i].frequency,
-                                   formants[j].frequency)[2]
-    return _banded_mean_db(freqs, levels, mean_band_hz) - valley_level
+class PairMeter:
+    """Levels and RLSV of one formant pair of a fixed analytic cascade as the pair moves.
 
+    Built once per sweep or grid: the grid, e^-jw and the dB term of each
+    formant outside `pair` are made here. Each `measure` computes only the two
+    pair terms and sums all terms from zeros in formant order, as
+    `analytic_cascade_spectrum` does, so each level is the same float. The
+    RLSV is the mean level (up to `mean_band_hz`, or the whole grid when it is
+    None) minus the valley level.
+    """
 
-def _replace_pair(formants, pair, f_lo, f_hi):
-    i, j = pair
-    out = list(formants)
-    out[i] = FormantSpec(f_lo, formants[i].bandwidth)
-    out[j] = FormantSpec(f_hi, formants[j].bandwidth)
-    return out
+    def __init__(self, formants, pair, sample_rate, n_points: int = GRID_POINTS,
+                 mean_band_hz=None):
+        self.freqs, self._zinv = cascade_grid(sample_rate, n_points)
+        self._rate, self._pair, self._band = sample_rate, pair, mean_band_hz
+        self._terms = [None if k in pair else
+                       resonator_db(f.frequency, f.bandwidth, self._zinv, sample_rate)
+                       for k, f in enumerate(formants)]
+
+    def measure(self, lo, hi):
+        """(L_lo, L_hi, RLSV) in dB with the pair at `lo` and `hi`, each (frequency, bandwidth).
+
+        Each member is checked as a `FormantSpec` is. Raises PeakNotFoundError
+        or ValleyUndefinedError (see `_peak_pair_rlsv`) when the pair cannot be
+        measured.
+        """
+        for k, member in zip(self._pair, (lo, hi)):
+            f = FormantSpec(*member)
+            self._terms[k] = resonator_db(f.frequency, f.bandwidth, self._zinv, self._rate)
+        levels = cascade_levels(self._terms, len(self.freqs))
+        l_lo, l_hi, valley = _peak_pair_rlsv(self.freqs, levels, lo[0], hi[0])
+        return l_lo, l_hi, _banded_mean_db(self.freqs, levels, self._band) - valley
 
 
 def _step_is_legal(formants, pair, f_lo, f_hi, sample_rate, step):
@@ -159,14 +189,13 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
     as it is; a later step that cannot be, or leaves the geometry, ends in
     NoCrossingError.
     """
-    i, j = cfg.pair
-    f_lo = cfg.formants[i].frequency
-    f_hi = cfg.formants[j].frequency
+    lower, upper = (cfg.formants[k] for k in cfg.pair)
+    f_lo, f_hi = lower.frequency, upper.frequency
+    meter = PairMeter(cfg.formants, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz)
     trace, pairs = [], []
 
     def measure(lo, hi):
-        fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
-        v = measure_pair_rlsv(fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz)
+        v = meter.measure((lo, lower.bandwidth), (hi, upper.bandwidth))[2]
         trace.append((hz_to_bark(hi) - hz_to_bark(lo), v))
         pairs.append((lo, hi))
         return v
@@ -214,37 +243,6 @@ def ocd_sweep(cfg: SweepConfig, label: str = "V12") -> OcdResult:
     return _sweep_to_crossing(cfg, allow_widening=False, label=label)
 
 
-def two_formant_curve(
-    f1_values,
-    f2: float,
-    b1: float,
-    b2: float,
-    sample_rate: float = 10000.0,
-    n_points: int = GRID_POINTS,
-    mean_band_hz: float | None = 2500.0,
-):
-    """RLSV of the F1-F2 valley for each F1, with F2 fixed.
-
-    Returns (spacing_bark, v_db, error) triples tracing how the valley level
-    falls as the pair narrows. An F1 whose valley cannot be measured (its
-    peaks merge, or too few bins lie between them) has v_db None and the
-    reason in `error`; every other F1 has error None. The default 2.5 kHz
-    mean band matches the band this two-formant configuration is analyzed
-    over.
-    """
-    out = []
-    for f1 in f1_values:
-        if f1 >= f2:
-            raise ValueError(f"F1 {f1} must stay below F2 {f2}")
-        fm = [FormantSpec(f1, b1), FormantSpec(f2, b2)]
-        try:
-            v, error = measure_pair_rlsv(fm, (0, 1), sample_rate, n_points, mean_band_hz), None
-        except (PeakNotFoundError, ValleyUndefinedError) as exc:
-            v, error = None, str(exc)
-        out.append((hz_to_bark(f2) - hz_to_bark(f1), v, error))
-    return out
-
-
 @dataclass
 class LevelCell:
     """One (B1, B2) grid point of the formant-level experiment."""
@@ -275,17 +273,13 @@ def level_influence_experiment(
     upper two are kept as given). Cells whose peaks merge are flagged via
     `error`, never dropped.
     """
+    meter = PairMeter(case_formants, (0, 1), sample_rate)
+    f1, f2 = case_formants[0].frequency, case_formants[1].frequency
     cells = []
     for b1 in b1_values:
         for b2 in b2_values:
-            fm = [
-                FormantSpec(case_formants[0].frequency, b1),
-                FormantSpec(case_formants[1].frequency, b2),
-            ] + list(case_formants[2:])
             try:
-                freqs, levels = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-                l1, l2, valley = _peak_pair_rlsv(freqs, levels, fm[0].frequency, fm[1].frequency)
-                cells.append(LevelCell(b1, b2, l1, l2, power_mean_db(levels) - valley))
+                cells.append(LevelCell(b1, b2, *meter.measure((f1, b1), (f2, b2))))
             except (PeakNotFoundError, ValleyUndefinedError) as exc:
                 cells.append(LevelCell(b1, b2, None, None, None, error=str(exc)))
     return cells
@@ -356,15 +350,15 @@ def f0_influence_experiment(
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
     f1, f2 = fm[0].frequency, fm[1].frequency
-    freqs, ref = analytic_cascade_spectrum(fm, sample_rate, GRID_POINTS)
-    v_ref = power_mean_db(ref) - _peak_pair_rlsv(freqs, ref, f1, f2)[2]
+    reference = PairMeter(fm, (0, 1), sample_rate)
+    v_ref = reference.measure((f1, fm[0].bandwidth), (f2, fm[1].bandwidth))[2]
     rows = []
     for f0 in f0_values:
         exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
         sig = synthesize(fm, exc, sample_rate)
         seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
         levels, mean_db = lp_envelope_of_signal(seg, lp_order, lag_window_half_length)
-        v_f0 = mean_db - _peak_pair_rlsv(freqs, levels, f1, f2)[2]
+        v_f0 = mean_db - _peak_pair_rlsv(reference.freqs, levels, f1, f2)[2]
         rows.append(F0Row(f0, v_ref, v_f0))
     return rows
 

@@ -421,23 +421,34 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
     return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
 
 
-def analytic_cascade_spectrum(formants, sample_rate: float, n_points: int = 1024):
-    """(freqs, levels): the exact dB response of cascaded two-pole resonators.
-
-    `freqs` is the uniform grid of `n_points` frequencies from 0 Hz to
-    Nyquist. Each resonator (see `resonator_db`) is scaled for unity gain at
-    0 Hz; the levels are the sum of the resonators' dB terms in the given
-    order. An empty formant list gives a flat 0 dB envelope.
-    """
+def cascade_grid(sample_rate: float, n_points: int):
+    """(freqs, zinv): `n_points` frequencies from 0 Hz to Nyquist and e^(-jw) at each."""
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     freqs = np.linspace(0.0, sample_rate / 2.0, n_points)
+    return freqs, np.exp(-2j * np.pi * freqs / sample_rate)
+
+
+def cascade_levels(terms, n_points: int) -> np.ndarray:
+    """The sum of resonator dB terms, from zeros in the given order; raises unless finite."""
     levels = np.zeros(n_points)
-    zinv = np.exp(-2j * np.pi * freqs / sample_rate)
-    for f in formants:
-        levels += resonator_db(f.frequency, f.bandwidth, zinv, sample_rate)
+    for term in terms:
+        levels += term
     if not np.all(np.isfinite(levels)):
         raise ValueError("envelope levels must be finite")
-    return freqs, levels
+    return levels
+
+
+def analytic_cascade_spectrum(formants, sample_rate: float, n_points: int = 1024):
+    """(freqs, levels): the exact dB response of cascaded two-pole resonators.
+
+    `freqs` is the grid of `cascade_grid`. Each resonator (see `resonator_db`)
+    is scaled for unity gain at 0 Hz; the levels are the sum of the
+    resonators' dB terms in the given order (`cascade_levels`). An empty
+    formant list gives a flat 0 dB envelope.
+    """
+    freqs, zinv = cascade_grid(sample_rate, n_points)
+    terms = [resonator_db(f.frequency, f.bandwidth, zinv, sample_rate) for f in formants]
+    return freqs, cascade_levels(terms, n_points)

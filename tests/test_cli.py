@@ -81,6 +81,12 @@ class TestExperimentCommands:
                     "--no-timestamp"]) == 0
         assert out.read_text().splitlines()[1].endswith(f" table={table}")
 
+    def test_pb_ocd_bad_table_row_names_the_file_and_the_row(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_text("vowel,gender,F0,F1,F2,F3,L1,L2,L3\nxx,male,100,300\n")
+        assert run(["pb-ocd", "--table", str(table), "--no-timestamp"]) == 1
+        assert capsys.readouterr().err == f"error: {table}: row 2: expected 9 fields\n"
+
 
 MERGED_1000_1250 = ("no separate spectral peaks within 200.0 Hz of 1000.0 Hz and 1250.0 Hz: "
                     "both windows find the peak at 1161.5 Hz")
@@ -107,13 +113,18 @@ class TestUnmeasurablePeaks:
             "both windows find the peak at 1311.6 Hz\n")
 
     def test_ocd2_pair_merging_after_the_start_ends_the_sweep(self, capsys):
-        # with B2 below B1 the F2 peak is the higher one; from 200 Hz apart
-        # both windows find it
-        assert run(["ocd2", "--b1", "20", "--b2", "10", "--no-timestamp"]) == 1
+        # a 300 Hz wide F2 sinks into the skirt of F1 before the crossing
+        assert run(["ocd2", "--b2", "300", "--band", "1500", "--no-timestamp"]) == 1
         assert capsys.readouterr().err == (
-            "error: valley became unmeasurable before crossing: no separate spectral peaks "
-            "within 200.0 Hz of 1200.0 Hz and 1400.0 Hz: both windows find the peak at "
-            "1399.9 Hz\n")
+            "error: valley became unmeasurable before crossing: no spectral peak "
+            "within 200.0 Hz of 1400.0 Hz\n")
+
+    def test_ocd2_shared_peak_goes_to_the_nearer_window(self, capsys):
+        # with B2 below B1 the F2 peak is the higher one; from 200 Hz apart
+        # both windows find it, F2 keeps it and F1 takes its own peak
+        assert run(["ocd2", "--b1", "20", "--b2", "10", "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["22,1200.0,1400.0,1.0332,-0.3471", "# ocd_bark,1.0813"]
 
     def test_sweep2_reports_each_unmeasurable_f1_after_the_table(self, capsys):
         assert run(["sweep2", "--f1-stop", "950", "--b1", "300", "--b2", "300",
@@ -448,7 +459,7 @@ class TestExperimentOptionChecks:
         def no_computing(*args, **kwargs):
             raise AssertionError("the experiment ran before the option check")
 
-        for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
+        for name in ("PairMeter", "ocd_sweep", "level_influence_experiment",
                      "f0_influence_experiment", "pb_ocd_table"):
             monkeypatch.setattr(experiments, name, no_computing)
         case = ["--case", "a"] if command in ("levels", "f0") else []
@@ -469,7 +480,7 @@ class TestExperimentOptionChecks:
         def no_computing(*args, **kwargs):
             raise AssertionError("the curve ran before the option check")
 
-        monkeypatch.setattr(experiments, "two_formant_curve", no_computing)
+        monkeypatch.setattr(experiments, "PairMeter", no_computing)
         assert run(["sweep2", *argv, "--no-timestamp"]) == 2
         assert flag in capsys.readouterr().err
 
@@ -549,7 +560,7 @@ def no_experiment_running(monkeypatch):
     def no_computing(*args, **kwargs):
         raise AssertionError("the experiment ran before the option check")
 
-    for name in ("two_formant_curve", "ocd_sweep", "level_influence_experiment",
+    for name in ("PairMeter", "ocd_sweep", "level_influence_experiment",
                  "f0_influence_experiment", "pb_ocd_table"):
         monkeypatch.setattr(experiments, name, no_computing)
 
@@ -734,14 +745,17 @@ def test_band_at_or_below_zero_disables_the_band(band, tmp_path):
     import numpy as np
 
     from specvalley import experiments
+    from specvalley.types import FormantSpec
 
     out = tmp_path / "sweep2.csv"
     assert run(["sweep2", f"--band={band}", "--out", str(out), "--no-timestamp"]) == 0
     assert " band=None " in out.read_text().splitlines()[1]
-    curve = experiments.two_formant_curve(np.arange(650.0, 975.0, 50.0), 1400.0, 100.0,
-                                          200.0, 10000.0, n_points=4096, mean_band_hz=None)
+    meter = experiments.PairMeter([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+                                  (0, 1), 10000.0, n_points=4096, mean_band_hz=None)
+    curve = [meter.measure((f1, 100.0), (1400.0, 200.0))[2]
+             for f1 in np.arange(650.0, 975.0, 50.0)]
     assert [row.rsplit(",", 1)[1] for row in data_rows(out)[1:]] == [
-        f"{v:.4f}" for _, v, _ in curve]
+        f"{v:.4f}" for v in curve]
 
 
 def test_lag_window_zero_disables_the_lag_window(monkeypatch):

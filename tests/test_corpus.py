@@ -248,8 +248,11 @@ class TestInventoryFiles:
         inv_p.write_text("aa sideways\n")
         exc_p = tmp_path / "exc.txt"
         exc_p.write_text("")
-        with pytest.raises(LabelParseError):
+        with pytest.raises(LabelParseError) as err:
             load_inventory(inv_p, exc_p)
+        assert str(err.value) == (f"{inv_p}: line 1: expected '<label> front|back|central', "
+                                  "got 'aa sideways'")
+        assert err.value.line_number == 1
 
 
 class TestMixNoise:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specvalley.envelope import peak_levels, valley_minima
-from specvalley.experiments import _banded_mean_db, measure_pair_rlsv
+from specvalley.experiments import PairMeter, _banded_mean_db
 from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.types import FormantSpec, power_mean_db
 
@@ -136,8 +136,8 @@ class TestRlsv:
     def test_order_checked(self):
         # a reversed nominal pair is the caller's mistake, not an unmeasurable valley
         with pytest.raises(ValueError, match="ordered lower < upper"):
-            measure_pair_rlsv([FormantSpec(1500.0, 100.0), FormantSpec(500.0, 100.0)],
-                              (0, 1), 8000.0, 256)
+            PairMeter([FormantSpec(1500.0, 100.0), FormantSpec(500.0, 100.0)],
+                      (0, 1), 8000.0, 256).measure((1500.0, 100.0), (500.0, 100.0))
 
 
 class TestMeasureV1V2:

@@ -16,20 +16,22 @@ from specvalley.experiments import (
     FRONT_VOWELS,
     PERCEPTUAL_CRITICAL_DISTANCE_BARK,
     OcdResult,
+    PairMeter,
     SweepConfig,
     UNIFORM_TUBE_FORMANTS_HZ,
     VowelOcd,
-    _replace_pair,
+    _banded_mean_db,
+    _peak_pair_rlsv,
     _step_is_legal,
     _sweep_to_crossing,
     f0_influence_experiment,
     level_influence_experiment,
-    measure_pair_rlsv,
     ocd_sweep,
     pb_ocd_table,
-    two_formant_curve,
 )
+from specvalley.envelope import peak_levels
 from specvalley.scales import hz_to_bark
+from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.types import FormantSpec
 
 TUBE = [FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]
@@ -126,17 +128,61 @@ class TestOcdSweep:
             ocd_sweep(cfg)
 
     def test_pair_merging_after_the_start_ends_without_crossing(self):
-        # B2 below B1 makes the F2 peak the higher one, so once the pair is
-        # 200 Hz apart the F1 window finds it too
+        # a 300 Hz wide F2 sinks into the skirt of F1 as F1 comes up to 900 Hz,
+        # and its window is left without a peak
         cfg = two_formant_cfg()
-        cfg.formants[:] = [FormantSpec(650.0, 20.0), FormantSpec(1400.0, 10.0)]
+        cfg.formants[1] = FormantSpec(1400.0, 300.0)
+        cfg.mean_band_hz = 1500.0
         with pytest.raises(NoCrossingError) as err:
             ocd_sweep(cfg)
-        assert str(err.value).startswith(
-            "valley became unmeasurable before crossing: no separate spectral peaks within "
-            "200.0 Hz of 1200.0 Hz and 1400.0 Hz")
+        assert str(err.value) == ("valley became unmeasurable before crossing: no spectral "
+                                  "peak within 200.0 Hz of 1400.0 Hz")
         assert isinstance(err.value.__cause__, PeakNotFoundError)
-        assert len(err.value.trace) == 22  # 650 .. 1175 Hz in 25 Hz steps
+        assert len(err.value.trace) == 11  # 650 .. 900 Hz in 25 Hz steps
+
+    def test_shared_peak_goes_to_the_nearer_window(self):
+        # B2 below B1 makes the F2 peak the higher one, so from 200 Hz apart
+        # the F1 window finds it too; F2 keeps it and F1 takes its own peak
+        cfg = two_formant_cfg()
+        cfg.formants[:] = [FormantSpec(650.0, 20.0), FormantSpec(1400.0, 10.0)]
+        res = ocd_sweep(cfg)
+        assert len(res.sweep) == 1 + 22  # the start and 675 .. 1200 Hz
+        assert res.pair_trace[-1] == (1200.0, 1400.0)
+        assert round(res.ocd_bark, 4) == 1.0813
+
+
+class TestPeakPair:
+    def test_close_pair_with_the_higher_upper_peak_gets_both_peaks(self):
+        # 180 Hz apart, each peak window holds both peaks, and the upper is higher
+        fm = [FormantSpec(1200.0, 40.0), FormantSpec(1380.0, 20.0)]
+        freqs, levels = analytic_cascade_spectrum(fm, 10000.0, experiments.GRID_POINTS)
+        both = peak_levels(freqs, levels[None, :], [[1200.0, 1380.0]])[0][0]
+        assert both[0] == both[1]  # one search per window finds the upper peak twice
+        l_lo, l_hi, valley = _peak_pair_rlsv(freqs, levels, 1200.0, 1380.0)
+        own = peak_levels(freqs, levels[None, :], [[1200.0, 1380.0]], window_hz=50.0)
+        assert (l_lo, l_hi) == tuple(own[1][0])
+        assert valley < l_lo < l_hi
+
+    def test_shared_peak_without_a_second_maximum_stays_unmeasurable(self):
+        fm = [FormantSpec(1000.0, 300.0), FormantSpec(1250.0, 300.0)]
+        freqs, levels = analytic_cascade_spectrum(fm, 8000.0, experiments.GRID_POINTS)
+        with pytest.raises(PeakNotFoundError, match="both windows find the peak at"):
+            _peak_pair_rlsv(freqs, levels, 1000.0, 1250.0)
+
+
+def two_formant_curve(f1_values, f2, b1, b2, sample_rate, mean_band_hz=2500.0):
+    """(spacing_bark, v_db, error) for each F1 with F2 fixed, as `sweep2` runs it:
+    one PairMeter, a step per F1, and an unmeasurable F1 kept with its reason."""
+    meter = PairMeter([FormantSpec(f1_values[0], b1), FormantSpec(f2, b2)], (0, 1),
+                      sample_rate, mean_band_hz=mean_band_hz)
+    out = []
+    for f1 in f1_values:
+        try:
+            v, error = meter.measure((f1, b1), (f2, b2))[2], None
+        except (PeakNotFoundError, ValleyUndefinedError) as exc:
+            v, error = None, str(exc)
+        out.append((hz_to_bark(f2) - hz_to_bark(f1), v, error))
+    return out
 
 
 class TestTwoFormantCurve:
@@ -179,9 +225,87 @@ class TestTwoFormantCurve:
 class TestMeasurePairRlsv:
     def test_band_restriction_raises_mean(self):
         fm = [FormantSpec(850.0, 100.0), FormantSpec(1400.0, 200.0)]
-        full = measure_pair_rlsv(fm, (0, 1), 10000.0)
-        banded = measure_pair_rlsv(fm, (0, 1), 10000.0, mean_band_hz=2500.0)
+        pair = (850.0, 100.0), (1400.0, 200.0)
+        full = PairMeter(fm, (0, 1), 10000.0).measure(*pair)[2]
+        banded = PairMeter(fm, (0, 1), 10000.0, mean_band_hz=2500.0).measure(*pair)[2]
         assert banded > full
+
+
+def random_cascade(seed):
+    """A random cascade of 2-5 formants at 8 or 10 kHz, a random adjacent pair of
+    it, and ten random steps that move the pair's frequencies and bandwidths."""
+    rng = np.random.default_rng(seed)
+    rate = float(rng.choice([8000.0, 10000.0]))
+    n = int(rng.integers(2, 6))
+    freqs = np.sort(rng.uniform(200.0, 0.45 * rate, n))
+    formants = [FormantSpec(float(f), float(b)) for f, b in zip(freqs, rng.uniform(30.0, 400.0, n))]
+    i = int(rng.integers(0, n - 1))
+    lo, hi = formants[i].frequency, formants[i + 1].frequency
+    steps = []
+    for _ in range(10):
+        f_lo, f_hi = np.sort(rng.uniform(lo, hi, 2))
+        steps.append(((float(f_lo), float(rng.uniform(30.0, 400.0))),
+                      (float(f_hi), float(rng.uniform(30.0, 400.0)))))
+    return formants, (i, i + 1), rate, steps
+
+
+METER_CASES = {
+    # sweep2 and ocd2: F1 moves up to F2 = 1400 Hz
+    "two_formant": ([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)], (0, 1), 10000.0,
+                    [((f1, 100.0), (1400.0, 200.0)) for f1 in np.arange(650.0, 1200.0, 25.0)]),
+    # ocd4: the tube's F1-F2 pair, and its F2-F3 pair, moving inward
+    "tube_12": (TUBE, (0, 1), 8000.0,
+                [((500.0 + s, 100.0), (1500.0 - s, 100.0)) for s in np.arange(0.0, 500.0, 25.0)]),
+    "tube_23": (TUBE, (1, 2), 8000.0,
+                [((1500.0 + s, 100.0), (2500.0 - s, 100.0)) for s in np.arange(0.0, 500.0, 25.0)]),
+    # levels: bandwidth-only moves of cases a and b
+    **{f"levels_{name}": (case, (0, 1), 8000.0,
+                          [((case[0].frequency, b1), (case[1].frequency, b2))
+                           for b1 in (70.0, 100.0, 140.0) for b2 in (50.0, 80.0, 120.0, 180.0)])
+       for name, case in (("a", CASE_A), ("b", CASE_B))},
+    **{f"random_{seed}": random_cascade(seed) for seed in range(4)},
+}
+
+
+class TestPairMeter:
+    @pytest.mark.parametrize("case", list(METER_CASES))
+    def test_levels_equal_the_whole_cascade_spectrum(self, case, monkeypatch):
+        formants, (i, j), rate, steps = METER_CASES[case]
+        seen = []
+        peak_pair_rlsv = experiments._peak_pair_rlsv
+
+        def record(freqs, levels, f_lo, f_hi):
+            seen.append((freqs, levels))
+            return peak_pair_rlsv(freqs, levels, f_lo, f_hi)
+
+        monkeypatch.setattr(experiments, "_peak_pair_rlsv", record)
+        meter = PairMeter(formants, (i, j), rate)
+        for lo, hi in steps:
+            try:
+                meter.measure(lo, hi)
+            except AnalysisError:
+                pass
+            fm = list(formants)
+            fm[i], fm[j] = FormantSpec(*lo), FormantSpec(*hi)
+            freqs, levels = analytic_cascade_spectrum(fm, rate, experiments.GRID_POINTS)
+            assert np.array_equal(seen[-1][0], freqs)
+            assert np.array_equal(seen[-1][1], levels)
+        assert len(seen) == len(steps)
+
+    def test_a_step_evaluates_the_two_pair_terms(self, monkeypatch):
+        # the two unmoved terms of the tube once, then two terms per step,
+        # not one per formant
+        sizes = []
+        resonator_db = experiments.resonator_db
+
+        def counting(frequency, *args):
+            sizes.append(np.size(frequency))
+            return resonator_db(frequency, *args)
+
+        monkeypatch.setattr(experiments, "resonator_db", counting)
+        steps = len(ocd_sweep(tube_cfg()).sweep)
+        assert steps > 1
+        assert sizes == [1] * (len(TUBE) - 2 + 2 * steps)
 
 
 class TestLevelInfluence:
@@ -208,6 +332,11 @@ class TestLevelInfluence:
         assert len(cells) == 1
         assert cells[0].error is not None
         assert cells[0].v_db is None
+
+    @pytest.mark.parametrize("b1", [0.0, -50.0, float("nan")])
+    def test_bandwidth_must_be_positive(self, b1):
+        with pytest.raises(ValueError, match="formant bandwidth must be positive"):
+            level_influence_experiment(CASE_A, b1_values=(b1,), b2_values=(100.0,))
 
     def test_missing_and_merged_peaks_are_flagged(self):
         case = [FormantSpec(1000.0, 100.0), FormantSpec(1250.0, 100.0)] + CASE_A[2:]
@@ -302,10 +431,27 @@ class TestPbOcdTable:
 
 
 # The sweep and the per-vowel table as they were before the sweep start and
-# the vowel and tube rows were folded into one loop each, kept as the exact
-# reference. SweepConfig no longer has `move_lower`, which nothing cleared,
-# so the lower formant always moves here. Names the sweep looks up are read
-# from this module, so a test can patch them here and in `experiments` alike.
+# the vowel and tube rows were folded into one loop each, and before the
+# sweep measured its steps with one PairMeter, kept as the exact reference:
+# every step builds a new formant list and a whole new spectrum. SweepConfig
+# no longer has `move_lower`, which nothing cleared, so the lower formant
+# always moves here. Names the sweep looks up are read from this module, so a
+# test can patch them here and in `experiments` alike.
+def _replace_pair(formants, pair, f_lo, f_hi):
+    i, j = pair
+    out = list(formants)
+    out[i] = FormantSpec(f_lo, formants[i].bandwidth)
+    out[j] = FormantSpec(f_hi, formants[j].bandwidth)
+    return out
+
+
+def _reference_rlsv(formants, pair, sample_rate, n_points, mean_band_hz):
+    freqs, levels = analytic_cascade_spectrum(formants, sample_rate, n_points)
+    i, j = pair
+    valley = _peak_pair_rlsv(freqs, levels, formants[i].frequency, formants[j].frequency)[2]
+    return _banded_mean_db(freqs, levels, mean_band_hz) - valley
+
+
 def _reference_sweep(cfg, allow_widening, label):
     i, j = cfg.pair
     f_lo = cfg.formants[i].frequency
@@ -313,7 +459,7 @@ def _reference_sweep(cfg, allow_widening, label):
 
     def v_at(lo, hi):
         fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
-        return measure_pair_rlsv(
+        return _reference_rlsv(
             fm, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz
         )
 
@@ -500,23 +646,39 @@ class TestSweepMatchesReference:
 
 
 def linear_rlsv(zero_at_hz, fail_below_hz=None):
-    """A stand-in RLSV of (spacing - zero_at_hz) / 100 dB.
+    """A stand-in RLSV of (spacing - zero_at_hz) / 100 dB for a pair at f_lo < f_hi.
 
     It is exact on a 25 Hz grid, so a sweep can land on zero. Below a spacing
     of `fail_below_hz` the peak cannot be found.
     """
-    def measure(formants, pair, *args):
-        spacing = formants[pair[1]].frequency - formants[pair[0]].frequency
+    def rlsv(f_lo, f_hi):
+        spacing = f_hi - f_lo
         if fail_below_hz is not None and spacing < fail_below_hz:
             raise PeakNotFoundError(f"spacing {spacing}")
         return (spacing - zero_at_hz) / 100.0
-    return measure
+    return rlsv
 
 
 def patch_sweep(monkeypatch, name, fn):
     """Replace a name the sweep uses, in `experiments` and in the reference."""
     monkeypatch.setattr(experiments, name, fn)
     monkeypatch.setattr(sys.modules[__name__], name, fn)
+
+
+def patch_rlsv(monkeypatch, rlsv):
+    """Measure every step with `rlsv(f_lo, f_hi)`: in the sweep, each step of its
+    PairMeter; in the reference, each of its spectra."""
+    class StandInMeter:
+        def __init__(self, *args):
+            pass
+
+        def measure(self, lo, hi):
+            return None, None, rlsv(lo[0], hi[0])
+
+    monkeypatch.setattr(experiments, "PairMeter", StandInMeter)
+    monkeypatch.setattr(sys.modules[__name__], "_reference_rlsv",
+                        lambda formants, pair, *args: rlsv(formants[pair[0]].frequency,
+                                                           formants[pair[1]].frequency))
 
 
 class TestSweepEndings:
@@ -535,21 +697,22 @@ class TestSweepEndings:
         (300.0, 1100.0),  # the peak is lost at the start: raised as it is
     ])
     def test_same_outcome(self, zero_at, fail_below, allow_widening, monkeypatch):
-        patch_sweep(monkeypatch, "measure_pair_rlsv", linear_rlsv(zero_at, fail_below))
+        patch_rlsv(monkeypatch, linear_rlsv(zero_at, fail_below))
         cfg = SweepConfig(self.START, 8000.0)
         want = outcome(_reference_sweep, cfg, allow_widening, "V12")
         assert_same_outcome(outcome(_sweep_to_crossing, cfg, allow_widening, "V12"), want)
 
     def test_exact_zero_start(self, monkeypatch):
-        patch_sweep(monkeypatch, "measure_pair_rlsv", linear_rlsv(1000.0))
+        patch_rlsv(monkeypatch, linear_rlsv(1000.0))
         res = ocd_sweep(SweepConfig(self.START, 8000.0))
         assert res.sweep == [(res.ocd_bark, 0.0)]
         assert not res.widened and not res.crossing_interpolated
 
     def test_step_budget(self, monkeypatch):
         # the RLSV never falls, and the steps are too small to reach a limit
-        patch_sweep(monkeypatch, "measure_pair_rlsv", lambda *args: 1.0)
-        patch_sweep(monkeypatch, "_replace_pair", lambda formants, *args: formants)
+        patch_rlsv(monkeypatch, lambda f_lo, f_hi: 1.0)
+        monkeypatch.setattr(sys.modules[__name__], "_replace_pair",
+                            lambda formants, *args: formants)
         patch_sweep(monkeypatch, "hz_to_bark", lambda f: f)
         cfg = SweepConfig(self.START, 8000.0, step_hz=0.001)
         want = outcome(_reference_sweep, cfg, False, "V12")
