@@ -5,6 +5,7 @@ import datetime
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,14 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Output:
-    """Collects CSV lines and writes them once, to a file or stdout."""
+    """Collects CSV lines and writes them once, to a file or stdout, under a
+    header that names the command and the params it records."""
 
-    def __init__(self, path, command, params, timestamp):
-        self.path = path
-        self.lines = [f"# specvalley {command} v{__version__}"]
-        self.lines.append("# params: " + " ".join(f"{k}={v}" for k, v in sorted(params.items())))
-        if timestamp:
-            self.lines.append(f"# generated: {datetime.datetime.now().isoformat()}")
+    def __init__(self, args):
+        self.path, self.command = args.out, args.command
+        self.params = {"seed": args.seed}
+        self.generated = None if args.no_timestamp else datetime.datetime.now().isoformat()
+        self.lines = []
 
     def row(self, *cells):
         self.lines.append(",".join(str(c) for c in cells))
@@ -64,11 +65,19 @@ class Output:
         self.lines.append(f"# {text}")
 
     def flush(self):
-        text = "\n".join(self.lines) + "\n"
+        head = [f"# specvalley {self.command} v{__version__}",
+                "# params: " + " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))]
+        if self.generated:
+            head.append(f"# generated: {self.generated}")
+        text = "\n".join(head + self.lines) + "\n"
         if self.path:
             Path(self.path).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+
+
+class _Stop(Exception):
+    """Ends a command with exit code 1: its output so far, then this note."""
 
 
 def _fmt(x, digits=6):
@@ -116,9 +125,11 @@ def _band(text):
 _band.__name__ = "float"  # argparse names the type of a value that is not a number
 
 
-def _add_common(p):
+def _add_common(p, seeded):
+    """The flags every command takes; only a `seeded` command reads --seed."""
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    _number(p, "--seed", 0, NON_NEGATIVE, int, help="seed for any randomness")
+    _number(p, "--seed", 0, NON_NEGATIVE, int,
+            help="seed for any randomness" if seeded else "recorded in the params line only")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generation-time header line")
 
@@ -138,54 +149,37 @@ def _ascending(formants):
             raise UsageError(f"{lo_name} ({lo:g} Hz) must be below {hi_name} ({hi:g} Hz)")
 
 
-def _out_for(args, params):
-    params = dict(params)
-    params["seed"] = args.seed
-    return Output(args.out, args.command, params, timestamp=not args.no_timestamp)
-
-
 # ---------------------------------------------------------------- experiments
 
 
-def _cmd_sweep2(args):
+def _cmd_sweep2(args, out):
     if args.f1_stop < args.f1_start:
         raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
                          f"--f1-start ({args.f1_start})")
+    if (args.f1_stop - args.f1_start) / args.f1_step > experiments.MAX_SWEEP_STEPS:
+        raise UsageError(f"--f1-step {args.f1_step:g} gives more than "
+                         f"{experiments.MAX_SWEEP_STEPS} steps over --f1-start..--f1-stop")
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f1-stop", args.f1_stop),
                              ("--f2", args.f2)])
     f1_values = np.arange(args.f1_start, args.f1_stop + 0.5 * args.f1_step, args.f1_step)
     _ascending([("the last F1 of --f1-start..--f1-stop", f1_values[-1]), ("--f2", args.f2)])
-    out = _out_for(args, dict(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
-                              band=args.band, points=args.points))
+    out.params.update(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs, band=args.band,
+                      points=args.points)
     meter = experiments.PairMeter([FormantSpec(f1_values[0], args.b1),
                                    FormantSpec(args.f2, args.b2)], (0, 1), args.fs,
                                   args.points, args.band)
     out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
     errors = []
-    for k, f1 in enumerate(f1_values):
+    spacings = hz_to_bark(args.f2) - hz_to_bark(f1_values)
+    for k, (f1, spacing) in enumerate(zip(f1_values, spacings)):
         try:
             v = meter.measure((f1, args.b1), (args.f2, args.b2))[2]
         except (PeakNotFoundError, ValleyUndefinedError) as exc:
             v = None
             errors.append(f"step {k} unmeasurable: {exc}")
-        out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(hz_to_bark(args.f2) - hz_to_bark(f1), 4),
-                _fmt(v, 4))
+        out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(spacing, 4), _fmt(v, 4))
     for error in errors:
         out.note(error)
-    out.flush()
-    return 0
-
-
-def _two_formant_config(args):
-    return experiments.SweepConfig(
-        [FormantSpec(args.f1_start, args.b1), FormantSpec(args.f2, args.b2)],
-        args.fs,
-        pair=(0, 1),
-        step_hz=args.step,
-        move_upper=False,
-        n_points=args.points,
-        mean_band_hz=args.band,
-    )
 
 
 def _emit_sweep(out, result):
@@ -195,18 +189,18 @@ def _emit_sweep(out, result):
     out.note(f"ocd_bark,{result.ocd_bark:.4f}")
 
 
-def _cmd_ocd2(args):
+def _cmd_ocd2(args, out):
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f2", args.f2)])
     _ascending([("--f1-start", args.f1_start), ("--f2", args.f2)])
-    out = _out_for(args, dict(f1_start=args.f1_start, f2=args.f2, b1=args.b1,
-                              b2=args.b2, fs=args.fs, band=args.band, step=args.step))
-    result = experiments.ocd_sweep(_two_formant_config(args))
-    _emit_sweep(out, result)
-    out.flush()
-    return 0
+    out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
+                      band=args.band, step=args.step)
+    cfg = experiments.SweepConfig(
+        [FormantSpec(args.f1_start, args.b1), FormantSpec(args.f2, args.b2)], args.fs,
+        step_hz=args.step, move_upper=False, n_points=args.points, mean_band_hz=args.band)
+    _emit_sweep(out, experiments.ocd_sweep(cfg))
 
 
-def _cmd_ocd4(args):
+def _cmd_ocd4(args, out):
     freqs = _floats(args.formants, "--formants", POSITIVE)
     bws = _floats(args.bw, "--bw", POSITIVE)
     bws = bws * len(freqs) if len(bws) == 1 else bws
@@ -219,20 +213,12 @@ def _cmd_ocd4(args):
                          f"for {len(freqs)} formants, got {args.pair}")
     _below_nyquist(args.fs, [("--formants", f) for f in freqs])
     _ascending([(f"--formants F{k + 1}", f) for k, f in enumerate(freqs)])
-    out = _out_for(args, dict(formants=args.formants, bw=args.bw, fs=args.fs,
-                              step=args.step, pair=args.pair))
+    out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
+                      pair=args.pair)
     i = args.pair - 1
-    cfg = experiments.SweepConfig(
-        [FormantSpec(f, b) for f, b in zip(freqs, bws)],
-        args.fs,
-        pair=(i, i + 1),
-        step_hz=args.step,
-        n_points=args.points,
-    )
-    result = experiments.ocd_sweep(cfg, label=f"V{i + 1}{i + 2}")
-    _emit_sweep(out, result)
-    out.flush()
-    return 0
+    cfg = experiments.SweepConfig([FormantSpec(f, b) for f, b in zip(freqs, bws)], args.fs,
+                                  pair=(i, i + 1), step_hz=args.step, n_points=args.points)
+    _emit_sweep(out, experiments.ocd_sweep(cfg, label=f"V{i + 1}{i + 2}"))
 
 
 def _case_formants(args, b3, b4):
@@ -243,20 +229,15 @@ def _case_formants(args, b3, b4):
     f1, f2 = CASE_GEOMETRIES[args.case] if args.case else (args.f1, args.f2)
     lower = (f"--case {args.case} F1", f"--case {args.case} F2") if args.case else ("--f1", "--f2")
     _below_nyquist(args.fs, zip(lower + ("--f3", "--f4"), (f1, f2, args.f3, args.f4)))
-    return [
-        FormantSpec(f1, 100.0),
-        FormantSpec(f2, 100.0),
-        FormantSpec(args.f3, b3),
-        FormantSpec(args.f4, b4),
-    ]
+    return [FormantSpec(f1, 100.0), FormantSpec(f2, 100.0), FormantSpec(args.f3, b3),
+            FormantSpec(args.f4, b4)]
 
 
-def _cmd_levels(args):
+def _cmd_levels(args, out):
     fm = _case_formants(args, args.b3, args.b4)
     _ascending([("--f1", fm[0].frequency), ("--f2", fm[1].frequency)])
-    out = _out_for(args, dict(case=args.case or "custom", f1=fm[0].frequency,
-                              f2=fm[1].frequency, fs=args.fs,
-                              b1_values=args.b1_values, b2_values=args.b2_values))
+    out.params.update(case=args.case or "custom", f1=fm[0].frequency, f2=fm[1].frequency,
+                      fs=args.fs, b1_values=args.b1_values, b2_values=args.b2_values)
     cells = experiments.level_influence_experiment(
         fm, _floats(args.b1_values, "--b1-values", POSITIVE),
         _floats(args.b2_values, "--b2-values", POSITIVE), args.fs,
@@ -266,17 +247,15 @@ def _cmd_levels(args):
         out.row(_fmt(c.b1, 1), _fmt(c.b2, 1), _fmt(c.l1_db, 3), _fmt(c.l2_db, 3),
                 _fmt(c.level_diff_db, 3), _fmt(c.v_db, 3),
                 "ok" if c.error is None else f"unmeasurable: {c.error}")
-    out.flush()
-    return 0
 
 
-def _cmd_f0(args):
+def _cmd_f0(args, out):
     fm = _case_formants(args, 100.0, 100.0)
     if 0 < args.lag_window < args.order:
         raise UsageError(f"--lag-window ({args.lag_window}) must not be below --order "
                          f"({args.order}); 0 disables the lag window")
-    out = _out_for(args, dict(case=args.case or "custom", fs=args.fs, order=args.order,
-                              lag_window=args.lag_window, f0_values=args.f0_values))
+    out.params.update(case=args.case or "custom", fs=args.fs, order=args.order,
+                      lag_window=args.lag_window, f0_values=args.f0_values)
     rows = experiments.f0_influence_experiment(
         fm, _floats(args.f0_values, "--f0-values", POSITIVE), args.fs, lp_order=args.order,
         lag_window_half_length=args.lag_window or None,
@@ -284,11 +263,9 @@ def _cmd_f0(args):
     out.row("f0", "v_ref_db", "v_f0_db", "diff_db")
     for r in rows:
         out.row(_fmt(r.f0, 1), _fmt(r.v_ref_db, 4), _fmt(r.v_f0_db, 4), _fmt(r.diff_db, 4))
-    out.flush()
-    return 0
 
 
-def _cmd_pb_ocd(args):
+def _cmd_pb_ocd(args, out):
     entries = corpus.load_pb_table(args.table or corpus.default_pb_table_path())
     genders = [g.strip() for g in args.gender.split(",") if g.strip()]
     known = sorted({e.gender for e in entries})
@@ -306,8 +283,8 @@ def _cmd_pb_ocd(args):
             ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4),
         ], "--fs" if args.fs else f"the {gender} default --fs")
         tables.append((gender, means))
-    out = _out_for(args, dict(table=args.table or "bundled", gender=args.gender,
-                              bw=args.bw, step=args.step))
+    out.params.update(table=args.table or "bundled", gender=args.gender, bw=args.bw,
+                      step=args.step)
     out.row("gender", "vowel", "basis", "ocd_bark", "status")
     for gender, means in tables:
         rows = experiments.pb_ocd_table(
@@ -323,8 +300,6 @@ def _cmd_pb_ocd(args):
             else:
                 status = "unmeasurable" if r.unmeasurable else "no crossing"
                 out.row(gender, r.vowel, r.basis, "", f"{status}: {r.error}")
-    out.flush()
-    return 0
 
 
 # -------------------------------------------------------------- corpus-based
@@ -439,12 +414,11 @@ def _add_corpus_args(p, with_feature=True):
                      "3 bark for f3f2/f2f1, 0 dB for v1/v2)")
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, out):
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
-    out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
-                              threshold=threshold, labels_ext=args.labels_ext,
-                              inventory=args.inventory))
+    out.params.update(corpus=args.corpus, feature=args.feature, threshold=threshold,
+                      labels_ext=args.labels_ext, inventory=args.inventory)
     out.row("segment_id", "label", "class", "mean_v1", "mean_v2", "mean_diff", "predicted")
     decisions, truths = [], []
     for seg, truth, dec in _segment_decisions(args, cfg, segments):
@@ -457,23 +431,19 @@ def _cmd_classify(args):
             out.row(seg_id, seg.phone_label, truth, _fmt(dec.mean_v1, 3),
                     _fmt(dec.mean_v2, 3), _fmt(dec.mean_diff, 3), dec.predicted)
     if not decisions:
-        out.note("no segments found")
-        out.flush()
-        return 1
+        raise _Stop("no segments found")
     report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
     out.note("feature,threshold,front_acc,back_acc,overall,front_n,back_n")
     out.note(f"{report.feature},{report.threshold},{_accuracy_cells(report)},"
              f"{report.n_front},{report.n_back}")
-    out.flush()
     if (args.expect_overall is not None
             and abs(report.overall_accuracy - args.expect_overall) > args.expect_tol):
         print(f"overall accuracy {report.overall_accuracy:.2f} outside "
               f"{args.expect_overall}+/-{args.expect_tol}", file=sys.stderr)
         return 1
-    return 0
 
 
-def _cmd_noise_eval(args):
+def _cmd_noise_eval(args, out):
     kinds = [k.strip() for k in args.noise.split(",") if k.strip()]
     if not kinds or not set(kinds) <= set(corpus.NOISE_KINDS):
         raise UsageError(f"--noise must list white and/or babble, got {args.noise!r}")
@@ -483,14 +453,12 @@ def _cmd_noise_eval(args):
     cfg, segments = _corpus_inputs(args)
     threshold = _threshold(args)
     babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
-    out = _out_for(args, dict(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
-                              feature=args.feature, threshold=threshold))
+    out.params.update(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
+                      feature=args.feature, threshold=threshold)
     out.note("noise is added per segment, scaled to the requested SNR over that segment")
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
     if next(_scored_segments(segments, args.include_central), None) is None:
-        out.note("no segments found")
-        out.flush()
-        return 1
+        raise _Stop("no segments found")
     for kind in kinds:
         for snr in snrs:
             def noisy(idx, seg):
@@ -507,11 +475,9 @@ def _cmd_noise_eval(args):
                                     [truth for _, truth, _ in decided],
                                     feature=args.feature, threshold=threshold)
             out.row(kind, _fmt(snr, 1), _accuracy_cells(report), report.n_undecided)
-    out.flush()
-    return 0
 
 
-def _cmd_baseline(args):
+def _cmd_baseline(args, out):
     cfg, segments = _corpus_inputs(args)
     if args.feature == "mfcc":
         def mean_mfcc(seg):
@@ -527,13 +493,10 @@ def _cmd_baseline(args):
     rows = [(f"{seg.utterance_id}:{seg.start_sample}", seg.phone_label, truth, feat)
             for seg, truth, feat in features if feat is not None]
     skipped = len(features) - len(rows)
-    out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
-                              hidden=args.hidden, epochs=args.epochs,
-                              test_fraction=args.test_fraction))
+    out.params.update(corpus=args.corpus, feature=args.feature, hidden=args.hidden,
+                      epochs=args.epochs, test_fraction=args.test_fraction)
     if len(rows) < 10:
-        out.note("not enough usable segments to train")
-        out.flush()
-        return 1
+        raise _Stop("not enough usable segments to train")
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(len(rows))
     n_test = max(1, int(round(args.test_fraction * len(rows))))
@@ -558,11 +521,9 @@ def _cmd_baseline(args):
     if args.save_model:
         baseline.save_model(model, args.save_model)
         out.note(f"model saved to {args.save_model}")
-    out.flush()
-    return 0
 
 
-def _cmd_hist(args):
+def _cmd_hist(args, out):
     try:
         lo, hi = (float(v) for v in args.range.split(":"))
     except ValueError:
@@ -573,13 +534,11 @@ def _cmd_hist(args):
         raise UsageError(f"--bin-width {args.bin_width:g} gives more than "
                          f"{classify.MAX_HISTOGRAM_BINS} bins over --range={args.range}")
     cfg, segments = _corpus_inputs(args)
-    out = _out_for(args, dict(corpus=args.corpus, feature=args.feature,
-                              bin_width=args.bin_width, range=args.range))
+    out.params.update(corpus=args.corpus, feature=args.feature, bin_width=args.bin_width,
+                      range=args.range)
     decided = list(_segment_decisions(args, cfg, segments))
     if not decided:
-        out.note("no segments found")
-        out.flush()
-        return 1
+        raise _Stop("no segments found")
     values = {"front": [], "back": []}
     for _, truth, dec in decided:
         if dec is not None:
@@ -593,8 +552,6 @@ def _cmd_hist(args):
         for center, freq in zip(h.bin_centers, h.frequencies):
             out.row(cls, _fmt(center, 3), _fmt(freq, 6))
         out.note(f"{cls}_out_of_range,{h.n_out_of_range}")
-    out.flush()
-    return 0
 
 
 # ------------------------------------------------------------------- parsing
@@ -620,25 +577,18 @@ def _add_case_args(p):
     _number(p, "--fs", 8000.0, POSITIVE)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="specvalley",
-                     description="Spectral-valley experiments and vowel classification")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("sweep2", help="two-formant valley curve vs spacing")
+def _sweep2_flags(p):
     _add_two_formant_args(p)
     _number(p, "--f1-stop", 950.0, POSITIVE)
     _number(p, "--f1-step", 50.0, POSITIVE)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep2)
 
-    p = sub.add_parser("ocd2", help="two-formant critical distance (F1 swept up)")
+
+def _ocd2_flags(p):
     _add_two_formant_args(p)
     _number(p, "--step", 25.0, POSITIVE)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ocd2)
 
-    p = sub.add_parser("ocd4", help="multi-formant critical distance (pair swept inward)")
+
+def _ocd4_flags(p):
     p.add_argument("--formants", default="500,1500,2500,3500")
     p.add_argument("--bw", default="100")
     _number(p, "--fs", 8000.0, POSITIVE)
@@ -646,81 +596,125 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", type=int, default=1,
                    help="1-based index of the lower formant of the swept pair")
     _number(p, "--points", 4096, AT_LEAST_64, int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ocd4)
 
-    p = sub.add_parser("levels", help="bandwidth grid: formant levels vs valley level")
+
+def _levels_flags(p):
     _add_case_args(p)
     _number(p, "--b3", 100.0, POSITIVE)
     _number(p, "--b4", 100.0, POSITIVE)
     p.add_argument("--b1-values", default="70,100,140")
     p.add_argument("--b2-values", default="50,80,120,180")
-    _add_common(p)
-    p.set_defaults(func=_cmd_levels)
 
-    p = sub.add_parser("f0", help="pulse-train LP envelope vs impulse reference")
+
+def _f0_flags(p):
     _add_case_args(p)
     p.add_argument("--f0-values", default="100,125,150,175,200,225,250")
     _number(p, "--order", 8, AT_LEAST_ONE, int)
     _number(p, "--lag-window", 24, NON_NEGATIVE, int,
             help="autocorrelation lag-window half-length (0 disables)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_f0)
 
-    p = sub.add_parser("pb-ocd", help="per-vowel critical distances from mean formants")
+
+def _pb_ocd_flags(p):
     p.add_argument("--table", default=None, help="mean-formant CSV (default: bundled)")
     p.add_argument("--gender", default="male,female")
     _number(p, "--fs", None, POSITIVE)
     _number(p, "--f4", None, POSITIVE)
     _number(p, "--bw", 100.0, POSITIVE)
     _number(p, "--step", 25.0, POSITIVE)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pb_ocd)
 
-    p = sub.add_parser("classify", help="front/back classification over a corpus")
+
+def _classify_flags(p):
     _add_corpus_args(p)
     _number(p, "--expect-overall", None, FINITE,
             help="fail (exit 1) unless overall accuracy is within tolerance")
     _number(p, "--expect-tol", 2.0, NON_NEGATIVE)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("noise-eval", help="classification accuracy under additive noise")
+
+def _noise_eval_flags(p):
     _add_corpus_args(p)
     p.add_argument("--noise", default="white,babble")
     p.add_argument("--snrs", default="40,35,30,25,20")
     p.add_argument("--babble-source", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_noise_eval)
 
-    p = sub.add_parser("baseline", help="train and test the benchmark network")
+
+def _baseline_flags(p):
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="mfcc", choices=["mfcc", "valley3"])
     _number(p, "--hidden", 10, AT_LEAST_ONE, int)
     _number(p, "--epochs", 300, AT_LEAST_ONE, int)
     _number(p, "--test-fraction", 0.3, UNIT_INTERVAL)
     p.add_argument("--save-model", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("hist", help="normalized feature histograms by class")
+
+def _hist_flags(p):
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="diff", choices=["diff", "v1", "v2", "f3f2"])
     _number(p, "--bin-width", 1.0, POSITIVE)
     p.add_argument("--range", default="-20:30",
                    help="histogram range lo:hi; a negative lo needs the = form, "
                         "as in --range=-20:30")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hist)
 
+
+class _Command(NamedTuple):
+    """A row of the command table: its --help line, the function that
+    declares its own flags on its subparser, and the function that runs it
+    with (args, out) and returns its exit code (None for 0)."""
+
+    help: str
+    flags: Callable
+    run: Callable
+    seeded: bool = False  # whether it reads --seed
+
+
+COMMANDS = {
+    "sweep2": _Command("two-formant valley curve vs spacing", _sweep2_flags, _cmd_sweep2),
+    "ocd2": _Command("two-formant critical distance (F1 swept up)", _ocd2_flags, _cmd_ocd2),
+    "ocd4": _Command("multi-formant critical distance (pair swept inward)", _ocd4_flags,
+                     _cmd_ocd4),
+    "levels": _Command("bandwidth grid: formant levels vs valley level", _levels_flags,
+                       _cmd_levels),
+    "f0": _Command("pulse-train LP envelope vs impulse reference", _f0_flags, _cmd_f0),
+    "pb-ocd": _Command("per-vowel critical distances from mean formants", _pb_ocd_flags,
+                       _cmd_pb_ocd),
+    "classify": _Command("front/back classification over a corpus", _classify_flags,
+                         _cmd_classify),
+    "noise-eval": _Command("classification accuracy under additive noise", _noise_eval_flags,
+                           _cmd_noise_eval, seeded=True),
+    "baseline": _Command("train and test the benchmark network", _baseline_flags,
+                         _cmd_baseline, seeded=True),
+    "hist": _Command("normalized feature histograms by class", _hist_flags, _cmd_hist),
+}
+
+
+def _parser(command):
+    """The parser that names every command, and declares the flags of `command` only."""
+    parser = _Parser(prog="specvalley",
+                     description="Spectral-valley experiments and vowel classification")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if name == command:
+            cmd.flags(p)
+            _add_common(p, cmd.seeded)
     return parser
 
 
 def run(argv) -> int:
-    """Dispatch a command line; 0 on success, 2 on usage error, 1 on failure."""
+    """Dispatch a command line; 0 on success, 2 on usage error, 1 on failure.
+
+    The command is the first argument that names one: the top-level parser
+    has no flag that takes a value, so argparse dispatches to that argument.
+    """
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+        out = Output(args)
+        try:
+            code = COMMANDS[args.command].run(args, out)
+        except _Stop as stop:
+            out.note(str(stop))
+            code = 1
+        out.flush()
+        return code or 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

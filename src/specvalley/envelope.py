@@ -67,14 +67,14 @@ def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: n
     # each window's bins lo-1 .. lo+width; bins past a short window's end
     # are clipped to the grid and masked out
     idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
-    db = np.take_along_axis(levels_db, idx.reshape(len(lo), -1), axis=1).reshape(idx.shape)
+    db = levels_db[np.arange(len(lo))[:, None, None], idx]
     center = db[..., 1:-1]
     is_max = (
         (center >= db[..., :-2]) & (center >= db[..., 2:])
         & (np.arange(width) < (hi - lo)[..., None])
     )
     k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
-    ym, y0, yp = (np.take_along_axis(db, k + d, axis=-1)[..., 0] for d in (0, 1, 2))
+    ym, y0, yp = np.moveaxis(np.take_along_axis(db, k + np.arange(3), axis=-1), -1, 0)
     denom = ym - 2.0 * y0 + yp
     shift = np.zeros(denom.shape)
     np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)

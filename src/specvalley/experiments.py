@@ -38,6 +38,9 @@ UNIFORM_TUBE_FORMANTS_HZ = (500.0, 1500.0, 2500.0, 3500.0)
 # frequencies from 0 Hz to Nyquist on which the studies evaluate envelopes
 GRID_POINTS = 4096
 
+# the most steps a sweep takes after its start
+MAX_SWEEP_STEPS = 100000
+
 # the F0 study drops the first F0_SETTLE_S of each pulse-train response and
 # analyses the F0_ANALYSIS_S after it
 F0_SETTLE_S = 0.1
@@ -192,13 +195,18 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
     lower, upper = (cfg.formants[k] for k in cfg.pair)
     f_lo, f_hi = lower.frequency, upper.frequency
     meter = PairMeter(cfg.formants, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz)
-    trace, pairs = [], []
+    pairs, rlsv = [], []
 
     def measure(lo, hi):
         v = meter.measure((lo, lower.bandwidth), (hi, upper.bandwidth))[2]
-        trace.append((hz_to_bark(hi) - hz_to_bark(lo), v))
         pairs.append((lo, hi))
+        rlsv.append(v)
         return v
+
+    def trace():
+        """(spacing in bark, RLSV) per measured step, the barks in one call."""
+        bark = hz_to_bark(np.array(pairs))
+        return list(zip((bark[:, 1] - bark[:, 0]).tolist(), rlsv))
 
     v0 = v = measure(f_lo, f_hi)
     if v0 < 0 and not allow_widening:
@@ -207,27 +215,28 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
         )
     step = cfg.step_hz if v0 > 0 else -cfg.step_hz
     while v != 0.0 and (v > 0) == (v0 > 0):
-        if len(trace) > 100000:  # the start and 100000 steps
-            raise NoCrossingError("sweep exceeded the step budget", trace=trace)
+        if len(pairs) > MAX_SWEEP_STEPS:  # the start and MAX_SWEEP_STEPS steps
+            raise NoCrossingError("sweep exceeded the step budget", trace=trace())
         f_lo += step
         if cfg.move_upper:
             f_hi -= step
         if not _step_is_legal(cfg.formants, cfg.pair, f_lo, f_hi, cfg.sample_rate, cfg.step_hz):
             raise NoCrossingError(
-                "sweep hit a geometry limit before the RLSV changed sign", trace=trace
+                "sweep hit a geometry limit before the RLSV changed sign", trace=trace()
             )
         try:
             v = measure(f_lo, f_hi)
         except (PeakNotFoundError, ValleyUndefinedError) as exc:
             raise NoCrossingError(
-                f"valley became unmeasurable before crossing: {exc}", trace=trace
+                f"valley became unmeasurable before crossing: {exc}", trace=trace()
             ) from exc
+    sweep = trace()
     if v == 0.0:
-        return OcdResult(trace[-1][0], trace, crossing_interpolated=False,
+        return OcdResult(sweep[-1][0], sweep, crossing_interpolated=False,
                          basis=label, widened=v0 < 0, pair_trace=pairs)
-    (s_prev, v_prev), (s_cur, v_cur) = trace[-2], trace[-1]
+    (s_prev, v_prev), (s_cur, v_cur) = sweep[-2], sweep[-1]
     ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
-    return OcdResult(float(ocd), trace, crossing_interpolated=True,
+    return OcdResult(float(ocd), sweep, crossing_interpolated=True,
                      basis=label, widened=v0 < 0, pair_trace=pairs)
 
 

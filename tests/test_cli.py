@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specvalley.cli import run
+from specvalley.scales import hz_to_bark
 
 
 def read_summary(path, key):
@@ -532,6 +533,41 @@ class TestExperimentOptionChecks:
         assert run(["sweep2", "--f1-start", "650", "--f1-stop", "650", "--out", str(out),
                     "--no-timestamp"]) == 0
         assert len(data_rows(out)) == 1 + 1
+
+    @pytest.mark.parametrize("step", ["1e-9", "0.001", "1e-320"])
+    def test_sweep2_more_steps_than_the_budget_is_a_usage_error(self, step,
+                                                                no_experiment_running, capsys):
+        assert run(["sweep2", f"--f1-step={step}", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"--f1-step {float(step):g} gives more than 100000 steps over --f1-start..--f1-stop")
+
+    def test_sweep2_reads_the_budget_of_the_sweep_engine(self, monkeypatch, tmp_path, capsys):
+        from specvalley import experiments
+
+        # 650 .. 950 Hz in 50 Hz steps is the start and 6 steps
+        monkeypatch.setattr(experiments, "MAX_SWEEP_STEPS", 6)
+        out = tmp_path / "sweep2.csv"
+        assert run(["sweep2", "--out", str(out), "--no-timestamp"]) == 0
+        assert len(data_rows(out)) == 1 + 7
+        assert run(["sweep2", "--f1-step=49", "--no-timestamp"]) == 2
+        assert "gives more than 6 steps" in capsys.readouterr().err
+
+    def test_sweep2_converts_every_f1_to_bark_in_one_call(self, monkeypatch, tmp_path):
+        from specvalley import cli
+
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return hz_to_bark(f)
+
+        monkeypatch.setattr(cli, "hz_to_bark", counted)
+        for stop, rows in (("950", 7), ("1250", 13)):
+            calls.clear()
+            out = tmp_path / f"sweep2_{stop}.csv"
+            assert run(["sweep2", f"--f1-stop={stop}", "--out", str(out), "--no-timestamp"]) == 0
+            assert len(data_rows(out)) == 1 + rows
+            assert len(calls) == 2  # --f2, and every F1 of the sweep
 
     @pytest.mark.parametrize("gender", ["x", "male,x", ","])
     def test_pb_ocd_unknown_gender_is_a_usage_error(self, gender, capsys):

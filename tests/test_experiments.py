@@ -116,6 +116,27 @@ class TestOcdSweep:
             ocd_sweep(cfg)
         assert len(err.value.trace) > 1
 
+    @pytest.mark.parametrize("cfg", [two_formant_cfg(), SweepConfig(
+        [FormantSpec(500.0, 20.0), FormantSpec(1500.0, 20.0)], 8000.0, step_hz=100.0)],
+        ids=["crossing", "no_crossing"])
+    def test_one_bark_call_gives_the_scalar_spacings(self, cfg, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return hz_to_bark(f)
+
+        monkeypatch.setattr(experiments, "hz_to_bark", counted)
+        try:
+            res = ocd_sweep(cfg)
+            sweep, pairs = res.sweep, res.pair_trace
+        except NoCrossingError as exc:
+            sweep, pairs = exc.trace, None
+        assert len(calls) == 1 and len(sweep) > 1
+        for (spacing, _), (f_lo, f_hi) in zip(sweep, pairs or calls[0]):
+            assert type(spacing) is float
+            assert spacing == hz_to_bark(f_hi) - hz_to_bark(f_lo)
+
     def test_adjacent_pair_required(self):
         with pytest.raises(ValueError):
             SweepConfig(TUBE, 8000.0, pair=(0, 2))
