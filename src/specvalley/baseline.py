@@ -56,16 +56,27 @@ def mel_filterbank(sample_rate: float) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def dct_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II as an (n, n) matrix: row k holds coefficient k's weights.
+
+    Built once per size; the cached matrix is read-only.
+    """
+    k = np.arange(n)[:, None]
+    basis = np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n)) * np.sqrt(2.0 / n)
+    basis[0] /= np.sqrt(2.0)
+    basis.setflags(write=False)
+    return basis
+
+
 def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     """c1..c12 of a frame: power spectrum, mel filterbank, log, DCT-II.
 
     `frames` is one frame or an (n_frames, frame_len) stack, which gives an
     (n_frames, N_COEFFS) matrix from one rfft, one filterbank, one stacked
-    filterbank product and one DCT. c0 is dropped, which makes the kept
-    coefficients invariant to audio gain.
+    filterbank product and one stacked DCT product. c0 is dropped, which
+    makes the kept coefficients invariant to audio gain.
     """
-    from scipy.fft import dct  # kept off the import path of commands without MFCCs
-
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.any(frames, axis=-1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
@@ -75,8 +86,8 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     # single frame makes, so a stacked row equals the single-frame result exactly
     energies = (filterbank @ spectrum[..., None])[..., 0]
     log_e = np.log(np.maximum(energies, 1e-300))
-    coeffs = dct(log_e, type=2, norm="ortho", axis=-1)
-    return coeffs[..., 1 : N_COEFFS + 1]
+    kept = dct_basis(N_FILTERS)[1 : N_COEFFS + 1]
+    return (kept @ log_e[..., None])[..., 0]
 
 
 def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:

@@ -355,17 +355,18 @@ def f0_influence_experiment(
     all-pole model exactly and the difference collapses toward zero as the
     harmonics densify.
     """
-    from .synth import Excitation, synthesize  # scipy.signal: only this study synthesizes
+    from .synth import Excitation, synthesize_rows
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
     f1, f2 = fm[0].frequency, fm[1].frequency
     reference = PairMeter(fm, (0, 1), sample_rate)
     v_ref = reference.measure((f1, fm[0].bandwidth), (f2, fm[1].bandwidth))[2]
+    duration_s = F0_SETTLE_S + F0_ANALYSIS_S
+    trains = [Excitation("impulse-train", f0=f0, duration_s=duration_s) for f0 in f0_values]
+    signals = synthesize_rows(fm, trains, sample_rate, int(round(duration_s * sample_rate)))
     rows = []
-    for f0 in f0_values:
-        exc = Excitation("impulse-train", f0=f0, duration_s=F0_SETTLE_S + F0_ANALYSIS_S)
-        sig = synthesize(fm, exc, sample_rate)
-        seg = sig.samples[int(F0_SETTLE_S * sample_rate):]
+    for f0, sig in zip(f0_values, signals):
+        seg = sig[int(F0_SETTLE_S * sample_rate):]
         levels, mean_db = lp_envelope_of_signal(seg, lp_order, lag_window_half_length)
         v_f0 = mean_db - _peak_pair_rlsv(reference.freqs, levels, f1, f2)[2]
         rows.append(F0Row(f0, v_ref, v_f0))

@@ -400,6 +400,11 @@ def resonator_taps(frequency, bandwidth, sample_rate: float):
     return -2.0 * radius * np.cos(theta), radius * radius
 
 
+def resonator_denominator(a1, a2, zinv):
+    """1 + a1*z^-1 + a2*z^-2: the feedback polynomial of two-pole resonators at `zinv`."""
+    return 1.0 + a1 * zinv + a2 * zinv * zinv
+
+
 def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> np.ndarray:
     """dB response of unity-DC-gain two-pole resonators at the points `zinv`.
 
@@ -417,8 +422,7 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
             f"({sample_rate / 2.0} Hz)"
         )
     a1, a2 = resonator_taps(frequency[..., None], np.asarray(bandwidth)[..., None], sample_rate)
-    den = 1.0 + a1 * zinv + a2 * zinv * zinv
-    return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
+    return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(resonator_denominator(a1, a2, zinv)))
 
 
 def cascade_grid(sample_rate: float, n_points: int):

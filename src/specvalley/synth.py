@@ -1,19 +1,26 @@
 """Cascaded formant synthesis and bandwidth-to-level calibration."""
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter  # at import, so the first synthesis pays no import
 
 from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows
-from .sigproc import resonator_db, resonator_taps
+from .sigproc import resonator_db, resonator_denominator, resonator_taps
 from .types import FormantSpec, SignalBuffer
 
 EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 
 # corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
+
+# the cascade is filtered on an FFT grid that holds the signal plus
+# TAIL_TIME_CONSTANTS time constants of its slowest pole (a decay of e^-60),
+# so the responses that wrap around the grid fall far below rounding; a
+# bandwidth whose tail exceeds MAX_TAIL_SAMPLES is refused
+TAIL_TIME_CONSTANTS = 60
+MAX_TAIL_SAMPLES = 1 << 20
 
 # bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
 # there), B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS
@@ -44,21 +51,8 @@ class Excitation:
             raise ValueError("duration too short for one period")
 
 
-def resonator_coefficients(f: FormantSpec, sample_rate: float):
-    """Second-order recursive resonator as (b, a) filter taps.
-
-    Poles at radius exp(-pi*B/fs) and angles +/-2*pi*F/fs; the numerator is
-    scaled for unity gain at 0 Hz, keeping cascades well inside float range.
-    """
-    if f.frequency >= sample_rate / 2.0:
-        raise ValueError(
-            f"resonator frequency {f.frequency} Hz must be below Nyquist"
-        )
-    a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
-    return np.array([1.0 + a1 + a2]), np.array([1.0, a1, a2])
-
-
-def _excitation_signal(exc: Excitation, sample_rate: float, n_samples: int) -> np.ndarray:
+def _pulses(exc: Excitation, sample_rate: float, n_samples: int) -> np.ndarray:
+    """The excitation's impulse or impulse train, before any source tilt."""
     x = np.zeros(n_samples)
     if exc.kind == "unit-impulse":
         x[0] = 1.0
@@ -67,34 +61,84 @@ def _excitation_signal(exc: Excitation, sample_rate: float, n_samples: int) -> n
     if period < 1:
         raise ValueError(f"f0 {exc.f0} Hz too high for sample rate {sample_rate}")
     x[::period] = 1.0
-    if exc.kind == "tilted-train":
-        # a single-pole lowpass shapes the mid-band slope to -6 dB/octave
-        pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
-        x = lfilter([1.0 - pole], [1.0, -pole], x)
     return x
+
+
+def source_tilt_response(zinv: np.ndarray, sample_rate: float) -> np.ndarray:
+    """(1 - p)/(1 - p*z^-1), the source-tilt lowpass, at the points `zinv` = e^(-jw)."""
+    pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
+    return (1.0 - pole) / (1.0 - pole * zinv)
 
 
 def source_tilt_db(freqs: np.ndarray, sample_rate: float) -> np.ndarray:
     """dB response of the source-tilt lowpass on the given frequency grid."""
-    pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
     zinv = np.exp(-2j * np.pi * np.asarray(freqs) / sample_rate)
-    mag = np.abs((1.0 - pole) / (1.0 - pole * zinv))
-    return 20.0 * np.log10(mag)
+    return 20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate)))
+
+
+@functools.lru_cache(maxsize=8)
+def _rfft_zinv(size: int) -> np.ndarray:
+    """e^(-jw) at the size // 2 + 1 frequencies of a `size`-point rfft; cached read-only."""
+    zinv = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+    zinv.setflags(write=False)
+    return zinv
+
+
+def synthesize_rows(formants, excitations, sample_rate: float, n_samples: int) -> np.ndarray:
+    """Run each excitation serially through one resonator per formant: (k, n_samples).
+
+    Every resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with
+    the taps of `sigproc.resonator_taps`, and a tilted train adds the
+    source-tilt lowpass. The cascade is linear and time-invariant, so it is
+    applied as one frequency response, the product of its sections' on an
+    rfft grid of a power-of-two size L at or above `n_samples` plus
+    TAIL_TIME_CONSTANTS time constants of the slowest pole: one rfft of the
+    stacked pulse trains, one product, one irfft cut to `n_samples`. A row
+    does not depend on the rows stacked with it. With no formant and no tilt
+    the pulses come back unfiltered.
+
+    Raises ValueError for a formant at or above Nyquist, for excitations
+    that mix tilted and untilted trains, and for a bandwidth whose tail
+    would take more than MAX_TAIL_SAMPLES samples.
+    """
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    excitations = list(excitations)
+    kinds = {e.kind == "tilted-train" for e in excitations}
+    if len(kinds) > 1:
+        raise ValueError("excitations must be all tilted trains or none")
+    tilted = True in kinds
+    for f in formants:
+        if f.frequency >= sample_rate / 2.0:
+            raise ValueError(f"resonator frequency {f.frequency} Hz must be below Nyquist")
+    x = np.array([_pulses(e, sample_rate, n_samples) for e in excitations]).reshape(-1, n_samples)
+    # the tilt pole exp(-2*pi*TILT_CORNER_HZ/fs) decays as a resonator of twice that bandwidth
+    bandwidths = [f.bandwidth for f in formants] + ([2.0 * TILT_CORNER_HZ] if tilted else [])
+    if not bandwidths:
+        return x
+    narrowest = min(bandwidths)
+    tail = int(np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * narrowest)))
+    if tail > MAX_TAIL_SAMPLES:
+        raise ValueError(
+            f"bandwidth {narrowest} Hz at {sample_rate} Hz needs a {tail}-sample tail, "
+            f"more than {MAX_TAIL_SAMPLES}"
+        )
+    size = 1 << (n_samples + tail - 1).bit_length()
+    zinv = _rfft_zinv(size)
+    response = source_tilt_response(zinv, sample_rate) if tilted else 1.0
+    for f in formants:
+        a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
+        response = response * ((1.0 + a1 + a2) / resonator_denominator(a1, a2, zinv))
+    return np.fft.irfft(np.fft.rfft(x, size) * response, size)[:, :n_samples].copy()
 
 
 def synthesize(
     formants, exc: Excitation, sample_rate: float, n_samples: int | None = None
 ) -> SignalBuffer:
-    """Run the excitation serially through one resonator per formant."""
+    """Run the excitation serially through one resonator per formant (`synthesize_rows`)."""
     if n_samples is None:
         n_samples = int(round(exc.duration_s * sample_rate))
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    x = _excitation_signal(exc, sample_rate, n_samples)
-    for f in formants:
-        b, a = resonator_coefficients(f, sample_rate)
-        x = lfilter(b, a, x)
-    return SignalBuffer(x, sample_rate)
+    return SignalBuffer(synthesize_rows(formants, [exc], sample_rate, n_samples)[0], sample_rate)
 
 
 class BandwidthCalibration(NamedTuple):

@@ -5,8 +5,10 @@ from scipy.fft import dct, idct
 from conftest import analyse
 from specvalley.baseline import (
     N_FILTERS,
+    N_COEFFS,
     NFFT,
     MlpModel,
+    dct_basis,
     load_model,
     loss_and_gradients,
     mel_filterbank,
@@ -42,8 +44,32 @@ class TestMfcc:
         assert np.linalg.norm(a - b) > 0.1
 
     def test_dct_orthogonality(self):
-        x = self._frame(3, 26)
-        assert np.max(np.abs(idct(dct(x, norm="ortho"), norm="ortho") - x)) < 1e-9
+        basis = dct_basis(N_FILTERS)
+        assert np.max(np.abs(basis @ basis.T - np.eye(N_FILTERS))) < 1e-12
+        x = self._frame(3, N_FILTERS)
+        assert np.max(np.abs(idct(basis @ x, norm="ortho") - x)) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 12, N_FILTERS, 40])
+    def test_dct_basis_is_scipys_orthonormal_dct_ii(self, n):
+        basis = dct_basis(n)
+        assert np.max(np.abs(basis - dct(np.eye(n), type=2, norm="ortho", axis=0))) < 1e-12
+        assert dct_basis(n) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_equals_the_scipy_dct_of_the_log_energies(self):
+        frames = np.random.default_rng(4).standard_normal((20, 320))
+        spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=-1)) ** 2
+        log_e = np.log(np.maximum(spectrum @ mel_filterbank(FS).T, 1e-300))
+        expected = dct(log_e, type=2, norm="ortho", axis=-1)[:, 1 : N_COEFFS + 1]
+        assert np.max(np.abs(mfcc(frames, FS) - expected)) < 1e-12
+
+    def test_stacked_rows_equal_one_frame_results(self):
+        frames = np.random.default_rng(5).standard_normal((30, 320))
+        stacked = mfcc(frames, FS)
+        assert stacked.shape == (30, N_COEFFS)
+        for row, frame in zip(stacked, frames):
+            assert np.array_equal(row, mfcc(frame, FS))
 
     def test_zero_frame_rejected(self):
         with pytest.raises(DegenerateInputError):

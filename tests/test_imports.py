@@ -1,8 +1,10 @@
-"""What importing specvalley loads: SciPy only with synthesis or MFCCs.
+"""What importing and running specvalley loads: never SciPy.
 
 The checks need an interpreter that has not imported specvalley yet, so one
-fresh process runs them in order (the package, then the CLI, synth last) and
-reports what it saw; each test reads one part of that report.
+fresh process runs them in order (the package, then the CLI, then the
+synthesizer, the corpus builder, the MFCC baseline and the experiments, with
+one synthesis and one MFCC call) and reports what it saw; each test reads one
+part of that report.
 """
 
 import json
@@ -30,8 +32,13 @@ report["package_names"] = sorted(n for n in vars(specvalley) if not n.startswith
 report["package_scipy"] = scipy_modules()
 import specvalley.cli
 report["cli_scipy"] = scipy_modules()
-import specvalley.synth
-report["synth_loads_signal"] = "scipy.signal" in sys.modules
+import numpy as np
+import specvalley.baseline, specvalley.experiments, specvalley.synth, specvalley.synthetic
+from specvalley.types import FormantSpec
+specvalley.synth.synthesize([FormantSpec(500.0, 100.0)],
+                            specvalley.synth.Excitation("tilted-train", f0=100.0), 16000.0)
+specvalley.baseline.mfcc(np.ones(400), 16000.0)
+report["runtime_scipy"] = scipy_modules()
 print(json.dumps(report))
 """
 
@@ -55,8 +62,8 @@ def test_cli_import_loads_no_scipy(report):
     assert report["cli_scipy"] == []
 
 
-def test_synth_import_loads_scipy_signal(report):
-    assert report["synth_loads_signal"]
+def test_runtime_loads_no_scipy(report):
+    assert report["runtime_scipy"] == []
 
 
 def _readme_import_lines():

@@ -24,9 +24,10 @@ from specvalley.sigproc import (
     lpc_levels,
     polynomial_roots,
     preemphasize,
+    resonator_taps,
     window,
 )
-from specvalley.synth import Excitation, resonator_coefficients, synthesize
+from specvalley.synth import Excitation, synthesize
 from specvalley.types import FormantSpec, SignalBuffer
 from test_formant_anchors import _reflection
 
@@ -189,7 +190,7 @@ class TestLevinson:
         def unreachable(*args, **kwargs):
             raise AssertionError("synthesized at a bad rate")
 
-        monkeypatch.setattr(synth_module, "synthesize", unreachable)
+        monkeypatch.setattr(synth_module, "synthesize_rows", unreachable)
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             experiments.f0_influence_experiment(
                 [FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)], sample_rate=sample_rate)
@@ -443,6 +444,6 @@ class TestAnalyticCascadeSpectrum:
 
 
 def test_resonator_radius_formula():
-    b, a = resonator_coefficients(FormantSpec(1400.0, 200.0), 10000.0)
-    radius = np.sqrt(a[2])
+    _, a2 = resonator_taps(1400.0, 200.0, 10000.0)
+    radius = np.sqrt(a2)
     assert abs(radius - np.exp(-np.pi * 0.02)) < 1e-12

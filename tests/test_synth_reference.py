@@ -1,0 +1,150 @@
+"""The frequency-domain synthesizer against a time-domain `lfilter` cascade.
+
+`reference_rows` runs the excitation through the source-tilt lowpass and then
+one `scipy.signal.lfilter` section per formant, with the taps of
+`sigproc.resonator_taps`: the recursion that `synth.synthesize_rows` replaces.
+"""
+
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+from specvalley import synthetic
+from specvalley.cli import CASE_GEOMETRIES
+from specvalley.corpus import save_wav
+from specvalley.sigproc import resonator_taps
+from specvalley.synth import (
+    MAX_TAIL_SAMPLES,
+    TILT_CORNER_HZ,
+    Excitation,
+    synthesize,
+    synthesize_rows,
+)
+from specvalley.types import FormantSpec, SignalBuffer
+
+REL_TOL = 1e-12  # of the reference's peak
+
+
+def reference_rows(formants, excitations, sample_rate, n_samples):
+    rows = []
+    for exc in excitations:
+        x = np.zeros(n_samples)
+        if exc.kind == "unit-impulse":
+            x[0] = 1.0
+        else:
+            x[:: int(round(sample_rate / exc.f0))] = 1.0
+        if exc.kind == "tilted-train":
+            pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
+            x = lfilter([1.0 - pole], [1.0, -pole], x)
+        for f in formants:
+            a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
+            x = lfilter([1.0 + a1 + a2], [1.0, a1, a2], x)
+        rows.append(x)
+    return np.array(rows)
+
+
+def reference_synthesize(formants, exc, sample_rate, n_samples=None):
+    if n_samples is None:
+        n_samples = int(round(exc.duration_s * sample_rate))
+    return SignalBuffer(reference_rows(formants, [exc], sample_rate, n_samples)[0], sample_rate)
+
+
+def _pcm(samples, path):
+    """The bytes `save_wav` writes for `samples` at 16 kHz."""
+    save_wav(path, SignalBuffer(samples, 16000.0))
+    return path.read_bytes()
+
+
+def _assert_close(rows, reference):
+    peak = np.max(np.abs(reference), axis=-1)
+    err = np.max(np.abs(rows - reference), axis=-1)
+    assert np.all(err <= REL_TOL * peak), float(np.max(err / peak))
+
+
+@pytest.fixture(scope="module")
+def corpus_tokens(recipes, tmp_path_factory):
+    """(formants, excitation) of each token of a 240-segment seed-3 corpus."""
+    calls = []
+
+    def record(formants, exc, sample_rate, n_samples=None):
+        calls.append((list(formants), exc))
+        return synthesize(formants, exc, sample_rate, n_samples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "synthesize", record)
+        synthetic.build_synthetic_corpus(tmp_path_factory.mktemp("tokens"), n_segments=240,
+                                         seed=3, recipes=recipes)
+    return calls
+
+
+def test_corpus_tokens_match_the_reference(corpus_tokens, tmp_path):
+    assert len(corpus_tokens) == 240
+    assert {exc.kind for _, exc in corpus_tokens} == {"tilted-train"}
+    for i, (formants, exc) in enumerate(corpus_tokens):
+        n = int(round(exc.duration_s * 16000.0))
+        row = synthesize_rows(formants, [exc], 16000.0, n)
+        ref = reference_rows(formants, [exc], 16000.0, n)
+        _assert_close(row, ref)
+        # the token as synthesize_vowel_token scales it, then as save_wav quantizes it
+        got = _pcm(row[0] * (0.3 / np.max(np.abs(row[0]))), tmp_path / "a.wav")
+        want = _pcm(ref[0] * (0.3 / np.max(np.abs(ref[0]))), tmp_path / "b.wav")
+        assert got == want, i
+
+
+@pytest.mark.parametrize("case", sorted(CASE_GEOMETRIES))
+def test_f0_stacks_match_the_reference_and_their_rows(case):
+    f1, f2 = CASE_GEOMETRIES[case]
+    fm = [FormantSpec(f, 100.0) for f in (f1, f2, 2500.0, 3500.0)]
+    trains = [Excitation("impulse-train", f0=f0, duration_s=0.5)
+              for f0 in (100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0)]
+    stack = synthesize_rows(fm, trains, 8000.0, 4000)
+    assert stack.shape == (7, 4000)
+    _assert_close(stack, reference_rows(fm, trains, 8000.0, 4000))
+    for row, exc in zip(stack, trains):
+        assert np.array_equal(row, synthesize_rows(fm, [exc], 8000.0, 4000)[0])
+        assert np.array_equal(row, synthesize(fm, exc, 8000.0).samples)
+
+
+def test_long_unit_impulse_matches_the_reference():
+    fs = 10000.0
+    fm = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0), FormantSpec(2600.0, 30.0)]
+    exc = [Excitation("unit-impulse")]
+    _assert_close(synthesize_rows(fm, exc, fs, 32768), reference_rows(fm, exc, fs, 32768))
+
+
+def test_untilted_kinds_stack_and_match_the_reference():
+    fm = [FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)]
+    excs = [Excitation("unit-impulse"), Excitation("impulse-train", f0=140.0)]
+    stack = synthesize_rows(fm, excs, 8000.0, 2000)
+    _assert_close(stack, reference_rows(fm, excs, 8000.0, 2000))
+    for row, exc in zip(stack, excs):
+        assert np.array_equal(row, synthesize_rows(fm, [exc], 8000.0, 2000)[0])
+
+
+def test_corpus_and_babble_bytes_equal_the_reference_builds(recipes, tmp_path):
+    def build(root, synth_fn):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthetic, "synthesize", synth_fn)
+            synthetic.build_synthetic_corpus(root / "corpus", n_segments=40, seed=3,
+                                             recipes=recipes)
+            synthetic.build_babble(root / "babble.wav", seed=11, recipes=recipes)
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    ours = build(tmp_path / "ours", synthesize)
+    theirs = build(tmp_path / "reference", reference_synthesize)
+    assert len(ours) == 81
+    assert ours == theirs
+
+
+def test_too_narrow_bandwidth_is_refused():
+    # 60 time constants of a 0.1 Hz bandwidth at 16 kHz are about 3.1 million samples
+    fm = [FormantSpec(1000.0, 0.1)]
+    with pytest.raises(ValueError, match=r"bandwidth 0\.1 Hz .* more than 1048576"):
+        synthesize_rows(fm, [Excitation("unit-impulse")], 16000.0, 100)
+    assert MAX_TAIL_SAMPLES == 1048576
+
+
+def test_tilted_and_untilted_trains_do_not_stack():
+    excs = [Excitation("tilted-train", f0=100.0), Excitation("impulse-train", f0=100.0)]
+    with pytest.raises(ValueError, match="all tilted trains or none"):
+        synthesize_rows([FormantSpec(500.0, 100.0)], excs, 16000.0, 800)
