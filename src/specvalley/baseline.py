@@ -128,16 +128,30 @@ def _loss(p, y, eps=1e-12):
     return -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
 
 
-def _gradients(w2, x, y, h, p):
+def _gradients(w2, x, y, h, p, out):
+    """Write the mean cross-entropy's gradients into `out`, the (w1, b1, w2, b2) arrays."""
+    g_w1, g_b1, g_w2, g_b2 = out
     dz = (p - y) / len(y)  # (n,)
     dh = np.outer(dz, w2) * (1.0 - h * h)
-    return dh.T @ x, dh.sum(axis=0), h.T @ dz, float(np.sum(dz))
+    np.matmul(dh.T, x, out=g_w1)
+    dh.sum(axis=0, out=g_b1)
+    np.matmul(h.T, dz, out=g_w2)
+    g_b2[...] = np.sum(dz)
+
+
+def _layers(flat, hidden_units, d):
+    """The w1 (hidden, d), b1, w2 and 0-d b2 views of a flat w1 | b1 | w2 | b2 vector."""
+    n1 = hidden_units * d
+    return (flat[:n1].reshape(hidden_units, d), flat[n1 : n1 + hidden_units],
+            flat[n1 + hidden_units : -1], flat[-1:].reshape(()))
 
 
 def loss_and_gradients(w1, b1, w2, b2, x, y):
     """Mean cross-entropy and its analytic gradients (for checking too)."""
     h, p = _forward(w1, b1, w2, b2, x)
-    return _loss(p, y), _gradients(w2, x, y, h, p)
+    g_w1, g_b1, g_w2, g_b2 = grads = _layers(np.empty(w1.size + 2 * len(b1) + 1), *w1.shape)
+    _gradients(w2, x, y, h, p, grads)
+    return _loss(p, y), (g_w1, g_b1, g_w2, float(g_b2))
 
 
 def train_mlp(
@@ -151,7 +165,9 @@ def train_mlp(
 
     HOLDOUT_FRACTION of the data (seeded shuffle) is held out; training stops
     when its loss has not improved for PATIENCE epochs and the best weights
-    are restored. Identical inputs and seed give identical weights.
+    are restored. Identical inputs and seed give identical weights. The
+    weights, their gradients and the velocity are each one flat
+    w1 | b1 | w2 | b2 vector, so a step updates all layers in three calls.
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray([CLASS_TO_TARGET[l] if isinstance(l, str) else float(l) for l in labels])
@@ -171,38 +187,37 @@ def train_mlp(
     hold, tr = perm[:n_hold], perm[n_hold:]
     if len(tr) == 0:
         raise ValueError("not enough samples to train")
+    x_hold, y_hold = xn[hold], y[hold]
     d = xn.shape[1]
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden_units, d))
-    b1 = np.zeros(hidden_units)
-    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
-    b2 = 0.0
-    vel = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
-    best = (np.inf, w1.copy(), b1.copy(), w2.copy(), b2)
+    size = hidden_units * (d + 2) + 1
+    params, grad, vel = np.zeros(size), np.empty(size), np.zeros(size)
+    layers, grads = _layers(params, hidden_units, d), _layers(grad, hidden_units, d)
+    w1, _, w2, _ = layers
+    w1[...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden_units, d))
+    w2[...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
+    best_loss, best = np.inf, params.copy()
     stale = 0
     for _ in range(epochs):
-        order = rng.permutation(len(tr))
-        for start in range(0, len(order), BATCH_SIZE):
-            idx = tr[order[start : start + BATCH_SIZE]]
-            xb = xn[idx]
-            h, p = _forward(w1, b1, w2, b2, xb)
-            grads = _gradients(w2, xb, y[idx], h, p)
-            for slot, g in enumerate(grads):
-                vel[slot] = MOMENTUM * vel[slot] - LEARNING_RATE * g
-            w1 += vel[0]
-            b1 += vel[1]
-            w2 += vel[2]
-            b2 += vel[3]
-        val_loss = _loss(_forward(w1, b1, w2, b2, xn[hold])[1], y[hold])
-        if val_loss < best[0] - 1e-9:
-            best = (val_loss, w1.copy(), b1.copy(), w2.copy(), b2)
+        idx = tr[rng.permutation(len(tr))]
+        x_epoch, y_epoch = xn[idx], y[idx]
+        for start in range(0, len(idx), BATCH_SIZE):
+            xb = x_epoch[start : start + BATCH_SIZE]
+            h, p = _forward(*layers, xb)
+            _gradients(w2, xb, y_epoch[start : start + BATCH_SIZE], h, p, grads)
+            vel *= MOMENTUM
+            vel -= LEARNING_RATE * grad
+            params += vel
+        val_loss = _loss(_forward(*layers, x_hold)[1], y_hold)
+        if val_loss < best_loss - 1e-9:
+            best_loss, best = val_loss, params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= PATIENCE:
                 break
-    _, w1, b1, w2, b2 = best
-    return MlpModel(input_dim=d, hidden_units=hidden_units, w1=w1, b1=b1, w2=w2, b2=b2,
-                    feature_mean=mean, feature_scale=scale, seed=seed)
+    w1, b1, w2, b2 = _layers(best, hidden_units, d)
+    return MlpModel(input_dim=d, hidden_units=hidden_units, w1=w1, b1=b1, w2=w2,
+                    b2=float(b2), feature_mean=mean, feature_scale=scale, seed=seed)
 
 
 def predict(model: MlpModel, feature):

@@ -149,6 +149,14 @@ def _ascending(formants):
             raise UsageError(f"{lo_name} ({lo:g} Hz) must be below {hi_name} ({hi:g} Hz)")
 
 
+def _step_budget(cfg, sweep, allow_widening=False):
+    """A UsageError naming --step when the geometry lets the `sweep` of `cfg` take
+    more than `experiments.MAX_SWEEP_STEPS` steps."""
+    if experiments.sweep_step_bound(cfg, allow_widening) > experiments.MAX_SWEEP_STEPS:
+        raise UsageError(f"--step {cfg.step_hz:g} allows more than "
+                         f"{experiments.MAX_SWEEP_STEPS} steps {sweep}")
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -192,11 +200,12 @@ def _emit_sweep(out, result):
 def _cmd_ocd2(args, out):
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f2", args.f2)])
     _ascending([("--f1-start", args.f1_start), ("--f2", args.f2)])
-    out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
-                      band=args.band, step=args.step)
     cfg = experiments.SweepConfig(
         [FormantSpec(args.f1_start, args.b1), FormantSpec(args.f2, args.b2)], args.fs,
         step_hz=args.step, move_upper=False, n_points=args.points, mean_band_hz=args.band)
+    _step_budget(cfg, "from --f1-start up to --f2")
+    out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
+                      band=args.band, step=args.step)
     _emit_sweep(out, experiments.ocd_sweep(cfg))
 
 
@@ -213,11 +222,12 @@ def _cmd_ocd4(args, out):
                          f"for {len(freqs)} formants, got {args.pair}")
     _below_nyquist(args.fs, [("--formants", f) for f in freqs])
     _ascending([(f"--formants F{k + 1}", f) for k, f in enumerate(freqs)])
-    out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
-                      pair=args.pair)
     i = args.pair - 1
     cfg = experiments.SweepConfig([FormantSpec(f, b) for f, b in zip(freqs, bws)], args.fs,
                                   pair=(i, i + 1), step_hz=args.step, n_points=args.points)
+    _step_budget(cfg, f"between --formants F{i + 1} and F{i + 2}")
+    out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
+                      pair=args.pair)
     _emit_sweep(out, experiments.ocd_sweep(cfg, label=f"V{i + 1}{i + 2}"))
 
 
@@ -282,6 +292,10 @@ def _cmd_pb_ocd(args, out):
               for v, fm in means.items() for k, f in enumerate(fm)),
             ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4),
         ], "--fs" if args.fs else f"the {gender} default --fs")
+        for vowel, label, cfg in experiments.pb_sweeps(means, gender, args.fs, args.f4,
+                                                       args.bw, args.step):
+            _step_budget(cfg, f"in the {label} sweep of {vowel} ({gender})",
+                         allow_widening=True)
         tables.append((gender, means))
     out.params.update(table=args.table or "bundled", gender=args.gender, bw=args.bw,
                       step=args.step)

@@ -1,10 +1,11 @@
 """Corpus ingestion: WAV audio, phone labels, vowel tables, noise mixing."""
 
 import csv
+import os
 import wave
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -292,50 +293,79 @@ def dravidian_inventory() -> VowelInventory:
     )
 
 
-def _label_sidecar(wav_path: Path, labels_ext: str):
-    """The label file beside a WAV, its extension matched in either case."""
-    for ext in dict.fromkeys((labels_ext, labels_ext.lower(), labels_ext.upper())):
-        path = wav_path.with_suffix(ext)
-        if path.is_file():
-            return path
-    return None
-
-
-def _read(load, path, root: Path | None = None):
-    """`load(path)`, with a format, label or row error naming the path (below `root`)."""
+def _read(load, path, shown=None):
+    """`load(path)`, with a format, label or row error naming the path (as `shown`)."""
     try:
         return load(path)
     except (FormatError, LabelParseError, ValidationError) as exc:
-        exc.args = (f"{path.relative_to(root).as_posix() if root else path}: {exc}",)
+        exc.args = (f"{shown or path}: {exc}",)
         raise
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    """Whether the entry is a file or a symlink to one; a symlink loop is not."""
+    try:
+        return entry.is_file()
+    except OSError:
+        return False
+
+
+def _labelled_wavs(root, labels_ext: str):
+    """(path parts below root, WAV path, label sidecar `os.DirEntry`) of each
+    labelled WAV under root, in sorted order of the parts.
+
+    One listing per directory, walked as `Path.rglob` walks: a symlinked
+    directory is not entered, a directory that cannot be listed is skipped,
+    and a symlinked file counts. A WAV is a file whose last suffix is .wav
+    in either case; its sidecar is the file beside it named with that suffix
+    replaced by `labels_ext`, else by its lower case, else its upper case.
+    """
+    exts = list(dict.fromkeys((labels_ext, labels_ext.lower(), labels_ext.upper())))
+    found, pending = [], [(root, ())] if os.path.isdir(root) else []
+    while pending:
+        directory, parts = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = {entry.name: entry for entry in listing}
+        except PermissionError:
+            continue
+        for name, entry in entries.items():
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((entry.path, parts + (name,)))
+                continue
+            dot = name.rfind(".")  # as Path.suffix: a leading dot starts no suffix
+            if dot <= 0 or name[dot:].lower() != ".wav" or not _is_file(entry):
+                continue
+            sidecars = (entries.get(name[:dot] + ext) for ext in exts)
+            label = next((e for e in sidecars if e is not None and _is_file(e)), None)
+            found.append((parts + (name,), entry.path, label))
+    if found:  # an invalid extension raises as Path.with_suffix raises it
+        PurePath(found[0][0][-1]).with_suffix(labels_ext)
+    found.sort(key=lambda wav: wav[0])
+    return [wav for wav in found if wav[2] is not None]
 
 
 def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
     """Load every WAV under a corpus directory and select its vowel segments.
 
-    The tree is walked recursively, and the WAV and label extensions match
-    in either case, so a TIMIT-style `DR1/FAKS0/SA1.WAV` with `SA1.PHN`
-    loads. Files are visited in sorted order of their path below the root,
-    so the result is deterministic. Each segment's utterance id is that
-    path without its suffix (`DR1/FAKS0/SA1`; the file stem in a flat
-    corpus). WAVs without a label sidecar are skipped. A file that cannot
-    be read as a WAV or as labels raises its FormatError or LabelParseError
-    with that path in front of the message.
+    The tree is walked recursively, without entering symlinked directories,
+    and the WAV and label extensions match in either case, so a TIMIT-style
+    `DR1/FAKS0/SA1.WAV` with `SA1.PHN` loads. Files are visited in sorted
+    order of their path below the root, so the result is deterministic.
+    Each segment's utterance id is that path without its suffix
+    (`DR1/FAKS0/SA1`; the file stem in a flat corpus). WAVs without a label
+    sidecar are skipped. A file that cannot be read as a WAV or as labels
+    raises its FormatError or LabelParseError with that path in front of
+    the message.
     """
-    root = Path(corpus_dir)
-    wavs = [p for p in root.rglob("*") if p.suffix.lower() == ".wav" and p.is_file()]
     segments = []
-    for wav_path in sorted(wavs, key=lambda p: p.relative_to(root).parts):
-        label_path = _label_sidecar(wav_path, labels_ext)
-        if label_path is None:
-            continue
-        audio = _read(load_wav, wav_path, root)
-        labels = _read(load_phone_labels, label_path, root)
+    for parts, wav_path, label in _labelled_wavs(os.fspath(corpus_dir), labels_ext):
+        wav = "/".join(parts)
+        audio = _read(load_wav, wav_path, wav)
+        labels = _read(load_phone_labels, label.path, "/".join(parts[:-1] + (label.name,)))
         segments.extend(
-            select_vowel_segments(
-                labels, audio, inventory,
-                utterance_id=wav_path.relative_to(root).with_suffix("").as_posix(),
-            )
+            select_vowel_segments(labels, audio, inventory,
+                                  utterance_id=wav[: wav.rfind(".")])
         )
     return segments
 

@@ -184,6 +184,29 @@ def _step_is_legal(formants, pair, f_lo, f_hi, sample_rate, step):
     return True
 
 
+def sweep_step_bound(cfg: SweepConfig, allow_widening: bool = False) -> float:
+    """An upper bound on the steps a sweep of `cfg` can take after its start.
+
+    Each step must leave the pair legal (see `_step_is_legal`). Narrowing,
+    the pair's gap shrinks by one step (two when the upper formant moves
+    too) and stays above two steps. Widening, which only `allow_widening`
+    allows, keeps the lower formant above its lower neighbour (or 0 Hz) and
+    a moving upper one below its upper neighbour (or Nyquist). The bound
+    exceeds the steps of the direction that allows more by at most one.
+    """
+    i, j = cfg.pair
+    lo, hi = cfg.formants[i].frequency, cfg.formants[j].frequency
+    bound = ((hi - lo) / cfg.step_hz - 2.0) / (2 if cfg.move_upper else 1)
+    if allow_widening:
+        room = lo - (cfg.formants[i - 1].frequency if i > 0 else 0.0)
+        if cfg.move_upper:
+            ceiling = (cfg.formants[j + 1].frequency if j + 1 < len(cfg.formants)
+                       else cfg.sample_rate / 2.0)
+            room = min(room, ceiling - hi)
+        bound = max(bound, room / cfg.step_hz)
+    return bound
+
+
 def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> OcdResult:
     """Step the pair until the RLSV reaches or crosses zero.
 
@@ -390,6 +413,29 @@ def pb_defaults(gender: str):
     return (8000.0, 3500.0) if gender == "male" else (10000.0, 4200.0)
 
 
+def pb_sweeps(
+    mean_formants: dict,
+    gender: str,
+    sample_rate: float | None = None,
+    f4: float | None = None,
+    bandwidth_hz: float = 100.0,
+    step_hz: float = 25.0,
+):
+    """(vowel, basis, SweepConfig) of each sweep `pb_ocd_table` runs, in its order."""
+    default_rate, default_f4 = pb_defaults(gender)
+    sample_rate = default_rate if sample_rate is None else sample_rate
+    f4 = default_f4 if f4 is None else f4
+    sweeps = []
+    for vowel, (f1, f2, f3) in mean_formants.items():
+        pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")
+        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair, label))
+    for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
+        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
+    return [(vowel, label, SweepConfig([FormantSpec(f, bandwidth_hz) for f in freqs], rate,
+                                       pair=pair, step_hz=step_hz))
+            for vowel, freqs, rate, pair, label in sweeps]
+
+
 def pb_ocd_table(
     mean_formants: dict,
     gender: str,
@@ -408,19 +454,9 @@ def pb_ocd_table(
     3500 Hz) at 8 kHz, whatever the gender. A sweep that ends without a
     crossing, or whose start cannot be measured, is its vowel's error row.
     """
-    default_rate, default_f4 = pb_defaults(gender)
-    sample_rate = default_rate if sample_rate is None else sample_rate
-    f4 = default_f4 if f4 is None else f4
-    sweeps = []
-    for vowel, (f1, f2, f3) in mean_formants.items():
-        pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")
-        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair, label))
-    for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
-        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
     rows = []
-    for vowel, freqs, rate, pair, label in sweeps:
-        fm = [FormantSpec(f, bandwidth_hz) for f in freqs]
-        cfg = SweepConfig(fm, rate, pair=pair, step_hz=step_hz)
+    for vowel, label, cfg in pb_sweeps(mean_formants, gender, sample_rate, f4, bandwidth_hz,
+                                       step_hz):
         try:
             res = _sweep_to_crossing(cfg, allow_widening=True, label=label)
             rows.append(VowelOcd(vowel, label, res))

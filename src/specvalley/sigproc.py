@@ -319,16 +319,19 @@ def _newton_roots(a: np.ndarray, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     roots = np.full(z.shape, np.nan, dtype=np.complex128)
     seed = np.arange(z.size)
-    taps = np.ascontiguousarray(a[rows].T)
+    taps = np.ascontiguousarray(a[rows].T, dtype=np.complex128)
     for _ in range(NEWTON_STEPS):
         if not seed.size:
             break
-        # P and P' by Horner's rule. Out of place: NumPy multiplies a complex
-        # array of one element in place with other rounding than a longer one
-        p, dp = taps[0] + 0j, np.zeros(seed.size, dtype=np.complex128)
+        # P and P' by Horner's rule. The products out of place: NumPy
+        # multiplies a complex array of one element in place with other
+        # rounding than a longer one. The sums in place, each to a new product
+        p, dp = taps[0], np.zeros(seed.size, dtype=np.complex128)
         for tap in taps[1:]:
-            dp = dp * z + p
-            p = p * z + tap
+            dp = dp * z
+            dp += p
+            p = p * z
+            p += tap
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = p / dp
             z = z - step

@@ -213,6 +213,96 @@ def test_training_equals_the_loss_computing_reference(dim, hidden, seed, epochs)
     assert np.array_equal(model.feature_scale, scale)
 
 
+
+# train_mlp as it was before the weights became one flat vector: a list of
+# per-layer velocities and four updates per step, with the forward pass and
+# gradients it used; kept as the exact reference for the flat-vector loop
+def _list_forward(w1, b1, w2, b2, x):
+    h = np.tanh(x @ w1.T + b1)
+    z = h @ w2 + b2
+    return h, 1.0 / (1.0 + np.exp(-z))
+
+
+def _list_loss(p, y, eps=1e-12):
+    return -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
+
+
+def _list_gradients(w2, x, y, h, p):
+    dz = (p - y) / len(y)
+    dh = np.outer(dz, w2) * (1.0 - h * h)
+    return dh.T @ x, dh.sum(axis=0), h.T @ dz, float(np.sum(dz))
+
+
+def _list_train_mlp(samples, labels, hidden_units, seed, epochs, learning_rate=0.1,
+                    momentum=0.9, batch_size=32, holdout_fraction=0.1, patience=30):
+    """(w1, b1, w2, b2, mean, scale, epochs run)."""
+    x = np.asarray(samples, dtype=np.float64)
+    y = np.asarray([{"front": 0.0, "back": 1.0}[l] for l in labels])
+    rng = np.random.default_rng(seed)
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0] = 1.0
+    xn = (x - mean) / scale
+    n_hold = max(1, int(round(holdout_fraction * len(xn))))
+    perm = rng.permutation(len(xn))
+    hold, tr = perm[:n_hold], perm[n_hold:]
+    d = xn.shape[1]
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden_units, d))
+    b1 = np.zeros(hidden_units)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
+    b2 = 0.0
+    vel = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
+    best = (np.inf, w1.copy(), b1.copy(), w2.copy(), b2)
+    stale = 0
+    for epoch in range(epochs):
+        order = rng.permutation(len(tr))
+        for start in range(0, len(order), batch_size):
+            idx = tr[order[start : start + batch_size]]
+            xb = xn[idx]
+            h, p = _list_forward(w1, b1, w2, b2, xb)
+            grads = _list_gradients(w2, xb, y[idx], h, p)
+            for slot, g in enumerate(grads):
+                vel[slot] = momentum * vel[slot] - learning_rate * g
+            w1 += vel[0]
+            b1 += vel[1]
+            w2 += vel[2]
+            b2 += vel[3]
+        val_loss = _list_loss(_list_forward(w1, b1, w2, b2, xn[hold])[1], y[hold])
+        if val_loss < best[0] - 1e-9:
+            best = (val_loss, w1.copy(), b1.copy(), w2.copy(), b2)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    _, w1, b1, w2, b2 = best
+    return w1, b1, w2, b2, mean, scale, epoch + 1
+
+
+@pytest.mark.parametrize("n, dim, hidden, seed, epochs, stops_early", [
+    (200, 2, 4, 1, 60, False),  # separable blobs: every epoch runs
+    (350, 3, 10, 0, 300, True),  # noisy labels: the holdout loss stalls
+    (350, 12, 10, 3, 300, True),  # as wide as the MFCC vectors
+    (71, 5, 1, 5, 80, None),  # one hidden unit; 64 training rows, two full batches
+    (101, 4, 4, 11, 80, None),  # 91 training rows: a partial last batch
+    (362, 12, 10, 20240801, 120, None),
+])
+def test_flat_training_equals_the_per_layer_reference(n, dim, hidden, seed, epochs,
+                                                      stops_early):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    labels = ["back" if v > 0 else "front" for v in x[:, 0] + 0.8 * rng.standard_normal(n)]
+    if stops_early is False:
+        x, labels = blobs(n, seed=seed)
+    model = train_mlp(x, labels, hidden_units=hidden, seed=seed, epochs=epochs)
+    w1, b1, w2, b2, mean, scale, ran = _list_train_mlp(x, labels, hidden, seed, epochs)
+    if stops_early is not None:
+        assert (ran < epochs) == stops_early
+    assert np.array_equal(model.w1, w1) and np.array_equal(model.b1, b1)
+    assert np.array_equal(model.w2, w2) and model.b2 == b2
+    assert np.array_equal(model.feature_mean, mean)
+    assert np.array_equal(model.feature_scale, scale)
+
 class TestPredict:
     def _neutral_model(self):
         return MlpModel(

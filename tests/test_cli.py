@@ -552,6 +552,33 @@ class TestExperimentOptionChecks:
         assert run(["sweep2", "--f1-step=49", "--no-timestamp"]) == 2
         assert "gives more than 6 steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, sweep", [
+        (["ocd2", "--step=0.002"], "from --f1-start up to --f2"),
+        (["ocd2", "--step=1e-320"], "from --f1-start up to --f2"),
+        (["ocd4", "--step=0.001"], "between --formants F1 and F2"),
+        (["ocd4", "--step=0.004", "--pair=3"], "between --formants F3 and F4"),
+        (["pb-ocd", "--step=0.01"], "in the V23 sweep of eh (male)"),
+        (["pb-ocd", "--step=0.01", "--gender=female"], "in the V23 sweep of ih (female)"),
+    ])
+    def test_sweep_steps_beyond_the_budget_are_a_usage_error(self, argv, sweep,
+                                                             no_experiment_running, capsys):
+        assert run([*argv, "--no-timestamp"]) == 2
+        step = float(argv[1].split("=")[1])
+        assert capsys.readouterr().err.strip() == (
+            f"--step {step:g} allows more than 100000 steps {sweep}")
+
+    def test_sweep_commands_read_the_budget_of_the_sweep_engine(self, monkeypatch, tmp_path,
+                                                                capsys):
+        from specvalley import experiments
+
+        # ocd2's F1 climbs towards F2 until they are two steps apart:
+        # (1400 - 650) / 25 - 2 = 28 steps at most
+        monkeypatch.setattr(experiments, "MAX_SWEEP_STEPS", 28)
+        assert run(["ocd2", "--out", str(tmp_path / "ocd2.csv"), "--no-timestamp"]) == 0
+        monkeypatch.setattr(experiments, "MAX_SWEEP_STEPS", 27)
+        assert run(["ocd2", "--no-timestamp"]) == 2
+        assert "allows more than 27 steps" in capsys.readouterr().err
+
     def test_sweep2_converts_every_f1_to_bark_in_one_call(self, monkeypatch, tmp_path):
         from specvalley import cli
 

@@ -1,4 +1,6 @@
+import os
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,149 @@ class TestCollectSegments:
         assert err.value.field == "container"
         assert str(err.value).startswith("DR1/SA1.WAV: not a readable WAV file: ")
 
+
+
+# collect_segments as it was when it walked with Path.rglob and checked each
+# sidecar with Path.is_file; kept as the exact reference for the scandir walk
+def _rglob_label_sidecar(wav_path, labels_ext):
+    for ext in dict.fromkeys((labels_ext, labels_ext.lower(), labels_ext.upper())):
+        path = wav_path.with_suffix(ext)
+        if path.is_file():
+            return path
+    return None
+
+
+def _rglob_read(load, path, root):
+    try:
+        return load(path)
+    except (FormatError, LabelParseError, ValidationError) as exc:
+        exc.args = (f"{path.relative_to(root).as_posix()}: {exc}",)
+        raise
+
+
+def _rglob_collect_segments(corpus_dir, labels_ext, inventory):
+    root = Path(corpus_dir)
+    wavs = [p for p in root.rglob("*") if p.suffix.lower() == ".wav" and p.is_file()]
+    segments = []
+    for wav_path in sorted(wavs, key=lambda p: p.relative_to(root).parts):
+        label_path = _rglob_label_sidecar(wav_path, labels_ext)
+        if label_path is None:
+            continue
+        audio = _rglob_read(load_wav, wav_path, root)
+        labels = _rglob_read(load_phone_labels, label_path, root)
+        segments.extend(
+            select_vowel_segments(
+                labels, audio, inventory,
+                utterance_id=wav_path.relative_to(root).with_suffix("").as_posix(),
+            )
+        )
+    return segments
+
+
+class TestCollectSegmentsEqualsTheRglobWalk:
+    EXTS = (".phn", ".PHN", ".Phn")
+
+    def _tree(self, root):
+        """A corpus tree with every case the walk must treat as `Path.rglob` does."""
+        rng = np.random.default_rng(8)
+
+        def wav(rel):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            write_pcm(root / rel, rng.integers(-2000, 2000, 6400))
+
+        def labels(rel):
+            start = int(rng.integers(800, 2400))
+            end = start + int(rng.integers(800, 3000))
+            (root / rel).write_text(f"0 {start} h#\n{start} {end} iy\n{end} 6400 h#\n")
+
+        for stem in ("DR1/FAKS0/SA1", "DR1/FCJF0/SA1", "DR2/MABC0/SX9"):
+            wav(stem + ".WAV")
+            labels(stem + ".PHN")
+        wav("DR2/MABC0/NOLABEL.WAV")
+        wav("flat.wav")
+        labels("flat.phn")
+        wav("a.b.WAV")  # only the last suffix is replaced: a.b.phn
+        labels("a.b.phn")
+        wav("two.wav")  # two candidates: the requested case wins
+        labels("two.phn")
+        labels("two.PHN")
+        wav("mixed.wav")  # found only when .Phn is asked for
+        labels("mixed.Phn")
+        wav("unlabelled.wav")
+        (root / "x.wav").mkdir()  # a directory named like a WAV is no WAV
+        labels("x.phn")
+        wav("x.wav/inside.wav")
+        labels("x.wav/inside.phn")
+        wav(".hidden/h.wav")
+        labels(".hidden/h.phn")
+        wav(".wav")  # no suffix: a leading dot starts none
+        labels(".phn")
+        os.symlink(root / "DR1", root / "linked_dir")  # not entered
+        os.symlink(root / "DR1" / "FAKS0" / "SA1.WAV", root / "linked.wav")  # read
+        labels("linked.phn")
+        wav("DR2/sidecar_link.wav")
+        os.symlink(root / "flat.phn", root / "DR2" / "sidecar_link.phn")
+        os.symlink("loop.wav", root / "loop.wav")
+        labels("loop.phn")
+        os.symlink("nowhere.wav", root / "broken.wav")
+        labels("broken.phn")
+
+    def _assert_same_segments(self, root, ext):
+        got = collect_segments(root, ext, timit_inventory())
+        expected = _rglob_collect_segments(root, ext, timit_inventory())
+        assert [(s.utterance_id, s.start_sample, s.end_sample, s.phone_label) for s in got] == [
+            (s.utterance_id, s.start_sample, s.end_sample, s.phone_label) for s in expected]
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.audio.samples, e.audio.samples)
+        return got
+
+    def test_same_segments_in_the_same_order(self, tmp_path):
+        self._tree(tmp_path)
+        ids = {ext: [s.utterance_id for s in self._assert_same_segments(tmp_path, ext)]
+               for ext in self.EXTS}
+        assert ids[".phn"] == [".hidden/h", "DR1/FAKS0/SA1", "DR1/FCJF0/SA1", "DR2/MABC0/SX9",
+                               "DR2/sidecar_link", "a.b", "flat", "linked", "two",
+                               "x.wav/inside"]
+        assert ids[".PHN"] == ids[".phn"]
+        assert ids[".Phn"] == sorted(ids[".phn"] + ["mixed"])
+        # through a relative path too
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            self._assert_same_segments(".", ".phn")
+            self._assert_same_segments("DR1", ".PHN")
+        finally:
+            os.chdir(cwd)
+
+    @pytest.mark.parametrize("broken, error", [
+        ("DR1/FCJF0/SA1.WAV", FormatError),
+        ("DR2/MABC0/SX9.PHN", LabelParseError),
+        ("x.wav/inside.phn", LabelParseError),
+    ])
+    def test_same_error_text_for_an_unreadable_file(self, tmp_path, broken, error):
+        self._tree(tmp_path)
+        (tmp_path / broken).write_bytes(b"NIST_1A\n   1024\n")
+        with pytest.raises(error) as got:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        with pytest.raises(error) as expected:
+            _rglob_collect_segments(tmp_path, ".phn", timit_inventory())
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(broken + ": ")
+
+    @pytest.mark.parametrize("ext", ["phn", ".", "a/.phn"])
+    def test_same_error_for_an_invalid_label_extension(self, tmp_path, ext):
+        self._tree(tmp_path)
+        with pytest.raises(ValueError) as got:
+            collect_segments(tmp_path, ext, timit_inventory())
+        with pytest.raises(ValueError) as expected:
+            _rglob_collect_segments(tmp_path, ext, timit_inventory())
+        assert str(got.value) == str(expected.value)
+
+    def test_no_directory_gives_no_segments(self, tmp_path):
+        self._tree(tmp_path)
+        for root in (tmp_path / "missing", tmp_path / "flat.wav"):
+            assert collect_segments(root, ".phn", timit_inventory()) == []
+            assert _rglob_collect_segments(root, ".phn", timit_inventory()) == []
 
 class TestSelectVowelSegments:
     def _audio(self, n=20000, rate=16000.0):

@@ -28,6 +28,7 @@ from specvalley.experiments import (
     level_influence_experiment,
     ocd_sweep,
     pb_ocd_table,
+    sweep_step_bound,
 )
 from specvalley.envelope import peak_levels
 from specvalley.scales import hz_to_bark
@@ -741,6 +742,27 @@ class TestSweepEndings:
         assert len(want[2]) == 1 + 100000
         assert_same_outcome(outcome(ocd_sweep, cfg), want)
 
+
+    @pytest.mark.parametrize("freqs, pair, move_upper, widening", [
+        ((500.0, 1500.0), (0, 1), True, False),
+        ((500.0, 1500.0), (0, 1), False, False),
+        ((500.0, 1500.0), (0, 1), True, True),  # 0 Hz, 500 Hz below F1
+        ((500.0, 700.0), (0, 1), False, True),
+        (UNIFORM_TUBE_FORMANTS_HZ, (1, 2), True, True),  # F1 and F4 bound the pair
+        ((3500.0, 3700.0), (0, 1), True, True),  # Nyquist, 300 Hz above F2
+    ])
+    @pytest.mark.parametrize("step", [25.0, 7.0, 1.3])
+    def test_step_bound_covers_every_sweep_to_a_geometry_limit(self, freqs, pair, move_upper,
+                                                               widening, step, monkeypatch):
+        # an RLSV that keeps its sign: only the geometry ends the sweep, in the
+        # direction that allows more steps in each case
+        patch_rlsv(monkeypatch, lambda f_lo, f_hi: -1.0 if widening else 1.0)
+        cfg = SweepConfig([FormantSpec(f, 100.0) for f in freqs], 8000.0, pair=pair,
+                          step_hz=step, move_upper=move_upper)
+        with pytest.raises(NoCrossingError, match="geometry limit") as err:
+            _sweep_to_crossing(cfg, allow_widening=widening, label="V")
+        steps = len(err.value.trace) - 1
+        assert steps <= sweep_step_bound(cfg, widening) <= steps + 1
 
 class TestSweepConfigChecks:
     @pytest.mark.parametrize("step", [0.0, -25.0, float("nan"), float("inf")])

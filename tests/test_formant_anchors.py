@@ -78,17 +78,23 @@ def _pipeline_columns(blocks, cfg):
             for name in ("reason", "counts", "v1", "v2", "freqs", "bandwidths")}
 
 
+def _corpus_blocks(condition, clean_segment_features, babble_path):
+    """The corpus audio under a condition ("clean", or "<noise> <snr>"), in
+    blocks of BLOCK_SEGMENTS segments."""
+    audio = [seg.audio for _, _, seg in clean_segment_features]
+    if condition != "clean":
+        kind, snr = condition.split()
+        babble = load_wav(babble_path)
+        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i), babble=babble)
+                 for i, x in enumerate(audio)]
+    return [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
+
+
 @pytest.fixture(scope="module", params=list(FALLBACK_SHARE))
 def both_ways(request, clean_segment_features, babble_path):
     """The corpus under one condition through the pipeline anchored both ways,
     with every anchor call's input and output and the rows sent to eigvals."""
-    audio = [seg.audio for _, _, seg in clean_segment_features]
-    if request.param != "clean":
-        kind, snr = request.param.split()
-        babble = load_wav(babble_path)
-        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i), babble=babble)
-                 for i, x in enumerate(audio)]
-    blocks = [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
+    blocks = _corpus_blocks(request.param, clean_segment_features, babble_path)
     cfg = classify.PipelineConfig()
     calls = {"anchors": [], "eigvals": []}
 
@@ -146,6 +152,59 @@ def test_a_corpus_row_gives_the_same_anchors_alone(clean_segment_features):
             row = slice(first + i, first + i + 1)
             alone = formant_anchors(fit.a[row], fit.reflection[row], FS)
             assert _same([x[i] for x in stacked], [x[0] for x in alone])
+
+
+def _out_of_place_newton(a, rows, z):
+    """`sigproc._newton_roots` with every Horner product and sum out of place,
+    each float tap cast to complex as it is added; kept as its exact reference."""
+    roots = np.full(z.shape, np.nan, dtype=np.complex128)
+    seed = np.arange(z.size)
+    taps = np.ascontiguousarray(a[rows].T)
+    for _ in range(sigproc.NEWTON_STEPS):
+        if not seed.size:
+            break
+        p, dp = taps[0] + 0j, np.zeros(seed.size, dtype=np.complex128)
+        for tap in taps[1:]:
+            dp = dp * z + p
+            p = p * z + tap
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = p / dp
+            z = z - step
+            settled = np.abs(step) <= 1e-13 * np.abs(z)
+        roots[seed[settled]] = z[settled]
+        going = ~settled & np.isfinite(z)
+        seed, z, taps = seed[going], z[going], taps[:, going]
+    return roots
+
+
+def _assert_newton_equals_the_reference(a, rows, z):
+    got = sigproc._newton_roots(a, rows, z)
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    assert np.array_equal(got, _out_of_place_newton(a, rows, z), equal_nan=True)
+
+
+@pytest.mark.parametrize("condition", ["clean", "white 0", "babble 0"])
+def test_newton_equals_the_out_of_place_horner_on_the_corpus(condition,
+                                                              clean_segment_features,
+                                                              babble_path):
+    blocks = _corpus_blocks(condition, clean_segment_features, babble_path)
+    fitted = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "formant_anchors",
+                   lambda a, *rest: fitted.append(a) or formant_anchors(a, *rest))
+        for block in blocks:
+            analyse(block)
+    assert sum(len(a) for a in fitted) > 6000
+    for a in fitted:
+        _assert_newton_equals_the_reference(a, *sigproc._peak_seeds(a))
+
+
+def test_newton_equals_the_out_of_place_horner_on_one_seed_and_none():
+    a = _stack(2, 18, ["close"])
+    rows, z = sigproc._peak_seeds(a)
+    for k in range(len(z)):
+        _assert_newton_equals_the_reference(a, rows[k:k + 1], z[k:k + 1])
+    _assert_newton_equals_the_reference(a, rows[:0], z[:0])
 
 
 def _reflection(a):
