@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import segment_blocks
 from .errors import DegenerateInputError
 from .sigproc import window
 
@@ -91,8 +92,8 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
 
 
 def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Frame-level MFCC matrix of a segment's frame stack, as
-    `classify.PipelineConfig.frames` gives it.
+    """Frame-level MFCC matrix of a segment's pre-emphasized frame stack, as
+    `classify.segment_blocks` gives it.
 
     All-zero frames are skipped; the rest are windowed and go through `mfcc`
     as one stack.
@@ -101,6 +102,17 @@ def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     if len(frames) == 0:
         return np.empty((0, N_COEFFS))
     return mfcc(window(frames), sample_rate)
+
+
+def mean_mfccs(table, cfg, include_central: bool = False):
+    """(segment index, truth, mean MFCC vector, or None without a non-silent frame)
+    per scored segment of a `corpus.SegmentTable`, framed by `classify.segment_blocks`."""
+    out = []
+    for rows, truths, block, counts, rate in segment_blocks(table, cfg, include_central):
+        for i, truth, frames in zip(rows.tolist(), truths, np.split(block, np.cumsum(counts)[:-1])):
+            mat = segment_mfcc_matrix(frames, rate)
+            out.append((i, truth, mat.mean(axis=0) if len(mat) else None))
+    return out
 
 
 @dataclass

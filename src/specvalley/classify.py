@@ -13,6 +13,7 @@ from .scales import hz_to_bark
 from .sigproc import (
     autocorrelation,
     formant_anchors,
+    frame_counts,
     frame_length,
     frame_signal,
     levinson_failure,
@@ -21,7 +22,7 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec, SignalBuffer
+from .types import FormantSpec
 
 
 ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
@@ -62,12 +63,6 @@ class PipelineConfig:
                 f"({frame_len} samples at {sample_rate:g} Hz)"
             )
         return order
-
-    def frames(self, audio: SignalBuffer) -> np.ndarray:
-        """The pre-emphasized (n, frame_len) frame stack of `audio` that
-        `frame_pipeline` and the MFCC baseline analyse."""
-        return frame_signal(preemphasize(audio, self.preemphasis), self.frame_ms,
-                            self.overlap_fraction)
 
 
 @dataclass
@@ -162,7 +157,7 @@ def frame_pipeline(frames: np.ndarray, sample_rate: float,
     """Window, fit LP, and measure V_I/V_II per frame.
 
     `frames` is an (n, frame_len) stack of pre-emphasized frames at
-    `sample_rate`, as `cfg.frames` gives them; the stacks of several segments
+    `sample_rate`, as `segment_blocks` gives them; the stacks of several segments
     may be concatenated. All frames go through each stage as one stacked
     array. Frames that do not yield three in-range formant candidates (or
     whose valley brackets collapse) come back invalid with a reason; nothing
@@ -261,6 +256,67 @@ def decide_segment(table: FrameTable, threshold_db: float | None = None,
                            predicted="back" if reads_back(value, thr) else "front",
                            frames_used=n_valid, frames_discarded=len(table) - n_valid,
                            statistic=value)
+
+
+def scored_rows(table, include_central: bool = False):
+    """(rows, truths): the indices of the scored segments of a `corpus.SegmentTable`
+    and their classes. Central vowels are skipped, or with `include_central` back."""
+    central = table.fb_class == "central"
+    rows = np.arange(len(table)) if include_central else np.flatnonzero(~central)
+    return rows, np.where(central[rows], "back", table.fb_class[rows]).tolist()
+
+
+def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, samples=None):
+    """(rows, truths, frames, counts, sample_rate) per block of the scored segments
+    of `table`, in corpus order: `frames` stacks the pre-emphasized frames of the
+    segments `rows`, `counts` holds their number per segment. A block holds whole
+    segments at one rate, at most STACK_FRAMES frames unless it is one longer
+    segment. `samples`, laid out like `table.samples`, replaces the table's own.
+    """
+    samples = table.samples if samples is None else samples
+    rows, truths = scored_rows(table, include_central)
+    starts, stops, rates = table.offsets[rows], table.offsets[rows + 1], table.rate[rows]
+    counts = np.zeros(len(rows), dtype=int)
+    for rate in np.unique(rates):
+        counts[rates == rate] = frame_counts((stops - starts)[rates == rate], rate,
+                                             cfg.frame_ms, cfg.overlap_fraction)[2]
+
+    def block(a, b):
+        # each segment's pre-emphasis starts afresh at its first sample
+        spans = np.column_stack([starts[a:b], stops[a:b]]) - starts[a]
+        x = preemphasize(samples[starts[a]:stops[b - 1]], cfg.preemphasis, spans[:, 0])
+        rate = float(rates[a])
+        frames, n = frame_signal(x, rate, cfg.frame_ms, cfg.overlap_fraction, spans)
+        return rows[a:b], truths[a:b], frames, n, rate
+
+    first, n_frames = 0, 0
+    for k, n in enumerate(counts.tolist()):
+        if k > first and (n_frames + n > STACK_FRAMES or rates[k] != rates[first]):
+            yield block(first, k)
+            first, n_frames = k, 0
+        n_frames += n
+    if len(rows):
+        yield block(first, len(rows))
+
+
+def segment_decisions(table, cfg: PipelineConfig, rule: str = "valley",
+                      threshold: float | None = None, include_central: bool = False,
+                      samples=None):
+    """(segment index, truth, decision or None) per scored segment of `table`, in
+    corpus order: the analysis stage of the corpus commands. Each block of
+    `segment_blocks` is one `frame_pipeline` call, whose table `decide_segment`
+    reads segment by segment before the next block is framed."""
+    for rows, truths, frames, counts, rate in segment_blocks(table, cfg, include_central,
+                                                             samples):
+        frame_table = frame_pipeline(frames, rate, cfg)
+        start = 0
+        for i, truth, n in zip(rows.tolist(), truths, counts.tolist()):
+            try:
+                decision = decide_segment(frame_table[start:start + n], threshold, rule)
+            except NoDecisionError:
+                decision = None
+            start += n
+            yield i, truth, decision
 
 
 def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) -> ClassificationReport:

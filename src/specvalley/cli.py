@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments
-from .errors import AnalysisError, NoDecisionError, PeakNotFoundError, ValleyUndefinedError
+from .errors import AnalysisError, FormatError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
 from .types import FormantSpec
 
@@ -330,20 +330,27 @@ def _inventory_for(args):
 
 
 def _corpus_inputs(args):
-    """The analysis settings and the corpus segments of a corpus command; the LP
+    """The analysis settings and the segment table of a corpus command; the LP
     order is checked against the frame length at every rate in the corpus."""
     if not Path(args.corpus).is_dir():
         raise UsageError(f"--corpus must be a directory, got {args.corpus!r}")
     inventory = _inventory_for(args)
     cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
                                   preemphasis=args.preemph, lp_order=args.lp_order)
-    segments = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
-    for rate in sorted({seg.audio.sample_rate for seg in segments}):
+    table = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
+    for rate in np.unique(table.rate):
         try:
             cfg.order_for(rate)
         except ValueError as exc:
             raise UsageError(f"invalid --lp-order or --frame-ms: {exc}") from exc
-    return cfg, segments
+    return cfg, table
+
+
+def _decisions(args, cfg, table, samples=None):
+    """The corpus stage with the command's rule, threshold and --include-central."""
+    return classify.segment_decisions(table, cfg, FEATURE_RULES[args.feature],
+                                      getattr(args, "threshold", None), args.include_central,
+                                      samples)
 
 
 def _threshold(args):
@@ -351,54 +358,6 @@ def _threshold(args):
     if args.threshold is not None:
         return args.threshold
     return classify.DEFAULT_THRESHOLDS[FEATURE_RULES[args.feature]]
-
-
-def _scored_segments(segments, include_central):
-    for seg in segments:
-        if seg.fb_class != "central":
-            yield seg, seg.fb_class
-        elif include_central:
-            yield seg, "back"
-
-
-def _segment_decisions(args, cfg, segments, audio_of=lambda idx, seg: seg.audio):
-    """(segment, truth, decision or None) per scored segment, in corpus order.
-
-    The one analysis stage of the corpus commands: `audio_of(idx, seg)` gives
-    the audio of the idx-th scored segment, which `cfg.frames` frames once.
-    Whole segments are analysed in blocks of at most `classify.STACK_FRAMES`
-    frames, one `frame_pipeline` call each; a longer segment is a block of its
-    own, and a block ends where the sample rate changes.
-    """
-    threshold = getattr(args, "threshold", None)
-    rule = FEATURE_RULES[args.feature]
-
-    def decided(block, rate):
-        table = classify.frame_pipeline(np.concatenate([frames for *_, frames in block]),
-                                        rate, cfg)
-        start = 0
-        for seg, truth, frames in block:
-            try:
-                decision = classify.decide_segment(table[start:start + len(frames)],
-                                                   threshold, rule)
-            except NoDecisionError:
-                decision = None
-            start += len(frames)
-            yield seg, truth, decision
-
-    block, block_frames, rate = [], 0, None
-    for idx, (seg, truth) in enumerate(_scored_segments(segments, args.include_central)):
-        audio = audio_of(idx, seg)
-        frames = cfg.frames(audio)
-        if block and (block_frames + len(frames) > classify.STACK_FRAMES
-                      or audio.sample_rate != rate):
-            yield from decided(block, rate)
-            block, block_frames = [], 0
-        block.append((seg, truth, frames))
-        block_frames += len(frames)
-        rate = audio.sample_rate
-    if block:
-        yield from decided(block, rate)
 
 
 def _accuracy_cells(report):
@@ -429,21 +388,18 @@ def _add_corpus_args(p, with_feature=True):
 
 
 def _cmd_classify(args, out):
-    cfg, segments = _corpus_inputs(args)
+    cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
     out.params.update(corpus=args.corpus, feature=args.feature, threshold=threshold,
                       labels_ext=args.labels_ext, inventory=args.inventory)
     out.row("segment_id", "label", "class", "mean_v1", "mean_v2", "mean_diff", "predicted")
     decisions, truths = [], []
-    for seg, truth, dec in _segment_decisions(args, cfg, segments):
+    for i, truth, dec in _decisions(args, cfg, table):
         decisions.append(dec)
         truths.append(truth)
-        seg_id = f"{seg.utterance_id}:{seg.start_sample}"
-        if dec is None:
-            out.row(seg_id, seg.phone_label, truth, "", "", "", "undecided")
-        else:
-            out.row(seg_id, seg.phone_label, truth, _fmt(dec.mean_v1, 3),
-                    _fmt(dec.mean_v2, 3), _fmt(dec.mean_diff, 3), dec.predicted)
+        cells = ("", "", "", "undecided") if dec is None else (
+            _fmt(dec.mean_v1, 3), _fmt(dec.mean_v2, 3), _fmt(dec.mean_diff, 3), dec.predicted)
+        out.row(table.segment_id(i), table.label[i], truth, *cells)
     if not decisions:
         raise _Stop("no segments found")
     report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
@@ -464,27 +420,36 @@ def _cmd_noise_eval(args, out):
     if "babble" in kinds and not args.babble_source:
         raise UsageError("--babble-source is required when --noise includes babble")
     snrs = _floats(args.snrs, "--snrs", FINITE)
-    cfg, segments = _corpus_inputs(args)
+    cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
-    babble_buf = corpus.load_wav(args.babble_source) if "babble" in kinds else None
+    rows, _ = classify.scored_rows(table, args.include_central)
+    # silence has no power to set an SNR against: it is left unmixed, its
+    # frames fail as silent and the segment counts as undecided; the seed of
+    # a segment is --seed plus its index among the scored segments
+    mixed = [(k, i) for k, i in enumerate(rows.tolist())
+             if float(np.mean(table.segment(i)**2)) > 0]
+    babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
+    for _, i in mixed:  # a babble file must cover each mixed segment, at its rate
+        n = len(table.segment(i))
+        if babble and (table.rate[i] != babble.sample_rate or n > len(babble.samples)):
+            raise FormatError(f"--babble-source {args.babble_source} ({len(babble.samples)} "
+                              f"samples at {babble.sample_rate:g} Hz) cannot cover segment "
+                              f"{table.segment_id(i)} ({n} samples at {table.rate[i]:g} Hz)")
     out.params.update(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
                       feature=args.feature, threshold=threshold)
     out.note("noise is added per segment, scaled to the requested SNR over that segment")
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
-    if next(_scored_segments(segments, args.include_central), None) is None:
+    if not len(rows):
         raise _Stop("no segments found")
+    samples = np.empty_like(table.samples)  # one buffer, refilled for each condition
     for kind in kinds:
         for snr in snrs:
-            def noisy(idx, seg):
-                # silence has no power to set an SNR against: its frames fail
-                # as silent and the segment counts as undecided
-                if float(np.mean(seg.audio.samples**2)) <= 0:
-                    return seg.audio
-                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + idx)
-                return corpus.mix_noise(seg.audio, spec, babble=babble_buf)
-
-            # noisy reads kind and snr, so the stage is used up in this iteration
-            decided = list(_segment_decisions(args, cfg, segments, noisy))
+            np.copyto(samples, table.samples)
+            for k, i in mixed:
+                a, b = table.offsets[i], table.offsets[i + 1]
+                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + k)
+                samples[a:b] = corpus.mix_noise(samples[a:b], table.rate[i], spec, babble)
+            decided = list(_decisions(args, cfg, table, samples))
             report = classify.score([dec for *_, dec in decided],
                                     [truth for _, truth, _ in decided],
                                     feature=args.feature, threshold=threshold)
@@ -492,20 +457,15 @@ def _cmd_noise_eval(args, out):
 
 
 def _cmd_baseline(args, out):
-    cfg, segments = _corpus_inputs(args)
+    cfg, table = _corpus_inputs(args)
     if args.feature == "mfcc":
-        def mean_mfcc(seg):
-            mat = baseline.segment_mfcc_matrix(cfg.frames(seg.audio), seg.audio.sample_rate)
-            return mat.mean(axis=0) if len(mat) else None
-
-        features = [(seg, truth, mean_mfcc(seg))
-                    for seg, truth in _scored_segments(segments, args.include_central)]
+        features = baseline.mean_mfccs(table, cfg, args.include_central)
     else:
-        features = [(seg, truth, None if dec is None
+        features = [(i, truth, None if dec is None
                      else np.array([dec.mean_v1, dec.mean_v2, dec.mean_diff]))
-                    for seg, truth, dec in _segment_decisions(args, cfg, segments)]
-    rows = [(f"{seg.utterance_id}:{seg.start_sample}", seg.phone_label, truth, feat)
-            for seg, truth, feat in features if feat is not None]
+                    for i, truth, dec in _decisions(args, cfg, table)]
+    rows = [(table.segment_id(i), table.label[i], truth, feat)
+            for i, truth, feat in features if feat is not None]
     skipped = len(features) - len(rows)
     out.params.update(corpus=args.corpus, feature=args.feature, hidden=args.hidden,
                       epochs=args.epochs, test_fraction=args.test_fraction)
@@ -547,10 +507,10 @@ def _cmd_hist(args, out):
     if (hi - lo) / args.bin_width > classify.MAX_HISTOGRAM_BINS:
         raise UsageError(f"--bin-width {args.bin_width:g} gives more than "
                          f"{classify.MAX_HISTOGRAM_BINS} bins over --range={args.range}")
-    cfg, segments = _corpus_inputs(args)
+    cfg, table = _corpus_inputs(args)
     out.params.update(corpus=args.corpus, feature=args.feature, bin_width=args.bin_width,
                       range=args.range)
-    decided = list(_segment_decisions(args, cfg, segments))
+    decided = list(_decisions(args, cfg, table))
     if not decided:
         raise _Stop("no segments found")
     values = {"front": [], "back": []}

@@ -1,6 +1,7 @@
 """Corpus ingestion: WAV audio, phone labels, vowel tables, noise mixing."""
 
 import csv
+import mmap
 import os
 import wave
 from dataclasses import dataclass
@@ -22,16 +23,30 @@ MIN_SEGMENT_DURATION_S = 0.045
 NOISE_KINDS = ("white", "babble")
 
 
-@dataclass
-class VowelSegment:
-    """A labeled vowel excerpt cut from an utterance."""
+@dataclass(eq=False)
+class SegmentTable:
+    """The labelled vowel segments of a corpus as columns, one row per segment.
 
-    audio: SignalBuffer
-    phone_label: str
-    fb_class: str  # front | back | central
-    utterance_id: str
-    start_sample: int
-    end_sample: int
+    One buffer holds the segments' samples back to back, and nothing of the
+    utterances around them: segment i is samples[offsets[i]:offsets[i + 1]].
+    """
+
+    samples: np.ndarray  # float64 in [-1, 1)
+    offsets: np.ndarray  # (n + 1,) int
+    rate: np.ndarray  # (n,) sample rate in Hz
+    label: np.ndarray  # (n,) phone label
+    fb_class: np.ndarray  # (n,) front | back | central
+    utterance_id: np.ndarray  # (n,) the WAV path below the corpus root, without suffix
+    start_sample: np.ndarray  # (n,) where the segment starts in its utterance
+
+    def __len__(self):
+        return len(self.rate)
+
+    def segment(self, i: int) -> np.ndarray:
+        return self.samples[self.offsets[i]:self.offsets[i + 1]]
+
+    def segment_id(self, i: int) -> str:
+        return f"{self.utterance_id[i]}:{self.start_sample[i]}"
 
 
 @dataclass
@@ -75,8 +90,8 @@ class VowelInventory:
         return self.classes.get(label)
 
 
-def load_wav(path) -> SignalBuffer:
-    """Read a 16-bit PCM mono WAV into [-1, 1) floats."""
+def _read_pcm(path):
+    """The int16 samples and the sample rate of a 16-bit PCM mono WAV."""
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getcomptype() != "NONE":
@@ -96,8 +111,15 @@ def load_wav(path) -> SignalBuffer:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise FormatError(f"not a readable WAV file: {exc}", field="container") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return SignalBuffer(samples, rate)
+    if rate <= 0:
+        raise FormatError(f"sample rate must be positive, got {rate}", field="sample_rate")
+    return np.frombuffer(raw, dtype="<i2"), rate
+
+
+def load_wav(path) -> SignalBuffer:
+    """Read a 16-bit PCM mono WAV into [-1, 1) floats."""
+    pcm, rate = _read_pcm(path)
+    return SignalBuffer(pcm.astype(np.float64) / 32768.0, rate)
 
 
 def save_wav(path, x: SignalBuffer):
@@ -142,25 +164,23 @@ def load_phone_labels(path):
     return out
 
 
-def select_vowel_segments(
-    labels,
-    audio: SignalBuffer,
-    inventory: VowelInventory,
-    utterance_id: str = "",
-):
+def select_vowel_segments(labels, n_samples: int, sample_rate: float,
+                          inventory: VowelInventory):
     """Keep inventory vowels with clean neighbors and sufficient duration.
 
     A vowel is dropped when either neighbor label is in the inventory's
     exclusion set (nasals, 'r'-like, aspirated 'h') or when it is shorter
     than MIN_SEGMENT_DURATION_S (45 ms). Central vowels are kept but tagged
-    so callers can exclude them from scoring.
+    so callers can exclude them from scoring. Returns the (start, stop,
+    label, class) of each kept vowel, its stop clipped to an utterance of
+    `n_samples` samples.
     """
     out = []
     for k, (start, end, label) in enumerate(labels):
         fb = inventory.fb_class(label)
         if fb is None:
             continue
-        if (end - start) / audio.sample_rate < MIN_SEGMENT_DURATION_S:
+        if (end - start) / sample_rate < MIN_SEGMENT_DURATION_S:
             continue
         prev_label = labels[k - 1][2] if k > 0 else None
         next_label = labels[k + 1][2] if k + 1 < len(labels) else None
@@ -168,19 +188,10 @@ def select_vowel_segments(
             continue
         if next_label in inventory.excluded_neighbors:
             continue
-        end_clipped = min(end, len(audio.samples))
+        end_clipped = min(end, n_samples)
         if end_clipped <= start:
             continue
-        out.append(
-            VowelSegment(
-                audio=SignalBuffer(audio.samples[start:end_clipped].copy(), audio.sample_rate),
-                phone_label=label,
-                fb_class=fb,
-                utterance_id=utterance_id,
-                start_sample=start,
-                end_sample=end_clipped,
-            )
-        )
+        out.append((start, end_clipped, label, fb))
     return out
 
 
@@ -345,33 +356,46 @@ def _labelled_wavs(root, labels_ext: str):
     return [wav for wav in found if wav[2] is not None]
 
 
-def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory):
+def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory) -> SegmentTable:
     """Load every WAV under a corpus directory and select its vowel segments.
 
     The tree is walked recursively, without entering symlinked directories,
     and the WAV and label extensions match in either case, so a TIMIT-style
     `DR1/FAKS0/SA1.WAV` with `SA1.PHN` loads. Files are visited in sorted
-    order of their path below the root, so the result is deterministic.
+    order of their path below the root, so the table is deterministic.
     Each segment's utterance id is that path without its suffix
     (`DR1/FAKS0/SA1`; the file stem in a flat corpus). WAVs without a label
     sidecar are skipped. A file that cannot be read as a WAV or as labels
     raises its FormatError or LabelParseError with that path in front of
     the message.
     """
-    segments = []
-    for parts, wav_path, label in _labelled_wavs(os.fspath(corpus_dir), labels_ext):
+    wavs = _labelled_wavs(os.fspath(corpus_dir), labels_ext)
+    # Room for every sample of every file (a file holds at most half as many
+    # 16-bit samples as bytes), in an anonymous mapping of its own: the
+    # segments fill its front, untouched pages never become resident, and
+    # freeing the table returns its pages without moving malloc's thresholds.
+    room = mmap.mmap(-1, 8 * max(1, sum(os.path.getsize(path) // 2 for _, path, _ in wavs)))
+    samples, rows, n = np.frombuffer(room, dtype=np.float64), [], 0
+    for parts, wav_path, label in wavs:
         wav = "/".join(parts)
-        audio = _read(load_wav, wav_path, wav)
+        audio, rate = _read(_read_pcm, wav_path, wav)
         labels = _read(load_phone_labels, label.path, "/".join(parts[:-1] + (label.name,)))
-        segments.extend(
-            select_vowel_segments(labels, audio, inventory,
-                                  utterance_id=wav[: wav.rfind(".")])
-        )
-    return segments
+        for start, stop, phone, fb in select_vowel_segments(labels, len(audio), rate, inventory):
+            samples[n:n + stop - start] = audio[start:stop]
+            rows.append((n, rate, phone, fb, wav[: wav.rfind(".")], start))
+            n += stop - start
+    samples = samples[:n]
+    samples /= 32768.0  # the same x / 32768 per sample as load_wav
+    offsets, rate, label, fb_class, utterance_id, start = zip(*rows) if rows else [()] * 6
+    return SegmentTable(samples, np.array(offsets + (n,), dtype=np.int64),
+                        np.array(rate, dtype=np.float64), np.array(label, dtype=str),
+                        np.array(fb_class, dtype=str), np.array(utterance_id, dtype=str),
+                        np.array(start, dtype=np.int64))
 
 
-def mix_noise(x: SignalBuffer, spec: NoiseSpec, babble: SignalBuffer | None = None) -> SignalBuffer:
-    """Add noise scaled so the mixed extent sits at exactly spec.snr_db.
+def mix_noise(x: np.ndarray, sample_rate: float, spec: NoiseSpec,
+              babble: SignalBuffer | None = None) -> np.ndarray:
+    """`x` plus noise scaled so the mixed extent sits at exactly spec.snr_db.
 
     Powers are mean squared amplitudes over the segment. Babble noise is cut
     from the `babble` buffer at a start offset drawn from the seed. Identical
@@ -379,25 +403,25 @@ def mix_noise(x: SignalBuffer, spec: NoiseSpec, babble: SignalBuffer | None = No
     """
     if spec.kind == "babble" and babble is None:
         raise ValueError("babble noise needs a `babble` buffer")
-    p_signal = float(np.mean(x.samples**2))
+    p_signal = float(np.mean(x**2))
     if p_signal <= 0:
         raise DegenerateInputError("cannot set an SNR against a zero-power signal")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "white":
-        noise = rng.standard_normal(len(x.samples))
+        noise = rng.standard_normal(len(x))
     else:
-        if babble.sample_rate != x.sample_rate:
+        if babble.sample_rate != sample_rate:
             raise FormatError(
-                f"babble rate {babble.sample_rate} != signal rate {x.sample_rate}",
+                f"babble rate {babble.sample_rate} != signal rate {sample_rate}",
                 field="sample_rate",
             )
-        if len(babble.samples) < len(x.samples):
+        if len(babble.samples) < len(x):
             raise FormatError("babble source shorter than the signal", field="length")
-        max_off = len(babble.samples) - len(x.samples)
+        max_off = len(babble.samples) - len(x)
         off = int(rng.integers(0, max_off + 1))
-        noise = babble.samples[off : off + len(x.samples)].copy()
+        noise = babble.samples[off : off + len(x)].copy()
     p_noise = float(np.mean(noise**2))
     if p_noise <= 0:
         raise DegenerateInputError("noise draw has zero power")
     noise *= np.sqrt(p_signal / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
-    return SignalBuffer(x.samples + noise, x.sample_rate)
+    return x + noise

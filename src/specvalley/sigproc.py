@@ -6,7 +6,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericFailureError
-from .types import SignalBuffer
 
 # the formant gate: a root is a candidate from MIN_FREQUENCY to
 # fs/2 - NYQUIST_MARGIN, with a bandwidth below MAX_BANDWIDTH (all in Hz)
@@ -23,16 +22,18 @@ CIRCLE_MARGIN = 1e-9  # a reflection coefficient this close to +/-1 leaves a roo
 DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
 
 
-def preemphasize(x: SignalBuffer, alpha: float) -> SignalBuffer:
-    """First-difference high-pass: y[n] = x[n] - alpha*x[n-1], y[0] = x[0]."""
+def preemphasize(x: np.ndarray, alpha: float, starts=0) -> np.ndarray:
+    """First-difference high-pass: y[n] = x[n] - alpha*x[n-1], restarted with
+    y = x at each segment start of `starts` (by default one segment, from 0)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"pre-emphasis coefficient must be in [0, 1), got {alpha}")
-    s = x.samples
-    y = np.empty_like(s)
-    if len(s):
-        y[0] = s[0]
-        y[1:] = s[1:] - alpha * s[:-1]
-    return SignalBuffer(y, x.sample_rate)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.empty_like(x)
+    if len(x):
+        np.multiply(x[:-1], alpha, out=y[1:])  # in place: no temporary the size of x
+        np.subtract(x[1:], y[1:], out=y[1:])
+        y[starts] = x[starts]
+    return y
 
 
 def frame_length(frame_ms: float, sample_rate: float) -> int:
@@ -47,22 +48,33 @@ def frame_length(frame_ms: float, sample_rate: float) -> int:
     return frame_len
 
 
-def frame_signal(x: SignalBuffer, frame_ms: float, overlap_fraction: float) -> np.ndarray:
-    """Slice into fixed frames; returns an (n_frames, frame_len) array.
-
-    Hop is frame_len*(1 - overlap_fraction) rounded to the nearest sample;
-    a trailing partial frame is discarded. A signal shorter than one frame
-    yields zero frames (shape (0, frame_len)), not an error. The frames are a
-    read-only view of `x.samples`; stacking them (`np.concatenate`) copies.
-    """
-    frame_len = frame_length(frame_ms, x.sample_rate)
+def frame_counts(lengths, sample_rate: float, frame_ms: float, overlap_fraction: float):
+    """(frame_len, hop, counts): the frame geometry, and the whole frames each
+    segment of `lengths` samples holds (a trailing partial frame is dropped).
+    Hop is frame_len*(1 - overlap_fraction), rounded to the nearest sample."""
+    frame_len = frame_length(frame_ms, sample_rate)
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
     hop = max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
-    count = 0 if len(x.samples) < frame_len else 1 + (len(x.samples) - frame_len) // hop
-    step = x.samples.strides[0]
-    return np.lib.stride_tricks.as_strided(x.samples, (count, frame_len), (hop * step, step),
-                                           writeable=False)
+    lengths = np.asarray(lengths)
+    return frame_len, hop, np.where(lengths < frame_len, 0, 1 + (lengths - frame_len) // hop)
+
+
+def frame_signal(x: np.ndarray, sample_rate: float, frame_ms: float,
+                 overlap_fraction: float, spans=None):
+    """(frames, counts): the frames of each [start, stop) segment of `spans` (by
+    default all of `x`), back to back in one (n_frames, frame_len) copy, and
+    the frame count of each segment, as `frame_counts` counts them."""
+    x = np.asarray(x, dtype=np.float64)
+    spans = np.array([[0, len(x)]]) if spans is None else np.asarray(spans).reshape(-1, 2)
+    frame_len, hop, counts = frame_counts(spans[:, 1] - spans[:, 0], sample_rate, frame_ms,
+                                          overlap_fraction)
+    if not counts.any():
+        return np.empty((0, frame_len)), counts
+    # frame g of the stack, the k-th of its segment, starts at start + hop*k
+    first = np.repeat(spans[:, 0] - hop * (np.cumsum(counts) - counts), counts)
+    starts = first + hop * np.arange(len(first))
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[starts], counts
 
 
 def window(frame: np.ndarray) -> np.ndarray:

@@ -52,30 +52,78 @@ def babble_path(tmp_path_factory, recipes):
 
 
 @pytest.fixture(scope="session")
-def clean_segment_features(corpus_dir):
-    """(truth, frame features) per scored segment of the full corpus."""
-    from specvalley import classify
+def corpus_table(corpus_dir):
+    """The segment table of the full corpus: every segment scored, none central."""
     from specvalley.corpus import collect_segments, timit_inventory
 
-    segments = collect_segments(corpus_dir, ".phn", timit_inventory())
+    table = collect_segments(corpus_dir, ".phn", timit_inventory())
+    assert len(table) == CORPUS_SIZE and not np.any(table.fb_class == "central")
+    return table
+
+
+@pytest.fixture(scope="session")
+def clean_segment_features(corpus_table):
+    """(truth, frame features, audio) per scored segment of the full corpus."""
+    from specvalley import classify
+
     cfg = classify.PipelineConfig()
-    rows = []
-    for seg in segments:
-        if seg.fb_class == "central":
-            continue
-        rows.append((seg.fb_class, analyse(seg.audio, cfg), seg))
-    assert len(rows) == CORPUS_SIZE
-    return rows
+    return [(truth, analyse(audio, cfg), audio)
+            for truth, audio in zip(corpus_table.fb_class.tolist(), segment_audio(corpus_table))]
+
+
+@pytest.fixture(scope="session")
+def noisy_corpus(corpus_table, babble_path):
+    """(kind, snr) -> the full corpus's samples under that noise, laid out like
+    `corpus_table.samples`: segment i mixed alone with seed i, as the noise
+    harness seeds it (`noise-eval --seed 0`). Each condition is mixed once."""
+    from specvalley.corpus import NoiseSpec, load_wav, mix_noise
+
+    babble = load_wav(babble_path)
+    mixed = {}
+
+    def condition(kind, snr):
+        key = (kind, float(snr))
+        if key not in mixed:
+            samples = corpus_table.samples.copy()
+            for i in range(len(corpus_table)):
+                a, b = corpus_table.offsets[i], corpus_table.offsets[i + 1]
+                samples[a:b] = mix_noise(samples[a:b], corpus_table.rate[i],
+                                         NoiseSpec(kind, float(snr), seed=i), babble)
+            mixed[key] = samples
+        return mixed[key]
+
+    return condition
+
+
+def segment_audio(table, samples=None):
+    """Each segment of a `corpus.SegmentTable` as a SignalBuffer of its samples,
+    taken from `samples` (laid out like `table.samples`) when given."""
+    from specvalley.types import SignalBuffer
+
+    samples = table.samples if samples is None else samples
+    return [SignalBuffer(samples[table.offsets[i]:table.offsets[i + 1]], table.rate[i])
+            for i in range(len(table))]
+
+
+def frames_of(audio, cfg=None):
+    """The pre-emphasized frames of one SignalBuffer, as the corpus stage frames
+    a one-segment block."""
+    from specvalley import classify
+    from specvalley.sigproc import frame_signal, preemphasize
+
+    cfg = cfg or classify.PipelineConfig()
+    return frame_signal(preemphasize(audio.samples, cfg.preemphasis), audio.sample_rate,
+                        cfg.frame_ms, cfg.overlap_fraction)[0]
 
 
 def analyse(audio, cfg=None):
     """`classify.frame_pipeline` on the frames of one audio buffer, or of a list
-    of buffers at one rate, concatenated in order as `cfg.frames` gives them."""
+    of buffers at one rate, concatenated in order as `frames_of` gives them."""
     from specvalley import classify
 
     cfg = cfg or classify.PipelineConfig()
     audios = audio if isinstance(audio, list) else [audio]
-    frames = np.concatenate([cfg.frames(a) for a in audios])
+    frames = np.concatenate([frames_of(a, cfg) for a in audios])
     return classify.frame_pipeline(frames, audios[0].sample_rate, cfg)
 
 

@@ -4,8 +4,9 @@
 `FormantSpec`s, from the same stacked LP core the table is built from;
 `decide_segment` averages the valid frames as Python lists. The table and the
 decisions taken from its slices must equal these bit for bit. The reference
-pre-emphasizes and frames each segment itself, so the comparison checks
-`PipelineConfig.frames` as well.
+pre-emphasizes and frames each segment by itself, with the code those steps
+had before they worked on segment tables, so the comparison checks
+the pre-emphasis and framing of the corpus stage's blocks as well.
 """
 
 import operator
@@ -19,10 +20,9 @@ from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
     autocorrelation,
     formant_anchors,
-    frame_signal,
+    frame_length,
     levinson_rows,
     lpc_levels,
-    preemphasize,
     window,
 )
 from specvalley.types import FormantSpec
@@ -35,21 +35,45 @@ def _levinson_failure(fit, row):
     return f"reflection coefficient {fit.reflection[row, m - 1]:.6g} outside [-1, 1] at stage {m}"
 
 
-def frame_pipeline(segments, cfg=None):
-    """list[FrameFeatures] of every frame of `segments`, in input order."""
+def preemphasize(x, alpha):
+    """y[n] = x[n] - alpha*x[n-1], y[0] = x[0], of one segment."""
+    y = np.empty_like(x)
+    if len(x):
+        y[0] = x[0]
+        y[1:] = x[1:] - alpha * x[:-1]
+    return y
+
+
+def frame_signal(x, sample_rate, frame_ms, overlap_fraction):
+    """The hop-spaced whole frames of one segment, as a read-only view."""
+    frame_len = frame_length(frame_ms, sample_rate)
+    hop = max(int(round(frame_len * (1.0 - overlap_fraction))), 1)
+    count = 0 if len(x) < frame_len else 1 + (len(x) - frame_len) // hop
+    step = x.strides[0]
+    return np.lib.stride_tricks.as_strided(x, (count, frame_len), (hop * step, step),
+                                           writeable=False)
+
+
+def frames(audio, cfg=None):
+    """The pre-emphasized frames of one SignalBuffer, framed by itself."""
     cfg = cfg or PipelineConfig()
-    if not isinstance(segments, list):
-        segments = [segments]
-    audios = [seg.audio if hasattr(seg, "audio") else seg for seg in segments]
+    return frame_signal(preemphasize(audio.samples, cfg.preemphasis), audio.sample_rate,
+                        cfg.frame_ms, cfg.overlap_fraction)
+
+
+def frame_pipeline(segments, cfg=None):
+    """list[FrameFeatures] of every frame of `segments` (a SignalBuffer or a
+    list of them at one rate), in input order."""
+    cfg = cfg or PipelineConfig()
+    audios = segments if isinstance(segments, list) else [segments]
     if not audios:
         return []
     fs = audios[0].sample_rate
     order = cfg.order_for(fs)
-    frames = np.concatenate([frame_signal(preemphasize(audio, cfg.preemphasis), cfg.frame_ms,
-                                          cfg.overlap_fraction) for audio in audios])
-    if frames.shape[0] == 0:
+    stack = np.concatenate([frames(audio, cfg) for audio in audios])
+    if stack.shape[0] == 0:
         return []
-    lags = autocorrelation(window(frames), order)
+    lags = autocorrelation(window(stack), order)
     out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
            for r0 in lags[:, 0].tolist()]
 

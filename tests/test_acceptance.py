@@ -6,7 +6,6 @@ be run on its own.
 """
 
 import filecmp
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -14,15 +13,8 @@ from scipy.signal import lfilter
 
 from conftest import analyse
 from specvalley import baseline, classify
-from specvalley.cli import _segment_decisions, run
-from specvalley.corpus import (
-    NoiseSpec,
-    collect_segments,
-    load_wav,
-    mix_noise,
-    pb_mean_formants,
-    timit_inventory,
-)
+from specvalley.cli import run
+from specvalley.corpus import pb_mean_formants
 from specvalley.envelope import peak_levels, valley_minima
 from specvalley.errors import NoDecisionError
 from specvalley.experiments import (
@@ -194,19 +186,14 @@ def test_criterion_7_synthetic_corpus_accuracies(clean_segment_features, corpus_
            f"F1F2 rule {f2f1:.1f}<60, CLI overall {cli_overall}")
 
 
-def test_criterion_8_noise_harness(corpus_dir, babble_path):
-    segments = collect_segments(corpus_dir, ".phn", timit_inventory())
-    babble = load_wav(babble_path)
+def test_criterion_8_noise_harness(corpus_table, noisy_corpus):
     cfg = classify.PipelineConfig()
+
     # the corpus commands' analysis stage: blocks of whole segments, central
     # vowels skipped, the valley rule at its default threshold
-    stage = SimpleNamespace(feature="valley", threshold=None, include_central=False)
-
     def accuracy(kind, snr):
-        def noisy(i, seg):
-            return mix_noise(seg.audio, NoiseSpec(kind, snr, seed=i), babble=babble)
-
-        decided = list(_segment_decisions(stage, cfg, segments, noisy))
+        decided = list(classify.segment_decisions(corpus_table, cfg,
+                                                  samples=noisy_corpus(kind, snr)))
         return classify.score([d for *_, d in decided],
                               [truth for _, truth, _ in decided]).overall_accuracy
 
@@ -297,13 +284,13 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
 
     flips = 0
     cfg = classify.PipelineConfig()
-    for truth, feats, seg in clean_segment_features[:40]:
+    for truth, feats, audio in clean_segment_features[:40]:
         try:
             base_pred = classify.decide_segment(feats).predicted
         except NoDecisionError:
             base_pred = None
         for gain in (0.25, 4.0):
-            scaled = SignalBuffer(seg.audio.samples * gain, seg.audio.sample_rate)
+            scaled = SignalBuffer(audio.samples * gain, audio.sample_rate)
             try:
                 pred = classify.decide_segment(analyse(scaled, cfg)).predicted
             except NoDecisionError:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct, idct
 
-from conftest import analyse
+from conftest import analyse, frames_of, segment_audio
 from specvalley.baseline import (
     N_FILTERS,
     N_COEFFS,
@@ -77,7 +77,7 @@ class TestMfcc:
 
     def test_segment_matrix_shape(self):
         sig = SignalBuffer(np.random.default_rng(1).standard_normal(1600) * 0.1, FS)
-        mat = segment_mfcc_matrix(PipelineConfig().frames(sig), FS)
+        mat = segment_mfcc_matrix(frames_of(sig), FS)
         assert mat.shape == (9, 12)
 
     def test_filterbank_built_once_per_rate_and_config(self):
@@ -329,16 +329,14 @@ class TestPredict:
 
 
 class TestOnSyntheticCorpus:
-    def _features(self, corpus_dir):
-        from specvalley.corpus import collect_segments, timit_inventory
-
+    def _features(self, table):
         cfg = PipelineConfig()
         feats_mfcc, feats_v3, diffs, truths = [], [], [], []
-        for seg in collect_segments(corpus_dir, ".phn", timit_inventory()):
-            if seg.fb_class == "central":
+        for fb_class, audio in zip(table.fb_class.tolist(), segment_audio(table)):
+            if fb_class == "central":
                 continue
-            mat = segment_mfcc_matrix(cfg.frames(seg.audio), seg.audio.sample_rate)
-            valid = [f for f in analyse(seg.audio, cfg) if f.valid]
+            mat = segment_mfcc_matrix(frames_of(audio, cfg), audio.sample_rate)
+            valid = [f for f in analyse(audio, cfg) if f.valid]
             if len(mat) == 0 or not valid:
                 continue
             v1 = float(np.mean([f.v1_db for f in valid]))
@@ -346,11 +344,11 @@ class TestOnSyntheticCorpus:
             feats_mfcc.append(mat.mean(axis=0))
             feats_v3.append([v1, v2, v1 - v2])
             diffs.append(v1 - v2)
-            truths.append(seg.fb_class)
+            truths.append(fb_class)
         return np.array(feats_mfcc), np.array(feats_v3), np.array(diffs), truths
 
-    def test_both_feature_sets_track_the_threshold_rule(self, corpus_dir):
-        x_mfcc, x_v3, diffs, truths = self._features(corpus_dir)
+    def test_both_feature_sets_track_the_threshold_rule(self, corpus_table):
+        x_mfcc, x_v3, diffs, truths = self._features(corpus_table)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(truths))
         test_idx = perm[: int(0.3 * len(truths))]

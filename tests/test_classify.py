@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import analyse
+from conftest import analyse, frames_of, segment_audio
 from specvalley.classify import (
     MAX_HISTOGRAM_BINS,
     REASONS,
@@ -123,7 +123,7 @@ class TestFramePipeline:
             frame_pipeline(np.zeros((2, 320)), rate)
 
     def test_frame_width_must_match_the_rate(self):
-        frames = PipelineConfig().frames(SignalBuffer(np.ones(3200), FS))
+        frames = frames_of(SignalBuffer(np.ones(3200), FS))
         with pytest.raises(ValueError, match=r"\(n, 160\) .* at 8000 Hz, got shape \(19, 320\)"):
             frame_pipeline(frames, 8000.0)
         with pytest.raises(ValueError, match=r"\(n, 800\) stack of 50 ms"):
@@ -382,13 +382,11 @@ RULES = tuple(REFERENCE_DEFAULT_THRESHOLDS)
 
 
 @pytest.fixture(scope="module")
-def white_0db_features(clean_segment_features):
+def white_0db_features(corpus_table, noisy_corpus):
     """Frames of every corpus segment under white noise at 0 dB SNR."""
-    from specvalley.corpus import NoiseSpec, mix_noise
-
     cfg = PipelineConfig()
-    return [analyse(mix_noise(seg.audio, NoiseSpec("white", 0.0, seed=k)), cfg)
-            for k, (_, _, seg) in enumerate(clean_segment_features)]
+    return [analyse(audio, cfg)
+            for audio in segment_audio(corpus_table, noisy_corpus("white", 0.0))]
 
 
 class TestDecisionRuleTable:

@@ -201,12 +201,32 @@ class TestCorpusCommands:
 NIST_HEADER = b"NIST_1A\n   1024\nsample_count -i 6400\nend_head\n".ljust(1024, b" ")
 
 
+def _wav_at_rate_zero():
+    """A 16-bit mono WAV whose header gives a sample rate of 0 Hz."""
+    import io
+    import struct
+    import wave
+
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(12800))
+    data = bytearray(buf.getvalue())
+    rate_at = data.index(b"fmt ") + 12
+    data[rate_at:rate_at + 4] = struct.pack("<I", 0)
+    return bytes(data)
+
+
 @pytest.mark.parametrize("wav_bytes, phn, message", [
     (NIST_HEADER, "0 1600 h#\n",
      "DR1/FAKS0/SA1.WAV: not a readable WAV file: file does not start with RIFF id"),
     (None, "0 100 h#\n100 oops iy\n",
      "DR1/FAKS0/SA1.PHN: line 2: non-integer sample bounds in '100 oops iy'"),
-], ids=["nist-wav", "bad-label-line"])
+    (_wav_at_rate_zero(), "0 1600 iy\n",
+     "DR1/FAKS0/SA1.WAV: sample rate must be positive, got 0"),
+], ids=["nist-wav", "bad-label-line", "rate-zero"])
 def test_corpus_read_error_names_the_file(wav_bytes, phn, message, tmp_path, capsys):
     from specvalley.corpus import save_wav
     from specvalley.types import SignalBuffer
@@ -843,15 +863,22 @@ def test_lag_window_zero_disables_the_lag_window(monkeypatch):
 
 
 def _reference_scored(corpus_dir, include_central):
+    """(segment, truth) per scored segment, a segment as a namespace of its
+    table row: id, label, rate and audio (a SignalBuffer)."""
+    from types import SimpleNamespace
+
+    from conftest import segment_audio
     from specvalley.corpus import collect_segments, timit_inventory
 
+    table = collect_segments(corpus_dir, ".phn", timit_inventory())
     scored = []
-    for seg in collect_segments(corpus_dir, ".phn", timit_inventory()):
-        if seg.fb_class == "central":
+    for i, audio in enumerate(segment_audio(table)):
+        seg = SimpleNamespace(id=table.segment_id(i), label=table.label[i], audio=audio)
+        if table.fb_class[i] == "central":
             if include_central:
                 scored.append((seg, "back"))
             continue
-        scored.append((seg, seg.fb_class))
+        scored.append((seg, table.fb_class[i]))
     return scored
 
 
@@ -872,7 +899,7 @@ def _reference_decision(features, rule, threshold=None):
 
 
 def _seg_id(seg):
-    return f"{seg.utterance_id}:{seg.start_sample}"
+    return seg.id
 
 
 @pytest.fixture(scope="module")
@@ -914,7 +941,7 @@ def _expected_classify_rows(scored, features, feature="valley", threshold=None):
         dec = _reference_decision(features[_seg_id(seg)], FEATURE_RULES[feature], threshold)
         cells = ("", "", "", "undecided") if dec is None else (
             f"{dec.mean_v1:.3f}", f"{dec.mean_v2:.3f}", f"{dec.mean_diff:.3f}", dec.predicted)
-        expected.append(",".join([_seg_id(seg), seg.phone_label, truth, *cells]))
+        expected.append(",".join([_seg_id(seg), seg.label, truth, *cells]))
     return expected
 
 
@@ -966,6 +993,7 @@ def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
                                                     small_corpus_dir, babble_path, tmp_path):
     from specvalley import classify
     from specvalley.corpus import NoiseSpec, load_wav, mix_noise
+    from specvalley.types import SignalBuffer
 
     seed = 3
     babble = load_wav(babble_path)
@@ -976,8 +1004,10 @@ def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
             decisions = []
             for idx, (seg, _) in enumerate(scored):
                 spec = NoiseSpec(kind=kind, snr_db=snr, seed=seed + idx)
-                noisy = mix_noise(seg.audio, spec, babble=babble)
-                decisions.append(_reference_decision(_reference_features(noisy), rule, threshold))
+                noisy = mix_noise(seg.audio.samples, seg.audio.sample_rate, spec, babble=babble)
+                decisions.append(_reference_decision(
+                    _reference_features(SignalBuffer(noisy, seg.audio.sample_rate)), rule,
+                    threshold))
             report = classify.score(decisions, [truth for _, truth in scored])
             accs = [("" if a is None else f"{a:.2f}") for a in
                     (report.front_accuracy, report.back_accuracy, report.overall_accuracy)]
@@ -1188,6 +1218,93 @@ def test_mixed_rate_corpus_equals_the_per_segment_loop(mixed_rate_corpus_dir, pi
     assert set(rates) == {8000, 16000}
 
 
+def test_pre_emphasis_restarts_at_every_segment(small_corpus_dir, pipeline_calls, tmp_path):
+    # two vowels labelled back to back, with no silence between them: in the
+    # utterance and in the table's buffer, the second one's first sample
+    # follows a sample of the first, which its pre-emphasis must not see
+    from specvalley.corpus import collect_segments, save_wav, timit_inventory
+    from specvalley.types import SignalBuffer
+
+    front, s1, e1, l1 = _vowel(sorted(small_corpus_dir.glob("*_iy_*.wav"))[0])
+    back, s2, e2, l2 = _vowel(sorted(small_corpus_dir.glob("*_aa_*.wav"))[0])
+    pad = front.samples[:s1]
+    samples = np.concatenate([pad, front.samples[s1:e1], back.samples[s2:e2], pad])
+    mid, end = s1 + e1 - s1, s1 + e1 - s1 + e2 - s2
+    root = tmp_path / "adjacent"
+    root.mkdir()
+    save_wav(root / "pair.wav", SignalBuffer(samples, front.sample_rate))
+    (root / "pair.phn").write_text(f"0 {s1} h#\n{s1} {mid} {l1}\n{mid} {end} {l2}\n"
+                                   f"{end} {len(samples)} h#\n")
+    table = collect_segments(root, ".phn", timit_inventory())
+    assert table.start_sample.tolist() == [s1, mid] and table.offsets[1] == mid - s1
+    assert table.samples[table.offsets[1] - 1] != 0.0
+    _classify_equals_the_per_segment_loop(root, pipeline_calls, tmp_path)
+    assert [len(segments) for segments, *_ in pipeline_calls] == [2]
+
+
+@pytest.fixture
+def signal_buffers(monkeypatch):
+    """The count of SignalBuffers built from now on."""
+    from specvalley.types import SignalBuffer
+
+    built = [0]
+    post_init = SignalBuffer.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SignalBuffer, "__post_init__", counted)
+    return built
+
+
+def test_no_signal_buffer_per_segment(small_corpus_dir, babble_path, signal_buffers, tmp_path):
+    n_wavs = len(list(small_corpus_dir.glob("*.wav")))
+    built = {}
+    for argv in (["classify"], ["hist"],
+                 ["noise-eval", "--noise", "white,babble", "--snrs", "25,0",
+                  "--babble-source", str(babble_path)]):
+        signal_buffers[0] = 0
+        assert run(argv + ["--corpus", str(small_corpus_dir), "--out", str(tmp_path / "o.csv"),
+                           "--no-timestamp"]) == 0
+        built[argv[0]] = signal_buffers[0]
+    assert n_wavs == 63
+    assert built["classify"] <= n_wavs and built["hist"] <= n_wavs
+    assert built["noise-eval"] <= built["classify"] + 1
+
+
+@pytest.fixture(scope="module")
+def babble_files(babble_path, tmp_path_factory):
+    """A babble file too short for the small corpus's shortest segment, and one at 8 kHz."""
+    from specvalley.corpus import load_wav, save_wav
+    from specvalley.types import SignalBuffer
+
+    root = tmp_path_factory.mktemp("bad_babble")
+    babble = load_wav(babble_path)
+    save_wav(root / "short.wav", SignalBuffer(babble.samples[:1600], babble.sample_rate))
+    save_wav(root / "8k.wav", SignalBuffer(babble.samples[::2], babble.sample_rate / 2))
+    return root / "short.wav", root / "8k.wav"
+
+
+@pytest.mark.parametrize("which, babble_cells", [
+    (0, "1600 samples at 16000 Hz"), (1, "32000 samples at 8000 Hz")], ids=["short", "8k"])
+def test_babble_that_cannot_cover_a_segment_fails_before_any_analysis(
+        which, babble_cells, small_corpus_dir, babble_files, pipeline_calls, tmp_path, capsys):
+    from specvalley.corpus import collect_segments, timit_inventory
+
+    table = collect_segments(small_corpus_dir, ".phn", timit_inventory())
+    path, out = babble_files[which], tmp_path / "noise.csv"
+    assert run(["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "white,babble",
+                "--snrs", "25,0", "--babble-source", str(path), "--out", str(out),
+                "--no-timestamp"]) == 1
+    # the first segment is longer than 1600 samples, so it is the one named
+    assert len(table.segment(0)) > 1600
+    assert capsys.readouterr().err == (
+        f"error: --babble-source {path} ({babble_cells}) cannot cover segment "
+        f"{table.segment_id(0)} ({len(table.segment(0))} samples at 16000 Hz)\n")
+    assert pipeline_calls == [] and not out.exists()
+
+
 # ------------------------------------------------------ noise-eval and silence
 
 @pytest.fixture(scope="module")
@@ -1205,6 +1322,35 @@ def silent_vowel_corpus_dirs(recipes, tmp_path_factory):
             silent_id = f"{wav.stem}:{start}"
         _rewrite(wav, silent, audio, start, end, label)
     return clean, silent, silent_id
+
+
+def test_babble_need_not_cover_a_silent_segment(silent_vowel_corpus_dirs, babble_path,
+                                                tmp_path):
+    # silence is left unmixed, so a babble as long as the longest sounding
+    # segment is enough, whatever the length of the silent one
+    from specvalley.corpus import collect_segments, load_wav, save_wav, timit_inventory
+    from specvalley.types import SignalBuffer
+
+    _, silent, silent_id = silent_vowel_corpus_dirs
+    table = collect_segments(silent, ".phn", timit_inventory())
+    lengths = {table.segment_id(i): len(table.segment(i)) for i in range(len(table))}
+    sounding = max(n for seg_id, n in lengths.items() if seg_id != silent_id)
+    babble = tmp_path / "babble.wav"
+    save_wav(babble, SignalBuffer(load_wav(babble_path).samples[:sounding], 16000.0))
+    argv = ["noise-eval", "--corpus", str(silent), "--noise", "babble", "--snrs", "25",
+            "--babble-source", str(babble), "--no-timestamp", "--out", str(tmp_path / "o.csv")]
+    assert run(argv) == 0
+    longer = tmp_path / "longer"
+    for wav in sorted(silent.glob("*.wav")):  # the silent vowel twice as long
+        audio, start, end, label = _vowel(wav)
+        if f"{wav.stem}:{start}" == silent_id:
+            audio = SignalBuffer(np.concatenate([audio.samples[:end], np.zeros(end - start),
+                                                 audio.samples[end:]]), audio.sample_rate)
+            end += end - start
+        longer.mkdir(exist_ok=True)
+        _rewrite(wav, longer, audio, start, end, label)
+    assert 2 * lengths[silent_id] > sounding
+    assert run(argv[:2] + [str(longer)] + argv[3:]) == 0
 
 
 def test_noise_eval_counts_a_silent_segment_as_undecided(silent_vowel_corpus_dirs, babble_path,

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analyse
+from conftest import analyse, frames_of, segment_audio
 from specvalley import classify, sigproc
-from specvalley.corpus import NoiseSpec, load_wav, mix_noise
 from specvalley.sigproc import (
     autocorrelation,
     formant_anchors,
@@ -78,23 +77,22 @@ def _pipeline_columns(blocks, cfg):
             for name in ("reason", "counts", "v1", "v2", "freqs", "bandwidths")}
 
 
-def _corpus_blocks(condition, clean_segment_features, babble_path):
+def _corpus_blocks(condition, corpus_table, noisy_corpus):
     """The corpus audio under a condition ("clean", or "<noise> <snr>"), in
     blocks of BLOCK_SEGMENTS segments."""
-    audio = [seg.audio for _, _, seg in clean_segment_features]
+    samples = None
     if condition != "clean":
         kind, snr = condition.split()
-        babble = load_wav(babble_path)
-        audio = [mix_noise(x, NoiseSpec(kind, float(snr), seed=i), babble=babble)
-                 for i, x in enumerate(audio)]
+        samples = noisy_corpus(kind, float(snr))
+    audio = segment_audio(corpus_table, samples)
     return [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
 
 
 @pytest.fixture(scope="module", params=list(FALLBACK_SHARE))
-def both_ways(request, clean_segment_features, babble_path):
+def both_ways(request, corpus_table, noisy_corpus):
     """The corpus under one condition through the pipeline anchored both ways,
     with every anchor call's input and output and the rows sent to eigvals."""
-    blocks = _corpus_blocks(request.param, clean_segment_features, babble_path)
+    blocks = _corpus_blocks(request.param, corpus_table, noisy_corpus)
     cfg = classify.PipelineConfig()
     calls = {"anchors": [], "eigvals": []}
 
@@ -142,7 +140,7 @@ def test_pipeline_reads_each_frame_as_when_anchored_at_eigvals(both_ways):
 
 def test_a_corpus_row_gives_the_same_anchors_alone(clean_segment_features):
     cfg = classify.PipelineConfig()
-    frames = np.concatenate([cfg.frames(seg.audio) for _, _, seg in clean_segment_features])
+    frames = np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
     fit = levinson_rows(autocorrelation(window(frames), 18), 18)
     assert not fit.stage.any()
     for first in range(0, len(fit.a), classify.STACK_FRAMES):
@@ -185,9 +183,8 @@ def _assert_newton_equals_the_reference(a, rows, z):
 
 @pytest.mark.parametrize("condition", ["clean", "white 0", "babble 0"])
 def test_newton_equals_the_out_of_place_horner_on_the_corpus(condition,
-                                                              clean_segment_features,
-                                                              babble_path):
-    blocks = _corpus_blocks(condition, clean_segment_features, babble_path)
+                                                              corpus_table, noisy_corpus):
+    blocks = _corpus_blocks(condition, corpus_table, noisy_corpus)
     fitted = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "formant_anchors",
@@ -268,7 +265,7 @@ def test_anchors_equal_the_eigvals_gating_on_crafted_stacks(seed, order, kinds):
 def test_rows_left_to_eigvals_equal_it_bit_for_bit(monkeypatch):
     # close resonances 20 Hz apart at radius 0.99: some frames' seeds miss a root
     cfg = classify.PipelineConfig(lp_order=18)
-    frames = np.concatenate([cfg.frames(_close_resonances(seed)) for seed in range(1, 6)])
+    frames = np.concatenate([frames_of(_close_resonances(seed), cfg) for seed in range(1, 6)])
     fit = levinson_rows(autocorrelation(window(frames), 18), 18)
     assert not fit.stage.any()
     sent = _record_eigvals_calls(monkeypatch)

@@ -13,10 +13,9 @@ import pytest
 from scipy.signal import lfilter
 
 import frame_reference
-from conftest import analyse
+from conftest import analyse, segment_audio
 from specvalley import classify
 from specvalley.classify import REASONS, UNSTABLE, VALID, FrameTable, decide_segment
-from specvalley.corpus import NoiseSpec, load_wav, mix_noise
 from specvalley.errors import NoDecisionError
 from specvalley.sigproc import levinson_failure, levinson_rows
 from specvalley.types import SignalBuffer
@@ -29,16 +28,13 @@ RULES = {"clean": tuple(classify.DECISION_RULES), "noisy": ("valley", "v1_only",
 
 
 @pytest.fixture(scope="module", params=["clean", "white 20 dB", "babble 20 dB"])
-def condition_audio(request, clean_segment_features, babble_path):
+def condition_audio(request, corpus_table, noisy_corpus):
     """(rules, audio of every scored corpus segment) under one condition, with
     the noise seeded as the noise harness of the acceptance gates seeds it."""
     if request.param == "clean":
-        return RULES["clean"], [seg.audio for _, _, seg in clean_segment_features]
-    kind, snr = request.param.split()[0], 20.0
-    babble = load_wav(babble_path)
-    return RULES["noisy"], [
-        mix_noise(seg.audio, NoiseSpec(kind, snr, seed=i), babble=babble)
-        for i, (_, _, seg) in enumerate(clean_segment_features)]
+        return RULES["clean"], segment_audio(corpus_table)
+    return RULES["noisy"], segment_audio(corpus_table,
+                                         noisy_corpus(request.param.split()[0], 20.0))
 
 
 def _fields(dec):
@@ -72,7 +68,7 @@ def test_table_and_decisions_equal_the_per_frame_reference(condition_audio):
         _assert_table_is(table, expected)
         start = 0
         for audio in block:
-            n = len(cfg.frames(audio))
+            n = len(frame_reference.frames(audio, cfg))
             part, reference = table[start:start + n], expected[start:start + n]
             start += n
             for rule in rules:

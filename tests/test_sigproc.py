@@ -38,23 +38,31 @@ def buf(samples, rate=16000.0):
 
 class TestPreemphasize:
     def test_zero_alpha_is_identity(self):
-        x = buf([0.3, -0.2, 0.9])
-        assert np.array_equal(preemphasize(x, 0.0).samples, x.samples)
+        x = np.array([0.3, -0.2, 0.9])
+        assert np.array_equal(preemphasize(x, 0.0), x)
 
     def test_direct_formula(self):
-        y = preemphasize(buf([1.0, 1.0, 1.0]), 0.97).samples
+        y = preemphasize(np.array([1.0, 1.0, 1.0]), 0.97)
         assert np.allclose(y, [1.0, 0.03, 0.03])
 
     def test_near_one_alpha_cancels_constant(self):
         eps = 1e-3
-        y = preemphasize(buf([2.0] * 10), 1.0 - eps).samples
+        y = preemphasize(np.full(10, 2.0), 1.0 - eps)
         assert np.allclose(y[1:], eps * 2.0)
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
-            preemphasize(buf([1.0]), 1.0)
+            preemphasize(np.array([1.0]), 1.0)
         with pytest.raises(ValueError):
-            preemphasize(buf([1.0]), -0.1)
+            preemphasize(np.array([1.0]), -0.1)
+
+    def test_each_segment_restarts_as_if_alone(self):
+        x = np.random.default_rng(3).standard_normal(700)
+        starts = [0, 200, 201, 450]
+        y = preemphasize(x, 0.97, starts)
+        for a, b in zip(starts, starts[1:] + [len(x)]):
+            assert np.array_equal(y[a:b], preemphasize(x[a:b], 0.97))
+        assert len(preemphasize(np.empty(0), 0.97, [0])) == 0
 
 
 @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan"), float("inf")])
@@ -65,26 +73,25 @@ def test_signal_buffer_rate_must_be_finite_and_positive(sample_rate):
 
 class TestFrameSignal:
     def test_hundred_ms_gives_nine_frames(self):
-        x = buf(np.zeros(1600))
-        assert frame_signal(x, 20.0, 0.5).shape == (9, 320)
+        frames, counts = frame_signal(np.zeros(1600), 16000.0, 20.0, 0.5)
+        assert frames.shape == (9, 320) and counts.tolist() == [9]
 
     def test_exact_frame_gives_one(self):
-        assert frame_signal(buf(np.zeros(320)), 20.0, 0.5).shape[0] == 1
+        assert frame_signal(np.zeros(320), 16000.0, 20.0, 0.5)[0].shape[0] == 1
 
     def test_short_signal_gives_zero_frames(self):
-        frames = frame_signal(buf(np.zeros(304)), 20.0, 0.5)
-        assert frames.shape == (0, 320)
+        frames, counts = frame_signal(np.zeros(304), 16000.0, 20.0, 0.5)
+        assert frames.shape == (0, 320) and counts.tolist() == [0]
 
     def test_frames_tile_the_signal(self):
-        x = buf(np.arange(1600.0))
-        frames = frame_signal(x, 20.0, 0.5)
+        frames, _ = frame_signal(np.arange(1600.0), 16000.0, 20.0, 0.5)
         assert np.array_equal(frames[1], np.arange(160.0, 480.0))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            frame_signal(buf(np.zeros(100)), 0.0, 0.5)
+            frame_signal(np.zeros(100), 16000.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            frame_signal(buf(np.zeros(100)), 20.0, 1.0)
+            frame_signal(np.zeros(100), 16000.0, 20.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 4000), frame_ms=st.floats(0.5, 60.0),
@@ -93,13 +100,27 @@ class TestFrameSignal:
     def test_frames_are_the_hop_spaced_slices(self, n, frame_ms, rate, overlap, stride):
         # signals shorter than one frame included, and samples that are a strided view
         samples = np.arange(float(n * stride))[::stride]
-        frames = frame_signal(buf(samples, rate), frame_ms, overlap)
+        frames, counts = frame_signal(samples, rate, frame_ms, overlap)
         frame_len = int(round(frame_ms / 1000.0 * rate))
         hop = max(int(round(frame_len * (1.0 - overlap))), 1)
         starts = range(0, n - frame_len + 1, hop)
-        assert frames.shape == (len(starts), frame_len)
+        assert frames.shape == (len(starts), frame_len) and counts.tolist() == [len(starts)]
         assert all(np.array_equal(row, samples[i:i + frame_len]) for row, i in zip(frames, starts))
-        assert not frames.flags.writeable
+        assert not np.shares_memory(frames, samples)  # a copy: writing it leaves x as it is
+
+    @settings(max_examples=100, deadline=None)
+    @given(cuts=st.lists(st.integers(0, 3000), max_size=8), gap=st.integers(0, 50),
+           frame_ms=st.floats(1.0, 40.0), overlap=st.floats(0.0, 0.9))
+    def test_segments_are_framed_as_if_alone(self, cuts, gap, frame_ms, overlap):
+        # segments of any length, none and empty ones included, with samples between them
+        samples = np.arange(float(sum(cuts) + gap * len(cuts)))
+        stops = np.cumsum(np.array(cuts, dtype=int) + gap)
+        spans = np.column_stack([stops - cuts, stops]).reshape(-1, 2)
+        frames, counts = frame_signal(samples, 8000.0, frame_ms, overlap, spans)
+        alone = [frame_signal(samples[a:b], 8000.0, frame_ms, overlap) for a, b in spans]
+        assert counts.tolist() == [c[0] for _, c in alone]
+        expected = np.concatenate([f for f, _ in alone] + [frames[:0]])
+        assert np.array_equal(frames, expected)
 
 
 class TestWindow:

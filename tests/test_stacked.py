@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from conftest import frames_of
 from specvalley import experiments
 from specvalley.baseline import mfcc, segment_mfcc_matrix
 from specvalley.classify import PipelineConfig, frame_pipeline
@@ -139,7 +140,7 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
 def corpus_lags(clean_segment_features):
     """Order-18 autocorrelation rows of every frame of the acceptance corpus."""
     cfg = PipelineConfig()
-    frames = np.concatenate([cfg.frames(seg.audio) for _, _, seg in clean_segment_features])
+    frames = np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
     return autocorrelation(window(frames), 18)
 
 
@@ -169,8 +170,8 @@ def _per_frame_reference(seg, cfg, order):
     `test_formant_anchors` anchors the roots to companion-matrix eigenvalues.
     Each frame's envelope is its taps times the cos|sin table, as in
     `lpc_levels`; `test_lpc_levels_match_the_fft_oracle` anchors that to the rfft."""
-    frames = window(frame_signal(preemphasize(seg, cfg.preemphasis), cfg.frame_ms,
-                                 cfg.overlap_fraction))
+    frames = window(frame_signal(preemphasize(seg.samples, cfg.preemphasis), seg.sample_rate,
+                                 cfg.frame_ms, cfg.overlap_fraction)[0])
     n = frames.shape[1]
     table = _unit_circle_table(order + 1, 512)
     grid = np.linspace(0.0, FS / 2.0, 512)
@@ -225,7 +226,7 @@ def _test_segment(seed, noise):
 
 def _features(seg, cfg):
     return [(f.v1_db, f.v2_db, [(x.frequency, x.bandwidth) for x in f.formants], f.fail_reason)
-            for f in frame_pipeline(cfg.frames(seg), seg.sample_rate, cfg)]
+            for f in frame_pipeline(frames_of(seg, cfg), seg.sample_rate, cfg)]
 
 
 # the stacked pipeline does the same arithmetic as the loop, so it must give
@@ -267,8 +268,8 @@ def test_stacked_mfcc_rows_match_single_frames():
     rng = np.random.default_rng(9)
     samples = np.concatenate([rng.standard_normal(1600), np.zeros(640), rng.standard_normal(800)])
     audio = SignalBuffer(samples * 0.1, FS)
-    mat = segment_mfcc_matrix(PipelineConfig().frames(audio), FS)
-    frames = frame_signal(preemphasize(audio, 0.97), 20.0, 0.5)
+    mat = segment_mfcc_matrix(frames_of(audio), FS)
+    frames = frame_signal(preemphasize(audio.samples, 0.97), FS, 20.0, 0.5)[0]
     singles = [mfcc(window(f), FS) for f in frames if np.any(f)]
     assert len(singles) < len(frames)  # the silent frames were skipped
     assert mat.shape == (len(singles), 12)
@@ -282,10 +283,10 @@ def test_mfcc_matrix_of_the_config_frames_is_the_default_framing(rate):
     rng = np.random.default_rng(5)
     samples = np.concatenate([rng.standard_normal(2000), np.zeros(800), rng.standard_normal(900)])
     audio = SignalBuffer(samples * 0.1, rate)
-    frames = frame_signal(preemphasize(audio, 0.97), 20.0, 0.5)
+    frames = frame_signal(preemphasize(audio.samples, 0.97), rate, 20.0, 0.5)[0]
     frames = frames[np.any(frames, axis=1)]
     expected = mfcc(window(frames), rate)
-    assert np.array_equal(segment_mfcc_matrix(PipelineConfig().frames(audio), rate), expected)
+    assert np.array_equal(segment_mfcc_matrix(frames_of(audio), rate), expected)
 
 
 def test_stacked_mfcc_rejects_a_zero_row():
