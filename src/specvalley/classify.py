@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .corpus import pcm_to_float
 from .envelope import valley_minima
 from .errors import NoDecisionError
 from .scales import hz_to_bark
@@ -266,14 +267,15 @@ def scored_rows(table, include_central: bool = False):
     return rows, np.where(central[rows], "back", table.fb_class[rows]).tolist()
 
 
-def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, samples=None):
+def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, mix=None):
     """(rows, truths, frames, counts, sample_rate) per block of the scored segments
     of `table`, in corpus order: `frames` stacks the pre-emphasized frames of the
     segments `rows`, `counts` holds their number per segment. A block holds whole
     segments at one rate, at most STACK_FRAMES frames unless it is one longer
-    segment. `samples`, laid out like `table.samples`, replaces the table's own.
+    segment. Only the block being framed is converted from the table's PCM to
+    floats. `mix(i, x)`, when given, returns the samples segment i is analysed
+    with, from its float samples x.
     """
-    samples = table.samples if samples is None else samples
     rows, truths = scored_rows(table, include_central)
     starts, stops, rates = table.offsets[rows], table.offsets[rows + 1], table.rate[rows]
     counts = np.zeros(len(rows), dtype=int)
@@ -284,7 +286,11 @@ def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, sa
     def block(a, b):
         # each segment's pre-emphasis starts afresh at its first sample
         spans = np.column_stack([starts[a:b], stops[a:b]]) - starts[a]
-        x = preemphasize(samples[starts[a]:stops[b - 1]], cfg.preemphasis, spans[:, 0])
+        x = pcm_to_float(table.pcm[starts[a]:stops[b - 1]])
+        if mix is not None:
+            for i, (lo, hi) in zip(rows[a:b].tolist(), spans.tolist()):
+                x[lo:hi] = mix(i, x[lo:hi])
+        x = preemphasize(x, cfg.preemphasis, spans[:, 0])
         rate = float(rates[a])
         frames, n = frame_signal(x, rate, cfg.frame_ms, cfg.overlap_fraction, spans)
         return rows[a:b], truths[a:b], frames, n, rate
@@ -301,13 +307,12 @@ def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, sa
 
 def segment_decisions(table, cfg: PipelineConfig, rule: str = "valley",
                       threshold: float | None = None, include_central: bool = False,
-                      samples=None):
+                      mix=None):
     """(segment index, truth, decision or None) per scored segment of `table`, in
     corpus order: the analysis stage of the corpus commands. Each block of
     `segment_blocks` is one `frame_pipeline` call, whose table `decide_segment`
     reads segment by segment before the next block is framed."""
-    for rows, truths, frames, counts, rate in segment_blocks(table, cfg, include_central,
-                                                             samples):
+    for rows, truths, frames, counts, rate in segment_blocks(table, cfg, include_central, mix):
         frame_table = frame_pipeline(frames, rate, cfg)
         start = 0
         for i, truth, n in zip(rows.tolist(), truths, counts.tolist()):

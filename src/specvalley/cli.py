@@ -346,11 +346,11 @@ def _corpus_inputs(args):
     return cfg, table
 
 
-def _decisions(args, cfg, table, samples=None):
+def _decisions(args, cfg, table, mix=None):
     """The corpus stage with the command's rule, threshold and --include-central."""
     return classify.segment_decisions(table, cfg, FEATURE_RULES[args.feature],
                                       getattr(args, "threshold", None), args.include_central,
-                                      samples)
+                                      mix)
 
 
 def _threshold(args):
@@ -426,11 +426,11 @@ def _cmd_noise_eval(args, out):
     # silence has no power to set an SNR against: it is left unmixed, its
     # frames fail as silent and the segment counts as undecided; the seed of
     # a segment is --seed plus its index among the scored segments
-    mixed = [(k, i) for k, i in enumerate(rows.tolist())
-             if float(np.mean(table.segment(i)**2)) > 0]
+    seeds = {i: args.seed + k for k, i in enumerate(rows.tolist())
+             if float(np.mean(table.segment(i)**2)) > 0}
     babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
-    for _, i in mixed:  # a babble file must cover each mixed segment, at its rate
-        n = len(table.segment(i))
+    for i in seeds:  # a babble file must cover each mixed segment, at its rate
+        n = int(table.offsets[i + 1] - table.offsets[i])
         if babble and (table.rate[i] != babble.sample_rate or n > len(babble.samples)):
             raise FormatError(f"--babble-source {args.babble_source} ({len(babble.samples)} "
                               f"samples at {babble.sample_rate:g} Hz) cannot cover segment "
@@ -441,15 +441,10 @@ def _cmd_noise_eval(args, out):
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
     if not len(rows):
         raise _Stop("no segments found")
-    samples = np.empty_like(table.samples)  # one buffer, refilled for each condition
     for kind in kinds:
         for snr in snrs:
-            np.copyto(samples, table.samples)
-            for k, i in mixed:
-                a, b = table.offsets[i], table.offsets[i + 1]
-                spec = corpus.NoiseSpec(kind=kind, snr_db=snr, seed=args.seed + k)
-                samples[a:b] = corpus.mix_noise(samples[a:b], table.rate[i], spec, babble)
-            decided = list(_decisions(args, cfg, table, samples))
+            mix = corpus.noise_mixer(table, kind, snr, seeds, babble)
+            decided = list(_decisions(args, cfg, table, mix))
             report = classify.score([dec for *_, dec in decided],
                                     [truth for _, truth, _ in decided],
                                     feature=args.feature, threshold=threshold)

@@ -27,11 +27,12 @@ NOISE_KINDS = ("white", "babble")
 class SegmentTable:
     """The labelled vowel segments of a corpus as columns, one row per segment.
 
-    One buffer holds the segments' samples back to back, and nothing of the
-    utterances around them: segment i is samples[offsets[i]:offsets[i + 1]].
+    One column holds the segments' 16-bit PCM samples back to back, as the
+    WAVs store them, and nothing of the utterances around them: segment i is
+    pcm[offsets[i]:offsets[i + 1]], and `segment(i)` gives it as floats.
     """
 
-    samples: np.ndarray  # float64 in [-1, 1)
+    pcm: np.ndarray  # int16, 2 bytes per sample; `pcm_to_float` scales it to [-1, 1)
     offsets: np.ndarray  # (n + 1,) int
     rate: np.ndarray  # (n,) sample rate in Hz
     label: np.ndarray  # (n,) phone label
@@ -43,7 +44,8 @@ class SegmentTable:
         return len(self.rate)
 
     def segment(self, i: int) -> np.ndarray:
-        return self.samples[self.offsets[i]:self.offsets[i + 1]]
+        """Segment i's samples as float64 in [-1, 1), a new array."""
+        return pcm_to_float(self.pcm[self.offsets[i]:self.offsets[i + 1]])
 
     def segment_id(self, i: int) -> str:
         return f"{self.utterance_id[i]}:{self.start_sample[i]}"
@@ -90,6 +92,11 @@ class VowelInventory:
         return self.classes.get(label)
 
 
+def pcm_to_float(pcm: np.ndarray) -> np.ndarray:
+    """16-bit PCM samples as float64 in [-1, 1): pcm / 32768, exact per sample."""
+    return np.divide(pcm, 32768.0)
+
+
 def _read_pcm(path):
     """The int16 samples and the sample rate of a 16-bit PCM mono WAV."""
     try:
@@ -119,7 +126,7 @@ def _read_pcm(path):
 def load_wav(path) -> SignalBuffer:
     """Read a 16-bit PCM mono WAV into [-1, 1) floats."""
     pcm, rate = _read_pcm(path)
-    return SignalBuffer(pcm.astype(np.float64) / 32768.0, rate)
+    return SignalBuffer(pcm_to_float(pcm), rate)
 
 
 def save_wav(path, x: SignalBuffer):
@@ -374,20 +381,18 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory) -> 
     # 16-bit samples as bytes), in an anonymous mapping of its own: the
     # segments fill its front, untouched pages never become resident, and
     # freeing the table returns its pages without moving malloc's thresholds.
-    room = mmap.mmap(-1, 8 * max(1, sum(os.path.getsize(path) // 2 for _, path, _ in wavs)))
-    samples, rows, n = np.frombuffer(room, dtype=np.float64), [], 0
+    room = mmap.mmap(-1, 2 * max(1, sum(os.path.getsize(path) // 2 for _, path, _ in wavs)))
+    pcm, rows, n = np.frombuffer(room, dtype=np.int16), [], 0
     for parts, wav_path, label in wavs:
         wav = "/".join(parts)
         audio, rate = _read(_read_pcm, wav_path, wav)
         labels = _read(load_phone_labels, label.path, "/".join(parts[:-1] + (label.name,)))
         for start, stop, phone, fb in select_vowel_segments(labels, len(audio), rate, inventory):
-            samples[n:n + stop - start] = audio[start:stop]
+            pcm[n:n + stop - start] = audio[start:stop]
             rows.append((n, rate, phone, fb, wav[: wav.rfind(".")], start))
             n += stop - start
-    samples = samples[:n]
-    samples /= 32768.0  # the same x / 32768 per sample as load_wav
     offsets, rate, label, fb_class, utterance_id, start = zip(*rows) if rows else [()] * 6
-    return SegmentTable(samples, np.array(offsets + (n,), dtype=np.int64),
+    return SegmentTable(pcm[:n], np.array(offsets + (n,), dtype=np.int64),
                         np.array(rate, dtype=np.float64), np.array(label, dtype=str),
                         np.array(fb_class, dtype=str), np.array(utterance_id, dtype=str),
                         np.array(start, dtype=np.int64))
@@ -425,3 +430,15 @@ def mix_noise(x: np.ndarray, sample_rate: float, spec: NoiseSpec,
         raise DegenerateInputError("noise draw has zero power")
     noise *= np.sqrt(p_signal / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
     return x + noise
+
+
+def noise_mixer(table: SegmentTable, kind: str, snr_db: float, seeds: dict,
+                babble: SignalBuffer | None = None):
+    """The `mix(i, x)` hook of `classify.segment_blocks` for one noise condition:
+    segment i's float samples x plus `kind` noise at `snr_db` (`mix_noise`),
+    seeded `seeds[i]`. A segment without a seed is analysed as it is."""
+    def mix(i, x):
+        if i not in seeds:
+            return x
+        return mix_noise(x, table.rate[i], NoiseSpec(kind, snr_db, seeds[i]), babble)
+    return mix

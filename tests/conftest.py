@@ -58,6 +58,7 @@ def corpus_table(corpus_dir):
 
     table = collect_segments(corpus_dir, ".phn", timit_inventory())
     assert len(table) == CORPUS_SIZE and not np.any(table.fb_class == "central")
+    assert table.pcm.dtype == np.int16
     return table
 
 
@@ -73,36 +74,33 @@ def clean_segment_features(corpus_table):
 
 @pytest.fixture(scope="session")
 def noisy_corpus(corpus_table, babble_path):
-    """(kind, snr) -> the full corpus's samples under that noise, laid out like
-    `corpus_table.samples`: segment i mixed alone with seed i, as the noise
-    harness seeds it (`noise-eval --seed 0`). Each condition is mixed once."""
-    from specvalley.corpus import NoiseSpec, load_wav, mix_noise
+    """(kind, snr) -> the `mix(i, x)` hook of `classify.segment_blocks` that gives
+    the full corpus under that noise: segment i mixed alone with seed i by
+    `corpus.noise_mixer`, as the noise harness seeds it (`noise-eval --seed 0`).
+    Each condition is mixed once; the hook returns the mixed copy of segment i."""
+    from specvalley.corpus import load_wav, noise_mixer
 
     babble = load_wav(babble_path)
+    seeds = {i: i for i in range(len(corpus_table))}
     mixed = {}
 
     def condition(kind, snr):
         key = (kind, float(snr))
         if key not in mixed:
-            samples = corpus_table.samples.copy()
-            for i in range(len(corpus_table)):
-                a, b = corpus_table.offsets[i], corpus_table.offsets[i + 1]
-                samples[a:b] = mix_noise(samples[a:b], corpus_table.rate[i],
-                                         NoiseSpec(kind, float(snr), seed=i), babble)
-            mixed[key] = samples
-        return mixed[key]
+            mix = noise_mixer(corpus_table, kind, float(snr), seeds, babble)
+            mixed[key] = [mix(i, corpus_table.segment(i)) for i in range(len(corpus_table))]
+        return lambda i, x: mixed[key][i]
 
     return condition
 
 
-def segment_audio(table, samples=None):
-    """Each segment of a `corpus.SegmentTable` as a SignalBuffer of its samples,
-    taken from `samples` (laid out like `table.samples`) when given."""
+def segment_audio(table, mix=None):
+    """Each segment of a `corpus.SegmentTable` as a SignalBuffer of its float
+    samples, passed through the `mix(i, x)` hook when given."""
     from specvalley.types import SignalBuffer
 
-    samples = table.samples if samples is None else samples
-    return [SignalBuffer(samples[table.offsets[i]:table.offsets[i + 1]], table.rate[i])
-            for i in range(len(table))]
+    return [SignalBuffer(table.segment(i) if mix is None else mix(i, table.segment(i)),
+                         table.rate[i]) for i in range(len(table))]
 
 
 def frames_of(audio, cfg=None):

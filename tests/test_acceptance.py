@@ -193,7 +193,7 @@ def test_criterion_8_noise_harness(corpus_table, noisy_corpus):
     # vowels skipped, the valley rule at its default threshold
     def accuracy(kind, snr):
         decided = list(classify.segment_decisions(corpus_table, cfg,
-                                                  samples=noisy_corpus(kind, snr)))
+                                                  mix=noisy_corpus(kind, snr)))
         return classify.score([d for *_, d in decided],
                               [truth for _, truth, _ in decided]).overall_accuracy
 

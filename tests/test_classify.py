@@ -437,3 +437,30 @@ class TestDecisionRuleTable:
         from specvalley.classify import DEFAULT_THRESHOLDS
 
         assert DEFAULT_THRESHOLDS == REFERENCE_DEFAULT_THRESHOLDS
+
+
+@pytest.mark.parametrize("corpus", ["small_corpus_dir", "corpus_dir"])
+def test_segment_blocks_frame_as_the_per_segment_reference(request, corpus):
+    # each block is converted from the table's PCM, pre-emphasized and framed
+    # at once; its frames must be those of each segment loaded and framed alone
+    import frame_reference
+    from specvalley.classify import segment_blocks
+    from specvalley.corpus import collect_segments, load_wav, timit_inventory
+
+    root = request.getfixturevalue(corpus)
+    table = collect_segments(root, ".phn", timit_inventory())
+    cfg = PipelineConfig()
+    seen = []
+    for rows, _, frames, counts, rate in segment_blocks(table, cfg, include_central=True):
+        expected = []
+        for i in rows.tolist():
+            audio = load_wav(root / f"{table.utterance_id[i]}.wav")
+            start = table.start_sample[i]
+            stop = start + table.offsets[i + 1] - table.offsets[i]
+            expected.append(frame_reference.frames(
+                SignalBuffer(audio.samples[start:stop], audio.sample_rate), cfg))
+        assert counts.tolist() == [len(f) for f in expected] and rate == audio.sample_rate
+        expected = np.concatenate(expected)
+        assert frames.shape == expected.shape and frames.tobytes() == expected.tobytes()
+        seen += rows.tolist()
+    assert seen == list(range(len(table)))

@@ -1237,7 +1237,7 @@ def test_pre_emphasis_restarts_at_every_segment(small_corpus_dir, pipeline_calls
                                    f"{end} {len(samples)} h#\n")
     table = collect_segments(root, ".phn", timit_inventory())
     assert table.start_sample.tolist() == [s1, mid] and table.offsets[1] == mid - s1
-    assert table.samples[table.offsets[1] - 1] != 0.0
+    assert table.pcm[table.offsets[1] - 1] != 0
     _classify_equals_the_per_segment_loop(root, pipeline_calls, tmp_path)
     assert [len(segments) for segments, *_ in pipeline_calls] == [2]
 
@@ -1371,6 +1371,80 @@ def test_noise_eval_counts_a_silent_segment_as_undecided(silent_vowel_corpus_dir
     assert run(["classify", "--corpus", str(silent), "--out", str(out), "--no-timestamp"]) == 0
     assert [row for row in data_rows(out) if row.startswith(silent_id + ",")][0].endswith(
         ",undecided")
+
+
+def _full_buffer_mix(table, kind, snr, seed, babble):
+    """noise-eval's mixing before the stage took a hook, kept as the reference:
+    one float64 copy of all the table's samples, in which each scored segment
+    that is not silent is mixed alone, seeded with `seed` plus its index among
+    the scored segments."""
+    from specvalley import classify
+    from specvalley.corpus import NoiseSpec, mix_noise
+
+    samples = table.pcm.astype(np.float64)
+    samples /= 32768.0
+    rows, _ = classify.scored_rows(table)
+    for k, i in enumerate(rows.tolist()):
+        a, b = table.offsets[i], table.offsets[i + 1]
+        if float(np.mean(samples[a:b]**2)) > 0:
+            samples[a:b] = mix_noise(samples[a:b], table.rate[i],
+                                     NoiseSpec(kind=kind, snr_db=snr, seed=seed + k), babble)
+    return samples
+
+
+def _mixes_as_the_full_buffer(table, mix, samples):
+    for i in range(len(table)):
+        a, b = table.offsets[i], table.offsets[i + 1]
+        assert mix(i, table.segment(i)).tobytes() == samples[a:b].tobytes()
+
+
+def test_noise_eval_hook_mixes_as_the_full_buffer_loop(silent_vowel_corpus_dirs, babble_path,
+                                                       monkeypatch, tmp_path):
+    # the hook noise-eval hands the stage, per condition, on a corpus with a
+    # silent segment, which both leave unmixed
+    from specvalley import corpus
+
+    hooks, noise_mixer = [], corpus.noise_mixer
+
+    def recorded(table, kind, snr_db, seeds, babble=None):
+        mix = noise_mixer(table, kind, snr_db, seeds, babble)
+        hooks.append((table, kind, snr_db, babble, mix))
+        return mix
+
+    monkeypatch.setattr(corpus, "noise_mixer", recorded)
+    _, silent, silent_id = silent_vowel_corpus_dirs
+    assert run(["noise-eval", "--corpus", str(silent), "--noise", "white,babble", "--snrs",
+                "25,0", "--babble-source", str(babble_path), "--seed", "3",
+                "--out", str(tmp_path / "o.csv"), "--no-timestamp"]) == 0
+    assert [(kind, snr) for _, kind, snr, *_ in hooks] == [
+        ("white", 25.0), ("white", 0.0), ("babble", 25.0), ("babble", 0.0)]
+    for table, kind, snr, babble, mix in hooks:
+        assert silent_id in [table.segment_id(i) for i in range(len(table))]
+        _mixes_as_the_full_buffer(table, mix, _full_buffer_mix(table, kind, snr, 3, babble))
+
+
+@pytest.mark.parametrize("kind, snr", [("white", 0.0), ("babble", 20.0)])
+def test_noisy_corpus_mixes_as_the_full_buffer_loop(corpus_table, noisy_corpus, babble_path,
+                                                    kind, snr):
+    from specvalley.corpus import load_wav
+
+    _mixes_as_the_full_buffer(corpus_table, noisy_corpus(kind, snr),
+                              _full_buffer_mix(corpus_table, kind, snr, 0, load_wav(babble_path)))
+
+
+def test_noise_eval_keeps_no_corpus_sized_float_buffer(corpus_dir, corpus_table, tmp_path):
+    # one float64 copy of the table's samples takes 8 bytes a sample; the
+    # stage converts and mixes one block at a time, so its peak stays below
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert run(["noise-eval", "--corpus", str(corpus_dir), "--noise", "white", "--snrs",
+                    "25", "--out", str(tmp_path / "o.csv"), "--no-timestamp"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * corpus_table.offsets[-1]
 
 
 def run_help(command):

@@ -295,7 +295,7 @@ class TestCollectSegmentsEqualsTheRglobWalk:
         self._tree(tmp_path)
         for root in (tmp_path / "missing", tmp_path / "flat.wav"):
             table = collect_segments(root, ".phn", timit_inventory())
-            assert len(table) == 0 and len(table.samples) == 0
+            assert len(table) == 0 and len(table.pcm) == 0
             assert table.offsets.tolist() == [0]
             assert _rglob_collect_segments(root, ".phn", timit_inventory()) == []
 
@@ -459,3 +459,20 @@ class TestMixNoise:
         save_wav(p, SignalBuffer(0.1 * np.ones(100), 16000.0))
         with pytest.raises(FormatError):
             mix_noise(self._tone(), self.RATE, NoiseSpec("babble", 10.0), load_wav(p))
+
+
+class TestSegmentTable:
+    """The table keeps the WAVs' 16-bit PCM, and gives a segment as `load_wav` would."""
+
+    @pytest.mark.parametrize("corpus", ["small_corpus_dir", "corpus_dir"])
+    def test_segments_equal_the_loaded_wav(self, request, corpus):
+        root = request.getfixturevalue(corpus)
+        table = collect_segments(root, ".phn", timit_inventory())
+        assert len(table) in (63, 500) and not hasattr(table, "samples")
+        assert table.pcm.dtype == np.int16 and table.pcm.nbytes == 2 * table.offsets[-1]
+        for i in range(len(table)):
+            audio = load_wav(root / f"{table.utterance_id[i]}.wav")
+            start = table.start_sample[i]
+            expected = audio.samples[start:start + table.offsets[i + 1] - table.offsets[i]]
+            got = table.segment(i)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()

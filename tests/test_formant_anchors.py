@@ -80,11 +80,11 @@ def _pipeline_columns(blocks, cfg):
 def _corpus_blocks(condition, corpus_table, noisy_corpus):
     """The corpus audio under a condition ("clean", or "<noise> <snr>"), in
     blocks of BLOCK_SEGMENTS segments."""
-    samples = None
+    mix = None
     if condition != "clean":
         kind, snr = condition.split()
-        samples = noisy_corpus(kind, float(snr))
-    audio = segment_audio(corpus_table, samples)
+        mix = noisy_corpus(kind, float(snr))
+    audio = segment_audio(corpus_table, mix)
     return [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
 
 
