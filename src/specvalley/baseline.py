@@ -159,7 +159,11 @@ def _layers(flat, hidden_units, d):
 
 
 def loss_and_gradients(w1, b1, w2, b2, x, y):
-    """Mean cross-entropy and its analytic gradients (for checking too)."""
+    """Mean cross-entropy and its analytic gradients, as (w1, b1, w2, b2) arrays.
+
+    The public form of the loss and `_gradients` that `train_mlp` steps with
+    on one flat vector; gradient checks compare it with finite differences.
+    """
     h, p = _forward(w1, b1, w2, b2, x)
     g_w1, g_b1, g_w2, g_b2 = grads = _layers(np.empty(w1.size + 2 * len(b1) + 1), *w1.shape)
     _gradients(w2, x, y, h, p, grads)

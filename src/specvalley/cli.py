@@ -33,6 +33,7 @@ FEATURE_RULES = {  # --feature of the corpus commands -> decision rule
 # usage error when the test fails (each test is false for NaN)
 POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be a finite positive number")
 FINITE = (math.isfinite, "must be finite")
+SNR = (lambda x: abs(x) <= corpus.MAX_SNR_DB, f"must be within +/-{corpus.MAX_SNR_DB:g} dB")
 UNIT_INTERVAL = (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")
 NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not negative")
 AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
@@ -419,7 +420,7 @@ def _cmd_noise_eval(args, out):
         raise UsageError(f"--noise must list white and/or babble, got {args.noise!r}")
     if "babble" in kinds and not args.babble_source:
         raise UsageError("--babble-source is required when --noise includes babble")
-    snrs = _floats(args.snrs, "--snrs", FINITE)
+    snrs = _floats(args.snrs, "--snrs", SNR)
     cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
     rows, _ = classify.scored_rows(table, args.include_central)

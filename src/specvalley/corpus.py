@@ -21,6 +21,9 @@ from .types import SignalBuffer
 
 MIN_SEGMENT_DURATION_S = 0.045
 NOISE_KINDS = ("white", "babble")
+# the largest |SNR| a noise mix accepts: far past the ~96 dB a 16-bit signal
+# spans, and small enough that 10**(snr/10) and the noise scale stay finite
+MAX_SNR_DB = 300.0
 
 
 @dataclass(eq=False)
@@ -77,8 +80,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        if not abs(self.snr_db) <= MAX_SNR_DB:
+            raise ValueError(f"snr_db must be within +/-{MAX_SNR_DB:g} dB, got {self.snr_db}")
 
 
 @dataclass
@@ -158,6 +161,10 @@ def load_phone_labels(path):
                 raise LabelParseError(
                     f"non-integer sample bounds in {line!r}", line_number=lineno
                 ) from None
+            if start < 0:
+                raise LabelParseError(
+                    f"negative sample bound in {line!r}", line_number=lineno
+                )
             if end <= start:
                 raise LabelParseError(
                     f"empty or reversed span in {line!r}", line_number=lineno

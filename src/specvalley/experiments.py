@@ -142,8 +142,8 @@ class PairMeter:
 
     Built once per sweep or grid: the grid, e^-jw and the dB term of each
     formant outside `pair` are made here. Each `measure` computes only the two
-    pair terms and sums all terms from zeros in formant order, as
-    `analytic_cascade_spectrum` does, so each level is the same float. The
+    pair terms and sums all terms from zeros in formant order
+    (`cascade_levels`), so each level is the float the whole cascade gives. The
     RLSV is the mean level (up to `mean_band_hz`, or the whole grid when it is
     None) minus the valley level.
     """

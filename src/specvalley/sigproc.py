@@ -42,7 +42,12 @@ def frame_length(frame_ms: float, sample_rate: float) -> int:
         raise ValueError("frame_ms must be positive")
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    frame_len = int(round(frame_ms / 1000.0 * sample_rate))
+    # Python floats overflow to inf without a warning; NaN and inf fail the test
+    samples = float(frame_ms) / 1000.0 * float(sample_rate)
+    if not samples < 2.0**63:  # rounds to at most the largest int64
+        raise ValueError(f"a {frame_ms:g} ms frame at {sample_rate:g} Hz does not fit "
+                         "an int64 sample count")
+    frame_len = round(samples)
     if frame_len < 1:
         raise ValueError("frame shorter than one sample")
     return frame_len
@@ -458,16 +463,3 @@ def cascade_levels(terms, n_points: int) -> np.ndarray:
     if not np.all(np.isfinite(levels)):
         raise ValueError("envelope levels must be finite")
     return levels
-
-
-def analytic_cascade_spectrum(formants, sample_rate: float, n_points: int = 1024):
-    """(freqs, levels): the exact dB response of cascaded two-pole resonators.
-
-    `freqs` is the grid of `cascade_grid`. Each resonator (see `resonator_db`)
-    is scaled for unity gain at 0 Hz; the levels are the sum of the
-    resonators' dB terms in the given order (`cascade_levels`). An empty
-    formant list gives a flat 0 dB envelope.
-    """
-    freqs, zinv = cascade_grid(sample_rate, n_points)
-    terms = [resonator_db(f.frequency, f.bandwidth, zinv, sample_rate) for f in formants]
-    return freqs, cascade_levels(terms, n_points)

@@ -7,8 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows
-from .sigproc import resonator_db, resonator_denominator, resonator_taps
-from .types import FormantSpec, SignalBuffer
+from .sigproc import cascade_grid, resonator_db, resonator_denominator, resonator_taps
+from .types import FormantSpec
 
 EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 
@@ -70,12 +70,6 @@ def source_tilt_response(zinv: np.ndarray, sample_rate: float) -> np.ndarray:
     return (1.0 - pole) / (1.0 - pole * zinv)
 
 
-def source_tilt_db(freqs: np.ndarray, sample_rate: float) -> np.ndarray:
-    """dB response of the source-tilt lowpass on the given frequency grid."""
-    zinv = np.exp(-2j * np.pi * np.asarray(freqs) / sample_rate)
-    return 20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate)))
-
-
 @functools.lru_cache(maxsize=8)
 def _rfft_zinv(size: int) -> np.ndarray:
     """e^(-jw) at the size // 2 + 1 frequencies of a `size`-point rfft; cached read-only."""
@@ -132,15 +126,6 @@ def synthesize_rows(formants, excitations, sample_rate: float, n_samples: int) -
     return np.fft.irfft(np.fft.rfft(x, size) * response, size)[:, :n_samples].copy()
 
 
-def synthesize(
-    formants, exc: Excitation, sample_rate: float, n_samples: int | None = None
-) -> SignalBuffer:
-    """Run the excitation serially through one resonator per formant (`synthesize_rows`)."""
-    if n_samples is None:
-        n_samples = int(round(exc.duration_s * sample_rate))
-    return SignalBuffer(synthesize_rows(formants, [exc], sample_rate, n_samples)[0], sample_rate)
-
-
 class BandwidthCalibration(NamedTuple):
     """Row-wise results of `calibrate_bandwidth_rows`."""
 
@@ -148,12 +133,6 @@ class BandwidthCalibration(NamedTuple):
     rounds: np.ndarray  # (n,) calibration rounds run
     residuals_db: np.ndarray  # (n, 3) measured minus target relative level; inf if never measured
     converged: np.ndarray  # (n,) every residual within the tolerance
-
-
-def _check_bandwidths(bandwidths):
-    bad = ~(np.isfinite(bandwidths) & (bandwidths > 0))
-    if bad.any():
-        raise ValueError(f"formant bandwidth must be positive, got {bandwidths[bad][0]}")
 
 
 def calibrate_bandwidth_rows(
@@ -175,7 +154,9 @@ def calibrate_bandwidth_rows(
     levels land within TOLERANCE_DB. All rows bisect in lockstep, and a row
     leaves the stack after the round in which it converges. Only the formant
     being bisected is re-evaluated, and only on the grid bins that the peak
-    searches read.
+    searches read. A row's resonator terms are summed in the order given,
+    F1..F3 and then its extra formants, and the tilt last; raises ValueError
+    for a row whose frequencies in that order do not ascend.
     """
     freqs3 = np.asarray(formant_freqs, dtype=np.float64)
     levels = np.asarray(target_levels, dtype=np.float64)
@@ -192,18 +173,14 @@ def calibrate_bandwidth_rows(
     for f in freqs3.flat:  # the checks a FormantSpec makes
         FormantSpec(float(f), INITIAL_BANDWIDTH)
     bws = np.full((n, 3), INITIAL_BANDWIDTH)
-    lo_b, hi_b = SEARCH_RANGE_HZ
+    cascade_f = np.hstack([freqs3, [[e.frequency for e in row] for row in extras]])
+    cascade_b = np.hstack([bws, [[e.bandwidth for e in row] for row in extras]])
+    descending = np.flatnonzero((np.diff(cascade_f, axis=1) < 0).any(axis=1))
+    if descending.size:
+        r = descending[0]
+        raise ValueError(f"row {r}: formants must ascend, got {cascade_f[r].tolist()} Hz")
 
-    # each row's resonator terms are summed in ascending formant frequency,
-    # the order a sorted analytic cascade adds them in, so the levels match
-    # that cascade bit for bit
-    cascades = [[(f, b) for f, b in zip(freqs3[r], bws[r])]
-                + [(e.frequency, e.bandwidth) for e in extras[r]] for r in range(n)]
-    orders = [sorted(range(len(c)), key=lambda j: c[j][0]) for c in cascades]
-    slots = np.array([[c[j] for j in order] for c, order in zip(cascades, orders)])
-    slot_of = np.array([[order.index(i) for i in range(3)] for order in orders])
-
-    grid = np.linspace(0.0, sample_rate / 2.0, CALIBRATION_POINTS)
+    grid, zinv = cascade_grid(sample_rate, CALIBRATION_POINTS)
     # per row, the bins its peak searches read: each window and one
     # neighbour on each side; short rows repeat their last bin
     win_lo, win_hi = peak_windows(grid, freqs3, PEAK_WINDOW_HZ)
@@ -211,33 +188,31 @@ def calibrate_bandwidth_rows(
                 for lo, hi in zip(win_lo, win_hi)]
     width = max(len(r) for r in row_bins)
     bins = np.array([np.pad(r, (0, width - len(r)), mode="edge") for r in row_bins])
-    zinv = np.exp(-2j * np.pi * grid / sample_rate)[bins]
-    tilt = source_tilt_db(grid, sample_rate)[bins] if exc.kind == "tilted-train" else None
-    terms = np.stack(
-        [resonator_db(slots[:, s, 0], slots[:, s, 1], zinv, sample_rate)
-         for s in range(slots.shape[1])],
-        axis=1,
-    )
+    zinv = zinv[bins]
+    terms = [resonator_db(cascade_f[:, s], cascade_b[:, s], zinv, sample_rate)
+             for s in range(cascade_f.shape[1])]
+    if exc.kind == "tilted-train":
+        terms.append(20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate))))
+    terms = np.stack(terms, axis=1)
 
     rounds = np.zeros(n, dtype=int)
     residuals = np.full((n, 3), np.inf)
     converged = np.zeros(n, dtype=bool)
     # the stack holds the rows still calibrating; `stack` maps them to input rows
-    stack, bw, f3, tg, slot = np.arange(n), bws.copy(), freqs3, targets, slot_of
+    stack, bw, f3, tg = np.arange(n), bws.copy(), freqs3, targets
 
     def relative_levels():
         """Peak levels relative to L1, and a mask of rows with all three peaks."""
         summed = np.zeros(bins.shape)
         for s in range(terms.shape[1]):
             summed += terms[:, s]
-        grid_levels[rows[:, None], bins] = summed if tilt is None else summed + tilt
+        grid_levels[rows[:, None], bins] = summed
         _, lv, missing = peak_levels(grid, grid_levels, f3, PEAK_WINDOW_HZ)
         return lv - lv[:, :1], ~missing.any(axis=1)
 
     def set_bandwidth(i, value):
-        _check_bandwidths(value)
         bw[:, i] = value
-        terms[rows, slot[:, i]] = resonator_db(f3[:, i], value, zinv, sample_rate)
+        terms[rows, i] = resonator_db(f3[:, i], value, zinv, sample_rate)
 
     for round_no in range(1, max_rounds + 1):
         if not stack.size:
@@ -245,8 +220,8 @@ def calibrate_bandwidth_rows(
         rows = np.arange(len(stack))
         grid_levels = np.full((len(stack), CALIBRATION_POINTS), np.nan)
         for i in (1, 2):
-            lo = np.full(len(stack), float(lo_b))
-            hi = np.full(len(stack), float(hi_b))
+            lo = np.full(len(stack), SEARCH_RANGE_HZ[0])
+            hi = np.full(len(stack), SEARCH_RANGE_HZ[1])
             for _ in range(BISECTION_STEPS):
                 mid = 0.5 * (lo + hi)
                 set_bandwidth(i, mid)
@@ -263,10 +238,7 @@ def calibrate_bandwidth_rows(
         done = found & np.all(np.abs(res) <= TOLERANCE_DB, axis=1)
         converged[stack[done]] = True
         keep = ~done
-        stack, bw, f3, tg, slot, terms, bins, zinv = (
-            a[keep] for a in (stack, bw, f3, tg, slot, terms, bins, zinv)
+        stack, bw, f3, tg, terms, bins, zinv = (
+            a[keep] for a in (stack, bw, f3, tg, terms, bins, zinv)
         )
-        if tilt is not None:
-            tilt = tilt[keep]
     return BandwidthCalibration(bws, rounds, residuals, converged)
-

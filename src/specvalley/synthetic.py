@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
 from .experiments import BACK_VOWELS, FRONT_VOWELS
-from .synth import Excitation, calibrate_bandwidth_rows, synthesize
+from .synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
 from .types import FormantSpec, SignalBuffer
 
 CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
@@ -102,8 +102,8 @@ def synthesize_vowel_token(
     recipe: VowelRecipe,
     rng: np.random.Generator,
     sample_rate: float = 16000.0,
-) -> SignalBuffer:
-    """One jittered token of a vowel recipe, normalized to 0.3 peak."""
+) -> np.ndarray:
+    """The samples of one jittered token of a vowel recipe, normalized to 0.3 peak."""
     freqs = list(recipe.formants_hz)
     bws = list(recipe.bandwidths_hz)
     for i in range(3):
@@ -118,9 +118,8 @@ def synthesize_vowel_token(
     f0 = rng.uniform(*F0_RANGE_HZ)
     dur = rng.uniform(*DURATION_RANGE_S)
     exc = Excitation("tilted-train", f0=f0, duration_s=dur)
-    sig = synthesize(formants, exc, sample_rate)
-    peak = np.max(np.abs(sig.samples))
-    return SignalBuffer(sig.samples * (0.3 / peak), sample_rate)
+    token = synthesize_rows(formants, [exc], sample_rate, round(dur * sample_rate))[0]
+    return token * (0.3 / np.max(np.abs(token)))
 
 
 def build_synthetic_corpus(
@@ -150,12 +149,12 @@ def build_synthetic_corpus(
         gender = "male" if (i // len(vowels)) % 2 == 0 else "female"
         recipe = by_key[(vowel, gender)]
         token = synthesize_vowel_token(recipe, rng, sample_rate)
-        samples = np.concatenate([pad, token.samples, pad])
+        samples = np.concatenate([pad, token, pad])
         stem = f"seg{i:04d}_{vowel}_{gender[0]}"
         wav_path = out_dir / f"{stem}.wav"
         save_wav(wav_path, SignalBuffer(samples, sample_rate))
         start = len(pad)
-        end = start + len(token.samples)
+        end = start + len(token)
         with open(out_dir / f"{stem}.phn", "w", encoding="utf-8") as fh:
             fh.write(f"0 {start} h#\n")
             fh.write(f"{start} {end} {vowel}\n")
@@ -182,11 +181,9 @@ def build_babble(
         exc = Excitation(
             "tilted-train", f0=float(rng.uniform(90.0, 260.0)), duration_s=duration_s + 0.05
         )
-        voice = synthesize(
-            [FormantSpec(f, b) for f, b in zip(r.formants_hz, r.bandwidths_hz)],
-            exc,
-            sample_rate,
-        ).samples[:n]
+        formants = [FormantSpec(f, b) for f, b in zip(r.formants_hz, r.bandwidths_hz)]
+        voice = synthesize_rows(formants, [exc], sample_rate,
+                                round(exc.duration_s * sample_rate))[0][:n]
         mix += voice / np.sqrt(np.mean(voice**2))
     mix *= 0.15 / np.max(np.abs(mix))
     path = Path(path)

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_reference import source_tilt_db
 from specvalley.corpus import default_pb_table_path, load_pb_table
 from specvalley.envelope import peak_levels
 from specvalley.errors import CalibrationError
-from specvalley.synth import Excitation, calibrate_bandwidth_rows, source_tilt_db
+from specvalley.synth import Excitation, calibrate_bandwidth_rows
 from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
 from specvalley.types import FormantSpec
 
@@ -192,6 +193,18 @@ def test_rows_with_different_extra_formants():
         assert np.array_equal(fit.bandwidths[r], bws)
         assert (fit.rounds[r], fit.converged[r]) == (rounds, converged)
         assert np.array_equal(fit.residuals_db[r], residuals)
+
+
+@pytest.mark.parametrize("freqs, extras", [
+    ((600.0, 1200.0, 2400.0), [FormantSpec(2000.0, 150.0)]),
+    ((600.0, 2400.0, 1200.0), [FormantSpec(3500.0, 150.0)]),
+], ids=["extra-below-f3", "f3-below-f2"])
+def test_rows_out_of_frequency_order_are_refused(freqs, extras):
+    # a row's resonator terms are summed in the order given, so it must ascend
+    rows = [FREQS, freqs]
+    with pytest.raises(ValueError, match=r"row 1: formants must ascend, got \["):
+        calibrate_bandwidth_rows(rows, [(0.0, -12.0, -22.0)] * 2, RECIPE_EXCITATION, 10000.0,
+                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras])
 
 
 def _level_rows(rng, kind, n_bins):

@@ -16,7 +16,7 @@ from specvalley.classify import (
 )
 from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
-from specvalley.synth import Excitation, synthesize
+from specvalley.synth import Excitation, synthesize_rows
 from specvalley.types import FormantSpec, SignalBuffer
 
 FS = 16000.0
@@ -26,8 +26,8 @@ def synth_segment(freqs, bws=None, f0=120.0, dur=0.15):
     bws = bws or [100.0] * len(freqs)
     fm = [FormantSpec(f, b) for f, b in zip(freqs, bws)]
     exc = Excitation("tilted-train", f0=f0, duration_s=dur)
-    sig = synthesize(fm, exc, FS)
-    return SignalBuffer(sig.samples / np.max(np.abs(sig.samples)) * 0.3, FS)
+    x = synthesize_rows(fm, [exc], FS, round(dur * FS))[0]
+    return SignalBuffer(x / np.max(np.abs(x)) * 0.3, FS)
 
 
 def fake_features(n_valid, v1=0.0, v2=0.0, formants=(500.0, 1500.0, 2500.0), n_invalid=0):

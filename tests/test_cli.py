@@ -242,6 +242,24 @@ def test_corpus_read_error_names_the_file(wav_bytes, phn, message, tmp_path, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bounds", ["-3200 -1600", "-100 1600"])
+def test_negative_label_bound_is_an_error_naming_the_file(bounds, tmp_path, capsys):
+    # read as Python indices, -3200 would take samples from the end of the file
+    from specvalley.corpus import save_wav
+    from specvalley.types import SignalBuffer
+
+    wav = tmp_path / "DR1" / "FAKS0" / "SA1.WAV"
+    wav.parent.mkdir(parents=True)
+    t = np.arange(16000) / 16000.0
+    save_wav(wav, SignalBuffer(0.3 * np.sin(2 * np.pi * 700.0 * t), 16000.0))
+    wav.with_suffix(".PHN").write_text(f"{bounds} aa\n")
+    assert run(["classify", "--corpus", str(tmp_path), "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: DR1/FAKS0/SA1.PHN: line 1: negative sample bound in "
+                            f"'{bounds} aa'\n")
+
+
 def data_rows(path):
     return [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
 
@@ -684,6 +702,26 @@ def test_frame_ms_not_finite_positive_is_a_usage_error(command, value, tmp_path,
                                                        no_corpus_reading, capsys):
     err = _rejects_before_reading(command, [f"--frame-ms={value}"], tmp_path, capsys)
     assert "--frame-ms must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "hist"])
+@pytest.mark.parametrize("value", ["1e308", "1e20"])
+def test_frame_ms_beyond_an_int64_frame_is_a_usage_error(command, value, small_corpus_dir,
+                                                         capsys):
+    # 1e308 ms overflows to an infinite sample count, 1e20 ms to more than int64 holds
+    argv = [command, "--corpus", str(small_corpus_dir), f"--frame-ms={value}", "--no-timestamp"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"invalid --lp-order or --frame-ms: a {float(value):g} ms frame at "
+                            "16000 Hz does not fit an int64 sample count\n")
+
+
+@pytest.mark.parametrize("value", ["4000", "-4000", "25,-3100"])
+def test_snr_beyond_the_bound_is_a_usage_error(value, tmp_path, no_corpus_reading, capsys):
+    err = _rejects_before_reading("noise-eval", ["--noise", "white", f"--snrs={value}"],
+                                  tmp_path, capsys)
+    assert err == f"--snrs must be within +/-300 dB, got {float(value.split(',')[-1])}\n"
 
 
 @pytest.mark.parametrize("command", CORPUS_COMMANDS)

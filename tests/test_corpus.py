@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from specvalley.corpus import (
+    MAX_SNR_DB,
+    NOISE_KINDS,
     NoiseSpec,
     collect_segments,
     default_pb_table_path,
@@ -86,6 +88,14 @@ class TestPhoneLabels:
         with pytest.raises(LabelParseError) as err:
             load_phone_labels(p)
         assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("line", ["-3200 -1600 aa", "-100 1600 aa"])
+    def test_negative_bound_reports_line_number(self, line, tmp_path):
+        p = tmp_path / "a.phn"
+        p.write_text(f"{line}\n")
+        with pytest.raises(LabelParseError) as err:
+            load_phone_labels(p)
+        assert str(err.value) == f"line 1: negative sample bound in '{line}'"
 
     def test_out_of_order_rejected(self, tmp_path):
         p = tmp_path / "a.phn"
@@ -435,6 +445,19 @@ class TestMixNoise:
     def test_zero_power_signal_rejected(self):
         with pytest.raises(DegenerateInputError):
             mix_noise(np.zeros(100), self.RATE, NoiseSpec("white", 10.0))
+
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, -3100.0, float("nan")])
+    def test_snr_beyond_the_bound_is_refused(self, snr):
+        with pytest.raises(ValueError, match=r"snr_db must be within \+/-300 dB"):
+            NoiseSpec("white", snr_db=snr)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("snr", [-MAX_SNR_DB, MAX_SNR_DB])
+    def test_mix_is_finite_at_the_bounds(self, kind, snr):
+        assert MAX_SNR_DB == 300.0
+        babble = SignalBuffer(0.1 * np.random.default_rng(0).standard_normal(32000), self.RATE)
+        mixed = mix_noise(self._tone(), self.RATE, NoiseSpec(kind, snr, seed=2), babble)
+        assert np.all(np.isfinite(mixed))
 
     def test_babble_requires_source(self):
         with pytest.raises(ValueError, match="`babble` buffer"):

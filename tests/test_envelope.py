@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from cascade_reference import analytic_cascade_spectrum
 from specvalley.envelope import peak_levels, valley_minima, window_peaks
 from specvalley.experiments import PairMeter, _banded_mean_db
-from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.types import FormantSpec, power_mean_db
 
 TUBE = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]

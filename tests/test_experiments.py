@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cascade_reference import analytic_cascade_spectrum
 from specvalley import experiments
 from specvalley.errors import (
     AnalysisError,
@@ -32,7 +33,6 @@ from specvalley.experiments import (
 )
 from specvalley.envelope import peak_levels
 from specvalley.scales import hz_to_bark
-from specvalley.sigproc import analytic_cascade_spectrum
 from specvalley.types import FormantSpec
 
 TUBE = [FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]

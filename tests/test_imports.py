@@ -35,8 +35,9 @@ report["cli_scipy"] = scipy_modules()
 import numpy as np
 import specvalley.baseline, specvalley.experiments, specvalley.synth, specvalley.synthetic
 from specvalley.types import FormantSpec
-specvalley.synth.synthesize([FormantSpec(500.0, 100.0)],
-                            specvalley.synth.Excitation("tilted-train", f0=100.0), 16000.0)
+specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)],
+                                 [specvalley.synth.Excitation("tilted-train", f0=100.0)],
+                                 16000.0, 8000)
 specvalley.baseline.mfcc(np.ones(400), 16000.0)
 report["runtime_scipy"] = scipy_modules()
 print(json.dumps(report))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
+from cascade_reference import analytic_cascade_spectrum
 from specvalley import experiments
 from specvalley import synth as synth_module
 from specvalley.envelope import peak_levels
@@ -14,10 +15,10 @@ from specvalley.sigproc import (
     MAX_BANDWIDTH,
     MIN_FREQUENCY,
     NYQUIST_MARGIN,
-    analytic_cascade_spectrum,
     autocorrelation,
     formant_anchors,
     formant_candidates,
+    frame_length,
     frame_signal,
     levinson_failure,
     levinson_rows,
@@ -27,7 +28,7 @@ from specvalley.sigproc import (
     resonator_taps,
     window,
 )
-from specvalley.synth import Excitation, synthesize
+from specvalley.synth import Excitation, synthesize_rows
 from specvalley.types import FormantSpec, SignalBuffer
 from test_formant_anchors import _reflection
 
@@ -82,6 +83,18 @@ class TestFrameSignal:
     def test_short_signal_gives_zero_frames(self):
         frames, counts = frame_signal(np.zeros(304), 16000.0, 20.0, 0.5)
         assert frames.shape == (0, 320) and counts.tolist() == [0]
+
+    @pytest.mark.parametrize("frame_ms, rate", [
+        (1e308, 16000.0), (1e20, 16000.0), (float("nan"), 16000.0), (1000.0, 2.0**63),
+    ])
+    def test_frame_beyond_an_int64_count_is_refused(self, frame_ms, rate):
+        # a corpus gives its rates as NumPy floats, whose overflow would warn;
+        # at 1000 ms the count is the rate, and 2**63 is one past int64's range
+        with pytest.raises(ValueError, match="does not fit an int64 sample count"):
+            frame_length(frame_ms, np.float64(rate))
+
+    def test_largest_frame_is_the_largest_int64_float(self):
+        assert frame_length(1000.0, 2.0**63 - 1024) == 2**63 - 1024
 
     def test_frames_tile_the_signal(self):
         frames, _ = frame_signal(np.arange(1600.0), 16000.0, 20.0, 0.5)
@@ -218,10 +231,10 @@ class TestLevinson:
 
     def test_lp_envelope_is_the_one_row_lpc_levels(self):
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
-        sig = synthesize([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
-                         Excitation("impulse-train", f0=120.0), 8000.0)
-        levels, mean_db = lp_envelope_of_signal(sig.samples, 8)
-        fit = levinson_rows(autocorrelation(sig.samples, 8)[None, :], 8)
+        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                            [Excitation("impulse-train", f0=120.0)], 8000.0, 4000)[0]
+        levels, mean_db = lp_envelope_of_signal(x, 8)
+        fit = levinson_rows(autocorrelation(x, 8)[None, :], 8)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
         assert np.array_equal(levels, env.levels[0])
         assert mean_db == env.mean_db[0]
@@ -241,9 +254,9 @@ class TestLpcEnvelope:
 
     def test_tracks_single_resonator_peak(self):
         fs = 8000.0
-        sig = synthesize([FormantSpec(1400.0, 150.0)], Excitation("unit-impulse"),
-                         fs, n_samples=4096)
-        fit = levinson_rows(autocorrelation(sig.samples, 2)[None, :], 2)
+        x = synthesize_rows([FormantSpec(1400.0, 150.0)], [Excitation("unit-impulse")],
+                            fs, 4096)[0]
+        fit = levinson_rows(autocorrelation(x, 2)[None, :], 2)
         levels = lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0]
         freqs = np.linspace(0.0, fs / 2.0, 1024)
         peak = freqs[np.argmax(levels)]
@@ -253,8 +266,8 @@ class TestLpcEnvelope:
         # order 2*(#formants) + 2 fitted to a cascade impulse response
         fs = 8000.0
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        sig = synthesize(fm, Excitation("unit-impulse"), fs, n_samples=8192)
-        fit = levinson_rows(autocorrelation(sig.samples, 10)[None, :], 10)
+        x = synthesize_rows(fm, [Excitation("unit-impulse")], fs, 8192)[0]
+        fit = levinson_rows(autocorrelation(x, 10)[None, :], 10)
         freqs, levels_an = analytic_cascade_spectrum(fm, fs, 1024)
         levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
                            levels_an])
@@ -332,9 +345,9 @@ class TestRootsToFormants:
     def test_recovers_synthetic_four_formant_vowel(self):
         fs = 10000.0
         truth = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        sig = synthesize(truth, Excitation("unit-impulse"), fs, n_samples=8192)
+        x = synthesize_rows(truth, [Excitation("unit-impulse")], fs, 8192)[0]
         order = 10
-        fit = levinson_rows(autocorrelation(sig.samples, order)[None, :], order)
+        fit = levinson_rows(autocorrelation(x, order)[None, :], order)
         freqs, _, counts = formant_candidates(polynomial_roots(fit.a), fs)
         assert counts[0] >= 3
         for got, want in zip(freqs[0, :3], truth[:3]):
@@ -427,8 +440,8 @@ class TestAnalyticCascadeSpectrum:
         fs = 10000.0
         formants = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
         n_fft = 32768
-        sig = synthesize(formants, Excitation("unit-impulse"), fs, n_samples=n_fft)
-        oracle_db = 20 * np.log10(np.abs(np.fft.rfft(sig.samples)))
+        x = synthesize_rows(formants, [Excitation("unit-impulse")], fs, n_fft)[0]
+        oracle_db = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(formants, fs, n_fft // 2 + 1)
         assert np.max(np.abs(levels_db - oracle_db)) < 0.1
 

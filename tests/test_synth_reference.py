@@ -13,13 +13,7 @@ from specvalley import synthetic
 from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import (
-    MAX_TAIL_SAMPLES,
-    TILT_CORNER_HZ,
-    Excitation,
-    synthesize,
-    synthesize_rows,
-)
+from specvalley.synth import MAX_TAIL_SAMPLES, TILT_CORNER_HZ, Excitation, synthesize_rows
 from specvalley.types import FormantSpec, SignalBuffer
 
 REL_TOL = 1e-12  # of the reference's peak
@@ -43,12 +37,6 @@ def reference_rows(formants, excitations, sample_rate, n_samples):
     return np.array(rows)
 
 
-def reference_synthesize(formants, exc, sample_rate, n_samples=None):
-    if n_samples is None:
-        n_samples = int(round(exc.duration_s * sample_rate))
-    return SignalBuffer(reference_rows(formants, [exc], sample_rate, n_samples)[0], sample_rate)
-
-
 def _pcm(samples, path):
     """The bytes `save_wav` writes for `samples` at 16 kHz."""
     save_wav(path, SignalBuffer(samples, 16000.0))
@@ -66,12 +54,13 @@ def corpus_tokens(recipes, tmp_path_factory):
     """(formants, excitation) of each token of a 240-segment seed-3 corpus."""
     calls = []
 
-    def record(formants, exc, sample_rate, n_samples=None):
+    def record(formants, excitations, sample_rate, n_samples):
+        (exc,) = excitations
         calls.append((list(formants), exc))
-        return synthesize(formants, exc, sample_rate, n_samples)
+        return synthesize_rows(formants, excitations, sample_rate, n_samples)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthetic, "synthesize", record)
+        mp.setattr(synthetic, "synthesize_rows", record)
         synthetic.build_synthetic_corpus(tmp_path_factory.mktemp("tokens"), n_segments=240,
                                          seed=3, recipes=recipes)
     return calls
@@ -102,7 +91,6 @@ def test_f0_stacks_match_the_reference_and_their_rows(case):
     _assert_close(stack, reference_rows(fm, trains, 8000.0, 4000))
     for row, exc in zip(stack, trains):
         assert np.array_equal(row, synthesize_rows(fm, [exc], 8000.0, 4000)[0])
-        assert np.array_equal(row, synthesize(fm, exc, 8000.0).samples)
 
 
 def test_long_unit_impulse_matches_the_reference():
@@ -124,14 +112,14 @@ def test_untilted_kinds_stack_and_match_the_reference():
 def test_corpus_and_babble_bytes_equal_the_reference_builds(recipes, tmp_path):
     def build(root, synth_fn):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synthetic, "synthesize", synth_fn)
+            mp.setattr(synthetic, "synthesize_rows", synth_fn)
             synthetic.build_synthetic_corpus(root / "corpus", n_segments=40, seed=3,
                                              recipes=recipes)
             synthetic.build_babble(root / "babble.wav", seed=11, recipes=recipes)
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    ours = build(tmp_path / "ours", synthesize)
-    theirs = build(tmp_path / "reference", reference_synthesize)
+    ours = build(tmp_path / "ours", synthesize_rows)
+    theirs = build(tmp_path / "reference", reference_rows)
     assert len(ours) == 81
     assert ours == theirs
 
