@@ -7,7 +7,7 @@ import numpy as np
 
 from .classify import segment_blocks
 from .errors import DegenerateInputError
-from .sigproc import window
+from .sigproc import stacked_product, window
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
@@ -74,26 +74,24 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     """c1..c12 of a frame: power spectrum, mel filterbank, log, DCT-II.
 
     `frames` is one frame or an (n_frames, frame_len) stack, which gives an
-    (n_frames, N_COEFFS) matrix from one rfft, one filterbank, one stacked
-    filterbank product and one stacked DCT product. c0 is dropped, which
-    makes the kept coefficients invariant to audio gain.
+    (n_frames, N_COEFFS) matrix from one rfft and two `sigproc.stacked_product`
+    calls, the filterbank and the DCT, so each row equals what its frame
+    gives alone. c0 is dropped, which makes the kept coefficients invariant
+    to audio gain.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.any(frames, axis=-1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
-    filterbank = mel_filterbank(sample_rate)
-    spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=-1)) ** 2
-    # one filterbank-times-spectrum product per frame, the same BLAS call a
-    # single frame makes, so a stacked row equals the single-frame result exactly
-    energies = (filterbank @ spectrum[..., None])[..., 0]
+    spectrum = np.abs(np.fft.rfft(np.atleast_2d(frames), NFFT, axis=-1)) ** 2
+    energies = stacked_product(spectrum, mel_filterbank(sample_rate).T)
     log_e = np.log(np.maximum(energies, 1e-300))
-    kept = dct_basis(N_FILTERS)[1 : N_COEFFS + 1]
-    return (kept @ log_e[..., None])[..., 0]
+    coeffs = stacked_product(log_e, dct_basis(N_FILTERS)[1 : N_COEFFS + 1].T)
+    return coeffs if frames.ndim > 1 else coeffs[0]
 
 
 def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Frame-level MFCC matrix of a segment's pre-emphasized frame stack, as
-    `classify.segment_blocks` gives it.
+    """Frame-level MFCC matrix of a pre-emphasized frame stack, as
+    `classify.segment_blocks` gives it for one block of segments.
 
     All-zero frames are skipped; the rest are windowed and go through `mfcc`
     as one stack.
@@ -106,12 +104,19 @@ def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
 
 def mean_mfccs(table, cfg, include_central: bool = False):
     """(segment index, truth, mean MFCC vector, or None without a non-silent frame)
-    per scored segment of a `corpus.SegmentTable`, framed by `classify.segment_blocks`."""
+    per scored segment of a `corpus.SegmentTable`, framed by `classify.segment_blocks`.
+
+    Each block is one `segment_mfcc_matrix` call; a segment's mean is taken
+    over its own rows of the block's matrix.
+    """
     out = []
     for rows, truths, block, counts, rate in segment_blocks(table, cfg, include_central):
-        for i, truth, frames in zip(rows.tolist(), truths, np.split(block, np.cumsum(counts)[:-1])):
-            mat = segment_mfcc_matrix(frames, rate)
-            out.append((i, truth, mat.mean(axis=0) if len(mat) else None))
+        mat = segment_mfcc_matrix(block, rate)
+        # segment j's rows of mat are bounds[j]:bounds[j+1], its frames not all zero
+        kept = np.concatenate(([0], np.cumsum(np.any(block, axis=1))))
+        bounds = kept[np.concatenate(([0], np.cumsum(counts)))].tolist()
+        for i, truth, lo, hi in zip(rows.tolist(), truths, bounds[:-1], bounds[1:]):
+            out.append((i, truth, mat[lo:hi].mean(axis=0) if hi > lo else None))
     return out
 
 

@@ -52,12 +52,16 @@ class PipelineConfig:
     lp_order: int | None = None
 
     def order_for(self, sample_rate: float) -> int:
-        """The LP order at `sample_rate`; it must be at least 1 and below the frame length."""
+        """The LP order at `sample_rate`; it must be at least 1 and below the frame
+        length, and a frame of float64 samples must fit an array."""
         if self.lp_order is not None:
             order = self.lp_order
         else:
             order = int(round(sample_rate / 1000.0)) + 2
         frame_len = frame_length(self.frame_ms, sample_rate)
+        if frame_len > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+            raise ValueError(f"a {self.frame_ms:g} ms frame at {sample_rate:g} Hz "
+                             f"({frame_len} samples) does not fit a float64 array")
         if not 1 <= order < frame_len:
             raise ValueError(
                 f"LP order {order} must be at least 1 and below the frame length "

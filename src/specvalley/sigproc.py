@@ -20,6 +20,9 @@ SEED_POINTS = 512
 NEWTON_STEPS = 8  # most seeds settle in 4-6 steps; rows that need more are left to eigvals
 CIRCLE_MARGIN = 1e-9  # a reflection coefficient this close to +/-1 leaves a root count in doubt
 DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
+# rows per BLAS product of `stacked_product`: 8-row tiles keep the envelope
+# table in cache across rows, and a lone row pays for 7 rows of zeros
+TILE_ROWS = 8
 
 
 def preemphasize(x: np.ndarray, alpha: float, starts=0) -> np.ndarray:
@@ -190,12 +193,24 @@ def _unit_circle_table(taps: int, n_points: int) -> np.ndarray:
     return table
 
 
+def stacked_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix for an (n, k) stack of rows and a (k, m) matrix, as (n, m).
+
+    The stack is zero-padded to whole tiles of TILE_ROWS rows, and each tile
+    is one BLAS matrix product. A product's blocking, and so its rounding,
+    follows from its shape alone; every product here has the same shape, so
+    a row's values depend neither on the rows beside it nor on the height of
+    the stack, and one row gives what it gives as a one-row stack.
+    """
+    n, k = rows.shape
+    tiles = np.zeros((-(-n // TILE_ROWS), TILE_ROWS, k))
+    tiles.reshape(-1, k)[:n] = rows
+    return (tiles @ matrix).reshape(-1, matrix.shape[1])[:n]
+
+
 def _grid_power(a: np.ndarray, n_points: int) -> np.ndarray:
     """|A(e^jw)|^2 of an (n, taps) stack on n_points frequencies from 0 to Nyquist."""
-    # one taps-times-table product per row, the BLAS call a single row makes
-    # (one matrix product would round a lone row differently from the rows of
-    # a taller stack), so a row's values never depend on the rows beside it
-    re_im = (a[:, None, :] @ _unit_circle_table(a.shape[-1], n_points))[:, 0]
+    re_im = stacked_product(a, _unit_circle_table(a.shape[-1], n_points))
     re_im *= re_im
     return re_im[:, :n_points] + re_im[:, n_points:]
 

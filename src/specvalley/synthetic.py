@@ -100,7 +100,7 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
 
 def synthesize_vowel_token(
     recipe: VowelRecipe,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",  # quoted: evaluating it would import numpy.random
     sample_rate: float = 16000.0,
 ) -> np.ndarray:
     """The samples of one jittered token of a vowel recipe, normalized to 0.3 peak."""

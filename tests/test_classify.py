@@ -65,6 +65,13 @@ class TestFramePipeline:
         assert PipelineConfig().order_for(10000.0) == 12
         assert PipelineConfig().order_for(8000.0) == 10
 
+    def test_frame_beyond_a_float64_array_is_refused(self):
+        # 2**60 samples of 8 bytes exceed the largest array NumPy can address
+        assert PipelineConfig(frame_ms=2.0**60 - 128).order_for(1000.0) == 3
+        with pytest.raises(ValueError, match=r"^a 1\.15292e\+18 ms frame at 1000 Hz "
+                           r"\(1152921504606846976 samples\) does not fit a float64 array$"):
+            PipelineConfig(frame_ms=2.0**60).order_for(1000.0)
+
     def test_lp_order_must_be_below_frame_length(self):
         silence = SignalBuffer(np.zeros(3200), FS)
         with pytest.raises(ValueError, match="frame length"):

@@ -717,6 +717,17 @@ def test_frame_ms_beyond_an_int64_frame_is_a_usage_error(command, value, small_c
                             "16000 Hz does not fit an int64 sample count\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "hist"])
+def test_frame_ms_beyond_a_float64_array_is_a_usage_error(command, small_corpus_dir, capsys):
+    # 1e17 ms is 1.6e18 samples at 16 kHz: an int64 count, but 1.28e19 bytes of float64
+    argv = [command, "--corpus", str(small_corpus_dir), "--frame-ms=1e17", "--no-timestamp"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid --lp-order or --frame-ms: a 1e+17 ms frame at 16000 Hz "
+                            "(1600000000000000000 samples) does not fit a float64 array\n")
+
+
 @pytest.mark.parametrize("value", ["4000", "-4000", "25,-3100"])
 def test_snr_beyond_the_bound_is_a_usage_error(value, tmp_path, no_corpus_reading, capsys):
     err = _rejects_before_reading("noise-eval", ["--noise", "white", f"--snrs={value}"],

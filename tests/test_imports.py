@@ -1,4 +1,5 @@
-"""What importing and running specvalley loads: never SciPy.
+"""What importing and running specvalley loads: never SciPy, and no
+numpy.random until something draws.
 
 The checks need an interpreter that has not imported specvalley yet, so one
 fresh process runs them in order (the package, then the CLI, then the
@@ -32,8 +33,10 @@ report["package_names"] = sorted(n for n in vars(specvalley) if not n.startswith
 report["package_scipy"] = scipy_modules()
 import specvalley.cli
 report["cli_scipy"] = scipy_modules()
+report["cli_random"] = "numpy.random" in sys.modules
 import numpy as np
 import specvalley.baseline, specvalley.experiments, specvalley.synth, specvalley.synthetic
+report["import_random"] = "numpy.random" in sys.modules
 from specvalley.types import FormantSpec
 specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)],
                                  [specvalley.synth.Excitation("tilted-train", f0=100.0)],
@@ -65,6 +68,12 @@ def test_cli_import_loads_no_scipy(report):
 
 def test_runtime_loads_no_scipy(report):
     assert report["runtime_scipy"] == []
+
+
+def test_imports_load_no_numpy_random(report):
+    # numpy.random pulls in hashlib and secrets; only the code that draws loads it
+    assert not report["cli_random"]
+    assert not report["import_random"]
 
 
 def _readme_import_lines():

@@ -34,6 +34,7 @@ from specvalley.sigproc import (
     lpc_levels,
     polynomial_roots,
     preemphasize,
+    stacked_product,
     window,
     _unit_circle_table,
 )
@@ -168,8 +169,9 @@ def _per_frame_reference(seg, cfg, order):
     np.dot Levinson and one `formant_anchors` call per frame (the
     autocorrelation was already computed one lag at a time over the stack).
     `test_formant_anchors` anchors the roots to companion-matrix eigenvalues.
-    Each frame's envelope is its taps times the cos|sin table, as in
-    `lpc_levels`; `test_lpc_levels_match_the_fft_oracle` anchors that to the rfft."""
+    Each frame's envelope is its taps times the cos|sin table as a one-row
+    `stacked_product`, as in `lpc_levels`; `test_lpc_levels_match_the_fft_oracle`
+    anchors that to the rfft."""
     frames = window(frame_signal(preemphasize(seg.samples, cfg.preemphasis), seg.sample_rate,
                                  cfg.frame_ms, cfg.overlap_fraction)[0])
     n = frames.shape[1]
@@ -197,7 +199,7 @@ def _per_frame_reference(seg, cfg, order):
             out.append((None, None, formants, "fewer than three formants"))
             continue
         gain = np.sqrt(max(e, 1e-300))
-        re_im = a @ table
+        re_im = stacked_product(a[None, :], table)[0]
         power = gain * gain / (re_im[:512] ** 2 + re_im[512:] ** 2)
         env_db = 10.0 * np.log10(power)
         mean_db = 10.0 * np.log10(np.mean(power))
