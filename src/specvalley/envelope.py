@@ -1,8 +1,8 @@
 """Peak and valley analysis of spectral envelopes.
 
 `peak_levels` and `valley_minima` read the peaks and valleys of a stack of
-envelopes; the frame pipeline, the bandwidth calibration and the sweeps
-(one envelope as a one-row stack) run them.
+envelopes (one envelope is a one-row stack). A peak search reads the bins of
+`window_bins` alone, which is all the bandwidth calibration evaluates.
 """
 
 import numpy as np
@@ -15,10 +15,19 @@ def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
     """Candidate bins [lo, hi) of the peak search around each nominal frequency.
 
     The bins lie within +/-window_hz of nominal_f and leave one neighbour on
-    each side inside the grid, so a search reads bins lo-1 .. hi.
+    each side inside the grid, so a search reads bins lo-1 .. hi. Raises
+    ValueError for a nominal_f off the grid or a window_hz not above its spacing.
     """
-    lo = np.maximum(np.searchsorted(freqs, np.subtract(nominal_f, window_hz)), 1)
-    hi = np.searchsorted(freqs, np.add(nominal_f, window_hz), side="right")
+    nominal_f = np.asarray(nominal_f, dtype=np.float64)
+    outside = ~((freqs[0] <= nominal_f) & (nominal_f <= freqs[-1]))
+    if outside.any():
+        raise ValueError(
+            f"nominal frequency {float(nominal_f[outside][0])} outside envelope grid"
+        )
+    if window_hz <= float(freqs[1] - freqs[0]):
+        raise ValueError("search window must exceed the grid spacing")
+    lo = np.maximum(np.searchsorted(freqs, nominal_f - window_hz), 1)
+    hi = np.searchsorted(freqs, nominal_f + window_hz, side="right")
     return lo, np.minimum(hi, len(freqs) - 1)
 
 
@@ -30,25 +39,43 @@ def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
     `freqs`; `nominal_f` is (n,), or (n, k) for k peaks per row. A bin is a
     local maximum when it is at least as high as both neighbours; the first
     of equal maxima wins, and the peak is refined by a parabola through its
-    three bins. Only the window bins and their neighbours are read. Returns
-    (peak_freq, peak_level, missing), each shaped like `nominal_f`;
-    `missing` marks the windows with no interior local maximum (their
-    frequency and level mean nothing).
+    three bins. Returns (peak_freq, peak_level, missing), each shaped like
+    `nominal_f`; `missing` marks the windows with no interior local maximum
+    (their frequency and level mean nothing).
     """
-    nominal_f = np.asarray(nominal_f, dtype=np.float64)
-    outside = ~((freqs[0] <= nominal_f) & (nominal_f <= freqs[-1]))
-    if outside.any():
-        raise ValueError(
-            f"nominal frequency {float(nominal_f[outside][0])} outside envelope grid"
-        )
-    spacing = float(freqs[1] - freqs[0])
-    if window_hz <= spacing:
-        raise ValueError("search window must exceed the grid spacing")
-    n = len(levels_db)
-    lo, hi = peak_windows(freqs, nominal_f.reshape(n, -1), window_hz)
+    shape = np.shape(nominal_f)
+    lo, hi = peak_windows(freqs, np.reshape(nominal_f, (len(levels_db), -1)), window_hz)
     _, peak_freq, peak_level, missing = window_peaks(freqs, levels_db, lo, hi)
-    shape = nominal_f.shape
     return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
+
+
+def window_bins(lo: np.ndarray, hi: np.ndarray, n_bins: int):
+    """The bins a search of the windows [lo, hi) reads, and its candidates: (idx, inside).
+
+    `idx` holds each window's bins lo-1 .. lo+width, width the widest window,
+    clipped to the last of `n_bins`; `inside` marks idx[..., 1:-1] below hi.
+    """
+    width = int((hi - lo).max())
+    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), n_bins - 1)
+    return idx, np.arange(width) < (hi - lo)[..., None]
+
+
+def gathered_peaks(db: np.ndarray, inside: np.ndarray):
+    """The search of `peak_levels` on the levels `db` at the `idx` of `window_bins`.
+
+    Returns (k, shift, level, missing), each inside.shape[:-1]: the maximum's
+    offset from lo, its parabolic shift in bins, its refined level, and the
+    windows with no candidate maximum (their k, shift and level mean nothing).
+    """
+    center = db[..., 1:-1]
+    is_max = (center >= db[..., :-2]) & (center >= db[..., 2:]) & inside
+    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
+    ym, y0, yp = np.moveaxis(np.take_along_axis(db, k + np.arange(3), axis=-1), -1, 0)
+    denom = ym - 2.0 * y0 + yp
+    shift = np.zeros(denom.shape)
+    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
+    shift = np.clip(shift, -0.5, 0.5)
+    return k[..., 0], shift, y0 - 0.25 * (ym - yp) * shift, ~is_max.any(axis=-1)
 
 
 def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -60,29 +87,15 @@ def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: n
     peak_freq, peak_level, missing), each (n, k): the grid index of each
     maximum before refinement, and the frequency and level after it.
     """
-    width = int((hi - lo).max())
-    if width <= 0:
+    if int((hi - lo).max()) <= 0:
         nothing = np.full(lo.shape, np.nan)
         return np.zeros(lo.shape, dtype=int), nothing, nothing.copy(), np.ones(lo.shape, dtype=bool)
-    # each window's bins lo-1 .. lo+width; bins past a short window's end
-    # are clipped to the grid and masked out
-    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
-    db = levels_db[np.arange(len(lo))[:, None, None], idx]
-    center = db[..., 1:-1]
-    is_max = (
-        (center >= db[..., :-2]) & (center >= db[..., 2:])
-        & (np.arange(width) < (hi - lo)[..., None])
-    )
-    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
-    ym, y0, yp = np.moveaxis(np.take_along_axis(db, k + np.arange(3), axis=-1), -1, 0)
-    denom = ym - 2.0 * y0 + yp
-    shift = np.zeros(denom.shape)
-    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
-    shift = np.clip(shift, -0.5, 0.5)
-    peak_bin = lo + k[..., 0]
+    idx, inside = window_bins(lo, hi, len(freqs))
+    k, shift, peak_level, missing = gathered_peaks(
+        levels_db[np.arange(len(lo))[:, None, None], idx], inside)
+    peak_bin = lo + k
     peak_freq = freqs[peak_bin] + shift * float(freqs[1] - freqs[0])
-    peak_level = y0 - 0.25 * (ym - yp) * shift
-    return peak_bin, peak_freq, peak_level, ~is_max.any(axis=-1)
+    return peak_bin, peak_freq, peak_level, missing
 
 
 def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows, valley_minima, window_peaks
+from .envelope import PEAK_WINDOW_HZ, peak_windows, valley_minima, window_peaks
 from .errors import (
     DegenerateInputError,
     NoCrossingError,
@@ -99,7 +99,7 @@ def _banded_mean_db(freqs, levels, band_hz):
 def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
     """(L_lo, L_hi, valley level) in dB of the two peaks located near f_lo < f_hi.
 
-    One `peak_levels` call finds the highest peak within +/-PEAK_WINDOW_HZ of
+    One `window_peaks` call finds the highest peak within +/-PEAK_WINDOW_HZ of
     each nominal frequency, and one `valley_minima` call the lowest level
     strictly between the two peaks. When both windows find the same maximum,
     the window whose nominal frequency is nearer keeps it, and the other takes
@@ -111,15 +111,14 @@ def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
     if f_lo >= f_hi:
         raise ValueError(f"nominal frequencies must be ordered lower < upper, "
                          f"got {f_lo} and {f_hi}")
-    stack, nominal = levels[None, :], np.array([[f_lo, f_hi]])
-    peak, level, missing = peak_levels(freqs, stack, nominal)
+    stack = levels[None, :]
+    lo, hi = peak_windows(freqs, np.array([[f_lo, f_hi]]), PEAK_WINDOW_HZ)
+    k, peak, level, missing = window_peaks(freqs, stack, lo, hi)
     for f, gone in zip((f_lo, f_hi), missing[0]):
         if gone:
             raise PeakNotFoundError(f"no spectral peak within {PEAK_WINDOW_HZ} Hz of {f} Hz")
     if peak[0, 0] >= peak[0, 1]:
-        shared = float(peak[0, 0])
-        lo, hi = peak_windows(freqs, nominal, PEAK_WINDOW_HZ)
-        k = int(window_peaks(freqs, stack, lo, hi)[0][0, 0])
+        shared, k = float(peak[0, 0]), int(k[0, 0])
         if shared - f_lo <= f_hi - shared:
             lo[0, 1] = min(k + 2, hi[0, 1])
         else:
@@ -334,15 +333,16 @@ def lp_envelope_of_signal(
     samples: np.ndarray,
     order: int,
     lag_window_half_length: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """(levels, mean_db): the autocorrelation-method LP envelope in dB.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, mean_db): the autocorrelation-method LP envelopes in dB of a stack of signals.
 
-    The levels lie on `GRID_POINTS` frequencies from 0 Hz to the Nyquist
-    frequency of `samples`; `mean_db` is their mean level, which
+    `samples` is (n, length); the levels are (n, `GRID_POINTS`) from 0 Hz to
+    the signals' Nyquist frequency, and `mean_db` (n,) their mean levels, which
     `sigproc.lpc_levels` takes from the power. The optional lag window tapers
     the autocorrelation with the upper half of a Hamming window of half-length
     L lags before the Levinson solve, trading a little spectral resolution for
-    envelope smoothness.
+    envelope smoothness. The first row that fails raises the error it would
+    alone: DegenerateInputError, UnstableModelError, then SingularEnvelopeError.
     """
     r = autocorrelation(samples, order)
     if lag_window_half_length:
@@ -350,16 +350,18 @@ def lp_envelope_of_signal(
         if L < order:
             raise ValueError("lag window half-length must cover the model order")
         r = r * np.hamming(2 * L + 1)[L : L + order + 1]
-    if r[0] <= 0:
-        raise DegenerateInputError(f"zero-lag autocorrelation must be positive, got {r[0]}")
-    fit = levinson_rows(r[None, :], order)
-    if fit.stage[0]:
-        raise UnstableModelError(levinson_failure(fit, 0), stage=int(fit.stage[0]))
+    fit = levinson_rows(r, order)
     env = lpc_levels(fit.a, np.sqrt(np.maximum(fit.error, 0.0)), GRID_POINTS)
-    if env.singular[0]:
+    failed = np.flatnonzero((r[:, 0] <= 0) | (fit.stage > 0) | env.singular)
+    if failed.size:
+        i = failed[0]
+        if r[i, 0] <= 0:
+            raise DegenerateInputError(f"zero-lag autocorrelation must be positive, got {r[i, 0]}")
+        if fit.stage[i]:
+            raise UnstableModelError(levinson_failure(fit, i), stage=int(fit.stage[i]))
         raise SingularEnvelopeError("predictor has a root on the evaluation grid "
                                     "or a non-finite dB level")
-    return env.levels[0], float(env.mean_db[0])
+    return env.levels, env.mean_db
 
 
 def f0_influence_experiment(
@@ -387,13 +389,10 @@ def f0_influence_experiment(
     duration_s = F0_SETTLE_S + F0_ANALYSIS_S
     trains = [Excitation("impulse-train", f0=f0, duration_s=duration_s) for f0 in f0_values]
     signals = synthesize_rows(fm, trains, sample_rate, int(round(duration_s * sample_rate)))
-    rows = []
-    for f0, sig in zip(f0_values, signals):
-        seg = sig[int(F0_SETTLE_S * sample_rate):]
-        levels, mean_db = lp_envelope_of_signal(seg, lp_order, lag_window_half_length)
-        v_f0 = mean_db - _peak_pair_rlsv(reference.freqs, levels, f1, f2)[2]
-        rows.append(F0Row(f0, v_ref, v_f0))
-    return rows
+    levels, mean_db = lp_envelope_of_signal(signals[:, int(F0_SETTLE_S * sample_rate):], lp_order,
+                                            lag_window_half_length)
+    return [F0Row(f0, v_ref, m - _peak_pair_rlsv(reference.freqs, row, f1, f2)[2])
+            for f0, row, m in zip(f0_values, levels, mean_db.tolist())]
 
 
 @dataclass

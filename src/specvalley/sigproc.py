@@ -445,8 +445,8 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
 
     `frequency` and `bandwidth` are equal-shaped arrays of resonators and
     `zinv` holds e^(-jw) for each evaluation frequency w: one (K,) grid
-    for all resonators, giving frequency.shape + (K,) levels, or one grid
-    per resonator, shaped frequency.shape + (K,). Raises ValueError for a
+    for all resonators, giving frequency.shape + (K,) levels, or grids that
+    broadcast against frequency.shape + (1,). Raises ValueError for a
     resonator at or above Nyquist.
     """
     frequency = np.asarray(frequency, dtype=np.float64)
@@ -470,9 +470,9 @@ def cascade_grid(sample_rate: float, n_points: int):
     return freqs, np.exp(-2j * np.pi * freqs / sample_rate)
 
 
-def cascade_levels(terms, n_points: int) -> np.ndarray:
-    """The sum of resonator dB terms, from zeros in the given order; raises unless finite."""
-    levels = np.zeros(n_points)
+def cascade_levels(terms, shape) -> np.ndarray:
+    """Sum of dB terms of one `shape`, from zeros in the given order; raises unless finite."""
+    levels = np.zeros(shape)
     for term in terms:
         levels += term
     if not np.all(np.isfinite(levels)):

@@ -6,8 +6,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import PEAK_WINDOW_HZ, peak_levels, peak_windows
-from .sigproc import cascade_grid, resonator_db, resonator_denominator, resonator_taps
+from .envelope import PEAK_WINDOW_HZ, gathered_peaks, peak_windows, window_bins
+from .sigproc import (cascade_grid, cascade_levels, resonator_db, resonator_denominator,
+                      resonator_taps)
 from .types import FormantSpec
 
 EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
@@ -22,15 +23,16 @@ TILT_CORNER_HZ = 50.0
 TAIL_TIME_CONSTANTS = 60
 MAX_TAIL_SAMPLES = 1 << 20
 
-# bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays
-# there), B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS
-# halvings per round until every relative level is within TOLERANCE_DB of its
-# target, and peaks are read within +/-envelope.PEAK_WINDOW_HZ of each
-# formant on a CALIBRATION_POINTS grid from 0 Hz to Nyquist
+# bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays there),
+# B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS halvings per
+# round, in at most MAX_ROUNDS rounds, until every relative level is within
+# TOLERANCE_DB of its target; peaks are read within +/-envelope.PEAK_WINDOW_HZ
+# of each formant on a CALIBRATION_POINTS grid from 0 Hz to Nyquist
 INITIAL_BANDWIDTH = 100.0
 SEARCH_RANGE_HZ = (30.0, 600.0)
 TOLERANCE_DB = 0.5
 BISECTION_STEPS = 36
+MAX_ROUNDS = 50
 CALIBRATION_POINTS = 2048
 
 
@@ -141,7 +143,6 @@ def calibrate_bandwidth_rows(
     exc: Excitation,
     sample_rate: float,
     extra_formants=None,
-    max_rounds: int = 50,
 ) -> BandwidthCalibration:
     """Find, row by row, bandwidths whose relative peak levels match the targets.
 
@@ -150,13 +151,14 @@ def calibrate_bandwidth_rows(
     (default: none). The targets count relative to L1, which leaves B1
     unconstrained: B1 stays at INITIAL_BANDWIDTH, while B2 and B3 are
     bisected over SEARCH_RANGE_HZ against the analytic cascade spectrum (plus
-    the excitation's source tilt), round after round, until the relative
-    levels land within TOLERANCE_DB. All rows bisect in lockstep, and a row
-    leaves the stack after the round in which it converges. Only the formant
-    being bisected is re-evaluated, and only on the grid bins that the peak
-    searches read. A row's resonator terms are summed in the order given,
-    F1..F3 and then its extra formants, and the tilt last; raises ValueError
-    for a row whose frequencies in that order do not ascend.
+    the excitation's source tilt), for up to MAX_ROUNDS rounds, until the
+    relative levels land within TOLERANCE_DB. All rows bisect in lockstep,
+    and a row leaves the stack after the round in which it converges. Only
+    the formant being bisected is re-evaluated, and only on the bins
+    `envelope.window_bins` gives, which `envelope.gathered_peaks` searches.
+    A row's resonator terms are summed in the order given, F1..F3 and then
+    its extra formants, and the tilt last; raises ValueError for a row whose
+    frequencies in that order do not ascend.
     """
     freqs3 = np.asarray(formant_freqs, dtype=np.float64)
     levels = np.asarray(target_levels, dtype=np.float64)
@@ -181,44 +183,31 @@ def calibrate_bandwidth_rows(
         raise ValueError(f"row {r}: formants must ascend, got {cascade_f[r].tolist()} Hz")
 
     grid, zinv = cascade_grid(sample_rate, CALIBRATION_POINTS)
-    # per row, the bins its peak searches read: each window and one
-    # neighbour on each side; short rows repeat their last bin
-    win_lo, win_hi = peak_windows(grid, freqs3, PEAK_WINDOW_HZ)
-    row_bins = [np.unique(np.concatenate([np.arange(a - 1, b + 1) for a, b in zip(lo, hi)]))
-                for lo, hi in zip(win_lo, win_hi)]
-    width = max(len(r) for r in row_bins)
-    bins = np.array([np.pad(r, (0, width - len(r)), mode="edge") for r in row_bins])
+    bins, inside = window_bins(*peak_windows(grid, freqs3, PEAK_WINDOW_HZ), CALIBRATION_POINTS)
     zinv = zinv[bins]
-    terms = [resonator_db(cascade_f[:, s], cascade_b[:, s], zinv, sample_rate)
+    terms = [resonator_db(cascade_f[:, s, None], cascade_b[:, s, None], zinv, sample_rate)
              for s in range(cascade_f.shape[1])]
     if exc.kind == "tilted-train":
         terms.append(20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate))))
-    terms = np.stack(terms, axis=1)
 
     rounds = np.zeros(n, dtype=int)
     residuals = np.full((n, 3), np.inf)
     converged = np.zeros(n, dtype=bool)
     # the stack holds the rows still calibrating; `stack` maps them to input rows
-    stack, bw, f3, tg = np.arange(n), bws.copy(), freqs3, targets
+    stack, tg = np.arange(n), targets
 
     def relative_levels():
         """Peak levels relative to L1, and a mask of rows with all three peaks."""
-        summed = np.zeros(bins.shape)
-        for s in range(terms.shape[1]):
-            summed += terms[:, s]
-        grid_levels[rows[:, None], bins] = summed
-        _, lv, missing = peak_levels(grid, grid_levels, f3, PEAK_WINDOW_HZ)
+        _, _, lv, missing = gathered_peaks(cascade_levels(terms, zinv.shape), inside)
         return lv - lv[:, :1], ~missing.any(axis=1)
 
     def set_bandwidth(i, value):
-        bw[:, i] = value
-        terms[rows, i] = resonator_db(f3[:, i], value, zinv, sample_rate)
+        bws[stack, i] = value
+        terms[i] = resonator_db(freqs3[stack, i, None], value[:, None], zinv, sample_rate)
 
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         if not stack.size:
             break
-        rows = np.arange(len(stack))
-        grid_levels = np.full((len(stack), CALIBRATION_POINTS), np.nan)
         for i in (1, 2):
             lo = np.full(len(stack), SEARCH_RANGE_HZ[0])
             hi = np.full(len(stack), SEARCH_RANGE_HZ[1])
@@ -234,11 +223,9 @@ def calibrate_bandwidth_rows(
         res = rel - tg
         residuals[stack[found]] = res[found]
         rounds[stack] = round_no
-        bws[stack] = bw
         done = found & np.all(np.abs(res) <= TOLERANCE_DB, axis=1)
         converged[stack[done]] = True
         keep = ~done
-        stack, bw, f3, tg, terms, bins, zinv = (
-            a[keep] for a in (stack, bw, f3, tg, terms, bins, zinv)
-        )
+        stack, tg, inside, zinv = (a[keep] for a in (stack, tg, inside, zinv))
+        terms = [t[keep] for t in terms]
     return BandwidthCalibration(bws, rounds, residuals, converged)

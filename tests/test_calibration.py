@@ -7,12 +7,15 @@ replaced: the whole cascade re-evaluated at every bisection step, peaks found
 by a Python loop over the window. The stacked forms must give the same floats.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_reference import source_tilt_db
+from specvalley import synth
 from specvalley.corpus import default_pb_table_path, load_pb_table
 from specvalley.envelope import peak_levels
 from specvalley.errors import CalibrationError
@@ -120,13 +123,23 @@ def test_recipes_equal_the_scalar_calibration():
         assert all(abs(r) <= 0.5 for r in recipe.calibration_residuals_db)
 
 
-def test_recipe_rows_equal_the_scalar_calibration_at_10khz():
+def test_recipes_keep_their_digest():
+    """The sha256 prefix of the recipes' repr, ROADMAP.md's recipe invariant.
+
+    The repr is NumPy 2's: the calibrated bandwidths print as `np.float64(...)`.
+    """
+    digest = hashlib.sha256(repr(build_recipes(16000.0)).encode()).hexdigest()[:16]
+    assert digest == "175b5957f192f549"
+
+
+def test_recipe_rows_equal_the_scalar_calibration_at_10khz(monkeypatch):
     # at 10 kHz the upper formants sit close to Nyquist and the front vowels
     # miss their L3 targets in every round, so compare three rounds of all rows
     entries = _recipe_entries()
+    monkeypatch.setattr(synth, "MAX_ROUNDS", 3)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries], [(e.l1, e.l2, e.l3) for e in entries],
-        RECIPE_EXCITATION, 10000.0, extra_formants=[_upper(e) for e in entries], max_rounds=3,
+        RECIPE_EXCITATION, 10000.0, extra_formants=[_upper(e) for e in entries],
     )
     assert 0 < fit.converged.sum() < 18
     for r, e in enumerate(entries):
@@ -143,10 +156,11 @@ FREQS = (600.0, 1200.0, 2400.0)
 UNREACHABLE = (0.0, 40.0, -10.0)
 
 
-def test_unreachable_row_fails_alone():
+def test_unreachable_row_fails_alone(monkeypatch):
     exc = Excitation("unit-impulse")
     rows = [(0.0, -12.0, -22.0), UNREACHABLE, (-3.0, -10.0, -30.0)]
-    fit = calibrate_bandwidth_rows([FREQS] * 3, rows, exc, 10000.0, max_rounds=5)
+    monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
+    fit = calibrate_bandwidth_rows([FREQS] * 3, rows, exc, 10000.0)
     assert fit.converged.tolist() == [True, False, True]
     assert fit.rounds[1] == 5
     _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, exc, 10000.0,
@@ -174,7 +188,7 @@ def test_build_recipes_names_the_vowel_that_failed(tmp_path):
     assert abs(err.value.residuals_db[1]) > 0.5
 
 
-def test_rows_with_different_extra_formants():
+def test_rows_with_different_extra_formants(monkeypatch):
     # at 10 kHz the first row's peaks merge in every round: its residuals
     # stay unmeasured (inf)
     exc = RECIPE_EXCITATION
@@ -182,8 +196,8 @@ def test_rows_with_different_extra_formants():
               [FormantSpec(3300.0, 150.0), FormantSpec(4100.0, 250.0)]]
     targets = [(-2.0, -17.0, -24.0), (-3.0, -15.0, -25.0)]
     freqs = [(530.0, 1840.0, 2480.0), FREQS]
-    fit = calibrate_bandwidth_rows(freqs, targets, exc, 10000.0, extra_formants=extras,
-                                   max_rounds=5)
+    monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
+    fit = calibrate_bandwidth_rows(freqs, targets, exc, 10000.0, extra_formants=extras)
     assert not fit.converged[0]
     assert np.isinf(fit.residuals_db[0]).all()
     for r in range(2):
@@ -257,3 +271,9 @@ def test_peak_levels_keeps_the_input_checks():
         peak_levels(freqs, levels, np.array([4100.0]))
     with pytest.raises(ValueError, match="grid spacing"):
         peak_levels(freqs, levels, np.array([1000.0]), window_hz=10.0)
+
+
+def test_calibration_keeps_the_input_checks():
+    # at 1 MHz the 2048-point grid is 244 Hz apart, wider than the 200 Hz peak window
+    with pytest.raises(ValueError, match="search window must exceed the grid spacing"):
+        calibrate_bandwidth_rows([FREQS], [(0.0, -12.0, -22.0)], Excitation("unit-impulse"), 1e6)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum
-from specvalley.envelope import peak_levels, valley_minima, window_peaks
+from specvalley.envelope import (
+    gathered_peaks,
+    peak_levels,
+    peak_windows,
+    valley_minima,
+    window_bins,
+    window_peaks,
+)
 from specvalley.experiments import PairMeter, _banded_mean_db
 from specvalley.types import FormantSpec, power_mean_db
 
@@ -128,6 +135,52 @@ def test_window_peaks_without_bins_equal_the_reference():
         for g, w in zip(window_peaks(freqs, levels_db, lo, hi),
                         reference_window_peaks(freqs, levels_db, lo, hi)):
             np.testing.assert_array_equal(g, w)
+
+
+def _read_set_only(levels_db, idx):
+    """`levels_db` with NaN at every bin of a row that no window of the row reads."""
+    rows = np.arange(len(levels_db))[:, None, None]
+    kept = np.full(levels_db.shape, np.nan)
+    kept[rows, idx] = levels_db[rows, idx]
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_search_reads_exactly_the_read_set(seed):
+    # per row, a window clipped at bin 1, one at the last interior bin, an
+    # empty one and a random one; coarse levels make plateaus and ties
+    rng = np.random.default_rng(seed)
+    n_bins, n, k = int(rng.integers(16, 200)), int(rng.integers(1, 6)), 4
+    freqs = np.linspace(0.0, 4000.0, n_bins)
+    levels_db = np.round(rng.normal(size=(n, n_bins)) * rng.choice([0.5, 3.0]))
+    lo = rng.integers(1, n_bins - 1, size=(n, k))
+    hi = np.minimum(lo + rng.integers(-2, n_bins // 2, size=(n, k)), n_bins - 1)
+    lo[:, 0], hi[:, 1] = 1, n_bins - 1
+    lo[:, 1] = np.minimum(lo[:, 1], n_bins - 3)
+    hi[:, 2] = lo[:, 2] - rng.integers(0, 2, n)
+    idx, inside = window_bins(lo, hi, n_bins)
+    assert inside.shape == lo.shape + (idx.shape[-1] - 2,)
+    full = window_peaks(freqs, levels_db, lo, hi)
+    for got, read_set, want in zip(full,
+                                   window_peaks(freqs, _read_set_only(levels_db, idx), lo, hi),
+                                   reference_window_peaks(freqs, levels_db, lo, hi)):
+        np.testing.assert_array_equal(got, read_set)
+        np.testing.assert_array_equal(got, want)
+    k_max, shift, level, missing = gathered_peaks(
+        levels_db[np.arange(n)[:, None, None], idx], inside)
+    np.testing.assert_array_equal(lo + k_max, full[0])
+    np.testing.assert_array_equal(freqs[lo + k_max] + shift * spacing(freqs), full[1])
+    np.testing.assert_array_equal(level, full[2])
+    np.testing.assert_array_equal(missing, full[3])
+    # `peak_levels` through the windows `peak_windows` gives, against both grid edges
+    nominal = rng.uniform(0.0, 4000.0, (n, 3))
+    nominal[:, 0], nominal[:, 1] = 0.0, 4000.0
+    window_hz = float(rng.uniform(1.2, 20.0)) * spacing(freqs)
+    idx, _ = window_bins(*peak_windows(freqs, nominal, window_hz), n_bins)
+    for got, read_set in zip(peak_levels(freqs, levels_db, nominal, window_hz),
+                             peak_levels(freqs, _read_set_only(levels_db, idx), nominal,
+                                         window_hz)):
+        np.testing.assert_array_equal(got, read_set)
 
 
 class TestRlsv:

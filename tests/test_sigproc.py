@@ -16,6 +16,7 @@ from specvalley.sigproc import (
     MIN_FREQUENCY,
     NYQUIST_MARGIN,
     autocorrelation,
+    cascade_levels,
     formant_anchors,
     formant_candidates,
     frame_length,
@@ -216,7 +217,7 @@ class TestLevinson:
         assert levinson_failure(fit, 1) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
         # the LP envelope of the f0 study raises on the silent row
         with pytest.raises(DegenerateInputError):
-            lp_envelope_of_signal(np.zeros(64), 1)
+            lp_envelope_of_signal(np.zeros((1, 64)), 1)
 
     @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan")])
     def test_lp_envelope_rate_must_be_positive(self, sample_rate, monkeypatch):
@@ -233,11 +234,25 @@ class TestLevinson:
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
         x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
                             [Excitation("impulse-train", f0=120.0)], 8000.0, 4000)[0]
-        levels, mean_db = lp_envelope_of_signal(x, 8)
+        levels, mean_db = lp_envelope_of_signal(x[None], 8)
         fit = levinson_rows(autocorrelation(x, 8)[None, :], 8)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
-        assert np.array_equal(levels, env.levels[0])
-        assert mean_db == env.mean_db[0]
+        assert np.array_equal(levels[0], env.levels[0])
+        assert mean_db[0] == env.mean_db[0]
+
+
+def test_cascade_levels_of_a_stack_are_its_row_sums():
+    # the calibration sums (n, 3, W) terms; each window sums as it would alone
+    rng = np.random.default_rng(4)
+    terms = [rng.normal(0.0, 20.0, (5, 3, 17)) for _ in range(6)]
+    levels = cascade_levels(terms, (5, 3, 17))
+    for r in range(5):
+        for j in range(3):
+            assert np.array_equal(levels[r, j], cascade_levels([t[r, j] for t in terms], 17))
+    for bad in (np.inf, -np.inf, np.nan):
+        terms[3][2, 1, 5] = bad
+        with pytest.raises(ValueError, match="envelope levels must be finite"):
+            cascade_levels(terms, (5, 3, 17))
 
 
 class TestLpcEnvelope:
@@ -279,17 +294,17 @@ class TestLpcEnvelope:
     def test_pole_on_grid_raises(self, monkeypatch):
         # A(z) = 1 - z^-1 vanishes at DC; r = [1, 1] fits it with k = -1
         assert lpc_levels(np.array([[1.0, -1.0]]), np.ones(1), 128).singular[0]
-        monkeypatch.setattr(experiments, "autocorrelation", lambda x, order: np.ones(2))
+        monkeypatch.setattr(experiments, "autocorrelation", lambda x, order: np.ones((1, 2)))
         with pytest.raises(SingularEnvelopeError):
-            lp_envelope_of_signal(np.ones(8), 1)
+            lp_envelope_of_signal(np.ones((1, 8)), 1)
 
     def test_root_at_nyquist_raises(self, monkeypatch):
         # A(z) = 1 + z^-1 vanishes at Nyquist; r = [1, -1] fits it with k = 1
         assert lpc_levels(np.array([[1.0, 1.0]]), np.ones(1), 128).singular[0]
         monkeypatch.setattr(experiments, "autocorrelation",
-                            lambda x, order: np.array([1.0, -1.0]))
+                            lambda x, order: np.array([[1.0, -1.0]]))
         with pytest.raises(SingularEnvelopeError):
-            lp_envelope_of_signal(np.ones(8), 1)
+            lp_envelope_of_signal(np.ones((1, 8)), 1)
 
     @pytest.mark.parametrize("n_points", [64, 128, 512, 1024, 4096])
     def test_singular_rows_are_the_rows_the_rfft_finds_a_zero_in(self, n_points):

@@ -259,9 +259,9 @@ def test_unstable_row_reason_matches_levinson_error(monkeypatch):
     fit = levinson_rows(lags, 2)
     assert list(fit.stage) == [1, 0]
     assert levinson_failure(fit, 0) == "reflection coefficient -1.2 outside [-1, 1] at stage 1"
-    monkeypatch.setattr(experiments, "autocorrelation", lambda samples, order: lags[0])
+    monkeypatch.setattr(experiments, "autocorrelation", lambda samples, order: lags[:1])
     with pytest.raises(UnstableModelError) as err:
-        lp_envelope_of_signal(np.ones(8), 2)
+        lp_envelope_of_signal(np.ones((1, 8)), 2)
     assert str(err.value) == levinson_failure(fit, 0)
     assert err.value.stage == 1
 

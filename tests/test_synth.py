@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum, source_tilt_db
+from specvalley import synth
 from specvalley.envelope import peak_levels
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
@@ -172,10 +173,10 @@ class TestCalibrateBandwidths:
         for got, want in zip(rel[1:], [-12.0, -22.0]):
             assert abs(got - want) <= 0.5
 
-    def test_unreachable_target_reports_residuals(self):
+    def test_unreachable_target_reports_residuals(self, monkeypatch):
         exc = Excitation("unit-impulse")
-        fit = calibrate_bandwidth_rows([self.FREQS], [(0.0, +40.0, -10.0)], exc, 10000.0,
-                                       max_rounds=5)
+        monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
+        fit = calibrate_bandwidth_rows([self.FREQS], [(0.0, +40.0, -10.0)], exc, 10000.0)
         assert not fit.converged[0]
         assert fit.residuals_db.shape == (1, 3)
         assert np.all(np.isfinite(fit.residuals_db[0]))
