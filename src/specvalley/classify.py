@@ -146,8 +146,6 @@ class SegmentDecision:
 class ClassificationReport:
     """Per-class and overall accuracy plus confusion counts."""
 
-    feature: str
-    threshold: float
     front_accuracy: float | None  # None when the class has no segments
     back_accuracy: float | None
     overall_accuracy: float
@@ -328,7 +326,7 @@ def segment_decisions(table, cfg: PipelineConfig, rule: str = "valley",
             yield i, truth, decision
 
 
-def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) -> ClassificationReport:
+def score(decisions, truths) -> ClassificationReport:
     """Accuracy bookkeeping; undecided segments (None) count as errors."""
     if len(decisions) != len(truths):
         raise ValueError("decisions and truths must have equal length")
@@ -353,8 +351,6 @@ def score(decisions, truths, feature: str = "valley", threshold: float = 5.0) ->
         return 100.0 * correct[cls] / counts[cls] if counts[cls] else None
     total = counts["front"] + counts["back"]
     return ClassificationReport(
-        feature=feature,
-        threshold=threshold,
         front_accuracy=acc("front"),
         back_accuracy=acc("back"),
         overall_accuracy=100.0 * (correct["front"] + correct["back"]) / total,

@@ -37,7 +37,8 @@ SNR = (lambda x: abs(x) <= corpus.MAX_SNR_DB, f"must be within +/-{corpus.MAX_SN
 UNIT_INTERVAL = (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")
 NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not negative")
 AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
-AT_LEAST_64 = (lambda n: n >= 64, "must be at least 64")
+GRID_SIZE = (lambda n: 64 <= n <= experiments.MAX_GRID_POINTS,
+             f"must be at least 64 and at most {experiments.MAX_GRID_POINTS}")
 
 
 class UsageError(Exception):
@@ -150,10 +151,10 @@ def _ascending(formants):
             raise UsageError(f"{lo_name} ({lo:g} Hz) must be below {hi_name} ({hi:g} Hz)")
 
 
-def _step_budget(cfg, sweep, allow_widening=False):
+def _step_budget(cfg, sweep):
     """A UsageError naming --step when the geometry lets the `sweep` of `cfg` take
     more than `experiments.MAX_SWEEP_STEPS` steps."""
-    if experiments.sweep_step_bound(cfg, allow_widening) > experiments.MAX_SWEEP_STEPS:
+    if experiments.sweep_step_bound(cfg) > experiments.MAX_SWEEP_STEPS:
         raise UsageError(f"--step {cfg.step_hz:g} allows more than "
                          f"{experiments.MAX_SWEEP_STEPS} steps {sweep}")
 
@@ -229,7 +230,7 @@ def _cmd_ocd4(args, out):
     _step_budget(cfg, f"between --formants F{i + 1} and F{i + 2}")
     out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
                       pair=args.pair)
-    _emit_sweep(out, experiments.ocd_sweep(cfg, label=f"V{i + 1}{i + 2}"))
+    _emit_sweep(out, experiments.ocd_sweep(cfg))
 
 
 def _case_formants(args, b3, b4):
@@ -288,26 +289,24 @@ def _cmd_pb_ocd(args, out):
         means = {v: f for v, f in corpus.pb_mean_formants(entries, gender).items()
                  if v in experiments.FRONT_VOWELS + experiments.BACK_VOWELS}
         fs, f4 = experiments.pb_defaults(gender)
+        f4_flag = ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4)
         _below_nyquist(args.fs or fs, [
             *((f"table vowel {v} ({gender}) F{k + 1}", f)
-              for v, fm in means.items() for k, f in enumerate(fm)),
-            ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4),
+              for v, fm in means.items() for k, f in enumerate(fm)), f4_flag,
         ], "--fs" if args.fs else f"the {gender} default --fs")
-        for vowel, label, cfg in experiments.pb_sweeps(means, gender, args.fs, args.f4,
-                                                       args.bw, args.step):
-            _step_budget(cfg, f"in the {label} sweep of {vowel} ({gender})",
-                         allow_widening=True)
-        tables.append((gender, means))
+        for v, fm in means.items():
+            _ascending([(f"table vowel {v} ({gender}) F3", fm[2]), f4_flag])
+        sweeps = experiments.pb_sweeps(means, gender, args.fs, args.f4, args.bw, args.step)
+        for vowel, cfg in sweeps:
+            _step_budget(cfg, f"in the {cfg.basis} sweep of {vowel} ({gender})")
+        tables.append((gender, sweeps))
     out.params.update(table=args.table or "bundled", gender=args.gender, bw=args.bw,
                       step=args.step)
     out.row("gender", "vowel", "basis", "ocd_bark", "status")
-    for gender, means in tables:
-        rows = experiments.pb_ocd_table(
-            means, gender, sample_rate=args.fs, f4=args.f4,
-            bandwidth_hz=args.bw, step_hz=args.step,
-        )
-        order = {v: k for k, v in enumerate(
-            experiments.FRONT_VOWELS + ("tube",) + experiments.BACK_VOWELS)}
+    order = {v: k for k, v in enumerate(
+        experiments.FRONT_VOWELS + ("tube",) + experiments.BACK_VOWELS)}
+    for gender, sweeps in tables:
+        rows = experiments.pb_ocd_table(sweeps)
         rows.sort(key=lambda r: (order.get(r.vowel, 99), r.basis))
         for r in rows:
             if r.result is not None:
@@ -403,9 +402,9 @@ def _cmd_classify(args, out):
         out.row(table.segment_id(i), table.label[i], truth, *cells)
     if not decisions:
         raise _Stop("no segments found")
-    report = classify.score(decisions, truths, feature=args.feature, threshold=threshold)
+    report = classify.score(decisions, truths)
     out.note("feature,threshold,front_acc,back_acc,overall,front_n,back_n")
-    out.note(f"{report.feature},{report.threshold},{_accuracy_cells(report)},"
+    out.note(f"{args.feature},{threshold},{_accuracy_cells(report)},"
              f"{report.n_front},{report.n_back}")
     if (args.expect_overall is not None
             and abs(report.overall_accuracy - args.expect_overall) > args.expect_tol):
@@ -447,8 +446,7 @@ def _cmd_noise_eval(args, out):
             mix = corpus.noise_mixer(table, kind, snr, seeds, babble)
             decided = list(_decisions(args, cfg, table, mix))
             report = classify.score([dec for *_, dec in decided],
-                                    [truth for _, truth, _ in decided],
-                                    feature=args.feature, threshold=threshold)
+                                    [truth for _, truth, _ in decided])
             out.row(kind, _fmt(snr, 1), _accuracy_cells(report), report.n_undecided)
 
 
@@ -484,7 +482,7 @@ def _cmd_baseline(args, out):
         decisions.append(pred)
         truths.append(truth)
         out.row(seg_id, label, truth, _fmt(score_val, 4), pred)
-    report = classify.score(decisions, truths, feature=args.feature, threshold=0.5)
+    report = classify.score(decisions, truths)
     out.note("feature,dimension,hidden,train_n,test_n,front_acc,back_acc,overall,skipped")
     out.note(f"{args.feature},{len(rows[0][3])},{args.hidden},{len(train)},{len(test)},"
              f"{_accuracy_cells(report)},{skipped}")
@@ -536,7 +534,7 @@ def _add_two_formant_args(p):
     _number(p, "--fs", 10000.0, POSITIVE)
     p.add_argument("--band", type=_band, default=2500.0,
                    help="mean-level band in Hz (0 or below disables)")
-    _number(p, "--points", 4096, AT_LEAST_64, int)
+    _number(p, "--points", 4096, GRID_SIZE, int)
 
 
 def _add_case_args(p):
@@ -565,7 +563,7 @@ def _ocd4_flags(p):
     _number(p, "--step", 25.0, POSITIVE)
     p.add_argument("--pair", type=int, default=1,
                    help="1-based index of the lower formant of the swept pair")
-    _number(p, "--points", 4096, AT_LEAST_64, int)
+    _number(p, "--points", 4096, GRID_SIZE, int)
 
 
 def _levels_flags(p):

@@ -38,6 +38,10 @@ UNIFORM_TUBE_FORMANTS_HZ = (500.0, 1500.0, 2500.0, 3500.0)
 # frequencies from 0 Hz to Nyquist on which the studies evaluate envelopes
 GRID_POINTS = 4096
 
+# the most grid points a sweep command accepts: a four-formant PairMeter on
+# this grid holds about 100 MB
+MAX_GRID_POINTS = 1 << 20
+
 # the most steps a sweep takes after its start
 MAX_SWEEP_STEPS = 100000
 
@@ -56,6 +60,8 @@ class SweepConfig:
     pins the upper formant, which is how the two-formant experiment runs.
     `mean_band_hz` optionally restricts the mean-level band (the valley and
     peaks always live inside it); None means the full grid to Nyquist.
+    `allow_widening` lets a sweep that starts below the crossing move the pair
+    apart instead of failing.
     """
 
     formants: list
@@ -65,6 +71,7 @@ class SweepConfig:
     move_upper: bool = True
     n_points: int = GRID_POINTS
     mean_band_hz: float | None = None
+    allow_widening: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.step_hz) and self.step_hz > 0):
@@ -72,6 +79,12 @@ class SweepConfig:
         i, j = self.pair
         if j != i + 1:
             raise ValueError("swept pair must be adjacent formants")
+
+    @property
+    def basis(self) -> str:
+        """The valley the sweep measures, as in "V12" for the pair (0, 1)."""
+        i, j = self.pair
+        return f"V{i + 1}{j + 1}"
 
 
 @dataclass
@@ -183,12 +196,12 @@ def _step_is_legal(formants, pair, f_lo, f_hi, sample_rate, step):
     return True
 
 
-def sweep_step_bound(cfg: SweepConfig, allow_widening: bool = False) -> float:
+def sweep_step_bound(cfg: SweepConfig) -> float:
     """An upper bound on the steps a sweep of `cfg` can take after its start.
 
     Each step must leave the pair legal (see `_step_is_legal`). Narrowing,
     the pair's gap shrinks by one step (two when the upper formant moves
-    too) and stays above two steps. Widening, which only `allow_widening`
+    too) and stays above two steps. Widening, which only `cfg.allow_widening`
     allows, keeps the lower formant above its lower neighbour (or 0 Hz) and
     a moving upper one below its upper neighbour (or Nyquist). The bound
     exceeds the steps of the direction that allows more by at most one.
@@ -196,7 +209,7 @@ def sweep_step_bound(cfg: SweepConfig, allow_widening: bool = False) -> float:
     i, j = cfg.pair
     lo, hi = cfg.formants[i].frequency, cfg.formants[j].frequency
     bound = ((hi - lo) / cfg.step_hz - 2.0) / (2 if cfg.move_upper else 1)
-    if allow_widening:
+    if cfg.allow_widening:
         room = lo - (cfg.formants[i - 1].frequency if i > 0 else 0.0)
         if cfg.move_upper:
             ceiling = (cfg.formants[j + 1].frequency if j + 1 < len(cfg.formants)
@@ -206,13 +219,16 @@ def sweep_step_bound(cfg: SweepConfig, allow_widening: bool = False) -> float:
     return bound
 
 
-def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> OcdResult:
-    """Step the pair until the RLSV reaches or crosses zero.
+def ocd_sweep(cfg: SweepConfig) -> OcdResult:
+    """Step the swept pair until its RLSV reaches zero: the valley meets the mean level.
 
-    The sign of the start's RLSV sets the direction: positive narrows, negative
-    widens (only with `allow_widening`). A start that cannot be measured raises
-    as it is; a later step that cannot be, or leaves the geometry, ends in
-    NoCrossingError.
+    A positive start (valley below the mean) steps the pair inward; a negative
+    one moves it apart if `cfg.allow_widening`, and raises ValueError if not.
+    The OCD is the bark spacing of a step that lands on zero, the start
+    included, or else interpolated linearly between the two steps around the
+    crossing. A start that cannot be measured raises as it is; a later step
+    that cannot be, leaves the geometry or exceeds MAX_SWEEP_STEPS ends in
+    NoCrossingError with the trace.
     """
     lower, upper = (cfg.formants[k] for k in cfg.pair)
     f_lo, f_hi = lower.frequency, upper.frequency
@@ -231,7 +247,7 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
         return list(zip((bark[:, 1] - bark[:, 0]).tolist(), rlsv))
 
     v0 = v = measure(f_lo, f_hi)
-    if v0 < 0 and not allow_widening:
+    if v0 < 0 and not cfg.allow_widening:
         raise ValueError(
             f"initial RLSV must be positive for an inward sweep, got {v0:.3f} dB"
         )
@@ -255,23 +271,11 @@ def _sweep_to_crossing(cfg: SweepConfig, allow_widening: bool, label: str) -> Oc
     sweep = trace()
     if v == 0.0:
         return OcdResult(sweep[-1][0], sweep, crossing_interpolated=False,
-                         basis=label, widened=v0 < 0, pair_trace=pairs)
+                         basis=cfg.basis, widened=v0 < 0, pair_trace=pairs)
     (s_prev, v_prev), (s_cur, v_cur) = sweep[-2], sweep[-1]
     ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
     return OcdResult(float(ocd), sweep, crossing_interpolated=True,
-                     basis=label, widened=v0 < 0, pair_trace=pairs)
-
-
-def ocd_sweep(cfg: SweepConfig, label: str = "V12") -> OcdResult:
-    """Narrow the swept pair until the valley meets the mean level.
-
-    Starts from a configuration with RLSV > 0 (valley below the mean), steps
-    the pair inward, and linearly interpolates the bark spacing at which the
-    RLSV crosses zero; a start exactly at the crossing is its own OCD. Raises
-    ValueError when the start is below the crossing and NoCrossingError
-    (with the trace) when the sweep runs out of room.
-    """
-    return _sweep_to_crossing(cfg, allow_widening=False, label=label)
+                     basis=cfg.basis, widened=v0 < 0, pair_trace=pairs)
 
 
 @dataclass
@@ -408,7 +412,7 @@ class VowelOcd:
 
 
 def pb_defaults(gender: str):
-    """The (sample rate, F4) in Hz that `pb_ocd_table` takes for `gender` when not given."""
+    """The (sample rate, F4) in Hz that `pb_sweeps` takes for `gender` when not given."""
     return (8000.0, 3500.0) if gender == "male" else (10000.0, 4200.0)
 
 
@@ -420,47 +424,40 @@ def pb_sweeps(
     bandwidth_hz: float = 100.0,
     step_hz: float = 25.0,
 ):
-    """(vowel, basis, SweepConfig) of each sweep `pb_ocd_table` runs, in its order."""
+    """(vowel, SweepConfig) of each per-vowel OCD sweep, equal bandwidths everywhere.
+
+    `mean_formants` maps vowel label to (F1, F2, F3) in Hz. Back vowels sweep
+    (F1, F2) for a V12-based OCD, front vowels (F2, F3) for a V23-based one.
+    Every sweep may widen a pair that starts below the crossing. The uniform
+    tube's two reference sweeps (`UNIFORM_TUBE_FORMANTS_HZ`, at 8 kHz whatever
+    the gender) come last.
+    """
     default_rate, default_f4 = pb_defaults(gender)
     sample_rate = default_rate if sample_rate is None else sample_rate
     f4 = default_f4 if f4 is None else f4
     sweeps = []
     for vowel, (f1, f2, f3) in mean_formants.items():
-        pair, label = ((1, 2), "V23") if vowel in FRONT_VOWELS else ((0, 1), "V12")
-        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair, label))
-    for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
-        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair, label))
-    return [(vowel, label, SweepConfig([FormantSpec(f, bandwidth_hz) for f in freqs], rate,
-                                       pair=pair, step_hz=step_hz))
-            for vowel, freqs, rate, pair, label in sweeps]
+        pair = (1, 2) if vowel in FRONT_VOWELS else (0, 1)
+        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair))
+    for pair in ((0, 1), (1, 2)):
+        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair))
+    return [(vowel, SweepConfig([FormantSpec(f, bandwidth_hz) for f in freqs], rate, pair=pair,
+                                step_hz=step_hz, allow_widening=True))
+            for vowel, freqs, rate, pair in sweeps]
 
 
-def pb_ocd_table(
-    mean_formants: dict,
-    gender: str,
-    sample_rate: float | None = None,
-    f4: float | None = None,
-    bandwidth_hz: float = 100.0,
-    step_hz: float = 25.0,
-):
-    """Per-vowel OCD from mean formant data, equal bandwidths everywhere.
+def pb_ocd_table(sweeps):
+    """One `VowelOcd` per (vowel, SweepConfig) of `sweeps` (see `pb_sweeps`), in order.
 
-    `mean_formants` maps vowel label to (F1, F2, F3) in Hz. Back vowels sweep
-    the (F1, F2) pair and report a V12-based OCD; front vowels sweep (F2, F3)
-    for a V23-based OCD. Pairs starting below the crossing are widened
-    instead of narrowed (symmetric steps either way). The uniform-tube
-    reference rows sweep both pairs of `UNIFORM_TUBE_FORMANTS_HZ` (F4 at
-    3500 Hz) at 8 kHz, whatever the gender. A sweep that ends without a
-    crossing, or whose start cannot be measured, is its vowel's error row.
+    A sweep that ends without a crossing, or whose start cannot be measured,
+    is its vowel's error row.
     """
     rows = []
-    for vowel, label, cfg in pb_sweeps(mean_formants, gender, sample_rate, f4, bandwidth_hz,
-                                       step_hz):
+    for vowel, cfg in sweeps:
         try:
-            res = _sweep_to_crossing(cfg, allow_widening=True, label=label)
-            rows.append(VowelOcd(vowel, label, res))
+            rows.append(VowelOcd(vowel, cfg.basis, ocd_sweep(cfg)))
         except NoCrossingError as exc:
-            rows.append(VowelOcd(vowel, label, None, error=str(exc)))
+            rows.append(VowelOcd(vowel, cfg.basis, None, error=str(exc)))
         except (PeakNotFoundError, ValleyUndefinedError) as exc:
-            rows.append(VowelOcd(vowel, label, None, error=str(exc), unmeasurable=True))
+            rows.append(VowelOcd(vowel, cfg.basis, None, error=str(exc), unmeasurable=True))
     return rows

@@ -447,7 +447,8 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
     `zinv` holds e^(-jw) for each evaluation frequency w: one (K,) grid
     for all resonators, giving frequency.shape + (K,) levels, or grids that
     broadcast against frequency.shape + (1,). Raises ValueError for a
-    resonator at or above Nyquist.
+    resonator at or above Nyquist, and for one whose DC gain is 0, as when the
+    rate is so far above its frequency and bandwidth that its poles round to 1.
     """
     frequency = np.asarray(frequency, dtype=np.float64)
     above = frequency >= sample_rate / 2.0
@@ -457,7 +458,13 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
             f"({sample_rate / 2.0} Hz)"
         )
     a1, a2 = resonator_taps(frequency[..., None], np.asarray(bandwidth)[..., None], sample_rate)
-    return 20.0 * np.log10((1.0 + a1 + a2) / np.abs(resonator_denominator(a1, a2, zinv)))
+    gain = 1.0 + a1 + a2
+    if not gain.all():
+        f, b = (np.broadcast_to(np.asarray(x)[..., None], gain.shape)[gain == 0][0]
+                for x in (frequency, bandwidth))
+        raise ValueError(f"resonator at {f:g} Hz with bandwidth {b:g} Hz has zero DC gain "
+                         f"at sample rate {sample_rate:g} Hz")
+    return 20.0 * np.log10(gain / np.abs(resonator_denominator(a1, a2, zinv)))
 
 
 def cascade_grid(sample_rate: float, n_points: int):

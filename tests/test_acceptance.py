@@ -26,6 +26,7 @@ from specvalley.experiments import (
     level_influence_experiment,
     ocd_sweep,
     pb_ocd_table,
+    pb_sweeps,
 )
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
@@ -99,7 +100,7 @@ def test_criterion_4_per_vowel_ocd_table(pb_entries):
     for gender, expected in EXPECTED_OCD.items():
         means = pb_mean_formants(pb_entries, gender)
         means = {v: f for v, f in means.items() if v != "er"}
-        rows = pb_ocd_table(means, gender)
+        rows = pb_ocd_table(pb_sweeps(means, gender))
         for row in rows:
             want = expected[(row.vowel, row.basis)]
             if row.result is None:
@@ -162,7 +163,7 @@ def _corpus_reports(clean_segment_features):
                 d = None
             decisions.append(d)
             truths.append(truth)
-        out[rule] = classify.score(decisions, truths, feature=rule)
+        out[rule] = classify.score(decisions, truths)
     return out
 
 

@@ -223,7 +223,7 @@ class TestThreeBarkRuleOnMeanRows:
             feats = fake_features(1, formants=(e.f1, e.f2, e.f3))
             decisions.append(decide_segment(feats, None, "f3f2_3bark"))
             truths.append(cls)
-        r = score(decisions, truths, feature="f3f2_3bark")
+        r = score(decisions, truths)
         assert abs(r.overall_accuracy - 99.2) <= 1.5
 
 

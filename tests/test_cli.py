@@ -872,6 +872,43 @@ def test_formants_out_of_order_are_a_usage_error(argv, message, no_experiment_ru
     assert capsys.readouterr().err.strip() == message
 
 
+def _points_fault(command, points):
+    return ([command, f"--points={points}"], 2,
+            f"--points must be at least 64 and at most 1048576, got {points}")
+
+
+# flag values that once ran out of memory with a traceback, leaked NumPy
+# warnings or printed "no crossing" rows: each ends in its exit code and one
+# line on stderr, and a usage error (2) before any experiment runs
+FLAG_FAULTS = [
+    *(_points_fault(command, points) for command in ("ocd2", "ocd4", "sweep2")
+      for points in (1048577, 1000000000000)),
+    (["ocd2", "--fs=1e300"], 1,
+     "error: resonator at 650 Hz with bandwidth 100 Hz has zero DC gain "
+     "at sample rate 1e+300 Hz"),
+    (["pb-ocd", "--gender=male", "--f4=2000"], 2,
+     "table vowel iy (male) F3 (3010 Hz) must be below --f4 (2000 Hz)"),
+    (["pb-ocd", "--f4=1e-9"], 2,
+     "table vowel iy (male) F3 (3010 Hz) must be below --f4 (1e-09 Hz)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", FLAG_FAULTS,
+                         ids=["_".join(argv).replace("--", "") for argv, *_ in FLAG_FAULTS])
+def test_flag_faults_end_in_one_line(argv, code, message, request, capsys):
+    import warnings
+
+    if code == 2:
+        request.getfixturevalue("no_experiment_running")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--no-timestamp"]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("band", ["0", "-1"])
 def test_band_at_or_below_zero_disables_the_band(band, tmp_path):
     import numpy as np

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,11 +24,11 @@ from specvalley.experiments import (
     _banded_mean_db,
     _peak_pair_rlsv,
     _step_is_legal,
-    _sweep_to_crossing,
     f0_influence_experiment,
     level_influence_experiment,
     ocd_sweep,
     pb_ocd_table,
+    pb_sweeps,
     sweep_step_bound,
 )
 from specvalley.envelope import peak_levels
@@ -403,7 +403,7 @@ class TestPbOcdTable:
 
         means = pb_mean_formants(pb_entries, "male")
         means = {v: f for v, f in means.items() if v != "er"}
-        rows = pb_ocd_table(means, "male")
+        rows = pb_ocd_table(pb_sweeps(means, "male"))
         assert len(rows) == 11
         for row in rows:
             assert row.error is None, f"{row.vowel}: {row.error}"
@@ -417,7 +417,7 @@ class TestPbOcdTable:
 
         means = {v: f for v, f in pb_mean_formants(pb_entries, "male").items()
                  if v in FRONT_VOWELS + BACK_VOWELS}
-        rows = pb_ocd_table(means, "male", bandwidth_hz=300.0)
+        rows = pb_ocd_table(pb_sweeps(means, "male", bandwidth_hz=300.0))
         assert len(rows) == len(means) + 2
         bad = [r for r in rows if r.unmeasurable]
         assert [(r.vowel, r.basis, r.error, r.result) for r in bad] == [
@@ -431,7 +431,7 @@ class TestPbOcdTable:
     def test_widened_flag_set_for_narrow_starts(self):
         from specvalley.corpus import pb_mean_formants
 
-        rows = pb_ocd_table({"aa": (730.0, 1090.0, 2440.0)}, "male")
+        rows = pb_ocd_table(pb_sweeps({"aa": (730.0, 1090.0, 2440.0)}, "male"))
         assert next(r for r in rows if r.vowel == "aa").result.widened
 
     def test_gender_rank_agreement(self, pb_entries):
@@ -441,7 +441,7 @@ class TestPbOcdTable:
         for gender in ("male", "female"):
             means = pb_mean_formants(pb_entries, gender)
             means = {v: f for v, f in means.items() if v != "er"}
-            rows = pb_ocd_table(means, gender)
+            rows = pb_ocd_table(pb_sweeps(means, gender))
             tables[gender] = {r.vowel: r.result.ocd_bark for r in rows if r.vowel != "tube"}
         vowels = sorted(tables["male"])
         male = np.array([tables["male"][v] for v in vowels])
@@ -621,9 +621,10 @@ class TestSweepMatchesReference:
     def test_same_outcome(self, case, allow_widening):
         cfg, label = SWEEP_CASES[case]
         want = outcome(_reference_sweep, cfg, allow_widening, label)
-        assert_same_outcome(outcome(_sweep_to_crossing, cfg, allow_widening, label), want)
+        assert_same_outcome(outcome(ocd_sweep, replace(cfg, allow_widening=allow_widening)),
+                            want)
         if not allow_widening:
-            assert_same_outcome(outcome(ocd_sweep, cfg, label=label), want)
+            assert_same_outcome(outcome(ocd_sweep, cfg), want)
 
     def test_cases_reach_every_ending(self):
         endings = set()
@@ -649,7 +650,7 @@ class TestSweepMatchesReference:
         means = pb_mean_formants(pb_entries, gender)
         means = {v: f for v, f in means.items() if v in FRONT_VOWELS + BACK_VOWELS}
         want = _reference_pb_ocd_table(means, gender)
-        got = pb_ocd_table(means, gender)
+        got = pb_ocd_table(pb_sweeps(means, gender))
         assert [(r.vowel, r.basis, r.error) for r in got] == [
             (r.vowel, r.basis, r.error) for r in want]
         assert len(got) == len(means) + 2
@@ -661,7 +662,7 @@ class TestSweepMatchesReference:
         # runs out of room, so every row, the tube rows too, is an error row
         means = {"aa": (730.0, 1090.0, 2440.0), "iy": (270.0, 2290.0, 3010.0)}
         want = _reference_pb_ocd_table(means, "male", bandwidth_hz=20.0, step_hz=100.0)
-        got = pb_ocd_table(means, "male", bandwidth_hz=20.0, step_hz=100.0)
+        got = pb_ocd_table(pb_sweeps(means, "male", bandwidth_hz=20.0, step_hz=100.0))
         assert [(r.vowel, r.basis, r.error, r.result) for r in got] == [
             (r.vowel, r.basis, r.error, r.result) for r in want]
         assert all(r.error for r in got)
@@ -722,7 +723,8 @@ class TestSweepEndings:
         patch_rlsv(monkeypatch, linear_rlsv(zero_at, fail_below))
         cfg = SweepConfig(self.START, 8000.0)
         want = outcome(_reference_sweep, cfg, allow_widening, "V12")
-        assert_same_outcome(outcome(_sweep_to_crossing, cfg, allow_widening, "V12"), want)
+        assert_same_outcome(outcome(ocd_sweep, replace(cfg, allow_widening=allow_widening)),
+                            want)
 
     def test_exact_zero_start(self, monkeypatch):
         patch_rlsv(monkeypatch, linear_rlsv(1000.0))
@@ -760,9 +762,9 @@ class TestSweepEndings:
         cfg = SweepConfig([FormantSpec(f, 100.0) for f in freqs], 8000.0, pair=pair,
                           step_hz=step, move_upper=move_upper)
         with pytest.raises(NoCrossingError, match="geometry limit") as err:
-            _sweep_to_crossing(cfg, allow_widening=widening, label="V")
+            ocd_sweep(replace(cfg, allow_widening=widening))
         steps = len(err.value.trace) - 1
-        assert steps <= sweep_step_bound(cfg, widening) <= steps + 1
+        assert steps <= sweep_step_bound(replace(cfg, allow_widening=widening)) <= steps + 1
 
 class TestSweepConfigChecks:
     @pytest.mark.parametrize("step", [0.0, -25.0, float("nan"), float("inf")])
