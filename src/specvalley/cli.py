@@ -654,12 +654,22 @@ COMMANDS = {
 }
 
 
-def _parser(command):
-    """The parser that names every command, and declares the flags of `command` only."""
+def _parser(argv):
+    """The parser of `argv`: it declares the flags of the command `argv` names only.
+
+    When `argv` starts with that command, the top-level parser reads no other
+    argument, so the other commands' subparsers are left out, and the usage
+    line names them all as it does when they are declared.
+    """
+    command = next((a for a in argv if a in COMMANDS), None)
+    alone = bool(argv) and argv[0] == command
     parser = _Parser(prog="specvalley",
                      description="Spectral-valley experiments and vowel classification")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar="{" + ",".join(COMMANDS) + "}" if alone else None)
     for name, cmd in COMMANDS.items():
+        if alone and name != command:
+            continue
         p = sub.add_parser(name, help=cmd.help)
         if name == command:
             cmd.flags(p)
@@ -674,7 +684,7 @@ def run(argv) -> int:
     has no flag that takes a value, so argparse dispatches to that argument.
     """
     try:
-        args = _parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+        args = _parser(argv).parse_args(argv)
         out = Output(args)
         try:
             code = COMMANDS[args.command].run(args, out)

@@ -26,9 +26,10 @@ def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
         )
     if window_hz <= float(freqs[1] - freqs[0]):
         raise ValueError("search window must exceed the grid spacing")
-    lo = np.maximum(np.searchsorted(freqs, nominal_f - window_hz), 1)
-    hi = np.searchsorted(freqs, nominal_f + window_hz, side="right")
-    return lo, np.minimum(hi, len(freqs) - 1)
+    lo = freqs.searchsorted(nominal_f - window_hz)
+    hi = freqs.searchsorted(nominal_f + window_hz, side="right")
+    np.maximum(lo, 1, out=lo)
+    return lo, np.minimum(hi, len(freqs) - 1, out=hi)
 
 
 def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
@@ -55,9 +56,11 @@ def window_bins(lo: np.ndarray, hi: np.ndarray, n_bins: int):
     `idx` holds each window's bins lo-1 .. lo+width, width the widest window,
     clipped to the last of `n_bins`; `inside` marks idx[..., 1:-1] below hi.
     """
-    width = int((hi - lo).max())
-    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), n_bins - 1)
-    return idx, np.arange(width) < (hi - lo)[..., None]
+    span = hi - lo
+    width = int(span.max())
+    idx = lo[..., None] + np.arange(-1, width + 1)
+    np.minimum(idx, n_bins - 1, out=idx)
+    return idx, np.arange(width) < span[..., None]
 
 
 def gathered_peaks(db: np.ndarray, inside: np.ndarray):
@@ -68,14 +71,22 @@ def gathered_peaks(db: np.ndarray, inside: np.ndarray):
     windows with no candidate maximum (their k, shift and level mean nothing).
     """
     center = db[..., 1:-1]
-    is_max = (center >= db[..., :-2]) & (center >= db[..., 2:]) & inside
-    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
-    ym, y0, yp = np.moveaxis(np.take_along_axis(db, k + np.arange(3), axis=-1), -1, 0)
+    is_max = center >= db[..., :-2]
+    is_max &= center >= db[..., 2:]
+    is_max &= inside
+    k = np.where(is_max, center, -np.inf).argmax(axis=-1)
+    # the parabola's three bins, read by their offsets into the flat levels
+    at = np.arange(0, k.size * db.shape[-1], db.shape[-1]).reshape(k.shape)
+    at += k
+    flat = db.reshape(-1)
+    ym, y0, yp = flat[at], flat[at + 1], flat[at + 2]
     denom = ym - 2.0 * y0 + yp
+    slope = ym - yp
     shift = np.zeros(denom.shape)
-    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
-    shift = np.clip(shift, -0.5, 0.5)
-    return k[..., 0], shift, y0 - 0.25 * (ym - yp) * shift, ~is_max.any(axis=-1)
+    np.divide(0.5 * slope, denom, out=shift, where=denom < 0)
+    np.maximum(shift, -0.5, out=shift)
+    np.minimum(shift, 0.5, out=shift)
+    return k, shift, y0 - 0.25 * slope * shift, ~is_max.any(axis=-1)
 
 
 def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -87,10 +98,10 @@ def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: n
     peak_freq, peak_level, missing), each (n, k): the grid index of each
     maximum before refinement, and the frequency and level after it.
     """
-    if int((hi - lo).max()) <= 0:
+    idx, inside = window_bins(lo, hi, len(freqs))
+    if not inside.shape[-1]:  # every window is empty
         nothing = np.full(lo.shape, np.nan)
         return np.zeros(lo.shape, dtype=int), nothing, nothing.copy(), np.ones(lo.shape, dtype=bool)
-    idx, inside = window_bins(lo, hi, len(freqs))
     k, shift, peak_level, missing = gathered_peaks(
         levels_db[np.arange(len(lo))[:, None, None], idx], inside)
     peak_bin = lo + k
@@ -107,8 +118,8 @@ def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):
     row's first minimum, and a mask of the rows whose bracket holds fewer
     than two bins (their index and level mean nothing).
     """
-    lo = np.searchsorted(freqs, f_lo, side="right")
-    hi = np.searchsorted(freqs, f_hi, side="left")
+    lo = freqs.searchsorted(f_lo, side="right")
+    hi = freqs.searchsorted(f_hi, side="left")
     too_narrow = hi - lo < 2
     n = len(lo)
     if too_narrow.all():
@@ -116,7 +127,8 @@ def valley_minima(freqs: np.ndarray, levels_db: np.ndarray, f_lo, f_hi):
     # only the columns some bracket covers take part in the masked minimum
     start, stop = int(lo.min()), int(hi.max())
     cols = np.arange(start, stop)
-    inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+    inside = cols >= lo[:, None]
+    inside &= cols < hi[:, None]
     masked = np.where(inside, levels_db[:, start:stop], np.inf)
-    k = np.argmin(masked, axis=1)
+    k = masked.argmin(axis=1)
     return start + k, masked[np.arange(n), k], too_narrow

@@ -437,7 +437,18 @@ def resonator_taps(frequency, bandwidth, sample_rate: float):
 
 def resonator_denominator(a1, a2, zinv):
     """1 + a1*z^-1 + a2*z^-2: the feedback polynomial of two-pole resonators at `zinv`."""
-    return 1.0 + a1 * zinv + a2 * zinv * zinv
+    denominator = a1 * zinv
+    denominator += 1.0
+    curve = a2 * zinv
+    curve *= zinv
+    denominator += curve
+    return denominator
+
+
+def _first_resonator(frequency, bandwidth, where):
+    """(F, B) of the first resonator that `where`, a mask of its levels' shape, marks."""
+    return (np.broadcast_to(np.asarray(x)[..., None], where.shape)[where][0]
+            for x in (frequency, bandwidth))
 
 
 def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -447,8 +458,10 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
     `zinv` holds e^(-jw) for each evaluation frequency w: one (K,) grid
     for all resonators, giving frequency.shape + (K,) levels, or grids that
     broadcast against frequency.shape + (1,). Raises ValueError for a
-    resonator at or above Nyquist, and for one whose DC gain is 0, as when the
-    rate is so far above its frequency and bandwidth that its poles round to 1.
+    resonator at or above Nyquist, for one whose DC gain is 0, as when the
+    rate is so far above its frequency and bandwidth that its poles round to 1,
+    and for one with a pole on a point of `zinv`, as when its bandwidth is so
+    narrow that the pole radius rounds to 1.
     """
     frequency = np.asarray(frequency, dtype=np.float64)
     above = frequency >= sample_rate / 2.0
@@ -460,21 +473,36 @@ def resonator_db(frequency, bandwidth, zinv: np.ndarray, sample_rate: float) -> 
     a1, a2 = resonator_taps(frequency[..., None], np.asarray(bandwidth)[..., None], sample_rate)
     gain = 1.0 + a1 + a2
     if not gain.all():
-        f, b = (np.broadcast_to(np.asarray(x)[..., None], gain.shape)[gain == 0][0]
-                for x in (frequency, bandwidth))
+        f, b = _first_resonator(frequency, bandwidth, gain == 0)
         raise ValueError(f"resonator at {f:g} Hz with bandwidth {b:g} Hz has zero DC gain "
                          f"at sample rate {sample_rate:g} Hz")
-    return 20.0 * np.log10(gain / np.abs(resonator_denominator(a1, a2, zinv)))
+    levels = np.abs(resonator_denominator(a1, a2, zinv))
+    if not levels.all():
+        f, b = _first_resonator(frequency, bandwidth, levels == 0)
+        raise ValueError(f"resonator at {f:g} Hz with bandwidth {b:g} Hz has a pole on the "
+                         f"frequency grid at sample rate {sample_rate:g} Hz")
+    np.divide(gain, levels, out=levels)
+    np.log10(levels, out=levels)
+    levels *= 20.0
+    return levels
 
 
+@functools.lru_cache(maxsize=8)
 def cascade_grid(sample_rate: float, n_points: int):
-    """(freqs, zinv): `n_points` frequencies from 0 Hz to Nyquist and e^(-jw) at each."""
+    """(freqs, zinv): `n_points` frequencies from 0 Hz to Nyquist and e^(-jw) at each.
+
+    Cached read-only per (sample_rate, n_points), as sweeps and calibrations
+    at one rate share one grid.
+    """
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     freqs = np.linspace(0.0, sample_rate / 2.0, n_points)
-    return freqs, np.exp(-2j * np.pi * freqs / sample_rate)
+    zinv = np.exp(-2j * np.pi * freqs / sample_rate)
+    freqs.flags.writeable = False
+    zinv.flags.writeable = False
+    return freqs, zinv
 
 
 def cascade_levels(terms, shape) -> np.ndarray:
@@ -482,6 +510,6 @@ def cascade_levels(terms, shape) -> np.ndarray:
     levels = np.zeros(shape)
     for term in terms:
         levels += term
-    if not np.all(np.isfinite(levels)):
+    if not np.isfinite(levels).all():
         raise ValueError("envelope levels must be finite")
     return levels

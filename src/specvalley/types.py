@@ -45,5 +45,7 @@ def power_mean_db(levels_db: np.ndarray):
     A 1-D input gives a float; an (n, m) stack gives one level per row.
     """
     levels_db = np.asarray(levels_db, dtype=np.float64)
-    mean_db = 10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0), axis=-1))
+    power = levels_db / 10.0
+    np.power(10.0, power, out=power)
+    mean_db = 10.0 * np.log10(power.mean(axis=-1))
     return float(mean_db) if levels_db.ndim == 1 else mean_db

@@ -1,0 +1,54 @@
+"""The peak, valley, mean-level and resonator kernels in their plain NumPy form.
+
+Each function below computes what its library counterpart computes with
+`take_along_axis`, `np.clip`, `np.mean` and one expression per line, with no
+in-place step. `test_kernel_bits.py` checks that the library kernels give the
+same bits.
+"""
+
+import numpy as np
+
+
+def gathered_peaks(db, inside):
+    """`envelope.gathered_peaks`: (k, shift, level, missing) of each window."""
+    center = db[..., 1:-1]
+    is_max = (center >= db[..., :-2]) & (center >= db[..., 2:]) & inside
+    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
+    ym, y0, yp = np.moveaxis(np.take_along_axis(db, k + np.arange(3), axis=-1), -1, 0)
+    denom = ym - 2.0 * y0 + yp
+    shift = np.zeros(denom.shape)
+    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
+    shift = np.clip(shift, -0.5, 0.5)
+    return k[..., 0], shift, y0 - 0.25 * (ym - yp) * shift, ~is_max.any(axis=-1)
+
+
+def valley_minima(freqs, levels_db, f_lo, f_hi):
+    """`envelope.valley_minima`: (index, level, too_narrow) of each row's bracket."""
+    lo = np.searchsorted(freqs, f_lo, side="right")
+    hi = np.searchsorted(freqs, f_hi, side="left")
+    too_narrow = hi - lo < 2
+    n = len(lo)
+    if too_narrow.all():
+        return np.zeros(n, dtype=int), np.full(n, np.nan), too_narrow
+    start, stop = int(lo.min()), int(hi.max())
+    cols = np.arange(start, stop)
+    inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+    masked = np.where(inside, levels_db[:, start:stop], np.inf)
+    k = np.argmin(masked, axis=1)
+    return start + k, masked[np.arange(n), k], too_narrow
+
+
+def power_mean_db(levels_db):
+    """`types.power_mean_db`: the level of the average power, in dB."""
+    levels_db = np.asarray(levels_db, dtype=np.float64)
+    mean_db = 10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0), axis=-1))
+    return float(mean_db) if levels_db.ndim == 1 else mean_db
+
+
+def resonator_db(frequency, bandwidth, zinv, sample_rate):
+    """`sigproc.resonator_db` for resonators below Nyquist with a nonzero DC gain."""
+    radius = np.exp(-np.pi * np.asarray(bandwidth, dtype=np.float64)[..., None] / sample_rate)
+    theta = 2 * np.pi * np.asarray(frequency, dtype=np.float64)[..., None] / sample_rate
+    a1, a2 = -2.0 * radius * np.cos(theta), radius * radius
+    gain = 1.0 + a1 + a2
+    return 20.0 * np.log10(gain / np.abs(1.0 + a1 * zinv + a2 * zinv * zinv))

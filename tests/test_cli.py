@@ -890,6 +890,9 @@ FLAG_FAULTS = [
      "table vowel iy (male) F3 (3010 Hz) must be below --f4 (2000 Hz)"),
     (["pb-ocd", "--f4=1e-9"], 2,
      "table vowel iy (male) F3 (3010 Hz) must be below --f4 (1e-09 Hz)"),
+    (["pb-ocd", "--bw=1e-300"], 1,
+     "error: resonator at 2400 Hz with bandwidth 1e-300 Hz has a pole on the frequency "
+     "grid at sample rate 8000 Hz"),
 ]
 
 

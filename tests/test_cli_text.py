@@ -11,6 +11,7 @@ comparison runs on the version the record was made with. Rebuild the record
     PYTHONPATH=src python tests/test_cli_text.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -106,3 +107,39 @@ def test_an_experiment_run_declares_only_its_own_flags(declared, capsys):
 def test_no_command_declares_no_flags(argv, declared, capsys):
     run(argv)
     assert declared == []
+
+
+@pytest.fixture
+def subparsers(monkeypatch):
+    """The commands whose subparsers get declared."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["ocd2", "--help"], ["ocd2"]),
+    (["pb-ocd", "--bw=1e-300", "--no-timestamp"], ["pb-ocd"]),
+    (["--help"], list(cli.COMMANDS)),
+    (["-h", "ocd2"], list(cli.COMMANDS)),
+    (["nope", "ocd2"], list(cli.COMMANDS)),
+])
+def test_a_line_that_starts_with_its_command_declares_its_subparser_only(argv, want, subparsers,
+                                                                         capsys):
+    run(argv)
+    assert subparsers == want
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != RECORDED["python"],
+                    reason=f"the record was made with Python {RECORDED['python']}")
+@pytest.mark.parametrize("argv", [["-h", "ocd2"], ["--help", "pb-ocd", "--bw", "1"]])
+def test_help_before_the_command_is_the_top_level_help(argv, monkeypatch):
+    # the top-level parser reads the flag, and its help lists every command
+    monkeypatch.setenv("COLUMNS", "80")
+    assert printed(argv) == {**RECORDED["cases"][0], "argv": argv}
