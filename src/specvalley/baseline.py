@@ -24,6 +24,9 @@ MOMENTUM = 0.9
 BATCH_SIZE = 32
 HOLDOUT_FRACTION = 0.1
 PATIENCE = 30  # epochs without a better held-out loss before training stops
+# the widest hidden layer `baseline --hidden` accepts: far past the paper's
+# 10 units, and small enough that the weights stay a few MB
+MAX_HIDDEN_UNITS = 10000
 
 
 def _hz_to_mel(f):

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments
-from .errors import AnalysisError, FormatError, PeakNotFoundError, ValleyUndefinedError
+from .errors import AnalysisError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
 from .types import FormantSpec
 
@@ -37,6 +37,8 @@ SNR = (lambda x: abs(x) <= corpus.MAX_SNR_DB, f"must be within +/-{corpus.MAX_SN
 UNIT_INTERVAL = (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")
 NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not negative")
 AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
+HIDDEN_UNITS = (lambda n: 1 <= n <= baseline.MAX_HIDDEN_UNITS,
+                f"must be at least 1 and at most {baseline.MAX_HIDDEN_UNITS}")
 GRID_SIZE = (lambda n: 64 <= n <= experiments.MAX_GRID_POINTS,
              f"must be at least 64 and at most {experiments.MAX_GRID_POINTS}")
 
@@ -423,31 +425,21 @@ def _cmd_noise_eval(args, out):
     cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
     rows, _ = classify.scored_rows(table, args.include_central)
-    # silence has no power to set an SNR against: it is left unmixed, its
-    # frames fail as silent and the segment counts as undecided; the seed of
-    # a segment is --seed plus its index among the scored segments
-    seeds = {i: args.seed + k for k, i in enumerate(rows.tolist())
-             if float(np.mean(table.segment(i)**2)) > 0}
     babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
-    for i in seeds:  # a babble file must cover each mixed segment, at its rate
-        n = int(table.offsets[i + 1] - table.offsets[i])
-        if babble and (table.rate[i] != babble.sample_rate or n > len(babble.samples)):
-            raise FormatError(f"--babble-source {args.babble_source} ({len(babble.samples)} "
-                              f"samples at {babble.sample_rate:g} Hz) cannot cover segment "
-                              f"{table.segment_id(i)} ({n} samples at {table.rate[i]:g} Hz)")
+    # every condition's mixer, and so its babble check, comes before any analysis
+    mixers = [(kind, snr, corpus.noise_mixer(table, rows, kind, snr, args.seed, babble,
+                                             f"--babble-source {args.babble_source}"))
+              for kind in kinds for snr in snrs]
     out.params.update(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
                       feature=args.feature, threshold=threshold)
     out.note("noise is added per segment, scaled to the requested SNR over that segment")
     out.row("noise", "snr_db", "front_acc", "back_acc", "overall_acc", "n_undecided")
     if not len(rows):
         raise _Stop("no segments found")
-    for kind in kinds:
-        for snr in snrs:
-            mix = corpus.noise_mixer(table, kind, snr, seeds, babble)
-            decided = list(_decisions(args, cfg, table, mix))
-            report = classify.score([dec for *_, dec in decided],
-                                    [truth for _, truth, _ in decided])
-            out.row(kind, _fmt(snr, 1), _accuracy_cells(report), report.n_undecided)
+    for kind, snr, mix in mixers:
+        decided = list(_decisions(args, cfg, table, mix))
+        report = classify.score([dec for *_, dec in decided], [truth for _, truth, _ in decided])
+        out.row(kind, _fmt(snr, 1), _accuracy_cells(report), report.n_undecided)
 
 
 def _cmd_baseline(args, out):
@@ -608,7 +600,7 @@ def _noise_eval_flags(p):
 def _baseline_flags(p):
     _add_corpus_args(p, with_feature=False)
     p.add_argument("--feature", default="mfcc", choices=["mfcc", "valley3"])
-    _number(p, "--hidden", 10, AT_LEAST_ONE, int)
+    _number(p, "--hidden", 10, HIDDEN_UNITS, int)
     _number(p, "--epochs", 300, AT_LEAST_ONE, int)
     _number(p, "--test-fraction", 0.3, UNIT_INTERVAL)
     p.add_argument("--save-model", default=None)

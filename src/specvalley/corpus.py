@@ -17,7 +17,6 @@ from .errors import (
     LabelParseError,
     ValidationError,
 )
-from .types import SignalBuffer
 
 MIN_SEGMENT_DURATION_S = 0.045
 NOISE_KINDS = ("white", "babble")
@@ -70,21 +69,6 @@ class PbEntry:
 
 
 @dataclass
-class NoiseSpec:
-    """Additive-noise recipe; `seed` makes the draw reproducible."""
-
-    kind: str  # one of NOISE_KINDS
-    snr_db: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not abs(self.snr_db) <= MAX_SNR_DB:
-            raise ValueError(f"snr_db must be within +/-{MAX_SNR_DB:g} dB, got {self.snr_db}")
-
-
-@dataclass
 class VowelInventory:
     """Vowel class map plus the neighbor labels that disqualify a segment."""
 
@@ -126,19 +110,19 @@ def _read_pcm(path):
     return np.frombuffer(raw, dtype="<i2"), rate
 
 
-def load_wav(path) -> SignalBuffer:
-    """Read a 16-bit PCM mono WAV into [-1, 1) floats."""
+def load_wav(path):
+    """(samples, rate) of a 16-bit PCM mono WAV, its samples as [-1, 1) floats."""
     pcm, rate = _read_pcm(path)
-    return SignalBuffer(pcm_to_float(pcm), rate)
+    return pcm_to_float(pcm), rate
 
 
-def save_wav(path, x: SignalBuffer):
-    """Write a signal as 16-bit PCM mono WAV, clipping to full scale."""
-    scaled = np.clip(np.round(x.samples * 32768.0), -32768, 32767).astype("<i2")
+def save_wav(path, samples: np.ndarray, sample_rate: float):
+    """Write float samples as 16-bit PCM mono WAV, clipping to full scale."""
+    scaled = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(int(x.sample_rate))
+        wf.setframerate(int(sample_rate))
         wf.writeframes(scaled.tobytes())
 
 
@@ -405,47 +389,64 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory) -> 
                         np.array(start, dtype=np.int64))
 
 
-def mix_noise(x: np.ndarray, sample_rate: float, spec: NoiseSpec,
-              babble: SignalBuffer | None = None) -> np.ndarray:
-    """`x` plus noise scaled so the mixed extent sits at exactly spec.snr_db.
+def mix_noise(x: np.ndarray, sample_rate: float, kind: str, snr_db: float, seed: int = 0,
+              babble=None) -> np.ndarray:
+    """`x` plus `kind` noise (one of NOISE_KINDS) scaled so the mixed extent sits
+    at exactly `snr_db`, at most MAX_SNR_DB either way.
 
     Powers are mean squared amplitudes over the segment. Babble noise is cut
-    from the `babble` buffer at a start offset drawn from the seed. Identical
-    spec, signal and buffer give bit-identical output.
+    from `babble`, the (samples, rate) of `load_wav`, at a start offset drawn
+    from the seed. Identical arguments give bit-identical output.
     """
-    if spec.kind == "babble" and babble is None:
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    if not abs(snr_db) <= MAX_SNR_DB:
+        raise ValueError(f"snr_db must be within +/-{MAX_SNR_DB:g} dB, got {snr_db}")
+    if kind == "babble" and babble is None:
         raise ValueError("babble noise needs a `babble` buffer")
     p_signal = float(np.mean(x**2))
     if p_signal <= 0:
         raise DegenerateInputError("cannot set an SNR against a zero-power signal")
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "white":
+    rng = np.random.default_rng(seed)
+    if kind == "white":
         noise = rng.standard_normal(len(x))
     else:
-        if babble.sample_rate != sample_rate:
-            raise FormatError(
-                f"babble rate {babble.sample_rate} != signal rate {sample_rate}",
-                field="sample_rate",
-            )
-        if len(babble.samples) < len(x):
+        samples, rate = babble
+        if rate != sample_rate:
+            raise FormatError(f"babble rate {rate} != signal rate {sample_rate}",
+                              field="sample_rate")
+        if len(samples) < len(x):
             raise FormatError("babble source shorter than the signal", field="length")
-        max_off = len(babble.samples) - len(x)
-        off = int(rng.integers(0, max_off + 1))
-        noise = babble.samples[off : off + len(x)].copy()
+        off = int(rng.integers(0, len(samples) - len(x) + 1))
+        noise = samples[off : off + len(x)].copy()
     p_noise = float(np.mean(noise**2))
     if p_noise <= 0:
         raise DegenerateInputError("noise draw has zero power")
-    noise *= np.sqrt(p_signal / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
+    noise *= np.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
     return x + noise
 
 
-def noise_mixer(table: SegmentTable, kind: str, snr_db: float, seeds: dict,
-                babble: SignalBuffer | None = None):
+def noise_mixer(table: SegmentTable, rows: np.ndarray, kind: str, snr_db: float, seed: int,
+                babble=None, shown: str = "babble"):
     """The `mix(i, x)` hook of `classify.segment_blocks` for one noise condition:
     segment i's float samples x plus `kind` noise at `snr_db` (`mix_noise`),
-    seeded `seeds[i]`. A segment without a seed is analysed as it is."""
+    seeded `seed + k` for i = rows[k]. A segment not in `rows`, or whose PCM is
+    all zero (no power to set an SNR against), is analysed as it is. A babble,
+    the (samples, rate) of `load_wav`, without the rate or the length of a
+    segment it mixes raises FormatError here, naming it `shown`.
+    """
+    offsets = table.offsets
+    seeds = {i: seed + k for k, i in enumerate(rows.tolist())
+             if table.pcm[offsets[i]:offsets[i + 1]].any()}
+    if kind == "babble" and babble is not None:
+        samples, rate = babble
+        for i in seeds:
+            n = int(offsets[i + 1] - offsets[i])
+            if table.rate[i] != rate or n > len(samples):
+                raise FormatError(f"{shown} ({len(samples)} samples at {rate:g} Hz) cannot "
+                                  f"cover segment {table.segment_id(i)} ({n} samples at "
+                                  f"{table.rate[i]:g} Hz)")
+
     def mix(i, x):
-        if i not in seeds:
-            return x
-        return mix_noise(x, table.rate[i], NoiseSpec(kind, snr_db, seeds[i]), babble)
+        return x if i not in seeds else mix_noise(x, table.rate[i], kind, snr_db, seeds[i], babble)
     return mix

@@ -94,7 +94,6 @@ class OcdResult:
     ocd_bark: float
     sweep: list = field(default_factory=list)  # (spacing_bark, v_db) pairs
     crossing_interpolated: bool = True
-    basis: str = "V12"
     widened: bool = False  # True when the pair had to move apart to find v=0
     pair_trace: list = field(default_factory=list)  # (f_low, f_high) per step
 
@@ -271,11 +270,11 @@ def ocd_sweep(cfg: SweepConfig) -> OcdResult:
     sweep = trace()
     if v == 0.0:
         return OcdResult(sweep[-1][0], sweep, crossing_interpolated=False,
-                         basis=cfg.basis, widened=v0 < 0, pair_trace=pairs)
+                         widened=v0 < 0, pair_trace=pairs)
     (s_prev, v_prev), (s_cur, v_cur) = sweep[-2], sweep[-1]
     ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
     return OcdResult(float(ocd), sweep, crossing_interpolated=True,
-                     basis=cfg.basis, widened=v0 < 0, pair_trace=pairs)
+                     widened=v0 < 0, pair_trace=pairs)
 
 
 @dataclass

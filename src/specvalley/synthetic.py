@@ -17,7 +17,7 @@ from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
 from .experiments import BACK_VOWELS, FRONT_VOWELS
 from .synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
-from .types import FormantSpec, SignalBuffer
+from .types import FormantSpec
 
 CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
                      **dict.fromkeys(BACK_VOWELS, "back")}
@@ -152,7 +152,7 @@ def build_synthetic_corpus(
         samples = np.concatenate([pad, token, pad])
         stem = f"seg{i:04d}_{vowel}_{gender[0]}"
         wav_path = out_dir / f"{stem}.wav"
-        save_wav(wav_path, SignalBuffer(samples, sample_rate))
+        save_wav(wav_path, samples, sample_rate)
         start = len(pad)
         end = start + len(token)
         with open(out_dir / f"{stem}.phn", "w", encoding="utf-8") as fh:
@@ -187,5 +187,5 @@ def build_babble(
         mix += voice / np.sqrt(np.mean(voice**2))
     mix *= 0.15 / np.max(np.abs(mix))
     path = Path(path)
-    save_wav(path, SignalBuffer(mix, sample_rate))
+    save_wav(path, mix, sample_rate)
     return path

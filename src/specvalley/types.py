@@ -1,4 +1,4 @@
-"""Shared value types: signals and formants, and the mean level of a spectrum."""
+"""Shared value types: formants, and the mean level of a spectrum."""
 
 from dataclasses import dataclass
 
@@ -17,23 +17,6 @@ class FormantSpec:
             raise ValueError(f"formant frequency must be positive, got {self.frequency}")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"formant bandwidth must be positive, got {self.bandwidth}")
-
-
-@dataclass
-class SignalBuffer:
-    """Sampled real signal plus its sample rate in Hz."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
 
 
 def power_mean_db(levels_db: np.ndarray):

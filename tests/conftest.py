@@ -81,13 +81,13 @@ def noisy_corpus(corpus_table, babble_path):
     from specvalley.corpus import load_wav, noise_mixer
 
     babble = load_wav(babble_path)
-    seeds = {i: i for i in range(len(corpus_table))}
+    rows = np.arange(len(corpus_table))
     mixed = {}
 
     def condition(kind, snr):
         key = (kind, float(snr))
         if key not in mixed:
-            mix = noise_mixer(corpus_table, kind, float(snr), seeds, babble)
+            mix = noise_mixer(corpus_table, rows, kind, float(snr), 0, babble)
             mixed[key] = [mix(i, corpus_table.segment(i)) for i in range(len(corpus_table))]
         return lambda i, x: mixed[key][i]
 
@@ -95,34 +95,33 @@ def noisy_corpus(corpus_table, babble_path):
 
 
 def segment_audio(table, mix=None):
-    """Each segment of a `corpus.SegmentTable` as a SignalBuffer of its float
+    """Each segment of a `corpus.SegmentTable` as the (samples, rate) of its float
     samples, passed through the `mix(i, x)` hook when given."""
-    from specvalley.types import SignalBuffer
-
-    return [SignalBuffer(table.segment(i) if mix is None else mix(i, table.segment(i)),
-                         table.rate[i]) for i in range(len(table))]
+    return [(table.segment(i) if mix is None else mix(i, table.segment(i)), table.rate[i])
+            for i in range(len(table))]
 
 
 def frames_of(audio, cfg=None):
-    """The pre-emphasized frames of one SignalBuffer, as the corpus stage frames
-    a one-segment block."""
+    """The pre-emphasized frames of one (samples, rate) audio, as the corpus stage
+    frames a one-segment block."""
     from specvalley import classify
     from specvalley.sigproc import frame_signal, preemphasize
 
     cfg = cfg or classify.PipelineConfig()
-    return frame_signal(preemphasize(audio.samples, cfg.preemphasis), audio.sample_rate,
+    samples, rate = audio
+    return frame_signal(preemphasize(samples, cfg.preemphasis), rate,
                         cfg.frame_ms, cfg.overlap_fraction)[0]
 
 
 def analyse(audio, cfg=None):
-    """`classify.frame_pipeline` on the frames of one audio buffer, or of a list
-    of buffers at one rate, concatenated in order as `frames_of` gives them."""
+    """`classify.frame_pipeline` on the frames of one (samples, rate) audio, or of
+    a list of them at one rate, concatenated in order as `frames_of` gives them."""
     from specvalley import classify
 
     cfg = cfg or classify.PipelineConfig()
     audios = audio if isinstance(audio, list) else [audio]
     frames = np.concatenate([frames_of(a, cfg) for a in audios])
-    return classify.frame_pipeline(frames, audios[0].sample_rate, cfg)
+    return classify.frame_pipeline(frames, audios[0][1], cfg)
 
 
 def rng(seed=0):

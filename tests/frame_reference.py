@@ -55,20 +55,21 @@ def frame_signal(x, sample_rate, frame_ms, overlap_fraction):
 
 
 def frames(audio, cfg=None):
-    """The pre-emphasized frames of one SignalBuffer, framed by itself."""
+    """The pre-emphasized frames of one (samples, rate) audio, framed by itself."""
     cfg = cfg or PipelineConfig()
-    return frame_signal(preemphasize(audio.samples, cfg.preemphasis), audio.sample_rate,
+    samples, rate = audio
+    return frame_signal(preemphasize(samples, cfg.preemphasis), rate,
                         cfg.frame_ms, cfg.overlap_fraction)
 
 
 def frame_pipeline(segments, cfg=None):
-    """list[FrameFeatures] of every frame of `segments` (a SignalBuffer or a
-    list of them at one rate), in input order."""
+    """list[FrameFeatures] of every frame of `segments` (one (samples, rate) audio
+    or a list of them at one rate), in input order."""
     cfg = cfg or PipelineConfig()
     audios = segments if isinstance(segments, list) else [segments]
     if not audios:
         return []
-    fs = audios[0].sample_rate
+    fs = audios[0][1]
     order = cfg.order_for(fs)
     stack = np.concatenate([frames(audio, cfg) for audio in audios])
     if stack.shape[0] == 0:

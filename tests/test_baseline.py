@@ -20,7 +20,6 @@ from specvalley.baseline import (
 )
 from specvalley.classify import PipelineConfig
 from specvalley.errors import DegenerateInputError
-from specvalley.types import SignalBuffer
 
 FS = 16000.0
 
@@ -76,8 +75,8 @@ class TestMfcc:
             mfcc(np.zeros(320), FS)
 
     def test_segment_matrix_shape(self):
-        sig = SignalBuffer(np.random.default_rng(1).standard_normal(1600) * 0.1, FS)
-        mat = segment_mfcc_matrix(frames_of(sig), FS)
+        sig = np.random.default_rng(1).standard_normal(1600) * 0.1
+        mat = segment_mfcc_matrix(frames_of((sig, FS)), FS)
         assert mat.shape == (9, 12)
 
     def test_filterbank_built_once_per_rate_and_config(self):
@@ -335,7 +334,7 @@ class TestOnSyntheticCorpus:
         for fb_class, audio in zip(table.fb_class.tolist(), segment_audio(table)):
             if fb_class == "central":
                 continue
-            mat = segment_mfcc_matrix(frames_of(audio, cfg), audio.sample_rate)
+            mat = segment_mfcc_matrix(frames_of(audio, cfg), audio[1])
             valid = [f for f in analyse(audio, cfg) if f.valid]
             if len(mat) == 0 or not valid:
                 continue

@@ -17,7 +17,7 @@ from specvalley.classify import (
 from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
 from specvalley.synth import Excitation, synthesize_rows
-from specvalley.types import FormantSpec, SignalBuffer
+from specvalley.types import FormantSpec
 
 FS = 16000.0
 
@@ -27,7 +27,7 @@ def synth_segment(freqs, bws=None, f0=120.0, dur=0.15):
     fm = [FormantSpec(f, b) for f, b in zip(freqs, bws)]
     exc = Excitation("tilted-train", f0=f0, duration_s=dur)
     x = synthesize_rows(fm, [exc], FS, round(dur * FS))[0]
-    return SignalBuffer(x / np.max(np.abs(x)) * 0.3, FS)
+    return x / np.max(np.abs(x)) * 0.3, FS
 
 
 def fake_features(n_valid, v1=0.0, v2=0.0, formants=(500.0, 1500.0, 2500.0), n_invalid=0):
@@ -57,7 +57,7 @@ class TestFramePipeline:
         assert np.mean([f.v1_db for f in valid]) < np.mean([f.v2_db for f in valid])
 
     def test_silence_gives_invalid_frames(self):
-        feats = analyse(SignalBuffer(np.zeros(3200), FS))
+        feats = analyse((np.zeros(3200), FS))
         assert feats and all(not f.valid for f in feats)
 
     def test_default_order_scales_with_rate(self):
@@ -73,7 +73,7 @@ class TestFramePipeline:
             PipelineConfig(frame_ms=2.0**60).order_for(1000.0)
 
     def test_lp_order_must_be_below_frame_length(self):
-        silence = SignalBuffer(np.zeros(3200), FS)
+        silence = (np.zeros(3200), FS)
         with pytest.raises(ValueError, match="frame length"):
             analyse(silence, PipelineConfig(lp_order=320))
         with pytest.raises(ValueError, match="at least 1"):
@@ -100,7 +100,7 @@ class TestFramePipeline:
     def test_gain_invariant_predictions(self):
         seg = synth_segment([570.0, 840.0, 2410.0, 3500.0, 4500.0])
         for gain in (0.125, 8.0):
-            scaled = SignalBuffer(seg.samples * gain, FS)
+            scaled = (seg[0] * gain, FS)
             d0 = decide_segment(analyse(seg))
             d1 = decide_segment(analyse(scaled))
             assert d1.predicted == d0.predicted
@@ -108,8 +108,8 @@ class TestFramePipeline:
 
     def test_list_gives_every_segment_frames_in_order(self):
         segs = [synth_segment([300.0, 870.0, 2240.0, 3500.0, 4500.0]),
-                SignalBuffer(np.zeros(3200), FS),
-                SignalBuffer(np.full(300, 0.2), FS),  # shorter than one frame
+                (np.zeros(3200), FS),
+                (np.full(300, 0.2), FS),  # shorter than one frame
                 synth_segment([270.0, 2290.0, 3010.0, 3500.0, 4500.0], f0=210.0)]
         expected = [f for seg in segs for f in analyse(seg)]
         assert list(analyse(segs)) == expected
@@ -130,7 +130,7 @@ class TestFramePipeline:
             frame_pipeline(np.zeros((2, 320)), rate)
 
     def test_frame_width_must_match_the_rate(self):
-        frames = frames_of(SignalBuffer(np.ones(3200), FS))
+        frames = frames_of((np.ones(3200), FS))
         with pytest.raises(ValueError, match=r"\(n, 160\) .* at 8000 Hz, got shape \(19, 320\)"):
             frame_pipeline(frames, 8000.0)
         with pytest.raises(ValueError, match=r"\(n, 800\) stack of 50 ms"):
@@ -461,12 +461,11 @@ def test_segment_blocks_frame_as_the_per_segment_reference(request, corpus):
     for rows, _, frames, counts, rate in segment_blocks(table, cfg, include_central=True):
         expected = []
         for i in rows.tolist():
-            audio = load_wav(root / f"{table.utterance_id[i]}.wav")
+            samples, wav_rate = load_wav(root / f"{table.utterance_id[i]}.wav")
             start = table.start_sample[i]
             stop = start + table.offsets[i + 1] - table.offsets[i]
-            expected.append(frame_reference.frames(
-                SignalBuffer(audio.samples[start:stop], audio.sample_rate), cfg))
-        assert counts.tolist() == [len(f) for f in expected] and rate == audio.sample_rate
+            expected.append(frame_reference.frames((samples[start:stop], wav_rate), cfg))
+        assert counts.tolist() == [len(f) for f in expected] and rate == wav_rate
         expected = np.concatenate(expected)
         assert frames.shape == expected.shape and frames.tobytes() == expected.tobytes()
         seen += rows.tolist()

@@ -229,12 +229,11 @@ def _wav_at_rate_zero():
 ], ids=["nist-wav", "bad-label-line", "rate-zero"])
 def test_corpus_read_error_names_the_file(wav_bytes, phn, message, tmp_path, capsys):
     from specvalley.corpus import save_wav
-    from specvalley.types import SignalBuffer
 
     wav = tmp_path / "DR1" / "FAKS0" / "SA1.WAV"
     wav.parent.mkdir(parents=True)
     if wav_bytes is None:
-        save_wav(wav, SignalBuffer(np.zeros(6400), 16000.0))
+        save_wav(wav, np.zeros(6400), 16000.0)
     else:
         wav.write_bytes(wav_bytes)
     wav.with_suffix(".PHN").write_text(phn)
@@ -246,12 +245,11 @@ def test_corpus_read_error_names_the_file(wav_bytes, phn, message, tmp_path, cap
 def test_negative_label_bound_is_an_error_naming_the_file(bounds, tmp_path, capsys):
     # read as Python indices, -3200 would take samples from the end of the file
     from specvalley.corpus import save_wav
-    from specvalley.types import SignalBuffer
 
     wav = tmp_path / "DR1" / "FAKS0" / "SA1.WAV"
     wav.parent.mkdir(parents=True)
     t = np.arange(16000) / 16000.0
-    save_wav(wav, SignalBuffer(0.3 * np.sin(2 * np.pi * 700.0 * t), 16000.0))
+    save_wav(wav, 0.3 * np.sin(2 * np.pi * 700.0 * t), 16000.0)
     wav.with_suffix(".PHN").write_text(f"{bounds} aa\n")
     assert run(["classify", "--corpus", str(tmp_path), "--no-timestamp"]) == 1
     captured = capsys.readouterr()
@@ -893,6 +891,9 @@ FLAG_FAULTS = [
     (["pb-ocd", "--bw=1e-300"], 1,
      "error: resonator at 2400 Hz with bandwidth 1e-300 Hz has a pole on the frequency "
      "grid at sample rate 8000 Hz"),
+    *((["baseline", f"--hidden={hidden}"], 2,
+       f"--hidden must be at least 1 and at most 10000, got {hidden}")
+      for hidden in (10001, 2**63 - 1)),
 ]
 
 
@@ -953,7 +954,7 @@ def test_lag_window_zero_disables_the_lag_window(monkeypatch):
 
 def _reference_scored(corpus_dir, include_central):
     """(segment, truth) per scored segment, a segment as a namespace of its
-    table row: id, label, rate and audio (a SignalBuffer)."""
+    table row: id, label, rate and audio (its (samples, rate))."""
     from types import SimpleNamespace
 
     from conftest import segment_audio
@@ -996,16 +997,15 @@ def mixed_corpus_dir(small_corpus_dir, tmp_path_factory):
     """The small corpus with every third vowel relabelled as the central 'ax',
     and every tenth vowel flattened to a constant, which leaves no valid frame."""
     from specvalley.corpus import load_wav, save_wav
-    from specvalley.types import SignalBuffer
 
     root = tmp_path_factory.mktemp("mixed_corpus")
     for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
         labels = wav.with_suffix(".phn").read_text().splitlines()
         start, end, _ = labels[1].split()
-        audio = load_wav(wav)
+        samples, rate = load_wav(wav)
         if k % 10 == 1:
-            audio.samples[int(start):int(end)] = 0.1
-        save_wav(root / wav.name, SignalBuffer(audio.samples, audio.sample_rate))
+            samples[int(start):int(end)] = 0.1
+        save_wav(root / wav.name, samples, rate)
         if k % 3 == 0:
             labels[1] = f"{start} {end} ax"
         (root / wav.name).with_suffix(".phn").write_text("\n".join(labels) + "\n")
@@ -1081,8 +1081,7 @@ def test_hist_values_equal_the_per_segment_loop(feature, rule, mixed_corpus_dir,
 def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
                                                     small_corpus_dir, babble_path, tmp_path):
     from specvalley import classify
-    from specvalley.corpus import NoiseSpec, load_wav, mix_noise
-    from specvalley.types import SignalBuffer
+    from specvalley.corpus import load_wav, mix_noise
 
     seed = 3
     babble = load_wav(babble_path)
@@ -1092,11 +1091,10 @@ def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
         for snr in (25.0, 0.0):
             decisions = []
             for idx, (seg, _) in enumerate(scored):
-                spec = NoiseSpec(kind=kind, snr_db=snr, seed=seed + idx)
-                noisy = mix_noise(seg.audio.samples, seg.audio.sample_rate, spec, babble=babble)
-                decisions.append(_reference_decision(
-                    _reference_features(SignalBuffer(noisy, seg.audio.sample_rate)), rule,
-                    threshold))
+                samples, rate = seg.audio
+                noisy = mix_noise(samples, rate, kind, snr, seed + idx, babble=babble)
+                decisions.append(_reference_decision(_reference_features((noisy, rate)), rule,
+                                                     threshold))
             report = classify.score(decisions, [truth for _, truth in scored])
             accs = [("" if a is None else f"{a:.2f}") for a in
                     (report.front_accuracy, report.back_accuracy, report.overall_accuracy)]
@@ -1209,9 +1207,10 @@ def test_frame_pipeline_runs_once_per_segment_and_condition(argv, conditions,
 def _rewrite(wav, root, audio, start, end, label):
     from specvalley.corpus import save_wav
 
-    save_wav(root / wav.name, audio)
+    samples, rate = audio
+    save_wav(root / wav.name, samples, rate)
     (root / wav.name).with_suffix(".phn").write_text(
-        f"0 {start} h#\n{start} {end} {label}\n{end} {len(audio.samples)} h#\n")
+        f"0 {start} h#\n{start} {end} {label}\n{end} {len(samples)} h#\n")
 
 
 def _vowel(wav):
@@ -1227,17 +1226,16 @@ def block_corpus_dir(small_corpus_dir, tmp_path_factory):
     frames) and the 31st repeated 25 times (more than STACK_FRAMES frames)."""
     import numpy as np
 
-    from specvalley.types import SignalBuffer
-
     root = tmp_path_factory.mktemp("block_corpus")
     for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
         audio, start, end, label = _vowel(wav)
+        samples, rate = audio
         if k == 5:
-            end = start + int(0.046 * audio.sample_rate)
+            end = start + int(0.046 * rate)
         elif k == 30:
-            pad = audio.samples[:start]
-            vowel = np.tile(audio.samples[start:end], 25)
-            audio = SignalBuffer(np.concatenate([pad, vowel, pad]), audio.sample_rate)
+            pad = samples[:start]
+            vowel = np.tile(samples[start:end], 25)
+            audio = np.concatenate([pad, vowel, pad]), rate
             end = start + len(vowel)
         _rewrite(wav, root, audio, start, end, label)
     return root
@@ -1246,13 +1244,11 @@ def block_corpus_dir(small_corpus_dir, tmp_path_factory):
 @pytest.fixture(scope="module")
 def mixed_rate_corpus_dir(small_corpus_dir, tmp_path_factory):
     """The small corpus with two files in every four decimated to 8 kHz."""
-    from specvalley.types import SignalBuffer
-
     root = tmp_path_factory.mktemp("mixed_rate_corpus")
     for k, wav in enumerate(sorted(small_corpus_dir.glob("*.wav"))):
         audio, start, end, label = _vowel(wav)
         if k % 4 in (1, 2):
-            audio = SignalBuffer(audio.samples[::2], audio.sample_rate / 2)
+            audio = audio[0][::2], audio[1] / 2
             start, end = start // 2, end // 2
         _rewrite(wav, root, audio, start, end, label)
     return root
@@ -1302,7 +1298,7 @@ def test_mixed_rate_corpus_equals_the_per_segment_loop(mixed_rate_corpus_dir, pi
     _classify_equals_the_per_segment_loop(mixed_rate_corpus_dir, pipeline_calls, tmp_path)
     # every segment of a block is at the rate of its call
     rates = [rate for segments, rate, _ in pipeline_calls for _ in segments]
-    assert rates == [seg.audio.sample_rate for seg, _ in
+    assert rates == [seg.audio[1] for seg, _ in
                      _reference_scored(mixed_rate_corpus_dir, False)]
     assert set(rates) == {8000, 16000}
 
@@ -1312,16 +1308,15 @@ def test_pre_emphasis_restarts_at_every_segment(small_corpus_dir, pipeline_calls
     # utterance and in the table's buffer, the second one's first sample
     # follows a sample of the first, which its pre-emphasis must not see
     from specvalley.corpus import collect_segments, save_wav, timit_inventory
-    from specvalley.types import SignalBuffer
 
-    front, s1, e1, l1 = _vowel(sorted(small_corpus_dir.glob("*_iy_*.wav"))[0])
-    back, s2, e2, l2 = _vowel(sorted(small_corpus_dir.glob("*_aa_*.wav"))[0])
-    pad = front.samples[:s1]
-    samples = np.concatenate([pad, front.samples[s1:e1], back.samples[s2:e2], pad])
+    (front, rate), s1, e1, l1 = _vowel(sorted(small_corpus_dir.glob("*_iy_*.wav"))[0])
+    (back, _), s2, e2, l2 = _vowel(sorted(small_corpus_dir.glob("*_aa_*.wav"))[0])
+    pad = front[:s1]
+    samples = np.concatenate([pad, front[s1:e1], back[s2:e2], pad])
     mid, end = s1 + e1 - s1, s1 + e1 - s1 + e2 - s2
     root = tmp_path / "adjacent"
     root.mkdir()
-    save_wav(root / "pair.wav", SignalBuffer(samples, front.sample_rate))
+    save_wav(root / "pair.wav", samples, rate)
     (root / "pair.phn").write_text(f"0 {s1} h#\n{s1} {mid} {l1}\n{mid} {end} {l2}\n"
                                    f"{end} {len(samples)} h#\n")
     table = collect_segments(root, ".phn", timit_inventory())
@@ -1331,47 +1326,38 @@ def test_pre_emphasis_restarts_at_every_segment(small_corpus_dir, pipeline_calls
     assert [len(segments) for segments, *_ in pipeline_calls] == [2]
 
 
-@pytest.fixture
-def signal_buffers(monkeypatch):
-    """The count of SignalBuffers built from now on."""
-    from specvalley.types import SignalBuffer
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["hist"],
+    ["noise-eval", "--noise", "white,babble", "--snrs", "25,0"]], ids=lambda argv: argv[0])
+def test_no_float_copy_of_a_segment_outside_its_block(argv, small_corpus_dir, babble_path,
+                                                      monkeypatch, tmp_path):
+    # the stage converts each block from the table's PCM itself, and the noise
+    # rules read the PCM, so no command asks the table for a segment's floats
+    from specvalley.corpus import SegmentTable
 
-    built = [0]
-    post_init = SignalBuffer.__post_init__
+    calls, segment = [], SegmentTable.segment
 
-    def counted(self):
-        built[0] += 1
-        post_init(self)
+    def counted(self, i):
+        calls.append(i)
+        return segment(self, i)
 
-    monkeypatch.setattr(SignalBuffer, "__post_init__", counted)
-    return built
-
-
-def test_no_signal_buffer_per_segment(small_corpus_dir, babble_path, signal_buffers, tmp_path):
-    n_wavs = len(list(small_corpus_dir.glob("*.wav")))
-    built = {}
-    for argv in (["classify"], ["hist"],
-                 ["noise-eval", "--noise", "white,babble", "--snrs", "25,0",
-                  "--babble-source", str(babble_path)]):
-        signal_buffers[0] = 0
-        assert run(argv + ["--corpus", str(small_corpus_dir), "--out", str(tmp_path / "o.csv"),
-                           "--no-timestamp"]) == 0
-        built[argv[0]] = signal_buffers[0]
-    assert n_wavs == 63
-    assert built["classify"] <= n_wavs and built["hist"] <= n_wavs
-    assert built["noise-eval"] <= built["classify"] + 1
+    monkeypatch.setattr(SegmentTable, "segment", counted)
+    if argv[0] == "noise-eval":
+        argv = argv + ["--babble-source", str(babble_path)]
+    assert run(argv + ["--corpus", str(small_corpus_dir), "--out", str(tmp_path / "o.csv"),
+                       "--no-timestamp"]) == 0
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
 def babble_files(babble_path, tmp_path_factory):
     """A babble file too short for the small corpus's shortest segment, and one at 8 kHz."""
     from specvalley.corpus import load_wav, save_wav
-    from specvalley.types import SignalBuffer
 
     root = tmp_path_factory.mktemp("bad_babble")
-    babble = load_wav(babble_path)
-    save_wav(root / "short.wav", SignalBuffer(babble.samples[:1600], babble.sample_rate))
-    save_wav(root / "8k.wav", SignalBuffer(babble.samples[::2], babble.sample_rate / 2))
+    samples, rate = load_wav(babble_path)
+    save_wav(root / "short.wav", samples[:1600], rate)
+    save_wav(root / "8k.wav", samples[::2], rate / 2)
     return root / "short.wav", root / "8k.wav"
 
 
@@ -1407,7 +1393,8 @@ def silent_vowel_corpus_dirs(recipes, tmp_path_factory):
     for k, wav in enumerate(sorted(clean.glob("*.wav"))):
         audio, start, end, label = _vowel(wav)
         if k == 4:
-            audio.samples[start:end] = 0.0
+            samples, _ = audio
+            samples[start:end] = 0.0
             silent_id = f"{wav.stem}:{start}"
         _rewrite(wav, silent, audio, start, end, label)
     return clean, silent, silent_id
@@ -1418,14 +1405,13 @@ def test_babble_need_not_cover_a_silent_segment(silent_vowel_corpus_dirs, babble
     # silence is left unmixed, so a babble as long as the longest sounding
     # segment is enough, whatever the length of the silent one
     from specvalley.corpus import collect_segments, load_wav, save_wav, timit_inventory
-    from specvalley.types import SignalBuffer
 
     _, silent, silent_id = silent_vowel_corpus_dirs
     table = collect_segments(silent, ".phn", timit_inventory())
     lengths = {table.segment_id(i): len(table.segment(i)) for i in range(len(table))}
     sounding = max(n for seg_id, n in lengths.items() if seg_id != silent_id)
     babble = tmp_path / "babble.wav"
-    save_wav(babble, SignalBuffer(load_wav(babble_path).samples[:sounding], 16000.0))
+    save_wav(babble, load_wav(babble_path)[0][:sounding], 16000.0)
     argv = ["noise-eval", "--corpus", str(silent), "--noise", "babble", "--snrs", "25",
             "--babble-source", str(babble), "--no-timestamp", "--out", str(tmp_path / "o.csv")]
     assert run(argv) == 0
@@ -1433,8 +1419,8 @@ def test_babble_need_not_cover_a_silent_segment(silent_vowel_corpus_dirs, babble
     for wav in sorted(silent.glob("*.wav")):  # the silent vowel twice as long
         audio, start, end, label = _vowel(wav)
         if f"{wav.stem}:{start}" == silent_id:
-            audio = SignalBuffer(np.concatenate([audio.samples[:end], np.zeros(end - start),
-                                                 audio.samples[end:]]), audio.sample_rate)
+            samples, rate = audio
+            audio = np.concatenate([samples[:end], np.zeros(end - start), samples[end:]]), rate
             end += end - start
         longer.mkdir(exist_ok=True)
         _rewrite(wav, longer, audio, start, end, label)
@@ -1468,7 +1454,7 @@ def _full_buffer_mix(table, kind, snr, seed, babble):
     that is not silent is mixed alone, seeded with `seed` plus its index among
     the scored segments."""
     from specvalley import classify
-    from specvalley.corpus import NoiseSpec, mix_noise
+    from specvalley.corpus import mix_noise
 
     samples = table.pcm.astype(np.float64)
     samples /= 32768.0
@@ -1476,8 +1462,7 @@ def _full_buffer_mix(table, kind, snr, seed, babble):
     for k, i in enumerate(rows.tolist()):
         a, b = table.offsets[i], table.offsets[i + 1]
         if float(np.mean(samples[a:b]**2)) > 0:
-            samples[a:b] = mix_noise(samples[a:b], table.rate[i],
-                                     NoiseSpec(kind=kind, snr_db=snr, seed=seed + k), babble)
+            samples[a:b] = mix_noise(samples[a:b], table.rate[i], kind, snr, seed + k, babble)
     return samples
 
 
@@ -1495,8 +1480,8 @@ def test_noise_eval_hook_mixes_as_the_full_buffer_loop(silent_vowel_corpus_dirs,
 
     hooks, noise_mixer = [], corpus.noise_mixer
 
-    def recorded(table, kind, snr_db, seeds, babble=None):
-        mix = noise_mixer(table, kind, snr_db, seeds, babble)
+    def recorded(table, rows, kind, snr_db, seed, babble=None, shown="babble"):
+        mix = noise_mixer(table, rows, kind, snr_db, seed, babble, shown)
         hooks.append((table, kind, snr_db, babble, mix))
         return mix
 

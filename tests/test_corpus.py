@@ -8,7 +8,7 @@ import pytest
 from specvalley.corpus import (
     MAX_SNR_DB,
     NOISE_KINDS,
-    NoiseSpec,
+    SegmentTable,
     collect_segments,
     default_pb_table_path,
     load_inventory,
@@ -16,6 +16,7 @@ from specvalley.corpus import (
     load_phone_labels,
     load_wav,
     mix_noise,
+    noise_mixer,
     pb_mean_formants,
     save_wav,
     select_vowel_segments,
@@ -28,7 +29,6 @@ from specvalley.errors import (
     LabelParseError,
     ValidationError,
 )
-from specvalley.types import SignalBuffer
 
 
 def write_pcm(path, data_int16, channels=1, rate=16000, sampwidth=2):
@@ -42,19 +42,19 @@ def write_pcm(path, data_int16, channels=1, rate=16000, sampwidth=2):
 class TestLoadWav:
     def test_silence_round_trip(self, tmp_path):
         p = tmp_path / "silence.wav"
-        save_wav(p, SignalBuffer(np.zeros(16000), 16000.0))
-        buf = load_wav(p)
-        assert buf.sample_rate == 16000
-        assert len(buf.samples) == 16000
-        assert not np.any(buf.samples)
+        save_wav(p, np.zeros(16000), 16000.0)
+        samples, rate = load_wav(p)
+        assert rate == 16000
+        assert len(samples) == 16000
+        assert not np.any(samples)
 
     def test_full_scale_square_wave(self, tmp_path):
         p = tmp_path / "square.wav"
         data = np.tile([32767, -32768], 100).astype("<i2")
         write_pcm(p, data)
-        buf = load_wav(p)
-        assert buf.samples.max() == 32767 / 32768.0
-        assert buf.samples.min() == -1.0
+        samples, _ = load_wav(p)
+        assert samples.max() == 32767 / 32768.0
+        assert samples.min() == -1.0
 
     def test_stereo_rejected(self, tmp_path):
         p = tmp_path / "stereo.wav"
@@ -186,13 +186,12 @@ def _rglob_collect_segments(corpus_dir, labels_ext, inventory):
         label_path = _rglob_label_sidecar(wav_path, labels_ext)
         if label_path is None:
             continue
-        audio = _rglob_read(load_wav, wav_path, root)
+        samples, rate = _rglob_read(load_wav, wav_path, root)
         labels = _rglob_read(load_phone_labels, label_path, root)
         utterance_id = wav_path.relative_to(root).with_suffix("").as_posix()
-        for start, stop, label, fb in select_vowel_segments(labels, len(audio.samples),
-                                                            audio.sample_rate, inventory):
-            segments.append((utterance_id, start, stop, label, fb, audio.sample_rate,
-                             audio.samples[start:stop]))
+        for start, stop, label, fb in select_vowel_segments(labels, len(samples), rate,
+                                                            inventory):
+            segments.append((utterance_id, start, stop, label, fb, rate, samples[start:stop]))
     return segments
 
 
@@ -423,7 +422,7 @@ class TestMixNoise:
 
     def test_zero_db_matches_powers(self):
         x = self._tone()
-        mixed = mix_noise(x, self.RATE, NoiseSpec("white", snr_db=0.0, seed=3))
+        mixed = mix_noise(x, self.RATE, "white", 0.0, 3)
         noise = mixed - x
         ratio = np.mean(x**2) / np.mean(noise**2)
         assert abs(10 * np.log10(ratio)) < 1e-9
@@ -431,47 +430,49 @@ class TestMixNoise:
     def test_requested_snr_achieved(self):
         x = self._tone()
         for snr in (-5.0, 10.0, 25.0):
-            mixed = mix_noise(x, self.RATE, NoiseSpec("white", snr_db=snr, seed=4))
+            mixed = mix_noise(x, self.RATE, "white", snr, 4)
             noise = mixed - x
             got = 10 * np.log10(np.mean(x**2) / np.mean(noise**2))
             assert abs(got - snr) < 0.1
 
     def test_same_seed_bit_identical(self):
         x = self._tone()
-        a = mix_noise(x, self.RATE, NoiseSpec("white", snr_db=20.0, seed=9))
-        b = mix_noise(x, self.RATE, NoiseSpec("white", snr_db=20.0, seed=9))
+        a = mix_noise(x, self.RATE, "white", 20.0, 9)
+        b = mix_noise(x, self.RATE, "white", 20.0, 9)
         assert np.array_equal(a, b)
 
     def test_zero_power_signal_rejected(self):
         with pytest.raises(DegenerateInputError):
-            mix_noise(np.zeros(100), self.RATE, NoiseSpec("white", 10.0))
+            mix_noise(np.zeros(100), self.RATE, "white", 10.0)
 
     @pytest.mark.parametrize("snr", [4000.0, -4000.0, -3100.0, float("nan")])
     def test_snr_beyond_the_bound_is_refused(self, snr):
         with pytest.raises(ValueError, match=r"snr_db must be within \+/-300 dB"):
-            NoiseSpec("white", snr_db=snr)
+            mix_noise(self._tone(), self.RATE, "white", snr)
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown noise kind 'pink'"):
+            mix_noise(self._tone(), self.RATE, "pink", 10.0)
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("snr", [-MAX_SNR_DB, MAX_SNR_DB])
     def test_mix_is_finite_at_the_bounds(self, kind, snr):
         assert MAX_SNR_DB == 300.0
-        babble = SignalBuffer(0.1 * np.random.default_rng(0).standard_normal(32000), self.RATE)
-        mixed = mix_noise(self._tone(), self.RATE, NoiseSpec(kind, snr, seed=2), babble)
+        babble = (0.1 * np.random.default_rng(0).standard_normal(32000), self.RATE)
+        mixed = mix_noise(self._tone(), self.RATE, kind, snr, 2, babble)
         assert np.all(np.isfinite(mixed))
 
     def test_babble_requires_source(self):
         with pytest.raises(ValueError, match="`babble` buffer"):
-            mix_noise(self._tone(), self.RATE, NoiseSpec("babble", snr_db=20.0))
+            mix_noise(self._tone(), self.RATE, "babble", 20.0)
 
     def test_babble_mixing(self, tmp_path):
         rng = np.random.default_rng(0)
-        babble = SignalBuffer(0.1 * rng.standard_normal(64000), 16000.0)
         p = tmp_path / "babble.wav"
-        save_wav(p, babble)
+        save_wav(p, 0.1 * rng.standard_normal(64000), 16000.0)
         x = self._tone()
-        spec = NoiseSpec("babble", snr_db=15.0, seed=5)
-        a = mix_noise(x, self.RATE, spec, load_wav(p))
-        b = mix_noise(x, self.RATE, spec, load_wav(p))
+        a = mix_noise(x, self.RATE, "babble", 15.0, 5, load_wav(p))
+        b = mix_noise(x, self.RATE, "babble", 15.0, 5, load_wav(p))
         assert np.array_equal(a, b)
         noise = a - x
         got = 10 * np.log10(np.mean(x**2) / np.mean(noise**2))
@@ -479,9 +480,65 @@ class TestMixNoise:
 
     def test_short_babble_rejected(self, tmp_path):
         p = tmp_path / "short.wav"
-        save_wav(p, SignalBuffer(0.1 * np.ones(100), 16000.0))
+        save_wav(p, 0.1 * np.ones(100), 16000.0)
         with pytest.raises(FormatError):
-            mix_noise(self._tone(), self.RATE, NoiseSpec("babble", 10.0), load_wav(p))
+            mix_noise(self._tone(), self.RATE, "babble", 10.0, babble=load_wav(p))
+
+
+class TestNoiseMixer:
+    """`noise_mixer` holds the rules of a noise condition: each mixed segment's
+    seed, which segments stay silent, and whether the babble covers them."""
+
+    RATE = 16000.0
+    LENGTHS = (400, 600, 500)  # segment 1 is all zero, and the longest
+
+    def _table(self):
+        rng = np.random.default_rng(1)
+        pcm = [rng.integers(-3000, 3000, n).astype(np.int16) for n in self.LENGTHS]
+        pcm[1][:] = 0
+        n = len(self.LENGTHS)
+        return SegmentTable(np.concatenate(pcm), np.cumsum((0,) + self.LENGTHS),
+                            np.full(n, self.RATE), np.array(["iy"] * n), np.array(["front"] * n),
+                            np.array(["u"] * n), 1000 * np.arange(n))
+
+    def _babble(self, n, rate=RATE):
+        return 0.1 * np.random.default_rng(2).standard_normal(n), rate
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_seeds_follow_the_order_of_rows(self, kind):
+        table, babble = self._table(), self._babble(4000)
+        mix = noise_mixer(table, np.array([2, 1, 0]), kind, 10.0, 7, babble)
+        for i, seed in ((2, 7), (0, 9)):
+            x = table.segment(i)
+            assert mix(i, x).tobytes() == mix_noise(x, self.RATE, kind, 10.0, seed,
+                                                    babble).tobytes()
+        x = table.segment(0)
+        left_out = noise_mixer(table, np.array([2]), kind, 10.0, 7, babble)
+        assert left_out(0, x) is x
+
+    def test_a_silent_segment_is_unmixed_and_needs_no_babble_coverage(self):
+        table, babble = self._table(), self._babble(500)
+        mix = noise_mixer(table, np.arange(3), "babble", 10.0, 0, babble)
+        silent = table.segment(1)
+        assert mix(1, silent) is silent
+        x = table.segment(2)
+        assert mix(2, x).tobytes() == mix_noise(x, self.RATE, "babble", 10.0, 2, babble).tobytes()
+
+    @pytest.mark.parametrize("babble, message", [
+        ((499, RATE), "(499 samples at 16000 Hz) cannot cover segment u:2000 (500 samples"),
+        ((4000, 8000.0), "(4000 samples at 8000 Hz) cannot cover segment u:0 (400 samples"),
+    ], ids=["short", "8k"])
+    def test_babble_coverage_fails_when_the_mixer_is_built(self, babble, message, monkeypatch):
+        from specvalley import corpus
+
+        mixed = []
+        monkeypatch.setattr(corpus, "mix_noise", lambda *args: mixed.append(args))
+        table, babble = self._table(), self._babble(*babble)
+        assert noise_mixer(table, np.arange(3), "white", 10.0, 0, babble) is not None
+        with pytest.raises(FormatError) as err:
+            noise_mixer(table, np.arange(3), "babble", 10.0, 0, babble, "--babble-source b.wav")
+        assert str(err.value) == f"--babble-source b.wav {message} at 16000 Hz)"
+        assert mixed == []
 
 
 class TestSegmentTable:
@@ -494,8 +551,8 @@ class TestSegmentTable:
         assert len(table) in (63, 500) and not hasattr(table, "samples")
         assert table.pcm.dtype == np.int16 and table.pcm.nbytes == 2 * table.offsets[-1]
         for i in range(len(table)):
-            audio = load_wav(root / f"{table.utterance_id[i]}.wav")
+            samples, _ = load_wav(root / f"{table.utterance_id[i]}.wav")
             start = table.start_sample[i]
-            expected = audio.samples[start:start + table.offsets[i + 1] - table.offsets[i]]
+            expected = samples[start:start + table.offsets[i + 1] - table.offsets[i]]
             got = table.segment(i)
             assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()

@@ -474,7 +474,7 @@ def _reference_rlsv(formants, pair, sample_rate, n_points, mean_band_hz):
     return _banded_mean_db(freqs, levels, mean_band_hz) - valley
 
 
-def _reference_sweep(cfg, allow_widening, label):
+def _reference_sweep(cfg, allow_widening):
     i, j = cfg.pair
     f_lo = cfg.formants[i].frequency
     f_hi = cfg.formants[j].frequency
@@ -492,8 +492,7 @@ def _reference_sweep(cfg, allow_widening, label):
     trace.append((spacing0, v0))
     pairs.append((f_lo, f_hi))
     if v0 == 0.0:
-        return OcdResult(spacing0, trace, crossing_interpolated=False, basis=label,
-                         pair_trace=pairs)
+        return OcdResult(spacing0, trace, crossing_interpolated=False, pair_trace=pairs)
     if v0 < 0 and not allow_widening:
         raise ValueError(
             f"initial RLSV must be positive for an inward sweep, got {v0:.3f} dB"
@@ -518,12 +517,12 @@ def _reference_sweep(cfg, allow_widening, label):
         pairs.append((nxt_lo, nxt_hi))
         if v == 0.0:
             return OcdResult(spacing, trace, crossing_interpolated=False,
-                             basis=label, widened=not narrowing, pair_trace=pairs)
+                             widened=not narrowing, pair_trace=pairs)
         if (v > 0) != (v0 > 0):
             (s_prev, v_prev), (s_cur, v_cur) = trace[-2], trace[-1]
             ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
             return OcdResult(float(ocd), trace, crossing_interpolated=True,
-                             basis=label, widened=not narrowing, pair_trace=pairs)
+                             widened=not narrowing, pair_trace=pairs)
         f_lo, f_hi = nxt_lo, nxt_hi
     raise NoCrossingError("sweep exceeded the step budget", trace=trace)
 
@@ -554,7 +553,7 @@ def _reference_pb_ocd_table(
             pair, label = (0, 1), "V12"
         cfg = SweepConfig(fm, sample_rate, pair=pair, step_hz=step_hz)
         try:
-            res = _reference_sweep(cfg, allow_widening=True, label=label)
+            res = _reference_sweep(cfg, allow_widening=True)
             rows.append(VowelOcd(vowel, label, res))
         except NoCrossingError as exc:
             rows.append(VowelOcd(vowel, label, None, error=str(exc)))
@@ -565,14 +564,14 @@ def _reference_pb_ocd_table(
         for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
             cfg = SweepConfig(tube, tube_sample_rate, pair=pair, step_hz=step_hz)
             try:
-                res = _reference_sweep(cfg, allow_widening=True, label=label)
+                res = _reference_sweep(cfg, allow_widening=True)
                 rows.append(VowelOcd("tube", label, res))
             except NoCrossingError as exc:
                 rows.append(VowelOcd("tube", label, None, error=str(exc)))
     return rows
 
 
-OCD_FIELDS = ("ocd_bark", "sweep", "pair_trace", "crossing_interpolated", "widened", "basis")
+OCD_FIELDS = ("ocd_bark", "sweep", "pair_trace", "crossing_interpolated", "widened")
 
 
 def outcome(fn, *args, **kwargs):
@@ -620,7 +619,8 @@ class TestSweepMatchesReference:
     @pytest.mark.parametrize("case", list(SWEEP_CASES))
     def test_same_outcome(self, case, allow_widening):
         cfg, label = SWEEP_CASES[case]
-        want = outcome(_reference_sweep, cfg, allow_widening, label)
+        assert cfg.basis == label
+        want = outcome(_reference_sweep, cfg, allow_widening)
         assert_same_outcome(outcome(ocd_sweep, replace(cfg, allow_widening=allow_widening)),
                             want)
         if not allow_widening:
@@ -628,9 +628,9 @@ class TestSweepMatchesReference:
 
     def test_cases_reach_every_ending(self):
         endings = set()
-        for cfg, label in SWEEP_CASES.values():
+        for cfg, _ in SWEEP_CASES.values():
             for allow_widening in (False, True):
-                got = outcome(_reference_sweep, cfg, allow_widening, label)
+                got = outcome(_reference_sweep, cfg, allow_widening)
                 if isinstance(got, OcdResult):
                     endings.add(("widened" if got.widened else "narrowed",
                                  got.crossing_interpolated))
@@ -722,7 +722,7 @@ class TestSweepEndings:
     def test_same_outcome(self, zero_at, fail_below, allow_widening, monkeypatch):
         patch_rlsv(monkeypatch, linear_rlsv(zero_at, fail_below))
         cfg = SweepConfig(self.START, 8000.0)
-        want = outcome(_reference_sweep, cfg, allow_widening, "V12")
+        want = outcome(_reference_sweep, cfg, allow_widening)
         assert_same_outcome(outcome(ocd_sweep, replace(cfg, allow_widening=allow_widening)),
                             want)
 
@@ -739,7 +739,7 @@ class TestSweepEndings:
                             lambda formants, *args: formants)
         patch_sweep(monkeypatch, "hz_to_bark", lambda f: f)
         cfg = SweepConfig(self.START, 8000.0, step_hz=0.001)
-        want = outcome(_reference_sweep, cfg, False, "V12")
+        want = outcome(_reference_sweep, cfg, False)
         assert want[1] == "sweep exceeded the step budget"
         assert len(want[2]) == 1 + 100000
         assert_same_outcome(outcome(ocd_sweep, cfg), want)

@@ -18,7 +18,6 @@ from specvalley import classify
 from specvalley.classify import REASONS, UNSTABLE, VALID, FrameTable, decide_segment
 from specvalley.errors import NoDecisionError
 from specvalley.sigproc import levinson_failure, levinson_rows
-from specvalley.types import SignalBuffer
 
 FS = 16000.0
 BLOCK_SEGMENTS = 50  # segments per frame_pipeline call: small stacks, several calls
@@ -85,12 +84,12 @@ def _close_resonances(seed):
     poles = [0.99 * np.exp(1j * t) for t in (0.12, 0.54, 0.548, 1.6)]
     a = np.real(np.poly(poles + [np.conj(p) for p in poles]))
     x = lfilter([1.0], a, np.random.default_rng(seed).standard_normal(4800))
-    return SignalBuffer(x / np.std(x), FS)
+    return x / np.std(x), FS
 
 
 def test_every_discard_reason_of_the_pipeline_equals_the_reference():
     segments = [_close_resonances(seed) for seed in range(1, 6)]
-    segments.insert(2, SignalBuffer(np.zeros(1600), FS))
+    segments.insert(2, (np.zeros(1600), FS))
     cfg = classify.PipelineConfig(lp_order=18)
     expected = frame_reference.frame_pipeline(segments, cfg)
     assert {f.fail_reason for f in expected} == {

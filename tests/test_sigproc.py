@@ -30,12 +30,8 @@ from specvalley.sigproc import (
     window,
 )
 from specvalley.synth import Excitation, synthesize_rows
-from specvalley.types import FormantSpec, SignalBuffer
+from specvalley.types import FormantSpec
 from test_formant_anchors import _reflection
-
-
-def buf(samples, rate=16000.0):
-    return SignalBuffer(np.asarray(samples, dtype=float), rate)
 
 
 class TestPreemphasize:
@@ -68,9 +64,9 @@ class TestPreemphasize:
 
 
 @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan"), float("inf")])
-def test_signal_buffer_rate_must_be_finite_and_positive(sample_rate):
+def test_frame_signal_rate_must_be_finite_and_positive(sample_rate):
     with pytest.raises(ValueError, match="sample_rate must be positive"):
-        SignalBuffer(np.zeros(4), sample_rate)
+        frame_signal(np.zeros(4), sample_rate, 20.0, 0.5)
 
 
 class TestFrameSignal:

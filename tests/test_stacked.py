@@ -38,7 +38,7 @@ from specvalley.sigproc import (
     window,
     _unit_circle_table,
 )
-from specvalley.types import SignalBuffer, power_mean_db
+from specvalley.types import power_mean_db
 
 FS = 16000.0
 N_POINTS = 512
@@ -172,7 +172,8 @@ def _per_frame_reference(seg, cfg, order):
     Each frame's envelope is its taps times the cos|sin table as a one-row
     `stacked_product`, as in `lpc_levels`; `test_lpc_levels_match_the_fft_oracle`
     anchors that to the rfft."""
-    frames = window(frame_signal(preemphasize(seg.samples, cfg.preemphasis), seg.sample_rate,
+    samples, rate = seg
+    frames = window(frame_signal(preemphasize(samples, cfg.preemphasis), rate,
                                  cfg.frame_ms, cfg.overlap_fraction)[0])
     n = frames.shape[1]
     table = _unit_circle_table(order + 1, 512)
@@ -223,12 +224,12 @@ def _test_segment(seed, noise):
         rng.standard_normal(2400))
     samples = np.concatenate([voiced, np.zeros(640), rng.standard_normal(960)])
     samples += noise * np.std(voiced) * rng.standard_normal(len(samples))
-    return SignalBuffer(samples, FS)
+    return samples, FS
 
 
 def _features(seg, cfg):
     return [(f.v1_db, f.v2_db, [(x.frequency, x.bandwidth) for x in f.formants], f.fail_reason)
-            for f in frame_pipeline(frames_of(seg, cfg), seg.sample_rate, cfg)]
+            for f in frame_pipeline(frames_of(seg, cfg), seg[1], cfg)]
 
 
 # the stacked pipeline does the same arithmetic as the loop, so it must give
@@ -269,9 +270,9 @@ def test_unstable_row_reason_matches_levinson_error(monkeypatch):
 def test_stacked_mfcc_rows_match_single_frames():
     rng = np.random.default_rng(9)
     samples = np.concatenate([rng.standard_normal(1600), np.zeros(640), rng.standard_normal(800)])
-    audio = SignalBuffer(samples * 0.1, FS)
-    mat = segment_mfcc_matrix(frames_of(audio), FS)
-    frames = frame_signal(preemphasize(audio.samples, 0.97), FS, 20.0, 0.5)[0]
+    samples *= 0.1
+    mat = segment_mfcc_matrix(frames_of((samples, FS)), FS)
+    frames = frame_signal(preemphasize(samples, 0.97), FS, 20.0, 0.5)[0]
     singles = [mfcc(window(f), FS) for f in frames if np.any(f)]
     assert len(singles) < len(frames)  # the silent frames were skipped
     assert mat.shape == (len(singles), 12)
@@ -284,11 +285,11 @@ def test_mfcc_matrix_of_the_config_frames_is_the_default_framing(rate):
     # its defaults: 20 ms frames, overlap 0.5, pre-emphasis 0.97
     rng = np.random.default_rng(5)
     samples = np.concatenate([rng.standard_normal(2000), np.zeros(800), rng.standard_normal(900)])
-    audio = SignalBuffer(samples * 0.1, rate)
-    frames = frame_signal(preemphasize(audio.samples, 0.97), rate, 20.0, 0.5)[0]
+    samples *= 0.1
+    frames = frame_signal(preemphasize(samples, 0.97), rate, 20.0, 0.5)[0]
     frames = frames[np.any(frames, axis=1)]
     expected = mfcc(window(frames), rate)
-    assert np.array_equal(segment_mfcc_matrix(frames_of(audio), rate), expected)
+    assert np.array_equal(segment_mfcc_matrix(frames_of((samples, rate)), rate), expected)
 
 
 def test_stacked_mfcc_rejects_a_zero_row():

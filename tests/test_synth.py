@@ -6,7 +6,7 @@ from specvalley import synth
 from specvalley.envelope import peak_levels
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
-from specvalley.types import FormantSpec, SignalBuffer
+from specvalley.types import FormantSpec
 
 
 class TestResonator:
@@ -67,9 +67,10 @@ class TestSynthesize:
         assert np.allclose(sa, sb, rtol=1e-8, atol=1e-12)
 
 
-def _spectral_slope_db_per_octave(x: SignalBuffer, f_low=500.0, f_high=2000.0):
-    spec = np.abs(np.fft.rfft(x.samples)) ** 2
-    freqs = np.fft.rfftfreq(len(x.samples), 1.0 / x.sample_rate)
+def _spectral_slope_db_per_octave(x, f_low=500.0, f_high=2000.0):
+    samples, rate = x
+    spec = np.abs(np.fft.rfft(samples)) ** 2
+    freqs = np.fft.rfftfreq(len(samples), 1.0 / rate)
     def band_level(f):
         sel = (freqs > f / 1.3) & (freqs < f * 1.3)
         return 10 * np.log10(np.mean(spec[sel]))
@@ -80,7 +81,7 @@ def _spectral_slope_db_per_octave(x: SignalBuffer, f_low=500.0, f_high=2000.0):
 def _tilted_train(fs=16000.0):
     """400 periods of a 100 Hz pulse train through the source tilt."""
     exc = Excitation("tilted-train", f0=100.0)
-    return SignalBuffer(synthesize_rows([], [exc], fs, int(400 * fs / 100.0))[0], fs)
+    return synthesize_rows([], [exc], fs, int(400 * fs / 100.0))[0], fs
 
 
 class TestSourceTilt:

@@ -14,7 +14,7 @@ from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import MAX_TAIL_SAMPLES, TILT_CORNER_HZ, Excitation, synthesize_rows
-from specvalley.types import FormantSpec, SignalBuffer
+from specvalley.types import FormantSpec
 
 REL_TOL = 1e-12  # of the reference's peak
 
@@ -39,7 +39,7 @@ def reference_rows(formants, excitations, sample_rate, n_samples):
 
 def _pcm(samples, path):
     """The bytes `save_wav` writes for `samples` at 16 kHz."""
-    save_wav(path, SignalBuffer(samples, 16000.0))
+    save_wav(path, samples, 16000.0)
     return path.read_bytes()
 
 
