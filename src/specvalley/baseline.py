@@ -74,22 +74,22 @@ def dct_basis(n: int) -> np.ndarray:
 
 
 def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
-    """c1..c12 of a frame: power spectrum, mel filterbank, log, DCT-II.
+    """c1..c12 of each row of a frame stack: power spectrum, mel filterbank, log, DCT-II.
 
-    `frames` is one frame or an (n_frames, frame_len) stack, which gives an
-    (n_frames, N_COEFFS) matrix from one rfft and two `sigproc.stacked_product`
-    calls, the filterbank and the DCT, so each row equals what its frame
-    gives alone. c0 is dropped, which makes the kept coefficients invariant
-    to audio gain.
+    An (n_frames, frame_len) stack gives an (n_frames, N_COEFFS) matrix from
+    one rfft and two `sigproc.stacked_product` calls, the filterbank and the
+    DCT, so each row equals what its frame gives alone. c0 is dropped, which
+    makes the kept coefficients invariant to audio gain.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if not np.all(np.any(frames, axis=-1)):
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be an (n_frames, frame_len) stack, got shape {frames.shape}")
+    if not np.all(np.any(frames, axis=1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
-    spectrum = np.abs(np.fft.rfft(np.atleast_2d(frames), NFFT, axis=-1)) ** 2
+    spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=1)) ** 2
     energies = stacked_product(spectrum, mel_filterbank(sample_rate).T)
     log_e = np.log(np.maximum(energies, 1e-300))
-    coeffs = stacked_product(log_e, dct_basis(N_FILTERS)[1 : N_COEFFS + 1].T)
-    return coeffs if frames.ndim > 1 else coeffs[0]
+    return stacked_product(log_e, dct_basis(N_FILTERS)[1 : N_COEFFS + 1].T)
 
 
 def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, baseline, classify, corpus, experiments
+from . import __version__, baseline, classify, corpus, experiments, sigproc
 from .errors import AnalysisError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
 from .types import FormantSpec
@@ -39,6 +39,8 @@ NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not n
 AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
 HIDDEN_UNITS = (lambda n: 1 <= n <= baseline.MAX_HIDDEN_UNITS,
                 f"must be at least 1 and at most {baseline.MAX_HIDDEN_UNITS}")
+LP_ORDER = (lambda n: 1 <= n <= sigproc.MAX_LP_ORDER,
+            f"must be at least 1 and at most {sigproc.MAX_LP_ORDER}")
 GRID_SIZE = (lambda n: 64 <= n <= experiments.MAX_GRID_POINTS,
              f"must be at least 64 and at most {experiments.MAX_GRID_POINTS}")
 
@@ -378,7 +380,7 @@ def _add_corpus_args(p, with_feature=True):
     _number(p, "--frame-ms", 20.0, POSITIVE)
     _number(p, "--overlap", 0.5, UNIT_INTERVAL)
     _number(p, "--preemph", 0.97, UNIT_INTERVAL)
-    _number(p, "--lp-order", None, AT_LEAST_ONE, int, help="LP order (default: rate/1000 + 2)")
+    _number(p, "--lp-order", None, LP_ORDER, int, help="LP order (default: rate/1000 + 2)")
     p.add_argument("--include-central", action="store_true",
                    help="score central vowels as back instead of skipping them")
     if with_feature:
@@ -569,7 +571,7 @@ def _levels_flags(p):
 def _f0_flags(p):
     _add_case_args(p)
     p.add_argument("--f0-values", default="100,125,150,175,200,225,250")
-    _number(p, "--order", 8, AT_LEAST_ONE, int)
+    _number(p, "--order", 8, LP_ORDER, int)
     _number(p, "--lag-window", 24, NON_NEGATIVE, int,
             help="autocorrelation lag-window half-length (0 disables)")
 

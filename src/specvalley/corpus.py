@@ -31,7 +31,7 @@ class SegmentTable:
 
     One column holds the segments' 16-bit PCM samples back to back, as the
     WAVs store them, and nothing of the utterances around them: segment i is
-    pcm[offsets[i]:offsets[i + 1]], and `segment(i)` gives it as floats.
+    pcm[offsets[i]:offsets[i + 1]], which `pcm_to_float` gives as floats.
     """
 
     pcm: np.ndarray  # int16, 2 bytes per sample; `pcm_to_float` scales it to [-1, 1)
@@ -44,10 +44,6 @@ class SegmentTable:
 
     def __len__(self):
         return len(self.rate)
-
-    def segment(self, i: int) -> np.ndarray:
-        """Segment i's samples as float64 in [-1, 1), a new array."""
-        return pcm_to_float(self.pcm[self.offsets[i]:self.offsets[i + 1]])
 
     def segment_id(self, i: int) -> str:
         return f"{self.utterance_id[i]}:{self.start_sample[i]}"

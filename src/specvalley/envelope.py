@@ -1,6 +1,6 @@
 """Peak and valley analysis of spectral envelopes.
 
-`peak_levels` and `valley_minima` read the peaks and valleys of a stack of
+`window_peaks` and `valley_minima` read the peaks and valleys of a stack of
 envelopes (one envelope is a one-row stack). A peak search reads the bins of
 `window_bins` alone, which is all the bandwidth calibration evaluates.
 """
@@ -32,24 +32,6 @@ def peak_windows(freqs: np.ndarray, nominal_f, window_hz: float):
     return lo, np.minimum(hi, len(freqs) - 1, out=hi)
 
 
-def peak_levels(freqs: np.ndarray, levels_db: np.ndarray, nominal_f,
-                window_hz: float = PEAK_WINDOW_HZ):
-    """Highest local maximum within +/-window_hz of nominal_f on each row of a level stack.
-
-    `levels_db` is (n, len(freqs)) finite levels on the uniform grid
-    `freqs`; `nominal_f` is (n,), or (n, k) for k peaks per row. A bin is a
-    local maximum when it is at least as high as both neighbours; the first
-    of equal maxima wins, and the peak is refined by a parabola through its
-    three bins. Returns (peak_freq, peak_level, missing), each shaped like
-    `nominal_f`; `missing` marks the windows with no interior local maximum
-    (their frequency and level mean nothing).
-    """
-    shape = np.shape(nominal_f)
-    lo, hi = peak_windows(freqs, np.reshape(nominal_f, (len(levels_db), -1)), window_hz)
-    _, peak_freq, peak_level, missing = window_peaks(freqs, levels_db, lo, hi)
-    return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
-
-
 def window_bins(lo: np.ndarray, hi: np.ndarray, n_bins: int):
     """The bins a search of the windows [lo, hi) reads, and its candidates: (idx, inside).
 
@@ -64,7 +46,7 @@ def window_bins(lo: np.ndarray, hi: np.ndarray, n_bins: int):
 
 
 def gathered_peaks(db: np.ndarray, inside: np.ndarray):
-    """The search of `peak_levels` on the levels `db` at the `idx` of `window_bins`.
+    """The search of `window_peaks` on the levels `db` at the `idx` of `window_bins`.
 
     Returns (k, shift, level, missing), each inside.shape[:-1]: the maximum's
     offset from lo, its parabolic shift in bins, its refined level, and the
@@ -94,9 +76,11 @@ def window_peaks(freqs: np.ndarray, levels_db: np.ndarray, lo: np.ndarray, hi: n
 
     `lo` and `hi` are (n, k) bin bounds of k windows on each of the n rows of
     `levels_db`, as `peak_windows` gives them (1 <= lo, hi <= len(freqs) - 1).
-    The search and refinement are those of `peak_levels`. Returns (bin,
-    peak_freq, peak_level, missing), each (n, k): the grid index of each
-    maximum before refinement, and the frequency and level after it.
+    A local maximum is a bin at least as high as both neighbours, the first
+    of equal ones wins, and a parabola through its three bins refines it.
+    Returns (bin, peak_freq, peak_level, missing), each (n, k): the grid index
+    of each maximum before refinement, the frequency and level after it, and
+    the windows with no interior local maximum (their values mean nothing).
     """
     idx, inside = window_bins(lo, hi, len(freqs))
     if not inside.shape[-1]:  # every window is empty

@@ -383,15 +383,14 @@ def f0_influence_experiment(
     all-pole model exactly and the difference collapses toward zero as the
     harmonics densify.
     """
-    from .synth import Excitation, synthesize_rows
+    from .synth import synthesize_rows
 
     fm = sorted(case_formants, key=lambda f: f.frequency)
     f1, f2 = fm[0].frequency, fm[1].frequency
     reference = PairMeter(fm, (0, 1), sample_rate)
     v_ref = reference.measure((f1, fm[0].bandwidth), (f2, fm[1].bandwidth))[2]
     duration_s = F0_SETTLE_S + F0_ANALYSIS_S
-    trains = [Excitation("impulse-train", f0=f0, duration_s=duration_s) for f0 in f0_values]
-    signals = synthesize_rows(fm, trains, sample_rate, int(round(duration_s * sample_rate)))
+    signals = synthesize_rows(fm, f0_values, sample_rate, int(round(duration_s * sample_rate)))
     levels, mean_db = lp_envelope_of_signal(signals[:, int(F0_SETTLE_S * sample_rate):], lp_order,
                                             lag_window_half_length)
     return [F0Row(f0, v_ref, m - _peak_pair_rlsv(reference.freqs, row, f1, f2)[2])

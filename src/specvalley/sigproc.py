@@ -23,6 +23,9 @@ DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
 # rows per BLAS product of `stacked_product`: 8-row tiles keep the envelope
 # table in cache across rows, and a lone row pays for 7 rows of zeros
 TILE_ROWS = 8
+# the highest LP order `--lp-order` and `f0 --order` accept: far past the rate/1000 + 2 a
+# vowel needs, and `f0` then peaks near 250 MB building its 66 MB envelope table
+MAX_LP_ORDER = 1000
 
 
 def preemphasize(x: np.ndarray, alpha: float, starts=0) -> np.ndarray:
@@ -96,21 +99,21 @@ def window(frame: np.ndarray) -> np.ndarray:
 
 
 def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """r[..., k] = sum_n x[..., n]*x[..., n+k] for k = 0..max_lag.
+    """r[:, k] = sum_n x[:, n]*x[:, n+k] for k = 0..max_lag, one row per frame.
 
-    `frames` is one frame or an (n_frames, frame_len) stack, which gives one
-    (max_lag+1,) row per frame. Each lag is one row-wise dot product, so the
-    cost is O(frame_len * max_lag).
+    `frames` is an (n_frames, frame_len) stack. Each lag is one row-wise dot
+    product, so the cost is O(frame_len * max_lag).
     """
     x = np.asarray(frames, dtype=np.float64)
-    n = x.shape[-1]
+    if x.ndim != 2:
+        raise ValueError(f"frames must be an (n_frames, frame_len) stack, got shape {x.shape}")
+    n = x.shape[1]
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be < frame length {n}")
-    rows = np.atleast_2d(x)
-    r = np.empty((rows.shape[0], max_lag + 1))
+    r = np.empty((len(x), max_lag + 1))
     for k in range(max_lag + 1):
-        r[:, k] = np.einsum("ij,ij->i", rows[:, : n - k], rows[:, k:])
-    return r if x.ndim > 1 else r[0]
+        r[:, k] = np.einsum("ij,ij->i", x[:, : n - k], x[:, k:])
+    return r
 
 
 class LevinsonRows(NamedTuple):
@@ -248,24 +251,22 @@ def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024) -> Envelop
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues.
+    """All complex roots of an (n, degree+1) stack of real polynomials, as (n, degree).
 
-    `coeffs` is one polynomial or an (n, degree+1) stack of them, highest
-    degree first; every leading coefficient must be nonzero and the degree
-    at least 1. A stack is solved by one stacked eigenvalue call and gives
-    an (n, degree) array. Real coefficients give real companion matrices.
+    Highest degree first; every leading coefficient must be nonzero and the
+    degree at least 1. The stack's real companion matrices are solved by one
+    stacked eigenvalue call.
     """
-    c = np.asarray(coeffs)
-    c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
-    if c.ndim not in (1, 2) or c.shape[-1] < 2:
-        raise ValueError("polynomial degree must be >= 1")
-    lead = c[..., :1]
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise ValueError(f"coeffs must be an (n, degree+1) stack of degree >= 1, got {c.shape}")
+    lead = c[:, :1]
     if np.any(lead == 0):
         raise ValueError("leading coefficient must be nonzero")
-    n = c.shape[-1] - 1
-    companion = np.zeros(c.shape[:-1] + (n, n), dtype=c.dtype)
-    companion[..., 0, :] = -c[..., 1:] / lead
-    companion[..., np.arange(1, n), np.arange(0, n - 1)] = 1.0
+    n = c.shape[1] - 1
+    companion = np.zeros((len(c), n, n))
+    companion[:, 0, :] = -c[:, 1:] / lead
+    companion[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
     try:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here

@@ -1,7 +1,6 @@
 """Cascaded formant synthesis and bandwidth-to-level calibration."""
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -10,8 +9,6 @@ from .envelope import PEAK_WINDOW_HZ, gathered_peaks, peak_windows, window_bins
 from .sigproc import (cascade_grid, cascade_levels, resonator_db, resonator_denominator,
                       resonator_taps)
 from .types import FormantSpec
-
-EXCITATION_KINDS = ("unit-impulse", "impulse-train", "tilted-train")
 
 # corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
@@ -36,36 +33,6 @@ MAX_ROUNDS = 50
 CALIBRATION_POINTS = 2048
 
 
-@dataclass
-class Excitation:
-    """Synthesizer source: a single impulse, a pulse train or a tilted pulse train."""
-
-    kind: str = "unit-impulse"
-    f0: float = 0.0
-    duration_s: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in EXCITATION_KINDS:
-            raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if self.kind != "unit-impulse" and self.f0 <= 0:
-            raise ValueError("pulse trains need a positive f0")
-        if self.kind != "unit-impulse" and self.duration_s < 1.0 / self.f0:
-            raise ValueError("duration too short for one period")
-
-
-def _pulses(exc: Excitation, sample_rate: float, n_samples: int) -> np.ndarray:
-    """The excitation's impulse or impulse train, before any source tilt."""
-    x = np.zeros(n_samples)
-    if exc.kind == "unit-impulse":
-        x[0] = 1.0
-        return x
-    period = int(round(sample_rate / exc.f0))
-    if period < 1:
-        raise ValueError(f"f0 {exc.f0} Hz too high for sample rate {sample_rate}")
-    x[::period] = 1.0
-    return x
-
-
 def source_tilt_response(zinv: np.ndarray, sample_rate: float) -> np.ndarray:
     """(1 - p)/(1 - p*z^-1), the source-tilt lowpass, at the points `zinv` = e^(-jw)."""
     pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
@@ -80,34 +47,41 @@ def _rfft_zinv(size: int) -> np.ndarray:
     return zinv
 
 
-def synthesize_rows(formants, excitations, sample_rate: float, n_samples: int) -> np.ndarray:
-    """Run each excitation serially through one resonator per formant: (k, n_samples).
+def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
+                    tilted: bool = False) -> np.ndarray:
+    """Run a pulse train per F0 serially through one resonator per formant: (k, n_samples).
 
-    Every resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with
-    the taps of `sigproc.resonator_taps`, and a tilted train adds the
-    source-tilt lowpass. The cascade is linear and time-invariant, so it is
-    applied as one frequency response, the product of its sections' on an
-    rfft grid of a power-of-two size L at or above `n_samples` plus
-    TAIL_TIME_CONSTANTS time constants of the slowest pole: one rfft of the
-    stacked pulse trains, one product, one irfft cut to `n_samples`. A row
-    does not depend on the rows stacked with it. With no formant and no tilt
-    the pulses come back unfiltered.
+    Row r has a unit pulse every round(sample_rate / f0s[r]) samples from
+    sample 0, and an F0 of 0 leaves the single pulse at sample 0. Every
+    resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with the
+    taps of `sigproc.resonator_taps`, and `tilted` adds the source-tilt
+    lowpass. The cascade is linear and time-invariant, so it is applied as
+    one frequency response, the product of its sections' on an rfft grid of
+    a power-of-two size L at or above `n_samples` plus TAIL_TIME_CONSTANTS
+    time constants of the slowest pole: one rfft of the stacked pulse trains,
+    one product, one irfft cut to `n_samples`. A row does not depend on the
+    rows stacked with it. With no formant and no tilt the pulses come back
+    unfiltered.
 
-    Raises ValueError for a formant at or above Nyquist, for excitations
-    that mix tilted and untilted trains, and for a bandwidth whose tail
-    would take more than MAX_TAIL_SAMPLES samples.
+    Raises ValueError for a negative or non-finite F0, a train shorter than
+    its period (n_samples * f0 < sample_rate), a formant at or above Nyquist,
+    and a bandwidth whose tail would take more than MAX_TAIL_SAMPLES samples.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    excitations = list(excitations)
-    kinds = {e.kind == "tilted-train" for e in excitations}
-    if len(kinds) > 1:
-        raise ValueError("excitations must be all tilted trains or none")
-    tilted = True in kinds
+    x = np.zeros((len(f0s), n_samples))
+    for row, f0 in zip(x, map(float, f0s)):
+        if not (np.isfinite(f0) and f0 >= 0):
+            raise ValueError(f"f0 must be finite and not negative, got {f0}")
+        if f0 and n_samples * f0 < sample_rate:
+            raise ValueError("duration too short for one period")
+        period = round(sample_rate / f0) if f0 else n_samples
+        if period < 1:
+            raise ValueError(f"f0 {f0} Hz too high for sample rate {sample_rate}")
+        row[::period] = 1.0
     for f in formants:
         if f.frequency >= sample_rate / 2.0:
             raise ValueError(f"resonator frequency {f.frequency} Hz must be below Nyquist")
-    x = np.array([_pulses(e, sample_rate, n_samples) for e in excitations]).reshape(-1, n_samples)
     # the tilt pole exp(-2*pi*TILT_CORNER_HZ/fs) decays as a resonator of twice that bandwidth
     bandwidths = [f.bandwidth for f in formants] + ([2.0 * TILT_CORNER_HZ] if tilted else [])
     if not bandwidths:
@@ -140,9 +114,9 @@ class BandwidthCalibration(NamedTuple):
 def calibrate_bandwidth_rows(
     formant_freqs,
     target_levels,
-    exc: Excitation,
     sample_rate: float,
     extra_formants=None,
+    tilted: bool = False,
 ) -> BandwidthCalibration:
     """Find, row by row, bandwidths whose relative peak levels match the targets.
 
@@ -151,7 +125,7 @@ def calibrate_bandwidth_rows(
     (default: none). The targets count relative to L1, which leaves B1
     unconstrained: B1 stays at INITIAL_BANDWIDTH, while B2 and B3 are
     bisected over SEARCH_RANGE_HZ against the analytic cascade spectrum (plus
-    the excitation's source tilt), for up to MAX_ROUNDS rounds, until the
+    the source tilt when `tilted`), for up to MAX_ROUNDS rounds, until the
     relative levels land within TOLERANCE_DB. All rows bisect in lockstep,
     and a row leaves the stack after the round in which it converges. Only
     the formant being bisected is re-evaluated, and only on the bins
@@ -187,7 +161,7 @@ def calibrate_bandwidth_rows(
     zinv = zinv[bins]
     terms = [resonator_db(cascade_f[:, s, None], cascade_b[:, s, None], zinv, sample_rate)
              for s in range(cascade_f.shape[1])]
-    if exc.kind == "tilted-train":
+    if tilted:
         terms.append(20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate))))
 
     rounds = np.zeros(n, dtype=int)

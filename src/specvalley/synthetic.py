@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
 from .experiments import BACK_VOWELS, FRONT_VOWELS
-from .synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
+from .synth import calibrate_bandwidth_rows, synthesize_rows
 from .types import FormantSpec
 
 CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
@@ -67,13 +67,12 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
     entries = [e for e in entries if e.vowel in CLASSIFIED_VOWELS]
     if not entries:
         return []
-    exc = Excitation("tilted-train", f0=100.0)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries],
         [(e.l1, e.l2, e.l3) for e in entries],
-        exc,
         sample_rate,
         extra_formants=[[FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]] for e in entries],
+        tilted=True,
     )
     recipes = []
     for e, bws, rounds, residuals, converged in zip(entries, *fit):
@@ -117,8 +116,7 @@ def synthesize_vowel_token(
         prev = f
     f0 = rng.uniform(*F0_RANGE_HZ)
     dur = rng.uniform(*DURATION_RANGE_S)
-    exc = Excitation("tilted-train", f0=f0, duration_s=dur)
-    token = synthesize_rows(formants, [exc], sample_rate, round(dur * sample_rate))[0]
+    token = synthesize_rows(formants, [f0], sample_rate, round(dur * sample_rate), tilted=True)[0]
     return token * (0.3 / np.max(np.abs(token)))
 
 
@@ -178,12 +176,10 @@ def build_babble(
     mix = np.zeros(n)
     for _ in range(BABBLE_VOICES):
         r = recipes[int(rng.integers(len(recipes)))]
-        exc = Excitation(
-            "tilted-train", f0=float(rng.uniform(90.0, 260.0)), duration_s=duration_s + 0.05
-        )
+        f0 = float(rng.uniform(90.0, 260.0))
         formants = [FormantSpec(f, b) for f, b in zip(r.formants_hz, r.bandwidths_hz)]
-        voice = synthesize_rows(formants, [exc], sample_rate,
-                                round(exc.duration_s * sample_rate))[0][:n]
+        voice = synthesize_rows(formants, [f0], sample_rate,
+                                round((duration_s + 0.05) * sample_rate), tilted=True)[0][:n]
         mix += voice / np.sqrt(np.mean(voice**2))
     mix *= 0.15 / np.max(np.abs(mix))
     path = Path(path)

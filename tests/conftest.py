@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from specvalley import synthetic
-from specvalley.corpus import load_pb_table, default_pb_table_path
+from specvalley.corpus import load_pb_table, default_pb_table_path, pcm_to_float
+from specvalley.envelope import PEAK_WINDOW_HZ, peak_windows, window_peaks
 
 CORPUS_SEED = 20240801
 CORPUS_SIZE = 500
@@ -88,17 +89,37 @@ def noisy_corpus(corpus_table, babble_path):
         key = (kind, float(snr))
         if key not in mixed:
             mix = noise_mixer(corpus_table, rows, kind, float(snr), 0, babble)
-            mixed[key] = [mix(i, corpus_table.segment(i)) for i in range(len(corpus_table))]
+            mixed[key] = [mix(i, segment(corpus_table, i)) for i in range(len(corpus_table))]
         return lambda i, x: mixed[key][i]
 
     return condition
 
 
+def segment(table, i):
+    """Segment i of a `corpus.SegmentTable` as float64 in [-1, 1), a new array."""
+    return pcm_to_float(table.pcm[table.offsets[i]:table.offsets[i + 1]])
+
+
 def segment_audio(table, mix=None):
     """Each segment of a `corpus.SegmentTable` as the (samples, rate) of its float
     samples, passed through the `mix(i, x)` hook when given."""
-    return [(table.segment(i) if mix is None else mix(i, table.segment(i)), table.rate[i])
+    return [(segment(table, i) if mix is None else mix(i, segment(table, i)), table.rate[i])
             for i in range(len(table))]
+
+
+def peak_levels(freqs, levels_db, nominal_f, window_hz=PEAK_WINDOW_HZ):
+    """Highest local maximum within +/-window_hz of nominal_f on each row of a level stack.
+
+    `levels_db` is (n, len(freqs)) finite levels on the uniform grid `freqs`;
+    `nominal_f` is (n,), or (n, k) for k peaks per row. The windows are those
+    of `envelope.peak_windows`, searched by `envelope.window_peaks`. Returns
+    (peak_freq, peak_level, missing), each shaped like `nominal_f`; `missing`
+    marks the windows with no interior local maximum.
+    """
+    shape = np.shape(nominal_f)
+    lo, hi = peak_windows(freqs, np.reshape(nominal_f, (len(levels_db), -1)), window_hz)
+    _, peak_freq, peak_level, missing = window_peaks(freqs, levels_db, lo, hi)
+    return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
 
 
 def frames_of(audio, cfg=None):

@@ -30,16 +30,16 @@ class TestMfcc:
 
     def test_gain_moves_only_c0(self):
         frame = self._frame()
-        a = mfcc(frame, FS)
-        b = mfcc(frame * 12.5, FS)
+        a = mfcc(frame[None, :], FS)[0]
+        b = mfcc(frame[None, :] * 12.5, FS)[0]
         assert len(a) == 12
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_noise_and_tone_differ(self):
         t = np.arange(320) / FS
         tone = np.sin(2 * np.pi * 1000.0 * t)
-        a = mfcc(self._frame(), FS)
-        b = mfcc(tone, FS)
+        a = mfcc(self._frame()[None, :], FS)[0]
+        b = mfcc(tone[None, :], FS)[0]
         assert np.linalg.norm(a - b) > 0.1
 
     def test_dct_orthogonality(self):
@@ -68,11 +68,15 @@ class TestMfcc:
         stacked = mfcc(frames, FS)
         assert stacked.shape == (30, N_COEFFS)
         for row, frame in zip(stacked, frames):
-            assert np.array_equal(row, mfcc(frame, FS))
+            assert np.array_equal(row, mfcc(frame[None, :], FS)[0])
 
     def test_zero_frame_rejected(self):
         with pytest.raises(DegenerateInputError):
-            mfcc(np.zeros(320), FS)
+            mfcc(np.zeros((1, 320)), FS)
+
+    def test_one_frame_is_a_one_row_stack(self):
+        with pytest.raises(ValueError, match=r"\(n_frames, frame_len\) stack"):
+            mfcc(self._frame(), FS)
 
     def test_segment_matrix_shape(self):
         sig = np.random.default_rng(1).standard_normal(1600) * 0.1

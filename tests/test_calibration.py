@@ -1,10 +1,11 @@
 """The stacked bandwidth calibration and peak pick agree with the scalar loops.
 
 `calibrate_bandwidth_rows` calibrates many formant sets in one bisection and
-`peak_levels` reads the peaks of a level stack; the sweeps run it on one-row
-stacks. The reference below is the scalar calibration they
-replaced: the whole cascade re-evaluated at every bisection step, peaks found
-by a Python loop over the window. The stacked forms must give the same floats.
+`envelope.window_peaks` reads the peaks of a level stack (here through
+`conftest.peak_levels`); the sweeps run it on one-row stacks. The reference
+below is the scalar calibration they replaced: the whole cascade re-evaluated
+at every bisection step, peaks found by a Python loop over the window. The
+stacked forms must give the same floats.
 """
 
 import hashlib
@@ -15,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_reference import source_tilt_db
+from conftest import peak_levels
 from specvalley import synth
 from specvalley.corpus import default_pb_table_path, load_pb_table
-from specvalley.envelope import peak_levels
 from specvalley.errors import CalibrationError
-from specvalley.synth import Excitation, calibrate_bandwidth_rows
+from specvalley.synth import calibrate_bandwidth_rows
 from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
 from specvalley.types import FormantSpec
 
-RECIPE_EXCITATION = Excitation("tilted-train", f0=100.0)
+RECIPE_TILTED = True  # build_recipes calibrates against the tilted source
 
 
 def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
@@ -46,7 +47,7 @@ def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
     return float(freqs[best] + shift * (freqs[1] - freqs[0])), float(y0 - 0.25 * (ym - yp) * shift)
 
 
-def _reference_levels(formants, exc, fs, n_points=2048):
+def _reference_levels(formants, tilted, fs, n_points=2048):
     """Cascade levels summed resonator by resonator in frequency order, plus tilt."""
     freqs = np.linspace(0.0, fs / 2.0, n_points)
     levels = np.zeros(n_points)
@@ -58,12 +59,12 @@ def _reference_levels(formants, exc, fs, n_points=2048):
         a2 = radius * radius
         den = 1.0 + a1 * zinv + a2 * zinv * zinv
         levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
-    if exc.kind == "tilted-train":
+    if tilted:
         levels = levels + source_tilt_db(freqs, fs)
     return freqs, levels
 
 
-def _reference_calibration(freqs3, target_levels, exc, fs, extra=(),
+def _reference_calibration(freqs3, target_levels, tilted, fs, extra=(),
                            search_range=(30.0, 600.0), tolerance_db=0.5, max_rounds=50):
     """The scalar calibration loop: (bandwidths, rounds, residuals, converged)."""
     freqs3 = [float(f) for f in freqs3]
@@ -72,7 +73,7 @@ def _reference_calibration(freqs3, target_levels, exc, fs, extra=(),
 
     def measured_rel():
         formants = [FormantSpec(f, b) for f, b in zip(freqs3, bws)] + list(extra)
-        freqs, levels = _reference_levels(formants, exc, fs)
+        freqs, levels = _reference_levels(formants, tilted, fs)
         peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
         if None in peaks:
             return None
@@ -114,7 +115,7 @@ def test_recipes_equal_the_scalar_calibration():
     assert len(recipes) == len(entries) == 18
     for recipe, e in zip(recipes, entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_EXCITATION, 16000.0, _upper(e)
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_TILTED, 16000.0, _upper(e)
         )
         assert converged
         assert np.array_equal(recipe.bandwidths_hz[:3], bws), (e.vowel, e.gender)
@@ -191,12 +192,12 @@ def test_recipe_rows_equal_the_scalar_calibration_at_10khz(monkeypatch):
     monkeypatch.setattr(synth, "MAX_ROUNDS", 3)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries], [(e.l1, e.l2, e.l3) for e in entries],
-        RECIPE_EXCITATION, 10000.0, extra_formants=[_upper(e) for e in entries],
+        10000.0, extra_formants=[_upper(e) for e in entries], tilted=RECIPE_TILTED,
     )
     assert 0 < fit.converged.sum() < 18
     for r, e in enumerate(entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_EXCITATION, 10000.0, _upper(e),
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_TILTED, 10000.0, _upper(e),
             max_rounds=3,
         )
         assert np.array_equal(fit.bandwidths[r], bws), (e.vowel, e.gender)
@@ -209,18 +210,17 @@ UNREACHABLE = (0.0, 40.0, -10.0)
 
 
 def test_unreachable_row_fails_alone(monkeypatch):
-    exc = Excitation("unit-impulse")
     rows = [(0.0, -12.0, -22.0), UNREACHABLE, (-3.0, -10.0, -30.0)]
     monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
-    fit = calibrate_bandwidth_rows([FREQS] * 3, rows, exc, 10000.0)
+    fit = calibrate_bandwidth_rows([FREQS] * 3, rows, 10000.0)
     assert fit.converged.tolist() == [True, False, True]
     assert fit.rounds[1] == 5
-    _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, exc, 10000.0,
+    _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, False, 10000.0,
                                                         max_rounds=5)
     assert not converged
     assert np.array_equal(fit.residuals_db[1], residuals)
     for r in (0, 2):
-        bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], exc, 10000.0, max_rounds=5)
+        bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], False, 10000.0, max_rounds=5)
         assert np.array_equal(fit.bandwidths[r], bws)
         assert fit.rounds[r] == rounds
 
@@ -243,18 +243,18 @@ def test_build_recipes_names_the_vowel_that_failed(tmp_path):
 def test_rows_with_different_extra_formants(monkeypatch):
     # at 10 kHz the first row's peaks merge in every round: its residuals
     # stay unmeasured (inf)
-    exc = RECIPE_EXCITATION
     extras = [[FormantSpec(3500.0, 150.0), FormantSpec(4500.0, 200.0)],
               [FormantSpec(3300.0, 150.0), FormantSpec(4100.0, 250.0)]]
     targets = [(-2.0, -17.0, -24.0), (-3.0, -15.0, -25.0)]
     freqs = [(530.0, 1840.0, 2480.0), FREQS]
     monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
-    fit = calibrate_bandwidth_rows(freqs, targets, exc, 10000.0, extra_formants=extras)
+    fit = calibrate_bandwidth_rows(freqs, targets, 10000.0, extra_formants=extras,
+                                   tilted=RECIPE_TILTED)
     assert not fit.converged[0]
     assert np.isinf(fit.residuals_db[0]).all()
     for r in range(2):
         bws, rounds, residuals, converged = _reference_calibration(
-            freqs[r], targets[r], exc, 10000.0, extras[r], max_rounds=5
+            freqs[r], targets[r], RECIPE_TILTED, 10000.0, extras[r], max_rounds=5
         )
         assert np.array_equal(fit.bandwidths[r], bws)
         assert (fit.rounds[r], fit.converged[r]) == (rounds, converged)
@@ -269,8 +269,9 @@ def test_rows_out_of_frequency_order_are_refused(freqs, extras):
     # a row's resonator terms are summed in the order given, so it must ascend
     rows = [FREQS, freqs]
     with pytest.raises(ValueError, match=r"row 1: formants must ascend, got \["):
-        calibrate_bandwidth_rows(rows, [(0.0, -12.0, -22.0)] * 2, RECIPE_EXCITATION, 10000.0,
-                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras])
+        calibrate_bandwidth_rows(rows, [(0.0, -12.0, -22.0)] * 2, 10000.0,
+                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras],
+                                 tilted=RECIPE_TILTED)
 
 
 def _level_rows(rng, kind, n_bins):
@@ -328,4 +329,4 @@ def test_peak_levels_keeps_the_input_checks():
 def test_calibration_keeps_the_input_checks():
     # at 1 MHz the 2048-point grid is 244 Hz apart, wider than the 200 Hz peak window
     with pytest.raises(ValueError, match="search window must exceed the grid spacing"):
-        calibrate_bandwidth_rows([FREQS], [(0.0, -12.0, -22.0)], Excitation("unit-impulse"), 1e6)
+        calibrate_bandwidth_rows([FREQS], [(0.0, -12.0, -22.0)], 1e6)

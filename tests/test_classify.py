@@ -16,7 +16,7 @@ from specvalley.classify import (
 )
 from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
-from specvalley.synth import Excitation, synthesize_rows
+from specvalley.synth import synthesize_rows
 from specvalley.types import FormantSpec
 
 FS = 16000.0
@@ -25,8 +25,7 @@ FS = 16000.0
 def synth_segment(freqs, bws=None, f0=120.0, dur=0.15):
     bws = bws or [100.0] * len(freqs)
     fm = [FormantSpec(f, b) for f, b in zip(freqs, bws)]
-    exc = Excitation("tilted-train", f0=f0, duration_s=dur)
-    x = synthesize_rows(fm, [exc], FS, round(dur * FS))[0]
+    x = synthesize_rows(fm, [f0], FS, round(dur * FS), tilted=True)[0]
     return x / np.max(np.abs(x)) * 0.3, FS
 
 

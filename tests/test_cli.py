@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import segment
 from specvalley.cli import run
 from specvalley.scales import hz_to_bark
 
@@ -738,7 +739,7 @@ def test_snr_beyond_the_bound_is_a_usage_error(value, tmp_path, no_corpus_readin
 def test_lp_order_below_one_is_a_usage_error(command, value, tmp_path, no_corpus_reading,
                                              capsys):
     err = _rejects_before_reading(command, [f"--lp-order={value}"], tmp_path, capsys)
-    assert f"--lp-order must be at least 1, got {value}" in err
+    assert f"--lp-order must be at least 1 and at most 1000, got {value}" in err
 
 
 @pytest.mark.parametrize("command", CORPUS_COMMANDS)
@@ -894,6 +895,12 @@ FLAG_FAULTS = [
     *((["baseline", f"--hidden={hidden}"], 2,
        f"--hidden must be at least 1 and at most 10000, got {hidden}")
       for hidden in (10001, 2**63 - 1)),
+    # the LP order is bounded before any envelope table is built
+    *(([*command, f"{flag}={order}"], 2,
+       f"{flag} must be at least 1 and at most 1000, got {order}")
+      for command, flag in ((["f0", "--case=a"], "--order"),
+                            (["classify", "--corpus=/nonexistent"], "--lp-order"))
+      for order in (1001, 3199, 2**63 - 1)),
 ]
 
 
@@ -1326,27 +1333,33 @@ def test_pre_emphasis_restarts_at_every_segment(small_corpus_dir, pipeline_calls
     assert [len(segments) for segments, *_ in pipeline_calls] == [2]
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify"], ["hist"],
-    ["noise-eval", "--noise", "white,babble", "--snrs", "25,0"]], ids=lambda argv: argv[0])
-def test_no_float_copy_of_a_segment_outside_its_block(argv, small_corpus_dir, babble_path,
-                                                      monkeypatch, tmp_path):
-    # the stage converts each block from the table's PCM itself, and the noise
-    # rules read the PCM, so no command asks the table for a segment's floats
-    from specvalley.corpus import SegmentTable
+@pytest.mark.parametrize("argv, conditions", [
+    (["classify"], 1), (["hist"], 1),
+    (["noise-eval", "--noise", "white,babble", "--snrs", "25,0"], 4)],
+    ids=["classify", "hist", "noise-eval"])
+def test_no_float_copy_of_a_segment_outside_its_block(argv, conditions, small_corpus_dir,
+                                                      babble_path, monkeypatch, tmp_path):
+    # the stage converts each block from the table's PCM itself, once per
+    # condition, and the noise rules read the PCM: no segment is converted alone
+    from specvalley import classify
+    from specvalley.corpus import collect_segments, timit_inventory
 
-    calls, segment = [], SegmentTable.segment
+    table = collect_segments(small_corpus_dir, ".phn", timit_inventory())
+    blocks = [rows for rows, *_ in classify.segment_blocks(table, classify.PipelineConfig())]
+    assert 1 < len(blocks) < len(table)
+    converted, pcm_to_float = [], classify.pcm_to_float
 
-    def counted(self, i):
-        calls.append(i)
-        return segment(self, i)
+    def counted(pcm):
+        converted.append(len(pcm))
+        return pcm_to_float(pcm)
 
-    monkeypatch.setattr(SegmentTable, "segment", counted)
+    monkeypatch.setattr(classify, "pcm_to_float", counted)
     if argv[0] == "noise-eval":
         argv = argv + ["--babble-source", str(babble_path)]
     assert run(argv + ["--corpus", str(small_corpus_dir), "--out", str(tmp_path / "o.csv"),
                        "--no-timestamp"]) == 0
-    assert calls == []
+    spans = [int(table.offsets[rows[-1] + 1] - table.offsets[rows[0]]) for rows in blocks]
+    assert converted == spans * conditions
 
 
 @pytest.fixture(scope="module")
@@ -1373,10 +1386,10 @@ def test_babble_that_cannot_cover_a_segment_fails_before_any_analysis(
                 "--snrs", "25,0", "--babble-source", str(path), "--out", str(out),
                 "--no-timestamp"]) == 1
     # the first segment is longer than 1600 samples, so it is the one named
-    assert len(table.segment(0)) > 1600
+    assert len(segment(table, 0)) > 1600
     assert capsys.readouterr().err == (
         f"error: --babble-source {path} ({babble_cells}) cannot cover segment "
-        f"{table.segment_id(0)} ({len(table.segment(0))} samples at 16000 Hz)\n")
+        f"{table.segment_id(0)} ({len(segment(table, 0))} samples at 16000 Hz)\n")
     assert pipeline_calls == [] and not out.exists()
 
 
@@ -1408,7 +1421,7 @@ def test_babble_need_not_cover_a_silent_segment(silent_vowel_corpus_dirs, babble
 
     _, silent, silent_id = silent_vowel_corpus_dirs
     table = collect_segments(silent, ".phn", timit_inventory())
-    lengths = {table.segment_id(i): len(table.segment(i)) for i in range(len(table))}
+    lengths = {table.segment_id(i): len(segment(table, i)) for i in range(len(table))}
     sounding = max(n for seg_id, n in lengths.items() if seg_id != silent_id)
     babble = tmp_path / "babble.wav"
     save_wav(babble, load_wav(babble_path)[0][:sounding], 16000.0)
@@ -1469,7 +1482,7 @@ def _full_buffer_mix(table, kind, snr, seed, babble):
 def _mixes_as_the_full_buffer(table, mix, samples):
     for i in range(len(table)):
         a, b = table.offsets[i], table.offsets[i + 1]
-        assert mix(i, table.segment(i)).tobytes() == samples[a:b].tobytes()
+        assert mix(i, segment(table, i)).tobytes() == samples[a:b].tobytes()
 
 
 def test_noise_eval_hook_mixes_as_the_full_buffer_loop(silent_vowel_corpus_dirs, babble_path,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import segment
 from specvalley.corpus import (
     MAX_SNR_DB,
     NOISE_KINDS,
@@ -132,7 +133,7 @@ class TestCollectSegments:
             "DR1/FAKS0/SA1", "DR1/FCJF0/SA1", "DR2/MABC0/SX9", "top",
         ]
         assert list(zip(segs.label.tolist(), segs.start_sample.tolist())) == [("iy", 1600)] * 4
-        assert not np.array_equal(segs.segment(0), segs.segment(1))
+        assert not np.array_equal(segment(segs, 0), segment(segs, 1))
         again = collect_segments(tmp_path, ".PHN", timit_inventory())
         assert again.utterance_id.tolist() == segs.utterance_id.tolist()
 
@@ -198,8 +199,8 @@ def _rglob_collect_segments(corpus_dir, labels_ext, inventory):
 def _table_rows(table):
     """The rows of a segment table as `_rglob_collect_segments` gives them."""
     return [(table.utterance_id[i], table.start_sample[i],
-             table.start_sample[i] + len(table.segment(i)), table.label[i], table.fb_class[i],
-             table.rate[i], table.segment(i)) for i in range(len(table))]
+             table.start_sample[i] + len(segment(table, i)), table.label[i], table.fb_class[i],
+             table.rate[i], segment(table, i)) for i in range(len(table))]
 
 
 class TestCollectSegmentsEqualsTheRglobWalk:
@@ -509,19 +510,19 @@ class TestNoiseMixer:
         table, babble = self._table(), self._babble(4000)
         mix = noise_mixer(table, np.array([2, 1, 0]), kind, 10.0, 7, babble)
         for i, seed in ((2, 7), (0, 9)):
-            x = table.segment(i)
+            x = segment(table, i)
             assert mix(i, x).tobytes() == mix_noise(x, self.RATE, kind, 10.0, seed,
                                                     babble).tobytes()
-        x = table.segment(0)
+        x = segment(table, 0)
         left_out = noise_mixer(table, np.array([2]), kind, 10.0, 7, babble)
         assert left_out(0, x) is x
 
     def test_a_silent_segment_is_unmixed_and_needs_no_babble_coverage(self):
         table, babble = self._table(), self._babble(500)
         mix = noise_mixer(table, np.arange(3), "babble", 10.0, 0, babble)
-        silent = table.segment(1)
+        silent = segment(table, 1)
         assert mix(1, silent) is silent
-        x = table.segment(2)
+        x = segment(table, 2)
         assert mix(2, x).tobytes() == mix_noise(x, self.RATE, "babble", 10.0, 2, babble).tobytes()
 
     @pytest.mark.parametrize("babble, message", [
@@ -554,5 +555,5 @@ class TestSegmentTable:
             samples, _ = load_wav(root / f"{table.utterance_id[i]}.wav")
             start = table.start_sample[i]
             expected = samples[start:start + table.offsets[i + 1] - table.offsets[i]]
-            got = table.segment(i)
+            got = segment(table, i)
             assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()

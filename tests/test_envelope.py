@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum
+from conftest import peak_levels
 from specvalley.envelope import (
     gathered_peaks,
-    peak_levels,
     peak_windows,
     valley_minima,
     window_bins,
@@ -52,7 +52,8 @@ class TestMeanSpectralLevel:
 
 
 class TestLocatePeak:
-    """The peak search of one envelope: `peak_levels` on a one-row stack."""
+    """The peak search of one envelope: `window_peaks` on a one-row stack, through
+    the `conftest.peak_levels` helper."""
 
     def test_single_resonator(self):
         freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
@@ -185,7 +186,7 @@ def test_the_search_reads_exactly_the_read_set(seed):
 
 class TestRlsv:
     """Mean level minus the level of the valley between two located peaks, as
-    the sweeps measure it: one `peak_levels` call for the pair of nominal
+    the sweeps measure it: one `window_peaks` call for the pair of nominal
     frequencies, then `valley_minima` between the two peaks."""
 
     def test_four_formant_near_zero_point(self):

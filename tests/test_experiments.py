@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum
+from conftest import peak_levels
 from specvalley import experiments
 from specvalley.errors import (
     AnalysisError,
@@ -31,7 +32,6 @@ from specvalley.experiments import (
     pb_sweeps,
     sweep_step_bound,
 )
-from specvalley.envelope import peak_levels
 from specvalley.scales import hz_to_bark
 from specvalley.types import FormantSpec
 

@@ -38,10 +38,9 @@ import numpy as np
 import specvalley.baseline, specvalley.experiments, specvalley.synth, specvalley.synthetic
 report["import_random"] = "numpy.random" in sys.modules
 from specvalley.types import FormantSpec
-specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)],
-                                 [specvalley.synth.Excitation("tilted-train", f0=100.0)],
-                                 16000.0, 8000)
-specvalley.baseline.mfcc(np.ones(400), 16000.0)
+specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)], [100.0], 16000.0, 8000,
+                                 tilted=True)
+specvalley.baseline.mfcc(np.ones((1, 400)), 16000.0)
 report["runtime_scipy"] = scipy_modules()
 print(json.dumps(report))
 """

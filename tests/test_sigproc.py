@@ -6,9 +6,9 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from cascade_reference import analytic_cascade_spectrum
+from conftest import peak_levels
 from specvalley import experiments
 from specvalley import synth as synth_module
-from specvalley.envelope import peak_levels
 from specvalley.errors import DegenerateInputError, SingularEnvelopeError
 from specvalley.experiments import lp_envelope_of_signal
 from specvalley.sigproc import (
@@ -29,7 +29,7 @@ from specvalley.sigproc import (
     resonator_taps,
     window,
 )
-from specvalley.synth import Excitation, synthesize_rows
+from specvalley.synth import synthesize_rows
 from specvalley.types import FormantSpec
 from test_formant_anchors import _reflection
 
@@ -147,15 +147,15 @@ class TestWindow:
 
 class TestAutocorrelation:
     def test_impulse(self):
-        assert np.allclose(autocorrelation(np.array([1.0, 0.0, 0.0]), 1), [1.0, 0.0])
+        assert np.allclose(autocorrelation(np.array([[1.0, 0.0, 0.0]]), 1), [[1.0, 0.0]])
 
     def test_two_ones(self):
-        assert np.allclose(autocorrelation(np.array([1.0, 1.0]), 1), [2.0, 1.0])
+        assert np.allclose(autocorrelation(np.array([[1.0, 1.0]]), 1), [[2.0, 1.0]])
 
     def test_matches_brute_force_and_peak_at_zero_lag(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(64)
-        r = autocorrelation(x, 10)
+        r = autocorrelation(x[None], 10)[0]
         brute = np.array(
             [sum(x[n] * x[n + k] for n in range(64 - k)) for k in range(11)]
         )
@@ -164,7 +164,11 @@ class TestAutocorrelation:
 
     def test_lag_bound(self):
         with pytest.raises(ValueError):
-            autocorrelation(np.ones(4), 4)
+            autocorrelation(np.ones((1, 4)), 4)
+
+    def test_one_frame_is_a_one_row_stack(self):
+        with pytest.raises(ValueError, match=r"\(n_frames, frame_len\) stack"):
+            autocorrelation(np.ones(4), 1)
 
 
 class TestLevinson:
@@ -191,17 +195,17 @@ class TestLevinson:
             poles += [r * np.exp(1j * th), r * np.exp(-1j * th)]
         a_true = np.real(np.poly(poles))  # [1, a1, ..., a10] error filter
         x = lfilter([1.0], a_true, rng.standard_normal(400000))
-        r = autocorrelation(x, 10) / len(x)
+        r = autocorrelation(x[None], 10)[0] / len(x)
         assert np.allclose(levinson_rows(r[None, :], 10).a[0], a_true, atol=1e-2)
         # exactness check against the analytic autocorrelation route
-        r_exact = autocorrelation(lfilter([1.0], a_true, np.eye(1, 4096, 0)[0]), 10)
+        r_exact = autocorrelation(lfilter([1.0], a_true, np.eye(1, 4096, 0)), 10)[0]
         assert np.allclose(levinson_rows(r_exact[None, :], 10).a[0], a_true, atol=1e-6)
 
     def test_matches_dense_toeplitz_solve(self):
         rng = np.random.default_rng(5)
         x = lfilter([1.0], [1.0, -0.6, 0.3], rng.standard_normal(8192))
         for order in (2, 8, 20):
-            r = autocorrelation(x, order)
+            r = autocorrelation(x[None], order)[0]
             fit = levinson_rows(r[None, :], order)
             dense = np.linalg.solve(toeplitz(r[:order]), r[1 : order + 1])
             assert np.max(np.abs(-fit.a[0, 1:] - dense)) < 1e-9
@@ -229,9 +233,9 @@ class TestLevinson:
     def test_lp_envelope_is_the_one_row_lpc_levels(self):
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
         x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
-                            [Excitation("impulse-train", f0=120.0)], 8000.0, 4000)[0]
+                            [120.0], 8000.0, 4000)[0]
         levels, mean_db = lp_envelope_of_signal(x[None], 8)
-        fit = levinson_rows(autocorrelation(x, 8)[None, :], 8)
+        fit = levinson_rows(autocorrelation(x[None], 8), 8)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
         assert np.array_equal(levels[0], env.levels[0])
         assert mean_db[0] == env.mean_db[0]
@@ -265,9 +269,8 @@ class TestLpcEnvelope:
 
     def test_tracks_single_resonator_peak(self):
         fs = 8000.0
-        x = synthesize_rows([FormantSpec(1400.0, 150.0)], [Excitation("unit-impulse")],
-                            fs, 4096)[0]
-        fit = levinson_rows(autocorrelation(x, 2)[None, :], 2)
+        x = synthesize_rows([FormantSpec(1400.0, 150.0)], [0.0], fs, 4096)[0]
+        fit = levinson_rows(autocorrelation(x[None], 2), 2)
         levels = lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0]
         freqs = np.linspace(0.0, fs / 2.0, 1024)
         peak = freqs[np.argmax(levels)]
@@ -277,8 +280,8 @@ class TestLpcEnvelope:
         # order 2*(#formants) + 2 fitted to a cascade impulse response
         fs = 8000.0
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        x = synthesize_rows(fm, [Excitation("unit-impulse")], fs, 8192)[0]
-        fit = levinson_rows(autocorrelation(x, 10)[None, :], 10)
+        x = synthesize_rows(fm, [0.0], fs, 8192)[0]
+        fit = levinson_rows(autocorrelation(x[None], 10), 10)
         freqs, levels_an = analytic_cascade_spectrum(fm, fs, 1024)
         levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
                            levels_an])
@@ -320,24 +323,26 @@ class TestLpcEnvelope:
 
 class TestPolynomialRoots:
     def test_simple_quadratics(self):
-        r = sorted(polynomial_roots([1.0, 0.0, -1.0]), key=lambda z: z.real)
+        r = sorted(polynomial_roots([[1.0, 0.0, -1.0]])[0], key=lambda z: z.real)
         assert np.allclose(r, [-1.0, 1.0])
-        r = sorted(polynomial_roots([1.0, 0.0, 1.0]), key=lambda z: z.imag)
+        r = sorted(polynomial_roots([[1.0, 0.0, 1.0]])[0], key=lambda z: z.imag)
         assert np.allclose(r, [-1j, 1j])
 
     def test_degree_18_reconstruction(self):
         rng = np.random.default_rng(42)
         coeffs = rng.standard_normal(19)
         coeffs[0] = 1.0
-        roots = polynomial_roots(coeffs)
+        roots = polynomial_roots(coeffs[None])[0]
         rebuilt = np.real_if_close(np.poly(roots), tol=1e6)
         assert np.max(np.abs(rebuilt - coeffs)) / np.max(np.abs(coeffs)) < 1e-8
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            polynomial_roots([2.0])
+            polynomial_roots([[2.0]])
         with pytest.raises(ValueError):
-            polynomial_roots([0.0, 1.0, 1.0])
+            polynomial_roots([[0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError):  # one polynomial is a one-row stack
+            polynomial_roots([1.0, 0.0, -1.0])
 
 
 class TestRootsToFormants:
@@ -356,9 +361,9 @@ class TestRootsToFormants:
     def test_recovers_synthetic_four_formant_vowel(self):
         fs = 10000.0
         truth = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        x = synthesize_rows(truth, [Excitation("unit-impulse")], fs, 8192)[0]
+        x = synthesize_rows(truth, [0.0], fs, 8192)[0]
         order = 10
-        fit = levinson_rows(autocorrelation(x, order)[None, :], order)
+        fit = levinson_rows(autocorrelation(x[None], order), order)
         freqs, _, counts = formant_candidates(polynomial_roots(fit.a), fs)
         assert counts[0] >= 3
         for got, want in zip(freqs[0, :3], truth[:3]):
@@ -451,7 +456,7 @@ class TestAnalyticCascadeSpectrum:
         fs = 10000.0
         formants = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
         n_fft = 32768
-        x = synthesize_rows(formants, [Excitation("unit-impulse")], fs, n_fft)[0]
+        x = synthesize_rows(formants, [0.0], fs, n_fft)[0]
         oracle_db = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(formants, fs, n_fft // 2 + 1)
         assert np.max(np.abs(levels_db - oracle_db)) < 0.1

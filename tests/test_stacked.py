@@ -5,9 +5,10 @@ sweeps and the `f0` study run the same routines on one envelope or one
 autocorrelation row as a one-row stack. Each row of a stack must give what
 the step gives for that row alone: `levinson_rows`, `lpc_levels`,
 `polynomial_roots`, `formant_candidates`, `valley_minima` and `mfcc` on a
-one-row input, and `peak_levels` with one nominal frequency per call. These
-tests check that row by row, including on silent and unstable rows, and that
-`frame_pipeline` gives what the frame-at-a-time loop it replaced gave.
+one-row input, and `window_peaks` (through `conftest.peak_levels`) with one
+nominal frequency per call. These tests check that row by row, including on
+silent and unstable rows, and that `frame_pipeline` gives what the
+frame-at-a-time loop it replaced gave.
 """
 
 import numpy as np
@@ -16,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from conftest import frames_of
+from conftest import frames_of, peak_levels
 from specvalley import experiments
 from specvalley.baseline import mfcc, segment_mfcc_matrix
 from specvalley.classify import PipelineConfig, frame_pipeline
 from specvalley.cli import run
-from specvalley.envelope import peak_levels, valley_minima
+from specvalley.envelope import valley_minima
 from specvalley.errors import DegenerateInputError, UnstableModelError
 from specvalley.experiments import lp_envelope_of_signal
 from specvalley.sigproc import (
@@ -63,7 +64,7 @@ def _lag_stack(rng, order, kinds):
     indefinite by one lag larger than the zero lag."""
     rows = []
     for kind in kinds:
-        r = autocorrelation(_ar_frame(rng, order), order)
+        r = autocorrelation(_ar_frame(rng, order)[None], order)[0]
         if kind == "silent":
             r = np.zeros(order + 1)
         elif kind == "unstable":
@@ -273,7 +274,7 @@ def test_stacked_mfcc_rows_match_single_frames():
     samples *= 0.1
     mat = segment_mfcc_matrix(frames_of((samples, FS)), FS)
     frames = frame_signal(preemphasize(samples, 0.97), FS, 20.0, 0.5)[0]
-    singles = [mfcc(window(f), FS) for f in frames if np.any(f)]
+    singles = [mfcc(window(f)[None], FS)[0] for f in frames if np.any(f)]
     assert len(singles) < len(frames)  # the silent frames were skipped
     assert mat.shape == (len(singles), 12)
     assert np.max(np.abs(mat - np.array(singles))) <= 1e-12
@@ -303,7 +304,7 @@ def test_one_row_levinson_model_is_the_stacked_row():
     # a one-row fit, as the f0 study makes it, is its row of a taller stack bit
     # for bit, and so is the envelope it gives
     rng = np.random.default_rng(1)
-    lags = np.array([autocorrelation(_ar_frame(rng, 10), 10) for _ in range(3)])
+    lags = np.array([autocorrelation(_ar_frame(rng, 10)[None], 10)[0] for _ in range(3)])
     fit = levinson_rows(lags, 10)
     one = levinson_rows(lags[1:2], 10)
     for got, stacked in zip(one, fit):
@@ -321,7 +322,7 @@ def test_one_row_levinson_model_is_the_stacked_row():
     ["levels", "--case", "b"],
 ], ids=lambda argv: "-".join(argv[:3]))
 def test_peak_pair_call_equals_two_one_peak_calls(argv, monkeypatch, capsys):
-    # the sweeps find both peaks of a pair in one (1, 2) `peak_levels` call;
+    # the sweeps find both peaks of a pair in one (1, 2) `window_peaks` call;
     # on every envelope the README runs measure, that is two (1, 1) calls
     measured = []
     pair_rlsv = experiments._peak_pair_rlsv

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum, source_tilt_db
+from conftest import peak_levels
 from specvalley import synth
-from specvalley.envelope import peak_levels
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import Excitation, calibrate_bandwidth_rows, synthesize_rows
+from specvalley.synth import calibrate_bandwidth_rows, synthesize_rows
 from specvalley.types import FormantSpec
 
 
 class TestResonator:
     def test_nyquist_guard(self):
         with pytest.raises(ValueError, match="below Nyquist"):
-            synthesize_rows([FormantSpec(4000.0, 100.0)], [Excitation("unit-impulse")], 8000.0,
-                            16)
+            synthesize_rows([FormantSpec(4000.0, 100.0)], [0.0], 8000.0, 16)
 
     def test_stable_poles(self):
         a1, a2 = resonator_taps(2200.0, 80.0, 8000.0)
@@ -32,7 +31,7 @@ class TestResonator:
 
 class TestSynthesize:
     def test_impulse_passthrough_with_no_formants(self):
-        out = synthesize_rows([], [Excitation("unit-impulse")], 8000.0, 16)[0]
+        out = synthesize_rows([], [0.0], 8000.0, 16)[0]
         expected = np.zeros(16)
         expected[0] = 1.0
         assert np.array_equal(out, expected)
@@ -40,28 +39,27 @@ class TestSynthesize:
     def test_matches_analytic_spectrum(self):
         fs = 10000.0
         fm = [FormantSpec(700.0, 90.0), FormantSpec(1500.0, 180.0)]
-        x = synthesize_rows(fm, [Excitation("unit-impulse")], fs, 32768)[0]
+        x = synthesize_rows(fm, [0.0], fs, 32768)[0]
         oracle = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(fm, fs, 16385)
         assert np.max(np.abs(levels_db - oracle)) < 0.1
 
     def test_impulse_train_spacing(self):
-        out = synthesize_rows([], [Excitation("impulse-train", f0=100.0)], 8000.0, 400)[0]
+        out = synthesize_rows([], [100.0], 8000.0, 400)[0]
         nz = np.flatnonzero(out)
         assert np.array_equal(nz, np.arange(0, 400, 80))
 
     def test_output_is_bounded(self):
         fm = [FormantSpec(f, 60.0) for f in (300.0, 900.0, 2200.0, 3400.0)]
-        exc = Excitation("impulse-train", f0=120.0, duration_s=0.5)
-        out = synthesize_rows(fm, [exc], 8000.0, 4000)[0]
+        out = synthesize_rows(fm, [120.0], 8000.0, 4000)[0]
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out)) < 1e6
 
     def test_cascade_order_does_not_change_spectrum(self):
         fs = 8000.0
         fm = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 120.0), FormantSpec(2500.0, 90.0)]
-        a = synthesize_rows(fm, [Excitation("unit-impulse")], fs, 4096)[0]
-        b = synthesize_rows(fm[::-1], [Excitation("unit-impulse")], fs, 4096)[0]
+        a = synthesize_rows(fm, [0.0], fs, 4096)[0]
+        b = synthesize_rows(fm[::-1], [0.0], fs, 4096)[0]
         sa = np.abs(np.fft.rfft(a))
         sb = np.abs(np.fft.rfft(b))
         assert np.allclose(sa, sb, rtol=1e-8, atol=1e-12)
@@ -80,8 +78,7 @@ def _spectral_slope_db_per_octave(x, f_low=500.0, f_high=2000.0):
 
 def _tilted_train(fs=16000.0):
     """400 periods of a 100 Hz pulse train through the source tilt."""
-    exc = Excitation("tilted-train", f0=100.0)
-    return synthesize_rows([], [exc], fs, int(400 * fs / 100.0))[0], fs
+    return synthesize_rows([], [100.0], fs, int(400 * fs / 100.0), tilted=True)[0], fs
 
 
 class TestSourceTilt:
@@ -140,44 +137,40 @@ class TestMeasureFormantLevels:
 class TestCalibrateBandwidths:
     FREQS = (600.0, 1200.0, 2400.0)
 
-    def _measured_relative_levels(self, bws, exc, fs=10000.0):
+    def _measured_relative_levels(self, bws, tilted, fs=10000.0):
         fm = [FormantSpec(f, b) for f, b in zip(self.FREQS, bws)]
         freqs, levels_db = analytic_cascade_spectrum(fm, fs, 2048)
-        if exc.kind == "tilted-train":
+        if tilted:
             levels_db = levels_db + source_tilt_db(freqs, fs)
         lv, missing = _formant_levels((freqs, levels_db), fm)
         assert not missing.any()
         return [lv[i] - lv[0] for i in range(3)]
 
-    def _calibrated(self, targets, exc):
-        fit = calibrate_bandwidth_rows([self.FREQS], [targets], exc, 10000.0)
+    def _calibrated(self, targets, tilted):
+        fit = calibrate_bandwidth_rows([self.FREQS], [targets], 10000.0, tilted=tilted)
         assert fit.converged[0]
         return fit.bandwidths[0]
 
     def test_fixed_point(self):
-        exc = Excitation("unit-impulse")
-        rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
-        bws = self._calibrated([0.0, rel[1], rel[2]], exc)
+        rel = self._measured_relative_levels([100.0, 100.0, 100.0], False)
+        bws = self._calibrated([0.0, rel[1], rel[2]], False)
         assert np.allclose(bws, 100.0, atol=8.0)
 
     def test_lower_l2_target_widens_b2(self):
-        exc = Excitation("unit-impulse")
-        rel = self._measured_relative_levels([100.0, 100.0, 100.0], exc)
-        base = self._calibrated([0.0, rel[1], rel[2]], exc)
-        wider = self._calibrated([0.0, rel[1] - 6.0, rel[2]], exc)
+        rel = self._measured_relative_levels([100.0, 100.0, 100.0], False)
+        base = self._calibrated([0.0, rel[1], rel[2]], False)
+        wider = self._calibrated([0.0, rel[1] - 6.0, rel[2]], False)
         assert wider[1] > base[1]
 
     def test_convergence_self_check(self):
-        exc = Excitation("tilted-train", f0=100.0)
-        bws = self._calibrated([-3.0, -15.0, -25.0], exc)
-        rel = self._measured_relative_levels(bws, exc)
+        bws = self._calibrated([-3.0, -15.0, -25.0], True)
+        rel = self._measured_relative_levels(bws, True)
         for got, want in zip(rel[1:], [-12.0, -22.0]):
             assert abs(got - want) <= 0.5
 
     def test_unreachable_target_reports_residuals(self, monkeypatch):
-        exc = Excitation("unit-impulse")
         monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
-        fit = calibrate_bandwidth_rows([self.FREQS], [(0.0, +40.0, -10.0)], exc, 10000.0)
+        fit = calibrate_bandwidth_rows([self.FREQS], [(0.0, +40.0, -10.0)], 10000.0)
         assert not fit.converged[0]
         assert fit.residuals_db.shape == (1, 3)
         assert np.all(np.isfinite(fit.residuals_db[0]))

@@ -1,6 +1,6 @@
 """The frequency-domain synthesizer against a time-domain `lfilter` cascade.
 
-`reference_rows` runs the excitation through the source-tilt lowpass and then
+`reference_rows` runs each pulse train through the source-tilt lowpass and then
 one `scipy.signal.lfilter` section per formant, with the taps of
 `sigproc.resonator_taps`: the recursion that `synth.synthesize_rows` replaces.
 """
@@ -13,21 +13,21 @@ from specvalley import synthetic
 from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import MAX_TAIL_SAMPLES, TILT_CORNER_HZ, Excitation, synthesize_rows
+from specvalley.synth import MAX_TAIL_SAMPLES, TILT_CORNER_HZ, synthesize_rows
 from specvalley.types import FormantSpec
 
 REL_TOL = 1e-12  # of the reference's peak
 
 
-def reference_rows(formants, excitations, sample_rate, n_samples):
+def reference_rows(formants, f0s, sample_rate, n_samples, tilted=False):
     rows = []
-    for exc in excitations:
+    for f0 in f0s:
         x = np.zeros(n_samples)
-        if exc.kind == "unit-impulse":
+        if f0 == 0:
             x[0] = 1.0
         else:
-            x[:: int(round(sample_rate / exc.f0))] = 1.0
-        if exc.kind == "tilted-train":
+            x[:: int(round(sample_rate / f0))] = 1.0
+        if tilted:
             pole = np.exp(-2 * np.pi * TILT_CORNER_HZ / sample_rate)
             x = lfilter([1.0 - pole], [1.0, -pole], x)
         for f in formants:
@@ -51,13 +51,13 @@ def _assert_close(rows, reference):
 
 @pytest.fixture(scope="module")
 def corpus_tokens(recipes, tmp_path_factory):
-    """(formants, excitation) of each token of a 240-segment seed-3 corpus."""
+    """(formants, f0, n_samples, tilted) of each token of a 240-segment seed-3 corpus."""
     calls = []
 
-    def record(formants, excitations, sample_rate, n_samples):
-        (exc,) = excitations
-        calls.append((list(formants), exc))
-        return synthesize_rows(formants, excitations, sample_rate, n_samples)
+    def record(formants, f0s, sample_rate, n_samples, tilted=False):
+        (f0,) = f0s
+        calls.append((list(formants), f0, n_samples, tilted))
+        return synthesize_rows(formants, f0s, sample_rate, n_samples, tilted)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthetic, "synthesize_rows", record)
@@ -68,11 +68,10 @@ def corpus_tokens(recipes, tmp_path_factory):
 
 def test_corpus_tokens_match_the_reference(corpus_tokens, tmp_path):
     assert len(corpus_tokens) == 240
-    assert {exc.kind for _, exc in corpus_tokens} == {"tilted-train"}
-    for i, (formants, exc) in enumerate(corpus_tokens):
-        n = int(round(exc.duration_s * 16000.0))
-        row = synthesize_rows(formants, [exc], 16000.0, n)
-        ref = reference_rows(formants, [exc], 16000.0, n)
+    assert {tilted for *_, tilted in corpus_tokens} == {True}
+    for i, (formants, f0, n, tilted) in enumerate(corpus_tokens):
+        row = synthesize_rows(formants, [f0], 16000.0, n, tilted)
+        ref = reference_rows(formants, [f0], 16000.0, n, tilted)
         _assert_close(row, ref)
         # the token as synthesize_vowel_token scales it, then as save_wav quantizes it
         got = _pcm(row[0] * (0.3 / np.max(np.abs(row[0]))), tmp_path / "a.wav")
@@ -84,29 +83,44 @@ def test_corpus_tokens_match_the_reference(corpus_tokens, tmp_path):
 def test_f0_stacks_match_the_reference_and_their_rows(case):
     f1, f2 = CASE_GEOMETRIES[case]
     fm = [FormantSpec(f, 100.0) for f in (f1, f2, 2500.0, 3500.0)]
-    trains = [Excitation("impulse-train", f0=f0, duration_s=0.5)
-              for f0 in (100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0)]
+    trains = [100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0]
     stack = synthesize_rows(fm, trains, 8000.0, 4000)
     assert stack.shape == (7, 4000)
     _assert_close(stack, reference_rows(fm, trains, 8000.0, 4000))
-    for row, exc in zip(stack, trains):
-        assert np.array_equal(row, synthesize_rows(fm, [exc], 8000.0, 4000)[0])
+    for row, f0 in zip(stack, trains):
+        assert np.array_equal(row, synthesize_rows(fm, [f0], 8000.0, 4000)[0])
 
 
 def test_long_unit_impulse_matches_the_reference():
     fs = 10000.0
     fm = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0), FormantSpec(2600.0, 30.0)]
-    exc = [Excitation("unit-impulse")]
-    _assert_close(synthesize_rows(fm, exc, fs, 32768), reference_rows(fm, exc, fs, 32768))
+    _assert_close(synthesize_rows(fm, [0.0], fs, 32768), reference_rows(fm, [0.0], fs, 32768))
+
+
+def _impulses_and_trains_stack_and_match_the_reference(tilted):
+    fm = [FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)]
+    f0s = [0.0, 140.0, 0.0, 100.0]
+    stack = synthesize_rows(fm, f0s, 8000.0, 2000, tilted)
+    _assert_close(stack, reference_rows(fm, f0s, 8000.0, 2000, tilted))
+    for row, f0 in zip(stack, f0s):
+        assert np.array_equal(row, synthesize_rows(fm, [f0], 8000.0, 2000, tilted)[0])
 
 
 def test_untilted_kinds_stack_and_match_the_reference():
-    fm = [FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)]
-    excs = [Excitation("unit-impulse"), Excitation("impulse-train", f0=140.0)]
-    stack = synthesize_rows(fm, excs, 8000.0, 2000)
-    _assert_close(stack, reference_rows(fm, excs, 8000.0, 2000))
-    for row, exc in zip(stack, excs):
-        assert np.array_equal(row, synthesize_rows(fm, [exc], 8000.0, 2000)[0])
+    _impulses_and_trains_stack_and_match_the_reference(tilted=False)
+
+
+def test_tilted_impulses_and_trains_stack_and_match_the_reference():
+    _impulses_and_trains_stack_and_match_the_reference(tilted=True)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_an_f0_of_0_is_a_train_whose_second_pulse_never_arrives(tilted):
+    # at f0 = fs / n the period is the whole signal: one pulse, at sample 0
+    fm = [FormantSpec(700.0, 90.0), FormantSpec(1500.0, 180.0)]
+    impulse = synthesize_rows(fm, [0.0], 8000.0, 400, tilted)
+    assert np.array_equal(impulse, synthesize_rows(fm, [20.0], 8000.0, 400, tilted))
+    assert np.array_equal(synthesize_rows([], [0.0], 8000.0, 400), np.eye(1, 400))
 
 
 def test_corpus_and_babble_bytes_equal_the_reference_builds(recipes, tmp_path):
@@ -128,11 +142,20 @@ def test_too_narrow_bandwidth_is_refused():
     # 60 time constants of a 0.1 Hz bandwidth at 16 kHz are about 3.1 million samples
     fm = [FormantSpec(1000.0, 0.1)]
     with pytest.raises(ValueError, match=r"bandwidth 0\.1 Hz .* more than 1048576"):
-        synthesize_rows(fm, [Excitation("unit-impulse")], 16000.0, 100)
+        synthesize_rows(fm, [0.0], 16000.0, 100)
     assert MAX_TAIL_SAMPLES == 1048576
 
 
-def test_tilted_and_untilted_trains_do_not_stack():
-    excs = [Excitation("tilted-train", f0=100.0), Excitation("impulse-train", f0=100.0)]
-    with pytest.raises(ValueError, match="all tilted trains or none"):
-        synthesize_rows([FormantSpec(500.0, 100.0)], excs, 16000.0, 800)
+@pytest.mark.parametrize("f0", [-100.0, -0.0001, np.nan, np.inf])
+def test_a_negative_or_non_finite_f0_is_refused(f0):
+    with pytest.raises(ValueError, match="f0 must be finite and not negative"):
+        synthesize_rows([FormantSpec(500.0, 100.0)], [100.0, f0], 8000.0, 800)
+
+
+def test_a_train_needs_one_full_period():
+    # 100 Hz at 8 kHz has an 80-sample period
+    with pytest.raises(ValueError, match="duration too short for one period"):
+        synthesize_rows([FormantSpec(500.0, 100.0)], [100.0], 8000.0, 79)
+    row = synthesize_rows([], [100.0], 8000.0, 80)[0]
+    assert np.array_equal(row, np.eye(1, 80)[0])
+    assert np.flatnonzero(synthesize_rows([], [100.0], 8000.0, 81)[0]).tolist() == [0, 80]
