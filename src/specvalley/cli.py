@@ -211,7 +211,7 @@ def _cmd_ocd2(args, out):
         step_hz=args.step, move_upper=False, n_points=args.points, mean_band_hz=args.band)
     _step_budget(cfg, "from --f1-start up to --f2")
     out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
-                      band=args.band, step=args.step)
+                      band=args.band, step=args.step, points=args.points)
     _emit_sweep(out, experiments.ocd_sweep(cfg))
 
 
@@ -233,7 +233,7 @@ def _cmd_ocd4(args, out):
                                   pair=(i, i + 1), step_hz=args.step, n_points=args.points)
     _step_budget(cfg, f"between --formants F{i + 1} and F{i + 2}")
     out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
-                      pair=args.pair)
+                      pair=args.pair, points=args.points)
     _emit_sweep(out, experiments.ocd_sweep(cfg))
 
 

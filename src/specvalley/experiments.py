@@ -352,7 +352,8 @@ def lp_envelope_of_signal(
         L = lag_window_half_length
         if L < order:
             raise ValueError("lag window half-length must cover the model order")
-        r = r * np.hamming(2 * L + 1)[L : L + order + 1]
+        # taps L .. L + order of np.hamming(2 * L + 1), by its own expression
+        r = r * (0.54 + 0.46 * np.cos(np.pi * np.arange(0.0, 2 * order + 1, 2.0) / (2 * L)))
     fit = levinson_rows(r, order)
     env = lpc_levels(fit.a, np.sqrt(np.maximum(fit.error, 0.0)), GRID_POINTS)
     failed = np.flatnonzero((r[:, 0] <= 0) | (fit.stage > 0) | env.singular)

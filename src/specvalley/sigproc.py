@@ -185,13 +185,17 @@ def _unit_circle_table(taps: int, n_points: int) -> np.ndarray:
     of an rfft there do.
     """
     half = n_points - 1
-    mk = np.outer(np.arange(taps), np.arange(n_points)) % (2 * half)
-    angle = mk * (np.pi / half)
-    cos, sin = np.cos(angle), np.sin(angle)
-    cos[mk == 0] = 1.0
-    cos[mk == half] = -1.0
-    sin[mk % half == 0] = 0.0
-    table = np.concatenate((cos, sin), axis=1)
+    mk = np.outer(np.arange(taps), np.arange(n_points))
+    np.remainder(mk, 2 * half, out=mk)
+    table = np.empty((taps, 2 * n_points))
+    cos, sin = table[:, :n_points], table[:, n_points:]
+    np.multiply(mk, np.pi / half, out=sin)  # the angles, until their sines replace them
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    dc, nyquist = mk == 0, mk == half
+    cos[dc] = 1.0
+    cos[nyquist] = -1.0
+    sin[dc | nyquist] = 0.0
     table.flags.writeable = False
     return table
 

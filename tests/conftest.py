@@ -95,6 +95,30 @@ def noisy_corpus(corpus_table, babble_path):
     return condition
 
 
+@pytest.fixture
+def no_corpus_reading(monkeypatch):
+    """Fails a command that reads its corpus: a usage check must come first."""
+    from specvalley import corpus
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read before the option check")
+
+    monkeypatch.setattr(corpus, "collect_segments", no_reading)
+
+
+@pytest.fixture
+def no_experiment_running(monkeypatch):
+    """Fails a command that starts its experiment: a usage check must come first."""
+    from specvalley import experiments
+
+    def no_computing(*args, **kwargs):
+        raise AssertionError("the experiment ran before the option check")
+
+    for name in ("PairMeter", "ocd_sweep", "level_influence_experiment",
+                 "f0_influence_experiment", "pb_ocd_table"):
+        monkeypatch.setattr(experiments, name, no_computing)
+
+
 def segment(table, i):
     """Segment i of a `corpus.SegmentTable` as float64 in [-1, 1), a new array."""
     return pcm_to_float(table.pcm[table.offsets[i]:table.offsets[i + 1]])

@@ -1,9 +1,10 @@
-"""The peak, valley, mean-level and resonator kernels in their plain NumPy form.
+"""The peak, valley, mean-level and resonator kernels, and the unit-circle
+table, in their plain NumPy form.
 
 Each function below computes what its library counterpart computes with
-`take_along_axis`, `np.clip`, `np.mean` and one expression per line, with no
-in-place step. `test_kernel_bits.py` checks that the library kernels give the
-same bits.
+`take_along_axis`, `np.clip`, `np.mean`, `np.concatenate` and one expression
+per line, with no in-place step. `test_kernel_bits.py` checks that the library
+kernels give the same bits.
 """
 
 import numpy as np
@@ -52,3 +53,15 @@ def resonator_db(frequency, bandwidth, zinv, sample_rate):
     a1, a2 = -2.0 * radius * np.cos(theta), radius * radius
     gain = 1.0 + a1 + a2
     return 20.0 * np.log10(gain / np.abs(1.0 + a1 * zinv + a2 * zinv * zinv))
+
+
+def unit_circle_table(taps, n_points):
+    """`sigproc._unit_circle_table`: the cos and sin halves built apart, then joined."""
+    half = n_points - 1
+    mk = np.outer(np.arange(taps), np.arange(n_points)) % (2 * half)
+    angle = mk * (np.pi / half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos[mk == 0] = 1.0
+    cos[mk == half] = -1.0
+    sin[mk % half == 0] = 0.0
+    return np.concatenate((cos, sin), axis=1)

@@ -1,6 +1,6 @@
-"""The peak, valley, mean-level and resonator kernels give the bits of their
-plain NumPy forms in `kernel_reference.py`, and the cascade grid is shared
-read-only.
+"""The peak, valley, mean-level and resonator kernels and the unit-circle table
+give the bits of their plain NumPy forms in `kernel_reference.py`, and the
+cascade grid is shared read-only.
 
 Every comparison is `np.array_equal`: the kernels keep the same arithmetic in
 the same order, so not a single bit may move.
@@ -11,7 +11,7 @@ import pytest
 
 import kernel_reference as ref
 from specvalley.envelope import gathered_peaks, valley_minima, window_bins
-from specvalley.sigproc import cascade_grid, resonator_db
+from specvalley.sigproc import _unit_circle_table, cascade_grid, resonator_db
 from specvalley.types import power_mean_db
 
 
@@ -145,3 +145,14 @@ def test_cascade_grid_is_shared_read_only():
             a[0] = 1.0
     other = cascade_grid(10000.0, 4096)
     assert other[0] is not freqs and other[0][-1] == 5000.0
+
+
+@pytest.mark.parametrize("taps, n_points", [(19, 512), (2, 512), (9, 4096), (9, 8192),
+                                            (13, 1024), (1001, 1024), (2, 64)])
+def test_unit_circle_table_keeps_the_bits_of_the_reference(taps, n_points):
+    # the uncached builder, so no test table stays in the cache
+    table = _unit_circle_table.__wrapped__(taps, n_points)
+    want = ref.unit_circle_table(taps, n_points)
+    assert table.shape == want.shape and table.dtype == want.dtype
+    assert table.tobytes() == want.tobytes()
+    assert not table.flags.writeable

@@ -240,6 +240,24 @@ class TestLevinson:
         assert np.array_equal(levels[0], env.levels[0])
         assert mean_db[0] == env.mean_db[0]
 
+    @pytest.mark.parametrize("half_length, order", [(8, 8), (24, 8), (199, 30), (4095, 12),
+                                                    (100000, 40)])
+    def test_lag_window_is_the_middle_of_a_hamming_window(self, half_length, order):
+        # the taps L .. L + order of np.hamming(2L + 1), bit for bit, without the rest
+        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                            [120.0], 8000.0, 4000)
+        taps = np.hamming(2 * half_length + 1)[half_length:half_length + order + 1]
+        fit = levinson_rows(autocorrelation(x, order) * taps, order)
+        env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
+        levels, mean_db = lp_envelope_of_signal(x, order, half_length)
+        assert np.array_equal(levels, env.levels) and np.array_equal(mean_db, env.mean_db)
+
+    def test_lag_window_of_the_largest_int64_half_length_is_flat(self):
+        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                            [120.0], 8000.0, 4000)
+        for got, want in zip(lp_envelope_of_signal(x, 8, 2**63 - 1), lp_envelope_of_signal(x, 8)):
+            assert np.array_equal(got, want)
+
 
 def test_cascade_levels_of_a_stack_are_its_row_sums():
     # the calibration sums (n, 3, W) terms; each window sums as it would alone
