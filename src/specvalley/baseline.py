@@ -141,7 +141,8 @@ class MlpModel:
 def _forward(w1, b1, w2, b2, x):
     h = np.tanh(x @ w1.T + b1)
     z = h @ w2 + b2
-    return h, 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit p = 0
+        return h, 1.0 / (1.0 + np.exp(-z))
 
 
 def _loss(p, y, eps=1e-12):

@@ -23,7 +23,6 @@ from .sigproc import (
     preemphasize,
     window,
 )
-from .types import FormantSpec
 
 
 ENVELOPE_POINTS = 512  # LP envelope grid points from 0 Hz to Nyquist
@@ -70,13 +69,10 @@ class PipelineConfig:
         return order
 
 
-@dataclass
-class FrameFeatures:
-    """Per-frame relative valley levels and the first three formants."""
+class FrameStatus(NamedTuple):
+    """Whether a frame is valid, and if not, why: its reason text, with the
+    Levinson stage of an unstable fit."""
 
-    v1_db: float | None
-    v2_db: float | None
-    formants: list
     valid: bool
     fail_reason: str | None = None
 
@@ -91,9 +87,9 @@ SILENT, UNSTABLE, FEW_FORMANTS, SINGULAR, NARROW = range(len(REASONS))
 class FrameTable:
     """The frames of a `frame_pipeline` call as columns, one row per frame.
 
-    `table[i]` and iteration give the rows as `FrameFeatures` (iteration goes
+    `table[i]` and iteration give each frame's `FrameStatus` (iteration goes
     through `table[i]`); `table[a:b]` is the table of frames a to b, with
-    views of the columns.
+    views of the columns. The frame's values are read from the columns.
     """
 
     v1: np.ndarray  # (n,) V_I in dB relative to the mean level; NaN where invalid
@@ -120,13 +116,10 @@ class FrameTable:
             return FrameTable(*(getattr(self, f.name)[key] for f in fields(self)))
         i = range(len(self))[key]
         code = int(self.reason[i])
-        n = int(self.counts[i]) if code != VALID else min(int(self.counts[i]), 3)
-        formants = [FormantSpec(f, b) for f, b in zip(self.freqs[i, :n].tolist(),
-                                                      self.bandwidths[i, :n].tolist())]
         if code == VALID:
-            return FrameFeatures(float(self.v1[i]), float(self.v2[i]), formants, True)
+            return FrameStatus(True)
         why = REASONS[code] + (f": {levinson_failure(self, i)}" if code == UNSTABLE else "")
-        return FrameFeatures(None, None, formants, False, why)
+        return FrameStatus(False, why)
 
 
 @dataclass

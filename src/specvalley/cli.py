@@ -3,6 +3,7 @@
 import argparse
 import datetime
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,6 +30,8 @@ FEATURE_RULES = {  # --feature of the corpus commands -> decision rule
     "v2": "v2_only",
 }
 
+MAX_INT64 = 2**63 - 1  # the largest --seed and --lag-window
+
 # What a numeric flag accepts: a test of its value, and the words of the
 # usage error when the test fails (each test is false for NaN)
 POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be a finite positive number")
@@ -36,6 +39,8 @@ FINITE = (math.isfinite, "must be finite")
 SNR = (lambda x: abs(x) <= corpus.MAX_SNR_DB, f"must be within +/-{corpus.MAX_SNR_DB:g} dB")
 UNIT_INTERVAL = (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")
 NON_NEGATIVE = (lambda x: math.isfinite(x) and x >= 0, "must be finite and not negative")
+NON_NEGATIVE_INT64 = (lambda n: 0 <= n <= MAX_INT64,
+                      f"must be at least 0 and at most {MAX_INT64}")
 AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
 HIDDEN_UNITS = (lambda n: 1 <= n <= baseline.MAX_HIDDEN_UNITS,
                 f"must be at least 1 and at most {baseline.MAX_HIDDEN_UNITS}")
@@ -45,11 +50,21 @@ GRID_SIZE = (lambda n: 64 <= n <= experiments.MAX_GRID_POINTS,
              f"must be at least 64 and at most {experiments.MAX_GRID_POINTS}")
 
 
+# A negative number, or a list that starts with one: a value after a space,
+# as "-20" already is to argparse, and not a flag ("-1e300", "-inf", "-1e1,5")
+NEGATIVE_VALUE = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?:,.*)?$", re.IGNORECASE)
+
+
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_VALUE
+
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
@@ -134,7 +149,7 @@ _band.__name__ = "float"  # argparse names the type of a value that is not a num
 def _add_common(p, seeded):
     """The flags every command takes; only a `seeded` command reads --seed."""
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    _number(p, "--seed", 0, NON_NEGATIVE, int,
+    _number(p, "--seed", 0, NON_NEGATIVE_INT64, int,
             help="seed for any randomness" if seeded else "recorded in the params line only")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generation-time header line")
@@ -459,9 +474,11 @@ def _cmd_baseline(args, out):
                       epochs=args.epochs, test_fraction=args.test_fraction)
     if len(rows) < 10:
         raise _Stop("not enough usable segments to train")
-    rng = np.random.default_rng(args.seed)
-    perm = rng.permutation(len(rows))
     n_test = max(1, int(round(args.test_fraction * len(rows))))
+    if n_test == len(rows):
+        raise UsageError(f"--test-fraction {args.test_fraction} leaves no training segment "
+                         f"of the {len(rows)} usable segments")
+    perm = np.random.default_rng(args.seed).permutation(len(rows))
     test_idx = set(perm[:n_test].tolist())
     train = [rows[i] for i in range(len(rows)) if i not in test_idx]
     test = [rows[i] for i in range(len(rows)) if i in test_idx]
@@ -572,7 +589,7 @@ def _f0_flags(p):
     _add_case_args(p)
     p.add_argument("--f0-values", default="100,125,150,175,200,225,250")
     _number(p, "--order", 8, LP_ORDER, int)
-    _number(p, "--lag-window", 24, NON_NEGATIVE, int,
+    _number(p, "--lag-window", 24, NON_NEGATIVE_INT64, int,
             help="autocorrelation lag-window half-length (0 disables)")
 
 

@@ -25,10 +25,6 @@ from .sigproc import (
 )
 from .types import FormantSpec, power_mean_db
 
-# Critical-distance band reported by perceptual matching studies, in bark.
-# Used only as a read-only comparison band for measured OCD values.
-PERCEPTUAL_CRITICAL_DISTANCE_BARK = (3.1, 4.3)
-
 FRONT_VOWELS = ("iy", "ih", "eh", "ae")
 BACK_VOWELS = ("aa", "ao", "uh", "uw", "ah")
 
@@ -89,12 +85,14 @@ class SweepConfig:
 
 @dataclass
 class OcdResult:
-    """Measured objective critical distance with its sweep trace."""
+    """Measured objective critical distance with its sweep trace.
+
+    The OCD is interpolated unless the last RLSV of `sweep` is 0.0, and the
+    pair moved apart where the first is negative.
+    """
 
     ocd_bark: float
     sweep: list = field(default_factory=list)  # (spacing_bark, v_db) pairs
-    crossing_interpolated: bool = True
-    widened: bool = False  # True when the pair had to move apart to find v=0
     pair_trace: list = field(default_factory=list)  # (f_low, f_high) per step
 
 
@@ -269,12 +267,10 @@ def ocd_sweep(cfg: SweepConfig) -> OcdResult:
             ) from exc
     sweep = trace()
     if v == 0.0:
-        return OcdResult(sweep[-1][0], sweep, crossing_interpolated=False,
-                         widened=v0 < 0, pair_trace=pairs)
+        return OcdResult(sweep[-1][0], sweep, pair_trace=pairs)
     (s_prev, v_prev), (s_cur, v_cur) = sweep[-2], sweep[-1]
     ocd = s_prev + (0.0 - v_prev) * (s_cur - s_prev) / (v_cur - v_prev)
-    return OcdResult(float(ocd), sweep, crossing_interpolated=True,
-                     widened=v0 < 0, pair_trace=pairs)
+    return OcdResult(float(ocd), sweep, pair_trace=pairs)
 
 
 @dataclass

@@ -11,6 +11,10 @@ SMALL_CORPUS_SEED = 7
 SMALL_CORPUS_SIZE = 63
 SAMPLE_RATE = 16000.0
 
+# Critical-distance band reported by perceptual matching studies, in bark: a
+# read-only comparison band for measured OCD values.
+PERCEPTUAL_CRITICAL_DISTANCE_BARK = (3.1, 4.3)
+
 
 @pytest.fixture(scope="session")
 def pb_entries():
@@ -42,6 +46,15 @@ def small_corpus_dir(tmp_path_factory, recipes):
         sample_rate=SAMPLE_RATE, recipes=recipes,
     )
     return root
+
+
+@pytest.fixture(scope="session")
+def golden_inputs(tmp_path_factory, recipes):
+    """(corpus directory, babble path) of the golden files: the 40-segment seed-3
+    corpus and the 4 s seed-11 babble file of `regenerate_golden`."""
+    from regenerate_golden import build_inputs
+
+    return build_inputs(tmp_path_factory.mktemp("golden"), recipes)
 
 
 @pytest.fixture(scope="session")

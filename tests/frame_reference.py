@@ -3,17 +3,19 @@
 `frame_pipeline` builds one `FrameFeatures` per frame, with validated
 `FormantSpec`s, from the same stacked LP core the table is built from;
 `decide_segment` averages the valid frames as Python lists. The table and the
-decisions taken from its slices must equal these bit for bit. The reference
+decisions taken from its slices must equal these bit for bit: `rows(table)`
+reads a `FrameTable` back as the same `FrameFeatures`. The reference
 pre-emphasizes and frames each segment by itself, with the code those steps
 had before they worked on segment tables, so the comparison checks
 the pre-emphasis and framing of the corpus stage's blocks as well.
 """
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from specvalley.classify import ENVELOPE_POINTS, FrameFeatures, PipelineConfig, SegmentDecision
+from specvalley.classify import ENVELOPE_POINTS, PipelineConfig, SegmentDecision
 from specvalley.envelope import valley_minima
 from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
@@ -26,6 +28,33 @@ from specvalley.sigproc import (
     window,
 )
 from specvalley.types import FormantSpec
+
+
+@dataclass
+class FrameFeatures:
+    """Per-frame relative valley levels and the first three formants."""
+
+    v1_db: float | None
+    v2_db: float | None
+    formants: list
+    valid: bool
+    fail_reason: str | None = None
+
+
+def rows(table):
+    """list[FrameFeatures] of the frames of a `classify.FrameTable`, from its
+    columns: a valid frame keeps its first three formants, an invalid one every
+    candidate, and the reason text is the table's own `table[i].fail_reason`."""
+    out = []
+    for i, status in enumerate(table):
+        n = int(table.counts[i]) if not status.valid else min(int(table.counts[i]), 3)
+        formants = [FormantSpec(f, b) for f, b in zip(table.freqs[i, :n].tolist(),
+                                                      table.bandwidths[i, :n].tolist())]
+        if status.valid:
+            out.append(FrameFeatures(float(table.v1[i]), float(table.v2[i]), formants, True))
+        else:
+            out.append(FrameFeatures(None, None, formants, False, status.fail_reason))
+    return out
 
 
 def _levinson_failure(fit, row):

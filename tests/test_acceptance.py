@@ -12,14 +12,13 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from cascade_reference import analytic_cascade_spectrum
-from conftest import analyse, peak_levels
+from conftest import PERCEPTUAL_CRITICAL_DISTANCE_BARK, analyse, peak_levels
 from specvalley import baseline, classify
 from specvalley.cli import run
 from specvalley.corpus import pb_mean_formants
 from specvalley.envelope import valley_minima
 from specvalley.errors import NoDecisionError
 from specvalley.experiments import (
-    PERCEPTUAL_CRITICAL_DISTANCE_BARK,
     SweepConfig,
     UNIFORM_TUBE_FORMANTS_HZ,
     f0_influence_experiment,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct, idct
 
+import frame_reference
 from conftest import analyse, frames_of, segment_audio
 from specvalley.baseline import (
     N_FILTERS,
@@ -339,7 +340,7 @@ class TestOnSyntheticCorpus:
             if fb_class == "central":
                 continue
             mat = segment_mfcc_matrix(frames_of(audio, cfg), audio[1])
-            valid = [f for f in analyse(audio, cfg) if f.valid]
+            valid = [f for f in frame_reference.rows(analyse(audio, cfg)) if f.valid]
             if len(mat) == 0 or not valid:
                 continue
             v1 = float(np.mean([f.v1_db for f in valid]))

@@ -34,7 +34,6 @@ PHRASES = {
     "a number in [{}, {})": (float, lambda x, lo, hi: lo <= x < hi, "must be in [{0}, {1})"),
     "a finite number not below {}": (float, lambda x, lo: math.isfinite(x) and x >= lo,
                                      "must be finite and not negative"),
-    "an integer not below {}": (int, lambda n, lo: n >= lo, "must be finite and not negative"),
     "an integer of at least {}": (int, lambda n, lo: n >= lo, "must be at least {0}"),
     "an integer from {} to {}": (int, lambda n, lo, hi: lo <= n <= hi,
                                  "must be at least {0} and at most {1}"),

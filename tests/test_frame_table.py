@@ -3,7 +3,8 @@
 `frame_reference` keeps the pipeline that built one `FrameFeatures` per frame
 and the decision that averaged Python lists. On the acceptance corpus, clean
 and under the lowest-SNR white and babble conditions of the noise harness,
-every frame of the table must read back as the reference frame, and every
+every frame of the table must read back as the reference frame (its values
+through `frame_reference.rows`, its status through `table[i]`), and every
 segment decision taken from a table slice must equal the reference decision;
 crafted segments add the discard reasons the corpus does not reach.
 """
@@ -15,7 +16,7 @@ from scipy.signal import lfilter
 import frame_reference
 from conftest import analyse, segment_audio
 from specvalley import classify
-from specvalley.classify import REASONS, UNSTABLE, VALID, FrameTable, decide_segment
+from specvalley.classify import REASONS, UNSTABLE, VALID, FrameStatus, FrameTable, decide_segment
 from specvalley.errors import NoDecisionError
 from specvalley.sigproc import levinson_failure, levinson_rows
 
@@ -48,9 +49,14 @@ def _decision(decide, features, rule):
         return None
 
 
+def _statuses(features):
+    return [(f.valid, f.fail_reason) for f in features]
+
+
 def _assert_table_is(table, expected):
     # v1, v2, formants, validity and reason text of every frame
-    assert list(table) == expected
+    assert frame_reference.rows(table) == expected
+    assert list(table) == _statuses(expected)
     invalid = np.array([not f.valid for f in expected])
     assert np.array_equal(np.isnan(table.v1), invalid)
     assert np.array_equal(np.isnan(table.v2), invalid)
@@ -105,7 +111,7 @@ def test_rows_slices_and_iteration():
     table.bandwidths[1:3] = [80.0, 90.0, 100.0], [60.0, 70.0, np.nan]
     table.counts[1:3] = 3, 2
     table.stage[3], table.reflection[3, 1] = 2, 1.25
-    rows = list(table)
+    rows = frame_reference.rows(table)
     assert [f.valid for f in rows] == [False, True, False, False]
     assert [f.fail_reason for f in rows] == [
         "silent frame", None, "fewer than three formants",
@@ -113,13 +119,16 @@ def test_rows_slices_and_iteration():
     assert (rows[1].v1_db, rows[1].v2_db) == (2.5, -1.5)
     assert [(s.frequency, s.bandwidth) for s in rows[2].formants] == [(700.0, 60.0),
                                                                       (1200.0, 70.0)]
-    assert list(table) == rows and table[-1] == rows[3]
+    assert list(table) == _statuses(rows) and table[-1] == _statuses(rows)[3]
+    assert all(isinstance(status, FrameStatus) for status in table)
     with pytest.raises(IndexError):
         table[4]
     part = table[1:3]
-    assert isinstance(part, FrameTable) and list(part) == rows[1:3]
+    assert isinstance(part, FrameTable) and frame_reference.rows(part) == rows[1:3]
+    assert list(part) == _statuses(rows[1:3])
     assert np.shares_memory(part.v1, table.v1)
     assert len(FrameTable.empty(0, 0)) == 0 and list(FrameTable.empty(0, 0)) == []
+    assert frame_reference.rows(FrameTable.empty(0, 0)) == []
 
 
 def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():

@@ -2,8 +2,9 @@
 
 The files in `tests/golden/` and the commands that produce them are listed in
 `regenerate_golden.py`, which also rebuilds them. Any byte that moves fails
-here with a unified diff. The two classify files also state their margins: how
-close their full-precision values come to moving a byte.
+here with a unified diff. The two classify files and the four sweep files
+(`sweep2`, `ocd2`, `ocd4`, `pb_ocd`) also state their margins: how close their
+full-precision values come to moving a byte.
 """
 
 import difflib
@@ -11,12 +12,7 @@ import difflib
 import numpy as np
 import pytest
 
-from regenerate_golden import COMMANDS, GOLDEN_DIR, build_inputs, render
-
-
-@pytest.fixture(scope="module")
-def golden_inputs(tmp_path_factory, recipes):
-    return build_inputs(tmp_path_factory.mktemp("golden"), recipes)
+from regenerate_golden import COMMANDS, GOLDEN_DIR, render
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -43,6 +39,13 @@ THRESHOLD_MARGINS = {"classify_valley": ("valley", 0.7), "classify_f3f2": ("f3f2
 ROUNDING_MARGIN = 2e-6
 
 
+def _to_rounding_boundary(values, digits):
+    """How far each value is from a boundary of rounding to `digits` decimals, or
+    from zero, where the printed zero would change its sign."""
+    scaled = np.abs(np.asarray(values, dtype=np.float64)) * 10.0**digits
+    return np.minimum(np.abs(scaled - np.floor(scaled) - 0.5), scaled) / 10.0**digits
+
+
 @pytest.mark.parametrize("name", sorted(THRESHOLD_MARGINS))
 def test_classify_files_keep_their_margins(name, golden_inputs):
     from specvalley import classify, corpus
@@ -58,6 +61,70 @@ def test_classify_files_keep_their_margins(name, golden_inputs):
     assert rows == [[f"{m:.3f}" for m in row] for row in means]  # the file's own values
     threshold = classify.DEFAULT_THRESHOLDS[rule]
     assert min(abs(d.statistic - threshold) for d in decisions) >= floor
-    thousandths = means * 1000.0
-    to_boundary = np.minimum(np.abs(thousandths - np.floor(thousandths) - 0.5), np.abs(thousandths))
-    assert to_boundary.min() / 1000.0 >= ROUNDING_MARGIN
+    assert _to_rounding_boundary(means, 3).min() >= ROUNDING_MARGIN
+
+
+# How far the full-precision values behind the 4-decimal cells of the sweep
+# files stay from a rounding boundary or the sign of zero: the measured
+# margins, rounded down. Measured: 4.7e-6 in sweep2 and ocd2 (spacing 3.2338);
+# 7.2e-7 in ocd4 (spacing 5.4777) and 7.3e-7 for the tube OCD 3.5331 of ocd4
+# and pb_ocd, the two under 1e-6.
+SWEEP_MARGINS = {"sweep2": 4e-6, "ocd2": 4e-6, "ocd4": 7e-7, "pb_ocd": 7e-7}
+
+
+def _printed_cells(name):
+    """(row key, 4-decimal cell) of golden file `name`, in file order: spacing and
+    RLSV per sweep step and the `# ocd_bark` row, or each pb_ocd row's OCD."""
+    lines = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()[3:]
+    if name == "pb_ocd":
+        return [(tuple(line.split(",")[:3]), line.split(",")[3]) for line in lines]
+    cells = []
+    for line in lines:
+        if line.startswith("# ocd_bark,"):
+            cells.append(("ocd_bark", line.split(",")[1]))
+        else:
+            step, _, _, spacing, rlsv = line.split(",")
+            cells += [(step, spacing), (step, rlsv)]
+    return cells
+
+
+def _full_precision(name, keys):
+    """The values behind the cells of golden file `name` at `keys`, from
+    `experiments` with the parameters of the file's command."""
+    from specvalley import corpus, experiments
+    from specvalley.scales import hz_to_bark
+    from specvalley.types import FormantSpec
+
+    if name == "sweep2":
+        f1 = np.arange(650.0, 975.0, 50.0)
+        meter = experiments.PairMeter([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+                                      (0, 1), 10000.0, n_points=4096, mean_band_hz=2500.0)
+        spacings = hz_to_bark(1400.0) - hz_to_bark(f1)
+        return [v for f, s in zip(f1, spacings)
+                for v in (s, meter.measure((f, 100.0), (1400.0, 200.0))[2])]
+    if name == "pb_ocd":
+        entries = corpus.load_pb_table(corpus.default_pb_table_path())
+        ocd = {}
+        for gender in ("male", "female"):
+            means = {v: f for v, f in corpus.pb_mean_formants(entries, gender).items()
+                     if v in experiments.FRONT_VOWELS + experiments.BACK_VOWELS}
+            for row in experiments.pb_ocd_table(experiments.pb_sweeps(means, gender)):
+                ocd[gender, row.vowel, row.basis] = row.result.ocd_bark
+        assert sorted(ocd) == sorted(keys)
+        return [ocd[key] for key in keys]
+    if name == "ocd2":
+        cfg = experiments.SweepConfig([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+                                      10000.0, move_upper=False, mean_band_hz=2500.0)
+    else:
+        cfg = experiments.SweepConfig(
+            [FormantSpec(f, 100.0) for f in experiments.UNIFORM_TUBE_FORMANTS_HZ], 8000.0)
+    result = experiments.ocd_sweep(cfg)
+    return [v for step in result.sweep for v in step] + [result.ocd_bark]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MARGINS))
+def test_sweep_files_keep_their_margins(name):
+    keys, printed = zip(*_printed_cells(name))
+    values = _full_precision(name, list(keys))
+    assert list(printed) == [f"{v:.4f}" for v in values]  # the file's own values
+    assert _to_rounding_boundary(values, 4).min() >= SWEEP_MARGINS[name]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+import frame_reference
 from conftest import frames_of, peak_levels
 from specvalley import experiments
 from specvalley.baseline import mfcc, segment_mfcc_matrix
@@ -230,7 +231,7 @@ def _test_segment(seed, noise):
 
 def _features(seg, cfg):
     return [(f.v1_db, f.v2_db, [(x.frequency, x.bandwidth) for x in f.formants], f.fail_reason)
-            for f in frame_pipeline(frames_of(seg, cfg), seg[1], cfg)]
+            for f in frame_reference.rows(frame_pipeline(frames_of(seg, cfg), seg[1], cfg))]
 
 
 # the stacked pipeline does the same arithmetic as the loop, so it must give
