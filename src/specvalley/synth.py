@@ -13,10 +13,10 @@ from .types import FormantSpec
 # corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
 
-# the cascade is filtered on an FFT grid that holds the signal plus
-# TAIL_TIME_CONSTANTS time constants of its slowest pole (a decay of e^-60),
-# so the responses that wrap around the grid fall far below rounding; a
-# bandwidth whose tail exceeds MAX_TAIL_SAMPLES is refused
+# the cascade's impulse response is taken from an FFT grid at least as long
+# as the signal and as TAIL_TIME_CONSTANTS time constants of its slowest pole
+# (a decay of e^-60), so the response that wraps around the grid falls far
+# below rounding; a bandwidth whose tail exceeds MAX_TAIL_SAMPLES is refused
 TAIL_TIME_CONSTANTS = 60
 MAX_TAIL_SAMPLES = 1 << 20
 
@@ -47,6 +47,32 @@ def _rfft_zinv(size: int) -> np.ndarray:
     return zinv
 
 
+def _impulse_response(formants, sample_rate: float, n_samples: int, tilted: bool) -> np.ndarray:
+    """The first `n_samples` samples of the cascade's impulse response, from one irfft."""
+    # the tilt pole exp(-2*pi*TILT_CORNER_HZ/fs) decays as a resonator of twice that bandwidth
+    bandwidths = [f.bandwidth for f in formants] + ([2.0 * TILT_CORNER_HZ] if tilted else [])
+    if not bandwidths:
+        return np.eye(1, n_samples)[0]
+    narrowest = min(bandwidths)
+    tail = int(np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * narrowest)))
+    if tail > MAX_TAIL_SAMPLES:
+        raise ValueError(
+            f"bandwidth {narrowest} Hz at {sample_rate} Hz needs a {tail}-sample tail, "
+            f"more than {MAX_TAIL_SAMPLES}"
+        )
+    size = 1 << (max(n_samples, tail) - 1).bit_length()
+    zinv = _rfft_zinv(size)
+    gain, denominator = 1.0, 1.0
+    for f in formants:
+        a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
+        gain *= 1.0 + a1 + a2
+        denominator = denominator * resonator_denominator(a1, a2, zinv)
+    response = gain / denominator
+    if tilted:
+        response *= source_tilt_response(zinv, sample_rate)
+    return np.fft.irfft(response, size)[:n_samples]
+
+
 def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
                     tilted: bool = False) -> np.ndarray:
     """Run a pulse train per F0 serially through one resonator per formant: (k, n_samples).
@@ -55,13 +81,15 @@ def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
     sample 0, and an F0 of 0 leaves the single pulse at sample 0. Every
     resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with the
     taps of `sigproc.resonator_taps`, and `tilted` adds the source-tilt
-    lowpass. The cascade is linear and time-invariant, so it is applied as
-    one frequency response, the product of its sections' on an rfft grid of
-    a power-of-two size L at or above `n_samples` plus TAIL_TIME_CONSTANTS
-    time constants of the slowest pole: one rfft of the stacked pulse trains,
-    one product, one irfft cut to `n_samples`. A row does not depend on the
-    rows stacked with it. With no formant and no tilt the pulses come back
-    unfiltered.
+    lowpass. The cascade is linear and time-invariant, so its impulse
+    response h is computed once: its frequency response, the product of the
+    sections' gains over the product of their denominators, goes through one
+    irfft on a power-of-two grid L at or above both `n_samples` and
+    TAIL_TIME_CONSTANTS time constants of the slowest pole. A train of period
+    P is then h summed with itself shifted by P, 2P, ...: h padded to whole
+    periods, reshaped to one period a row, and summed down the rows. A row
+    does not depend on the rows stacked with it. With no formant and no tilt
+    h is the unit impulse, and the pulses come back unfiltered.
 
     Raises ValueError for a negative or non-finite F0, a train shorter than
     its period (n_samples * f0 < sample_rate), a formant at or above Nyquist,
@@ -69,8 +97,8 @@ def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    x = np.zeros((len(f0s), n_samples))
-    for row, f0 in zip(x, map(float, f0s)):
+    periods = []
+    for f0 in map(float, f0s):
         if not (np.isfinite(f0) and f0 >= 0):
             raise ValueError(f"f0 must be finite and not negative, got {f0}")
         if f0 and n_samples * f0 < sample_rate:
@@ -78,28 +106,17 @@ def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
         period = round(sample_rate / f0) if f0 else n_samples
         if period < 1:
             raise ValueError(f"f0 {f0} Hz too high for sample rate {sample_rate}")
-        row[::period] = 1.0
+        periods.append(period)
     for f in formants:
         if f.frequency >= sample_rate / 2.0:
             raise ValueError(f"resonator frequency {f.frequency} Hz must be below Nyquist")
-    # the tilt pole exp(-2*pi*TILT_CORNER_HZ/fs) decays as a resonator of twice that bandwidth
-    bandwidths = [f.bandwidth for f in formants] + ([2.0 * TILT_CORNER_HZ] if tilted else [])
-    if not bandwidths:
-        return x
-    narrowest = min(bandwidths)
-    tail = int(np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * narrowest)))
-    if tail > MAX_TAIL_SAMPLES:
-        raise ValueError(
-            f"bandwidth {narrowest} Hz at {sample_rate} Hz needs a {tail}-sample tail, "
-            f"more than {MAX_TAIL_SAMPLES}"
-        )
-    size = 1 << (n_samples + tail - 1).bit_length()
-    zinv = _rfft_zinv(size)
-    response = source_tilt_response(zinv, sample_rate) if tilted else 1.0
-    for f in formants:
-        a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
-        response = response * ((1.0 + a1 + a2) / resonator_denominator(a1, a2, zinv))
-    return np.fft.irfft(np.fft.rfft(x, size) * response, size)[:, :n_samples].copy()
+    h = _impulse_response(formants, sample_rate, n_samples, tilted)
+    rows = np.empty((len(periods), n_samples))
+    for row, period in zip(rows, periods):
+        folded = np.zeros(-(-n_samples // period) * period)
+        folded[:n_samples] = h
+        row[:] = folded.reshape(-1, period).cumsum(axis=0).ravel()[:n_samples]
+    return rows
 
 
 class BandwidthCalibration(NamedTuple):

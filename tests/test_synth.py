@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,26 @@ class TestSynthesize:
         sa = np.abs(np.fft.rfft(a))
         sb = np.abs(np.fft.rfft(b))
         assert np.allclose(sa, sb, rtol=1e-8, atol=1e-12)
+
+
+def _files_digest(paths):
+    """First 16 hex digits of the sha256 of each file's name, a NUL and its bytes, by path."""
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def test_corpus_and_babble_keep_their_bytes(corpus_dir, golden_inputs):
+    # pinned without SciPy: test_synth_reference.py compares against lfilter
+    golden_corpus, babble = golden_inputs
+    assert len(list(corpus_dir.iterdir())) == 1000
+    assert {
+        "acceptance": _files_digest(corpus_dir.iterdir()),
+        "golden": _files_digest(golden_corpus.iterdir()),
+        "babble": _files_digest([babble]),
+    } == {"acceptance": "a1a030e13221b0ee", "golden": "9887fc9629a9664b",
+          "babble": "71cbd5aac927fcd0"}
 
 
 def _spectral_slope_db_per_octave(x, f_low=500.0, f_high=2000.0):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from specvalley import synthetic
+from specvalley import synth, synthetic
 from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import MAX_TAIL_SAMPLES, TILT_CORNER_HZ, synthesize_rows
+from specvalley.synth import (MAX_TAIL_SAMPLES, TAIL_TIME_CONSTANTS, TILT_CORNER_HZ,
+                              synthesize_rows)
 from specvalley.types import FormantSpec
 
 REL_TOL = 1e-12  # of the reference's peak
@@ -159,3 +160,54 @@ def test_a_train_needs_one_full_period():
     row = synthesize_rows([], [100.0], 8000.0, 80)[0]
     assert np.array_equal(row, np.eye(1, 80)[0])
     assert np.flatnonzero(synthesize_rows([], [100.0], 8000.0, 81)[0]).tolist() == [0, 80]
+
+
+def _bandwidth_with_tail(samples, sample_rate):
+    """A bandwidth whose tail, TAIL_TIME_CONSTANTS time constants, is `samples` long."""
+    bandwidth = TAIL_TIME_CONSTANTS * sample_rate / (np.pi * (samples - 0.5))
+    assert int(np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * bandwidth))) == samples
+    return bandwidth
+
+
+# (formants, f0s, sample rate, n_samples, tilted, grid size) at the edges of the
+# impulse-response grid and of the fold by periods
+GRID_EDGES = {
+    # a 30 Hz bandwidth at 16 kHz has a 10186-sample tail
+    "shorter_than_the_tail": ([FormantSpec(500.0, 30.0), FormantSpec(1500.0, 90.0)],
+                              [0.0, 120.0, 16.0], 16000.0, 1000, True, 16384),
+    # the 4.05 s voice `build_babble` synthesizes, 8.5 times its grid's tail
+    "babble_voice": ([FormantSpec(f, b) for f, b in
+                      ((730.0, 60.0), (1090.0, 80.0), (2440.0, 120.0), (3500.0, 175.0))],
+                     [137.3, 90.0, 259.9], 16000.0, 64800, True, 65536),
+    "signal_of_4096": ([FormantSpec(700.0, 120.0)], [0.0, 100.0], 16000.0, 4096, True, 4096),
+    "signal_of_4097": ([FormantSpec(700.0, 120.0)], [0.0, 100.0], 16000.0, 4097, True, 8192),
+    "tail_of_4096": ([FormantSpec(700.0, _bandwidth_with_tail(4096, 16000.0))],
+                     [0.0, 100.0], 16000.0, 2000, False, 4096),
+    "tail_of_4097": ([FormantSpec(700.0, _bandwidth_with_tail(4097, 16000.0))],
+                     [0.0, 100.0], 16000.0, 2000, False, 8192),
+    # 8 kHz and 6 kHz both round to a period of one sample at 8 kHz
+    "period_of_1": ([FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)],
+                    [8000.0, 6000.0, 0.0], 8000.0, 500, True, 2048),
+    # periods of 107 and 999 samples, neither a divisor of 1000
+    "period_not_dividing": ([FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)],
+                            [150.0, 16000.0 / 999.0], 16000.0, 1000, False, 4096),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_EDGES))
+def test_grid_edges_match_the_reference_and_their_rows(case, monkeypatch):
+    fm, f0s, fs, n, tilted, grid = GRID_EDGES[case]
+    sizes = []
+
+    def zinv(size):
+        sizes.append(size)
+        return rfft_zinv(size)
+
+    rfft_zinv = synth._rfft_zinv
+    monkeypatch.setattr(synth, "_rfft_zinv", zinv)
+    stack = synthesize_rows(fm, f0s, fs, n, tilted)
+    assert sizes == [grid]
+    assert stack.shape == (len(f0s), n)
+    _assert_close(stack, reference_rows(fm, f0s, fs, n, tilted))
+    for row, f0 in zip(stack, f0s):
+        assert np.array_equal(row, synthesize_rows(fm, [f0], fs, n, tilted)[0])
