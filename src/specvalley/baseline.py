@@ -11,8 +11,9 @@ from .sigproc import stacked_product, window
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
-# MFCCs: N_FILTERS mel filters from 0 Hz to Nyquist on an NFFT-point spectrum,
-# and c1..c_N_COEFFS kept
+# MFCCs: N_FILTERS mel filters from 0 Hz to Nyquist on a spectrum of NFFT
+# points, or of the frame length rounded up to a power of two where that is
+# more, and c1..c_N_COEFFS kept
 N_FILTERS = 26
 N_COEFFS = 12
 NFFT = 512
@@ -38,16 +39,16 @@ def _mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=8)
-def mel_filterbank(sample_rate: float) -> np.ndarray:
-    """Triangular mel filters as an (N_FILTERS, NFFT//2 + 1) weight matrix.
+def mel_filterbank(sample_rate: float, n_fft: int) -> np.ndarray:
+    """Triangular mel filters as an (N_FILTERS, n_fft//2 + 1) weight matrix.
 
-    Built once per sample rate; the cached matrix is read-only.
+    Built once per sample rate and FFT size; the cached matrix is read-only.
     """
     mels = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), N_FILTERS + 2)
     hz = _mel_to_hz(mels)
-    bins = np.floor((NFFT + 1) * hz / sample_rate).astype(int)
-    bins = np.clip(bins, 0, NFFT // 2)
-    fb = np.zeros((N_FILTERS, NFFT // 2 + 1))
+    bins = np.floor((n_fft + 1) * hz / sample_rate).astype(int)
+    bins = np.clip(bins, 0, n_fft // 2)
+    fb = np.zeros((N_FILTERS, n_fft // 2 + 1))
     for i in range(N_FILTERS):
         left, center, right = bins[i], bins[i + 1], bins[i + 2]
         if center == left:
@@ -77,17 +78,19 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     """c1..c12 of each row of a frame stack: power spectrum, mel filterbank, log, DCT-II.
 
     An (n_frames, frame_len) stack gives an (n_frames, N_COEFFS) matrix from
-    one rfft and two `sigproc.stacked_product` calls, the filterbank and the
-    DCT, so each row equals what its frame gives alone. c0 is dropped, which
-    makes the kept coefficients invariant to audio gain.
+    one rfft, long enough for every sample (see NFFT), and two
+    `sigproc.stacked_product` calls, the filterbank and the DCT, so each row
+    equals what its frame gives alone. c0 is dropped, which makes the kept
+    coefficients invariant to audio gain.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError(f"frames must be an (n_frames, frame_len) stack, got shape {frames.shape}")
     if not np.all(np.any(frames, axis=1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
-    spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=1)) ** 2
-    energies = stacked_product(spectrum, mel_filterbank(sample_rate).T)
+    n_fft = max(NFFT, 1 << (frames.shape[1] - 1).bit_length())
+    spectrum = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+    energies = stacked_product(spectrum, mel_filterbank(sample_rate, n_fft).T)
     log_e = np.log(np.maximum(energies, 1e-300))
     return stacked_product(log_e, dct_basis(N_FILTERS)[1 : N_COEFFS + 1].T)
 

@@ -2,7 +2,7 @@
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -137,12 +137,11 @@ class SegmentDecision:
 
 @dataclass
 class ClassificationReport:
-    """Per-class and overall accuracy plus confusion counts."""
+    """Per-class and overall accuracy, and the segments counted."""
 
     front_accuracy: float | None  # None when the class has no segments
     back_accuracy: float | None
     overall_accuracy: float
-    confusion: dict = field(default_factory=dict)
     n_front: int = 0
     n_back: int = 0
     n_undecided: int = 0
@@ -325,7 +324,6 @@ def score(decisions, truths) -> ClassificationReport:
         raise ValueError("decisions and truths must have equal length")
     if not decisions:
         raise ValueError("nothing to score")
-    confusion: dict = {}
     counts = {"front": 0, "back": 0}
     correct = {"front": 0, "back": 0}
     undecided = 0
@@ -333,13 +331,9 @@ def score(decisions, truths) -> ClassificationReport:
         if truth not in counts:
             raise ValueError(f"truth label {truth!r} must be front or back")
         pred = dec.predicted if isinstance(dec, SegmentDecision) else dec
-        if pred is None:
-            undecided += 1
-            pred = "undecided"
-        confusion[(truth, pred)] = confusion.get((truth, pred), 0) + 1
+        undecided += pred is None
         counts[truth] += 1
-        if pred == truth:
-            correct[truth] += 1
+        correct[truth] += pred == truth
     def acc(cls):
         return 100.0 * correct[cls] / counts[cls] if counts[cls] else None
     total = counts["front"] + counts["back"]
@@ -347,7 +341,6 @@ def score(decisions, truths) -> ClassificationReport:
         front_accuracy=acc("front"),
         back_accuracy=acc("back"),
         overall_accuracy=100.0 * (correct["front"] + correct["back"]) / total,
-        confusion=confusion,
         n_front=counts["front"],
         n_back=counts["back"],
         n_undecided=undecided,

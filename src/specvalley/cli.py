@@ -181,6 +181,16 @@ def _step_budget(cfg, sweep):
 # ---------------------------------------------------------------- experiments
 
 
+def _sweep_table(out, pairs, sweep, notes):
+    """The step table of a sweep: per step its (f_low, f_high) of `pairs` in Hz and its
+    (spacing in bark, RLSV in dB or None) of `sweep`, then a note per line of `notes`."""
+    out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
+    for k, ((f_lo, f_hi), (spacing, v)) in enumerate(zip(pairs, sweep)):
+        out.row(k, _fmt(f_lo, 1), _fmt(f_hi, 1), _fmt(spacing, 4), _fmt(v, 4))
+    for note in notes:
+        out.note(note)
+
+
 def _cmd_sweep2(args, out):
     if args.f1_stop < args.f1_start:
         raise UsageError(f"--f1-stop ({args.f1_stop}) must not be below "
@@ -197,25 +207,21 @@ def _cmd_sweep2(args, out):
     meter = experiments.PairMeter([FormantSpec(f1_values[0], args.b1),
                                    FormantSpec(args.f2, args.b2)], (0, 1), args.fs,
                                   args.points, args.band)
-    out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
-    errors = []
-    spacings = hz_to_bark(args.f2) - hz_to_bark(f1_values)
-    for k, (f1, spacing) in enumerate(zip(f1_values, spacings)):
+    rlsv, errors = [], []
+    for k, f1 in enumerate(f1_values):
         try:
-            v = meter.measure((f1, args.b1), (args.f2, args.b2))[2]
+            rlsv.append(meter.measure((f1, args.b1), (args.f2, args.b2))[2])
         except (PeakNotFoundError, ValleyUndefinedError) as exc:
-            v = None
+            rlsv.append(None)
             errors.append(f"step {k} unmeasurable: {exc}")
-        out.row(k, _fmt(f1, 1), _fmt(args.f2, 1), _fmt(spacing, 4), _fmt(v, 4))
-    for error in errors:
-        out.note(error)
+    _sweep_table(out, [(f1, args.f2) for f1 in f1_values],
+                 zip(hz_to_bark(args.f2) - hz_to_bark(f1_values), rlsv), errors)
 
 
-def _emit_sweep(out, result):
-    out.row("step", "f_low", "f_high", "spacing_bark", "v_db")
-    for k, ((spacing, v), (f_lo, f_hi)) in enumerate(zip(result.sweep, result.pair_trace)):
-        out.row(k, _fmt(f_lo, 1), _fmt(f_hi, 1), _fmt(spacing, 4), _fmt(v, 4))
-    out.note(f"ocd_bark,{result.ocd_bark:.4f}")
+def _emit_ocd(out, cfg):
+    """Run the OCD sweep of `cfg`, then write its step table and its OCD."""
+    result = experiments.ocd_sweep(cfg)
+    _sweep_table(out, result.pair_trace, result.sweep, [f"ocd_bark,{result.ocd_bark:.4f}"])
 
 
 def _cmd_ocd2(args, out):
@@ -227,7 +233,7 @@ def _cmd_ocd2(args, out):
     _step_budget(cfg, "from --f1-start up to --f2")
     out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
                       band=args.band, step=args.step, points=args.points)
-    _emit_sweep(out, experiments.ocd_sweep(cfg))
+    _emit_ocd(out, cfg)
 
 
 def _cmd_ocd4(args, out):
@@ -249,24 +255,26 @@ def _cmd_ocd4(args, out):
     _step_budget(cfg, f"between --formants F{i + 1} and F{i + 2}")
     out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
                       pair=args.pair, points=args.points)
-    _emit_sweep(out, experiments.ocd_sweep(cfg))
+    _emit_ocd(out, cfg)
 
 
 def _case_formants(args, b3, b4):
+    """F1..F4 of `levels` and `f0`, each below Nyquist and above the one before."""
     if args.case is None and (args.f1 is None or args.f2 is None):
         raise UsageError("give --case a|b, or both --f1 and --f2")
     if args.case is not None and (args.f1 is not None or args.f2 is not None):
         raise UsageError("give --case a|b, or --f1 and --f2, not both")
     f1, f2 = CASE_GEOMETRIES[args.case] if args.case else (args.f1, args.f2)
     lower = (f"--case {args.case} F1", f"--case {args.case} F2") if args.case else ("--f1", "--f2")
-    _below_nyquist(args.fs, zip(lower + ("--f3", "--f4"), (f1, f2, args.f3, args.f4)))
+    named = list(zip(lower + ("--f3", "--f4"), (f1, f2, args.f3, args.f4)))
+    _below_nyquist(args.fs, named)
+    _ascending(named)
     return [FormantSpec(f1, 100.0), FormantSpec(f2, 100.0), FormantSpec(args.f3, b3),
             FormantSpec(args.f4, b4)]
 
 
 def _cmd_levels(args, out):
     fm = _case_formants(args, args.b3, args.b4)
-    _ascending([("--f1", fm[0].frequency), ("--f2", fm[1].frequency)])
     out.params.update(case=args.case or "custom", f1=fm[0].frequency, f2=fm[1].frequency,
                       fs=args.fs, b1_values=args.b1_values, b2_values=args.b2_values)
     cells = experiments.level_influence_experiment(
@@ -305,29 +313,22 @@ def _cmd_pb_ocd(args, out):
                          f"({', '.join(known)}), got {args.gender!r}")
     tables = []
     for gender in genders:
-        means = {v: f for v, f in corpus.pb_mean_formants(entries, gender).items()
-                 if v in experiments.FRONT_VOWELS + experiments.BACK_VOWELS}
-        fs, f4 = experiments.pb_defaults(gender)
-        f4_flag = ("--f4" if args.f4 else f"the {gender} default --f4", args.f4 or f4)
-        _below_nyquist(args.fs or fs, [
-            *((f"table vowel {v} ({gender}) F{k + 1}", f)
-              for v, fm in means.items() for k, f in enumerate(fm)), f4_flag,
-        ], "--fs" if args.fs else f"the {gender} default --fs")
-        for v, fm in means.items():
-            _ascending([(f"table vowel {v} ({gender}) F3", fm[2]), f4_flag])
-        sweeps = experiments.pb_sweeps(means, gender, args.fs, args.f4, args.bw, args.step)
-        for vowel, cfg in sweeps:
+        sweeps = experiments.pb_sweeps(corpus.pb_mean_formants(entries, gender), gender,
+                                       args.fs, args.f4, args.bw, args.step)
+        rate = "--fs" if args.fs else f"the {gender} default --fs"
+        f4 = "--f4" if args.f4 else f"the {gender} default --f4"
+        for vowel, cfg in sweeps:  # the tube's fixed formants at 8 kHz always pass
+            names = [f"table vowel {vowel} ({gender}) F{k}" for k in (1, 2, 3)] + [f4]
+            named = list(zip(names, (f.frequency for f in cfg.formants)))
+            _below_nyquist(cfg.sample_rate, named, rate)
+            _ascending(named)
             _step_budget(cfg, f"in the {cfg.basis} sweep of {vowel} ({gender})")
         tables.append((gender, sweeps))
     out.params.update(table=args.table or "bundled", gender=args.gender, bw=args.bw,
                       step=args.step)
     out.row("gender", "vowel", "basis", "ocd_bark", "status")
-    order = {v: k for k, v in enumerate(
-        experiments.FRONT_VOWELS + ("tube",) + experiments.BACK_VOWELS)}
     for gender, sweeps in tables:
-        rows = experiments.pb_ocd_table(sweeps)
-        rows.sort(key=lambda r: (order.get(r.vowel, 99), r.basis))
-        for r in rows:
+        for r in experiments.pb_ocd_table(sweeps):
             if r.result is not None:
                 out.row(gender, r.vowel, r.basis, _fmt(r.result.ocd_bark, 4), "ok")
             else:
@@ -353,6 +354,11 @@ def _corpus_inputs(args):
     order is checked against the frame length at every rate in the corpus."""
     if not Path(args.corpus).is_dir():
         raise UsageError(f"--corpus must be a directory, got {args.corpus!r}")
+    try:
+        corpus.check_labels_ext(args.labels_ext)
+    except ValueError:
+        raise UsageError(f"--labels-ext must be empty or a suffix such as .phn, "
+                         f"got {args.labels_ext!r}") from None
     inventory = _inventory_for(args)
     cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
                                   preemphasis=args.preemph, lp_order=args.lp_order)
@@ -545,7 +551,7 @@ def _add_two_formant_args(p):
     _number(p, "--fs", 10000.0, POSITIVE)
     p.add_argument("--band", type=_band, default=2500.0,
                    help="mean-level band in Hz (0 or below disables)")
-    _number(p, "--points", 4096, GRID_SIZE, int)
+    _number(p, "--points", experiments.GRID_POINTS, GRID_SIZE, int)
 
 
 def _add_case_args(p):
@@ -568,13 +574,14 @@ def _ocd2_flags(p):
 
 
 def _ocd4_flags(p):
-    p.add_argument("--formants", default="500,1500,2500,3500")
+    p.add_argument("--formants",
+                   default=",".join(f"{f:g}" for f in experiments.UNIFORM_TUBE_FORMANTS_HZ))
     p.add_argument("--bw", default="100")
     _number(p, "--fs", 8000.0, POSITIVE)
     _number(p, "--step", 25.0, POSITIVE)
     p.add_argument("--pair", type=int, default=1,
                    help="1-based index of the lower formant of the swept pair")
-    _number(p, "--points", 4096, GRID_SIZE, int)
+    _number(p, "--points", experiments.GRID_POINTS, GRID_SIZE, int)
 
 
 def _levels_flags(p):

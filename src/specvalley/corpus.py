@@ -162,30 +162,26 @@ def select_vowel_segments(labels, n_samples: int, sample_rate: float,
                           inventory: VowelInventory):
     """Keep inventory vowels with clean neighbors and sufficient duration.
 
+    Each span's stop is first clipped to an utterance of `n_samples` samples.
     A vowel is dropped when either neighbor label is in the inventory's
-    exclusion set (nasals, 'r'-like, aspirated 'h') or when it is shorter
-    than MIN_SEGMENT_DURATION_S (45 ms). Central vowels are kept but tagged
-    so callers can exclude them from scoring. Returns the (start, stop,
-    label, class) of each kept vowel, its stop clipped to an utterance of
-    `n_samples` samples.
+    exclusion set (nasals, 'r'-like, aspirated 'h') or when its clipped span
+    is shorter than MIN_SEGMENT_DURATION_S (45 ms). Central vowels are kept
+    but tagged so callers can exclude them from scoring. Returns the (start,
+    stop, label, class) of each kept vowel.
     """
     out = []
     for k, (start, end, label) in enumerate(labels):
         fb = inventory.fb_class(label)
         if fb is None:
             continue
+        end = min(end, n_samples)
         if (end - start) / sample_rate < MIN_SEGMENT_DURATION_S:
             continue
         prev_label = labels[k - 1][2] if k > 0 else None
         next_label = labels[k + 1][2] if k + 1 < len(labels) else None
-        if prev_label in inventory.excluded_neighbors:
+        if {prev_label, next_label} & inventory.excluded_neighbors:
             continue
-        if next_label in inventory.excluded_neighbors:
-            continue
-        end_clipped = min(end, n_samples)
-        if end_clipped <= start:
-            continue
-        out.append((start, end_clipped, label, fb))
+        out.append((start, end, label, fb))
     return out
 
 
@@ -315,6 +311,11 @@ def _is_file(entry: os.DirEntry) -> bool:
         return False
 
 
+def check_labels_ext(labels_ext: str):
+    """Raise ValueError unless `labels_ext` is empty or a suffix such as .phn."""
+    PurePath("a.wav").with_suffix(labels_ext)  # "Invalid suffix 'phn'"
+
+
 def _labelled_wavs(root, labels_ext: str):
     """(path parts below root, WAV path, label sidecar `os.DirEntry`) of each
     labelled WAV under root, in sorted order of the parts.
@@ -344,8 +345,6 @@ def _labelled_wavs(root, labels_ext: str):
             sidecars = (entries.get(name[:dot] + ext) for ext in exts)
             label = next((e for e in sidecars if e is not None and _is_file(e)), None)
             found.append((parts + (name,), entry.path, label))
-    if found:  # an invalid extension raises as Path.with_suffix raises it
-        PurePath(found[0][0][-1]).with_suffix(labels_ext)
     found.sort(key=lambda wav: wav[0])
     return [wav for wav in found if wav[2] is not None]
 
@@ -359,10 +358,12 @@ def collect_segments(corpus_dir, labels_ext: str, inventory: VowelInventory) -> 
     order of their path below the root, so the table is deterministic.
     Each segment's utterance id is that path without its suffix
     (`DR1/FAKS0/SA1`; the file stem in a flat corpus). WAVs without a label
-    sidecar are skipped. A file that cannot be read as a WAV or as labels
+    sidecar are skipped. A bad `labels_ext` raises before the walk (see
+    `check_labels_ext`). A file that cannot be read as a WAV or as labels
     raises its FormatError or LabelParseError with that path in front of
     the message.
     """
+    check_labels_ext(labels_ext)
     wavs = _labelled_wavs(os.fspath(corpus_dir), labels_ext)
     # Room for every sample of every file (a file holds at most half as many
     # 16-bit samples as bytes), in an anonymous mapping of its own: the

@@ -378,16 +378,17 @@ def f0_influence_experiment(
     default), and the F1-F2 RLSV of that envelope is subtracted from the
     analytic reference. With the lag window disabled the LP fit recovers the
     all-pole model exactly and the difference collapses toward zero as the
-    harmonics densify.
+    harmonics densify. The formants are taken in the order given; F1 must be
+    below F2.
     """
     from .synth import synthesize_rows
 
-    fm = sorted(case_formants, key=lambda f: f.frequency)
-    f1, f2 = fm[0].frequency, fm[1].frequency
-    reference = PairMeter(fm, (0, 1), sample_rate)
-    v_ref = reference.measure((f1, fm[0].bandwidth), (f2, fm[1].bandwidth))[2]
-    duration_s = F0_SETTLE_S + F0_ANALYSIS_S
-    signals = synthesize_rows(fm, f0_values, sample_rate, int(round(duration_s * sample_rate)))
+    lower, upper = case_formants[:2]
+    f1, f2 = lower.frequency, upper.frequency
+    reference = PairMeter(case_formants, (0, 1), sample_rate)
+    v_ref = reference.measure((f1, lower.bandwidth), (f2, upper.bandwidth))[2]
+    n_samples = int(round((F0_SETTLE_S + F0_ANALYSIS_S) * sample_rate))
+    signals = synthesize_rows(case_formants, f0_values, sample_rate, n_samples)
     levels, mean_db = lp_envelope_of_signal(signals[:, int(F0_SETTLE_S * sample_rate):], lp_order,
                                             lag_window_half_length)
     return [F0Row(f0, v_ref, m - _peak_pair_rlsv(reference.freqs, row, f1, f2)[2])
@@ -406,11 +407,6 @@ class VowelOcd:
     unmeasurable: bool = False
 
 
-def pb_defaults(gender: str):
-    """The (sample rate, F4) in Hz that `pb_sweeps` takes for `gender` when not given."""
-    return (8000.0, 3500.0) if gender == "male" else (10000.0, 4200.0)
-
-
 def pb_sweeps(
     mean_formants: dict,
     gender: str,
@@ -421,21 +417,23 @@ def pb_sweeps(
 ):
     """(vowel, SweepConfig) of each per-vowel OCD sweep, equal bandwidths everywhere.
 
-    `mean_formants` maps vowel label to (F1, F2, F3) in Hz. Back vowels sweep
-    (F1, F2) for a V12-based OCD, front vowels (F2, F3) for a V23-based one.
-    Every sweep may widen a pair that starts below the crossing. The uniform
-    tube's two reference sweeps (`UNIFORM_TUBE_FORMANTS_HZ`, at 8 kHz whatever
-    the gender) come last.
+    `mean_formants` maps vowel label to (F1, F2, F3) in Hz; `sample_rate` and
+    `f4` default to 8000 and 3500 Hz for "male", else to 10000 and 4200 Hz.
+    The sweeps come in the order `pb-ocd` prints them: each of FRONT_VOWELS
+    the table has, sweeping (F2, F3) for a V23-based OCD; the uniform tube's
+    V12 and V23 reference sweeps (`UNIFORM_TUBE_FORMANTS_HZ` at 8 kHz, whatever
+    the gender); then each of BACK_VOWELS the table has, sweeping (F1, F2)
+    for a V12-based OCD. Other vowels have no sweep. Every sweep may widen a
+    pair that starts below the crossing.
     """
-    default_rate, default_f4 = pb_defaults(gender)
+    default_rate, default_f4 = (8000.0, 3500.0) if gender == "male" else (10000.0, 4200.0)
     sample_rate = default_rate if sample_rate is None else sample_rate
     f4 = default_f4 if f4 is None else f4
-    sweeps = []
-    for vowel, (f1, f2, f3) in mean_formants.items():
-        pair = (1, 2) if vowel in FRONT_VOWELS else (0, 1)
-        sweeps.append((vowel, (f1, f2, f3, f4), sample_rate, pair))
-    for pair in ((0, 1), (1, 2)):
-        sweeps.append(("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair))
+    sweeps = [(v, (*mean_formants[v], f4), sample_rate, (1, 2))
+              for v in FRONT_VOWELS if v in mean_formants]
+    sweeps += [("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair) for pair in ((0, 1), (1, 2))]
+    sweeps += [(v, (*mean_formants[v], f4), sample_rate, (0, 1))
+               for v in BACK_VOWELS if v in mean_formants]
     return [(vowel, SweepConfig([FormantSpec(f, bandwidth_hz) for f in freqs], rate, pair=pair,
                                 step_hz=step_hz, allow_widening=True))
             for vowel, freqs, rate, pair in sweeps]

@@ -230,7 +230,7 @@ class EnvelopeLevels(NamedTuple):
     singular: np.ndarray  # (n,) rows whose levels mean nothing
 
 
-def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int = 1024) -> EnvelopeLevels:
+def lpc_levels(a: np.ndarray, gain: np.ndarray, n_points: int) -> EnvelopeLevels:
     """dB envelopes 20*log10(gain/|A(e^jw)|) of a stack of error filters.
 
     `a` is (n, order+1) taps and `gain` (n,); the levels are (n, n_points)

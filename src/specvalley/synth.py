@@ -133,33 +133,32 @@ def calibrate_bandwidth_rows(
     target_levels,
     sample_rate: float,
     extra_formants=None,
-    tilted: bool = False,
 ) -> BandwidthCalibration:
     """Find, row by row, bandwidths whose relative peak levels match the targets.
 
-    Row r calibrates the first three of `formant_freqs[r]` against the
-    first three of `target_levels[r]`, above the fixed `extra_formants[r]`
-    (default: none). The targets count relative to L1, which leaves B1
-    unconstrained: B1 stays at INITIAL_BANDWIDTH, while B2 and B3 are
-    bisected over SEARCH_RANGE_HZ against the analytic cascade spectrum (plus
-    the source tilt when `tilted`), for up to MAX_ROUNDS rounds, until the
-    relative levels land within TOLERANCE_DB. All rows bisect in lockstep,
-    and a row leaves the stack after the round in which it converges. Only
-    the formant being bisected is re-evaluated, and only on the bins
-    `envelope.window_bins` gives, which `envelope.gathered_peaks` searches.
+    Row r calibrates the three formants `formant_freqs[r]` against the three
+    `target_levels[r]`, above the fixed `extra_formants[r]` (default: none).
+    The targets count relative to L1, which leaves B1 unconstrained: B1
+    stays at INITIAL_BANDWIDTH, while B2 and B3 are bisected over
+    SEARCH_RANGE_HZ against the analytic cascade spectrum plus the source
+    tilt (the tilted source of `synthesize_rows`), for up to MAX_ROUNDS
+    rounds, until the relative levels land within TOLERANCE_DB. All rows
+    bisect in lockstep, and a row leaves the stack after the round in which
+    it converges. Only the formant being bisected is re-evaluated, and only
+    on the bins `envelope.window_bins` gives, which `envelope.gathered_peaks`
+    searches.
     A row's resonator terms are summed in the order given, F1..F3 and then
     its extra formants, and the tilt last; raises ValueError for a row whose
     frequencies in that order do not ascend.
     """
     freqs3 = np.asarray(formant_freqs, dtype=np.float64)
     levels = np.asarray(target_levels, dtype=np.float64)
-    if freqs3.ndim != 2 or freqs3.shape[1] < 3:
+    if freqs3.ndim != 2 or freqs3.shape[1] != 3:
         raise ValueError("three formant frequencies are required")
     n = len(freqs3)
-    if levels.ndim != 2 or len(levels) != n or levels.shape[1] < 3:
+    if levels.shape != (n, 3):
         raise ValueError("three target levels are required for every row")
-    freqs3 = freqs3[:, :3]
-    targets = levels[:, :3] - levels[:, :1]
+    targets = levels - levels[:, :1]
     extras = [list(e) for e in (extra_formants if extra_formants is not None else [()] * n)]
     if len(extras) != n or len({len(e) for e in extras}) > 1:
         raise ValueError("extra_formants needs one sequence per row, all of one length")
@@ -178,8 +177,7 @@ def calibrate_bandwidth_rows(
     zinv = zinv[bins]
     terms = [resonator_db(cascade_f[:, s, None], cascade_b[:, s, None], zinv, sample_rate)
              for s in range(cascade_f.shape[1])]
-    if tilted:
-        terms.append(20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate))))
+    terms.append(20.0 * np.log10(np.abs(source_tilt_response(zinv, sample_rate))))
 
     rounds = np.zeros(n, dtype=int)
     residuals = np.full((n, 3), np.inf)

@@ -72,7 +72,6 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
         [(e.l1, e.l2, e.l3) for e in entries],
         sample_rate,
         extra_formants=[[FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]] for e in entries],
-        tilted=True,
     )
     recipes = []
     for e, bws, rounds, residuals, converged in zip(entries, *fit):

@@ -60,7 +60,20 @@ class TestMfcc:
     def test_equals_the_scipy_dct_of_the_log_energies(self):
         frames = np.random.default_rng(4).standard_normal((20, 320))
         spectrum = np.abs(np.fft.rfft(frames, NFFT, axis=-1)) ** 2
-        log_e = np.log(np.maximum(spectrum @ mel_filterbank(FS).T, 1e-300))
+        log_e = np.log(np.maximum(spectrum @ mel_filterbank(FS, NFFT).T, 1e-300))
+        expected = dct(log_e, type=2, norm="ortho", axis=-1)[:, 1 : N_COEFFS + 1]
+        assert np.max(np.abs(mfcc(frames, FS) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("frame_len, n_fft", [(960, 1024), (1024, 1024), (1025, 2048)])
+    def test_a_frame_longer_than_nfft_keeps_every_sample(self, frame_len, n_fft):
+        # 60 ms at 16 kHz is 960 samples: the FFT grows to the next power of
+        # two, so the samples from NFFT on count
+        frames = np.random.default_rng(6).standard_normal((3, frame_len))
+        cut = frames.copy()
+        cut[:, NFFT:] = 0.0
+        assert not np.any(np.all(mfcc(frames, FS) == mfcc(cut, FS), axis=1))
+        spectrum = np.abs(np.fft.rfft(frames, n_fft, axis=-1)) ** 2
+        log_e = np.log(spectrum @ mel_filterbank(FS, n_fft).T)
         expected = dct(log_e, type=2, norm="ortho", axis=-1)[:, 1 : N_COEFFS + 1]
         assert np.max(np.abs(mfcc(frames, FS) - expected)) < 1e-12
 
@@ -84,12 +97,13 @@ class TestMfcc:
         mat = segment_mfcc_matrix(frames_of((sig, FS)), FS)
         assert mat.shape == (9, 12)
 
-    def test_filterbank_built_once_per_rate_and_config(self):
-        fb = mel_filterbank(FS)
-        assert mel_filterbank(FS) is fb
-        assert mel_filterbank(8000.0) is not fb
+    def test_filterbank_built_once_per_rate_and_size(self):
+        fb = mel_filterbank(FS, NFFT)
+        assert mel_filterbank(FS, NFFT) is fb
+        assert mel_filterbank(8000.0, NFFT) is not fb
         assert fb.shape == (N_FILTERS, NFFT // 2 + 1)
-        assert np.array_equal(fb, mel_filterbank.__wrapped__(FS))
+        assert np.array_equal(fb, mel_filterbank.__wrapped__(FS, NFFT))
+        assert mel_filterbank(FS, 2 * NFFT).shape == (N_FILTERS, NFFT + 1)
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 

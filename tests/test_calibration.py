@@ -24,9 +24,6 @@ from specvalley.synth import calibrate_bandwidth_rows
 from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
 from specvalley.types import FormantSpec
 
-RECIPE_TILTED = True  # build_recipes calibrates against the tilted source
-
-
 def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
     """The scalar peak search: (freq, level), or None when the window has no peak."""
     lo = max(int(np.searchsorted(freqs, nominal_f - window_hz)), 1)
@@ -47,7 +44,7 @@ def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
     return float(freqs[best] + shift * (freqs[1] - freqs[0])), float(y0 - 0.25 * (ym - yp) * shift)
 
 
-def _reference_levels(formants, tilted, fs, n_points=2048):
+def _reference_levels(formants, fs, n_points=2048):
     """Cascade levels summed resonator by resonator in frequency order, plus tilt."""
     freqs = np.linspace(0.0, fs / 2.0, n_points)
     levels = np.zeros(n_points)
@@ -59,12 +56,10 @@ def _reference_levels(formants, tilted, fs, n_points=2048):
         a2 = radius * radius
         den = 1.0 + a1 * zinv + a2 * zinv * zinv
         levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
-    if tilted:
-        levels = levels + source_tilt_db(freqs, fs)
-    return freqs, levels
+    return freqs, levels + source_tilt_db(freqs, fs)
 
 
-def _reference_calibration(freqs3, target_levels, tilted, fs, extra=(),
+def _reference_calibration(freqs3, target_levels, fs, extra=(),
                            search_range=(30.0, 600.0), tolerance_db=0.5, max_rounds=50):
     """The scalar calibration loop: (bandwidths, rounds, residuals, converged)."""
     freqs3 = [float(f) for f in freqs3]
@@ -73,7 +68,7 @@ def _reference_calibration(freqs3, target_levels, tilted, fs, extra=(),
 
     def measured_rel():
         formants = [FormantSpec(f, b) for f, b in zip(freqs3, bws)] + list(extra)
-        freqs, levels = _reference_levels(formants, tilted, fs)
+        freqs, levels = _reference_levels(formants, fs)
         peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
         if None in peaks:
             return None
@@ -115,7 +110,7 @@ def test_recipes_equal_the_scalar_calibration():
     assert len(recipes) == len(entries) == 18
     for recipe, e in zip(recipes, entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_TILTED, 16000.0, _upper(e)
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 16000.0, _upper(e)
         )
         assert converged
         assert np.array_equal(recipe.bandwidths_hz[:3], bws), (e.vowel, e.gender)
@@ -192,12 +187,12 @@ def test_recipe_rows_equal_the_scalar_calibration_at_10khz(monkeypatch):
     monkeypatch.setattr(synth, "MAX_ROUNDS", 3)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries], [(e.l1, e.l2, e.l3) for e in entries],
-        10000.0, extra_formants=[_upper(e) for e in entries], tilted=RECIPE_TILTED,
+        10000.0, extra_formants=[_upper(e) for e in entries],
     )
     assert 0 < fit.converged.sum() < 18
     for r, e in enumerate(entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), RECIPE_TILTED, 10000.0, _upper(e),
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 10000.0, _upper(e),
             max_rounds=3,
         )
         assert np.array_equal(fit.bandwidths[r], bws), (e.vowel, e.gender)
@@ -215,12 +210,12 @@ def test_unreachable_row_fails_alone(monkeypatch):
     fit = calibrate_bandwidth_rows([FREQS] * 3, rows, 10000.0)
     assert fit.converged.tolist() == [True, False, True]
     assert fit.rounds[1] == 5
-    _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, False, 10000.0,
+    _, _, residuals, converged = _reference_calibration(FREQS, UNREACHABLE, 10000.0,
                                                         max_rounds=5)
     assert not converged
     assert np.array_equal(fit.residuals_db[1], residuals)
     for r in (0, 2):
-        bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], False, 10000.0, max_rounds=5)
+        bws, rounds, _, _ = _reference_calibration(FREQS, rows[r], 10000.0, max_rounds=5)
         assert np.array_equal(fit.bandwidths[r], bws)
         assert fit.rounds[r] == rounds
 
@@ -248,13 +243,12 @@ def test_rows_with_different_extra_formants(monkeypatch):
     targets = [(-2.0, -17.0, -24.0), (-3.0, -15.0, -25.0)]
     freqs = [(530.0, 1840.0, 2480.0), FREQS]
     monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
-    fit = calibrate_bandwidth_rows(freqs, targets, 10000.0, extra_formants=extras,
-                                   tilted=RECIPE_TILTED)
+    fit = calibrate_bandwidth_rows(freqs, targets, 10000.0, extra_formants=extras)
     assert not fit.converged[0]
     assert np.isinf(fit.residuals_db[0]).all()
     for r in range(2):
         bws, rounds, residuals, converged = _reference_calibration(
-            freqs[r], targets[r], RECIPE_TILTED, 10000.0, extras[r], max_rounds=5
+            freqs[r], targets[r], 10000.0, extras[r], max_rounds=5
         )
         assert np.array_equal(fit.bandwidths[r], bws)
         assert (fit.rounds[r], fit.converged[r]) == (rounds, converged)
@@ -270,8 +264,7 @@ def test_rows_out_of_frequency_order_are_refused(freqs, extras):
     rows = [FREQS, freqs]
     with pytest.raises(ValueError, match=r"row 1: formants must ascend, got \["):
         calibrate_bandwidth_rows(rows, [(0.0, -12.0, -22.0)] * 2, 10000.0,
-                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras],
-                                 tilted=RECIPE_TILTED)
+                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras])
 
 
 def _level_rows(rng, kind, n_bins):
@@ -324,6 +317,16 @@ def test_peak_levels_keeps_the_input_checks():
         peak_levels(freqs, levels, np.array([4100.0]))
     with pytest.raises(ValueError, match="grid spacing"):
         peak_levels(freqs, levels, np.array([1000.0]), window_hz=10.0)
+
+
+@pytest.mark.parametrize("freqs, targets, words", [
+    ([(600.0, 1200.0, 2400.0, 3500.0)], [(0.0, -12.0, -22.0)], "three formant frequencies"),
+    ([FREQS], [(0.0, -12.0, -22.0, -30.0)], "three target levels"),
+], ids=["four-formants", "four-targets"])
+def test_a_fourth_column_is_refused(freqs, targets, words):
+    # upper formants are `extra_formants`, not columns the calibration drops
+    with pytest.raises(ValueError, match=words):
+        calibrate_bandwidth_rows(freqs, targets, 10000.0)
 
 
 def test_calibration_keeps_the_input_checks():

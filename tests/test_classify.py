@@ -242,12 +242,12 @@ class TestScore:
         assert r.back_accuracy == 100.0
         assert r.overall_accuracy == 75.0
 
-    def test_confusion_counts_sum(self):
+    def test_undecided_segments_are_counted(self):
         decisions = ["front", "back", None, "front"]
         truths = ["front", "front", "back", "back"]
         r = score(decisions, truths)
-        assert sum(r.confusion.values()) == 4
-        assert r.n_undecided == 1
+        assert (r.n_front, r.n_back, r.n_undecided) == (2, 2, 1)
+        assert r.overall_accuracy == 25.0
 
     def test_absent_class_has_no_accuracy(self):
         r = score(["front", "back", None], ["front", "front", "front"])

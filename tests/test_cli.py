@@ -564,6 +564,17 @@ def test_missing_corpus_is_a_usage_error(command, tmp_path, no_corpus_reading, c
     assert capsys.readouterr().err.strip() == f"--corpus must be a directory, got {missing!r}"
 
 
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("ext", ["phn", ".", "a/.phn"])
+def test_a_label_extension_that_is_no_suffix_is_a_usage_error(command, ext, tmp_path,
+                                                              no_corpus_reading, capsys):
+    argv = CORPUS_COMMANDS[command] + ["--corpus", str(tmp_path), f"--labels-ext={ext}",
+                                       "--no-timestamp"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"--labels-ext must be empty or a suffix such as .phn, got {ext!r}\n")
+
+
 # one command line per command that holds formants, and its usage error;
 # pb-ocd checks its per-gender defaults where a flag is not given
 ABOVE_NYQUIST = [
@@ -592,8 +603,7 @@ def test_formant_at_or_above_nyquist_is_a_usage_error(argv, message, no_experime
     assert capsys.readouterr().err.strip() == message
 
 
-# one command line per command whose measured formants must ascend (f0 sorts
-# its formants), and its usage error
+# one command line per command whose formants must ascend, and its usage error
 OUT_OF_ORDER = [
     (["ocd2", "--f1-start=1500"], "--f1-start (1500 Hz) must be below --f2 (1400 Hz)"),
     (["ocd2", "--f1-start=1400"], "--f1-start (1400 Hz) must be below --f2 (1400 Hz)"),
@@ -606,6 +616,12 @@ OUT_OF_ORDER = [
     (["ocd4", "--formants=500,1500,1500,3500", "--pair=1"],
      "--formants F2 (1500 Hz) must be below --formants F3 (1500 Hz)"),
     (["levels", "--f1=900", "--f2=700"], "--f1 (900 Hz) must be below --f2 (700 Hz)"),
+    (["levels", "--f1=600", "--f2=1300", "--f3=500"],
+     "--f2 (1300 Hz) must be below --f3 (500 Hz)"),
+    (["levels", "--case=a", "--f4=2000"], "--f3 (2500 Hz) must be below --f4 (2000 Hz)"),
+    (["f0", "--f1=1300", "--f2=600"], "--f1 (1300 Hz) must be below --f2 (600 Hz)"),
+    (["f0", "--f1=600", "--f2=1300", "--f3=500"], "--f2 (1300 Hz) must be below --f3 (500 Hz)"),
+    (["f0", "--case=b", "--f3=1000"], "--case b F2 (1300 Hz) must be below --f3 (1000 Hz)"),
 ]
 
 

@@ -301,6 +301,13 @@ class TestCollectSegmentsEqualsTheRglobWalk:
             _rglob_collect_segments(tmp_path, ext, timit_inventory())
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("ext", ["phn", ".", "a/.phn"])
+    def test_an_invalid_label_extension_raises_before_the_walk(self, tmp_path, ext):
+        # with no WAV to find, the extension is refused all the same
+        for root in (tmp_path, tmp_path / "missing"):
+            with pytest.raises(ValueError, match="Invalid suffix"):
+                collect_segments(root, ext, timit_inventory())
+
     def test_no_directory_gives_no_segments(self, tmp_path):
         self._tree(tmp_path)
         for root in (tmp_path / "missing", tmp_path / "flat.wav"):
@@ -322,6 +329,19 @@ class TestSelectVowelSegments:
         labels = [(0, 1000, "t"), (1000, 1640, "ax"), (1640, 3000, "t")]  # 40 ms
         segs = select_vowel_segments(labels, *self._audio(), timit_inventory())
         assert segs == []
+
+    def test_the_floor_applies_to_the_clipped_span(self):
+        # on a 400-sample utterance the label keeps 300 samples, 18.75 ms: dropped;
+        # on a 1000-sample one it keeps 900, 56.25 ms
+        labels = [(100, 16000, "iy")]
+        assert select_vowel_segments(labels, 400, 16000.0, timit_inventory()) == []
+        assert select_vowel_segments(labels, 1000, 16000.0, timit_inventory()) == [
+            (100, 1000, "iy", "front")]
+
+    def test_a_label_cut_short_by_its_wav_is_no_segment(self, tmp_path):
+        write_pcm(tmp_path / "a.wav", np.full(400, 1000))
+        (tmp_path / "a.phn").write_text("100 16000 iy\n")
+        assert len(collect_segments(tmp_path, ".phn", timit_inventory())) == 0
 
     def test_stop_context_kept_with_class(self):
         labels = [(0, 1000, "t"), (1000, 2920, "aa"), (2920, 4000, "k")]  # 120 ms

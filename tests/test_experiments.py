@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from cascade_reference import analytic_cascade_spectrum
 from conftest import PERCEPTUAL_CRITICAL_DISTANCE_BARK, peak_levels
-from specvalley import experiments
+from specvalley import cli, experiments
 from specvalley.errors import (
     AnalysisError,
     NoCrossingError,
@@ -201,53 +202,51 @@ class TestPeakPair:
             _peak_pair_rlsv(freqs, levels, 1000.0, 1250.0)
 
 
-def two_formant_curve(f1_values, f2, b1, b2, sample_rate, mean_band_hz=2500.0):
-    """(spacing_bark, v_db, error) for each F1 with F2 fixed, as `sweep2` runs it:
-    one PairMeter, a step per F1, and an unmeasurable F1 kept with its reason."""
-    meter = PairMeter([FormantSpec(f1_values[0], b1), FormantSpec(f2, b2)], (0, 1),
-                      sample_rate, mean_band_hz=mean_band_hz)
-    out = []
-    for f1 in f1_values:
-        try:
-            v, error = meter.measure((f1, b1), (f2, b2))[2], None
-        except (PeakNotFoundError, ValleyUndefinedError) as exc:
-            v, error = None, str(exc)
-        out.append((hz_to_bark(f2) - hz_to_bark(f1), v, error))
-    return out
+def sweep2_steps(capsys, *flags):
+    """(spacing_bark, v_db, note) of each step `specvalley sweep2 *flags` prints: the
+    printed numbers, v_db None where its cell is empty, and the step's
+    "unmeasurable" note or None."""
+    assert cli.run(["sweep2", *flags, "--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()[3:]  # past the two header lines and the columns
+    notes = dict(re.fullmatch(r"# step (\d+) unmeasurable: (.*)", line).groups()
+                 for line in lines if line.startswith("#"))
+    return [(float(spacing), float(v) if v else None, notes.get(step))
+            for step, _, _, spacing, v in (line.split(",") for line in lines
+                                           if not line.startswith("#"))]
 
 
 class TestTwoFormantCurve:
-    def test_reference_points(self):
-        curve = two_formant_curve(
-            np.arange(650.0, 951.0, 50.0), 1400.0, 100.0, 200.0, 10000.0
-        )
+    """The two-formant curve as `sweep2` prints it: F2 fixed at 1400 Hz, F1 stepped up."""
+
+    def test_reference_points(self, capsys):
+        curve = sweep2_steps(capsys, "--f1-start=650", "--f1-stop=950", "--f1-step=50")
         by_f1 = {650 + 50 * k: v for k, (_, v, _) in enumerate(curve)}
         assert abs(by_f1[850]) <= 0.5
         assert by_f1[950] < 0
         assert by_f1[750] > 0
 
-    def test_monotone_fall_with_narrowing(self):
-        curve = two_formant_curve(
-            np.arange(650.0, 951.0, 25.0), 1400.0, 100.0, 200.0, 10000.0
-        )
+    def test_monotone_fall_with_narrowing(self, capsys):
+        curve = sweep2_steps(capsys, "--f1-start=650", "--f1-stop=950", "--f1-step=25")
         vs = [v for _, v, _ in curve]
+        assert len(vs) == 13
         assert all(a > b for a, b in zip(vs, vs[1:]))
 
-    def test_f1_must_stay_below_f2(self):
-        with pytest.raises(ValueError):
-            two_formant_curve([1500.0], 1400.0, 100.0, 200.0, 10000.0)
+    def test_f1_must_stay_below_f2(self, capsys):
+        assert cli.run(["sweep2", "--f1-start=1500", "--f1-stop=1500", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "the last F1 of --f1-start..--f1-stop (1500 Hz) must be below --f2 (1400 Hz)")
 
-    def test_unmeasurable_f1_is_flagged_not_raised(self):
+    def test_unmeasurable_f1_is_flagged_not_raised(self, capsys):
         # with B1 = B2 = 300 Hz the F2 peak is lost from F1 = 1000 Hz on, and at
         # 1150 Hz both windows find one peak; the measurable F1s keep their values
-        f1_values = np.arange(650.0, 1175.0, 50.0)
-        curve = two_formant_curve(f1_values, 1400.0, 300.0, 300.0, 10000.0)
-        assert [s for s, _, _ in curve] == [hz_to_bark(1400.0) - hz_to_bark(f)
-                                            for f in f1_values]
-        assert curve[:7] == two_formant_curve(f1_values[:7], 1400.0, 300.0, 300.0, 10000.0)
-        assert all(v is not None and error is None for _, v, error in curve[:7])
+        wide = ("--b1=300", "--b2=300")
+        curve = sweep2_steps(capsys, *wide, "--f1-stop=1150")
+        assert [s for s, _, _ in curve] == [float(f"{hz_to_bark(1400.0) - hz_to_bark(f):.4f}")
+                                            for f in np.arange(650.0, 1175.0, 50.0)]
+        assert curve[:7] == sweep2_steps(capsys, *wide, "--f1-stop=950")
+        assert all(v is not None and note is None for _, v, note in curve[:7])
         assert [v for _, v, _ in curve[7:]] == [None] * 4
-        assert [error for _, _, error in curve[7:]] == [
+        assert [note for _, _, note in curve[7:]] == [
             "no spectral peak within 200.0 Hz of 1400.0 Hz"] * 3 + [
             "no separate spectral peaks within 200.0 Hz of 1150.0 Hz and 1400.0 Hz: "
             "both windows find the peak at 1224.8 Hz"]
@@ -410,10 +409,8 @@ class TestPbOcdTable:
     def test_male_values(self, pb_entries):
         from specvalley.corpus import pb_mean_formants
 
-        means = pb_mean_formants(pb_entries, "male")
-        means = {v: f for v, f in means.items() if v != "er"}
-        rows = pb_ocd_table(pb_sweeps(means, "male"))
-        assert len(rows) == 11
+        rows = pb_ocd_table(pb_sweeps(pb_mean_formants(pb_entries, "male"), "male"))
+        assert len(rows) == 11  # "er" has no sweep
         for row in rows:
             assert row.error is None, f"{row.vowel}: {row.error}"
             want = MALE_EXPECTED[(row.vowel, row.basis)]
@@ -437,6 +434,19 @@ class TestPbOcdTable:
         assert not iy.unmeasurable
         assert sum(r.result is not None for r in rows) == len(rows) - 2
 
+    def test_sweeps_come_in_print_order(self, pb_entries):
+        # whatever the table's order, front vowels, the tube's two sweeps, then
+        # back vowels; "er", neither front nor back, has no sweep
+        from specvalley.corpus import pb_mean_formants
+
+        means = dict(reversed(pb_mean_formants(pb_entries, "male").items()))
+        assert "er" in means
+        assert [(v, cfg.basis) for v, cfg in pb_sweeps(means, "male")] == [
+            *((v, "V23") for v in FRONT_VOWELS), ("tube", "V12"), ("tube", "V23"),
+            *((v, "V12") for v in BACK_VOWELS)]
+        assert [v for v, _ in pb_sweeps({"uw": means["uw"], "ae": means["ae"]}, "male")] == [
+            "ae", "tube", "tube", "uw"]
+
     def test_widened_flag_set_for_narrow_starts(self):
         from specvalley.corpus import pb_mean_formants
 
@@ -448,9 +458,7 @@ class TestPbOcdTable:
 
         tables = {}
         for gender in ("male", "female"):
-            means = pb_mean_formants(pb_entries, gender)
-            means = {v: f for v, f in means.items() if v != "er"}
-            rows = pb_ocd_table(pb_sweeps(means, gender))
+            rows = pb_ocd_table(pb_sweeps(pb_mean_formants(pb_entries, gender), gender))
             tables[gender] = {r.vowel: r.result.ocd_bark for r in rows if r.vowel != "tube"}
         vowels = sorted(tables["male"])
         male = np.array([tables["male"][v] for v in vowels])
@@ -589,7 +597,9 @@ def _reference_pb_ocd_table(
                 rows.append(VowelOcd("tube", label, res))
             except NoCrossingError as exc:
                 rows.append(VowelOcd("tube", label, None, error=str(exc)))
-    return rows
+    # the classified vowels in the order pb-ocd prints them, as the command sorted them
+    rank = {v: k for k, v in enumerate(front_vowels + ("tube",) + BACK_VOWELS)}
+    return sorted((r for r in rows if r.vowel in rank), key=lambda r: (rank[r.vowel], r.basis))
 
 
 OCD_FIELDS = ("ocd_bark", "sweep", "pair_trace")

@@ -2,8 +2,9 @@
 
 The files in `tests/golden/` and the commands that produce them are listed in
 `regenerate_golden.py`, which also rebuilds them. Any byte that moves fails
-here with a unified diff. The two classify files and the four sweep files
-(`sweep2`, `ocd2`, `ocd4`, `pb_ocd`) also state their margins: how close their
+here with a unified diff. The two classify files, the four sweep files
+(`sweep2`, `ocd2`, `ocd4`, `pb_ocd`) and the four case files (`levels_a`,
+`levels_b`, `f0_a`, `f0_b`) also state their margins: how close their
 full-precision values come to moving a byte.
 """
 
@@ -128,3 +129,39 @@ def test_sweep_files_keep_their_margins(name):
     values = _full_precision(name, list(keys))
     assert list(printed) == [f"{v:.4f}" for v in values]  # the file's own values
     assert _to_rounding_boundary(values, 4).min() >= SWEEP_MARGINS[name]
+
+
+# How far the full-precision values behind the printed levels of the levels
+# files (3 decimals) and the f0 files (4 decimals) stay from a rounding
+# boundary or the sign of zero: the measured margins, rounded down. Measured:
+# 9.5e-6 in levels_a (L1 16.2455 dB), 9.2e-6 in levels_b (V 2.2315 dB), 3.0e-6
+# in f0_a (V -1.0330 dB) and 1.4e-7 in f0_b, whose reference RLSV 2.72535014 dB
+# is the nearest to a boundary of all the golden values.
+CASE_MARGINS = {"levels_a": 9e-6, "levels_b": 9e-6, "f0_a": 2e-6, "f0_b": 1e-7}
+
+
+def _case_values(name):
+    """The values behind the level cells of case file `name`, row by row, from
+    `experiments` with the parameters of the file's command (its defaults)."""
+    from specvalley import cli, experiments
+    from specvalley.types import FormantSpec
+
+    command, case = name.split("_")
+    formants = [FormantSpec(f, 100.0) for f in (*cli.CASE_GEOMETRIES[case], 2500.0, 3500.0)]
+    if command == "levels":
+        return [[c.l1_db, c.l2_db, c.level_diff_db, c.v_db]
+                for c in experiments.level_influence_experiment(formants)]
+    return [[r.v_ref_db, r.v_f0_db, r.diff_db]
+            for r in experiments.f0_influence_experiment(formants)]
+
+
+@pytest.mark.parametrize("name", sorted(CASE_MARGINS))
+def test_case_files_keep_their_margins(name):
+    digits, first = (3, 2) if name.startswith("levels") else (4, 1)
+    values = _case_values(name)
+    rows = [line.split(",") for line in
+            (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()[3:]]
+    assert [row[first:first + len(v)] for row, v in zip(rows, values)] == [
+        [f"{x:.{digits}f}" for x in v] for v in values]  # the file's own values
+    assert len(rows) == len(values)
+    assert _to_rounding_boundary(values, digits).min() >= CASE_MARGINS[name]

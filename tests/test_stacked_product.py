@@ -65,7 +65,7 @@ def products(corpus_table):
     lags = lags[lags[:, 0] > 0]
     a = _fitted_taps(lags, 18)
     spectra = np.abs(np.fft.rfft(window(frames[np.any(frames, axis=1)]), NFFT, axis=-1)) ** 2
-    filterbank = mel_filterbank(FS).T
+    filterbank = mel_filterbank(FS, NFFT).T
     log_e = np.log(np.maximum(stacked_product(spectra, filterbank), 1e-300))
     return {
         "envelope": (a, _unit_circle_table(19, ENVELOPE_POINTS)),

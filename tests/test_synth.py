@@ -159,34 +159,33 @@ class TestMeasureFormantLevels:
 class TestCalibrateBandwidths:
     FREQS = (600.0, 1200.0, 2400.0)
 
-    def _measured_relative_levels(self, bws, tilted, fs=10000.0):
+    def _measured_relative_levels(self, bws, fs=10000.0):
+        """Relative peak levels of the cascade plus the source tilt, as calibrated."""
         fm = [FormantSpec(f, b) for f, b in zip(self.FREQS, bws)]
         freqs, levels_db = analytic_cascade_spectrum(fm, fs, 2048)
-        if tilted:
-            levels_db = levels_db + source_tilt_db(freqs, fs)
-        lv, missing = _formant_levels((freqs, levels_db), fm)
+        lv, missing = _formant_levels((freqs, levels_db + source_tilt_db(freqs, fs)), fm)
         assert not missing.any()
         return [lv[i] - lv[0] for i in range(3)]
 
-    def _calibrated(self, targets, tilted):
-        fit = calibrate_bandwidth_rows([self.FREQS], [targets], 10000.0, tilted=tilted)
+    def _calibrated(self, targets):
+        fit = calibrate_bandwidth_rows([self.FREQS], [targets], 10000.0)
         assert fit.converged[0]
         return fit.bandwidths[0]
 
     def test_fixed_point(self):
-        rel = self._measured_relative_levels([100.0, 100.0, 100.0], False)
-        bws = self._calibrated([0.0, rel[1], rel[2]], False)
+        rel = self._measured_relative_levels([100.0, 100.0, 100.0])
+        bws = self._calibrated([0.0, rel[1], rel[2]])
         assert np.allclose(bws, 100.0, atol=8.0)
 
     def test_lower_l2_target_widens_b2(self):
-        rel = self._measured_relative_levels([100.0, 100.0, 100.0], False)
-        base = self._calibrated([0.0, rel[1], rel[2]], False)
-        wider = self._calibrated([0.0, rel[1] - 6.0, rel[2]], False)
+        rel = self._measured_relative_levels([100.0, 100.0, 100.0])
+        base = self._calibrated([0.0, rel[1], rel[2]])
+        wider = self._calibrated([0.0, rel[1] - 6.0, rel[2]])
         assert wider[1] > base[1]
 
     def test_convergence_self_check(self):
-        bws = self._calibrated([-3.0, -15.0, -25.0], True)
-        rel = self._measured_relative_levels(bws, True)
+        bws = self._calibrated([-3.0, -15.0, -25.0])
+        rel = self._measured_relative_levels(bws)
         for got, want in zip(rel[1:], [-12.0, -22.0]):
             assert abs(got - want) <= 0.5
 
