@@ -142,10 +142,11 @@ class MlpModel:
 
 
 def _forward(w1, b1, w2, b2, x):
+    """Hidden activations and output probabilities. exp(-z) = inf gives the limit p = 0,
+    so callers run it under np.errstate(over="ignore"), entered once per call site."""
     h = np.tanh(x @ w1.T + b1)
     z = h @ w2 + b2
-    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit p = 0
-        return h, 1.0 / (1.0 + np.exp(-z))
+    return h, 1.0 / (1.0 + np.exp(-z))
 
 
 def _loss(p, y, eps=1e-12):
@@ -176,7 +177,8 @@ def loss_and_gradients(w1, b1, w2, b2, x, y):
     The public form of the loss and `_gradients` that `train_mlp` steps with
     on one flat vector; gradient checks compare it with finite differences.
     """
-    h, p = _forward(w1, b1, w2, b2, x)
+    with np.errstate(over="ignore"):
+        h, p = _forward(w1, b1, w2, b2, x)
     g_w1, g_b1, g_w2, g_b2 = grads = _layers(np.empty(w1.size + 2 * len(b1) + 1), *w1.shape)
     _gradients(w2, x, y, h, p, grads)
     return _loss(p, y), (g_w1, g_b1, g_w2, float(g_b2))
@@ -225,24 +227,25 @@ def train_mlp(
     w2[...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
     best_loss, best = np.inf, params.copy()
     stale = 0
-    for _ in range(epochs):
-        idx = tr[rng.permutation(len(tr))]
-        x_epoch, y_epoch = xn[idx], y[idx]
-        for start in range(0, len(idx), BATCH_SIZE):
-            xb = x_epoch[start : start + BATCH_SIZE]
-            h, p = _forward(*layers, xb)
-            _gradients(w2, xb, y_epoch[start : start + BATCH_SIZE], h, p, grads)
-            vel *= MOMENTUM
-            vel -= LEARNING_RATE * grad
-            params += vel
-        val_loss = _loss(_forward(*layers, x_hold)[1], y_hold)
-        if val_loss < best_loss - 1e-9:
-            best_loss, best = val_loss, params.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= PATIENCE:
-                break
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            idx = tr[rng.permutation(len(tr))]
+            x_epoch, y_epoch = xn[idx], y[idx]
+            for start in range(0, len(idx), BATCH_SIZE):
+                xb = x_epoch[start : start + BATCH_SIZE]
+                h, p = _forward(*layers, xb)
+                _gradients(w2, xb, y_epoch[start : start + BATCH_SIZE], h, p, grads)
+                vel *= MOMENTUM
+                vel -= LEARNING_RATE * grad
+                params += vel
+            val_loss = _loss(_forward(*layers, x_hold)[1], y_hold)
+            if val_loss < best_loss - 1e-9:
+                best_loss, best = val_loss, params.copy()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= PATIENCE:
+                    break
     w1, b1, w2, b2 = _layers(best, hidden_units, d)
     return MlpModel(input_dim=d, hidden_units=hidden_units, w1=w1, b1=b1, w2=w2,
                     b2=float(b2), feature_mean=mean, feature_scale=scale, seed=seed)
@@ -256,7 +259,8 @@ def predict(model: MlpModel, feature):
             f"feature dimension {feature.shape} does not match model ({model.input_dim},)"
         )
     xn = (feature - model.feature_mean) / model.feature_scale
-    _, p = _forward(model.w1, model.b1, model.w2, model.b2, xn[None, :])
+    with np.errstate(over="ignore"):
+        _, p = _forward(model.w1, model.b1, model.w2, model.b2, xn[None, :])
     score = float(p[0])
     return ("back" if score > 0.5 else "front"), score
 

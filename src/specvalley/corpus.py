@@ -3,6 +3,7 @@
 import csv
 import mmap
 import os
+import struct
 import wave
 from dataclasses import dataclass
 from importlib import resources
@@ -23,6 +24,11 @@ NOISE_KINDS = ("white", "babble")
 # the largest |SNR| a noise mix accepts: far past the ~96 dB a 16-bit signal
 # spans, and small enough that 10**(snr/10) and the noise scale stay finite
 MAX_SNR_DB = 300.0
+# a PCM WAV's format code, the largest rate whose 16-bit mono byte rate fits the
+# header's 32 bits, and the most data bytes its RIFF length (data + 36) can count
+_WAVE_FORMAT_PCM = 1
+_MAX_WAV_RATE = 0x7FFFFFFF
+_MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 36
 
 
 @dataclass(eq=False)
@@ -113,13 +119,24 @@ def load_wav(path):
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: float):
-    """Write float samples as 16-bit PCM mono WAV, clipping to full scale."""
+    """Write float samples as 16-bit PCM mono WAV, clipping to full scale.
+
+    The file is the 44-byte RIFF header and the PCM, byte for byte what the
+    `wave` module writes. Raises ValueError for a rate whose integer part is
+    below 1 or whose byte rate does not fit the header's 32 bits, and for
+    more samples than its data length can count.
+    """
+    rate = int(sample_rate)
+    if not 1 <= rate <= _MAX_WAV_RATE:
+        raise ValueError(f"sample rate must be from 1 to {_MAX_WAV_RATE} Hz, got {sample_rate}")
     scaled = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(int(sample_rate))
-        wf.writeframes(scaled.tobytes())
+    if scaled.nbytes > _MAX_WAV_DATA_BYTES:
+        raise ValueError(f"{scaled.size} samples do not fit one WAV file")
+    header = struct.pack("<4sL4s4sLHHLLHH4sL", b"RIFF", 36 + scaled.nbytes, b"WAVE", b"fmt ",
+                         16, _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16, b"data", scaled.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(scaled.data)
 
 
 def load_phone_labels(path):

@@ -440,11 +440,15 @@ def resonator_taps(frequency, bandwidth, sample_rate: float):
     return -2.0 * radius * np.cos(theta), radius * radius
 
 
-def resonator_denominator(a1, a2, zinv):
-    """1 + a1*z^-1 + a2*z^-2: the feedback polynomial of two-pole resonators at `zinv`."""
-    denominator = a1 * zinv
+def resonator_denominator(a1, a2, zinv, out=None, work=None):
+    """1 + a1*z^-1 + a2*z^-2: the feedback polynomial of two-pole resonators at `zinv`.
+
+    `out` and `work`, complex arrays of the result's shape, take the result
+    and the a2*z^-2 term in place of new arrays.
+    """
+    denominator = np.multiply(a1, zinv, out=out)
     denominator += 1.0
-    curve = a2 * zinv
+    curve = np.multiply(a2, zinv, out=work)
     curve *= zinv
     denominator += curve
     return denominator

@@ -1,6 +1,7 @@
 """Cascaded formant synthesis and bandwidth-to-level calibration."""
 
 import functools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,12 @@ TILT_CORNER_HZ = 50.0
 # below rounding; a bandwidth whose tail exceeds MAX_TAIL_SAMPLES is refused
 TAIL_TIME_CONSTANTS = 60
 MAX_TAIL_SAMPLES = 1 << 20
+# the rows of one grid share a product of denominators and an irfft in chunks
+# whose complex workspace, three arrays of (rows, bins), stays within
+# WORKSPACE_BYTES: a stack of 8 corpus tokens is one chunk, and a 4 s babble
+# voice (65536 points) is a chunk to itself, so memory does not grow with
+# the number of long rows
+WORKSPACE_BYTES = 1 << 21
 
 # bandwidth calibration: B1..B3 start at INITIAL_BANDWIDTH Hz (B1 stays there),
 # B2 and B3 are bisected over SEARCH_RANGE_HZ in BISECTION_STEPS halvings per
@@ -40,37 +47,147 @@ def source_tilt_response(zinv: np.ndarray, sample_rate: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _rfft_zinv(size: int) -> np.ndarray:
-    """e^(-jw) at the size // 2 + 1 frequencies of a `size`-point rfft; cached read-only."""
+def _rfft_grid(sample_rate: float, size: int):
+    """(e^(-jw), source-tilt response) at the size // 2 + 1 frequencies of a `size`-point
+    rfft; cached read-only per (sample_rate, size)."""
     zinv = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+    tilt = source_tilt_response(zinv, sample_rate)
     zinv.setflags(write=False)
-    return zinv
+    tilt.setflags(write=False)
+    return zinv, tilt
 
 
-def _impulse_response(formants, sample_rate: float, n_samples: int, tilted: bool) -> np.ndarray:
-    """The first `n_samples` samples of the cascade's impulse response, from one irfft."""
+def _check_length(n_samples: int):
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+
+
+def _period(f0, sample_rate: float, n_samples: int) -> int:
+    """Samples between the pulses of an F0 train; an F0 of 0 gives n_samples, one pulse."""
+    f0 = float(f0)
+    if not (np.isfinite(f0) and f0 >= 0):
+        raise ValueError(f"f0 must be finite and not negative, got {f0}")
+    if f0 and n_samples * f0 < sample_rate:
+        raise ValueError("duration too short for one period")
+    period = round(sample_rate / f0) if f0 else n_samples
+    if period < 1:
+        raise ValueError(f"f0 {f0} Hz too high for sample rate {sample_rate}")
+    return period
+
+
+def _impulse_responses(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate: float,
+                       lengths, tilted: bool):
+    """Yield (r, h): h the first lengths[r] samples of the impulse response of cascade r.
+
+    `frequencies` and `bandwidths` are (k, m): m sections a row, in cascade
+    order. Row r's frequency response, the product of its sections' gains
+    over the product of their denominators (times the source tilt), is taken
+    on a power-of-two grid L at or above both lengths[r] and
+    TAIL_TIME_CONSTANTS time constants of its slowest pole; the rows of one
+    L share one product of denominators and one irfft, in chunks whose
+    workspace stays within WORKSPACE_BYTES, and a chunk's rows are yielded
+    before the next chunk is computed. With no section and no tilt a
+    response is the unit impulse.
+    """
+    if not frequencies.shape[1] and not tilted:
+        yield from enumerate(np.eye(1, n)[0] for n in lengths)
+        return
     # the tilt pole exp(-2*pi*TILT_CORNER_HZ/fs) decays as a resonator of twice that bandwidth
-    bandwidths = [f.bandwidth for f in formants] + ([2.0 * TILT_CORNER_HZ] if tilted else [])
-    if not bandwidths:
-        return np.eye(1, n_samples)[0]
-    narrowest = min(bandwidths)
-    tail = int(np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * narrowest)))
-    if tail > MAX_TAIL_SAMPLES:
+    narrowest = np.min(bandwidths, axis=1, initial=2.0 * TILT_CORNER_HZ if tilted else np.inf)
+    tails = np.ceil(TAIL_TIME_CONSTANTS * sample_rate / (np.pi * narrowest))
+    too_long = np.flatnonzero(tails > MAX_TAIL_SAMPLES)
+    if too_long.size:
+        r = too_long[0]
         raise ValueError(
-            f"bandwidth {narrowest} Hz at {sample_rate} Hz needs a {tail}-sample tail, "
-            f"more than {MAX_TAIL_SAMPLES}"
+            f"bandwidth {narrowest[r]} Hz at {sample_rate} Hz needs a {tails[r]:.0f}-sample "
+            f"tail, more than {MAX_TAIL_SAMPLES}"
         )
-    size = 1 << (max(n_samples, tail) - 1).bit_length()
-    zinv = _rfft_zinv(size)
-    gain, denominator = 1.0, 1.0
-    for f in formants:
-        a1, a2 = resonator_taps(f.frequency, f.bandwidth, sample_rate)
-        gain *= 1.0 + a1 + a2
-        denominator = denominator * resonator_denominator(a1, a2, zinv)
-    response = gain / denominator
-    if tilted:
-        response *= source_tilt_response(zinv, sample_rate)
-    return np.fft.irfft(response, size)[:n_samples]
+    sizes = [1 << (int(max(n, t)) - 1).bit_length() for n, t in zip(lengths, tails)]
+    a1, a2 = resonator_taps(frequencies, bandwidths, sample_rate)
+    for size in sorted(set(sizes)):
+        zinv, tilt = _rfft_grid(sample_rate, size)
+        same = [r for r, row_size in enumerate(sizes) if row_size == size]
+        height = max(1, WORKSPACE_BYTES // (3 * 16 * len(zinv)))
+        for first in range(0, len(same), height):
+            rows = same[first : first + height]
+            h = _grid_responses(a1[rows], a2[rows], zinv, tilt if tilted else None, size)
+            for r, row in zip(rows, h):
+                yield r, row[:lengths[r]]
+
+
+def _grid_responses(a1, a2, zinv, tilt, size: int) -> np.ndarray:
+    """(rows, size) impulse responses of the cascades whose taps are the rows of (rows, m)
+    `a1` and `a2`, from the irfft of their frequency responses at `zinv`, times `tilt`
+    unless it is None."""
+    # the product of the denominators, from 1, and a section's two scratch arrays are one
+    # allocation: for a stack of tokens each is hundreds of KB, and three arrays that size
+    # go back to the OS when freed and are faulted in again by the next call
+    response, section, work = np.empty((3, len(a1), len(zinv)), dtype=np.complex128)
+    response[...] = 1.0
+    gain = np.ones(len(a1))
+    for s in range(a1.shape[1]):
+        gain *= 1.0 + a1[:, s] + a2[:, s]
+        response *= resonator_denominator(a1[:, s, None], a2[:, s, None], zinv, section, work)
+    np.divide(gain[:, None], response, out=response)
+    if tilt is not None:
+        response *= tilt
+    return np.fft.irfft(response, size, axis=1)
+
+
+def _fold(h: np.ndarray, period: int) -> np.ndarray:
+    """h summed with itself shifted by period, 2*period, ...: its response to a pulse train.
+
+    h is padded to whole periods, reshaped to one period a row, and summed
+    down the rows; a period of len(h) or more gives h itself.
+    """
+    n_samples = len(h)
+    folded = np.zeros(-(-n_samples // period) * period)
+    folded[:n_samples] = h
+    return folded.reshape(-1, period).cumsum(axis=0).ravel()[:n_samples]
+
+
+def _check_sections(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate: float):
+    """Raise ValueError, as a FormantSpec would, for a frequency or bandwidth that is not
+    positive and finite, and for a frequency at or above Nyquist."""
+    for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            raise ValueError(f"formant {name} must be positive, got {values[bad][0]}")
+    above = frequencies >= sample_rate / 2.0
+    if above.any():
+        raise ValueError(f"resonator frequency {frequencies[above][0]} Hz must be below Nyquist")
+
+
+def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samples,
+                        tilted: bool = False) -> list:
+    """Run pulse train r through cascade r for n_samples[r] samples: a list of k rows.
+
+    `frequencies` and `bandwidths` are (k, m) in Hz, row r the m resonators
+    of cascade r in cascade order; row r has a unit pulse every
+    round(sample_rate / f0s[r]) samples from sample 0, and an F0 of 0 gives
+    cascade r's impulse response. The resonators and the tilt are those of
+    `synthesize_rows`, and each row equals what `synthesize_rows` gives for
+    its cascade and F0 alone: each row keeps its own grid, and the rows of
+    one grid share one product of denominators and one irfft (in chunks
+    within WORKSPACE_BYTES).
+
+    Raises ValueError for what `synthesize_rows` refuses, and for arrays
+    whose shapes do not agree.
+    """
+    frequencies = np.asarray(frequencies, dtype=np.float64)
+    bandwidths = np.asarray(bandwidths, dtype=np.float64)
+    lengths = [operator.index(n) for n in n_samples]
+    if (frequencies.ndim != 2 or bandwidths.shape != frequencies.shape
+            or not len(f0s) == len(lengths) == len(frequencies)):
+        raise ValueError("frequencies and bandwidths must be (k, m), with k F0s and k lengths")
+    for n in lengths:
+        _check_length(n)
+    periods = [_period(f0, sample_rate, n) for f0, n in zip(f0s, lengths)]
+    _check_sections(frequencies, bandwidths, sample_rate)
+    rows = [None] * len(lengths)
+    for r, h in _impulse_responses(frequencies, bandwidths, sample_rate, lengths, tilted):
+        rows[r] = _fold(h, periods[r])
+    return rows
 
 
 def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
@@ -82,7 +199,8 @@ def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
     resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with the
     taps of `sigproc.resonator_taps`, and `tilted` adds the source-tilt
     lowpass. The cascade is linear and time-invariant, so its impulse
-    response h is computed once: its frequency response, the product of the
+    response h is computed once, as the one-row case of
+    `synthesize_cascades`: its frequency response, the product of the
     sections' gains over the product of their denominators, goes through one
     irfft on a power-of-two grid L at or above both `n_samples` and
     TAIL_TIME_CONSTANTS time constants of the slowest pole. A train of period
@@ -95,27 +213,15 @@ def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
     its period (n_samples * f0 < sample_rate), a formant at or above Nyquist,
     and a bandwidth whose tail would take more than MAX_TAIL_SAMPLES samples.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    periods = []
-    for f0 in map(float, f0s):
-        if not (np.isfinite(f0) and f0 >= 0):
-            raise ValueError(f"f0 must be finite and not negative, got {f0}")
-        if f0 and n_samples * f0 < sample_rate:
-            raise ValueError("duration too short for one period")
-        period = round(sample_rate / f0) if f0 else n_samples
-        if period < 1:
-            raise ValueError(f"f0 {f0} Hz too high for sample rate {sample_rate}")
-        periods.append(period)
-    for f in formants:
-        if f.frequency >= sample_rate / 2.0:
-            raise ValueError(f"resonator frequency {f.frequency} Hz must be below Nyquist")
-    h = _impulse_response(formants, sample_rate, n_samples, tilted)
+    _check_length(n_samples)
+    periods = [_period(f0, sample_rate, n_samples) for f0 in f0s]
+    frequencies = np.array([[f.frequency for f in formants]], dtype=np.float64).reshape(1, -1)
+    bandwidths = np.array([[f.bandwidth for f in formants]], dtype=np.float64).reshape(1, -1)
+    _check_sections(frequencies, bandwidths, sample_rate)
+    ((_, h),) = _impulse_responses(frequencies, bandwidths, sample_rate, [n_samples], tilted)
     rows = np.empty((len(periods), n_samples))
     for row, period in zip(rows, periods):
-        folded = np.zeros(-(-n_samples // period) * period)
-        folded[:n_samples] = h
-        row[:] = folded.reshape(-1, period).cumsum(axis=0).ravel()[:n_samples]
+        row[:] = _fold(h, period)
     return rows
 
 

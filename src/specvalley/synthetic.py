@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
 from .experiments import BACK_VOWELS, FRONT_VOWELS
-from .synth import calibrate_bandwidth_rows, synthesize_rows
+from .synth import calibrate_bandwidth_rows, synthesize_cascades
 from .types import FormantSpec
 
 CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
@@ -36,6 +36,8 @@ DURATION_RANGE_S = (0.08, 0.20)
 SILENCE_S = 0.08
 
 BABBLE_VOICES = 8
+# corpus tokens synthesized per `synth.synthesize_cascades` call
+TOKEN_STACK = 8
 
 
 @dataclass
@@ -96,27 +98,23 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
     return recipes
 
 
-def synthesize_vowel_token(
+def _draw_token(
     recipe: VowelRecipe,
     rng: "np.random.Generator",  # quoted: evaluating it would import numpy.random
-    sample_rate: float = 16000.0,
-) -> np.ndarray:
-    """The samples of one jittered token of a vowel recipe, normalized to 0.3 peak."""
+    sample_rate: float,
+):
+    """(frequencies, bandwidths, F0, n_samples) of one jittered token of a vowel recipe."""
     freqs = list(recipe.formants_hz)
     bws = list(recipe.bandwidths_hz)
     for i in range(3):
         freqs[i] = freqs[i] * (1.0 + rng.normal(0.0, FORMANT_JITTER))
         bws[i] = bws[i] * rng.uniform(0.8, 1.25)
-    formants = []
     prev = 0.0
-    for f, b in zip(freqs, bws):
-        f = max(f, prev + 50.0)  # keep the cascade ordered under jitter
-        formants.append(FormantSpec(f, b))
-        prev = f
+    for i, f in enumerate(freqs):
+        freqs[i] = prev = max(f, prev + 50.0)  # keep the cascade ordered under jitter
     f0 = rng.uniform(*F0_RANGE_HZ)
     dur = rng.uniform(*DURATION_RANGE_S)
-    token = synthesize_rows(formants, [f0], sample_rate, round(dur * sample_rate), tilted=True)[0]
-    return token * (0.3 / np.max(np.abs(token)))
+    return freqs, bws, f0, round(dur * sample_rate)
 
 
 def build_synthetic_corpus(
@@ -129,8 +127,10 @@ def build_synthetic_corpus(
     """Write a WAV + .phn label-file corpus; returns (wav_path, vowel, class) rows.
 
     Vowels cycle through the classified inventory and genders alternate, so
-    class balance follows the 4 front / 5 back inventory split. Fully
-    deterministic for a given seed.
+    class balance follows the 4 front / 5 back inventory split. Every token
+    is drawn first; then TOKEN_STACK tokens at a time go through one
+    `synth.synthesize_cascades` call, are normalized to 0.3 peak and written
+    before the next stack is synthesized. Fully deterministic for a given seed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,24 +139,30 @@ def build_synthetic_corpus(
     by_key = {(r.vowel, r.gender): r for r in recipes}
     vowels = sorted(CLASSIFIED_VOWELS)
     rng = np.random.default_rng(seed)
-    rows = []
-    pad = np.zeros(int(SILENCE_S * sample_rate))
+    segments = []
     for i in range(n_segments):
         vowel = vowels[i % len(vowels)]
         gender = "male" if (i // len(vowels)) % 2 == 0 else "female"
         recipe = by_key[(vowel, gender)]
-        token = synthesize_vowel_token(recipe, rng, sample_rate)
-        samples = np.concatenate([pad, token, pad])
-        stem = f"seg{i:04d}_{vowel}_{gender[0]}"
-        wav_path = out_dir / f"{stem}.wav"
-        save_wav(wav_path, samples, sample_rate)
-        start = len(pad)
-        end = start + len(token)
-        with open(out_dir / f"{stem}.phn", "w", encoding="utf-8") as fh:
-            fh.write(f"0 {start} h#\n")
-            fh.write(f"{start} {end} {vowel}\n")
-            fh.write(f"{end} {len(samples)} h#\n")
-        rows.append((wav_path, vowel, recipe.fb_class))
+        segments.append((f"seg{i:04d}_{vowel}_{gender[0]}", recipe,
+                         _draw_token(recipe, rng, sample_rate)))
+    rows = []
+    start = int(SILENCE_S * sample_rate)
+    for first in range(0, n_segments, TOKEN_STACK):
+        stack = segments[first : first + TOKEN_STACK]
+        freqs, bws, f0s, lengths = zip(*(token for *_, token in stack))
+        tokens = synthesize_cascades(freqs, bws, f0s, sample_rate, lengths, tilted=True)
+        for (stem, recipe, _), token in zip(stack, tokens):
+            end = start + len(token)
+            samples = np.zeros(end + start)
+            np.multiply(token, 0.3 / np.max(np.abs(token)), out=samples[start:end])
+            wav_path = out_dir / f"{stem}.wav"
+            save_wav(wav_path, samples, sample_rate)
+            with open(out_dir / f"{stem}.phn", "w", encoding="utf-8") as fh:
+                fh.write(f"0 {start} h#\n")
+                fh.write(f"{start} {end} {recipe.vowel}\n")
+                fh.write(f"{end} {len(samples)} h#\n")
+            rows.append((wav_path, recipe.vowel, recipe.fb_class))
     return rows
 
 
@@ -167,18 +173,23 @@ def build_babble(
     sample_rate: float = 16000.0,
     recipes=None,
 ) -> Path:
-    """Write a babble-noise WAV as a sum of BABBLE_VOICES continuous synthetic vowels."""
+    """Write a babble-noise WAV as a sum of BABBLE_VOICES continuous synthetic vowels,
+    synthesized in one `synth.synthesize_cascades` call."""
     if recipes is None:
         recipes = build_recipes(sample_rate)
     rng = np.random.default_rng(seed)
     n = int(duration_s * sample_rate)
-    mix = np.zeros(n)
+    drawn = []
     for _ in range(BABBLE_VOICES):
         r = recipes[int(rng.integers(len(recipes)))]
-        f0 = float(rng.uniform(90.0, 260.0))
-        formants = [FormantSpec(f, b) for f, b in zip(r.formants_hz, r.bandwidths_hz)]
-        voice = synthesize_rows(formants, [f0], sample_rate,
-                                round((duration_s + 0.05) * sample_rate), tilted=True)[0][:n]
+        drawn.append((r.formants_hz, r.bandwidths_hz, float(rng.uniform(90.0, 260.0))))
+    freqs, bws, f0s = zip(*drawn)
+    voices = synthesize_cascades(freqs, bws, f0s, sample_rate,
+                                 [round((duration_s + 0.05) * sample_rate)] * BABBLE_VOICES,
+                                 tilted=True)
+    mix = np.zeros(n)
+    for voice in voices:
+        voice = voice[:n]
         mix += voice / np.sqrt(np.mean(voice**2))
     mix *= 0.15 / np.max(np.abs(mix))
     path = Path(path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.fft import dct, idct
@@ -344,6 +346,26 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             predict(self._neutral_model(), np.zeros(3))
+
+    def test_an_overflowing_logistic_raises_no_warning(self):
+        # z = -1000 overflows exp(-z) to inf, which gives the limit p = 0
+        m = self._neutral_model()
+        m.b2 = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(m, np.zeros(2)) == ("front", 0.0)
+
+
+def test_loss_and_gradients_overflow_raises_no_warning():
+    x = np.ones((4, 3))
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    w1, b1, w2 = np.zeros((2, 3)), np.zeros(2), np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, (g_w1, g_b1, g_w2, g_b2) = loss_and_gradients(w1, b1, w2, -1000.0, x, y)
+    # p = 0 for every row: half the labels are 1, each costing -log(1e-12)
+    assert loss == pytest.approx(-0.5 * np.log(1e-12))
+    assert g_b2 == -0.5
 
 
 class TestOnSyntheticCorpus:

@@ -1,4 +1,5 @@
 import os
+import struct
 import wave
 from pathlib import Path
 
@@ -74,6 +75,30 @@ class TestLoadWav:
         with pytest.raises(FormatError) as err:
             load_wav(p)
         assert err.value.field == "sample_width"
+
+
+class TestSaveWav:
+    @pytest.mark.parametrize("rate", [8000.0, 16000.0, 22050.0])
+    @pytest.mark.parametrize("n", [0, 1, 999, 4001])
+    def test_bytes_equal_the_wave_modules(self, tmp_path, rate, n):
+        # 1.5 times a unit normal clips at both ends of full scale
+        samples = 1.5 * np.random.default_rng(n).standard_normal(n)
+        pcm = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        if n > 100:
+            assert pcm.max() == 32767 and pcm.min() == -32768
+        save_wav(tmp_path / "ours.wav", samples, rate)
+        write_pcm(tmp_path / "wave.wav", pcm, rate=int(rate))
+        ours = (tmp_path / "ours.wav").read_bytes()
+        assert len(ours) == 44 + 2 * n
+        assert ours == (tmp_path / "wave.wav").read_bytes()
+
+    @pytest.mark.parametrize("rate", [0.99, 0.0, -16000.0, 2.0**31])
+    def test_a_rate_wave_refuses_is_refused_before_writing(self, tmp_path, rate):
+        with pytest.raises((wave.Error, struct.error)):
+            write_pcm(tmp_path / "wave.wav", np.zeros(4, dtype="<i2"), rate=int(rate))
+        with pytest.raises(ValueError, match="sample rate must be from 1 to 2147483647 Hz"):
+            save_wav(tmp_path / "ours.wav", np.zeros(4), rate)
+        assert not (tmp_path / "ours.wav").exists()
 
 
 class TestPhoneLabels:

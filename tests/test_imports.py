@@ -40,6 +40,10 @@ report["import_random"] = "numpy.random" in sys.modules
 from specvalley.types import FormantSpec
 specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)], [100.0], 16000.0, 8000,
                                  tilted=True)
+specvalley.synth.synthesize_cascades([[500.0, 1500.0], [600.0, 1700.0]],
+                                     [[100.0, 120.0], [40.0, 90.0]], [100.0, 0.0], 16000.0,
+                                     [2000, 3000], tilted=True)
+report["synthesis_ma"] = "numpy.ma" in sys.modules
 specvalley.baseline.mfcc(np.ones((1, 400)), 16000.0)
 report["runtime_scipy"] = scipy_modules()
 print(json.dumps(report))
@@ -67,6 +71,11 @@ def test_cli_import_loads_no_scipy(report):
 
 def test_runtime_loads_no_scipy(report):
     assert report["runtime_scipy"] == []
+
+
+def test_synthesis_loads_no_numpy_ma(report):
+    # numpy.ma (about 0.5 MB and its import time) comes in with helpers such as np.unique
+    assert not report["synthesis_ma"]
 
 
 def test_imports_load_no_numpy_random(report):

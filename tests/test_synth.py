@@ -7,7 +7,8 @@ from cascade_reference import analytic_cascade_spectrum, source_tilt_db
 from conftest import peak_levels
 from specvalley import synth
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import calibrate_bandwidth_rows, synthesize_rows
+from specvalley.synth import (calibrate_bandwidth_rows, synthesize_cascades,
+                              synthesize_rows)
 from specvalley.types import FormantSpec
 
 
@@ -65,6 +66,67 @@ class TestSynthesize:
         sa = np.abs(np.fft.rfft(a))
         sb = np.abs(np.fft.rfft(b))
         assert np.allclose(sa, sb, rtol=1e-8, atol=1e-12)
+
+
+def _cascade_stack(height, tilted, seed):
+    """(frequencies, bandwidths, f0s, lengths) of `height` five-formant cascades at 16 kHz.
+
+    Row 0 has a 40 Hz bandwidth, whose 7640-sample tail takes an 8192-point
+    grid; the other rows fit 4096 points. Row 1, where there is one, is an
+    impulse response (F0 of 0).
+    """
+    rng = np.random.default_rng(seed)
+    freqs = np.sort(rng.uniform(300.0, 4800.0, (height, 5)), axis=1) + 60.0 * np.arange(5)
+    bws = rng.uniform(80.0, 250.0, (height, 5))
+    bws[0, 1] = 40.0
+    f0s = rng.uniform(100.0, 250.0, height)
+    f0s[1:2] = 0.0
+    lengths = rng.integers(1280, 3201, height)
+    return freqs, bws, f0s, lengths
+
+
+@pytest.mark.parametrize("workspace", ["default", "one_row"])
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("height", [1, 2, 8, 9])
+def test_stacked_cascades_equal_their_one_row_calls(height, tilted, workspace, monkeypatch):
+    freqs, bws, f0s, lengths = _cascade_stack(height, tilted, seed=height)
+    if workspace == "one_row":  # every chunk of a grid's rows is one row
+        monkeypatch.setattr(synth, "WORKSPACE_BYTES", 1)
+    sizes = []
+
+    def record(sample_rate, size):
+        sizes.append(size)
+        return rfft_grid(sample_rate, size)
+
+    rfft_grid = synth._rfft_grid
+    monkeypatch.setattr(synth, "_rfft_grid", record)
+    rows = synthesize_cascades(freqs, bws, f0s, 16000.0, lengths, tilted)
+    # the rows of one grid share one call, and so one irfft
+    assert sizes == ([8192] if height == 1 else [4096, 8192])
+    assert [len(row) for row in rows] == lengths.tolist()
+    for r, row in enumerate(rows):
+        alone = synthesize_cascades(freqs[r:r + 1], bws[r:r + 1], f0s[r:r + 1], 16000.0,
+                                    lengths[r:r + 1], tilted)
+        assert np.array_equal(row, alone[0]), r
+        formants = [FormantSpec(f, b) for f, b in zip(freqs[r], bws[r])]
+        assert np.array_equal(row, synthesize_rows(formants, [f0s[r]], 16000.0, lengths[r],
+                                                   tilted)[0]), r
+
+
+@pytest.mark.parametrize("args, message", [
+    (([[500.0]], [[100.0]], [100.0, 120.0], 8000.0, [800]), "must be \\(k, m\\)"),
+    (([[500.0]], [[100.0, 90.0]], [100.0], 8000.0, [800]), "must be \\(k, m\\)"),
+    (([[500.0]], [[100.0]], [100.0], 8000.0, [0]), "n_samples must be positive"),
+    (([[500.0]], [[100.0]], [-1.0], 8000.0, [800]), "f0 must be finite and not negative"),
+    (([[500.0]], [[100.0]], [100.0], 8000.0, [79]), "duration too short for one period"),
+    (([[500.0]], [[0.0]], [100.0], 8000.0, [800]), "bandwidth must be positive"),
+    (([[-5.0]], [[100.0]], [100.0], 8000.0, [800]), "frequency must be positive"),
+    (([[4000.0]], [[100.0]], [100.0], 8000.0, [800]), "must be below Nyquist"),
+    (([[500.0]], [[0.1]], [100.0], 16000.0, [800]), "more than 1048576"),
+])
+def test_synthesize_cascades_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        synthesize_cascades(*args)
 
 
 def _files_digest(paths):

@@ -2,7 +2,8 @@
 
 `reference_rows` runs each pulse train through the source-tilt lowpass and then
 one `scipy.signal.lfilter` section per formant, with the taps of
-`sigproc.resonator_taps`: the recursion that `synth.synthesize_rows` replaces.
+`sigproc.resonator_taps`: the recursion that `synth.synthesize_rows` and
+`synth.synthesize_cascades` replace.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import (MAX_TAIL_SAMPLES, TAIL_TIME_CONSTANTS, TILT_CORNER_HZ,
-                              synthesize_rows)
+                              synthesize_cascades, synthesize_rows)
 from specvalley.types import FormantSpec
 
 REL_TOL = 1e-12  # of the reference's peak
@@ -38,6 +39,13 @@ def reference_rows(formants, f0s, sample_rate, n_samples, tilted=False):
     return np.array(rows)
 
 
+def reference_cascades(frequencies, bandwidths, f0s, sample_rate, n_samples, tilted=False):
+    """`reference_rows` of each row's cascade, F0 and length: a list of rows."""
+    return [reference_rows([FormantSpec(f, b) for f, b in zip(fr, bw)], [f0], sample_rate, n,
+                           tilted)[0]
+            for fr, bw, f0, n in zip(frequencies, bandwidths, f0s, n_samples)]
+
+
 def _pcm(samples, path):
     """The bytes `save_wav` writes for `samples` at 16 kHz."""
     save_wav(path, samples, 16000.0)
@@ -52,30 +60,32 @@ def _assert_close(rows, reference):
 
 @pytest.fixture(scope="module")
 def corpus_tokens(recipes, tmp_path_factory):
-    """(formants, f0, n_samples, tilted) of each token of a 240-segment seed-3 corpus."""
-    calls = []
+    """(formants, f0, tilted, samples) of each token of a 240-segment seed-3 corpus, as
+    the corpus's `synthesize_cascades` calls gave them."""
+    tokens = []
 
-    def record(formants, f0s, sample_rate, n_samples, tilted=False):
-        (f0,) = f0s
-        calls.append((list(formants), f0, n_samples, tilted))
-        return synthesize_rows(formants, f0s, sample_rate, n_samples, tilted)
+    def record(frequencies, bandwidths, f0s, sample_rate, n_samples, tilted=False):
+        rows = synthesize_cascades(frequencies, bandwidths, f0s, sample_rate, n_samples, tilted)
+        for fr, bw, f0, n, row in zip(frequencies, bandwidths, f0s, n_samples, rows):
+            assert row.shape == (n,)
+            tokens.append(([FormantSpec(f, b) for f, b in zip(fr, bw)], f0, tilted, row))
+        return rows
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthetic, "synthesize_rows", record)
+        mp.setattr(synthetic, "synthesize_cascades", record)
         synthetic.build_synthetic_corpus(tmp_path_factory.mktemp("tokens"), n_segments=240,
                                          seed=3, recipes=recipes)
-    return calls
+    return tokens
 
 
 def test_corpus_tokens_match_the_reference(corpus_tokens, tmp_path):
     assert len(corpus_tokens) == 240
-    assert {tilted for *_, tilted in corpus_tokens} == {True}
-    for i, (formants, f0, n, tilted) in enumerate(corpus_tokens):
-        row = synthesize_rows(formants, [f0], 16000.0, n, tilted)
-        ref = reference_rows(formants, [f0], 16000.0, n, tilted)
-        _assert_close(row, ref)
-        # the token as synthesize_vowel_token scales it, then as save_wav quantizes it
-        got = _pcm(row[0] * (0.3 / np.max(np.abs(row[0]))), tmp_path / "a.wav")
+    assert {tilted for _, _, tilted, _ in corpus_tokens} == {True}
+    for i, (formants, f0, tilted, row) in enumerate(corpus_tokens):
+        ref = reference_rows(formants, [f0], 16000.0, len(row), tilted)
+        _assert_close(row[None, :], ref)
+        # the token as build_synthetic_corpus scales it, then as save_wav quantizes it
+        got = _pcm(row * (0.3 / np.max(np.abs(row))), tmp_path / "a.wav")
         want = _pcm(ref[0] * (0.3 / np.max(np.abs(ref[0]))), tmp_path / "b.wav")
         assert got == want, i
 
@@ -127,14 +137,14 @@ def test_an_f0_of_0_is_a_train_whose_second_pulse_never_arrives(tilted):
 def test_corpus_and_babble_bytes_equal_the_reference_builds(recipes, tmp_path):
     def build(root, synth_fn):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synthetic, "synthesize_rows", synth_fn)
+            mp.setattr(synthetic, "synthesize_cascades", synth_fn)
             synthetic.build_synthetic_corpus(root / "corpus", n_segments=40, seed=3,
                                              recipes=recipes)
             synthetic.build_babble(root / "babble.wav", seed=11, recipes=recipes)
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    ours = build(tmp_path / "ours", synthesize_rows)
-    theirs = build(tmp_path / "reference", reference_rows)
+    ours = build(tmp_path / "ours", synthesize_cascades)
+    theirs = build(tmp_path / "reference", reference_cascades)
     assert len(ours) == 81
     assert ours == theirs
 
@@ -199,12 +209,12 @@ def test_grid_edges_match_the_reference_and_their_rows(case, monkeypatch):
     fm, f0s, fs, n, tilted, grid = GRID_EDGES[case]
     sizes = []
 
-    def zinv(size):
+    def record(sample_rate, size):
         sizes.append(size)
-        return rfft_zinv(size)
+        return rfft_grid(sample_rate, size)
 
-    rfft_zinv = synth._rfft_zinv
-    monkeypatch.setattr(synth, "_rfft_zinv", zinv)
+    rfft_grid = synth._rfft_grid
+    monkeypatch.setattr(synth, "_rfft_grid", record)
     stack = synthesize_rows(fm, f0s, fs, n, tilted)
     assert sizes == [grid]
     assert stack.shape == (len(f0s), n)
