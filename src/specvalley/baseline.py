@@ -203,7 +203,7 @@ def train_mlp(
     y = np.asarray([CLASS_TO_TARGET[l] if isinstance(l, str) else float(l) for l in labels])
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("samples must be (n, d) with one label per row")
-    if len(np.unique(y)) < 2:
+    if len(set(y.tolist())) < 2:
         raise ValueError("training needs both classes present")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")

@@ -273,7 +273,7 @@ def segment_blocks(table, cfg: PipelineConfig, include_central: bool = False, mi
     rows, truths = scored_rows(table, include_central)
     starts, stops, rates = table.offsets[rows], table.offsets[rows + 1], table.rate[rows]
     counts = np.zeros(len(rows), dtype=int)
-    for rate in np.unique(rates):
+    for rate in sorted(set(rates.tolist())):
         counts[rates == rate] = frame_counts((stops - starts)[rates == rate], rate,
                                              cfg.frame_ms, cfg.overlap_fraction)[2]
 

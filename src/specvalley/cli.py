@@ -363,7 +363,7 @@ def _corpus_inputs(args):
     cfg = classify.PipelineConfig(frame_ms=args.frame_ms, overlap_fraction=args.overlap,
                                   preemphasis=args.preemph, lp_order=args.lp_order)
     table = corpus.collect_segments(args.corpus, args.labels_ext, inventory)
-    for rate in np.unique(table.rate):
+    for rate in sorted(set(table.rate.tolist())):
         try:
             cfg.order_for(rate)
         except ValueError as exc:

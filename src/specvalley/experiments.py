@@ -381,14 +381,18 @@ def f0_influence_experiment(
     harmonics densify. The formants are taken in the order given; F1 must be
     below F2.
     """
-    from .synth import synthesize_rows
+    from .synth import synthesize_cascades
 
     lower, upper = case_formants[:2]
     f1, f2 = lower.frequency, upper.frequency
     reference = PairMeter(case_formants, (0, 1), sample_rate)
     v_ref = reference.measure((f1, lower.bandwidth), (f2, upper.bandwidth))[2]
     n_samples = int(round((F0_SETTLE_S + F0_ANALYSIS_S) * sample_rate))
-    signals = synthesize_rows(case_formants, f0_values, sample_rate, n_samples)
+    # the one cascade once per F0, its rows stacked
+    k = len(f0_values)
+    cascade = np.tile([[(f.frequency, f.bandwidth) for f in case_formants]], (k, 1, 1))
+    signals = np.reshape(synthesize_cascades(cascade[..., 0], cascade[..., 1], f0_values,
+                                             sample_rate, [n_samples] * k), (k, n_samples))
     levels, mean_db = lp_envelope_of_signal(signals[:, int(F0_SETTLE_S * sample_rate):], lp_order,
                                             lag_window_half_length)
     return [F0Row(f0, v_ref, m - _peak_pair_rlsv(reference.freqs, row, f1, f2)[2])

@@ -9,7 +9,6 @@ import numpy as np
 from .envelope import PEAK_WINDOW_HZ, gathered_peaks, peak_windows, window_bins
 from .sigproc import (cascade_grid, cascade_levels, resonator_db, resonator_denominator,
                       resonator_taps)
-from .types import FormantSpec
 
 # corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
@@ -55,11 +54,6 @@ def _rfft_grid(sample_rate: float, size: int):
     zinv.setflags(write=False)
     tilt.setflags(write=False)
     return zinv, tilt
-
-
-def _check_length(n_samples: int):
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
 
 
 def _period(f0, sample_rate: float, n_samples: int) -> int:
@@ -148,14 +142,16 @@ def _fold(h: np.ndarray, period: int) -> np.ndarray:
 
 def _check_sections(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate: float):
     """Raise ValueError, as a FormantSpec would, for a frequency or bandwidth that is not
-    positive and finite, and for a frequency at or above Nyquist."""
+    positive and finite, and, as `sigproc.resonator_db` would, for a frequency at or
+    above Nyquist (the first such in column order, section by section)."""
     for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
         bad = ~(np.isfinite(values) & (values > 0))
         if bad.any():
             raise ValueError(f"formant {name} must be positive, got {values[bad][0]}")
-    above = frequencies >= sample_rate / 2.0
+    above = frequencies.T >= sample_rate / 2.0
     if above.any():
-        raise ValueError(f"resonator frequency {frequencies[above][0]} Hz must be below Nyquist")
+        raise ValueError(f"formant at {frequencies.T[above][0]} Hz is at or above Nyquist "
+                         f"({sample_rate / 2.0} Hz)")
 
 
 def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samples,
@@ -163,16 +159,20 @@ def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samp
     """Run pulse train r through cascade r for n_samples[r] samples: a list of k rows.
 
     `frequencies` and `bandwidths` are (k, m) in Hz, row r the m resonators
-    of cascade r in cascade order; row r has a unit pulse every
-    round(sample_rate / f0s[r]) samples from sample 0, and an F0 of 0 gives
-    cascade r's impulse response. The resonators and the tilt are those of
-    `synthesize_rows`, and each row equals what `synthesize_rows` gives for
-    its cascade and F0 alone: each row keeps its own grid, and the rows of
-    one grid share one product of denominators and one irfft (in chunks
-    within WORKSPACE_BYTES).
+    of cascade r in cascade order, each g / (1 + a1*z^-1 + a2*z^-2) with the
+    taps of `sigproc.resonator_taps` and unity gain at 0 Hz; `tilted` adds
+    the source-tilt lowpass. Row r has a unit pulse every
+    round(sample_rate / f0s[r]) samples from sample 0, and an F0 of 0 leaves
+    the one at sample 0: cascade r's impulse response h. Row r is h (see
+    `_impulse_responses`) summed with itself shifted by whole periods, and
+    equals what its cascade, F0 and length give alone; one vowel at several
+    F0s is its cascade repeated once per F0.
 
-    Raises ValueError for what `synthesize_rows` refuses, and for arrays
-    whose shapes do not agree.
+    Raises ValueError for arrays whose shapes do not agree, a length that is
+    not positive, a negative or non-finite F0, a train shorter than its
+    period, a frequency or bandwidth that is not positive and finite, a
+    formant at or above Nyquist, and a bandwidth whose tail would take more
+    than MAX_TAIL_SAMPLES samples.
     """
     frequencies = np.asarray(frequencies, dtype=np.float64)
     bandwidths = np.asarray(bandwidths, dtype=np.float64)
@@ -180,48 +180,13 @@ def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samp
     if (frequencies.ndim != 2 or bandwidths.shape != frequencies.shape
             or not len(f0s) == len(lengths) == len(frequencies)):
         raise ValueError("frequencies and bandwidths must be (k, m), with k F0s and k lengths")
-    for n in lengths:
-        _check_length(n)
+    if min(lengths, default=1) <= 0:
+        raise ValueError("n_samples must be positive")
     periods = [_period(f0, sample_rate, n) for f0, n in zip(f0s, lengths)]
     _check_sections(frequencies, bandwidths, sample_rate)
     rows = [None] * len(lengths)
     for r, h in _impulse_responses(frequencies, bandwidths, sample_rate, lengths, tilted):
         rows[r] = _fold(h, periods[r])
-    return rows
-
-
-def synthesize_rows(formants, f0s, sample_rate: float, n_samples: int,
-                    tilted: bool = False) -> np.ndarray:
-    """Run a pulse train per F0 serially through one resonator per formant: (k, n_samples).
-
-    Row r has a unit pulse every round(sample_rate / f0s[r]) samples from
-    sample 0, and an F0 of 0 leaves the single pulse at sample 0. Every
-    resonator has unity gain at 0 Hz, g / (1 + a1*z^-1 + a2*z^-2) with the
-    taps of `sigproc.resonator_taps`, and `tilted` adds the source-tilt
-    lowpass. The cascade is linear and time-invariant, so its impulse
-    response h is computed once, as the one-row case of
-    `synthesize_cascades`: its frequency response, the product of the
-    sections' gains over the product of their denominators, goes through one
-    irfft on a power-of-two grid L at or above both `n_samples` and
-    TAIL_TIME_CONSTANTS time constants of the slowest pole. A train of period
-    P is then h summed with itself shifted by P, 2P, ...: h padded to whole
-    periods, reshaped to one period a row, and summed down the rows. A row
-    does not depend on the rows stacked with it. With no formant and no tilt
-    h is the unit impulse, and the pulses come back unfiltered.
-
-    Raises ValueError for a negative or non-finite F0, a train shorter than
-    its period (n_samples * f0 < sample_rate), a formant at or above Nyquist,
-    and a bandwidth whose tail would take more than MAX_TAIL_SAMPLES samples.
-    """
-    _check_length(n_samples)
-    periods = [_period(f0, sample_rate, n_samples) for f0 in f0s]
-    frequencies = np.array([[f.frequency for f in formants]], dtype=np.float64).reshape(1, -1)
-    bandwidths = np.array([[f.bandwidth for f in formants]], dtype=np.float64).reshape(1, -1)
-    _check_sections(frequencies, bandwidths, sample_rate)
-    ((_, h),) = _impulse_responses(frequencies, bandwidths, sample_rate, [n_samples], tilted)
-    rows = np.empty((len(periods), n_samples))
-    for row, period in zip(rows, periods):
-        row[:] = _fold(h, period)
     return rows
 
 
@@ -234,28 +199,26 @@ class BandwidthCalibration(NamedTuple):
     converged: np.ndarray  # (n,) every residual within the tolerance
 
 
-def calibrate_bandwidth_rows(
-    formant_freqs,
-    target_levels,
-    sample_rate: float,
-    extra_formants=None,
-) -> BandwidthCalibration:
+def calibrate_bandwidth_rows(formant_freqs, target_levels, sample_rate: float,
+                             extra_formants=None) -> BandwidthCalibration:
     """Find, row by row, bandwidths whose relative peak levels match the targets.
 
     Row r calibrates the three formants `formant_freqs[r]` against the three
-    `target_levels[r]`, above the fixed `extra_formants[r]` (default: none).
+    `target_levels[r]`, above the fixed `extra_formants[r]`: an (n, k, 2)
+    array of (frequency, bandwidth) pairs, k per row (default: none).
     The targets count relative to L1, which leaves B1 unconstrained: B1
     stays at INITIAL_BANDWIDTH, while B2 and B3 are bisected over
     SEARCH_RANGE_HZ against the analytic cascade spectrum plus the source
-    tilt (the tilted source of `synthesize_rows`), for up to MAX_ROUNDS
-    rounds, until the relative levels land within TOLERANCE_DB. All rows
-    bisect in lockstep, and a row leaves the stack after the round in which
-    it converges. Only the formant being bisected is re-evaluated, and only
-    on the bins `envelope.window_bins` gives, which `envelope.gathered_peaks`
-    searches.
+    tilt (that of `synthesize_cascades(..., tilted=True)`), for up to
+    MAX_ROUNDS rounds, until the relative levels land within TOLERANCE_DB.
+    All rows bisect in lockstep, and a row leaves the stack after the round
+    in which it converges. Only the formant being bisected is re-evaluated,
+    and only on the bins `envelope.window_bins` gives, which
+    `envelope.gathered_peaks` searches.
     A row's resonator terms are summed in the order given, F1..F3 and then
-    its extra formants, and the tilt last; raises ValueError for a row whose
-    frequencies in that order do not ascend.
+    its extra formants, and the tilt last. Raises ValueError for a malformed
+    `extra_formants`, for a frequency or bandwidth the synthesis refuses, and
+    for a row whose frequencies in that order do not ascend.
     """
     freqs3 = np.asarray(formant_freqs, dtype=np.float64)
     levels = np.asarray(target_levels, dtype=np.float64)
@@ -265,14 +228,18 @@ def calibrate_bandwidth_rows(
     if levels.shape != (n, 3):
         raise ValueError("three target levels are required for every row")
     targets = levels - levels[:, :1]
-    extras = [list(e) for e in (extra_formants if extra_formants is not None else [()] * n)]
-    if len(extras) != n or len({len(e) for e in extras}) > 1:
-        raise ValueError("extra_formants needs one sequence per row, all of one length")
-    for f in freqs3.flat:  # the checks a FormantSpec makes
-        FormantSpec(float(f), INITIAL_BANDWIDTH)
+    try:
+        extras = np.asarray(np.empty((n, 0, 2)) if extra_formants is None else extra_formants,
+                            dtype=np.float64)
+    except (TypeError, ValueError):
+        extras = None
+    if extras is None or extras.ndim != 3 or len(extras) != n or extras.shape[2] != 2:
+        raise ValueError(f"extra_formants must be an (n, k, 2) array of (frequency, "
+                         f"bandwidth) pairs, n = {n} rows")
     bws = np.full((n, 3), INITIAL_BANDWIDTH)
-    cascade_f = np.hstack([freqs3, [[e.frequency for e in row] for row in extras]])
-    cascade_b = np.hstack([bws, [[e.bandwidth for e in row] for row in extras]])
+    cascade_f = np.hstack([freqs3, extras[..., 0]])
+    cascade_b = np.hstack([bws, extras[..., 1]])
+    _check_sections(cascade_f, cascade_b, sample_rate)
     descending = np.flatnonzero((np.diff(cascade_f, axis=1) < 0).any(axis=1))
     if descending.size:
         r = descending[0]

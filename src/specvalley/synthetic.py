@@ -17,7 +17,6 @@ from .corpus import default_pb_table_path, load_pb_table, save_wav
 from .errors import CalibrationError
 from .experiments import BACK_VOWELS, FRONT_VOWELS
 from .synth import calibrate_bandwidth_rows, synthesize_cascades
-from .types import FormantSpec
 
 CLASSIFIED_VOWELS = {**dict.fromkeys(FRONT_VOWELS, "front"),
                      **dict.fromkeys(BACK_VOWELS, "back")}
@@ -73,7 +72,7 @@ def build_recipes(sample_rate: float = 16000.0, pb_table_path=None):
         [(e.f1, e.f2, e.f3) for e in entries],
         [(e.l1, e.l2, e.l3) for e in entries],
         sample_rate,
-        extra_formants=[[FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]] for e in entries],
+        extra_formants=[UPPER_FORMANTS[e.gender] for e in entries],
     )
     recipes = []
     for e, bws, rounds, residuals, converged in zip(entries, *fit):

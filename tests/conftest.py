@@ -4,6 +4,7 @@ import pytest
 from specvalley import synthetic
 from specvalley.corpus import load_pb_table, default_pb_table_path, pcm_to_float
 from specvalley.envelope import PEAK_WINDOW_HZ, peak_windows, window_peaks
+from specvalley.synth import synthesize_cascades
 
 CORPUS_SEED = 20240801
 CORPUS_SIZE = 500
@@ -157,6 +158,16 @@ def peak_levels(freqs, levels_db, nominal_f, window_hz=PEAK_WINDOW_HZ):
     lo, hi = peak_windows(freqs, np.reshape(nominal_f, (len(levels_db), -1)), window_hz)
     _, peak_freq, peak_level, missing = window_peaks(freqs, levels_db, lo, hi)
     return peak_freq.reshape(shape), peak_level.reshape(shape), missing.reshape(shape)
+
+
+def cascade_rows(formants, f0s, sample_rate, n_samples, tilted=False):
+    """One `synth.synthesize_cascades` call that runs each F0's train through the one
+    cascade `formants` (FormantSpecs, in cascade order): a (len(f0s), n_samples) array."""
+    cascade = np.reshape([(f.frequency, f.bandwidth) for f in formants], (-1, 2))
+    k = len(f0s)
+    return np.array(synthesize_cascades(np.tile(cascade[:, 0], (k, 1)),
+                                        np.tile(cascade[:, 1], (k, 1)), f0s, sample_rate,
+                                        [n_samples] * k, tilted))
 
 
 def frames_of(audio, cfg=None):

@@ -12,7 +12,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from cascade_reference import analytic_cascade_spectrum
-from conftest import PERCEPTUAL_CRITICAL_DISTANCE_BARK, analyse, peak_levels
+from conftest import PERCEPTUAL_CRITICAL_DISTANCE_BARK, analyse, cascade_rows, peak_levels
 from specvalley import baseline, classify
 from specvalley.cli import run
 from specvalley.corpus import pb_mean_formants
@@ -33,7 +33,6 @@ from specvalley.sigproc import (
     levinson_rows,
     polynomial_roots,
 )
-from specvalley.synth import synthesize_rows
 from specvalley.types import FormantSpec, power_mean_db
 
 CASE_A = [FormantSpec(400.0, 100.0), FormantSpec(700.0, 100.0),
@@ -213,7 +212,7 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
     # cascade spectrum vs 32768-sample impulse-response spectrum
     fs = 10000.0
     fm = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
-    x = synthesize_rows(fm, [0.0], fs, 32768)[0]
+    x = cascade_rows(fm, [0.0], fs, 32768)[0]
     oracle = 20 * np.log10(np.abs(np.fft.rfft(x)))
     _, levels_db = analytic_cascade_spectrum(fm, fs, 16385)
     dev = float(np.max(np.abs(levels_db - oracle)))

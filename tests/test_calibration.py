@@ -61,13 +61,14 @@ def _reference_levels(formants, fs, n_points=2048):
 
 def _reference_calibration(freqs3, target_levels, fs, extra=(),
                            search_range=(30.0, 600.0), tolerance_db=0.5, max_rounds=50):
-    """The scalar calibration loop: (bandwidths, rounds, residuals, converged)."""
+    """The scalar calibration loop: (bandwidths, rounds, residuals, converged); `extra`
+    holds the (frequency, bandwidth) pairs of the fixed upper formants."""
     freqs3 = [float(f) for f in freqs3]
     targets = [target_levels[i] - target_levels[0] for i in range(3)]
     bws = [100.0, 100.0, 100.0]
 
     def measured_rel():
-        formants = [FormantSpec(f, b) for f, b in zip(freqs3, bws)] + list(extra)
+        formants = [FormantSpec(f, b) for f, b in [*zip(freqs3, bws), *extra]]
         freqs, levels = _reference_levels(formants, fs)
         peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
         if None in peaks:
@@ -100,17 +101,13 @@ def _recipe_entries():
     return [e for e in load_pb_table(default_pb_table_path()) if e.vowel in CLASSIFIED_VOWELS]
 
 
-def _upper(e):
-    return [FormantSpec(f, b) for f, b in UPPER_FORMANTS[e.gender]]
-
-
 def test_recipes_equal_the_scalar_calibration():
     recipes = build_recipes(16000.0)
     entries = _recipe_entries()
     assert len(recipes) == len(entries) == 18
     for recipe, e in zip(recipes, entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 16000.0, _upper(e)
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 16000.0, UPPER_FORMANTS[e.gender]
         )
         assert converged
         assert np.array_equal(recipe.bandwidths_hz[:3], bws), (e.vowel, e.gender)
@@ -187,12 +184,12 @@ def test_recipe_rows_equal_the_scalar_calibration_at_10khz(monkeypatch):
     monkeypatch.setattr(synth, "MAX_ROUNDS", 3)
     fit = calibrate_bandwidth_rows(
         [(e.f1, e.f2, e.f3) for e in entries], [(e.l1, e.l2, e.l3) for e in entries],
-        10000.0, extra_formants=[_upper(e) for e in entries],
+        10000.0, extra_formants=[UPPER_FORMANTS[e.gender] for e in entries],
     )
     assert 0 < fit.converged.sum() < 18
     for r, e in enumerate(entries):
         bws, rounds, residuals, converged = _reference_calibration(
-            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 10000.0, _upper(e),
+            (e.f1, e.f2, e.f3), (e.l1, e.l2, e.l3), 10000.0, UPPER_FORMANTS[e.gender],
             max_rounds=3,
         )
         assert np.array_equal(fit.bandwidths[r], bws), (e.vowel, e.gender)
@@ -238,8 +235,7 @@ def test_build_recipes_names_the_vowel_that_failed(tmp_path):
 def test_rows_with_different_extra_formants(monkeypatch):
     # at 10 kHz the first row's peaks merge in every round: its residuals
     # stay unmeasured (inf)
-    extras = [[FormantSpec(3500.0, 150.0), FormantSpec(4500.0, 200.0)],
-              [FormantSpec(3300.0, 150.0), FormantSpec(4100.0, 250.0)]]
+    extras = [[(3500.0, 150.0), (4500.0, 200.0)], [(3300.0, 150.0), (4100.0, 250.0)]]
     targets = [(-2.0, -17.0, -24.0), (-3.0, -15.0, -25.0)]
     freqs = [(530.0, 1840.0, 2480.0), FREQS]
     monkeypatch.setattr(synth, "MAX_ROUNDS", 5)
@@ -256,15 +252,49 @@ def test_rows_with_different_extra_formants(monkeypatch):
 
 
 @pytest.mark.parametrize("freqs, extras", [
-    ((600.0, 1200.0, 2400.0), [FormantSpec(2000.0, 150.0)]),
-    ((600.0, 2400.0, 1200.0), [FormantSpec(3500.0, 150.0)]),
+    ((600.0, 1200.0, 2400.0), [(2000.0, 150.0)]),
+    ((600.0, 2400.0, 1200.0), [(3500.0, 150.0)]),
 ], ids=["extra-below-f3", "f3-below-f2"])
 def test_rows_out_of_frequency_order_are_refused(freqs, extras):
     # a row's resonator terms are summed in the order given, so it must ascend
     rows = [FREQS, freqs]
     with pytest.raises(ValueError, match=r"row 1: formants must ascend, got \["):
         calibrate_bandwidth_rows(rows, [(0.0, -12.0, -22.0)] * 2, 10000.0,
-                                 extra_formants=[[FormantSpec(3500.0, 150.0)], extras])
+                                 extra_formants=[[(3500.0, 150.0)], extras])
+
+
+@pytest.mark.parametrize("extras", [
+    [[(3500.0, 150.0)], [(3500.0, 150.0), (4500.0, 200.0)]],
+    [(3500.0, 150.0), (3500.0, 150.0)],
+    [[(3500.0, 150.0, 1.0)], [(3500.0, 150.0, 1.0)]],
+    [[(3500.0, 150.0)]],
+    [[FormantSpec(3500.0, 150.0)]] * 2,
+], ids=["ragged", "no-formant-axis", "triples", "one-row-for-two", "formant-specs"])
+def test_a_malformed_extra_formants_is_refused(extras):
+    with pytest.raises(ValueError, match=r"extra_formants must be an \(n, k, 2\) array of "
+                                         r"\(frequency, bandwidth\) pairs, n = 2 rows"):
+        calibrate_bandwidth_rows([FREQS] * 2, [(0.0, -12.0, -22.0)] * 2, 10000.0,
+                                 extra_formants=extras)
+
+
+@pytest.mark.parametrize("extra, words", [
+    ((3500.0, 0.0), "formant bandwidth must be positive, got 0.0"),
+    ((3500.0, -150.0), "formant bandwidth must be positive, got -150.0"),
+    ((np.nan, 150.0), "formant frequency must be positive, got nan"),
+    ((5000.0, 150.0), r"formant at 5000\.0 Hz is at or above Nyquist \(5000\.0 Hz\)"),
+], ids=["zero-bandwidth", "negative-bandwidth", "nan-frequency", "at-nyquist"])
+def test_an_extra_formant_is_checked_as_the_synthesis_checks_it(extra, words):
+    # the words of FormantSpec and of sigproc.resonator_db
+    with pytest.raises(ValueError, match=words):
+        calibrate_bandwidth_rows([FREQS] * 2, [(0.0, -12.0, -22.0)] * 2, 10000.0,
+                                 extra_formants=[[(3500.0, 150.0)], [extra]])
+
+
+def test_recipes_at_8khz_name_the_formant_above_nyquist():
+    # the female F4 of UPPER_FORMANTS, the first upper formant above 4 kHz section by section
+    with pytest.raises(ValueError, match=r"^formant at 4200\.0 Hz is at or above Nyquist "
+                                         r"\(4000\.0 Hz\)$"):
+        build_recipes(8000.0)
 
 
 def _level_rows(rng, kind, n_bins):

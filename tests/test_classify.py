@@ -17,16 +17,14 @@ from specvalley.classify import (
 )
 from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
-from specvalley.synth import synthesize_rows
-from specvalley.types import FormantSpec
+from specvalley.synth import synthesize_cascades
 
 FS = 16000.0
 
 
 def synth_segment(freqs, bws=None, f0=120.0, dur=0.15):
     bws = bws or [100.0] * len(freqs)
-    fm = [FormantSpec(f, b) for f, b in zip(freqs, bws)]
-    x = synthesize_rows(fm, [f0], FS, round(dur * FS), tilted=True)[0]
+    x = synthesize_cascades([freqs], [bws], [f0], FS, [round(dur * FS)], tilted=True)[0]
     return x / np.max(np.abs(x)) * 0.3, FS
 
 

@@ -1,11 +1,11 @@
-"""What importing and running specvalley loads: never SciPy, and no
-numpy.random until something draws.
+"""What importing and running specvalley loads: never SciPy or numpy.ma, and
+no numpy.random until something draws.
 
 The checks need an interpreter that has not imported specvalley yet, so one
 fresh process runs them in order (the package, then the CLI, then the
 synthesizer, the corpus builder, the MFCC baseline and the experiments, with
-one synthesis and one MFCC call) and reports what it saw; each test reads one
-part of that report.
+one synthesis and one MFCC call, then `classify` and `baseline` on a small
+corpus) and reports what it saw; each test reads one part of that report.
 """
 
 import json
@@ -37,15 +37,20 @@ report["cli_random"] = "numpy.random" in sys.modules
 import numpy as np
 import specvalley.baseline, specvalley.experiments, specvalley.synth, specvalley.synthetic
 report["import_random"] = "numpy.random" in sys.modules
-from specvalley.types import FormantSpec
-specvalley.synth.synthesize_rows([FormantSpec(500.0, 100.0)], [100.0], 16000.0, 8000,
-                                 tilted=True)
+specvalley.synth.synthesize_cascades([[500.0]], [[100.0]], [100.0], 16000.0, [8000], tilted=True)
 specvalley.synth.synthesize_cascades([[500.0, 1500.0], [600.0, 1700.0]],
                                      [[100.0, 120.0], [40.0, 90.0]], [100.0, 0.0], 16000.0,
                                      [2000, 3000], tilted=True)
 report["synthesis_ma"] = "numpy.ma" in sys.modules
 specvalley.baseline.mfcc(np.ones((1, 400)), 16000.0)
 report["runtime_scipy"] = scipy_modules()
+import contextlib, io, tempfile
+with tempfile.TemporaryDirectory() as corpus:
+    specvalley.synthetic.build_synthetic_corpus(corpus, n_segments=20, seed=3)
+    for command in ("classify", "baseline"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert specvalley.cli.run([command, "--corpus", corpus, "--no-timestamp"]) == 0
+        report[f"{command}_ma"] = "numpy.ma" in sys.modules
 print(json.dumps(report))
 """
 
@@ -76,6 +81,12 @@ def test_runtime_loads_no_scipy(report):
 def test_synthesis_loads_no_numpy_ma(report):
     # numpy.ma (about 0.5 MB and its import time) comes in with helpers such as np.unique
     assert not report["synthesis_ma"]
+
+
+def test_corpus_commands_load_no_numpy_ma(report):
+    # classify, then baseline, on a 20-segment corpus
+    assert not report["classify_ma"]
+    assert not report["baseline_ma"]
 
 
 def test_imports_load_no_numpy_random(report):

@@ -6,7 +6,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from cascade_reference import analytic_cascade_spectrum
-from conftest import peak_levels
+from conftest import cascade_rows, peak_levels
 from specvalley import experiments
 from specvalley import synth as synth_module
 from specvalley.errors import DegenerateInputError, SingularEnvelopeError
@@ -29,7 +29,6 @@ from specvalley.sigproc import (
     resonator_taps,
     window,
 )
-from specvalley.synth import synthesize_rows
 from specvalley.types import FormantSpec
 from test_formant_anchors import _reflection
 
@@ -225,15 +224,15 @@ class TestLevinson:
         def unreachable(*args, **kwargs):
             raise AssertionError("synthesized at a bad rate")
 
-        monkeypatch.setattr(synth_module, "synthesize_rows", unreachable)
+        monkeypatch.setattr(synth_module, "synthesize_cascades", unreachable)
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             experiments.f0_influence_experiment(
                 [FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)], sample_rate=sample_rate)
 
     def test_lp_envelope_is_the_one_row_lpc_levels(self):
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
-        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
-                            [120.0], 8000.0, 4000)[0]
+        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                         [120.0], 8000.0, 4000)[0]
         levels, mean_db = lp_envelope_of_signal(x[None], 8)
         fit = levinson_rows(autocorrelation(x[None], 8), 8)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
@@ -244,8 +243,8 @@ class TestLevinson:
                                                     (100000, 40)])
     def test_lag_window_is_the_middle_of_a_hamming_window(self, half_length, order):
         # the taps L .. L + order of np.hamming(2L + 1), bit for bit, without the rest
-        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
-                            [120.0], 8000.0, 4000)
+        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                         [120.0], 8000.0, 4000)
         taps = np.hamming(2 * half_length + 1)[half_length:half_length + order + 1]
         fit = levinson_rows(autocorrelation(x, order) * taps, order)
         env = lpc_levels(fit.a, np.sqrt(fit.error), experiments.GRID_POINTS)
@@ -253,8 +252,8 @@ class TestLevinson:
         assert np.array_equal(levels, env.levels) and np.array_equal(mean_db, env.mean_db)
 
     def test_lag_window_of_the_largest_int64_half_length_is_flat(self):
-        x = synthesize_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
-                            [120.0], 8000.0, 4000)
+        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+                         [120.0], 8000.0, 4000)
         for got, want in zip(lp_envelope_of_signal(x, 8, 2**63 - 1), lp_envelope_of_signal(x, 8)):
             assert np.array_equal(got, want)
 
@@ -287,7 +286,7 @@ class TestLpcEnvelope:
 
     def test_tracks_single_resonator_peak(self):
         fs = 8000.0
-        x = synthesize_rows([FormantSpec(1400.0, 150.0)], [0.0], fs, 4096)[0]
+        x = cascade_rows([FormantSpec(1400.0, 150.0)], [0.0], fs, 4096)[0]
         fit = levinson_rows(autocorrelation(x[None], 2), 2)
         levels = lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0]
         freqs = np.linspace(0.0, fs / 2.0, 1024)
@@ -298,7 +297,7 @@ class TestLpcEnvelope:
         # order 2*(#formants) + 2 fitted to a cascade impulse response
         fs = 8000.0
         fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        x = synthesize_rows(fm, [0.0], fs, 8192)[0]
+        x = cascade_rows(fm, [0.0], fs, 8192)[0]
         fit = levinson_rows(autocorrelation(x[None], 10), 10)
         freqs, levels_an = analytic_cascade_spectrum(fm, fs, 1024)
         levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
@@ -379,7 +378,7 @@ class TestRootsToFormants:
     def test_recovers_synthetic_four_formant_vowel(self):
         fs = 10000.0
         truth = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
-        x = synthesize_rows(truth, [0.0], fs, 8192)[0]
+        x = cascade_rows(truth, [0.0], fs, 8192)[0]
         order = 10
         fit = levinson_rows(autocorrelation(x[None], order), order)
         freqs, _, counts = formant_candidates(polynomial_roots(fit.a), fs)
@@ -474,7 +473,7 @@ class TestAnalyticCascadeSpectrum:
         fs = 10000.0
         formants = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
         n_fft = 32768
-        x = synthesize_rows(formants, [0.0], fs, n_fft)[0]
+        x = cascade_rows(formants, [0.0], fs, n_fft)[0]
         oracle_db = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(formants, fs, n_fft // 2 + 1)
         assert np.max(np.abs(levels_db - oracle_db)) < 0.1

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from cascade_reference import analytic_cascade_spectrum, source_tilt_db
-from conftest import peak_levels
+from conftest import cascade_rows, peak_levels
 from specvalley import synth
 from specvalley.sigproc import resonator_taps
-from specvalley.synth import (calibrate_bandwidth_rows, synthesize_cascades,
-                              synthesize_rows)
+from specvalley.synth import calibrate_bandwidth_rows, synthesize_cascades
 from specvalley.types import FormantSpec
 
 
 class TestResonator:
     def test_nyquist_guard(self):
-        with pytest.raises(ValueError, match="below Nyquist"):
-            synthesize_rows([FormantSpec(4000.0, 100.0)], [0.0], 8000.0, 16)
+        with pytest.raises(ValueError, match=r"formant at 4000\.0 Hz is at or above Nyquist "
+                                             r"\(4000\.0 Hz\)"):
+            synthesize_cascades([[4000.0]], [[100.0]], [0.0], 8000.0, [16])
 
     def test_stable_poles(self):
         a1, a2 = resonator_taps(2200.0, 80.0, 8000.0)
@@ -34,7 +34,7 @@ class TestResonator:
 
 class TestSynthesize:
     def test_impulse_passthrough_with_no_formants(self):
-        out = synthesize_rows([], [0.0], 8000.0, 16)[0]
+        out = synthesize_cascades([[]], [[]], [0.0], 8000.0, [16])[0]
         expected = np.zeros(16)
         expected[0] = 1.0
         assert np.array_equal(out, expected)
@@ -42,27 +42,27 @@ class TestSynthesize:
     def test_matches_analytic_spectrum(self):
         fs = 10000.0
         fm = [FormantSpec(700.0, 90.0), FormantSpec(1500.0, 180.0)]
-        x = synthesize_rows(fm, [0.0], fs, 32768)[0]
+        x = cascade_rows(fm, [0.0], fs, 32768)[0]
         oracle = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(fm, fs, 16385)
         assert np.max(np.abs(levels_db - oracle)) < 0.1
 
     def test_impulse_train_spacing(self):
-        out = synthesize_rows([], [100.0], 8000.0, 400)[0]
+        out = synthesize_cascades([[]], [[]], [100.0], 8000.0, [400])[0]
         nz = np.flatnonzero(out)
         assert np.array_equal(nz, np.arange(0, 400, 80))
 
     def test_output_is_bounded(self):
         fm = [FormantSpec(f, 60.0) for f in (300.0, 900.0, 2200.0, 3400.0)]
-        out = synthesize_rows(fm, [120.0], 8000.0, 4000)[0]
+        out = cascade_rows(fm, [120.0], 8000.0, 4000)[0]
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out)) < 1e6
 
     def test_cascade_order_does_not_change_spectrum(self):
         fs = 8000.0
         fm = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 120.0), FormantSpec(2500.0, 90.0)]
-        a = synthesize_rows(fm, [0.0], fs, 4096)[0]
-        b = synthesize_rows(fm[::-1], [0.0], fs, 4096)[0]
+        a = cascade_rows(fm, [0.0], fs, 4096)[0]
+        b = cascade_rows(fm[::-1], [0.0], fs, 4096)[0]
         sa = np.abs(np.fft.rfft(a))
         sb = np.abs(np.fft.rfft(b))
         assert np.allclose(sa, sb, rtol=1e-8, atol=1e-12)
@@ -108,9 +108,6 @@ def test_stacked_cascades_equal_their_one_row_calls(height, tilted, workspace, m
         alone = synthesize_cascades(freqs[r:r + 1], bws[r:r + 1], f0s[r:r + 1], 16000.0,
                                     lengths[r:r + 1], tilted)
         assert np.array_equal(row, alone[0]), r
-        formants = [FormantSpec(f, b) for f, b in zip(freqs[r], bws[r])]
-        assert np.array_equal(row, synthesize_rows(formants, [f0s[r]], 16000.0, lengths[r],
-                                                   tilted)[0]), r
 
 
 @pytest.mark.parametrize("args, message", [
@@ -121,7 +118,11 @@ def test_stacked_cascades_equal_their_one_row_calls(height, tilted, workspace, m
     (([[500.0]], [[100.0]], [100.0], 8000.0, [79]), "duration too short for one period"),
     (([[500.0]], [[0.0]], [100.0], 8000.0, [800]), "bandwidth must be positive"),
     (([[-5.0]], [[100.0]], [100.0], 8000.0, [800]), "frequency must be positive"),
-    (([[4000.0]], [[100.0]], [100.0], 8000.0, [800]), "must be below Nyquist"),
+    (([[4000.0]], [[100.0]], [100.0], 8000.0, [800]),
+     r"formant at 4000\.0 Hz is at or above Nyquist \(4000\.0 Hz\)"),
+    # the first formant above Nyquist section by section, as the calibration meets them
+    (([[500.0, 4500.0], [4200.0, 4900.0]], [[100.0] * 2] * 2, [100.0] * 2, 8000.0, [800] * 2),
+     r"formant at 4200\.0 Hz"),
     (([[500.0]], [[0.1]], [100.0], 16000.0, [800]), "more than 1048576"),
 ])
 def test_synthesize_cascades_refusals(args, message):
@@ -162,7 +163,8 @@ def _spectral_slope_db_per_octave(x, f_low=500.0, f_high=2000.0):
 
 def _tilted_train(fs=16000.0):
     """400 periods of a 100 Hz pulse train through the source tilt."""
-    return synthesize_rows([], [100.0], fs, int(400 * fs / 100.0), tilted=True)[0], fs
+    n = int(400 * fs / 100.0)
+    return synthesize_cascades([[]], [[]], [100.0], fs, [n], tilted=True)[0], fs
 
 
 class TestSourceTilt:

@@ -2,20 +2,21 @@
 
 `reference_rows` runs each pulse train through the source-tilt lowpass and then
 one `scipy.signal.lfilter` section per formant, with the taps of
-`sigproc.resonator_taps`: the recursion that `synth.synthesize_rows` and
-`synth.synthesize_cascades` replace.
+`sigproc.resonator_taps`: the recursion that `synth.synthesize_cascades` replaces.
+`conftest.cascade_rows` repeats one cascade once per F0 in one such call.
 """
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from conftest import cascade_rows
 from specvalley import synth, synthetic
 from specvalley.cli import CASE_GEOMETRIES
 from specvalley.corpus import save_wav
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import (MAX_TAIL_SAMPLES, TAIL_TIME_CONSTANTS, TILT_CORNER_HZ,
-                              synthesize_cascades, synthesize_rows)
+                              synthesize_cascades)
 from specvalley.types import FormantSpec
 
 REL_TOL = 1e-12  # of the reference's peak
@@ -95,26 +96,26 @@ def test_f0_stacks_match_the_reference_and_their_rows(case):
     f1, f2 = CASE_GEOMETRIES[case]
     fm = [FormantSpec(f, 100.0) for f in (f1, f2, 2500.0, 3500.0)]
     trains = [100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0]
-    stack = synthesize_rows(fm, trains, 8000.0, 4000)
+    stack = cascade_rows(fm, trains, 8000.0, 4000)
     assert stack.shape == (7, 4000)
     _assert_close(stack, reference_rows(fm, trains, 8000.0, 4000))
     for row, f0 in zip(stack, trains):
-        assert np.array_equal(row, synthesize_rows(fm, [f0], 8000.0, 4000)[0])
+        assert np.array_equal(row, cascade_rows(fm, [f0], 8000.0, 4000)[0])
 
 
 def test_long_unit_impulse_matches_the_reference():
     fs = 10000.0
     fm = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0), FormantSpec(2600.0, 30.0)]
-    _assert_close(synthesize_rows(fm, [0.0], fs, 32768), reference_rows(fm, [0.0], fs, 32768))
+    _assert_close(cascade_rows(fm, [0.0], fs, 32768), reference_rows(fm, [0.0], fs, 32768))
 
 
 def _impulses_and_trains_stack_and_match_the_reference(tilted):
     fm = [FormantSpec(600.0, 80.0), FormantSpec(1700.0, 120.0)]
     f0s = [0.0, 140.0, 0.0, 100.0]
-    stack = synthesize_rows(fm, f0s, 8000.0, 2000, tilted)
+    stack = cascade_rows(fm, f0s, 8000.0, 2000, tilted)
     _assert_close(stack, reference_rows(fm, f0s, 8000.0, 2000, tilted))
     for row, f0 in zip(stack, f0s):
-        assert np.array_equal(row, synthesize_rows(fm, [f0], 8000.0, 2000, tilted)[0])
+        assert np.array_equal(row, cascade_rows(fm, [f0], 8000.0, 2000, tilted)[0])
 
 
 def test_untilted_kinds_stack_and_match_the_reference():
@@ -129,9 +130,9 @@ def test_tilted_impulses_and_trains_stack_and_match_the_reference():
 def test_an_f0_of_0_is_a_train_whose_second_pulse_never_arrives(tilted):
     # at f0 = fs / n the period is the whole signal: one pulse, at sample 0
     fm = [FormantSpec(700.0, 90.0), FormantSpec(1500.0, 180.0)]
-    impulse = synthesize_rows(fm, [0.0], 8000.0, 400, tilted)
-    assert np.array_equal(impulse, synthesize_rows(fm, [20.0], 8000.0, 400, tilted))
-    assert np.array_equal(synthesize_rows([], [0.0], 8000.0, 400), np.eye(1, 400))
+    impulse = cascade_rows(fm, [0.0], 8000.0, 400, tilted)
+    assert np.array_equal(impulse, cascade_rows(fm, [20.0], 8000.0, 400, tilted))
+    assert np.array_equal(cascade_rows([], [0.0], 8000.0, 400), np.eye(1, 400))
 
 
 def test_corpus_and_babble_bytes_equal_the_reference_builds(recipes, tmp_path):
@@ -153,23 +154,23 @@ def test_too_narrow_bandwidth_is_refused():
     # 60 time constants of a 0.1 Hz bandwidth at 16 kHz are about 3.1 million samples
     fm = [FormantSpec(1000.0, 0.1)]
     with pytest.raises(ValueError, match=r"bandwidth 0\.1 Hz .* more than 1048576"):
-        synthesize_rows(fm, [0.0], 16000.0, 100)
+        cascade_rows(fm, [0.0], 16000.0, 100)
     assert MAX_TAIL_SAMPLES == 1048576
 
 
 @pytest.mark.parametrize("f0", [-100.0, -0.0001, np.nan, np.inf])
 def test_a_negative_or_non_finite_f0_is_refused(f0):
     with pytest.raises(ValueError, match="f0 must be finite and not negative"):
-        synthesize_rows([FormantSpec(500.0, 100.0)], [100.0, f0], 8000.0, 800)
+        cascade_rows([FormantSpec(500.0, 100.0)], [100.0, f0], 8000.0, 800)
 
 
 def test_a_train_needs_one_full_period():
     # 100 Hz at 8 kHz has an 80-sample period
     with pytest.raises(ValueError, match="duration too short for one period"):
-        synthesize_rows([FormantSpec(500.0, 100.0)], [100.0], 8000.0, 79)
-    row = synthesize_rows([], [100.0], 8000.0, 80)[0]
+        cascade_rows([FormantSpec(500.0, 100.0)], [100.0], 8000.0, 79)
+    row = cascade_rows([], [100.0], 8000.0, 80)[0]
     assert np.array_equal(row, np.eye(1, 80)[0])
-    assert np.flatnonzero(synthesize_rows([], [100.0], 8000.0, 81)[0]).tolist() == [0, 80]
+    assert np.flatnonzero(cascade_rows([], [100.0], 8000.0, 81)[0]).tolist() == [0, 80]
 
 
 def _bandwidth_with_tail(samples, sample_rate):
@@ -215,9 +216,9 @@ def test_grid_edges_match_the_reference_and_their_rows(case, monkeypatch):
 
     rfft_grid = synth._rfft_grid
     monkeypatch.setattr(synth, "_rfft_grid", record)
-    stack = synthesize_rows(fm, f0s, fs, n, tilted)
+    stack = cascade_rows(fm, f0s, fs, n, tilted)
     assert sizes == [grid]
     assert stack.shape == (len(f0s), n)
     _assert_close(stack, reference_rows(fm, f0s, fs, n, tilted))
     for row, f0 in zip(stack, f0s):
-        assert np.array_equal(row, synthesize_rows(fm, [f0], fs, n, tilted)[0])
+        assert np.array_equal(row, cascade_rows(fm, [f0], fs, n, tilted)[0])
