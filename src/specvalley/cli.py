@@ -11,9 +11,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments, sigproc
-from .errors import AnalysisError, PeakNotFoundError, ValleyUndefinedError
+from .errors import AnalysisError, FormatError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
-from .types import FormantSpec
 
 CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
     "a": (400.0, 700.0),
@@ -204,9 +203,8 @@ def _cmd_sweep2(args, out):
     _ascending([("the last F1 of --f1-start..--f1-stop", f1_values[-1]), ("--f2", args.f2)])
     out.params.update(f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs, band=args.band,
                       points=args.points)
-    meter = experiments.PairMeter([FormantSpec(f1_values[0], args.b1),
-                                   FormantSpec(args.f2, args.b2)], (0, 1), args.fs,
-                                  args.points, args.band)
+    meter = experiments.PairMeter(np.array([(f1_values[0], args.b1), (args.f2, args.b2)]),
+                                  (0, 1), args.fs, args.points, args.band)
     rlsv, errors = [], []
     for k, f1 in enumerate(f1_values):
         try:
@@ -228,7 +226,7 @@ def _cmd_ocd2(args, out):
     _below_nyquist(args.fs, [("--f1-start", args.f1_start), ("--f2", args.f2)])
     _ascending([("--f1-start", args.f1_start), ("--f2", args.f2)])
     cfg = experiments.SweepConfig(
-        [FormantSpec(args.f1_start, args.b1), FormantSpec(args.f2, args.b2)], args.fs,
+        np.array([(args.f1_start, args.b1), (args.f2, args.b2)]), args.fs,
         step_hz=args.step, move_upper=False, n_points=args.points, mean_band_hz=args.band)
     _step_budget(cfg, "from --f1-start up to --f2")
     out.params.update(f1_start=args.f1_start, f2=args.f2, b1=args.b1, b2=args.b2, fs=args.fs,
@@ -250,7 +248,7 @@ def _cmd_ocd4(args, out):
     _below_nyquist(args.fs, [("--formants", f) for f in freqs])
     _ascending([(f"--formants F{k + 1}", f) for k, f in enumerate(freqs)])
     i = args.pair - 1
-    cfg = experiments.SweepConfig([FormantSpec(f, b) for f, b in zip(freqs, bws)], args.fs,
+    cfg = experiments.SweepConfig(np.column_stack((freqs, bws)), args.fs,
                                   pair=(i, i + 1), step_hz=args.step, n_points=args.points)
     _step_budget(cfg, f"between --formants F{i + 1} and F{i + 2}")
     out.params.update(formants=args.formants, bw=args.bw, fs=args.fs, step=args.step,
@@ -269,14 +267,14 @@ def _case_formants(args, b3, b4):
     named = list(zip(lower + ("--f3", "--f4"), (f1, f2, args.f3, args.f4)))
     _below_nyquist(args.fs, named)
     _ascending(named)
-    return [FormantSpec(f1, 100.0), FormantSpec(f2, 100.0), FormantSpec(args.f3, b3),
-            FormantSpec(args.f4, b4)]
+    return np.array([(f1, 100.0), (f2, 100.0), (args.f3, b3), (args.f4, b4)])
 
 
 def _cmd_levels(args, out):
     fm = _case_formants(args, args.b3, args.b4)
-    out.params.update(case=args.case or "custom", f1=fm[0].frequency, f2=fm[1].frequency,
-                      fs=args.fs, b1_values=args.b1_values, b2_values=args.b2_values)
+    f1, f2 = fm[:2, 0].tolist()
+    out.params.update(case=args.case or "custom", f1=f1, f2=f2, fs=args.fs,
+                      b1_values=args.b1_values, b2_values=args.b2_values)
     cells = experiments.level_influence_experiment(
         fm, _floats(args.b1_values, "--b1-values", POSITIVE),
         _floats(args.b2_values, "--b2-values", POSITIVE), args.fs,
@@ -319,7 +317,7 @@ def _cmd_pb_ocd(args, out):
         f4 = "--f4" if args.f4 else f"the {gender} default --f4"
         for vowel, cfg in sweeps:  # the tube's fixed formants at 8 kHz always pass
             names = [f"table vowel {vowel} ({gender}) F{k}" for k in (1, 2, 3)] + [f4]
-            named = list(zip(names, (f.frequency for f in cfg.formants)))
+            named = list(zip(names, cfg.formants[:, 0].tolist()))
             _below_nyquist(cfg.sample_rate, named, rate)
             _ascending(named)
             _step_budget(cfg, f"in the {cfg.basis} sweep of {vowel} ({gender})")
@@ -448,7 +446,10 @@ def _cmd_noise_eval(args, out):
     cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
     rows, _ = classify.scored_rows(table, args.include_central)
-    babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
+    try:
+        babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
+    except FormatError as exc:
+        raise FormatError(f"--babble-source {args.babble_source}: {exc}", exc.field) from None
     # every condition's mixer, and so its babble check, comes before any analysis
     mixers = [(kind, snr, corpus.noise_mixer(table, rows, kind, snr, args.seed, babble,
                                              f"--babble-source {args.babble_source}"))

@@ -87,7 +87,11 @@ def pcm_to_float(pcm: np.ndarray) -> np.ndarray:
 
 
 def _read_pcm(path):
-    """The int16 samples and the sample rate of a 16-bit PCM mono WAV."""
+    """The int16 samples and the sample rate of a 16-bit PCM mono WAV.
+
+    A file that ends inside its header is a FormatError of its `container`,
+    and data that ends mid-sample one of its `data`.
+    """
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getcomptype() != "NONE":
@@ -107,8 +111,14 @@ def _read_pcm(path):
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise FormatError(f"not a readable WAV file: {exc}", field="container") from exc
+    except EOFError:  # `wave` reads the header in fixed-size pieces
+        raise FormatError("not a readable WAV file: it ends inside its header",
+                          field="container") from None
     if rate <= 0:
         raise FormatError(f"sample rate must be positive, got {rate}", field="sample_rate")
+    if len(raw) % 2:
+        raise FormatError(f"data ends mid-sample: {len(raw)} bytes are not whole 16-bit samples",
+                          field="data")
     return np.frombuffer(raw, dtype="<i2"), rate
 
 
@@ -140,10 +150,15 @@ def save_wav(path, samples: np.ndarray, sample_rate: float):
 
 
 def load_phone_labels(path):
-    """Parse 'start end label' lines (sample units) into ordered triples."""
+    """Parse 'start end label' lines (sample units) into ordered triples; a file that
+    is not UTF-8 text is a LabelParseError."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise LabelParseError(f"not UTF-8 text: {exc}") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

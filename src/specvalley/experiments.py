@@ -18,12 +18,12 @@ from .sigproc import (
     autocorrelation,
     cascade_grid,
     cascade_levels,
+    check_formants,
     levinson_failure,
     levinson_rows,
     lpc_levels,
     resonator_db,
 )
-from .types import FormantSpec, power_mean_db
 
 FRONT_VOWELS = ("iy", "ih", "eh", "ae")
 BACK_VOWELS = ("aa", "ao", "uh", "uw", "ah")
@@ -51,6 +51,7 @@ F0_ANALYSIS_S = 0.4
 class SweepConfig:
     """Configuration for a formant-spacing sweep on the analytic spectrum.
 
+    `formants` is an (m, 2) array of (frequency, bandwidth) rows in Hz, and
     `pair` indexes the two adjacent formants whose spacing is swept. By
     default both move (the lower up, the upper down); clearing `move_upper`
     pins the upper formant, which is how the two-formant experiment runs.
@@ -60,7 +61,7 @@ class SweepConfig:
     apart instead of failing.
     """
 
-    formants: list
+    formants: np.ndarray
     sample_rate: float
     pair: tuple = (0, 1)
     step_hz: float = 25.0
@@ -70,6 +71,7 @@ class SweepConfig:
     allow_widening: bool = False
 
     def __post_init__(self):
+        self.formants = np.asarray(self.formants, dtype=np.float64)
         if not (np.isfinite(self.step_hz) and self.step_hz > 0):
             raise ValueError("step_hz must be positive")
         i, j = self.pair
@@ -94,6 +96,21 @@ class OcdResult:
     ocd_bark: float
     sweep: list = field(default_factory=list)  # (spacing_bark, v_db) pairs
     pair_trace: list = field(default_factory=list)  # (f_low, f_high) per step
+
+
+def power_mean_db(levels_db: np.ndarray):
+    """Level of the average spectral power, in dB.
+
+    The average is taken in the linear power domain. Averaging the dB values
+    themselves would sit far below every peak for resonant spectra and could
+    never equal a valley level, which is the crossing this analysis is built on.
+    A 1-D input gives a float; an (n, m) stack gives one level per row.
+    """
+    levels_db = np.asarray(levels_db, dtype=np.float64)
+    power = levels_db / 10.0
+    np.power(10.0, power, out=power)
+    mean_db = 10.0 * np.log10(power.mean(axis=-1))
+    return float(mean_db) if levels_db.ndim == 1 else mean_db
 
 
 def _banded_mean_db(freqs, levels, band_hz):
@@ -149,32 +166,39 @@ def _peak_pair_rlsv(freqs, levels, f_lo, f_hi):
 class PairMeter:
     """Levels and RLSV of one formant pair of a fixed analytic cascade as the pair moves.
 
-    Built once per sweep or grid: the grid, e^-jw and the dB term of each
-    formant outside `pair` are made here. Each `measure` computes only the two
-    pair terms and sums all terms from zeros in formant order
-    (`cascade_levels`), so each level is the float the whole cascade gives. The
-    RLSV is the mean level (up to `mean_band_hz`, or the whole grid when it is
-    None) minus the valley level.
+    Built once per sweep or grid from `formants`, an (m, 2) array of
+    (frequency, bandwidth) rows in cascade order, kept as `self.formants`:
+    every row is checked (`sigproc.check_formants`), and the grid, e^-jw and
+    the dB term of each formant outside `pair` are made here. Each `measure`
+    computes only the two pair terms and sums all terms from zeros in formant
+    order (`cascade_levels`), so each level is the float the whole cascade
+    gives. The RLSV is the mean level (up to `mean_band_hz`, or the whole grid
+    when it is None) minus the valley level.
     """
 
     def __init__(self, formants, pair, sample_rate, n_points: int = GRID_POINTS,
                  mean_band_hz=None):
         self.freqs, self._zinv = cascade_grid(sample_rate, n_points)
+        formants = np.asarray(formants, dtype=np.float64)
+        if formants.ndim != 2 or formants.shape[1] != 2:
+            raise ValueError("formants must be an (m, 2) array of (frequency, bandwidth) rows")
+        check_formants(formants[:, 0], formants[:, 1], sample_rate)
+        self.formants = formants
         self._rate, self._pair, self._band = sample_rate, pair, mean_band_hz
-        self._terms = [None if k in pair else
-                       resonator_db(f.frequency, f.bandwidth, self._zinv, sample_rate)
-                       for k, f in enumerate(formants)]
+        self._terms = [None if k in pair else resonator_db(f, b, self._zinv, sample_rate)
+                       for k, (f, b) in enumerate(formants)]
 
     def measure(self, lo, hi):
         """(L_lo, L_hi, RLSV) in dB with the pair at `lo` and `hi`, each (frequency, bandwidth).
 
-        Each member is checked as a `FormantSpec` is. Raises PeakNotFoundError
-        or ValleyUndefinedError (see `_peak_pair_rlsv`) when the pair cannot be
-        measured.
+        Both members are checked as the formants of `__init__` are. Raises
+        PeakNotFoundError or ValleyUndefinedError (see `_peak_pair_rlsv`) when
+        the pair cannot be measured.
         """
-        for k, member in zip(self._pair, (lo, hi)):
-            f = FormantSpec(*member)
-            self._terms[k] = resonator_db(f.frequency, f.bandwidth, self._zinv, self._rate)
+        members = np.array((lo, hi), dtype=np.float64)
+        check_formants(members[:, 0], members[:, 1], self._rate)
+        for k, (f, b) in zip(self._pair, members):
+            self._terms[k] = resonator_db(f, b, self._zinv, self._rate)
         levels = cascade_levels(self._terms, len(self.freqs))
         l_lo, l_hi, valley = _peak_pair_rlsv(self.freqs, levels, lo[0], hi[0])
         return l_lo, l_hi, _banded_mean_db(self.freqs, levels, self._band) - valley
@@ -186,9 +210,9 @@ def _step_is_legal(formants, pair, f_lo, f_hi, sample_rate, step):
         return False
     if f_lo <= 0 or f_hi >= sample_rate / 2.0:
         return False
-    if i > 0 and f_lo <= formants[i - 1].frequency:
+    if i > 0 and f_lo <= formants[i - 1, 0]:
         return False
-    if j < len(formants) - 1 and f_hi >= formants[j + 1].frequency:
+    if j < len(formants) - 1 and f_hi >= formants[j + 1, 0]:
         return False
     return True
 
@@ -204,13 +228,13 @@ def sweep_step_bound(cfg: SweepConfig) -> float:
     exceeds the steps of the direction that allows more by at most one.
     """
     i, j = cfg.pair
-    lo, hi = cfg.formants[i].frequency, cfg.formants[j].frequency
+    freqs = cfg.formants[:, 0].tolist()  # Python floats: a bound past 1e308 is inf, silently
+    lo, hi = freqs[i], freqs[j]
     bound = ((hi - lo) / cfg.step_hz - 2.0) / (2 if cfg.move_upper else 1)
     if cfg.allow_widening:
-        room = lo - (cfg.formants[i - 1].frequency if i > 0 else 0.0)
+        room = lo - (freqs[i - 1] if i > 0 else 0.0)
         if cfg.move_upper:
-            ceiling = (cfg.formants[j + 1].frequency if j + 1 < len(cfg.formants)
-                       else cfg.sample_rate / 2.0)
+            ceiling = freqs[j + 1] if j + 1 < len(freqs) else cfg.sample_rate / 2.0
             room = min(room, ceiling - hi)
         bound = max(bound, room / cfg.step_hz)
     return bound
@@ -227,13 +251,12 @@ def ocd_sweep(cfg: SweepConfig) -> OcdResult:
     that cannot be, leaves the geometry or exceeds MAX_SWEEP_STEPS ends in
     NoCrossingError with the trace.
     """
-    lower, upper = (cfg.formants[k] for k in cfg.pair)
-    f_lo, f_hi = lower.frequency, upper.frequency
+    (f_lo, b_lo), (f_hi, b_hi) = cfg.formants[list(cfg.pair)].tolist()
     meter = PairMeter(cfg.formants, cfg.pair, cfg.sample_rate, cfg.n_points, cfg.mean_band_hz)
     pairs, rlsv = [], []
 
     def measure(lo, hi):
-        v = meter.measure((lo, lower.bandwidth), (hi, upper.bandwidth))[2]
+        v = meter.measure((lo, b_lo), (hi, b_hi))[2]
         pairs.append((lo, hi))
         rlsv.append(v)
         return v
@@ -299,12 +322,12 @@ def level_influence_experiment(
 ):
     """Sweep (B1, B2) and record peak levels L1, L2 and the F1-F2 RLSV.
 
-    `case_formants` fixes the four formant frequencies (bandwidths of the
-    upper two are kept as given). Cells whose peaks merge are flagged via
-    `error`, never dropped.
+    `case_formants`, an (m, 2) array of (frequency, bandwidth) rows, fixes
+    the formant frequencies (bandwidths past F2 are kept as given). Cells
+    whose peaks merge are flagged via `error`, never dropped.
     """
     meter = PairMeter(case_formants, (0, 1), sample_rate)
-    f1, f2 = case_formants[0].frequency, case_formants[1].frequency
+    f1, f2 = meter.formants[:2, 0].tolist()
     cells = []
     for b1 in b1_values:
         for b2 in b2_values:
@@ -378,19 +401,19 @@ def f0_influence_experiment(
     default), and the F1-F2 RLSV of that envelope is subtracted from the
     analytic reference. With the lag window disabled the LP fit recovers the
     all-pole model exactly and the difference collapses toward zero as the
-    harmonics densify. The formants are taken in the order given; F1 must be
-    below F2.
+    harmonics densify. `case_formants` is an (m, 2) array of (frequency,
+    bandwidth) rows, taken in the order given; F1 must be below F2.
     """
     from .synth import synthesize_cascades
 
-    lower, upper = case_formants[:2]
-    f1, f2 = lower.frequency, upper.frequency
     reference = PairMeter(case_formants, (0, 1), sample_rate)
-    v_ref = reference.measure((f1, lower.bandwidth), (f2, upper.bandwidth))[2]
+    lower, upper = reference.formants[:2].tolist()
+    f1, f2 = lower[0], upper[0]
+    v_ref = reference.measure(lower, upper)[2]
     n_samples = int(round((F0_SETTLE_S + F0_ANALYSIS_S) * sample_rate))
     # the one cascade once per F0, its rows stacked
     k = len(f0_values)
-    cascade = np.tile([[(f.frequency, f.bandwidth) for f in case_formants]], (k, 1, 1))
+    cascade = np.tile(reference.formants, (k, 1, 1))
     signals = np.reshape(synthesize_cascades(cascade[..., 0], cascade[..., 1], f0_values,
                                              sample_rate, [n_samples] * k), (k, n_samples))
     levels, mean_db = lp_envelope_of_signal(signals[:, int(F0_SETTLE_S * sample_rate):], lp_order,
@@ -438,8 +461,8 @@ def pb_sweeps(
     sweeps += [("tube", UNIFORM_TUBE_FORMANTS_HZ, 8000.0, pair) for pair in ((0, 1), (1, 2))]
     sweeps += [(v, (*mean_formants[v], f4), sample_rate, (0, 1))
                for v in BACK_VOWELS if v in mean_formants]
-    return [(vowel, SweepConfig([FormantSpec(f, bandwidth_hz) for f in freqs], rate, pair=pair,
-                                step_hz=step_hz, allow_widening=True))
+    return [(vowel, SweepConfig(np.column_stack((freqs, np.full(len(freqs), bandwidth_hz))),
+                                rate, pair=pair, step_hz=step_hz, allow_widening=True))
             for vowel, freqs, rate, pair in sweeps]
 
 

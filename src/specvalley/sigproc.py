@@ -429,6 +429,20 @@ def formant_anchors(a: np.ndarray, reflection: np.ndarray, sample_rate: float):
     return formant_candidates(roots, sample_rate)
 
 
+def check_formants(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate: float):
+    """Raise ValueError for a formant frequency or bandwidth that is not positive and
+    finite, and, as `resonator_db` would, for a frequency at or above Nyquist (the
+    first such in column order, section by section, of (k, m) arrays)."""
+    for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            raise ValueError(f"formant {name} must be positive, got {values[bad][0]}")
+    above = frequencies.T >= sample_rate / 2.0
+    if above.any():
+        raise ValueError(f"formant at {frequencies.T[above][0]} Hz is at or above Nyquist "
+                         f"({sample_rate / 2.0} Hz)")
+
+
 def resonator_taps(frequency, bandwidth, sample_rate: float):
     """Feedback taps (a1, a2) of two-pole resonators at F Hz with bandwidth B Hz.
 

@@ -7,8 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import PEAK_WINDOW_HZ, gathered_peaks, peak_windows, window_bins
-from .sigproc import (cascade_grid, cascade_levels, resonator_db, resonator_denominator,
-                      resonator_taps)
+from .sigproc import (cascade_grid, cascade_levels, check_formants, resonator_db,
+                      resonator_denominator, resonator_taps)
 
 # corner of the single-pole lowpass that gives a tilted train its -6 dB/octave
 TILT_CORNER_HZ = 50.0
@@ -77,11 +77,12 @@ def _impulse_responses(frequencies: np.ndarray, bandwidths: np.ndarray, sample_r
     order. Row r's frequency response, the product of its sections' gains
     over the product of their denominators (times the source tilt), is taken
     on a power-of-two grid L at or above both lengths[r] and
-    TAIL_TIME_CONSTANTS time constants of its slowest pole; the rows of one
-    L share one product of denominators and one irfft, in chunks whose
-    workspace stays within WORKSPACE_BYTES, and a chunk's rows are yielded
-    before the next chunk is computed. With no section and no tilt a
-    response is the unit impulse.
+    TAIL_TIME_CONSTANTS time constants of its slowest pole. Rows of one L
+    whose taps are equal share one response, computed once; the distinct
+    cascades of one L share one product of denominators and one irfft, in
+    chunks whose workspace stays within WORKSPACE_BYTES, and a chunk's rows
+    are yielded before the next chunk is computed. With no section and no
+    tilt a response is the unit impulse.
     """
     if not frequencies.shape[1] and not tilted:
         yield from enumerate(np.eye(1, n)[0] for n in lengths)
@@ -100,13 +101,19 @@ def _impulse_responses(frequencies: np.ndarray, bandwidths: np.ndarray, sample_r
     a1, a2 = resonator_taps(frequencies, bandwidths, sample_rate)
     for size in sorted(set(sizes)):
         zinv, tilt = _rfft_grid(sample_rate, size)
-        same = [r for r, row_size in enumerate(sizes) if row_size == size]
+        cascades = {}  # the taps of a distinct cascade -> its rows
+        for r, row_size in enumerate(sizes):
+            if row_size == size:
+                cascades.setdefault(a1[r].tobytes() + a2[r].tobytes(), []).append(r)
+        groups = list(cascades.values())
         height = max(1, WORKSPACE_BYTES // (3 * 16 * len(zinv)))
-        for first in range(0, len(same), height):
-            rows = same[first : first + height]
-            h = _grid_responses(a1[rows], a2[rows], zinv, tilt if tilted else None, size)
-            for r, row in zip(rows, h):
-                yield r, row[:lengths[r]]
+        for first in range(0, len(groups), height):
+            chunk = groups[first : first + height]
+            distinct = [rows[0] for rows in chunk]
+            h = _grid_responses(a1[distinct], a2[distinct], zinv, tilt if tilted else None, size)
+            for rows, response in zip(chunk, h):
+                for r in rows:
+                    yield r, response[:lengths[r]]
 
 
 def _grid_responses(a1, a2, zinv, tilt, size: int) -> np.ndarray:
@@ -140,20 +147,6 @@ def _fold(h: np.ndarray, period: int) -> np.ndarray:
     return folded.reshape(-1, period).cumsum(axis=0).ravel()[:n_samples]
 
 
-def _check_sections(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate: float):
-    """Raise ValueError, as a FormantSpec would, for a frequency or bandwidth that is not
-    positive and finite, and, as `sigproc.resonator_db` would, for a frequency at or
-    above Nyquist (the first such in column order, section by section)."""
-    for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
-        bad = ~(np.isfinite(values) & (values > 0))
-        if bad.any():
-            raise ValueError(f"formant {name} must be positive, got {values[bad][0]}")
-    above = frequencies.T >= sample_rate / 2.0
-    if above.any():
-        raise ValueError(f"formant at {frequencies.T[above][0]} Hz is at or above Nyquist "
-                         f"({sample_rate / 2.0} Hz)")
-
-
 def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samples,
                         tilted: bool = False) -> list:
     """Run pulse train r through cascade r for n_samples[r] samples: a list of k rows.
@@ -166,7 +159,7 @@ def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samp
     the one at sample 0: cascade r's impulse response h. Row r is h (see
     `_impulse_responses`) summed with itself shifted by whole periods, and
     equals what its cascade, F0 and length give alone; one vowel at several
-    F0s is its cascade repeated once per F0.
+    F0s is its cascade repeated once per F0, and its rows share one h.
 
     Raises ValueError for arrays whose shapes do not agree, a length that is
     not positive, a negative or non-finite F0, a train shorter than its
@@ -183,7 +176,7 @@ def synthesize_cascades(frequencies, bandwidths, f0s, sample_rate: float, n_samp
     if min(lengths, default=1) <= 0:
         raise ValueError("n_samples must be positive")
     periods = [_period(f0, sample_rate, n) for f0, n in zip(f0s, lengths)]
-    _check_sections(frequencies, bandwidths, sample_rate)
+    check_formants(frequencies, bandwidths, sample_rate)
     rows = [None] * len(lengths)
     for r, h in _impulse_responses(frequencies, bandwidths, sample_rate, lengths, tilted):
         rows[r] = _fold(h, periods[r])
@@ -239,7 +232,7 @@ def calibrate_bandwidth_rows(formant_freqs, target_levels, sample_rate: float,
     bws = np.full((n, 3), INITIAL_BANDWIDTH)
     cascade_f = np.hstack([freqs3, extras[..., 0]])
     cascade_b = np.hstack([bws, extras[..., 1]])
-    _check_sections(cascade_f, cascade_b, sample_rate)
+    check_formants(cascade_f, cascade_b, sample_rate)
     descending = np.flatnonzero((np.diff(cascade_f, axis=1) < 0).any(axis=1))
     if descending.size:
         r = descending[0]

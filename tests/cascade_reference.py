@@ -15,13 +15,14 @@ from specvalley.synth import source_tilt_response
 def analytic_cascade_spectrum(formants, sample_rate: float, n_points: int = 1024):
     """(freqs, levels): the exact dB response of cascaded two-pole resonators.
 
-    `freqs` is the grid of `cascade_grid`. Each resonator (see `resonator_db`)
-    is scaled for unity gain at 0 Hz; the levels are the sum of the
-    resonators' dB terms in the given order (`cascade_levels`). An empty
-    formant list gives a flat 0 dB envelope.
+    `formants` is an (m, 2) array of (frequency, bandwidth) rows, and `freqs`
+    the grid of `cascade_grid`. Each resonator (see `resonator_db`) is scaled
+    for unity gain at 0 Hz; the levels are the sum of the resonators' dB
+    terms in the given order (`cascade_levels`). No formant gives a flat
+    0 dB envelope.
     """
     freqs, zinv = cascade_grid(sample_rate, n_points)
-    terms = [resonator_db(f.frequency, f.bandwidth, zinv, sample_rate) for f in formants]
+    terms = [resonator_db(f, b, zinv, sample_rate) for f, b in np.reshape(formants, (-1, 2))]
     return freqs, cascade_levels(terms, n_points)
 
 

@@ -162,11 +162,11 @@ def peak_levels(freqs, levels_db, nominal_f, window_hz=PEAK_WINDOW_HZ):
 
 def cascade_rows(formants, f0s, sample_rate, n_samples, tilted=False):
     """One `synth.synthesize_cascades` call that runs each F0's train through the one
-    cascade `formants` (FormantSpecs, in cascade order): a (len(f0s), n_samples) array."""
-    cascade = np.reshape([(f.frequency, f.bandwidth) for f in formants], (-1, 2))
+    cascade `formants` (an (m, 2) array of (frequency, bandwidth) rows, in cascade
+    order): a (len(f0s), n_samples) array."""
     k = len(f0s)
-    return np.array(synthesize_cascades(np.tile(cascade[:, 0], (k, 1)),
-                                        np.tile(cascade[:, 1], (k, 1)), f0s, sample_rate,
+    cascade = np.tile(np.reshape(formants, (-1, 2)), (k, 1, 1))
+    return np.array(synthesize_cascades(cascade[..., 0], cascade[..., 1], f0s, sample_rate,
                                         [n_samples] * k, tilted))
 
 

@@ -1,7 +1,8 @@
 """The corpus stage as it was before the frame table, kept as the exact reference.
 
-`frame_pipeline` builds one `FrameFeatures` per frame, with validated
-`FormantSpec`s, from the same stacked LP core the table is built from;
+`frame_pipeline` builds one `FrameFeatures` per frame, its formants an (n, 2)
+array of (frequency, bandwidth) rows checked by `sigproc.check_formants`, from
+the same stacked LP core the table is built from;
 `decide_segment` averages the valid frames as Python lists. The table and the
 decisions taken from its slices must equal these bit for bit: `rows(table)`
 reads a `FrameTable` back as the same `FrameFeatures`. The reference
@@ -21,24 +22,41 @@ from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
     autocorrelation,
+    check_formants,
     formant_anchors,
     frame_length,
     levinson_rows,
     lpc_levels,
     window,
 )
-from specvalley.types import FormantSpec
 
 
 @dataclass
 class FrameFeatures:
-    """Per-frame relative valley levels and the first three formants."""
+    """Per-frame relative valley levels and the first three formants, an (n, 2)
+    array of (frequency, bandwidth) rows."""
 
     v1_db: float | None
     v2_db: float | None
-    formants: list
+    formants: np.ndarray
     valid: bool
     fail_reason: str | None = None
+
+    def __eq__(self, other):
+        """Field by field, the formants value by value."""
+        return ((self.v1_db, self.v2_db, self.valid, self.fail_reason)
+                == (other.v1_db, other.v2_db, other.valid, other.fail_reason)
+                and np.array_equal(self.formants, other.formants))
+
+
+def formant_rows(freqs, bandwidths):
+    """The (n, 2) array of (frequency, bandwidth) rows of a frame's formants, each
+    checked to be positive and finite (no rate, so no Nyquist limit)."""
+    check_formants(freqs, bandwidths, np.inf)
+    return np.column_stack((freqs, bandwidths))
+
+
+NO_FORMANTS = np.empty((0, 2))
 
 
 def rows(table):
@@ -48,8 +66,7 @@ def rows(table):
     out = []
     for i, status in enumerate(table):
         n = int(table.counts[i]) if not status.valid else min(int(table.counts[i]), 3)
-        formants = [FormantSpec(f, b) for f, b in zip(table.freqs[i, :n].tolist(),
-                                                      table.bandwidths[i, :n].tolist())]
+        formants = formant_rows(table.freqs[i, :n], table.bandwidths[i, :n])
         if status.valid:
             out.append(FrameFeatures(float(table.v1[i]), float(table.v2[i]), formants, True))
         else:
@@ -104,14 +121,14 @@ def frame_pipeline(segments, cfg=None):
     if stack.shape[0] == 0:
         return []
     lags = autocorrelation(window(stack), order)
-    out = [FrameFeatures(None, None, [], False, "silent frame") if r0 <= 0 else None
+    out = [FrameFeatures(None, None, NO_FORMANTS, False, "silent frame") if r0 <= 0 else None
            for r0 in lags[:, 0].tolist()]
 
     live = np.flatnonzero(lags[:, 0] > 0)
     fit = levinson_rows(lags[live], order)
     for i in np.flatnonzero(fit.stage):
         out[live[i]] = FrameFeatures(
-            None, None, [], False, f"unstable LP fit: {_levinson_failure(fit, i)}"
+            None, None, NO_FORMANTS, False, f"unstable LP fit: {_levinson_failure(fit, i)}"
         )
     fitted = fit.stage == 0
     live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
@@ -120,7 +137,7 @@ def frame_pipeline(segments, cfg=None):
 
     def formants(i, limit=None):
         n = counts[i] if limit is None else min(counts[i], limit)
-        return [FormantSpec(f, b) for f, b in zip(freqs[i, :n].tolist(), bws[i, :n].tolist())]
+        return formant_rows(freqs[i, :n], bws[i, :n])
 
     enough = counts >= 3
     for i in np.flatnonzero(~enough):
@@ -150,7 +167,7 @@ def frame_pipeline(segments, cfg=None):
 def _bark_spacing(lo, hi):
     def spacing(valid, mean_v1, mean_v2):
         return float(np.mean([
-            hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
+            hz_to_bark(f.formants[hi, 0]) - hz_to_bark(f.formants[lo, 0])
             for f in valid
         ]))
     return spacing

@@ -40,7 +40,7 @@ def valley_minima(freqs, levels_db, f_lo, f_hi):
 
 
 def power_mean_db(levels_db):
-    """`types.power_mean_db`: the level of the average power, in dB."""
+    """`experiments.power_mean_db`: the level of the average power, in dB."""
     levels_db = np.asarray(levels_db, dtype=np.float64)
     mean_db = 10.0 * np.log10(np.mean(10.0 ** (levels_db / 10.0), axis=-1))
     return float(mean_db) if levels_db.ndim == 1 else mean_db

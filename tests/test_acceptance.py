@@ -26,6 +26,7 @@ from specvalley.experiments import (
     ocd_sweep,
     pb_ocd_table,
     pb_sweeps,
+    power_mean_db,
 )
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
@@ -33,12 +34,9 @@ from specvalley.sigproc import (
     levinson_rows,
     polynomial_roots,
 )
-from specvalley.types import FormantSpec, power_mean_db
 
-CASE_A = [FormantSpec(400.0, 100.0), FormantSpec(700.0, 100.0),
-          FormantSpec(2500.0, 100.0), FormantSpec(3500.0, 100.0)]
-CASE_B = [FormantSpec(600.0, 100.0), FormantSpec(1300.0, 100.0),
-          FormantSpec(2500.0, 100.0), FormantSpec(3500.0, 100.0)]
+CASE_A = np.array([(400.0, 100.0), (700.0, 100.0), (2500.0, 100.0), (3500.0, 100.0)])
+CASE_B = np.array([(600.0, 100.0), (1300.0, 100.0), (2500.0, 100.0), (3500.0, 100.0)])
 
 
 def report(n, name, ok, detail):
@@ -63,7 +61,7 @@ def test_criterion_1_bark_checkpoints():
 
 def test_criterion_2_two_formant_ocd():
     cfg = SweepConfig(
-        [FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+        np.array([(650.0, 100.0), (1400.0, 200.0)]),
         10000.0, move_upper=False, mean_band_hz=2500.0,
     )
     got = ocd_sweep(cfg).ocd_bark
@@ -71,7 +69,7 @@ def test_criterion_2_two_formant_ocd():
 
 
 def test_criterion_3_uniform_tube_ocd():
-    cfg = SweepConfig([FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ], 8000.0)
+    cfg = SweepConfig(np.array([(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]), 8000.0)
     got = ocd_sweep(cfg).ocd_bark
     lo, hi = PERCEPTUAL_CRITICAL_DISTANCE_BARK
     ok = abs(got - 3.6) <= 0.2 and lo <= got <= hi
@@ -211,7 +209,7 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
 
     # cascade spectrum vs 32768-sample impulse-response spectrum
     fs = 10000.0
-    fm = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
+    fm = np.array([(750.0, 100.0), (1400.0, 200.0)])
     x = cascade_rows(fm, [0.0], fs, 32768)[0]
     oracle = 20 * np.log10(np.abs(np.fft.rfft(x)))
     _, levels_db = analytic_cascade_spectrum(fm, fs, 16385)
@@ -270,7 +268,7 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
 
     # RLSV invariant under envelope gain; decisions bit-equal under audio gain
     freqs, levels_db = analytic_cascade_spectrum(
-        [FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ], 8000.0, 2048)
+        np.array([(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]), 8000.0, 2048)
     louder = levels_db + 17.3
     levels = np.array([levels_db, louder])
     peaks, _, missing = peak_levels(freqs, levels[:1], [[500.0, 1500.0]])

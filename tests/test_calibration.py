@@ -9,6 +9,7 @@ stacked forms must give the same floats.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from specvalley.corpus import default_pb_table_path, load_pb_table
 from specvalley.errors import CalibrationError
 from specvalley.synth import calibrate_bandwidth_rows
 from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
-from specvalley.types import FormantSpec
 
 def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
     """The scalar peak search: (freq, level), or None when the window has no peak."""
@@ -45,13 +45,14 @@ def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
 
 
 def _reference_levels(formants, fs, n_points=2048):
-    """Cascade levels summed resonator by resonator in frequency order, plus tilt."""
+    """Cascade levels of the (m, 2) (frequency, bandwidth) rows `formants`, summed
+    resonator by resonator in frequency order, plus tilt."""
     freqs = np.linspace(0.0, fs / 2.0, n_points)
     levels = np.zeros(n_points)
     zinv = np.exp(-2j * np.pi * freqs / fs)
-    for f in sorted(formants, key=lambda f: f.frequency):
-        radius = np.exp(-np.pi * f.bandwidth / fs)
-        theta = 2 * np.pi * f.frequency / fs
+    for f, b in formants[np.argsort(formants[:, 0], kind="stable")]:
+        radius = np.exp(-np.pi * b / fs)
+        theta = 2 * np.pi * f / fs
         a1 = -2.0 * radius * np.cos(theta)
         a2 = radius * radius
         den = 1.0 + a1 * zinv + a2 * zinv * zinv
@@ -68,7 +69,7 @@ def _reference_calibration(freqs3, target_levels, fs, extra=(),
     bws = [100.0, 100.0, 100.0]
 
     def measured_rel():
-        formants = [FormantSpec(f, b) for f, b in [*zip(freqs3, bws), *extra]]
+        formants = np.array([*zip(freqs3, bws), *extra])
         freqs, levels = _reference_levels(formants, fs)
         peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
         if None in peaks:
@@ -268,7 +269,7 @@ def test_rows_out_of_frequency_order_are_refused(freqs, extras):
     [(3500.0, 150.0), (3500.0, 150.0)],
     [[(3500.0, 150.0, 1.0)], [(3500.0, 150.0, 1.0)]],
     [[(3500.0, 150.0)]],
-    [[FormantSpec(3500.0, 150.0)]] * 2,
+    [[SimpleNamespace(frequency=3500.0, bandwidth=150.0)]] * 2,
 ], ids=["ragged", "no-formant-axis", "triples", "one-row-for-two", "formant-specs"])
 def test_a_malformed_extra_formants_is_refused(extras):
     with pytest.raises(ValueError, match=r"extra_formants must be an \(n, k, 2\) array of "
@@ -284,7 +285,7 @@ def test_a_malformed_extra_formants_is_refused(extras):
     ((5000.0, 150.0), r"formant at 5000\.0 Hz is at or above Nyquist \(5000\.0 Hz\)"),
 ], ids=["zero-bandwidth", "negative-bandwidth", "nan-frequency", "at-nyquist"])
 def test_an_extra_formant_is_checked_as_the_synthesis_checks_it(extra, words):
-    # the words of FormantSpec and of sigproc.resonator_db
+    # the words of sigproc.check_formants, which are resonator_db's for Nyquist
     with pytest.raises(ValueError, match=words):
         calibrate_bandwidth_rows([FREQS] * 2, [(0.0, -12.0, -22.0)] * 2, 10000.0,
                                  extra_formants=[[(3500.0, 150.0)], [extra]])

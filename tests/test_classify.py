@@ -339,7 +339,7 @@ def _reference_decide_segment(features, threshold_db=5.0):
 
 def _reference_spacing(valid, lo, hi):
     return float(np.mean([
-        hz_to_bark(f.formants[hi].frequency) - hz_to_bark(f.formants[lo].frequency)
+        hz_to_bark(f.formants[hi, 0]) - hz_to_bark(f.formants[lo, 0])
         for f in valid
     ]))
 

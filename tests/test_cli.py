@@ -261,6 +261,32 @@ def test_negative_label_bound_is_an_error_naming_the_file(bounds, tmp_path, caps
                             f"'{bounds} aa'\n")
 
 
+@pytest.mark.parametrize("broken, message", [
+    ("empty_wav", "DR1/FAKS0/SA1.WAV: not a readable WAV file: it ends inside its header"),
+    ("wav_ends_mid_sample",
+     "DR1/FAKS0/SA1.WAV: data ends mid-sample: 31999 bytes are not whole 16-bit samples"),
+    ("labels_not_utf8", "DR1/FAKS0/SA1.PHN: not UTF-8 text: 'utf-8' codec can't decode "
+                        "byte 0xff in position 0: invalid start byte"),
+], ids=["empty_wav", "wav_ends_mid_sample", "labels_not_utf8"])
+def test_a_malformed_file_is_one_error_line_naming_it(broken, message, tmp_path, capsys):
+    from specvalley.corpus import save_wav
+
+    wav = tmp_path / "DR1" / "FAKS0" / "SA1.WAV"
+    wav.parent.mkdir(parents=True)
+    save_wav(wav, np.zeros(16000), 16000.0)
+    wav.with_suffix(".PHN").write_text("0 1600 h#\n1600 4800 iy\n")
+    if broken == "empty_wav":
+        wav.write_bytes(b"")
+    elif broken == "wav_ends_mid_sample":
+        wav.write_bytes(wav.read_bytes()[:-1])
+    else:
+        wav.with_suffix(".PHN").write_bytes(b"\xff 1600 h#\n")
+    assert run(["classify", "--corpus", str(tmp_path), "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def data_rows(path):
     return [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
 
@@ -698,12 +724,11 @@ def test_band_at_or_below_zero_disables_the_band(band, tmp_path):
     import numpy as np
 
     from specvalley import experiments
-    from specvalley.types import FormantSpec
 
     out = tmp_path / "sweep2.csv"
     assert run(["sweep2", f"--band={band}", "--out", str(out), "--no-timestamp"]) == 0
     assert " band=None " in out.read_text().splitlines()[1]
-    meter = experiments.PairMeter([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+    meter = experiments.PairMeter(np.array([(650.0, 100.0), (1400.0, 200.0)]),
                                   (0, 1), 10000.0, n_points=4096, mean_band_hz=None)
     curve = [meter.measure((f1, 100.0), (1400.0, 200.0))[2]
              for f1 in np.arange(650.0, 975.0, 50.0)]
@@ -1219,6 +1244,18 @@ def test_babble_that_cannot_cover_a_segment_fails_before_any_analysis(
     assert capsys.readouterr().err == (
         f"error: --babble-source {path} ({babble_cells}) cannot cover segment "
         f"{table.segment_id(0)} ({len(segment(table, 0))} samples at 16000 Hz)\n")
+    assert pipeline_calls == [] and not out.exists()
+
+
+def test_an_empty_babble_source_is_one_error_line_naming_it(small_corpus_dir, pipeline_calls,
+                                                            tmp_path, capsys):
+    path, out = tmp_path / "empty.wav", tmp_path / "noise.csv"
+    path.write_bytes(b"")
+    assert run(["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "babble",
+                "--snrs", "25", "--babble-source", str(path), "--out", str(out),
+                "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == (f"error: --babble-source {path}: not a readable WAV "
+                                       f"file: it ends inside its header\n")
     assert pipeline_calls == [] and not out.exists()
 
 

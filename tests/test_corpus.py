@@ -183,6 +183,37 @@ class TestCollectSegments:
         assert err.value.field == "container"
         assert str(err.value).startswith("DR1/SA1.WAV: not a readable WAV file: ")
 
+    @pytest.mark.parametrize("size", [0, 7, 20, 35])
+    def test_a_wav_that_ends_inside_its_header_names_the_file(self, tmp_path, size):
+        # `wave` raises EOFError for these lengths of a valid file's first bytes
+        self._utterance(tmp_path / "DR1" / "SA1.WAV", ".PHN", 1)
+        wav = tmp_path / "DR1" / "SA1.WAV"
+        wav.write_bytes(wav.read_bytes()[:size])
+        with pytest.raises(FormatError) as err:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        assert err.value.field == "container"
+        assert str(err.value) == "DR1/SA1.WAV: not a readable WAV file: it ends inside its header"
+
+    def test_a_wav_whose_data_ends_mid_sample_names_the_file(self, tmp_path):
+        # the header counts 6400 samples, and the file stops one byte into the last
+        self._utterance(tmp_path / "DR1" / "SA1.WAV", ".PHN", 1)
+        wav = tmp_path / "DR1" / "SA1.WAV"
+        wav.write_bytes(wav.read_bytes()[:-1])
+        with pytest.raises(FormatError) as err:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        assert err.value.field == "data"
+        assert str(err.value) == ("DR1/SA1.WAV: data ends mid-sample: 12799 bytes are not "
+                                  "whole 16-bit samples")
+
+    def test_a_label_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        self._utterance(tmp_path / "DR1" / "SA1.WAV", ".PHN", 1)
+        (tmp_path / "DR1" / "SA1.PHN").write_bytes(b"0 1600 h#\n\xff 4800 iy\n")
+        with pytest.raises(LabelParseError) as err:
+            collect_segments(tmp_path, ".phn", timit_inventory())
+        assert err.value.line_number is None
+        assert str(err.value) == ("DR1/SA1.PHN: not UTF-8 text: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 10: invalid start byte")
+
 
 
 # collect_segments as it was when it walked with Path.rglob and checked each

@@ -10,10 +10,9 @@ from specvalley.envelope import (
     window_bins,
     window_peaks,
 )
-from specvalley.experiments import PairMeter, _banded_mean_db
-from specvalley.types import FormantSpec, power_mean_db
+from specvalley.experiments import PairMeter, _banded_mean_db, power_mean_db
 
-TUBE = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
+TUBE = np.array([(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)])
 
 
 def flat_env(level, n=256, fs=8000.0):
@@ -56,7 +55,7 @@ class TestLocatePeak:
     the `conftest.peak_levels` helper."""
 
     def test_single_resonator(self):
-        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
+        freqs, levels_db = analytic_cascade_spectrum(np.array([(1400.0, 200.0)]), 10000.0)
         f, level, missing = peak_levels(freqs, levels_db[None, :], [1400.0])
         assert not missing[0]
         assert abs(f[0] - 1400.0) < 2 * spacing(freqs)
@@ -65,7 +64,7 @@ class TestLocatePeak:
     def test_merged_formants_surface_as_missing_peak(self):
         # close pair with wide bandwidths: the upper peak disappears
         freqs, levels_db = analytic_cascade_spectrum(
-            [FormantSpec(500.0, 350.0), FormantSpec(640.0, 350.0)], 8000.0
+            np.array([(500.0, 350.0), (640.0, 350.0)]), 8000.0
         )
         _, _, missing = peak_levels(freqs, levels_db[None, :], [640.0], window_hz=60.0)
         assert missing[0]
@@ -190,7 +189,7 @@ class TestRlsv:
     frequencies, then `valley_minima` between the two peaks."""
 
     def test_four_formant_near_zero_point(self):
-        fm = [FormantSpec(725.0, 100.0), FormantSpec(1275.0, 100.0)] + TUBE[2:]
+        fm = np.vstack([[(725.0, 100.0), (1275.0, 100.0)], TUBE[2:]])
         freqs, levels_db = analytic_cascade_spectrum(fm, 8000.0, 4096)
         levels = levels_db[None, :]
         f, _, missing = peak_levels(freqs, levels, [[725.0, 1275.0]])
@@ -199,7 +198,7 @@ class TestRlsv:
         assert abs(power_mean_db(levels_db) - valley[0]) <= 0.5
 
     def test_four_formant_negative_below_crossing(self):
-        fm = [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:]
+        fm = np.vstack([[(800.0, 100.0), (1200.0, 100.0)], TUBE[2:]])
         freqs, levels_db = analytic_cascade_spectrum(fm, 8000.0, 4096)
         levels = levels_db[None, :]
         f, _, missing = peak_levels(freqs, levels, [[800.0, 1200.0]])
@@ -243,7 +242,7 @@ class TestRlsv:
     def test_order_checked(self):
         # a reversed nominal pair is the caller's mistake, not an unmeasurable valley
         with pytest.raises(ValueError, match="ordered lower < upper"):
-            PairMeter([FormantSpec(1500.0, 100.0), FormantSpec(500.0, 100.0)],
+            PairMeter(np.array([(1500.0, 100.0), (500.0, 100.0)]),
                       (0, 1), 8000.0, 256).measure((1500.0, 100.0), (500.0, 100.0))
 
 
@@ -254,7 +253,7 @@ class TestMeasureV1V2:
     FS = 10000.0
 
     def _v1_v2(self, formants):
-        fm = [FormantSpec(f, 100.0) for f in formants]
+        fm = np.array([(f, 100.0) for f in formants])
         freqs, levels_db = analytic_cascade_spectrum(fm, self.FS, 2048)
         levels = levels_db[None, :]
         f = np.array([formants[:3]])

@@ -33,18 +33,15 @@ from specvalley.experiments import (
     sweep_step_bound,
 )
 from specvalley.scales import hz_to_bark
-from specvalley.types import FormantSpec
 
-TUBE = [FormantSpec(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ]
-CASE_A = [FormantSpec(400.0, 100.0), FormantSpec(700.0, 100.0),
-          FormantSpec(2500.0, 100.0), FormantSpec(3500.0, 100.0)]
-CASE_B = [FormantSpec(600.0, 100.0), FormantSpec(1300.0, 100.0),
-          FormantSpec(2500.0, 100.0), FormantSpec(3500.0, 100.0)]
+TUBE = np.array([(f, 100.0) for f in UNIFORM_TUBE_FORMANTS_HZ])
+CASE_A = np.array([(400.0, 100.0), (700.0, 100.0), (2500.0, 100.0), (3500.0, 100.0)])
+CASE_B = np.array([(600.0, 100.0), (1300.0, 100.0), (2500.0, 100.0), (3500.0, 100.0)])
 
 
 def two_formant_cfg(step=25.0):
     return SweepConfig(
-        [FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+        np.array([(650.0, 100.0), (1400.0, 200.0)]),
         10000.0,
         step_hz=step,
         move_upper=False,
@@ -53,7 +50,7 @@ def two_formant_cfg(step=25.0):
 
 
 def tube_cfg(bw=100.0, step=25.0):
-    return SweepConfig([FormantSpec(f, bw) for f in UNIFORM_TUBE_FORMANTS_HZ],
+    return SweepConfig(np.array([(f, bw) for f in UNIFORM_TUBE_FORMANTS_HZ]),
                        8000.0, step_hz=step)
 
 
@@ -87,7 +84,7 @@ class TestOcdSweep:
 
     def test_starting_below_crossing_is_rejected(self):
         cfg = SweepConfig(
-            [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:],
+            np.vstack([[(800.0, 100.0), (1200.0, 100.0)], TUBE[2:]]),
             8000.0,
         )
         with pytest.raises(ValueError):
@@ -120,7 +117,7 @@ class TestOcdSweep:
     def test_no_crossing_error_carries_trace(self):
         # very narrow resonances keep the valley below the mean all the way in
         cfg = SweepConfig(
-            [FormantSpec(500.0, 20.0), FormantSpec(1500.0, 20.0)],
+            np.array([(500.0, 20.0), (1500.0, 20.0)]),
             8000.0, step_hz=100.0,
         )
         with pytest.raises(NoCrossingError) as err:
@@ -128,7 +125,7 @@ class TestOcdSweep:
         assert len(err.value.trace) > 1
 
     @pytest.mark.parametrize("cfg", [two_formant_cfg(), SweepConfig(
-        [FormantSpec(500.0, 20.0), FormantSpec(1500.0, 20.0)], 8000.0, step_hz=100.0)],
+        np.array([(500.0, 20.0), (1500.0, 20.0)]), 8000.0, step_hz=100.0)],
         ids=["crossing", "no_crossing"])
     def test_one_bark_call_gives_the_scalar_spacings(self, cfg, monkeypatch):
         calls = []
@@ -155,7 +152,7 @@ class TestOcdSweep:
     def test_merged_start_raises_as_it_is(self):
         # both peak windows find the one peak at 1311.6 Hz
         cfg = two_formant_cfg()
-        cfg.formants[0] = FormantSpec(1300.0, 100.0)
+        cfg.formants[0] = (1300.0, 100.0)
         with pytest.raises(PeakNotFoundError, match="of 1300.0 Hz and 1400.0 Hz: both windows"):
             ocd_sweep(cfg)
 
@@ -163,7 +160,7 @@ class TestOcdSweep:
         # a 300 Hz wide F2 sinks into the skirt of F1 as F1 comes up to 900 Hz,
         # and its window is left without a peak
         cfg = two_formant_cfg()
-        cfg.formants[1] = FormantSpec(1400.0, 300.0)
+        cfg.formants[1] = (1400.0, 300.0)
         cfg.mean_band_hz = 1500.0
         with pytest.raises(NoCrossingError) as err:
             ocd_sweep(cfg)
@@ -176,7 +173,7 @@ class TestOcdSweep:
         # B2 below B1 makes the F2 peak the higher one, so from 200 Hz apart
         # the F1 window finds it too; F2 keeps it and F1 takes its own peak
         cfg = two_formant_cfg()
-        cfg.formants[:] = [FormantSpec(650.0, 20.0), FormantSpec(1400.0, 10.0)]
+        cfg.formants[:] = [(650.0, 20.0), (1400.0, 10.0)]
         res = ocd_sweep(cfg)
         assert len(res.sweep) == 1 + 22  # the start and 675 .. 1200 Hz
         assert res.pair_trace[-1] == (1200.0, 1400.0)
@@ -186,7 +183,7 @@ class TestOcdSweep:
 class TestPeakPair:
     def test_close_pair_with_the_higher_upper_peak_gets_both_peaks(self):
         # 180 Hz apart, each peak window holds both peaks, and the upper is higher
-        fm = [FormantSpec(1200.0, 40.0), FormantSpec(1380.0, 20.0)]
+        fm = np.array([(1200.0, 40.0), (1380.0, 20.0)])
         freqs, levels = analytic_cascade_spectrum(fm, 10000.0, experiments.GRID_POINTS)
         both = peak_levels(freqs, levels[None, :], [[1200.0, 1380.0]])[0][0]
         assert both[0] == both[1]  # one search per window finds the upper peak twice
@@ -196,7 +193,7 @@ class TestPeakPair:
         assert valley < l_lo < l_hi
 
     def test_shared_peak_without_a_second_maximum_stays_unmeasurable(self):
-        fm = [FormantSpec(1000.0, 300.0), FormantSpec(1250.0, 300.0)]
+        fm = np.array([(1000.0, 300.0), (1250.0, 300.0)])
         freqs, levels = analytic_cascade_spectrum(fm, 8000.0, experiments.GRID_POINTS)
         with pytest.raises(PeakNotFoundError, match="both windows find the peak at"):
             _peak_pair_rlsv(freqs, levels, 1000.0, 1250.0)
@@ -254,7 +251,7 @@ class TestTwoFormantCurve:
 
 class TestMeasurePairRlsv:
     def test_band_restriction_raises_mean(self):
-        fm = [FormantSpec(850.0, 100.0), FormantSpec(1400.0, 200.0)]
+        fm = np.array([(850.0, 100.0), (1400.0, 200.0)])
         pair = (850.0, 100.0), (1400.0, 200.0)
         full = PairMeter(fm, (0, 1), 10000.0).measure(*pair)[2]
         banded = PairMeter(fm, (0, 1), 10000.0, mean_band_hz=2500.0).measure(*pair)[2]
@@ -268,9 +265,9 @@ def random_cascade(seed):
     rate = float(rng.choice([8000.0, 10000.0]))
     n = int(rng.integers(2, 6))
     freqs = np.sort(rng.uniform(200.0, 0.45 * rate, n))
-    formants = [FormantSpec(float(f), float(b)) for f, b in zip(freqs, rng.uniform(30.0, 400.0, n))]
+    formants = np.column_stack((freqs, rng.uniform(30.0, 400.0, n)))
     i = int(rng.integers(0, n - 1))
-    lo, hi = formants[i].frequency, formants[i + 1].frequency
+    lo, hi = formants[i, 0], formants[i + 1, 0]
     steps = []
     for _ in range(10):
         f_lo, f_hi = np.sort(rng.uniform(lo, hi, 2))
@@ -281,7 +278,7 @@ def random_cascade(seed):
 
 METER_CASES = {
     # sweep2 and ocd2: F1 moves up to F2 = 1400 Hz
-    "two_formant": ([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)], (0, 1), 10000.0,
+    "two_formant": (np.array([(650.0, 100.0), (1400.0, 200.0)]), (0, 1), 10000.0,
                     [((f1, 100.0), (1400.0, 200.0)) for f1 in np.arange(650.0, 1200.0, 25.0)]),
     # ocd4: the tube's F1-F2 pair, and its F2-F3 pair, moving inward
     "tube_12": (TUBE, (0, 1), 8000.0,
@@ -290,7 +287,7 @@ METER_CASES = {
                 [((1500.0 + s, 100.0), (2500.0 - s, 100.0)) for s in np.arange(0.0, 500.0, 25.0)]),
     # levels: bandwidth-only moves of cases a and b
     **{f"levels_{name}": (case, (0, 1), 8000.0,
-                          [((case[0].frequency, b1), (case[1].frequency, b2))
+                          [((case[0, 0], b1), (case[1, 0], b2))
                            for b1 in (70.0, 100.0, 140.0) for b2 in (50.0, 80.0, 120.0, 180.0)])
        for name, case in (("a", CASE_A), ("b", CASE_B))},
     **{f"random_{seed}": random_cascade(seed) for seed in range(4)},
@@ -315,8 +312,8 @@ class TestPairMeter:
                 meter.measure(lo, hi)
             except AnalysisError:
                 pass
-            fm = list(formants)
-            fm[i], fm[j] = FormantSpec(*lo), FormantSpec(*hi)
+            fm = np.array(formants)
+            fm[i], fm[j] = lo, hi
             freqs, levels = analytic_cascade_spectrum(fm, rate, experiments.GRID_POINTS)
             assert np.array_equal(seen[-1][0], freqs)
             assert np.array_equal(seen[-1][1], levels)
@@ -336,6 +333,28 @@ class TestPairMeter:
         steps = len(ocd_sweep(tube_cfg()).sweep)
         assert steps > 1
         assert sizes == [1] * (len(TUBE) - 2 + 2 * steps)
+
+    @pytest.mark.parametrize("formants", [
+        [(500.0, 100.0, 1.0), (1500.0, 100.0, 1.0)],
+        [500.0, 1500.0],
+        [[(500.0, 100.0)], [(1500.0, 100.0)]],
+    ], ids=["triples", "no-pair-axis", "three-axes"])
+    def test_formants_that_are_not_m_by_2_are_refused(self, formants):
+        with pytest.raises(ValueError, match=r"formants must be an \(m, 2\) array of "
+                                             r"\(frequency, bandwidth\) rows"):
+            PairMeter(formants, (0, 1), 8000.0)
+
+    @pytest.mark.parametrize("row, words", [
+        ((2500.0, 0.0), "formant bandwidth must be positive, got 0.0"),
+        ((np.nan, 100.0), "formant frequency must be positive, got nan"),
+        ((4000.0, 100.0), r"formant at 4000\.0 Hz is at or above Nyquist \(4000\.0 Hz\)"),
+    ], ids=["zero-bandwidth", "nan-frequency", "at-nyquist"])
+    def test_every_row_and_each_moved_member_is_checked(self, row, words):
+        # the words of sigproc.check_formants, which the synthesis uses too
+        with pytest.raises(ValueError, match=words):
+            PairMeter(np.vstack([TUBE[:2], [row]]), (0, 1), 8000.0)
+        with pytest.raises(ValueError, match=words):
+            PairMeter(TUBE, (0, 1), 8000.0).measure((500.0, 100.0), row)
 
 
 class TestLevelInfluence:
@@ -369,7 +388,7 @@ class TestLevelInfluence:
             level_influence_experiment(CASE_A, b1_values=(b1,), b2_values=(100.0,))
 
     def test_missing_and_merged_peaks_are_flagged(self):
-        case = [FormantSpec(1000.0, 100.0), FormantSpec(1250.0, 100.0)] + CASE_A[2:]
+        case = np.vstack([[(1000.0, 100.0), (1250.0, 100.0)], CASE_A[2:]])
         cells = level_influence_experiment(case, b1_values=(70.0, 300.0), b2_values=(300.0,))
         assert [c.error for c in cells] == [
             "no spectral peak within 200.0 Hz of 1250.0 Hz",
@@ -490,23 +509,22 @@ class ReferenceOcd:
 
 def _replace_pair(formants, pair, f_lo, f_hi):
     i, j = pair
-    out = list(formants)
-    out[i] = FormantSpec(f_lo, formants[i].bandwidth)
-    out[j] = FormantSpec(f_hi, formants[j].bandwidth)
+    out = np.array(formants)
+    out[i, 0], out[j, 0] = f_lo, f_hi
     return out
 
 
 def _reference_rlsv(formants, pair, sample_rate, n_points, mean_band_hz):
     freqs, levels = analytic_cascade_spectrum(formants, sample_rate, n_points)
     i, j = pair
-    valley = _peak_pair_rlsv(freqs, levels, formants[i].frequency, formants[j].frequency)[2]
+    valley = _peak_pair_rlsv(freqs, levels, formants[i, 0], formants[j, 0])[2]
     return _banded_mean_db(freqs, levels, mean_band_hz) - valley
 
 
 def _reference_sweep(cfg, allow_widening):
     i, j = cfg.pair
-    f_lo = cfg.formants[i].frequency
-    f_hi = cfg.formants[j].frequency
+    f_lo = cfg.formants[i, 0]
+    f_hi = cfg.formants[j, 0]
 
     def v_at(lo, hi):
         fm = _replace_pair(cfg.formants, cfg.pair, lo, hi)
@@ -575,7 +593,7 @@ def _reference_pb_ocd_table(
     rows = []
     for vowel, (f1, f2, f3) in mean_formants.items():
         freqs = [f1, f2, f3, f4]
-        fm = [FormantSpec(f, bandwidth_hz) for f in freqs]
+        fm = np.array([(f, bandwidth_hz) for f in freqs])
         if vowel in front_vowels:
             pair, label = (1, 2), "V23"
         else:
@@ -587,9 +605,7 @@ def _reference_pb_ocd_table(
         except NoCrossingError as exc:
             rows.append(VowelOcd(vowel, label, None, error=str(exc)))
     if include_tube:
-        tube = [FormantSpec(f, bandwidth_hz) for f in UNIFORM_TUBE_FORMANTS_HZ[:3]] + [
-            FormantSpec(tube_f4, bandwidth_hz)
-        ]
+        tube = np.array([(f, bandwidth_hz) for f in (*UNIFORM_TUBE_FORMANTS_HZ[:3], tube_f4)])
         for pair, label in (((0, 1), "V12"), ((1, 2), "V23")):
             cfg = SweepConfig(tube, tube_sample_rate, pair=pair, step_hz=step_hz)
             try:
@@ -636,13 +652,13 @@ SWEEP_CASES = {
     "tube_bw_130": (tube_cfg(bw=130.0), "V12"),
     "tube_bw_200": (tube_cfg(bw=200.0), "V12"),
     "widening_aa": (SweepConfig(
-        [FormantSpec(f, 100.0) for f in (730.0, 1090.0, 2440.0, 3500.0)], 8000.0), "V12"),
+        np.array([(f, 100.0) for f in (730.0, 1090.0, 2440.0, 3500.0)]), 8000.0), "V12"),
     "below_crossing": (SweepConfig(
-        [FormantSpec(800.0, 100.0), FormantSpec(1200.0, 100.0)] + TUBE[2:], 8000.0), "V12"),
+        np.vstack([[(800.0, 100.0), (1200.0, 100.0)], TUBE[2:]]), 8000.0), "V12"),
     "geometry_limit": (SweepConfig(
-        [FormantSpec(500.0, 20.0), FormantSpec(1500.0, 20.0)], 8000.0, step_hz=100.0), "V12"),
+        np.array([(500.0, 20.0), (1500.0, 20.0)]), 8000.0, step_hz=100.0), "V12"),
     "unmeasurable_valley": (SweepConfig(
-        [FormantSpec(500.0, 400.0), FormantSpec(1500.0, 400.0)], 8000.0,
+        np.array([(500.0, 400.0), (1500.0, 400.0)]), 8000.0,
         mean_band_hz=1600.0), "V12"),
 }
 
@@ -733,14 +749,14 @@ def patch_rlsv(monkeypatch, rlsv):
 
     monkeypatch.setattr(experiments, "PairMeter", StandInMeter)
     monkeypatch.setattr(sys.modules[__name__], "_reference_rlsv",
-                        lambda formants, pair, *args: rlsv(formants[pair[0]].frequency,
-                                                           formants[pair[1]].frequency))
+                        lambda formants, pair, *args: rlsv(formants[pair[0], 0],
+                                                           formants[pair[1], 0]))
 
 
 class TestSweepEndings:
     """Endings the analytic spectrum does not reach, on a stand-in RLSV."""
 
-    START = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 100.0)]  # 1000 Hz apart
+    START = np.array([(500.0, 100.0), (1500.0, 100.0)])  # 1000 Hz apart
 
     @pytest.mark.parametrize("allow_widening", [False, True], ids=["inward", "widening"])
     @pytest.mark.parametrize("zero_at, fail_below", [
@@ -792,7 +808,7 @@ class TestSweepEndings:
         # an RLSV that keeps its sign: only the geometry ends the sweep, in the
         # direction that allows more steps in each case
         patch_rlsv(monkeypatch, lambda f_lo, f_hi: -1.0 if widening else 1.0)
-        cfg = SweepConfig([FormantSpec(f, 100.0) for f in freqs], 8000.0, pair=pair,
+        cfg = SweepConfig(np.array([(f, 100.0) for f in freqs]), 8000.0, pair=pair,
                           step_hz=step, move_upper=move_upper)
         with pytest.raises(NoCrossingError, match="geometry limit") as err:
             ocd_sweep(replace(cfg, allow_widening=widening))

@@ -117,8 +117,7 @@ def test_rows_slices_and_iteration():
         "silent frame", None, "fewer than three formants",
         "unstable LP fit: reflection coefficient 1.25 outside [-1, 1] at stage 2"]
     assert (rows[1].v1_db, rows[1].v2_db) == (2.5, -1.5)
-    assert [(s.frequency, s.bandwidth) for s in rows[2].formants] == [(700.0, 60.0),
-                                                                      (1200.0, 70.0)]
+    assert rows[2].formants.tolist() == [[700.0, 60.0], [1200.0, 70.0]]
     assert list(table) == _statuses(rows) and table[-1] == _statuses(rows)[3]
     assert all(isinstance(status, FrameStatus) for status in table)
     with pytest.raises(IndexError):

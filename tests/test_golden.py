@@ -3,9 +3,9 @@
 The files in `tests/golden/` and the commands that produce them are listed in
 `regenerate_golden.py`, which also rebuilds them. Any byte that moves fails
 here with a unified diff. The two classify files, the four sweep files
-(`sweep2`, `ocd2`, `ocd4`, `pb_ocd`) and the four case files (`levels_a`,
-`levels_b`, `f0_a`, `f0_b`) also state their margins: how close their
-full-precision values come to moving a byte.
+(`sweep2`, `ocd2`, `ocd4`, `pb_ocd`), the four case files (`levels_a`,
+`levels_b`, `f0_a`, `f0_b`) and `noise_eval` also state their margins: how
+close their full-precision values come to moving a byte.
 """
 
 import difflib
@@ -65,6 +65,38 @@ def test_classify_files_keep_their_margins(name, golden_inputs):
     assert _to_rounding_boundary(means, 3).min() >= ROUNDING_MARGIN
 
 
+# How far the segment statistics behind `noise_eval` stay from the 5 dB valley
+# threshold, over its four conditions: the measured margin, rounded down.
+# Measured: 0.83 dB at babble 0 dB; 0.96 (white 25), 0.99 (white 0) and 1.21 dB
+# (babble 25) elsewhere. Its accuracy cells are ratios of counts, so only a
+# decision that flips can move a byte.
+NOISE_EVAL_MARGIN = 0.8
+
+
+def test_noise_eval_keeps_its_margin(golden_inputs):
+    from specvalley import classify, corpus
+
+    corpus_dir, babble_path = golden_inputs
+    table = corpus.collect_segments(corpus_dir, ".phn", corpus.timit_inventory())
+    rows, _ = classify.scored_rows(table)
+    babble = corpus.load_wav(babble_path)
+    lines = (GOLDEN_DIR / "noise_eval.csv").read_text(encoding="utf-8").splitlines()[4:]
+    statistics = []
+    conditions = [(kind, snr) for kind in ("white", "babble") for snr in (25.0, 0.0)]
+    for line, (kind, snr) in zip(lines, conditions, strict=True):
+        mix = corpus.noise_mixer(table, rows, kind, snr, 0, babble, "babble")
+        decided = list(classify.segment_decisions(table, classify.PipelineConfig(), mix=mix))
+        report = classify.score([d for *_, d in decided], [truth for _, truth, _ in decided])
+        accuracies = (report.front_accuracy, report.back_accuracy, report.overall_accuracy)
+        # the file's own values
+        assert line.split(",") == [kind, f"{snr:.1f}", *(f"{a:.2f}" for a in accuracies),
+                                   str(report.n_undecided)]
+        statistics += [d.statistic for *_, d in decided if d is not None]
+    threshold = classify.DEFAULT_THRESHOLDS["valley"]
+    assert len(statistics) == 4 * len(rows)
+    assert min(abs(s - threshold) for s in statistics) >= NOISE_EVAL_MARGIN
+
+
 # How far the full-precision values behind the 4-decimal cells of the sweep
 # files stay from a rounding boundary or the sign of zero: the measured
 # margins, rounded down. Measured: 4.7e-6 in sweep2 and ocd2 (spacing 3.2338);
@@ -94,11 +126,10 @@ def _full_precision(name, keys):
     `experiments` with the parameters of the file's command."""
     from specvalley import corpus, experiments
     from specvalley.scales import hz_to_bark
-    from specvalley.types import FormantSpec
 
     if name == "sweep2":
         f1 = np.arange(650.0, 975.0, 50.0)
-        meter = experiments.PairMeter([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+        meter = experiments.PairMeter(np.array([(650.0, 100.0), (1400.0, 200.0)]),
                                       (0, 1), 10000.0, n_points=4096, mean_band_hz=2500.0)
         spacings = hz_to_bark(1400.0) - hz_to_bark(f1)
         return [v for f, s in zip(f1, spacings)
@@ -114,11 +145,11 @@ def _full_precision(name, keys):
         assert sorted(ocd) == sorted(keys)
         return [ocd[key] for key in keys]
     if name == "ocd2":
-        cfg = experiments.SweepConfig([FormantSpec(650.0, 100.0), FormantSpec(1400.0, 200.0)],
+        cfg = experiments.SweepConfig(np.array([(650.0, 100.0), (1400.0, 200.0)]),
                                       10000.0, move_upper=False, mean_band_hz=2500.0)
     else:
         cfg = experiments.SweepConfig(
-            [FormantSpec(f, 100.0) for f in experiments.UNIFORM_TUBE_FORMANTS_HZ], 8000.0)
+            np.array([(f, 100.0) for f in experiments.UNIFORM_TUBE_FORMANTS_HZ]), 8000.0)
     result = experiments.ocd_sweep(cfg)
     return [v for step in result.sweep for v in step] + [result.ocd_bark]
 
@@ -144,10 +175,9 @@ def _case_values(name):
     """The values behind the level cells of case file `name`, row by row, from
     `experiments` with the parameters of the file's command (its defaults)."""
     from specvalley import cli, experiments
-    from specvalley.types import FormantSpec
 
     command, case = name.split("_")
-    formants = [FormantSpec(f, 100.0) for f in (*cli.CASE_GEOMETRIES[case], 2500.0, 3500.0)]
+    formants = np.array([(f, 100.0) for f in (*cli.CASE_GEOMETRIES[case], 2500.0, 3500.0)])
     if command == "levels":
         return [[c.l1_db, c.l2_db, c.level_diff_db, c.v_db]
                 for c in experiments.level_influence_experiment(formants)]

@@ -11,8 +11,8 @@ import pytest
 
 import kernel_reference as ref
 from specvalley.envelope import gathered_peaks, valley_minima, window_bins
+from specvalley.experiments import power_mean_db
 from specvalley.sigproc import _unit_circle_table, cascade_grid, resonator_db
-from specvalley.types import power_mean_db
 
 
 def assert_same_bits(got, want):

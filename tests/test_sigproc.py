@@ -29,7 +29,6 @@ from specvalley.sigproc import (
     resonator_taps,
     window,
 )
-from specvalley.types import FormantSpec
 from test_formant_anchors import _reflection
 
 
@@ -227,11 +226,11 @@ class TestLevinson:
         monkeypatch.setattr(synth_module, "synthesize_cascades", unreachable)
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             experiments.f0_influence_experiment(
-                [FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)], sample_rate=sample_rate)
+                np.array([(700.0, 100.0), (1300.0, 100.0)]), sample_rate=sample_rate)
 
     def test_lp_envelope_is_the_one_row_lpc_levels(self):
         # (levels, mean_db) of the f0 study are those `lpc_levels` gives, bit for bit
-        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+        x = cascade_rows(np.array([(700.0, 100.0), (1300.0, 100.0)]),
                          [120.0], 8000.0, 4000)[0]
         levels, mean_db = lp_envelope_of_signal(x[None], 8)
         fit = levinson_rows(autocorrelation(x[None], 8), 8)
@@ -243,7 +242,7 @@ class TestLevinson:
                                                     (100000, 40)])
     def test_lag_window_is_the_middle_of_a_hamming_window(self, half_length, order):
         # the taps L .. L + order of np.hamming(2L + 1), bit for bit, without the rest
-        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+        x = cascade_rows(np.array([(700.0, 100.0), (1300.0, 100.0)]),
                          [120.0], 8000.0, 4000)
         taps = np.hamming(2 * half_length + 1)[half_length:half_length + order + 1]
         fit = levinson_rows(autocorrelation(x, order) * taps, order)
@@ -252,7 +251,7 @@ class TestLevinson:
         assert np.array_equal(levels, env.levels) and np.array_equal(mean_db, env.mean_db)
 
     def test_lag_window_of_the_largest_int64_half_length_is_flat(self):
-        x = cascade_rows([FormantSpec(700.0, 100.0), FormantSpec(1300.0, 100.0)],
+        x = cascade_rows(np.array([(700.0, 100.0), (1300.0, 100.0)]),
                          [120.0], 8000.0, 4000)
         for got, want in zip(lp_envelope_of_signal(x, 8, 2**63 - 1), lp_envelope_of_signal(x, 8)):
             assert np.array_equal(got, want)
@@ -286,7 +285,7 @@ class TestLpcEnvelope:
 
     def test_tracks_single_resonator_peak(self):
         fs = 8000.0
-        x = cascade_rows([FormantSpec(1400.0, 150.0)], [0.0], fs, 4096)[0]
+        x = cascade_rows(np.array([(1400.0, 150.0)]), [0.0], fs, 4096)[0]
         fit = levinson_rows(autocorrelation(x[None], 2), 2)
         levels = lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0]
         freqs = np.linspace(0.0, fs / 2.0, 1024)
@@ -296,13 +295,13 @@ class TestLpcEnvelope:
     def test_tracks_cascade_peaks_within_one_bin(self):
         # order 2*(#formants) + 2 fitted to a cascade impulse response
         fs = 8000.0
-        fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
+        fm = np.array([(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)])
         x = cascade_rows(fm, [0.0], fs, 8192)[0]
         fit = levinson_rows(autocorrelation(x[None], 10), 10)
         freqs, levels_an = analytic_cascade_spectrum(fm, fs, 1024)
         levels = np.array([lpc_levels(fit.a, np.sqrt(fit.error), 1024).levels[0],
                            levels_an])
-        nominal = np.tile([f.frequency for f in fm], (2, 1))
+        nominal = np.tile(fm[:, 0], (2, 1))
         peaks, _, missing = peak_levels(freqs, levels, nominal)
         assert not missing.any()
         assert np.all(np.abs(peaks[0] - peaks[1]) <= freqs[1] - freqs[0])
@@ -377,14 +376,14 @@ class TestRootsToFormants:
 
     def test_recovers_synthetic_four_formant_vowel(self):
         fs = 10000.0
-        truth = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
+        truth = np.array([(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)])
         x = cascade_rows(truth, [0.0], fs, 8192)[0]
         order = 10
         fit = levinson_rows(autocorrelation(x[None], order), order)
         freqs, _, counts = formant_candidates(polynomial_roots(fit.a), fs)
         assert counts[0] >= 3
-        for got, want in zip(freqs[0, :3], truth[:3]):
-            assert abs(got - want.frequency) < 30.0
+        for got, want in zip(freqs[0, :3], truth[:3, 0]):
+            assert abs(got - want) < 30.0
 
 
 def _root(frequency, bandwidth, fs):
@@ -462,7 +461,7 @@ class TestAnalyticCascadeSpectrum:
     def test_single_resonator_peak_location(self):
         # at the default grid; a digital resonator's magnitude peak sits a
         # few Hz off the pole angle, inside one bin at this resolution
-        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
+        freqs, levels_db = analytic_cascade_spectrum(np.array([(1400.0, 200.0)]), 10000.0)
         assert abs(freqs[np.argmax(levels_db)] - 1400.0) <= freqs[1] - freqs[0]
 
     def test_empty_list_is_flat_zero(self):
@@ -471,7 +470,7 @@ class TestAnalyticCascadeSpectrum:
 
     def test_matches_long_impulse_response_spectrum(self):
         fs = 10000.0
-        formants = [FormantSpec(750.0, 100.0), FormantSpec(1400.0, 200.0)]
+        formants = np.array([(750.0, 100.0), (1400.0, 200.0)])
         n_fft = 32768
         x = cascade_rows(formants, [0.0], fs, n_fft)[0]
         oracle_db = 20 * np.log10(np.abs(np.fft.rfft(x)))
@@ -480,31 +479,28 @@ class TestAnalyticCascadeSpectrum:
 
     def test_nyquist_guard(self):
         with pytest.raises(ValueError):
-            analytic_cascade_spectrum([FormantSpec(5000.0, 100.0)], 10000.0)
+            analytic_cascade_spectrum(np.array([(5000.0, 100.0)]), 10000.0)
 
     @pytest.mark.parametrize("sample_rate", [0.0, -8000.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("formants", [[], [FormantSpec(500.0, 100.0)]],
+    @pytest.mark.parametrize("formants", [[], np.array([(500.0, 100.0)])],
                              ids=["no-formants", "one-formant"])
     def test_rate_must_be_finite_and_positive(self, formants, sample_rate):
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             analytic_cascade_spectrum(formants, sample_rate)
 
     def test_non_finite_level_raises(self):
-        # FormantSpec refuses a NaN bandwidth; any object with the two fields
-        # reaches the resonator sum
-        class RawFormant:
-            frequency, bandwidth = 1000.0, float("nan")
-
+        # no formant check stands before the resonator sum, so a NaN bandwidth
+        # reaches it
         with pytest.raises(ValueError, match="envelope levels must be finite"):
-            analytic_cascade_spectrum([RawFormant()], 8000.0)
+            analytic_cascade_spectrum(np.array([(1000.0, np.nan)]), 8000.0)
 
     def test_grid_is_zero_to_nyquist(self):
-        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(500.0, 100.0)], 8000.0, 256)
+        freqs, levels_db = analytic_cascade_spectrum(np.array([(500.0, 100.0)]), 8000.0, 256)
         assert np.array_equal(freqs, np.linspace(0.0, 4000.0, 256))
         assert levels_db.shape == (256,)
 
     def test_deterministic(self):
-        fm = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 100.0)]
+        fm = np.array([(500.0, 100.0), (1500.0, 100.0)])
         a = analytic_cascade_spectrum(fm, 8000.0, 512)[1]
         b = analytic_cascade_spectrum(fm, 8000.0, 512)[1]
         assert np.array_equal(a, b)

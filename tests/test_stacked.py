@@ -25,7 +25,7 @@ from specvalley.classify import PipelineConfig, frame_pipeline
 from specvalley.cli import run
 from specvalley.envelope import valley_minima
 from specvalley.errors import DegenerateInputError, UnstableModelError
-from specvalley.experiments import lp_envelope_of_signal
+from specvalley.experiments import lp_envelope_of_signal, power_mean_db
 from specvalley.sigproc import (
     autocorrelation,
     formant_anchors,
@@ -40,7 +40,6 @@ from specvalley.sigproc import (
     window,
     _unit_circle_table,
 )
-from specvalley.types import power_mean_db
 
 FS = 16000.0
 N_POINTS = 512
@@ -230,7 +229,7 @@ def _test_segment(seed, noise):
 
 
 def _features(seg, cfg):
-    return [(f.v1_db, f.v2_db, [(x.frequency, x.bandwidth) for x in f.formants], f.fail_reason)
+    return [(f.v1_db, f.v2_db, list(map(tuple, f.formants.tolist())), f.fail_reason)
             for f in frame_reference.rows(frame_pipeline(frames_of(seg, cfg), seg[1], cfg))]
 
 

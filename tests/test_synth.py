@@ -8,7 +8,6 @@ from conftest import cascade_rows, peak_levels
 from specvalley import synth
 from specvalley.sigproc import resonator_taps
 from specvalley.synth import calibrate_bandwidth_rows, synthesize_cascades
-from specvalley.types import FormantSpec
 
 
 class TestResonator:
@@ -22,11 +21,11 @@ class TestResonator:
         assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
 
     def test_huge_bandwidth_is_nearly_flat(self):
-        _, levels_db = analytic_cascade_spectrum([FormantSpec(1000.0, 20000.0)], 8000.0, 512)
+        _, levels_db = analytic_cascade_spectrum(np.array([(1000.0, 20000.0)]), 8000.0, 512)
         assert levels_db.max() - levels_db.min() < 1.0
 
     def test_realized_peak_near_center(self):
-        freqs, levels_db = analytic_cascade_spectrum([FormantSpec(1400.0, 200.0)], 10000.0)
+        freqs, levels_db = analytic_cascade_spectrum(np.array([(1400.0, 200.0)]), 10000.0)
         f, _, missing = peak_levels(freqs, levels_db[None, :], [1400.0])
         assert not missing[0]
         assert abs(f[0] - 1400.0) < 2 * (freqs[1] - freqs[0])
@@ -41,7 +40,7 @@ class TestSynthesize:
 
     def test_matches_analytic_spectrum(self):
         fs = 10000.0
-        fm = [FormantSpec(700.0, 90.0), FormantSpec(1500.0, 180.0)]
+        fm = np.array([(700.0, 90.0), (1500.0, 180.0)])
         x = cascade_rows(fm, [0.0], fs, 32768)[0]
         oracle = 20 * np.log10(np.abs(np.fft.rfft(x)))
         _, levels_db = analytic_cascade_spectrum(fm, fs, 16385)
@@ -53,14 +52,14 @@ class TestSynthesize:
         assert np.array_equal(nz, np.arange(0, 400, 80))
 
     def test_output_is_bounded(self):
-        fm = [FormantSpec(f, 60.0) for f in (300.0, 900.0, 2200.0, 3400.0)]
+        fm = np.array([(f, 60.0) for f in (300.0, 900.0, 2200.0, 3400.0)])
         out = cascade_rows(fm, [120.0], 8000.0, 4000)[0]
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out)) < 1e6
 
     def test_cascade_order_does_not_change_spectrum(self):
         fs = 8000.0
-        fm = [FormantSpec(500.0, 100.0), FormantSpec(1500.0, 120.0), FormantSpec(2500.0, 90.0)]
+        fm = np.array([(500.0, 100.0), (1500.0, 120.0), (2500.0, 90.0)])
         a = cascade_rows(fm, [0.0], fs, 4096)[0]
         b = cascade_rows(fm[::-1], [0.0], fs, 4096)[0]
         sa = np.abs(np.fft.rfft(a))
@@ -108,6 +107,33 @@ def test_stacked_cascades_equal_their_one_row_calls(height, tilted, workspace, m
         alone = synthesize_cascades(freqs[r:r + 1], bws[r:r + 1], f0s[r:r + 1], 16000.0,
                                     lengths[r:r + 1], tilted)
         assert np.array_equal(row, alone[0]), r
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("order, distinct", [
+    ([0] * 7, 1),  # the f0 study: one cascade at 7 F0s
+    ([0, 1, 0, 1, 0, 2, 1], 3),  # repeats interleaved with other cascades
+], ids=["one_cascade", "interleaved"])
+def test_repeated_cascades_share_one_impulse_response(order, distinct, tilted, monkeypatch):
+    freqs = np.array([[400.0, 700.0, 2500.0, 3500.0], [600.0, 1300.0, 2500.0, 3500.0],
+                      [400.0, 700.0, 2500.0, 3400.0]])
+    bws = np.full_like(freqs, 100.0)
+    f0s = [100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0]
+    lengths = [4000, 4000, 3000, 3500, 4000, 2500, 4000]
+    heights = []
+
+    def record(a1, *args):
+        heights.append(len(a1))
+        return grid_responses(a1, *args)
+
+    grid_responses = synth._grid_responses
+    monkeypatch.setattr(synth, "_grid_responses", record)
+    rows = synthesize_cascades(freqs[order], bws[order], f0s, 8000.0, lengths, tilted)
+    # every row fits one 4096-point grid, and each distinct cascade is one row of it
+    assert heights == [distinct]
+    for r, (c, f0, n) in enumerate(zip(order, f0s, lengths)):
+        alone = synthesize_cascades(freqs[c:c + 1], bws[c:c + 1], [f0], 8000.0, [n], tilted)
+        assert np.array_equal(rows[r], alone[0]), r
 
 
 @pytest.mark.parametrize("args, message", [
@@ -178,7 +204,7 @@ class TestSourceTilt:
 
 def _formant_levels(env, formants, window_hz=200.0):
     """`peak_levels` of one (freqs, levels) envelope at each formant: (levels, missing)."""
-    nominal = np.array([[f.frequency for f in formants]])
+    nominal = formants[None, :, 0]
     freqs, levels_db = env
     _, level, missing = peak_levels(freqs, levels_db[None, :], nominal, window_hz)
     return level[0], missing[0]
@@ -186,8 +212,8 @@ def _formant_levels(env, formants, window_hz=200.0):
 
 class TestMeasureFormantLevels:
     def test_single_resonator_level_is_global_max(self):
-        env = analytic_cascade_spectrum([FormantSpec(1200.0, 120.0)], 8000.0)
-        lv, missing = _formant_levels(env, [FormantSpec(1200.0, 120.0)])
+        env = analytic_cascade_spectrum(np.array([(1200.0, 120.0)]), 8000.0)
+        lv, missing = _formant_levels(env, np.array([(1200.0, 120.0)]))
         assert not missing.any()
         assert abs(lv[0] - env[1].max()) < 0.01
 
@@ -195,7 +221,7 @@ class TestMeasureFormantLevels:
         fs = 8000.0
         prev = None
         for b1 in (60.0, 120.0, 240.0):
-            fm = [FormantSpec(600.0, b1), FormantSpec(1800.0, 100.0)]
+            fm = np.array([(600.0, b1), (1800.0, 100.0)])
             env = analytic_cascade_spectrum(fm, fs)
             lv, missing = _formant_levels(env, fm)
             assert not missing.any()
@@ -207,14 +233,14 @@ class TestMeasureFormantLevels:
     def test_uniform_tube_has_downward_tilt(self):
         # at 8 kHz the tube's pole angles are mirror-symmetric and L1 == L4
         # exactly; any higher rate breaks the symmetry into a downward tilt
-        fm = [FormantSpec(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)]
+        fm = np.array([(f, 100.0) for f in (500.0, 1500.0, 2500.0, 3500.0)])
         env = analytic_cascade_spectrum(fm, 16000.0, 4096)
         lv, missing = _formant_levels(env, fm)
         assert not missing.any()
         assert lv[0] > lv[3]
 
     def test_merged_peak_is_marked_missing(self):
-        fm = [FormantSpec(500.0, 400.0), FormantSpec(620.0, 400.0)]
+        fm = np.array([(500.0, 400.0), (620.0, 400.0)])
         env = analytic_cascade_spectrum(fm, 8000.0)
         _, missing = _formant_levels(env, fm, window_hz=60.0)
         assert missing.any()
@@ -225,7 +251,7 @@ class TestCalibrateBandwidths:
 
     def _measured_relative_levels(self, bws, fs=10000.0):
         """Relative peak levels of the cascade plus the source tilt, as calibrated."""
-        fm = [FormantSpec(f, b) for f, b in zip(self.FREQS, bws)]
+        fm = np.column_stack((self.FREQS, bws))
         freqs, levels_db = analytic_cascade_spectrum(fm, fs, 2048)
         lv, missing = _formant_levels((freqs, levels_db + source_tilt_db(freqs, fs)), fm)
         assert not missing.any()
