@@ -89,8 +89,9 @@ def pcm_to_float(pcm: np.ndarray) -> np.ndarray:
 def _read_pcm(path):
     """The int16 samples and the sample rate of a 16-bit PCM mono WAV.
 
-    A file that ends inside its header is a FormatError of its `container`,
-    and data that ends mid-sample one of its `data`.
+    A file that ends inside its header is a FormatError of its `container`;
+    data that ends mid-sample, or holds fewer bytes than its chunk claims, one
+    of its `data`.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -107,8 +108,8 @@ def _read_pcm(path):
                     f"expected 16-bit samples, got {8 * wf.getsampwidth()}-bit",
                     field="sample_width",
                 )
-            rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            rate, n_frames = wf.getframerate(), wf.getnframes()
+            raw = wf.readframes(n_frames)
     except wave.Error as exc:
         raise FormatError(f"not a readable WAV file: {exc}", field="container") from exc
     except EOFError:  # `wave` reads the header in fixed-size pieces
@@ -118,6 +119,9 @@ def _read_pcm(path):
         raise FormatError(f"sample rate must be positive, got {rate}", field="sample_rate")
     if len(raw) % 2:
         raise FormatError(f"data ends mid-sample: {len(raw)} bytes are not whole 16-bit samples",
+                          field="data")
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"data chunk claims {2 * n_frames} bytes, the file holds {len(raw)}",
                           field="data")
     return np.frombuffer(raw, dtype="<i2"), rate
 

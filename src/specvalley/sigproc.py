@@ -273,7 +273,7 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     companion[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
     try:
         roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+    except np.linalg.LinAlgError as exc:  # LAPACK rarely fails here
         raise NumericFailureError(f"eigenvalue iteration failed: {exc}") from exc
     return roots.astype(np.complex128, copy=False)
 

@@ -1,32 +1,36 @@
-"""The corpus stage as it was before the frame table, kept as the exact reference.
+"""The exact oracle of the corpus stage: per-frame features and segment decisions.
 
-`frame_pipeline` builds one `FrameFeatures` per frame, its formants an (n, 2)
-array of (frequency, bandwidth) rows checked by `sigproc.check_formants`, from
-the same stacked LP core the table is built from;
-`decide_segment` averages the valid frames as Python lists. The table and the
-decisions taken from its slices must equal these bit for bit: `rows(table)`
-reads a `FrameTable` back as the same `FrameFeatures`. The reference
-pre-emphasizes and frames each segment by itself, with the code those steps
-had before they worked on segment tables, so the comparison checks
-the pre-emphasis and framing of the corpus stage's blocks as well.
+`frame_pipeline` builds one `FrameFeatures` per frame, each segment
+pre-emphasized and framed by itself with the code those steps had before they
+worked on segment tables. Each frame is fitted by the scalar Levinson
+recursion of `levinson`, one `np.dot` per stage, which stops at the stage and
+with the reason text of `sigproc.levinson_rows`. The fitted frames are
+anchored as one `formant_anchors` stack (`test_formant_anchors` checks the
+anchors against the companion-matrix roots, and that a row gives the same
+alone as in any stack). Each envelope is the frame's taps times the plain
+unit-circle table of `kernel_reference` (`test_lpc_levels_match_the_fft_oracle`
+anchors that product to the rfft), and each valley is found by its own
+`searchsorted` bracket. `decide_segment` averages the valid frames as Python
+lists and decides rule by rule.
+
+`rows(table)` reads a `classify.FrameTable` back as the same `FrameFeatures`:
+the table, and the decisions taken from its slices, must equal these bit for bit.
 """
 
-import operator
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from kernel_reference import unit_circle_table
 from specvalley.classify import ENVELOPE_POINTS, PipelineConfig, SegmentDecision
-from specvalley.envelope import valley_minima
-from specvalley.errors import NoDecisionError
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
     autocorrelation,
     check_formants,
     formant_anchors,
     frame_length,
-    levinson_rows,
-    lpc_levels,
+    stacked_product,
     window,
 )
 
@@ -49,11 +53,13 @@ class FrameFeatures:
                 and np.array_equal(self.formants, other.formants))
 
 
-def formant_rows(freqs, bandwidths):
-    """The (n, 2) array of (frequency, bandwidth) rows of a frame's formants, each
-    checked to be positive and finite (no rate, so no Nyquist limit)."""
-    check_formants(freqs, bandwidths, np.inf)
-    return np.column_stack((freqs, bandwidths))
+def formant_pairs(freqs, bandwidths, counts):
+    """(n, p, 2) (frequency, bandwidth) pairs of an (n, p) stack of formants, the
+    first counts[i] of row i checked to be positive and finite (no rate, so no
+    Nyquist limit)."""
+    read = np.arange(freqs.shape[1]) < counts[:, None]
+    check_formants(freqs[read], bandwidths[read], np.inf)
+    return np.stack((freqs, bandwidths), axis=-1)
 
 
 NO_FORMANTS = np.empty((0, 2))
@@ -63,22 +69,42 @@ def rows(table):
     """list[FrameFeatures] of the frames of a `classify.FrameTable`, from its
     columns: a valid frame keeps its first three formants, an invalid one every
     candidate, and the reason text is the table's own `table[i].fail_reason`."""
+    statuses = list(table)
+    counts = np.array([min(n, 3) if status.valid else n
+                       for n, status in zip(table.counts.tolist(), statuses)], dtype=int)
+    pairs = formant_pairs(table.freqs, table.bandwidths, counts)
     out = []
-    for i, status in enumerate(table):
-        n = int(table.counts[i]) if not status.valid else min(int(table.counts[i]), 3)
-        formants = formant_rows(table.freqs[i, :n], table.bandwidths[i, :n])
+    for i, status in enumerate(statuses):
         if status.valid:
-            out.append(FrameFeatures(float(table.v1[i]), float(table.v2[i]), formants, True))
+            out.append(FrameFeatures(float(table.v1[i]), float(table.v2[i]),
+                                     pairs[i, :counts[i]], True))
         else:
-            out.append(FrameFeatures(None, None, formants, False, status.fail_reason))
+            out.append(FrameFeatures(None, None, pairs[i, :counts[i]], False,
+                                     status.fail_reason))
     return out
 
 
-def _levinson_failure(fit, row):
-    m = int(fit.stage[row])
-    if fit.error[row] <= 0:
-        return f"prediction error vanished at stage {m}"
-    return f"reflection coefficient {fit.reflection[row, m - 1]:.6g} outside [-1, 1] at stage {m}"
+def levinson(r, order):
+    """(a, error, reflection, failure) of one autocorrelation row r[0..order].
+
+    A row fails at stage m, as in `levinson_rows`, when its prediction error
+    is no longer positive or its reflection coefficient has |k| > 1 + 1e-12;
+    `failure` is then the reason text, else None.
+    """
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    e = float(r[0])  # Python floats round as float64 scalars do, and cost less
+    ks = np.zeros(order)
+    flipped = r[order::-1].copy()  # flipped[order - m:order] is r[m], ..., r[1]
+    for m in range(1, order + 1):
+        if e <= 0:
+            return a, e, ks, f"prediction error vanished at stage {m}"
+        k = ks[m - 1] = -float(np.dot(a[:m], flipped[order - m:order])) / e
+        if abs(k) > 1.0 + 1e-12:
+            return a, e, ks, f"reflection coefficient {k:.6g} outside [-1, 1] at stage {m}"
+        a[: m + 1] += k * a[m::-1]
+        e *= 1.0 - k * k
+    return a, e, ks, None
 
 
 def preemphasize(x, alpha):
@@ -108,6 +134,18 @@ def frames(audio, cfg=None):
                         cfg.frame_ms, cfg.overlap_fraction)
 
 
+@functools.lru_cache(maxsize=8)
+def _envelope_table(taps):
+    return unit_circle_table(taps, ENVELOPE_POINTS)
+
+
+def _valley(grid, env_db, f_lo, f_hi):
+    """The lowest level of the bins above f_lo and below f_hi, or None under two bins."""
+    lo = int(grid.searchsorted(f_lo, side="right"))
+    hi = int(grid.searchsorted(f_hi, side="left"))
+    return env_db[lo:hi].min() if hi - lo >= 2 else None
+
+
 def frame_pipeline(segments, cfg=None):
     """list[FrameFeatures] of every frame of `segments` (one (samples, rate) audio
     or a list of them at one rate), in input order."""
@@ -120,85 +158,80 @@ def frame_pipeline(segments, cfg=None):
     stack = np.concatenate([frames(audio, cfg) for audio in audios])
     if stack.shape[0] == 0:
         return []
-    lags = autocorrelation(window(stack), order)
-    out = [FrameFeatures(None, None, NO_FORMANTS, False, "silent frame") if r0 <= 0 else None
-           for r0 in lags[:, 0].tolist()]
-
-    live = np.flatnonzero(lags[:, 0] > 0)
-    fit = levinson_rows(lags[live], order)
-    for i in np.flatnonzero(fit.stage):
-        out[live[i]] = FrameFeatures(
-            None, None, NO_FORMANTS, False, f"unstable LP fit: {_levinson_failure(fit, i)}"
-        )
-    fitted = fit.stage == 0
-    live, a, err = live[fitted], fit.a[fitted], fit.error[fitted]
-
-    freqs, bws, counts = formant_anchors(a, fit.reflection[fitted], fs)
-
-    def formants(i, limit=None):
-        n = counts[i] if limit is None else min(counts[i], limit)
-        return formant_rows(freqs[i, :n], bws[i, :n])
-
-    enough = counts >= 3
-    for i in np.flatnonzero(~enough):
-        out[live[i]] = FrameFeatures(None, None, formants(i), False, "fewer than three formants")
-    rows = np.flatnonzero(enough)
-    if rows.size == 0:
+    out, fitted = [], []
+    for i, r in enumerate(autocorrelation(window(stack), order)):
+        if r[0] <= 0:
+            out.append(FrameFeatures(None, None, NO_FORMANTS, False, "silent frame"))
+            continue
+        a, e, ks, failure = levinson(r, order)
+        if failure:
+            out.append(FrameFeatures(None, None, NO_FORMANTS, False,
+                                     f"unstable LP fit: {failure}"))
+        else:
+            out.append(None)
+            fitted.append((i, a, e, ks))
+    if not fitted:
         return out
 
-    env_db, mean_db, singular = lpc_levels(a[rows], np.sqrt(np.maximum(err[rows], 1e-300)),
-                                           ENVELOPE_POINTS)
+    index, a, err, ks = (np.array(column) for column in zip(*fitted))
+    freqs, bws, counts = formant_anchors(a, ks, fs)
+    re_im = stacked_product(a, _envelope_table(order + 1))
+    gain = np.sqrt(np.maximum(err, 1e-300))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        power = (gain * gain)[:, None] / (re_im[:, :ENVELOPE_POINTS] ** 2
+                                          + re_im[:, ENVELOPE_POINTS:] ** 2)
+        env_db = 10.0 * np.log10(power)
+        mean_db = 10.0 * np.log10(np.mean(power, axis=-1))
     grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
-    _, v1, narrow1 = valley_minima(grid, env_db, freqs[rows, 0], freqs[rows, 1])
-    _, v2, narrow2 = valley_minima(grid, env_db, freqs[rows, 1], freqs[rows, 2])
-    v1, v2 = (v1 - mean_db).tolist(), (v2 - mean_db).tolist()
-    for j, i in enumerate(rows.tolist()):
-        if singular[j]:
-            out[live[i]] = FrameFeatures(None, None, formants(i), False, "singular envelope")
-        elif narrow1[j] or narrow2[j]:
-            out[live[i]] = FrameFeatures(
-                None, None, formants(i), False, "valley bracket too narrow"
-            )
+    pairs = formant_pairs(freqs, bws, counts)
+    for j, i in enumerate(index.tolist()):
+        f, formants = freqs[j], pairs[j, : counts[j]]
+        if counts[j] < 3:
+            out[i] = FrameFeatures(None, None, formants, False, "fewer than three formants")
+        elif not np.isfinite(env_db[j]).all():
+            out[i] = FrameFeatures(None, None, formants, False, "singular envelope")
         else:
-            out[live[i]] = FrameFeatures(v1[j], v2[j], formants(i, 3), True)
+            v1, v2 = _valley(grid, env_db[j], f[0], f[1]), _valley(grid, env_db[j], f[1], f[2])
+            if v1 is None or v2 is None:
+                out[i] = FrameFeatures(None, None, formants, False, "valley bracket too narrow")
+            else:
+                out[i] = FrameFeatures(float(v1 - mean_db[j]), float(v2 - mean_db[j]),
+                                       formants[:3], True)
     return out
 
 
-def _bark_spacing(lo, hi):
-    def spacing(valid, mean_v1, mean_v2):
-        return float(np.mean([
-            hz_to_bark(f.formants[hi, 0]) - hz_to_bark(f.formants[lo, 0])
-            for f in valid
-        ]))
-    return spacing
+# the rule defaults: dB for the valley rules, bark for the spacing rules
+DEFAULT_THRESHOLDS = {"valley": 5.0, "f3f2_3bark": 3.0, "f2f1_bark": 3.0,
+                      "v1_only": 0.0, "v2_only": 0.0}
 
 
-# rule -> (statistic, reads_back, default threshold)
-DECISION_RULES = {
-    "valley": (lambda valid, v1, v2: v1 - v2, operator.gt, 5.0),
-    "f3f2_3bark": (_bark_spacing(1, 2), lambda s, t: not s < t, 3.0),
-    "f2f1_bark": (_bark_spacing(0, 1), lambda s, t: not s < t, 3.0),
-    "v1_only": (lambda valid, v1, v2: v1, operator.gt, 0.0),
-    "v2_only": (lambda valid, v1, v2: v2, operator.lt, 0.0),
-}
+def _spacing(valid, lo, hi):
+    """The mean bark distance from formant lo to formant hi over the valid frames."""
+    return float(np.mean([hz_to_bark(f.formants[hi, 0]) - hz_to_bark(f.formants[lo, 0])
+                          for f in valid]))
 
 
-def decide_segment(features, threshold_db=None, rule="valley"):
-    """The segment decision from a list of `FrameFeatures`."""
-    statistic, reads_back, default = DECISION_RULES[rule]
+def decide_segment(features, threshold=None, rule="valley"):
+    """The `SegmentDecision` from a list of `FrameFeatures`, or None when no frame
+    is valid (an undecided segment)."""
     valid = [f for f in features if f.valid]
     if not valid:
-        raise NoDecisionError("no valid frames in segment")
+        return None
     mean_v1 = float(np.mean([f.v1_db for f in valid]))
     mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    value = statistic(valid, mean_v1, mean_v2)
-    thr = default if threshold_db is None else threshold_db
-    return SegmentDecision(
-        mean_v1=mean_v1,
-        mean_v2=mean_v2,
-        mean_diff=mean_v1 - mean_v2,
-        predicted="back" if reads_back(value, thr) else "front",
-        frames_used=len(valid),
-        frames_discarded=len(features) - len(valid),
-        statistic=value,
-    )
+    thr = DEFAULT_THRESHOLDS[rule] if threshold is None else threshold
+    if rule == "valley":
+        statistic = mean_v1 - mean_v2
+        predicted = "back" if statistic > thr else "front"
+    elif rule in ("f3f2_3bark", "f2f1_bark"):
+        statistic = _spacing(valid, *((1, 2) if rule == "f3f2_3bark" else (0, 1)))
+        predicted = "front" if statistic < thr else "back"
+    elif rule == "v1_only":
+        statistic = mean_v1
+        predicted = "back" if statistic > thr else "front"
+    else:
+        statistic = mean_v2
+        predicted = "back" if statistic < thr else "front"
+    return SegmentDecision(mean_v1=mean_v1, mean_v2=mean_v2, mean_diff=mean_v1 - mean_v2,
+                           predicted=predicted, frames_used=len(valid),
+                           frames_discarded=len(features) - len(valid), statistic=statistic)

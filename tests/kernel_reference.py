@@ -1,10 +1,13 @@
 """The peak, valley, mean-level and resonator kernels, and the unit-circle
-table, in their plain NumPy form.
+table, in their plain NumPy form: the one oracle of each.
 
 Each function below computes what its library counterpart computes with
 `take_along_axis`, `np.clip`, `np.mean`, `np.concatenate` and one expression
 per line, with no in-place step. `test_kernel_bits.py` checks that the library
-kernels give the same bits.
+kernels give the same bits. `window_peaks` and `peak_levels` gather the
+windows of a level stack themselves and search them with `gathered_peaks`:
+`test_envelope.py` and `test_calibration.py` check the library's peak search
+against them.
 """
 
 import numpy as np
@@ -21,6 +24,28 @@ def gathered_peaks(db, inside):
     np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
     shift = np.clip(shift, -0.5, 0.5)
     return k[..., 0], shift, y0 - 0.25 * (ym - yp) * shift, ~is_max.any(axis=-1)
+
+
+def window_peaks(freqs, levels_db, lo, hi):
+    """`envelope.window_peaks`: (bin, freq, level, missing) of each window [lo, hi)
+    of each row, its bins lo-1 .. lo+width gathered by `take_along_axis`."""
+    width = int((hi - lo).max())
+    if width <= 0:
+        nothing = np.full(lo.shape, np.nan)
+        return np.zeros(lo.shape, dtype=int), nothing, nothing.copy(), np.ones(lo.shape, dtype=bool)
+    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
+    db = np.take_along_axis(levels_db, idx.reshape(len(lo), -1), axis=1).reshape(idx.shape)
+    k, shift, level, missing = gathered_peaks(db, np.arange(width) < (hi - lo)[..., None])
+    return lo + k, freqs[lo + k] + shift * float(freqs[1] - freqs[0]), level, missing
+
+
+def peak_levels(freqs, levels_db, nominal_f, window_hz=200.0):
+    """`conftest.peak_levels` on (n, k) nominal frequencies: (freq, level, missing)
+    of each window, its bins within +/-window_hz of the nominal frequency and
+    one bin inside each end of the grid."""
+    lo = np.maximum(np.searchsorted(freqs, nominal_f - window_hz), 1)
+    hi = np.minimum(np.searchsorted(freqs, nominal_f + window_hz, side="right"), len(freqs) - 1)
+    return window_peaks(freqs, levels_db, lo, hi)[1:]
 
 
 def valley_minima(freqs, levels_db, f_lo, f_hi):

@@ -168,75 +168,9 @@ class TestTrainMlp:
             train_mlp(x, ["front"] * 10)
 
 
-# train_mlp as it was when every step also computed the loss it discarded,
-# kept as the exact reference for the gradient-only steps
-def _reference_train_mlp(samples, labels, hidden_units=10, seed=0, epochs=300,
-                         learning_rate=0.1, momentum=0.9, batch_size=32,
-                         holdout_fraction=0.1, patience=30):
-    x = np.asarray(samples, dtype=np.float64)
-    y = np.asarray([{"front": 0.0, "back": 1.0}[l] for l in labels])
-    rng = np.random.default_rng(seed)
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale == 0] = 1.0
-    xn = (x - mean) / scale
-    n_hold = max(1, int(round(holdout_fraction * len(xn))))
-    perm = rng.permutation(len(xn))
-    hold, tr = perm[:n_hold], perm[n_hold:]
-    d = xn.shape[1]
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden_units, d))
-    b1 = np.zeros(hidden_units)
-    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
-    b2 = 0.0
-    vel = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
-    best = (np.inf, w1.copy(), b1.copy(), w2.copy(), b2)
-    stale = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(tr))
-        for start in range(0, len(order), batch_size):
-            idx = tr[order[start : start + batch_size]]
-            _, grads = loss_and_gradients(w1, b1, w2, b2, xn[idx], y[idx])
-            for slot, g in enumerate(grads):
-                vel[slot] = momentum * vel[slot] - learning_rate * g
-            w1 += vel[0]
-            b1 += vel[1]
-            w2 += vel[2]
-            b2 += vel[3]
-        val_loss, _ = loss_and_gradients(w1, b1, w2, b2, xn[hold], y[hold])
-        if val_loss < best[0] - 1e-9:
-            best = (val_loss, w1.copy(), b1.copy(), w2.copy(), b2)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    _, w1, b1, w2, b2 = best
-    return w1, b1, w2, b2, mean, scale
-
-
-@pytest.mark.parametrize("dim, hidden, seed, epochs", [
-    (2, 6, 9, 300),  # separable blobs: all 300 epochs
-    (3, 10, 0, 40),  # noisy labels: the holdout loss stalls and training stops early
-    (12, 10, 3, 300),  # as wide as the MFCC vectors; stops early too
-])
-def test_training_equals_the_loss_computing_reference(dim, hidden, seed, epochs):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((350, dim))
-    labels = ["back" if v > 0 else "front" for v in x[:, 0] + 0.8 * rng.standard_normal(350)]
-    if dim == 2:
-        x, labels = blobs(seed=2)
-    model = train_mlp(x, labels, hidden_units=hidden, seed=seed, epochs=epochs)
-    w1, b1, w2, b2, mean, scale = _reference_train_mlp(x, labels, hidden, seed, epochs)
-    assert np.array_equal(model.w1, w1) and np.array_equal(model.b1, b1)
-    assert np.array_equal(model.w2, w2) and model.b2 == b2
-    assert np.array_equal(model.feature_mean, mean)
-    assert np.array_equal(model.feature_scale, scale)
-
-
-
 # train_mlp as it was before the weights became one flat vector: a list of
 # per-layer velocities and four updates per step, with the forward pass and
-# gradients it used; kept as the exact reference for the flat-vector loop
+# gradients it used: the one exact oracle of the flat-vector loop
 def _list_forward(w1, b1, w2, b2, x):
     h = np.tanh(x @ w1.T + b1)
     z = h @ w2 + b2
@@ -299,21 +233,23 @@ def _list_train_mlp(samples, labels, hidden_units, seed, epochs, learning_rate=0
     return w1, b1, w2, b2, mean, scale, epoch + 1
 
 
-@pytest.mark.parametrize("n, dim, hidden, seed, epochs, stops_early", [
-    (200, 2, 4, 1, 60, False),  # separable blobs: every epoch runs
-    (350, 3, 10, 0, 300, True),  # noisy labels: the holdout loss stalls
-    (350, 12, 10, 3, 300, True),  # as wide as the MFCC vectors
-    (71, 5, 1, 5, 80, None),  # one hidden unit; 64 training rows, two full batches
-    (101, 4, 4, 11, 80, None),  # 91 training rows: a partial last batch
-    (362, 12, 10, 20240801, 120, None),
+@pytest.mark.parametrize("n, dim, hidden, seed, epochs, blob_seed, stops_early", [
+    (200, 2, 4, 1, 60, 1, False),  # separable blobs: every epoch runs
+    (200, 2, 6, 9, 300, 2, False),  # other blobs: all 300 epochs
+    (350, 3, 10, 0, 300, None, True),  # noisy labels: the holdout loss stalls
+    (350, 3, 10, 0, 40, None, True),  # the same labels stall within 40 epochs
+    (350, 12, 10, 3, 300, None, True),  # as wide as the MFCC vectors
+    (71, 5, 1, 5, 80, None, None),  # one hidden unit; 64 training rows, two full batches
+    (101, 4, 4, 11, 80, None, None),  # 91 training rows: a partial last batch
+    (362, 12, 10, 20240801, 120, None, None),
 ])
-def test_flat_training_equals_the_per_layer_reference(n, dim, hidden, seed, epochs,
+def test_flat_training_equals_the_per_layer_reference(n, dim, hidden, seed, epochs, blob_seed,
                                                       stops_early):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, dim))
     labels = ["back" if v > 0 else "front" for v in x[:, 0] + 0.8 * rng.standard_normal(n)]
-    if stops_early is False:
-        x, labels = blobs(n, seed=seed)
+    if blob_seed is not None:
+        x, labels = blobs(n, seed=blob_seed)
     model = train_mlp(x, labels, hidden_units=hidden, seed=seed, epochs=epochs)
     w1, b1, w2, b2, mean, scale, ran = _list_train_mlp(x, labels, hidden, seed, epochs)
     if stops_early is not None:

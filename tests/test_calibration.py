@@ -1,11 +1,12 @@
-"""The stacked bandwidth calibration and peak pick agree with the scalar loops.
+"""The stacked bandwidth calibration and peak pick agree with the scalar calibration loop.
 
 `calibrate_bandwidth_rows` calibrates many formant sets in one bisection and
 `envelope.window_peaks` reads the peaks of a level stack (here through
 `conftest.peak_levels`); the sweeps run it on one-row stacks. The reference
 below is the scalar calibration they replaced: the whole cascade re-evaluated
-at every bisection step, peaks found by a Python loop over the window. The
-stacked forms must give the same floats.
+at every bisection step, from the plain resonator terms of `kernel_reference`
+and the tilt of `cascade_reference`, its peaks found by `kernel_reference`'s
+plain peak search. The stacked forms must give the same floats.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
 from cascade_reference import source_tilt_db
 from conftest import peak_levels
 from specvalley import synth
@@ -24,39 +26,14 @@ from specvalley.errors import CalibrationError
 from specvalley.synth import calibrate_bandwidth_rows
 from specvalley.synthetic import CLASSIFIED_VOWELS, UPPER_FORMANTS, build_recipes
 
-def _reference_peak(freqs, db, nominal_f, window_hz=200.0):
-    """The scalar peak search: (freq, level), or None when the window has no peak."""
-    lo = max(int(np.searchsorted(freqs, nominal_f - window_hz)), 1)
-    hi = min(int(np.searchsorted(freqs, nominal_f + window_hz, side="right")), len(freqs) - 1)
-    best = -1
-    for i in range(lo, hi):
-        if db[i] >= db[i - 1] and db[i] >= db[i + 1]:
-            if best < 0 or db[i] > db[best]:
-                best = i
-    if best < 0:
-        return None
-    ym, y0, yp = db[best - 1], db[best], db[best + 1]
-    denom = ym - 2.0 * y0 + yp
-    if denom < 0:
-        shift = float(np.clip(0.5 * (ym - yp) / denom, -0.5, 0.5))
-    else:
-        shift = 0.0
-    return float(freqs[best] + shift * (freqs[1] - freqs[0])), float(y0 - 0.25 * (ym - yp) * shift)
-
-
-def _reference_levels(formants, fs, n_points=2048):
-    """Cascade levels of the (m, 2) (frequency, bandwidth) rows `formants`, summed
-    resonator by resonator in frequency order, plus tilt."""
+def _cascade_levels(formants, fs, n_points=2048):
+    """(freqs, levels): the cascade of the (m, 2) (frequency, bandwidth) rows
+    `formants`, the plain resonator terms summed in the given order, then the tilt."""
     freqs = np.linspace(0.0, fs / 2.0, n_points)
     levels = np.zeros(n_points)
     zinv = np.exp(-2j * np.pi * freqs / fs)
-    for f, b in formants[np.argsort(formants[:, 0], kind="stable")]:
-        radius = np.exp(-np.pi * b / fs)
-        theta = 2 * np.pi * f / fs
-        a1 = -2.0 * radius * np.cos(theta)
-        a2 = radius * radius
-        den = 1.0 + a1 * zinv + a2 * zinv * zinv
-        levels += 20.0 * np.log10((1.0 + a1 + a2) / np.abs(den))
+    for term in ref.resonator_db(formants[:, 0], formants[:, 1], zinv, fs):
+        levels += term
     return freqs, levels + source_tilt_db(freqs, fs)
 
 
@@ -69,12 +46,13 @@ def _reference_calibration(freqs3, target_levels, fs, extra=(),
     bws = [100.0, 100.0, 100.0]
 
     def measured_rel():
+        # F1..F3, then the upper formants: the order the calibration sums them in
         formants = np.array([*zip(freqs3, bws), *extra])
-        freqs, levels = _reference_levels(formants, fs)
-        peaks = [_reference_peak(freqs, levels, f) for f in freqs3]
-        if None in peaks:
+        freqs, levels = _cascade_levels(formants, fs)
+        _, peaks, missing = ref.peak_levels(freqs, levels[None, :], np.array([freqs3]))
+        if missing.any():
             return None
-        return [level - peaks[0][1] for _, level in peaks]
+        return (peaks[0] - peaks[0, 0]).tolist()
 
     residuals = [np.inf] * 3
     for round_no in range(1, max_rounds + 1):
@@ -317,8 +295,8 @@ def _level_rows(rng, kind, n_bins):
                    min_size=1, max_size=10),
     peaks_per_row=st.integers(1, 3),
 )
-def test_stacked_peak_levels_match_the_scalar_loop(seed, n_bins, window_bins, kinds,
-                                                  peaks_per_row):
+def test_stacked_peak_levels_match_the_reference_search(seed, n_bins, window_bins, kinds,
+                                                        peaks_per_row):
     rng = np.random.default_rng(seed)
     freqs = np.linspace(0.0, 4000.0, n_bins)
     window_hz = window_bins * (freqs[1] - freqs[0])
@@ -332,13 +310,16 @@ def test_stacked_peak_levels_match_the_scalar_loop(seed, n_bins, window_bins, ki
         one = peak_levels(freqs, levels, nominal[:, 0], window_hz)
         for got, stacked in zip(one, (freq, level, missing)):
             assert np.array_equal(got, stacked[:, 0], equal_nan=True)
+    want_freq, want_level, want_missing = ref.peak_levels(freqs, levels, nominal, window_hz)
+    assert np.array_equal(missing, want_missing)
+    found = ~missing
+    assert np.array_equal(freq[found], want_freq[found])
+    assert np.array_equal(level[found], want_level[found])
     for (r, k), f in np.ndenumerate(nominal):
-        want = _reference_peak(freqs, levels[r], f, window_hz)
         one = peak_levels(freqs, levels[r : r + 1], np.array([f]), window_hz)
-        assert one[2][0] == missing[r, k] == (want is None)
-        if want is not None:
-            assert (freq[r, k], level[r, k]) == want
-            assert (one[0][0], one[1][0]) == want
+        assert one[2][0] == missing[r, k]
+        if found[r, k]:
+            assert (one[0][0], one[1][0]) == (freq[r, k], level[r, k])
 
 
 def test_peak_levels_keeps_the_input_checks():

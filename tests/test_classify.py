@@ -309,81 +309,7 @@ class TestOnSyntheticCorpus:
             assert 0.0 <= crossing <= 10.0
 
 
-# The two decision functions as they were before the rule table, kept as the
-# exact reference: `decide_segment` (valley rule) and `decide_by_formant_spacing`
-# (the other four), each averaging the valid frames itself.
-REFERENCE_DEFAULT_THRESHOLDS = {
-    "valley": 5.0,
-    "f3f2_3bark": 3.0,
-    "f2f1_bark": 3.0,
-    "v1_only": 0.0,
-    "v2_only": 0.0,
-}
-
-
-def _reference_valid_frames(features):
-    valid = [f for f in features if f.valid]
-    if not valid:
-        raise NoDecisionError("no valid frames in segment")
-    return valid
-
-
-def _reference_decide_segment(features, threshold_db=5.0):
-    valid = _reference_valid_frames(features)
-    mean_v1 = float(np.mean([f.v1_db for f in valid]))
-    mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    diff = mean_v1 - mean_v2
-    return (mean_v1, mean_v2, diff, "back" if diff > threshold_db else "front",
-            len(valid), len(features) - len(valid))
-
-
-def _reference_spacing(valid, lo, hi):
-    return float(np.mean([
-        hz_to_bark(f.formants[hi, 0]) - hz_to_bark(f.formants[lo, 0])
-        for f in valid
-    ]))
-
-
-def _reference_decide_by_formant_spacing(features, rule="f3f2_3bark", threshold=None):
-    valid = _reference_valid_frames(features)
-    mean_v1 = float(np.mean([f.v1_db for f in valid]))
-    mean_v2 = float(np.mean([f.v2_db for f in valid]))
-    thr = REFERENCE_DEFAULT_THRESHOLDS[rule] if threshold is None else threshold
-    if rule in ("f3f2_3bark", "f2f1_bark"):
-        lo, hi = (1, 2) if rule == "f3f2_3bark" else (0, 1)
-        spacing = _reference_spacing(valid, lo, hi)
-        predicted = "front" if spacing < thr else "back"
-    elif rule == "v1_only":
-        predicted = "back" if mean_v1 > thr else "front"
-    else:
-        predicted = "back" if mean_v2 < thr else "front"
-    return (mean_v1, mean_v2, mean_v1 - mean_v2, predicted,
-            len(valid), len(features) - len(valid))
-
-
-def _reference(features, rule, threshold):
-    if rule == "valley":
-        if threshold is None:
-            return _reference_decide_segment(features)
-        return _reference_decide_segment(features, threshold)
-    return _reference_decide_by_formant_spacing(features, rule, threshold)
-
-
-def _reference_statistic(features, rule):
-    """The value the reference compares with the threshold."""
-    valid = _reference_valid_frames(features)
-    if rule in ("f3f2_3bark", "f2f1_bark"):
-        return _reference_spacing(valid, *((1, 2) if rule == "f3f2_3bark" else (0, 1)))
-    mean_v1, mean_v2, diff = _reference_decide_segment(features)[:3]
-    return {"valley": diff, "v1_only": mean_v1, "v2_only": mean_v2}[rule]
-
-
-def _fields(dec):
-    return (dec.mean_v1, dec.mean_v2, dec.mean_diff, dec.predicted,
-            dec.frames_used, dec.frames_discarded)
-
-
-RULES = tuple(REFERENCE_DEFAULT_THRESHOLDS)
+RULES = tuple(frame_reference.DEFAULT_THRESHOLDS)
 
 
 @pytest.fixture(scope="module")
@@ -395,25 +321,24 @@ def white_0db_features(corpus_table, noisy_corpus):
 
 
 class TestDecisionRuleTable:
-    """Every rule of the table decides as the code it replaced, ties included."""
+    """Every rule of the table decides as `frame_reference.decide_segment`, ties included."""
 
     def _check(self, segments):
         tied = dict.fromkeys(RULES, 0)
         for table in segments:
             frames = frame_reference.rows(table)  # the reference reads FrameFeatures
             for rule in RULES:
-                try:
-                    statistic = _reference_statistic(frames, rule)
-                except NoDecisionError:
+                decided = frame_reference.decide_segment(frames, None, rule)
+                if decided is None:
                     for thr in (None, 0.0):
                         with pytest.raises(NoDecisionError):
                             decide_segment(table, thr, rule)
                     continue
                 # at the rule default, and exactly at the segment's own statistic
-                for thr in (None, statistic):
-                    dec = decide_segment(table, thr, rule)
-                    assert _fields(dec) == _reference(frames, rule, thr), (rule, thr)
-                    assert dec.statistic == statistic
+                assert decide_segment(table, None, rule) == decided, rule
+                tie = decided.statistic
+                assert decide_segment(table, tie, rule) == frame_reference.decide_segment(
+                    frames, tie, rule), (rule, tie)
                 tied[rule] += 1
         return tied
 
@@ -441,7 +366,7 @@ class TestDecisionRuleTable:
     def test_derived_tables(self):
         from specvalley.classify import DEFAULT_THRESHOLDS
 
-        assert DEFAULT_THRESHOLDS == REFERENCE_DEFAULT_THRESHOLDS
+        assert DEFAULT_THRESHOLDS == frame_reference.DEFAULT_THRESHOLDS
 
 
 @pytest.mark.parametrize("corpus", ["small_corpus_dir", "corpus_dir"])

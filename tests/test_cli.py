@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frame_reference
 from conftest import segment
 from specvalley.cli import run
 from specvalley.scales import hz_to_bark
@@ -265,9 +266,11 @@ def test_negative_label_bound_is_an_error_naming_the_file(bounds, tmp_path, caps
     ("empty_wav", "DR1/FAKS0/SA1.WAV: not a readable WAV file: it ends inside its header"),
     ("wav_ends_mid_sample",
      "DR1/FAKS0/SA1.WAV: data ends mid-sample: 31999 bytes are not whole 16-bit samples"),
+    ("wav_over_claimed",
+     "DR1/FAKS0/SA1.WAV: data chunk claims 32000 bytes, the file holds 31998"),
     ("labels_not_utf8", "DR1/FAKS0/SA1.PHN: not UTF-8 text: 'utf-8' codec can't decode "
                         "byte 0xff in position 0: invalid start byte"),
-], ids=["empty_wav", "wav_ends_mid_sample", "labels_not_utf8"])
+], ids=["empty_wav", "wav_ends_mid_sample", "wav_over_claimed", "labels_not_utf8"])
 def test_a_malformed_file_is_one_error_line_naming_it(broken, message, tmp_path, capsys):
     from specvalley.corpus import save_wav
 
@@ -279,12 +282,29 @@ def test_a_malformed_file_is_one_error_line_naming_it(broken, message, tmp_path,
         wav.write_bytes(b"")
     elif broken == "wav_ends_mid_sample":
         wav.write_bytes(wav.read_bytes()[:-1])
+    elif broken == "wav_over_claimed":  # cut by one whole sample
+        wav.write_bytes(wav.read_bytes()[:-2])
     else:
         wav.with_suffix(".PHN").write_bytes(b"\xff 1600 h#\n")
     assert run(["classify", "--corpus", str(tmp_path), "--no-timestamp"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_an_eigenvalue_failure_is_one_error_line(small_corpus_dir, monkeypatch, tmp_path,
+                                                 capsys):
+    # the corpus leaves some frames' roots to eigvals (18 at the defaults)
+    def failing(companion):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    out = tmp_path / "cls.csv"
+    assert run(["classify", "--corpus", str(small_corpus_dir), "--out", str(out),
+                "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: eigenvalue iteration failed: Eigenvalues did not converge\n")
+    assert not out.exists()
 
 
 def data_rows(path):
@@ -833,22 +853,6 @@ def _reference_scored(corpus_dir, include_central):
     return scored
 
 
-def _reference_features(audio, cfg=None):
-    import frame_reference
-
-    return frame_reference.frame_pipeline(audio, cfg)
-
-
-def _reference_decision(features, rule, threshold=None):
-    import frame_reference
-    from specvalley.errors import NoDecisionError
-
-    try:
-        return frame_reference.decide_segment(features, threshold, rule)
-    except NoDecisionError:
-        return None
-
-
 def _seg_id(seg):
     return seg.id
 
@@ -876,7 +880,7 @@ def mixed_corpus_dir(small_corpus_dir, tmp_path_factory):
 @pytest.fixture(scope="module")
 def mixed_features(mixed_corpus_dir):
     """The frame features of every segment of the mixed corpus, by segment id."""
-    return {_seg_id(seg): _reference_features(seg.audio)
+    return {_seg_id(seg): frame_reference.frame_pipeline(seg.audio)
             for seg, _ in _reference_scored(mixed_corpus_dir, include_central=True)}
 
 
@@ -888,7 +892,8 @@ def _expected_classify_rows(scored, features, feature="valley", threshold=None):
     """The classify data rows of the per-segment loop; `features` by segment id."""
     expected = ["segment_id,label,class,mean_v1,mean_v2,mean_diff,predicted"]
     for seg, truth in scored:
-        dec = _reference_decision(features[_seg_id(seg)], FEATURE_RULES[feature], threshold)
+        dec = frame_reference.decide_segment(features[_seg_id(seg)], threshold,
+                                             FEATURE_RULES[feature])
         cells = ("", "", "", "undecided") if dec is None else (
             f"{dec.mean_v1:.3f}", f"{dec.mean_v2:.3f}", f"{dec.mean_diff:.3f}", dec.predicted)
         expected.append(",".join([_seg_id(seg), seg.label, truth, *cells]))
@@ -922,7 +927,7 @@ def test_hist_values_equal_the_per_segment_loop(feature, rule, mixed_corpus_dir,
 
     values = {"front": [], "back": []}
     for seg, truth in _reference_scored(mixed_corpus_dir, False):
-        dec = _reference_decision(mixed_features[_seg_id(seg)], rule)
+        dec = frame_reference.decide_segment(mixed_features[_seg_id(seg)], None, rule)
         if dec is not None:
             values[truth].append(dec.statistic)
     expected = ["class,bin_center,frequency"]
@@ -937,33 +942,46 @@ def test_hist_values_equal_the_per_segment_loop(feature, rule, mixed_corpus_dir,
     assert lines[lines.index(expected[0]):] == expected
 
 
-@pytest.mark.parametrize("feature, rule, threshold", [("valley", "valley", None),
-                                                      ("v1", "v1_only", 1.5)])
-def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold,
-                                                    small_corpus_dir, babble_path, tmp_path):
-    from specvalley import classify
+NOISE_SEED = 3
+NOISE_CONDITIONS = [(kind, snr) for kind in ("white", "babble") for snr in (25.0, 0.0)]
+
+
+@pytest.fixture(scope="module")
+def noisy_features(small_corpus_dir, babble_path):
+    """(kind, snr) -> the frame features of every scored segment of the small
+    corpus mixed alone with seed NOISE_SEED + its index, per NOISE_CONDITIONS."""
     from specvalley.corpus import load_wav, mix_noise
 
-    seed = 3
     babble = load_wav(babble_path)
-    scored = _reference_scored(small_corpus_dir, False)
+    audio = [seg.audio for seg, _ in _reference_scored(small_corpus_dir, False)]
+
+    def features(kind, snr):
+        return [frame_reference.frame_pipeline(
+            (mix_noise(samples, rate, kind, snr, NOISE_SEED + i, babble=babble), rate))
+            for i, (samples, rate) in enumerate(audio)]
+
+    return {condition: features(*condition) for condition in NOISE_CONDITIONS}
+
+
+@pytest.mark.parametrize("feature, rule, threshold", [("valley", "valley", None),
+                                                      ("v1", "v1_only", 1.5)])
+def test_noise_eval_rows_equal_the_per_segment_loop(feature, rule, threshold, small_corpus_dir,
+                                                    babble_path, noisy_features, tmp_path):
+    from specvalley import classify
+
+    truths = [truth for _, truth in _reference_scored(small_corpus_dir, False)]
     expected = []
-    for kind in ("white", "babble"):
-        for snr in (25.0, 0.0):
-            decisions = []
-            for idx, (seg, _) in enumerate(scored):
-                samples, rate = seg.audio
-                noisy = mix_noise(samples, rate, kind, snr, seed + idx, babble=babble)
-                decisions.append(_reference_decision(_reference_features((noisy, rate)), rule,
-                                                     threshold))
-            report = classify.score(decisions, [truth for _, truth in scored])
-            accs = [("" if a is None else f"{a:.2f}") for a in
-                    (report.front_accuracy, report.back_accuracy, report.overall_accuracy)]
-            expected.append(",".join([kind, f"{snr:.1f}", *accs, str(report.n_undecided)]))
+    for kind, snr in NOISE_CONDITIONS:
+        decisions = [frame_reference.decide_segment(features, threshold, rule)
+                     for features in noisy_features[kind, snr]]
+        report = classify.score(decisions, truths)
+        accs = [("" if a is None else f"{a:.2f}") for a in
+                (report.front_accuracy, report.back_accuracy, report.overall_accuracy)]
+        expected.append(",".join([kind, f"{snr:.1f}", *accs, str(report.n_undecided)]))
     out = tmp_path / "noise.csv"
     argv = ["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "white,babble",
             "--snrs", "25,0", "--babble-source", str(babble_path), "--feature", feature,
-            "--seed", str(seed), "--out", str(out), "--no-timestamp"]
+            "--seed", str(NOISE_SEED), "--out", str(out), "--no-timestamp"]
     if threshold is not None:
         argv += ["--threshold", str(threshold)]
     assert run(argv) == 0
@@ -992,7 +1010,7 @@ def test_baseline_valley3_vectors_equal_the_per_segment_loop(mixed_corpus_dir, m
     monkeypatch.setattr(baseline, "predict", recording_predict)
     expected, skipped = [], 0
     for seg, truth in _reference_scored(mixed_corpus_dir, False):
-        dec = _reference_decision(mixed_features[_seg_id(seg)], "valley")
+        dec = frame_reference.decide_segment(mixed_features[_seg_id(seg)])
         if dec is None:
             skipped += 1
         else:
@@ -1122,7 +1140,7 @@ def _classify_equals_the_per_segment_loop(corpus_dir, pipeline_calls, tmp_path, 
     `pipeline_calls` keeps the calls of the classify run alone.
     """
     scored = _reference_scored(corpus_dir, False)
-    features = {_seg_id(seg): _reference_features(seg.audio, cfg) for seg, _ in scored}
+    features = {_seg_id(seg): frame_reference.frame_pipeline(seg.audio, cfg) for seg, _ in scored}
     pipeline_calls.clear()
     out = tmp_path / "cls.csv"
     assert run(["classify", "--corpus", str(corpus_dir), *flags, "--out", str(out),
@@ -1247,15 +1265,21 @@ def test_babble_that_cannot_cover_a_segment_fails_before_any_analysis(
     assert pipeline_calls == [] and not out.exists()
 
 
-def test_an_empty_babble_source_is_one_error_line_naming_it(small_corpus_dir, pipeline_calls,
-                                                            tmp_path, capsys):
-    path, out = tmp_path / "empty.wav", tmp_path / "noise.csv"
-    path.write_bytes(b"")
+@pytest.mark.parametrize("cut, message", [
+    (None, "not a readable WAV file: it ends inside its header"),
+    (-2, "data chunk claims 32000 bytes, the file holds 31998"),
+], ids=["empty", "over_claimed"])
+def test_an_unreadable_babble_source_is_one_error_line_naming_it(cut, message, small_corpus_dir,
+                                                                 pipeline_calls, tmp_path, capsys):
+    from specvalley.corpus import save_wav
+
+    path, out = tmp_path / "babble.wav", tmp_path / "noise.csv"
+    save_wav(path, np.zeros(16000), 16000.0)
+    path.write_bytes(path.read_bytes()[:cut] if cut else b"")
     assert run(["noise-eval", "--corpus", str(small_corpus_dir), "--noise", "babble",
                 "--snrs", "25", "--babble-source", str(path), "--out", str(out),
                 "--no-timestamp"]) == 1
-    assert capsys.readouterr().err == (f"error: --babble-source {path}: not a readable WAV "
-                                       f"file: it ends inside its header\n")
+    assert capsys.readouterr().err == f"error: --babble-source {path}: {message}\n"
     assert pipeline_calls == [] and not out.exists()
 
 

@@ -76,6 +76,17 @@ class TestLoadWav:
             load_wav(p)
         assert err.value.field == "sample_width"
 
+    @pytest.mark.parametrize("size", [46, 48, 50])
+    def test_a_wav_whose_data_chunk_claims_more_than_it_holds(self, tmp_path, size):
+        # a 52-byte file holds 4 samples; the cut leaves 1 to 3 whole ones
+        wav = tmp_path / "a.wav"
+        save_wav(wav, np.zeros(4), 16000.0)
+        wav.write_bytes(wav.read_bytes()[:size])
+        with pytest.raises(FormatError) as err:
+            load_wav(wav)
+        assert err.value.field == "data"
+        assert str(err.value) == f"data chunk claims 8 bytes, the file holds {size - 44}"
+
 
 class TestSaveWav:
     @pytest.mark.parametrize("rate", [8000.0, 16000.0, 22050.0])

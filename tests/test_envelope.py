@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from cascade_reference import analytic_cascade_spectrum
 from conftest import peak_levels
 from specvalley.envelope import (
@@ -84,32 +85,6 @@ class TestLocatePeak:
             peak_levels(freqs, levels_db[None, :], [1000.0], window_hz=10.0)
 
 
-def reference_window_peaks(freqs, levels_db, lo, hi):
-    """`window_peaks` as it gathered before: the window bins and each of the
-    three parabola bins by their own `take_along_axis`."""
-    width = int((hi - lo).max())
-    if width <= 0:
-        nothing = np.full(lo.shape, np.nan)
-        return np.zeros(lo.shape, dtype=int), nothing, nothing.copy(), np.ones(lo.shape, dtype=bool)
-    idx = np.minimum(lo[..., None] + np.arange(-1, width + 1), len(freqs) - 1)
-    db = np.take_along_axis(levels_db, idx.reshape(len(lo), -1), axis=1).reshape(idx.shape)
-    center = db[..., 1:-1]
-    is_max = (
-        (center >= db[..., :-2]) & (center >= db[..., 2:])
-        & (np.arange(width) < (hi - lo)[..., None])
-    )
-    k = np.argmax(np.where(is_max, center, -np.inf), axis=-1)[..., None]
-    ym, y0, yp = (np.take_along_axis(db, k + d, axis=-1)[..., 0] for d in (0, 1, 2))
-    denom = ym - 2.0 * y0 + yp
-    shift = np.zeros(denom.shape)
-    np.divide(0.5 * (ym - yp), denom, out=shift, where=denom < 0)
-    shift = np.clip(shift, -0.5, 0.5)
-    peak_bin = lo + k[..., 0]
-    peak_freq = freqs[peak_bin] + shift * float(freqs[1] - freqs[0])
-    peak_level = y0 - 0.25 * (ym - yp) * shift
-    return peak_bin, peak_freq, peak_level, ~is_max.any(axis=-1)
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_window_peaks_equal_the_reference_gather(seed):
     # coarse levels make plateaus and ties; windows differ in width, some
@@ -120,8 +95,7 @@ def test_window_peaks_equal_the_reference_gather(seed):
     levels_db = np.round(rng.normal(size=(n, n_bins)) * rng.choice([0.5, 3.0]))
     lo = rng.integers(1, n_bins - 1, size=(n, k))
     hi = np.minimum(lo + rng.integers(-2, n_bins // 2, size=(n, k)), n_bins - 1)
-    got, want = window_peaks(freqs, levels_db, lo, hi), reference_window_peaks(freqs, levels_db,
-                                                                               lo, hi)
+    got, want = window_peaks(freqs, levels_db, lo, hi), ref.window_peaks(freqs, levels_db, lo, hi)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (n, k)
         np.testing.assert_array_equal(g, w)
@@ -133,7 +107,7 @@ def test_window_peaks_without_bins_equal_the_reference():
     lo = np.array([[5, 30], [63, 10]])
     for hi in (lo, lo - 1):  # every window empty: width <= 0
         for g, w in zip(window_peaks(freqs, levels_db, lo, hi),
-                        reference_window_peaks(freqs, levels_db, lo, hi)):
+                        ref.window_peaks(freqs, levels_db, lo, hi)):
             np.testing.assert_array_equal(g, w)
 
 
@@ -163,7 +137,7 @@ def test_the_search_reads_exactly_the_read_set(seed):
     full = window_peaks(freqs, levels_db, lo, hi)
     for got, read_set, want in zip(full,
                                    window_peaks(freqs, _read_set_only(levels_db, idx), lo, hi),
-                                   reference_window_peaks(freqs, levels_db, lo, hi)):
+                                   ref.window_peaks(freqs, levels_db, lo, hi)):
         np.testing.assert_array_equal(got, read_set)
         np.testing.assert_array_equal(got, want)
     k_max, shift, level, missing = gathered_peaks(

@@ -88,11 +88,30 @@ def _corpus_blocks(condition, corpus_table, noisy_corpus):
     return [audio[i:i + BLOCK_SEGMENTS] for i in range(0, len(audio), BLOCK_SEGMENTS)]
 
 
+@pytest.fixture(scope="module")
+def analysed(corpus_table, noisy_corpus):
+    """condition -> the corpus under that condition through the pipeline anchored
+    both ways: each condition is analysed once for the whole module."""
+    cache = {}
+
+    def both_ways(condition):
+        if condition not in cache:
+            cache[condition] = _anchored_both_ways(
+                _corpus_blocks(condition, corpus_table, noisy_corpus))
+        return cache[condition]
+
+    return both_ways
+
+
 @pytest.fixture(scope="module", params=list(FALLBACK_SHARE))
-def both_ways(request, corpus_table, noisy_corpus):
-    """The corpus under one condition through the pipeline anchored both ways,
-    with every anchor call's input and output and the rows sent to eigvals."""
-    blocks = _corpus_blocks(request.param, corpus_table, noisy_corpus)
+def both_ways(request, analysed):
+    return (request.param, *analysed(request.param))
+
+
+def _anchored_both_ways(blocks):
+    """(anchored, reference, calls, sent): the pipeline's columns anchored by
+    `formant_anchors` and at eigvals, every anchor call's input and output, and
+    the stacks sent to eigvals."""
     cfg = classify.PipelineConfig()
     calls = {"anchors": [], "eigvals": []}
 
@@ -110,7 +129,7 @@ def both_ways(request, corpus_table, noisy_corpus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "formant_anchors", recorded("eigvals", _eigvals_anchors))
         reference = _pipeline_columns(blocks, cfg)
-    return request.param, anchored, reference, calls, sent
+    return anchored, reference, calls, sent
 
 
 def test_anchors_equal_the_eigvals_gating_on_the_corpus(both_ways):
@@ -182,15 +201,9 @@ def _assert_newton_equals_the_reference(a, rows, z):
 
 
 @pytest.mark.parametrize("condition", ["clean", "white 0", "babble 0"])
-def test_newton_equals_the_out_of_place_horner_on_the_corpus(condition,
-                                                              corpus_table, noisy_corpus):
-    blocks = _corpus_blocks(condition, corpus_table, noisy_corpus)
-    fitted = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "formant_anchors",
-                   lambda a, *rest: fitted.append(a) or formant_anchors(a, *rest))
-        for block in blocks:
-            analyse(block)
+def test_newton_equals_the_out_of_place_horner_on_the_corpus(condition, analysed):
+    # the stacks the pipeline anchored under the condition
+    fitted = [a for a, _, _ in analysed(condition)[2]["anchors"]]
     assert sum(len(a) for a in fitted) > 6000
     for a in fitted:
         _assert_newton_equals_the_reference(a, *sigproc._peak_seeds(a))

@@ -1,11 +1,11 @@
-"""The frame table against the per-frame objects it replaced, bit for bit.
+"""The frame table against the per-frame oracle, bit for bit.
 
-`frame_reference` keeps the pipeline that built one `FrameFeatures` per frame
-and the decision that averaged Python lists. On the acceptance corpus, clean
-and under the lowest-SNR white and babble conditions of the noise harness,
-every frame of the table must read back as the reference frame (its values
-through `frame_reference.rows`, its status through `table[i]`), and every
-segment decision taken from a table slice must equal the reference decision;
+`frame_reference` builds one `FrameFeatures` per frame and decides each
+segment from Python lists. On the acceptance corpus, clean and under the
+white and babble 20 dB conditions of the noise harness, every frame of the
+table must read back as the reference frame (its values through
+`frame_reference.rows`, its status through `table[i]`), and every segment
+decision taken from a table slice must equal the reference decision;
 crafted segments add the discard reasons the corpus does not reach.
 """
 
@@ -37,14 +37,11 @@ def condition_audio(request, corpus_table, noisy_corpus):
                                          noisy_corpus(request.param.split()[0], 20.0))
 
 
-def _fields(dec):
-    return (dec.mean_v1, dec.mean_v2, dec.mean_diff, dec.predicted, dec.frames_used,
-            dec.frames_discarded, dec.statistic)
-
-
-def _decision(decide, features, rule):
+def _decision(table, rule):
+    """The table's decision by `rule` at its default threshold, or None, as the
+    oracle gives an undecided segment."""
     try:
-        return _fields(decide(features, None, rule))
+        return decide_segment(table, None, rule)
     except NoDecisionError:
         return None
 
@@ -77,8 +74,8 @@ def test_table_and_decisions_equal_the_per_frame_reference(condition_audio):
             part, reference = table[start:start + n], expected[start:start + n]
             start += n
             for rule in rules:
-                expected_decision = _decision(frame_reference.decide_segment, reference, rule)
-                assert _decision(decide_segment, part, rule) == expected_decision, rule
+                expected_decision = frame_reference.decide_segment(reference, None, rule)
+                assert _decision(part, rule) == expected_decision, rule
                 decided += expected_decision is not None
         assert start == len(table)
     assert decided > 0.8 * len(rules) * len(condition_audio)
@@ -131,7 +128,9 @@ def test_rows_slices_and_iteration():
 
 
 def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():
-    # rows that are no autocorrelation sequences fail at every stage, in both ways
+    # rows that are no autocorrelation sequences fail at every stage, in both ways;
+    # the scalar recursion, which reads its own error, stops where the stacked
+    # fit does, with the same text
     rng = np.random.default_rng(8)
     lags = rng.uniform(-1.0, 1.0, (400, 9))
     lags[:, 0] = np.abs(lags[:, 0]) + 0.05
@@ -140,7 +139,8 @@ def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():
     fit = levinson_rows(lags, 8)
     failed = np.flatnonzero(fit.stage)
     texts = [levinson_failure(fit, i) for i in failed]
-    assert texts == [frame_reference._levinson_failure(fit, i) for i in failed]
+    assert [frame_reference.levinson(r, 8)[3] for r in lags] == [
+        levinson_failure(fit, i) if fit.stage[i] else None for i in range(len(lags))]
     assert any(t.startswith("prediction error vanished") for t in texts)
     assert any(t.startswith("reflection coefficient") for t in texts)
     assert len(set(fit.stage[failed].tolist())) > 3

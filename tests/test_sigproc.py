@@ -9,7 +9,7 @@ from cascade_reference import analytic_cascade_spectrum
 from conftest import cascade_rows, peak_levels
 from specvalley import experiments
 from specvalley import synth as synth_module
-from specvalley.errors import DegenerateInputError, SingularEnvelopeError
+from specvalley.errors import DegenerateInputError, NumericFailureError, SingularEnvelopeError
 from specvalley.experiments import lp_envelope_of_signal
 from specvalley.sigproc import (
     MAX_BANDWIDTH,
@@ -359,6 +359,15 @@ class TestPolynomialRoots:
             polynomial_roots([[0.0, 1.0, 1.0]])
         with pytest.raises(ValueError):  # one polynomial is a one-row stack
             polynomial_roots([1.0, 0.0, -1.0])
+
+    def test_an_eigenvalue_failure_is_a_numeric_failure(self, monkeypatch):
+        def failing(companion):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(NumericFailureError) as err:
+            polynomial_roots([[1.0, 0.0, -1.0]])
+        assert str(err.value) == "eigenvalue iteration failed: Eigenvalues did not converge"
 
 
 class TestRootsToFormants:

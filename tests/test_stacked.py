@@ -7,8 +7,9 @@ the step gives for that row alone: `levinson_rows`, `lpc_levels`,
 `polynomial_roots`, `formant_candidates`, `valley_minima` and `mfcc` on a
 one-row input, and `window_peaks` (through `conftest.peak_levels`) with one
 nominal frequency per call. These tests check that row by row, including on
-silent and unstable rows, and that `frame_pipeline` gives what the
-frame-at-a-time loop it replaced gave.
+silent and unstable rows, and that `frame_pipeline` gives what
+`frame_reference.frame_pipeline`, the corpus stage's oracle, gives frame by
+frame.
 """
 
 import numpy as np
@@ -28,7 +29,6 @@ from specvalley.errors import DegenerateInputError, UnstableModelError
 from specvalley.experiments import lp_envelope_of_signal, power_mean_db
 from specvalley.sigproc import (
     autocorrelation,
-    formant_anchors,
     formant_candidates,
     frame_signal,
     levinson_failure,
@@ -36,9 +36,7 @@ from specvalley.sigproc import (
     lpc_levels,
     polynomial_roots,
     preemphasize,
-    stacked_product,
     window,
-    _unit_circle_table,
 )
 
 FS = 16000.0
@@ -165,58 +163,6 @@ def test_lpc_levels_match_the_fft_oracle(corpus_lags, order, n_points, stride):
         assert np.max(np.abs(mean_db - power_mean_db(oracle))) <= 1e-9
 
 
-def _per_frame_reference(seg, cfg, order):
-    """The frame-at-a-time loop `frame_pipeline` replaced, kept as a reference:
-    np.dot Levinson and one `formant_anchors` call per frame (the
-    autocorrelation was already computed one lag at a time over the stack).
-    `test_formant_anchors` anchors the roots to companion-matrix eigenvalues.
-    Each frame's envelope is its taps times the cos|sin table as a one-row
-    `stacked_product`, as in `lpc_levels`; `test_lpc_levels_match_the_fft_oracle`
-    anchors that to the rfft."""
-    samples, rate = seg
-    frames = window(frame_signal(preemphasize(samples, cfg.preemphasis), rate,
-                                 cfg.frame_ms, cfg.overlap_fraction)[0])
-    n = frames.shape[1]
-    table = _unit_circle_table(order + 1, 512)
-    grid = np.linspace(0.0, FS / 2.0, 512)
-    lags = np.empty((frames.shape[0], order + 1))
-    for k in range(order + 1):
-        lags[:, k] = np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:])
-    out = []
-    for r in lags:
-        if r[0] <= 0:
-            out.append((None, None, [], "silent frame"))
-            continue
-        a = np.zeros(order + 1)
-        a[0] = 1.0
-        e = r[0]
-        ks = np.empty(order)
-        for m in range(1, order + 1):
-            k = ks[m - 1] = -np.dot(a[:m], r[m:0:-1]) / e
-            a[: m + 1] += k * a[m::-1]
-            e *= 1.0 - k * k
-        freqs, bws, count = formant_anchors(a[None, :], ks[None, :], FS)
-        formants = list(zip(freqs[0, : count[0]].tolist(), bws[0, : count[0]].tolist()))
-        if len(formants) < 3:
-            out.append((None, None, formants, "fewer than three formants"))
-            continue
-        gain = np.sqrt(max(e, 1e-300))
-        re_im = stacked_product(a[None, :], table)[0]
-        power = gain * gain / (re_im[:512] ** 2 + re_im[512:] ** 2)
-        env_db = 10.0 * np.log10(power)
-        mean_db = 10.0 * np.log10(np.mean(power))
-        vals = []
-        for (f_lo, _), (f_hi, _) in ((formants[0], formants[1]), (formants[1], formants[2])):
-            lo = int(np.searchsorted(grid, f_lo, side="right"))
-            hi = int(np.searchsorted(grid, f_hi, side="left"))
-            vals.append(float(env_db[lo:hi].min() - mean_db) if hi - lo >= 2 else None)
-        if None in vals:
-            out.append((None, None, formants, "valley bracket too narrow"))
-        else:
-            out.append((vals[0], vals[1], formants[:3], None))
-    return out
-
-
 def _test_segment(seed, noise):
     """Voiced frames, then silence, then white noise, all under extra noise."""
     rng = np.random.default_rng(seed)
@@ -229,19 +175,19 @@ def _test_segment(seed, noise):
 
 
 def _features(seg, cfg):
-    return [(f.v1_db, f.v2_db, list(map(tuple, f.formants.tolist())), f.fail_reason)
-            for f in frame_reference.rows(frame_pipeline(frames_of(seg, cfg), seg[1], cfg))]
+    return frame_reference.rows(frame_pipeline(frames_of(seg, cfg), seg[1], cfg))
 
 
-# the stacked pipeline does the same arithmetic as the loop, so it must give
-# the same numbers bit for bit, not just within a tolerance
+# the stacked pipeline does the same arithmetic as the per-frame loop of
+# `frame_reference`, so it must give the same numbers bit for bit, not just
+# within a tolerance
 
 def test_frame_pipeline_equals_the_per_frame_loop():
     seg = _test_segment(4, 0.0)
     cfg = PipelineConfig()
-    expected = _per_frame_reference(seg, cfg, 18)
+    expected = frame_reference.frame_pipeline(seg, cfg)
     assert _features(seg, cfg) == expected
-    reasons = {reason for *_, reason in expected}
+    reasons = {f.fail_reason for f in expected}
     assert reasons == {None, "silent frame", "fewer than three formants"}
 
 
@@ -251,7 +197,7 @@ def test_frame_pipeline_equals_the_per_frame_loop():
 def test_frame_pipeline_equals_the_per_frame_loop_on_random_segments(seed, noise, order):
     seg = _test_segment(seed, noise)
     cfg = PipelineConfig(lp_order=order)
-    assert _features(seg, cfg) == _per_frame_reference(seg, cfg, cfg.order_for(FS))
+    assert _features(seg, cfg) == frame_reference.frame_pipeline(seg, cfg)
 
 
 def test_unstable_row_reason_matches_levinson_error(monkeypatch):
