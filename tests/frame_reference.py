@@ -9,9 +9,9 @@ anchored as one `formant_anchors` stack (`test_formant_anchors` checks the
 anchors against the companion-matrix roots, and that a row gives the same
 alone as in any stack). Each envelope is the frame's taps times the plain
 unit-circle table of `kernel_reference` (`test_lpc_levels_match_the_fft_oracle`
-anchors that product to the rfft), and each valley is found by its own
-`searchsorted` bracket. `decide_segment` averages the valid frames as Python
-lists and decides rule by rule.
+anchors that product to the rfft), and each valley is the bracket minimum of
+`kernel_reference.valley_minima`. `decide_segment` averages the valid frames
+as Python lists and decides rule by rule.
 
 `rows(table)` reads a `classify.FrameTable` back as the same `FrameFeatures`:
 the table, and the decisions taken from its slices, must equal these bit for bit.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kernel_reference import unit_circle_table
+from kernel_reference import unit_circle_table, valley_minima
 from specvalley.classify import ENVELOPE_POINTS, PipelineConfig, SegmentDecision
 from specvalley.scales import hz_to_bark
 from specvalley.sigproc import (
@@ -139,13 +139,6 @@ def _envelope_table(taps):
     return unit_circle_table(taps, ENVELOPE_POINTS)
 
 
-def _valley(grid, env_db, f_lo, f_hi):
-    """The lowest level of the bins above f_lo and below f_hi, or None under two bins."""
-    lo = int(grid.searchsorted(f_lo, side="right"))
-    hi = int(grid.searchsorted(f_hi, side="left"))
-    return env_db[lo:hi].min() if hi - lo >= 2 else None
-
-
 def frame_pipeline(segments, cfg=None):
     """list[FrameFeatures] of every frame of `segments` (one (samples, rate) audio
     or a list of them at one rate), in input order."""
@@ -182,21 +175,29 @@ def frame_pipeline(segments, cfg=None):
                                           + re_im[:, ENVELOPE_POINTS:] ** 2)
         env_db = 10.0 * np.log10(power)
         mean_db = 10.0 * np.log10(np.mean(power, axis=-1))
-    grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
+    finite = np.isfinite(env_db).all(axis=1)
+    # the valleys of the rows with three formants and a finite envelope
+    judged = (counts >= 3) & finite
+    v1, v2 = np.full(len(index), np.nan), np.full(len(index), np.nan)
+    narrow = np.ones(len(index), dtype=bool)
+    if judged.any():
+        grid = np.linspace(0.0, fs / 2.0, ENVELOPE_POINTS)
+        f = freqs[judged]
+        _, v1[judged], narrow1 = valley_minima(grid, env_db[judged], f[:, 0], f[:, 1])
+        _, v2[judged], narrow2 = valley_minima(grid, env_db[judged], f[:, 1], f[:, 2])
+        narrow[judged] = narrow1 | narrow2
     pairs = formant_pairs(freqs, bws, counts)
     for j, i in enumerate(index.tolist()):
-        f, formants = freqs[j], pairs[j, : counts[j]]
+        formants = pairs[j, : counts[j]]
         if counts[j] < 3:
             out[i] = FrameFeatures(None, None, formants, False, "fewer than three formants")
-        elif not np.isfinite(env_db[j]).all():
+        elif not finite[j]:
             out[i] = FrameFeatures(None, None, formants, False, "singular envelope")
+        elif narrow[j]:
+            out[i] = FrameFeatures(None, None, formants, False, "valley bracket too narrow")
         else:
-            v1, v2 = _valley(grid, env_db[j], f[0], f[1]), _valley(grid, env_db[j], f[1], f[2])
-            if v1 is None or v2 is None:
-                out[i] = FrameFeatures(None, None, formants, False, "valley bracket too narrow")
-            else:
-                out[i] = FrameFeatures(float(v1 - mean_db[j]), float(v2 - mean_db[j]),
-                                       formants[:3], True)
+            out[i] = FrameFeatures(float(v1[j] - mean_db[j]), float(v2[j] - mean_db[j]),
+                                   formants[:3], True)
     return out
 
 

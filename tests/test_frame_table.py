@@ -130,7 +130,8 @@ def test_rows_slices_and_iteration():
 def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():
     # rows that are no autocorrelation sequences fail at every stage, in both ways;
     # the scalar recursion, which reads its own error, stops where the stacked
-    # fit does, with the same text
+    # fit does, with the same text, and a failed row keeps the error of stage
+    # m-1, which is not positive exactly when the rejected k is stored as 0
     rng = np.random.default_rng(8)
     lags = rng.uniform(-1.0, 1.0, (400, 9))
     lags[:, 0] = np.abs(lags[:, 0]) + 0.05
@@ -139,8 +140,12 @@ def test_failure_text_from_stage_and_reflection_equals_the_error_based_text():
     fit = levinson_rows(lags, 8)
     failed = np.flatnonzero(fit.stage)
     texts = [levinson_failure(fit, i) for i in failed]
-    assert [frame_reference.levinson(r, 8)[3] for r in lags] == [
+    scalar = [frame_reference.levinson(r, 8) for r in lags]
+    assert [failure for _, _, _, failure in scalar] == [
         levinson_failure(fit, i) if fit.stage[i] else None for i in range(len(lags))]
+    assert [error for _, error, _, _ in scalar] == fit.error.tolist()
+    assert (fit.error[failed] <= 0).tolist() == [
+        t.startswith("prediction error vanished") for t in texts]
     assert any(t.startswith("prediction error vanished") for t in texts)
     assert any(t.startswith("reflection coefficient") for t in texts)
     assert len(set(fit.stage[failed].tolist())) > 3
