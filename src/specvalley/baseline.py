@@ -7,7 +7,7 @@ import numpy as np
 
 from .classify import segment_blocks
 from .errors import DegenerateInputError
-from .sigproc import stacked_product, window
+from .sigproc import CHUNK_ROWS, stacked_product, window
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
 
@@ -89,7 +89,8 @@ def mfcc(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     if not np.all(np.any(frames, axis=1)):
         raise DegenerateInputError("all-zero frame has no spectrum to describe")
     n_fft = max(NFFT, 1 << (frames.shape[1] - 1).bit_length())
-    spectrum = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+    spectrum = np.abs(np.fft.rfft(frames, n_fft, axis=1))
+    spectrum *= spectrum
     energies = stacked_product(spectrum, mel_filterbank(sample_rate, n_fft).T)
     log_e = np.log(np.maximum(energies, 1e-300))
     return stacked_product(log_e, dct_basis(N_FILTERS)[1 : N_COEFFS + 1].T)
@@ -100,12 +101,16 @@ def segment_mfcc_matrix(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     `classify.segment_blocks` gives it for one block of segments.
 
     All-zero frames are skipped; the rest are windowed and go through `mfcc`
-    as one stack.
+    `sigproc.CHUNK_ROWS` frames at a time, so the block's padded and complex
+    spectra are never held at once. Each row is what its frame gives alone.
     """
-    frames = frames[np.any(frames, axis=1)]
-    if len(frames) == 0:
-        return np.empty((0, N_COEFFS))
-    return mfcc(window(frames), sample_rate)
+    rows = [np.empty((0, N_COEFFS))]
+    for first in range(0, len(frames), CHUNK_ROWS):
+        chunk = frames[first:first + CHUNK_ROWS]
+        chunk = chunk[np.any(chunk, axis=1)]
+        if len(chunk):
+            rows.append(mfcc(window(chunk), sample_rate))
+    return np.concatenate(rows)
 
 
 def mean_mfccs(table, cfg, include_central: bool = False):

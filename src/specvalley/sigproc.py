@@ -23,6 +23,15 @@ DUPLICATE_DISTANCE = 1e-8  # polished roots this close together are one root
 # rows per BLAS product of `stacked_product`: 8-row tiles keep the envelope
 # table in cache across rows, and a lone row pays for 7 rows of zeros
 TILE_ROWS = 8
+# rows per pass of the stages that build a (rows, grid) array from a stack
+# (the seed dips, the frame envelopes and valleys, the MFCC spectra): a
+# 64-row chunk of the 1024-column envelope product is 512 KiB, where a
+# 256-frame block's is 2 MiB. 32-row chunks left the peak RSS of `classify`
+# and `baseline` where 64 do and cost frame_pipeline about 15 % more time in
+# per-call overhead (Xeon, one BLAS thread). Every row of those stages is
+# computed alone, so the chunks change no bit, and a multiple of TILE_ROWS
+# pads no more tiles
+CHUNK_ROWS = 64
 # the highest LP order `--lp-order` and `f0 --order` accept: far past the rate/1000 + 2 a
 # vowel needs, and `f0` then peaks near 250 MB building its 66 MB envelope table
 MAX_LP_ORDER = 1000
@@ -334,16 +343,20 @@ def _peak_seeds(a: np.ndarray):
     """(row, z): one seed per local maximum of 1/|A|^2 on the SEED_RADIUS circle.
 
     The maxima are taken on SEED_POINTS angles from 0 to pi, DC and Nyquist
-    included (each compared with its one neighbour); a seed sits at
-    SEED_RADIUS times the peak's grid point, so the two ends give real seeds.
+    included (each compared with its one neighbour), CHUNK_ROWS rows at a time;
+    a seed sits at SEED_RADIUS times the peak's grid point, so the two ends
+    give real seeds.
     """
     table = _unit_circle_table(2, SEED_POINTS)
     # A(SEED_RADIUS*e^jw) has the taps a_m * SEED_RADIUS^-m
-    power = _grid_power(a * SEED_RADIUS ** -np.arange(a.shape[1]), SEED_POINTS)
-    dip = np.empty(power.shape, dtype=bool)
-    dip[:, 1:-1] = (power[:, 1:-1] < power[:, :-2]) & (power[:, 1:-1] <= power[:, 2:])
-    dip[:, 0] = power[:, 0] < power[:, 1]
-    dip[:, -1] = power[:, -1] < power[:, -2]
+    scaled = a * SEED_RADIUS ** -np.arange(a.shape[1])
+    dip = np.empty((len(a), SEED_POINTS), dtype=bool)
+    for first in range(0, len(a), CHUNK_ROWS):
+        power = _grid_power(scaled[first:first + CHUNK_ROWS], SEED_POINTS)
+        chunk = dip[first:first + CHUNK_ROWS]
+        chunk[:, 1:-1] = (power[:, 1:-1] < power[:, :-2]) & (power[:, 1:-1] <= power[:, 2:])
+        chunk[:, 0] = power[:, 0] < power[:, 1]
+        chunk[:, -1] = power[:, -1] < power[:, -2]
     rows, bins = np.nonzero(dip)
     return rows, SEED_RADIUS * (table[1, bins] + 1j * table[1, SEED_POINTS + bins])
 
@@ -433,6 +446,12 @@ def check_formants(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate:
     """Raise ValueError for a formant frequency or bandwidth that is not positive and
     finite, and, as `resonator_db` would, for a frequency at or above Nyquist (the
     first such in column order, section by section, of (k, m) arrays)."""
+    # one reduction per bound passes valid formants; the checks below name an offender
+    if (np.minimum.reduce(frequencies, None, initial=np.inf) > 0
+            and np.maximum.reduce(frequencies, None, initial=0.0) < sample_rate / 2.0
+            and np.minimum.reduce(bandwidths, None, initial=np.inf) > 0
+            and np.maximum.reduce(bandwidths, None, initial=0.0) < np.inf):
+        return
     for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
         bad = ~(np.isfinite(values) & (values > 0))
         if bad.any():

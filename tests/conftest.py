@@ -4,6 +4,7 @@ import pytest
 from specvalley import synthetic
 from specvalley.corpus import load_pb_table, default_pb_table_path, pcm_to_float
 from specvalley.envelope import PEAK_WINDOW_HZ, peak_windows, window_peaks
+from specvalley.sigproc import CHUNK_ROWS
 from specvalley.synth import synthesize_cascades
 
 CORPUS_SEED = 20240801
@@ -11,6 +12,9 @@ CORPUS_SIZE = 500
 SMALL_CORPUS_SEED = 7
 SMALL_CORPUS_SIZE = 63
 SAMPLE_RATE = 16000.0
+# stack heights of the row-invariance tests: no row, one, each side of a
+# `sigproc.CHUNK_ROWS` boundary, and 70 rows
+STACK_HEIGHTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, 70)
 
 # Critical-distance band reported by perceptual matching studies, in bark: a
 # read-only comparison band for measured OCD values.

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analyse, frames_of, segment_audio
+from conftest import STACK_HEIGHTS, analyse, frames_of, segment_audio
 from specvalley import classify, sigproc
 from specvalley.sigproc import (
     autocorrelation,
@@ -162,18 +162,27 @@ def test_pipeline_reads_each_frame_as_when_anchored_at_eigvals(both_ways):
     assert np.count_nonzero(anchored["reason"] == classify.VALID) > 0.6 * len(anchored["reason"])
 
 
-def test_a_corpus_row_gives_the_same_anchors_alone(clean_segment_features):
+@pytest.fixture(scope="module")
+def corpus_fit(clean_segment_features):
+    """The order-18 Levinson fit of the first three STACK_FRAMES frames of the
+    acceptance corpus, and the anchors of each of its rows as a one-row stack,
+    stacked."""
     cfg = classify.PipelineConfig()
     frames = np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
-    fit = levinson_rows(autocorrelation(window(frames), 18), 18)
+    fit = levinson_rows(autocorrelation(window(frames[:3 * classify.STACK_FRAMES]), 18), 18)
     assert not fit.stage.any()
-    for first in range(0, len(fit.a), classify.STACK_FRAMES):
-        block = slice(first, first + classify.STACK_FRAMES)
+    alone = [formant_anchors(fit.a[i:i + 1], fit.reflection[i:i + 1], FS) for i in range(len(fit.a))]
+    return fit, [np.concatenate(column) for column in zip(*alone)]
+
+
+@pytest.mark.parametrize("height", STACK_HEIGHTS + (classify.STACK_FRAMES,))
+def test_a_corpus_row_gives_the_same_anchors_alone(corpus_fit, height):
+    # the corpus's rows in stacks of `height` (one empty stack for 0)
+    fit, alone = corpus_fit
+    for first in range(0, len(fit.a), height) if height else [0]:
+        block = slice(first, first + height)
         stacked = formant_anchors(fit.a[block], fit.reflection[block], FS)
-        for i in range(0, len(stacked[2]), 8):
-            row = slice(first + i, first + i + 1)
-            alone = formant_anchors(fit.a[row], fit.reflection[row], FS)
-            assert _same([x[i] for x in stacked], [x[0] for x in alone])
+        assert _same(stacked, [x[block] for x in alone])
 
 
 def _out_of_place_newton(a, rows, z):

@@ -9,8 +9,12 @@ one-row input, and `window_peaks` (through `conftest.peak_levels`) with one
 nominal frequency per call. These tests check that row by row, including on
 silent and unstable rows, and that `frame_pipeline` gives what
 `frame_reference.frame_pipeline`, the corpus stage's oracle, gives frame by
-frame.
+frame. The stacks take heights on each side of a `sigproc.CHUNK_ROWS`
+boundary, and one block's `frame_pipeline` and `segment_mfcc_matrix` calls
+must not hold a grid array of the whole block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +23,16 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import frame_reference
-from conftest import frames_of, peak_levels
+from conftest import STACK_HEIGHTS, frames_of, peak_levels
 from specvalley import experiments
-from specvalley.baseline import mfcc, segment_mfcc_matrix
-from specvalley.classify import PipelineConfig, frame_pipeline
+from specvalley.baseline import NFFT, mfcc, segment_mfcc_matrix
+from specvalley.classify import ENVELOPE_POINTS, STACK_FRAMES, PipelineConfig, frame_pipeline
 from specvalley.cli import run
 from specvalley.envelope import valley_minima
 from specvalley.errors import DegenerateInputError, UnstableModelError
 from specvalley.experiments import lp_envelope_of_signal, power_mean_db
 from specvalley.sigproc import (
+    CHUNK_ROWS,
     autocorrelation,
     formant_candidates,
     frame_signal,
@@ -137,11 +142,16 @@ def test_stacked_lp_analysis_matches_one_row_calls(seed, order, kinds):
 
 
 @pytest.fixture(scope="module")
-def corpus_lags(clean_segment_features):
-    """Order-18 autocorrelation rows of every frame of the acceptance corpus."""
+def corpus_frames(clean_segment_features):
+    """The pre-emphasized frames of the acceptance corpus, segment after segment."""
     cfg = PipelineConfig()
-    frames = np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
-    return autocorrelation(window(frames), 18)
+    return np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
+
+
+@pytest.fixture(scope="module")
+def corpus_lags(corpus_frames):
+    """Order-18 autocorrelation rows of every frame of the acceptance corpus."""
+    return autocorrelation(window(corpus_frames), 18)
 
 
 @pytest.mark.parametrize("order, n_points, stride", [(18, 512, 1), (8, 4096, 8), (10, 1024, 2)])
@@ -163,12 +173,32 @@ def test_lpc_levels_match_the_fft_oracle(corpus_lags, order, n_points, stride):
         assert np.max(np.abs(mean_db - power_mean_db(oracle))) <= 1e-9
 
 
-def _test_segment(seed, noise):
+def test_a_block_holds_no_grid_of_the_whole_block(corpus_frames):
+    # the corpus stage's working set, traced: one STACK_FRAMES block's
+    # frame_pipeline call holds more than its input (the windowed copy) and
+    # less than one (block, 2 * ENVELOPE_POINTS) float64 grid product, and its
+    # segment_mfcc_matrix call less than one (block, NFFT) float64 spectrum
+    block = corpus_frames[:STACK_FRAMES].copy()
+    calls = (lambda: frame_pipeline(block, FS), lambda: segment_mfcc_matrix(block, FS))
+    peaks = []
+    for call in calls:
+        call()  # the cached tables are built outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert block.nbytes < peaks[0] < STACK_FRAMES * 2 * ENVELOPE_POINTS * 8
+    assert peaks[1] < STACK_FRAMES * NFFT * 8
+
+
+def _test_segment(seed, noise, voiced_samples=2400):
     """Voiced frames, then silence, then white noise, all under extra noise."""
     rng = np.random.default_rng(seed)
     voiced = lfilter([1.0], np.real(np.poly(
         [0.97 * np.exp(1j * t) for t in (0.15, -0.15, 0.6, -0.6, 1.1, -1.1)])),
-        rng.standard_normal(2400))
+        rng.standard_normal(voiced_samples))
     samples = np.concatenate([voiced, np.zeros(640), rng.standard_normal(960)])
     samples += noise * np.std(voiced) * rng.standard_normal(len(samples))
     return samples, FS
@@ -182,13 +212,32 @@ def _features(seg, cfg):
 # `frame_reference`, so it must give the same numbers bit for bit, not just
 # within a tolerance
 
-def test_frame_pipeline_equals_the_per_frame_loop():
+def _first_frames(samples, height):
+    """The samples of the first `height` default 20 ms frames at FS (hop 10 ms)."""
+    return samples[:320 + 160 * (height - 1)]
+
+
+@pytest.mark.parametrize("height", STACK_HEIGHTS + (None,))
+def test_frame_pipeline_equals_the_per_frame_loop(height):
+    # the test segment (None), and the first `height` frames of one whose
+    # voiced start fills the envelope chunks, each frame also read as a
+    # one-row stack
     seg = _test_segment(4, 0.0)
+    if height is not None:
+        seg = (_first_frames(_test_segment(4, 0.0, 12000)[0], height), FS)
     cfg = PipelineConfig()
     expected = frame_reference.frame_pipeline(seg, cfg)
     assert _features(seg, cfg) == expected
-    reasons = {f.fail_reason for f in expected}
-    assert reasons == {None, "silent frame", "fewer than three formants"}
+    if height is None:
+        reasons = {f.fail_reason for f in expected}
+        assert reasons == {None, "silent frame", "fewer than three formants"}
+        return
+    frames = frames_of(seg, cfg)
+    assert len(frames) == height
+    assert expected == [f for i in range(height)
+                        for f in frame_reference.rows(frame_pipeline(frames[i:i + 1], FS, cfg))]
+    if height > CHUNK_ROWS:
+        assert sum(f.valid for f in expected) > CHUNK_ROWS
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,16 +263,18 @@ def test_unstable_row_reason_matches_levinson_error(monkeypatch):
     assert err.value.stage == 1
 
 
-def test_stacked_mfcc_rows_match_single_frames():
+@pytest.mark.parametrize("height", STACK_HEIGHTS)
+def test_stacked_mfcc_rows_match_single_frames(height):
     rng = np.random.default_rng(9)
     samples = np.concatenate([rng.standard_normal(1600), np.zeros(640), rng.standard_normal(800)])
-    samples *= 0.1
+    samples = _first_frames(np.tile(samples * 0.1, 4), height)
     mat = segment_mfcc_matrix(frames_of((samples, FS)), FS)
     frames = frame_signal(preemphasize(samples, 0.97), FS, 20.0, 0.5)[0]
-    singles = [mfcc(window(f)[None], FS)[0] for f in frames if np.any(f)]
-    assert len(singles) < len(frames)  # the silent frames were skipped
-    assert mat.shape == (len(singles), 12)
-    assert np.max(np.abs(mat - np.array(singles))) <= 1e-12
+    assert len(frames) == height
+    singles = np.array([mfcc(window(f)[None], FS)[0] for f in frames if np.any(f)]).reshape(-1, 12)
+    if height > 12:
+        assert len(singles) < len(frames)  # frames 11 and 12 are silent and skipped
+    assert np.array_equal(mat, singles)
 
 
 @pytest.mark.parametrize("rate", [16000.0, 8000.0])
@@ -246,19 +297,24 @@ def test_stacked_mfcc_rejects_a_zero_row():
         mfcc(frames, FS)
 
 
-def test_one_row_levinson_model_is_the_stacked_row():
+@pytest.mark.parametrize("height", STACK_HEIGHTS)
+def test_one_row_levinson_model_is_the_stacked_row(height):
     # a one-row fit, as the f0 study makes it, is its row of a taller stack bit
     # for bit, and so is the envelope it gives
     rng = np.random.default_rng(1)
-    lags = np.array([autocorrelation(_ar_frame(rng, 10)[None], 10)[0] for _ in range(3)])
+    lags = np.array([autocorrelation(_ar_frame(rng, 10)[None], 10)[0]
+                     for _ in range(height)]).reshape(height, 11)
     fit = levinson_rows(lags, 10)
-    one = levinson_rows(lags[1:2], 10)
-    for got, stacked in zip(one, fit):
-        assert np.array_equal(got[0], stacked[1])
-    env = lpc_levels(one.a, np.sqrt(one.error), N_POINTS)
     stack = lpc_levels(fit.a, np.sqrt(fit.error), N_POINTS)
-    assert np.array_equal(env.levels[0], stack.levels[1])
-    assert env.mean_db[0] == stack.mean_db[1]
+    assert stack.levels.shape == (height, N_POINTS)
+    for i in range(height):
+        one = levinson_rows(lags[i:i + 1], 10)
+        for got, stacked in zip(one, fit):
+            assert np.array_equal(got[0], stacked[i])
+        env = lpc_levels(one.a, np.sqrt(one.error), N_POINTS)
+        assert np.array_equal(env.levels[0], stack.levels[i])
+        assert env.mean_db[0] == stack.mean_db[i]
+        assert env.singular[0] == stack.singular[i]
 
 
 @pytest.mark.parametrize("argv", [
