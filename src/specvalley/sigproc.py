@@ -446,20 +446,18 @@ def check_formants(frequencies: np.ndarray, bandwidths: np.ndarray, sample_rate:
     """Raise ValueError for a formant frequency or bandwidth that is not positive and
     finite, and, as `resonator_db` would, for a frequency at or above Nyquist (the
     first such in column order, section by section, of (k, m) arrays)."""
-    # one reduction per bound passes valid formants; the checks below name an offender
-    if (np.minimum.reduce(frequencies, None, initial=np.inf) > 0
-            and np.maximum.reduce(frequencies, None, initial=0.0) < sample_rate / 2.0
-            and np.minimum.reduce(bandwidths, None, initial=np.inf) > 0
-            and np.maximum.reduce(bandwidths, None, initial=0.0) < np.inf):
-        return
+    # each bound is one reduction (a NaN fails it); only a failed bound looks for
+    # its first offender, with the same comparison
+    nyquist = sample_rate / 2.0
     for name, values in (("frequency", frequencies), ("bandwidth", bandwidths)):
-        bad = ~(np.isfinite(values) & (values > 0))
-        if bad.any():
+        if not (np.minimum.reduce(values, None, initial=np.inf) > 0
+                and np.maximum.reduce(values, None, initial=0.0) < np.inf):
+            bad = ~((values > 0) & (values < np.inf))
             raise ValueError(f"formant {name} must be positive, got {values[bad][0]}")
-    above = frequencies.T >= sample_rate / 2.0
-    if above.any():
+    if not np.maximum.reduce(frequencies, None, initial=0.0) < nyquist:
+        above = ~(frequencies.T < nyquist)
         raise ValueError(f"formant at {frequencies.T[above][0]} Hz is at or above Nyquist "
-                         f"({sample_rate / 2.0} Hz)")
+                         f"({nyquist} Hz)")
 
 
 def resonator_taps(frequency, bandwidth, sample_rate: float):

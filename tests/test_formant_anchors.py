@@ -162,27 +162,34 @@ def test_pipeline_reads_each_frame_as_when_anchored_at_eigvals(both_ways):
     assert np.count_nonzero(anchored["reason"] == classify.VALID) > 0.6 * len(anchored["reason"])
 
 
+PREFIX_ROWS = 3 * classify.STACK_FRAMES  # corpus rows stacked at every height
+
+
 @pytest.fixture(scope="module")
 def corpus_fit(clean_segment_features):
-    """The order-18 Levinson fit of the first three STACK_FRAMES frames of the
-    acceptance corpus, and the anchors of each of its rows as a one-row stack,
-    stacked."""
+    """The order-18 Levinson fit of every frame of the acceptance corpus, the
+    rows held alone (the first PREFIX_ROWS, then every 8th), and the anchors
+    of each as a one-row stack, stacked."""
     cfg = classify.PipelineConfig()
     frames = np.concatenate([frames_of(audio, cfg) for _, _, audio in clean_segment_features])
-    fit = levinson_rows(autocorrelation(window(frames[:3 * classify.STACK_FRAMES]), 18), 18)
+    fit = levinson_rows(autocorrelation(window(frames), 18), 18)
     assert not fit.stage.any()
-    alone = [formant_anchors(fit.a[i:i + 1], fit.reflection[i:i + 1], FS) for i in range(len(fit.a))]
-    return fit, [np.concatenate(column) for column in zip(*alone)]
+    rows = np.concatenate([np.arange(PREFIX_ROWS), np.arange(PREFIX_ROWS, len(fit.a), 8)])
+    alone = [formant_anchors(fit.a[i:i + 1], fit.reflection[i:i + 1], FS) for i in rows]
+    return fit, rows, [np.concatenate(column) for column in zip(*alone)]
 
 
 @pytest.mark.parametrize("height", STACK_HEIGHTS + (classify.STACK_FRAMES,))
 def test_a_corpus_row_gives_the_same_anchors_alone(corpus_fit, height):
-    # the corpus's rows in stacks of `height` (one empty stack for 0)
-    fit, alone = corpus_fit
-    for first in range(0, len(fit.a), height) if height else [0]:
-        block = slice(first, first + height)
-        stacked = formant_anchors(fit.a[block], fit.reflection[block], FS)
-        assert _same(stacked, [x[block] for x in alone])
+    # the first PREFIX_ROWS rows in stacks of `height` (one empty stack for
+    # 0), and every row of the corpus in STACK_FRAMES stacks
+    fit, rows, alone = corpus_fit
+    end = len(fit.a) if height == classify.STACK_FRAMES else PREFIX_ROWS
+    for first in range(0, end, height) if height else [0]:
+        stacked = formant_anchors(fit.a[first:first + height], fit.reflection[first:first + height], FS)
+        assert len(stacked[2]) == len(fit.a[first:first + height])
+        held = (rows >= first) & (rows < first + height)
+        assert _same([x[rows[held] - first] for x in stacked], [x[held] for x in alone])
 
 
 def _out_of_place_newton(a, rows, z):

@@ -17,6 +17,7 @@ from specvalley.sigproc import (
     NYQUIST_MARGIN,
     autocorrelation,
     cascade_levels,
+    check_formants,
     formant_anchors,
     formant_candidates,
     frame_length,
@@ -519,3 +520,48 @@ def test_resonator_radius_formula():
     _, a2 = resonator_taps(1400.0, 200.0, 10000.0)
     radius = np.sqrt(a2)
     assert abs(radius - np.exp(-np.pi * 0.02)) < 1e-12
+
+
+def _refusal(frequencies, bandwidths):
+    """check_formants' message at 8 kHz, None when it passes the formants."""
+    try:
+        check_formants(np.asarray(frequencies), np.asarray(bandwidths), 8000.0)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, -150.0, 4000.0, 4500.0])
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_check_formants_refuses_a_value_outside_its_bounds_anywhere(value, shape):
+    # each bound is one reduction, and only a failed one searches for its
+    # offender: the two must agree on every value, at every place, while
+    # the edges inside the bounds pass
+    frequencies = np.full(shape, np.nextafter(4000.0, 0.0))
+    bandwidths = np.full(shape, 5e-324)
+    assert _refusal(frequencies, bandwidths) is None
+    assert _refusal(np.empty(shape[:-1] + (0,)), np.empty(shape[:-1] + (0,))) is None
+    for name in ("frequency", "bandwidth"):
+        for place in np.ndindex(shape):
+            f, b = frequencies.copy(), bandwidths.copy()
+            (f if name == "frequency" else b)[place] = value
+            if 4000.0 <= value < np.inf:  # Nyquist bounds a frequency, not a bandwidth
+                expected = (f"formant at {value} Hz is at or above Nyquist (4000.0 Hz)"
+                            if name == "frequency" else None)
+            else:
+                expected = f"formant {name} must be positive, got {value}"
+            assert _refusal(f, b) == expected, (name, place)
+
+
+@pytest.mark.parametrize("frequencies, bandwidths, expected", [
+    # not positive: frequencies before bandwidths, each in array order
+    ([[100.0, np.nan], [-1.0, 4500.0]], [[0.0, 50.0], [50.0, 50.0]],
+     "formant frequency must be positive, got nan"),
+    ([[100.0, 4500.0], [4000.0, 200.0]], [[50.0, 50.0], [-0.0, np.inf]],
+     "formant bandwidth must be positive, got -0.0"),
+    # at or above Nyquist, after both, in column order
+    ([[100.0, 4500.0], [4000.0, 200.0]], [[50.0, 50.0], [50.0, 50.0]],
+     "formant at 4000.0 Hz is at or above Nyquist (4000.0 Hz)"),
+])
+def test_check_formants_names_the_first_offender(frequencies, bandwidths, expected):
+    assert _refusal(frequencies, bandwidths) == expected
