@@ -118,7 +118,8 @@ def mean_mfccs(table, cfg, include_central: bool = False):
     per scored segment of a `corpus.SegmentTable`, framed by `classify.segment_blocks`.
 
     Each block is one `segment_mfcc_matrix` call; a segment's mean is taken
-    over its own rows of the block's matrix.
+    over its own rows of the block's matrix, as np.mean takes it: one sum
+    over the rows, divided by their count.
     """
     out = []
     for rows, truths, block, counts, rate in segment_blocks(table, cfg, include_central):
@@ -127,7 +128,8 @@ def mean_mfccs(table, cfg, include_central: bool = False):
         kept = np.concatenate(([0], np.cumsum(np.any(block, axis=1))))
         bounds = kept[np.concatenate(([0], np.cumsum(counts)))].tolist()
         for i, truth, lo, hi in zip(rows.tolist(), truths, bounds[:-1], bounds[1:]):
-            out.append((i, truth, mat[lo:hi].mean(axis=0) if hi > lo else None))
+            out.append((i, truth, np.add.reduce(mat[lo:hi], axis=0) / (hi - lo) if hi > lo
+                        else None))
     return out
 
 
@@ -146,27 +148,48 @@ class MlpModel:
     seed: int = 0
 
 
-def _forward(w1, b1, w2, b2, x):
-    """Hidden activations and output probabilities. exp(-z) = inf gives the limit p = 0,
-    so callers run it under np.errstate(over="ignore"), entered once per call site."""
-    h = np.tanh(x @ w1.T + b1)
-    z = h @ w2 + b2
-    return h, 1.0 / (1.0 + np.exp(-z))
+def _forward(w1t, b1, w2, b2, x, out=None):
+    """Hidden activations h and output probabilities p of the rows of x, with
+    w1t the (input, hidden) view w1.T. `out`, an (h, p) pair of buffers of
+    x's rows, is written in place and returned; without it both are new
+    arrays. exp(-z) = inf gives the limit p = 0, so callers run it under
+    np.errstate(over="ignore"), entered once per call site."""
+    h, p = (np.empty((len(x), len(b1))), np.empty(len(x))) if out is None else out
+    np.matmul(x, w1t, out=h)
+    h += b1
+    np.tanh(h, out=h)
+    np.matmul(h, w2, out=p)
+    p += b2
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    return h, p
 
 
 def _loss(p, y, eps=1e-12):
-    return -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
+    """Mean cross-entropy, its mean taken as np.mean takes it, without the wrapper."""
+    return -(np.add.reduce(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)) / len(y))
 
 
-def _gradients(w2, x, y, h, p, out):
-    """Write the mean cross-entropy's gradients into `out`, the (w1, b1, w2, b2) arrays."""
+def _gradients(w2, x, y, h, p, dh, out):
+    """Write the mean cross-entropy's gradients into `out`, the (w1, b1, w2, b2) arrays.
+
+    `h` and `p` are `_forward`'s arrays for the rows x, and `dh` a buffer of
+    their shape; the three are overwritten: p with dz = (p - y) / n, h with
+    1 - h², dh with the hidden layer's error.
+    """
     g_w1, g_b1, g_w2, g_b2 = out
-    dz = (p - y) / len(y)  # (n,)
-    dh = np.outer(dz, w2) * (1.0 - h * h)
-    np.matmul(dh.T, x, out=g_w1)
-    dh.sum(axis=0, out=g_b1)
+    dz = np.subtract(p, y, out=p)
+    dz /= len(y)
     np.matmul(h.T, dz, out=g_w2)
-    g_b2[...] = np.sum(dz)
+    np.add.reduce(dz, out=g_b2)
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    np.multiply.outer(dz, w2, out=dh)
+    dh *= h
+    np.matmul(dh.T, x, out=g_w1)
+    np.add.reduce(dh, axis=0, out=g_b1)
 
 
 def _layers(flat, hidden_units, d):
@@ -183,10 +206,27 @@ def loss_and_gradients(w1, b1, w2, b2, x, y):
     on one flat vector; gradient checks compare it with finite differences.
     """
     with np.errstate(over="ignore"):
-        h, p = _forward(w1, b1, w2, b2, x)
+        h, p = _forward(w1.T, b1, w2, b2, x)
+    loss = _loss(p, y)
     g_w1, g_b1, g_w2, g_b2 = grads = _layers(np.empty(w1.size + 2 * len(b1) + 1), *w1.shape)
-    _gradients(w2, x, y, h, p, grads)
-    return _loss(p, y), (g_w1, g_b1, g_w2, float(g_b2))
+    _gradients(w2, x, y, h, p, np.empty_like(h), grads)
+    return loss, (g_w1, g_b1, g_w2, float(g_b2))
+
+
+def _target(label):
+    """The training target of a label: a class name, or a finite number in [0, 1]."""
+    if isinstance(label, str):
+        if label in CLASS_TO_TARGET:
+            return CLASS_TO_TARGET[label]
+    else:
+        try:
+            target = float(label)
+        except (TypeError, ValueError):
+            target = np.nan
+        if 0.0 <= target <= 1.0:
+            return target
+    raise ValueError(f"label {label!r} is neither a class name ({', '.join(CLASS_TO_TARGET)}) "
+                     f"nor a finite target in [0, 1]")
 
 
 def train_mlp(
@@ -202,10 +242,12 @@ def train_mlp(
     when its loss has not improved for PATIENCE epochs and the best weights
     are restored. Identical inputs and seed give identical weights. The
     weights, their gradients and the velocity are each one flat
-    w1 | b1 | w2 | b2 vector, so a step updates all layers in three calls.
+    w1 | b1 | w2 | b2 vector, so a step updates all layers in four calls.
+    Each epoch's shuffled rows and each batch's hidden, output and error
+    arrays are written into buffers allocated once per call.
     """
     x = np.asarray(samples, dtype=np.float64)
-    y = np.asarray([CLASS_TO_TARGET[l] if isinstance(l, str) else float(l) for l in labels])
+    y = np.asarray([_target(l) for l in labels], dtype=np.float64)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("samples must be (n, d) with one label per row")
     if len(set(y.tolist())) < 2:
@@ -227,23 +269,34 @@ def train_mlp(
     size = hidden_units * (d + 2) + 1
     params, grad, vel = np.zeros(size), np.empty(size), np.zeros(size)
     layers, grads = _layers(params, hidden_units, d), _layers(grad, hidden_units, d)
-    w1, _, w2, _ = layers
+    w1, b1, w2, b2 = layers
     w1[...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden_units, d))
     w2[...] = rng.normal(0.0, 1.0 / np.sqrt(hidden_units), size=hidden_units)
+    w1t = w1.T
+    x_epoch, y_epoch = np.empty((len(tr), d)), np.empty(len(tr))
+    h, p, dh = (np.empty((BATCH_SIZE, hidden_units)), np.empty(BATCH_SIZE),
+                np.empty((BATCH_SIZE, hidden_units)))
+    batches = []  # per batch, its views of the epoch's rows and of the buffers
+    for start in range(0, len(tr), BATCH_SIZE):
+        n = min(BATCH_SIZE, len(tr) - start)
+        rows = slice(start, start + n)
+        batches.append((x_epoch[rows], y_epoch[rows], h[:n], p[:n], dh[:n]))
+    hold_out = np.empty((n_hold, hidden_units)), np.empty(n_hold)
     best_loss, best = np.inf, params.copy()
     stale = 0
     with np.errstate(over="ignore"):
         for _ in range(epochs):
             idx = tr[rng.permutation(len(tr))]
-            x_epoch, y_epoch = xn[idx], y[idx]
-            for start in range(0, len(idx), BATCH_SIZE):
-                xb = x_epoch[start : start + BATCH_SIZE]
-                h, p = _forward(*layers, xb)
-                _gradients(w2, xb, y_epoch[start : start + BATCH_SIZE], h, p, grads)
+            np.take(xn, idx, axis=0, out=x_epoch)
+            np.take(y, idx, out=y_epoch)
+            for xb, yb, hb, pb, dhb in batches:
+                _forward(w1t, b1, w2, b2, xb, (hb, pb))
+                _gradients(w2, xb, yb, hb, pb, dhb, grads)
                 vel *= MOMENTUM
-                vel -= LEARNING_RATE * grad
+                grad *= LEARNING_RATE  # the step, in place of the gradients
+                vel -= grad
                 params += vel
-            val_loss = _loss(_forward(*layers, x_hold)[1], y_hold)
+            val_loss = _loss(_forward(w1t, b1, w2, b2, x_hold, hold_out)[1], y_hold)
             if val_loss < best_loss - 1e-9:
                 best_loss, best = val_loss, params.copy()
                 stale = 0
@@ -263,9 +316,11 @@ def predict(model: MlpModel, feature):
         raise ValueError(
             f"feature dimension {feature.shape} does not match model ({model.input_dim},)"
         )
+    if not np.all(np.isfinite(feature)):
+        raise ValueError("feature is not finite")
     xn = (feature - model.feature_mean) / model.feature_scale
     with np.errstate(over="ignore"):
-        _, p = _forward(model.w1, model.b1, model.w2, model.b2, xn[None, :])
+        _, p = _forward(model.w1.T, model.b1, model.w2, model.b2, xn[None, :])
     score = float(p[0])
     return ("back" if score > 0.5 else "front"), score
 

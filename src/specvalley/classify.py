@@ -252,9 +252,10 @@ def decide_segment(table: FrameTable, threshold_db: float | None = None,
     n_valid = int(np.count_nonzero(valid))
     if not n_valid:
         raise NoDecisionError("no valid frames in segment")
-    # the mean of the contiguous copy equals the mean of the same values as a list
-    mean_v1 = float(np.mean(table.v1[valid]))
-    mean_v2 = float(np.mean(table.v2[valid]))
+    # np.mean's sum and division, without its wrapper: the mean of the contiguous
+    # copy equals the mean of the same values as a list
+    mean_v1 = float(np.add.reduce(table.v1[valid]) / n_valid)
+    mean_v2 = float(np.add.reduce(table.v2[valid]) / n_valid)
     value = statistic(table.freqs[valid], mean_v1, mean_v2)
     thr = default if threshold_db is None else threshold_db
     return SegmentDecision(mean_v1=mean_v1, mean_v2=mean_v2, mean_diff=mean_v1 - mean_v2,

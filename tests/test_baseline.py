@@ -167,6 +167,22 @@ class TestTrainMlp:
         with pytest.raises(ValueError):
             train_mlp(x, ["front"] * 10)
 
+    def test_a_label_that_is_not_a_class_names_itself(self):
+        x, y = blobs(20)
+        with pytest.raises(ValueError, match=r"label 'middle' is neither a class name"):
+            train_mlp(x, y[:-1] + ["middle"])
+
+    @pytest.mark.parametrize("label", [np.nan, 1.5, -0.25, np.inf, None])
+    def test_a_target_outside_0_to_1_is_rejected(self, label):
+        x, _ = blobs(20)
+        with pytest.raises(ValueError, match=r"nor a finite target in \[0, 1\]"):
+            train_mlp(x, [0.0] * 10 + [1.0] * 9 + [label])
+
+    def test_targets_in_0_to_1_train(self):
+        x, _ = blobs(20)
+        model = train_mlp(x, [0.0] * 10 + [0.75] * 10, hidden_units=2, epochs=5)
+        assert np.all(np.isfinite(model.w1))
+
 
 # train_mlp as it was before the weights became one flat vector: a list of
 # per-layer velocities and four updates per step, with the forward pass and
@@ -185,6 +201,19 @@ def _list_gradients(w2, x, y, h, p):
     dz = (p - y) / len(y)
     dh = np.outer(dz, w2) * (1.0 - h * h)
     return dh.T @ x, dh.sum(axis=0), h.T @ dz, float(np.sum(dz))
+
+
+def test_loss_and_gradients_equal_the_per_layer_reference():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((32, 12))
+    y = (rng.random(32) > 0.5).astype(float)
+    w1, b1 = rng.standard_normal((10, 12)) * 0.3, rng.standard_normal(10) * 0.1
+    w2, b2 = rng.standard_normal(10) * 0.3, 0.05
+    loss, grads = loss_and_gradients(w1, b1, w2, b2, x, y)
+    h, p = _list_forward(w1, b1, w2, b2, x)
+    assert loss == _list_loss(p, y)
+    for got, expected in zip(grads, _list_gradients(w2, x, y, h, p), strict=True):
+        assert np.array_equal(got, expected)
 
 
 def _list_train_mlp(samples, labels, hidden_units, seed, epochs, learning_rate=0.1,
@@ -242,6 +271,8 @@ def _list_train_mlp(samples, labels, hidden_units, seed, epochs, learning_rate=0
     (71, 5, 1, 5, 80, None, None),  # one hidden unit; 64 training rows, two full batches
     (101, 4, 4, 11, 80, None, None),  # 91 training rows: a partial last batch
     (362, 12, 10, 20240801, 120, None, None),
+    (37, 12, 10, 4, 60, None, None),  # 33 training rows: a last batch of one row
+    (28, 12, 10, 0, 60, None, None),  # 25 training rows: fewer than one batch
 ])
 def test_flat_training_equals_the_per_layer_reference(n, dim, hidden, seed, epochs, blob_seed,
                                                       stops_early):
@@ -282,6 +313,11 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             predict(self._neutral_model(), np.zeros(3))
+
+    @pytest.mark.parametrize("feature", [[np.nan, 0.0], [0.0, np.inf]])
+    def test_a_feature_that_is_not_finite_is_rejected(self, feature):
+        with pytest.raises(ValueError, match="feature is not finite"):
+            predict(self._neutral_model(), feature)
 
     def test_an_overflowing_logistic_raises_no_warning(self):
         # z = -1000 overflows exp(-z) to inf, which gives the limit p = 0

@@ -4,8 +4,9 @@ The files in `tests/golden/` and the commands that produce them are listed in
 `regenerate_golden.py`, which also rebuilds them. Any byte that moves fails
 here with a unified diff. The two classify files, the four sweep files
 (`sweep2`, `ocd2`, `ocd4`, `pb_ocd`), the four case files (`levels_a`,
-`levels_b`, `f0_a`, `f0_b`) and `noise_eval` also state their margins: how
-close their full-precision values come to moving a byte.
+`levels_b`, `f0_a`, `f0_b`), `noise_eval` and the two baseline files
+(`baseline_mfcc`, `baseline_valley3`) also state their margins: how close
+their full-precision values come to moving a byte.
 """
 
 import difflib
@@ -195,3 +196,34 @@ def test_case_files_keep_their_margins(name):
         [f"{x:.{digits}f}" for x in v] for v in values]  # the file's own values
     assert len(rows) == len(values)
     assert _to_rounding_boundary(values, digits).min() >= CASE_MARGINS[name]
+
+
+# How far the network scores behind the two baseline files stay from moving a
+# byte: each from the 0.5 that decides its label, and from a four-decimal
+# rounding boundary or the sign of zero. The measured margins, rounded down.
+# Measured: 0.4966 and 6.9e-7 in baseline_mfcc, whose score 0.99955069 (printed
+# 0.9996) is under 1e-6 from its boundary; 0.1888 and 1.7e-6 in
+# baseline_valley3 (score 0.00114830, printed 0.0011).
+BASELINE_MARGINS = {"baseline_mfcc": (0.49, 6.9e-7), "baseline_valley3": (0.18, 1.7e-6)}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_MARGINS))
+def test_baseline_files_keep_their_margins(name, golden_inputs, tmp_path, monkeypatch):
+    from specvalley import baseline
+
+    scores, predict = [], baseline.predict
+
+    def recording_predict(model, feature):
+        label, score = predict(model, feature)
+        scores.append(score)
+        return label, score
+
+    monkeypatch.setattr(baseline, "predict", recording_predict)
+    render(name, *golden_inputs, tmp_path / "out.csv")
+    rows = [line.split(",") for line in
+            (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()[3:]
+            if not line.startswith("#")]
+    assert [row[3] for row in rows] == [f"{s:.4f}" for s in scores]  # the file's own values
+    decision_floor, rounding_floor = BASELINE_MARGINS[name]
+    assert min(abs(s - 0.5) for s in scores) >= decision_floor
+    assert _to_rounding_boundary(scores, 4).min() >= rounding_floor
