@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import segment_blocks
-from .errors import DegenerateInputError
+from .corpus import _read, _text_lines
+from .errors import DegenerateInputError, FormatError, ValidationError
 from .sigproc import CHUNK_ROWS, stacked_product, window
 
 CLASS_TO_TARGET = {"front": 0.0, "back": 1.0}
@@ -342,12 +343,46 @@ def save_model(model: MlpModel, path):
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != "specvalley-mlp 1":
-            raise ValueError(f"not a model file (header {magic!r})")
-        d, h, seed = (int(v) for v in fh.readline().split())
-        rows = [np.array([float(v) for v in fh.readline().split()]) for _ in range(6)]
+    """The model `save_model` wrote to `path`.
+
+    Row 1 is the header, row 2 the input dimension d, the hidden units h (each
+    an integer of at least 1) and the seed (an integer of at least 0), and rows
+    3 to 8 hold d, d, h * d, h, h and 1 finite numbers, none of row 4's feature
+    scales zero. A file that breaks this raises one FormatError or
+    ValidationError with the path in front of the message, and the row in it.
+    """
+    return _read(_model, path)
+
+
+def _model(path):
+    lines = _text_lines(path)
+    magic = lines[0].strip() if lines else ""
+    if magic != "specvalley-mlp 1":
+        raise FormatError(f"not a model file (header {magic!r})", field="header")
+    try:
+        d, h, seed = (int(v) for v in lines[1].split())
+    except (IndexError, ValueError):
+        raise ValidationError("expected the integers 'input_dim hidden_units seed'",
+                              row=2) from None
+    if d < 1 or h < 1 or seed < 0:
+        raise ValidationError(f"input_dim and hidden_units must be at least 1 and seed at "
+                              f"least 0, got {d} {h} {seed}", row=2)
+    rows = []
+    for row, (name, n) in enumerate((("feature_mean", d), ("feature_scale", d), ("w1", h * d),
+                                     ("b1", h), ("w2", h), ("b2", 1)), start=3):
+        if row > len(lines):
+            raise ValidationError(f"the file ends before its {name} row", row=row)
+        try:
+            values = np.array([float(v) for v in lines[row - 1].split()])
+        except ValueError:
+            raise ValidationError(f"non-numeric value in the {name} row", row=row) from None
+        if len(values) != n:
+            raise ValidationError(f"{name} needs {n} values, got {len(values)}", row=row)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} holds a value that is not finite", row=row)
+        rows.append(values)
     mean, scale, w1, b1, w2, b2 = rows
+    if not np.all(scale):
+        raise ValidationError("feature_scale holds a zero", row=4)
     return MlpModel(input_dim=d, hidden_units=h, w1=w1.reshape(h, d), b1=b1, w2=w2,
                     b2=float(b2[0]), feature_mean=mean, feature_scale=scale, seed=seed)

@@ -9,7 +9,6 @@ import numpy as np
 
 from .corpus import pcm_to_float
 from .envelope import valley_minima
-from .errors import NoDecisionError
 from .scales import hz_to_bark
 from .sigproc import (
     CHUNK_ROWS,
@@ -233,8 +232,9 @@ DEFAULT_THRESHOLDS = {rule: r.default_threshold for rule, r in DECISION_RULES.it
 
 
 def decide_segment(table: FrameTable, threshold_db: float | None = None,
-                   rule: str = "valley") -> SegmentDecision:
-    """Decide front or back from the means over a segment's valid frames.
+                   rule: str = "valley") -> SegmentDecision | None:
+    """Decide front or back from the means over a segment's valid frames; None
+    for a segment with no valid frame.
 
     `table` holds the frames of one segment, as a slice of a `frame_pipeline` table.
     valley:     back iff mean(V_I) - mean(V_II) > threshold (dB, default 5).
@@ -251,7 +251,7 @@ def decide_segment(table: FrameTable, threshold_db: float | None = None,
     valid = table.reason == VALID
     n_valid = int(np.count_nonzero(valid))
     if not n_valid:
-        raise NoDecisionError("no valid frames in segment")
+        return None
     # np.mean's sum and division, without its wrapper: the mean of the contiguous
     # copy equals the mean of the same values as a list
     mean_v1 = float(np.add.reduce(table.v1[valid]) / n_valid)
@@ -321,12 +321,8 @@ def segment_decisions(table, cfg: PipelineConfig, rule: str = "valley",
         frame_table = frame_pipeline(frames, rate, cfg)
         start = 0
         for i, truth, n in zip(rows.tolist(), truths, counts.tolist()):
-            try:
-                decision = decide_segment(frame_table[start:start + n], threshold, rule)
-            except NoDecisionError:
-                decision = None
+            yield i, truth, decide_segment(frame_table[start:start + n], threshold, rule)
             start += n
-            yield i, truth, decision
 
 
 def score(decisions, truths) -> ClassificationReport:

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, baseline, classify, corpus, experiments, sigproc
-from .errors import AnalysisError, FormatError, PeakNotFoundError, ValleyUndefinedError
+from .errors import AnalysisError, PeakNotFoundError, ValleyUndefinedError
 from .scales import hz_to_bark
 
 CASE_GEOMETRIES = {  # narrow- and wide-spacing four-formant cases
@@ -446,13 +446,10 @@ def _cmd_noise_eval(args, out):
     cfg, table = _corpus_inputs(args)
     threshold = _threshold(args)
     rows, _ = classify.scored_rows(table, args.include_central)
-    try:
-        babble = corpus.load_wav(args.babble_source) if "babble" in kinds else None
-    except FormatError as exc:
-        raise FormatError(f"--babble-source {args.babble_source}: {exc}", exc.field) from None
+    shown = f"--babble-source {args.babble_source}"
+    babble = corpus._read(corpus.load_wav, args.babble_source, shown) if "babble" in kinds else None
     # every condition's mixer, and so its babble check, comes before any analysis
-    mixers = [(kind, snr, corpus.noise_mixer(table, rows, kind, snr, args.seed, babble,
-                                             f"--babble-source {args.babble_source}"))
+    mixers = [(kind, snr, corpus.noise_mixer(table, rows, kind, snr, args.seed, babble, shown))
               for kind in kinds for snr in snrs]
     out.params.update(corpus=args.corpus, noise=args.noise, snrs=args.snrs,
                       feature=args.feature, threshold=threshold)

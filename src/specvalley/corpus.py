@@ -154,43 +154,37 @@ def save_wav(path, samples: np.ndarray, sample_rate: float):
 
 
 def load_phone_labels(path):
-    """Parse 'start end label' lines (sample units) into ordered triples; a file that
-    is not UTF-8 text is a LabelParseError."""
+    """Parse 'start end label' lines (sample units) into ordered triples."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise LabelParseError(
+                f"expected 'start end label', got {line!r}", line_number=lineno
+            )
         try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise LabelParseError(f"not UTF-8 text: {exc}") from None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise LabelParseError(
-                    f"expected 'start end label', got {line!r}", line_number=lineno
-                )
-            try:
-                start, end = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise LabelParseError(
-                    f"non-integer sample bounds in {line!r}", line_number=lineno
-                ) from None
-            if start < 0:
-                raise LabelParseError(
-                    f"negative sample bound in {line!r}", line_number=lineno
-                )
-            if end <= start:
-                raise LabelParseError(
-                    f"empty or reversed span in {line!r}", line_number=lineno
-                )
-            if out and start < out[-1][1]:
-                raise LabelOrderingError(
-                    f"label {parts[2]!r} starts before the previous one ends",
-                    line_number=lineno,
-                )
-            out.append((start, end, parts[2]))
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise LabelParseError(
+                f"non-integer sample bounds in {line!r}", line_number=lineno
+            ) from None
+        if start < 0:
+            raise LabelParseError(
+                f"negative sample bound in {line!r}", line_number=lineno
+            )
+        if end <= start:
+            raise LabelParseError(
+                f"empty or reversed span in {line!r}", line_number=lineno
+            )
+        if out and start < out[-1][1]:
+            raise LabelOrderingError(
+                f"label {parts[2]!r} starts before the previous one ends",
+                line_number=lineno,
+            )
+        out.append((start, end, parts[2]))
     return out
 
 
@@ -227,39 +221,38 @@ PB_COLUMNS = ("vowel", "gender", "F0", "F1", "F2", "F3", "L1", "L2", "L3")
 def load_pb_table(path):
     """Read a mean-formant CSV with header vowel,gender,F0,F1,F2,F3,L1,L2,L3.
 
-    A bad header or row raises its FormatError or ValidationError with the
-    path in front of the message.
+    A bad header, row or encoding raises its FormatError or ValidationError
+    with the path in front of the message.
     """
     return _read(_pb_entries, path)
 
 
 def _pb_entries(path):
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(PB_COLUMNS):
-            missing = set(PB_COLUMNS) - set(h.strip() for h in (header or []))
-            raise FormatError(
-                f"bad header {header!r}", field=",".join(sorted(missing)) or "header"
+    reader = csv.reader(_text_lines(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != list(PB_COLUMNS):
+        missing = set(PB_COLUMNS) - set(h.strip() for h in (header or []))
+        raise FormatError(
+            f"bad header {header!r}", field=",".join(sorted(missing)) or "header"
+        )
+    for rowno, row in enumerate(reader, start=2):
+        if not row or not "".join(row).strip():
+            continue
+        if len(row) != len(PB_COLUMNS):
+            raise ValidationError(f"expected {len(PB_COLUMNS)} fields", row=rowno)
+        vowel, gender = row[0].strip(), row[1].strip()
+        try:
+            nums = [float(v) for v in row[2:]]
+        except ValueError:
+            raise ValidationError(f"non-numeric field in row {row!r}", row=rowno) from None
+        f0, f1, f2, f3, l1, l2, l3 = nums
+        if not f1 < f2 < f3:
+            raise ValidationError(
+                f"formants out of order for {vowel}/{gender}: {f1}, {f2}, {f3}",
+                row=rowno,
             )
-        for rowno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != len(PB_COLUMNS):
-                raise ValidationError(f"expected {len(PB_COLUMNS)} fields", row=rowno)
-            vowel, gender = row[0].strip(), row[1].strip()
-            try:
-                nums = [float(v) for v in row[2:]]
-            except ValueError:
-                raise ValidationError(f"non-numeric field in row {row!r}", row=rowno) from None
-            f0, f1, f2, f3, l1, l2, l3 = nums
-            if not f1 < f2 < f3:
-                raise ValidationError(
-                    f"formants out of order for {vowel}/{gender}: {f1}, {f2}, {f3}",
-                    row=rowno,
-                )
-            entries.append(PbEntry(vowel, gender, f0, f1, f2, f3, l1, l2, l3))
+        entries.append(PbEntry(vowel, gender, f0, f1, f2, f3, l1, l2, l3))
     return entries
 
 
@@ -288,34 +281,32 @@ def default_pb_table_path() -> Path:
 def load_inventory(inventory_path, exclusions_path) -> VowelInventory:
     """Load 'label class' lines plus a one-label-per-line exclusion list.
 
-    A bad inventory line raises LabelParseError with the path in front of the
-    message.
+    A bad inventory line raises LabelParseError, and a file that is not UTF-8
+    text FormatError, with the path in front of the message.
     """
-    classes = _read(_inventory_classes, inventory_path)
-    excluded = set()
-    with open(exclusions_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                excluded.add(line)
-    return VowelInventory(classes=classes, excluded_neighbors=frozenset(excluded))
+    return VowelInventory(classes=_read(_inventory_classes, inventory_path),
+                          excluded_neighbors=_read(_exclusions, exclusions_path))
 
 
 def _inventory_classes(inventory_path):
     classes = {}
-    with open(inventory_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("front", "back", "central"):
-                raise LabelParseError(
-                    f"expected '<label> front|back|central', got {line!r}",
-                    line_number=lineno,
-                )
-            classes[parts[0]] = parts[1]
+    for lineno, line in enumerate(_text_lines(inventory_path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[1] not in ("front", "back", "central"):
+            raise LabelParseError(
+                f"expected '<label> front|back|central', got {line!r}",
+                line_number=lineno,
+            )
+        classes[parts[0]] = parts[1]
     return classes
+
+
+def _exclusions(path):
+    """The labels of an exclusion list: each line's stripped text before '#'."""
+    return frozenset(filter(None, (line.split("#", 1)[0].strip() for line in _text_lines(path))))
 
 
 def timit_inventory() -> VowelInventory:
@@ -337,6 +328,16 @@ def _read(load, path, shown=None):
     except (FormatError, LabelParseError, ValidationError) as exc:
         exc.args = (f"{shown or path}: {exc}",)
         raise
+
+
+def _text_lines(path):
+    """The lines of a UTF-8 text file as text-mode iteration splits them (universal
+    newlines, not str.splitlines); a file that is not UTF-8 is a FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return list(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}", field="encoding") from None
 
 
 def _is_file(entry: os.DirEntry) -> bool:

@@ -45,10 +45,6 @@ class CalibrationError(AnalysisError):
         self.residuals_db = list(residuals_db)
 
 
-class NoDecisionError(AnalysisError):
-    """A segment produced no valid frames to decide on."""
-
-
 class DegenerateInputError(ValueError):
     """Input carries no usable signal (zero power, empty, ...)."""
 

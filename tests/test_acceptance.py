@@ -17,7 +17,6 @@ from specvalley import baseline, classify
 from specvalley.cli import run
 from specvalley.corpus import pb_mean_formants
 from specvalley.envelope import valley_minima
-from specvalley.errors import NoDecisionError
 from specvalley.experiments import (
     SweepConfig,
     UNIFORM_TUBE_FORMANTS_HZ,
@@ -148,16 +147,18 @@ def test_criterion_6_level_influence_properties():
     report(6, "level influence", ok, "; ".join(details))
 
 
+def _predicted(feats):
+    """The front/back call of a segment's frames, or None for an undecided segment."""
+    decision = classify.decide_segment(feats)
+    return None if decision is None else decision.predicted
+
+
 def _corpus_reports(clean_segment_features):
     out = {}
     for rule in ("valley", "f3f2_3bark", "f2f1_bark"):
         decisions, truths = [], []
         for truth, feats, _ in clean_segment_features:
-            try:
-                d = classify.decide_segment(feats, None, rule)
-            except NoDecisionError:
-                d = None
-            decisions.append(d)
+            decisions.append(classify.decide_segment(feats, None, rule))
             truths.append(truth)
         out[rule] = classify.score(decisions, truths)
     return out
@@ -282,17 +283,9 @@ def test_criterion_9_numerical_oracles(clean_segment_features):
     flips = 0
     cfg = classify.PipelineConfig()
     for truth, feats, (samples, rate) in clean_segment_features[:40]:
-        try:
-            base_pred = classify.decide_segment(feats).predicted
-        except NoDecisionError:
-            base_pred = None
+        base_pred = _predicted(feats)
         for gain in (0.25, 4.0):
-            scaled = (samples * gain, rate)
-            try:
-                pred = classify.decide_segment(analyse(scaled, cfg)).predicted
-            except NoDecisionError:
-                pred = None
-            flips += pred != base_pred
+            flips += _predicted(analyse((samples * gain, rate), cfg)) != base_pred
     details.append(f"gain-scaled prediction flips {flips}=0")
     ok &= flips == 0
 

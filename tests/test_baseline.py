@@ -391,9 +391,40 @@ class TestPersistence:
         assert np.array_equal(loaded.feature_mean, model.feature_mean)
         for row in x[:5]:
             assert predict(loaded, row) == predict(model, row)
+        again = tmp_path / "again.txt"
+        save_model(loaded, again)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "junk.txt"
         p.write_text("not a model\n")
         with pytest.raises(ValueError):
             load_model(p)
+
+    # each edit of a saved 2-input, 2-unit model's lines, and the error it gives
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1] + ["2 2.5 4"] + lines[2:],
+         "row 2: expected the integers 'input_dim hidden_units seed'"),
+        (lambda lines: lines[:1] + ["2 0 4"] + lines[2:],
+         "row 2: input_dim and hidden_units must be at least 1 and seed at least 0, "
+         "got 2 0 4"),
+        (lambda lines: lines[:2] + [lines[2].split()[0]] + lines[3:],
+         "row 3: feature_mean needs 2 values, got 1"),
+        (lambda lines: lines[:3] + ["0.0 1.0"] + lines[4:], "row 4: feature_scale holds a zero"),
+        (lambda lines: lines[:4] + [" ".join(lines[4].split()[:3])] + lines[5:],
+         "row 5: w1 needs 4 values, got 3"),
+        (lambda lines: lines[:4] + ["nan " + lines[4].split(" ", 1)[1]] + lines[5:],
+         "row 5: w1 holds a value that is not finite"),
+        (lambda lines: lines[:5], "row 6: the file ends before its b1 row"),
+        (lambda lines: lines[:7] + ["x"], "row 8: non-numeric value in the b2 row"),
+    ], ids=["header_not_integers", "no_hidden_unit", "short_mean_row", "zero_scale",
+            "short_weight_row", "nan_weight", "truncated", "non_numeric"])
+    def test_a_malformed_model_is_one_error_naming_the_file_and_row(self, edit, message,
+                                                                    tmp_path):
+        x, y = blobs(seed=5)
+        p = tmp_path / "model.txt"
+        save_model(train_mlp(x, y, hidden_units=2, seed=4, epochs=5), p)
+        p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(err.value) == f"{p}: {message}"

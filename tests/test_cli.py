@@ -292,6 +292,48 @@ def test_a_malformed_file_is_one_error_line_naming_it(broken, message, tmp_path,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag", ["--inventory", "--exclusions", "--table"])
+def test_an_input_file_that_is_not_utf8_is_one_error_line_naming_it(flag, tmp_path, capsys):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_bytes(b"aa back\n\xff front\n")
+    good.write_text("aa back\n")
+    if flag == "--table":
+        argv = ["pb-ocd", "--table", str(bad)]
+    else:
+        files = {"--inventory": good, "--exclusions": good, flag: bad}
+        argv = ["classify", "--corpus", str(tmp_path)] + [
+            str(v) for item in files.items() for v in item]
+    assert run(argv + ["--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                            "0xff in position 8: invalid start byte\n")
+
+
+def test_the_dravidian_inventory_decides_as_timit_on_mapped_labels(small_corpus_dir,
+                                                                   tmp_path):
+    # the corpus with iy and aa relabelled i and a: those segments, and no other,
+    # are the dravidian inventory's vowels
+    mapped = tmp_path / "mapped"
+    mapped.mkdir()
+    renamed = {"iy": "i", "aa": "a"}
+    for wav in small_corpus_dir.glob("*.wav"):
+        (mapped / wav.name).write_bytes(wav.read_bytes())
+        lines = [line.split() for line in wav.with_suffix(".phn").read_text().splitlines()]
+        (mapped / wav.with_suffix(".phn").name).write_text(
+            "".join(f"{a} {b} {renamed.get(label, label)}\n" for a, b, label in lines))
+    rows = {}
+    for inventory, corpus_dir in (("timit", small_corpus_dir), ("dravidian", mapped)):
+        out = tmp_path / f"{inventory}.csv"
+        assert run(["classify", "--corpus", str(corpus_dir), "--inventory", inventory,
+                    "--out", str(out), "--no-timestamp"]) == 0
+        rows[inventory] = [line.split(",") for line in data_rows(out)[1:]]
+    expected = [[seg, renamed[label], *rest] for seg, label, *rest in rows["timit"]
+                if label in renamed]
+    assert {row[1] for row in expected} == {"i", "a"}
+    assert rows["dravidian"] == expected
+
+
 def test_an_eigenvalue_failure_is_one_error_line(small_corpus_dir, monkeypatch, tmp_path,
                                                  capsys):
     # the corpus leaves some frames' roots to eigvals (18 at the defaults)

@@ -13,6 +13,7 @@ from specvalley.corpus import (
     SegmentTable,
     collect_segments,
     default_pb_table_path,
+    dravidian_inventory,
     load_inventory,
     load_pb_table,
     load_phone_labels,
@@ -145,6 +146,17 @@ class TestPhoneLabels:
         p.write_text("\n0 100 h#\n\n100 900 aa\n\n")
         assert len(load_phone_labels(p)) == 2
 
+    def test_lines_split_as_text_mode_splits_them(self, tmp_path):
+        # \r\n and a lone \r end a line, a form feed does not (str.splitlines would
+        # split there); the line numbers count the lines so split
+        p = tmp_path / "a.phn"
+        p.write_bytes(b"0 100 h#\r\n100\x0c900 aa\r900 1000 h#\n1000 x iy\n")
+        with pytest.raises(LabelParseError) as err:
+            load_phone_labels(p)
+        assert err.value.line_number == 4
+        p.write_bytes(b"0 100 h#\r\n100\x0c900 aa\r900 1000 h#\n")
+        assert load_phone_labels(p) == [(0, 100, "h#"), (100, 900, "aa"), (900, 1000, "h#")]
+
 
 class TestCollectSegments:
     LABELS = "0 1600 h#\n1600 4800 iy\n4800 6400 h#\n"
@@ -219,9 +231,9 @@ class TestCollectSegments:
     def test_a_label_file_that_is_not_utf8_names_the_file(self, tmp_path):
         self._utterance(tmp_path / "DR1" / "SA1.WAV", ".PHN", 1)
         (tmp_path / "DR1" / "SA1.PHN").write_bytes(b"0 1600 h#\n\xff 4800 iy\n")
-        with pytest.raises(LabelParseError) as err:
+        with pytest.raises(FormatError) as err:
             collect_segments(tmp_path, ".phn", timit_inventory())
-        assert err.value.line_number is None
+        assert err.value.field == "encoding"
         assert str(err.value) == ("DR1/SA1.PHN: not UTF-8 text: 'utf-8' codec can't decode "
                                   "byte 0xff in position 10: invalid start byte")
 
@@ -483,11 +495,11 @@ class TestInventoryFiles:
         inv_p = tmp_path / "inv.txt"
         inv_p.write_text("aa back\niy front\nux central # comment\n")
         exc_p = tmp_path / "exc.txt"
-        exc_p.write_text("m\nr\n")
+        exc_p.write_text("m\nr\n\n# r-like: \nng nx  # two labels, one line\n")
         inv = load_inventory(inv_p, exc_p)
         assert inv.fb_class("iy") == "front"
         assert inv.fb_class("zz") is None
-        assert "r" in inv.excluded_neighbors
+        assert inv.excluded_neighbors == frozenset({"m", "r", "ng nx"})
 
     def test_bad_class_rejected(self, tmp_path):
         inv_p = tmp_path / "inv.txt"
@@ -499,6 +511,32 @@ class TestInventoryFiles:
         assert str(err.value) == (f"{inv_p}: line 1: expected '<label> front|back|central', "
                                   "got 'aa sideways'")
         assert err.value.line_number == 1
+
+
+    def test_the_bundled_dravidian_inventory(self):
+        inv = dravidian_inventory()
+        assert inv.classes == {"i": "front", "I": "front", "e": "front", "E": "front",
+                               "a": "back", "A": "back", "u": "back", "U": "back",
+                               "o": "back", "O": "back"}
+        assert inv.excluded_neighbors == frozenset({"m", "n", "N", "ny", "ng", "r", "R", "h"})
+
+
+@pytest.mark.parametrize("reader", ["labels", "inventory", "exclusions", "pb_table"])
+def test_a_file_that_is_not_utf8_is_one_format_error_naming_it(reader, tmp_path):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_bytes(b"aa back\n\xff front\n")
+    good.write_text("aa back\n")
+    save_wav(tmp_path / "bad.wav", np.zeros(1600), 16000.0)  # bad.txt is its label sidecar
+    read = {"labels": lambda: collect_segments(tmp_path, ".txt", timit_inventory()),
+            "inventory": lambda: load_inventory(bad, good),
+            "exclusions": lambda: load_inventory(good, bad),
+            "pb_table": lambda: load_pb_table(bad)}[reader]
+    with pytest.raises(FormatError) as err:
+        read()
+    assert err.value.field == "encoding"
+    shown = "bad.txt" if reader == "labels" else bad  # a corpus file shows its relative path
+    assert str(err.value) == (f"{shown}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                              "in position 8: invalid start byte")
 
 
 class TestMixNoise:
